@@ -218,6 +218,9 @@ class NetworkSimulator:
         self._flow_weight: dict[object, float] = {}
         self._interceptors: dict[NodeId, Interceptor] = {}
         self._deliver_cb: dict[tuple, Callable[[Message, float], None]] = {}
+        #: flow -> nodes it registered deliver callbacks at, so removing
+        #: a finished flow touches only its own registrations.
+        self._flow_nodes: dict[object, set] = {}
         self._queues: dict[tuple, _LinkQueue] = {}
         self._queue_seq = 0
         #: Per-switch store-and-forward processing overhead (ns) applied
@@ -262,6 +265,7 @@ class NetworkSimulator:
         callback, so single-flow callers need not tag anything.
         """
         self._deliver_cb[(node, flow)] = callback
+        self._flow_nodes.setdefault(flow, set()).add(node)
 
     def intercept(self, node: NodeId, interceptor: Interceptor) -> None:
         """Install an in-network processing hook at a switch node."""
@@ -281,8 +285,8 @@ class NetworkSimulator:
         stats always remain)."""
         self._flow_weight.pop(flow, None)
         self._flow_traffic.pop(flow, None)
-        for key in [k for k in self._deliver_cb if k[1] == flow]:
-            del self._deliver_cb[key]
+        for node in self._flow_nodes.pop(flow, ()):
+            del self._deliver_cb[(node, flow)]
         for queue in self._queues.values():
             queue.finish_tag.pop(flow, None)
 

@@ -37,7 +37,7 @@ from typing import Optional
 
 from repro.comm.fabric import Fabric
 from repro.core.manager import AdmissionError
-from repro.service.queueing import AdmissionQueue
+from repro.service.queueing import AdmissionQueue, QueuedJob
 from repro.service.scheduler import build_scheduler
 from repro.service.slo import SLOStats
 from repro.service.workload import Job
@@ -374,52 +374,70 @@ class FabricService:
             rejection is not None
             and getattr(rejection, "resource", None) in QUEUEABLE_RESOURCES
         ):
-            job.status = "queued"
-            cls = self.workload.classes[job.tenant_class]
-            self.queue.push(
-                job,
-                tenant_class=job.tenant_class,
-                weight=cls.weight,
-                now=self.fabric.now,
-                reason=rejection.resource,
-            )
+            self._enqueue(job, rejection.resource)
             self.queue.sample_depth()
             return
-        self._issue(job, queued_ns=None)
+        self._issue(job)
 
-    def _admittable(self, job: Job) -> bool:
-        comm = self._comms[job.tenant_class]
-        plan = comm.plan(nbytes=job.nbytes, **self._request_kwargs(job))
-        return self.fabric.would_admit(plan, tenant=comm.name) is None
+    def _enqueue(self, job: Job, reason: str) -> None:
+        job.status = "queued"
+        self.queue.push(
+            job,
+            tenant_class=job.tenant_class,
+            weight=self.workload.classes[job.tenant_class].weight,
+            now=self.fabric.now,
+            reason=reason,
+        )
 
-    def _issue(self, job: Job, queued_ns: Optional[float]) -> None:
+    def _admittable(self, job: Job, memo: dict) -> bool:
+        """Admission probe for one queued job, run once per request
+        shape per queue scan.
+
+        ``memo`` is a fresh dict for each :meth:`AdmissionQueue.
+        next_admittable` scan.  Nothing changes the pools during a scan,
+        and ``plan`` + ``would_admit`` are pure functions of (tenant
+        class, nbytes, request kwargs) and fabric state, so every entry
+        of one shape gets the same answer.
+        """
+        kwargs = self._request_kwargs(job)
+        key = (job.tenant_class, job.nbytes, *kwargs.items())
+        admit = memo.get(key)
+        if admit is None:
+            comm = self._comms[job.tenant_class]
+            plan = comm.plan(nbytes=job.nbytes, **kwargs)
+            admit = self.fabric.would_admit(plan, tenant=comm.name) is None
+            memo[key] = admit
+        return admit
+
+    def _issue(self, job: Job, entry: Optional[QueuedJob] = None) -> bool:
+        """Issue ``job``'s next iteration (``entry`` = the queue entry it
+        waits in, dequeued only once the issue succeeds).  Returns False
+        when admission refused it and the job stays parked."""
         comm = self._comms[job.tenant_class]
         now = self.fabric.now
-        if job.first_issue_ns is None:
-            job.first_issue_ns = now
-        if queued_ns is not None:
-            job.queue_waits_ns.append(now - queued_ns)
-        job.status = "running"
-        ready_ns = queued_ns if queued_ns is not None else now
         try:
             future = comm.iallreduce(job.nbytes, **self._request_kwargs(job))
         except AdmissionError as exc:
             # The probe and the issue disagree (e.g. a fault landed in
-            # between inside this same timestamp): park and retry.
-            job.status = "queued"
-            cls = self.workload.classes[job.tenant_class]
-            self.queue.push(
-                job,
-                tenant_class=job.tenant_class,
-                weight=cls.weight,
-                now=now,
-                reason=getattr(exc, "resource", "unknown"),
-            )
-            return
+            # between inside this same timestamp).  The attempt leaves
+            # no trace: a queued entry keeps its place, enqueue time and
+            # fair-queue position.
+            if entry is None:
+                self._enqueue(job, getattr(exc, "resource", "unknown"))
+            return False
+        if job.first_issue_ns is None:
+            job.first_issue_ns = now
+        ready_ns = now
+        if entry is not None:
+            self.queue.remove(entry, now)
+            ready_ns = entry.enqueued_ns        # queue wait counts
+            job.queue_waits_ns.append(now - ready_ns)
+        job.status = "running"
         self._inflight_iterations += 1
         future.add_done_callback(
             lambda fut: self._on_iteration_done(job, ready_ns, fut.result())
         )
+        return True
 
     def _on_iteration_done(self, job: Job, ready_ns: float, result) -> None:
         self._inflight_iterations -= 1
@@ -464,18 +482,22 @@ class FabricService:
         """Pool resources freed: retry queued iterations, fair order.
 
         Re-entrancy guard: issuing a dequeued job can release/acquire
-        resources itself; one drain loop at a time."""
+        resources itself; one drain loop at a time.  Each issue changes
+        the pools, so every scan gets a fresh probe memo.  A failed
+        issue ends the drain (the entry is still at the head of its
+        order and would be found again at this same instant); the next
+        release retries it."""
         if self._draining or not len(self.queue):
             return
         self._draining = True
         try:
             while True:
-                entry = self.queue.pop_admittable(
-                    self._admittable, self.fabric.now
+                memo: dict[tuple, bool] = {}
+                entry = self.queue.next_admittable(
+                    lambda job: self._admittable(job, memo)
                 )
-                if entry is None:
+                if entry is None or not self._issue(entry.job, entry):
                     break
-                self._issue(entry.job, queued_ns=entry.enqueued_ns)
         finally:
             self._draining = False
         self.queue.sample_depth()

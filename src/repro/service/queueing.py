@@ -84,16 +84,16 @@ class AdmissionQueue:
         self.enqueued += 1
         self.reason_counts[reason] = self.reason_counts.get(reason, 0) + 1
 
-    def pop_admittable(
-        self, admittable: Callable, now: float
-    ) -> Optional[QueuedJob]:
-        """Dequeue the next entry whose admission check passes.
+    def next_admittable(self, admittable: Callable) -> Optional[QueuedJob]:
+        """The next entry whose admission check passes, left in place.
 
         ``admittable(job) -> bool`` probes the pools without reserving.
         FIFO only ever examines the head (head-of-line blocking is the
         policy); WFQ scans every waiting entry in virtual-finish order
         and takes the first admittable one.  Returns ``None`` when
-        nothing can be admitted right now.
+        nothing can be admitted right now.  The queue is unchanged until
+        :meth:`remove` commits the dequeue, so a caller whose issue is
+        refused after all has nothing to undo.
         """
         if not self._items:
             return None
@@ -103,12 +103,25 @@ class AdmissionQueue:
             candidates = sorted(self._items, key=lambda q: (q.vft, q.seq))
         for entry in candidates:
             if admittable(entry.job):
-                self._items.remove(entry)
-                self._vnow = max(self._vnow, entry.vft)
-                self.dequeued += 1
-                self.wait_samples_ns.append(now - entry.enqueued_ns)
                 return entry
         return None
+
+    def remove(self, entry: QueuedJob, now: float) -> None:
+        """Dequeue ``entry`` (found by :meth:`next_admittable`) at
+        ``now``: advance virtual time and record its queue wait."""
+        self._items.remove(entry)
+        self._vnow = max(self._vnow, entry.vft)
+        self.dequeued += 1
+        self.wait_samples_ns.append(now - entry.enqueued_ns)
+
+    def pop_admittable(
+        self, admittable: Callable, now: float
+    ) -> Optional[QueuedJob]:
+        """:meth:`next_admittable` and :meth:`remove` in one step."""
+        entry = self.next_admittable(admittable)
+        if entry is not None:
+            self.remove(entry, now)
+        return entry
 
     def sample_depth(self) -> None:
         self.depth_samples.append(len(self._items))

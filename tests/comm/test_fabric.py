@@ -332,3 +332,26 @@ def test_finished_flows_leave_no_link_queue_state():
     assert not fabric.net._flow_traffic   # per-collective stats freed too
     # ... while the results kept their own traffic snapshots.
     assert fabric.timeline()[0]["wire_bytes"] > 0
+
+
+def test_settled_collectives_leave_only_flow_none_callbacks():
+    # Every schedule registers per-flow deliver callbacks; removing a
+    # finished flow must drop exactly those, through the per-flow node
+    # index, so a long-lived fabric keeps only flow-None registrations.
+    fabric = Fabric(n_hosts=16)
+    comms = [fabric.communicator(name=f"t{i}") for i in range(3)]
+    kinds = [
+        dict(algorithm="ring"), dict(algorithm="butterfly"),
+        dict(algorithm="swing"), dict(algorithm="flare_dense"),
+        dict(algorithm="sparcml", sparse=True, density=0.01),
+        dict(algorithm="flare_sparse", sparse=True, density=0.01),
+    ]
+    futures = [
+        comms[i % len(comms)].iallreduce("64KiB", **kind)
+        for i, kind in enumerate(kinds * 2)
+    ]
+    wait_all(futures)
+    fabric.run()
+    assert len(fabric.timeline()) == len(futures)
+    assert all(flow is None for _node, flow in fabric.net._deliver_cb)
+    assert set(fabric.net._flow_nodes) <= {None}

@@ -58,9 +58,12 @@ def test_random_loss_never_changes_payloads(
                   duplicate_rate=duplicate_rate, seed=fault_seed)
     result = comm.iallreduce(data, algorithm=algorithm).result()
     np.testing.assert_array_equal(output_of(result), golden)
-    # Only makespan and the reliability counters may move.
+    # Only makespan and the reliability counters may move.  Every lost
+    # original is retransmitted; a lost duplicate is counted as a drop
+    # but not retransmitted (its original is delivered).
     stats = fabric.net.traffic
-    assert stats.retransmits == stats.drops
+    assert stats.retransmits <= stats.drops
+    assert stats.drops - stats.retransmits <= stats.duplicates
     assert result.extra["retransmits"] >= 0
 
 

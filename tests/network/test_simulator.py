@@ -144,6 +144,23 @@ def test_flow_callbacks_demultiplex_per_node():
     assert got[None] == [3.0, 4.0, 5.0]    # A now falls back too
 
 
+def test_remove_flow_drops_only_that_flows_callbacks():
+    net = _two_flow_net("fifo")
+    for node in ("h4", "h5"):
+        net.on_deliver(node, lambda m, t: None)
+        net.on_deliver(node, lambda m, t: None, flow="A")
+        net.on_deliver(node, lambda m, t: None, flow="A")   # re-registered
+        net.on_deliver(node, lambda m, t: None, flow="B")
+    net.remove_flow("A")
+    net.remove_flow("A")                    # idempotent
+    net.remove_flow("never-registered")
+    assert set(net._deliver_cb) == {
+        ("h4", None), ("h5", None), ("h4", "B"), ("h5", "B"),
+    }
+    net.remove_flow("B")
+    assert set(net._deliver_cb) == {("h4", None), ("h5", None)}
+
+
 def test_wfq_single_flow_matches_fifo_exactly():
     """A lone flow must see bit-identical timing under both arbiters —
     the parity guarantee the fabric refactor rests on."""

@@ -104,3 +104,21 @@ def test_counters_and_wait_samples():
 def test_pop_on_empty_returns_none():
     q = AdmissionQueue("fifo")
     assert q.pop_admittable(lambda j: True, 0.0) is None
+
+
+@pytest.mark.parametrize("policy", ["fifo", "wfq"])
+def test_next_admittable_leaves_queue_unchanged_until_remove(policy):
+    # A found entry whose issue is then refused needs no undo: finding
+    # changes nothing, and only remove() dequeues.
+    q = AdmissionQueue(policy)
+    _push(q, _job(0, cls="a"), cls="a", weight=4.0, now=10.0)
+    _push(q, _job(1, cls="b"), cls="b", weight=1.0, now=20.0)
+    _push(q, _job(2, cls="a"), cls="a", weight=4.0, now=30.0)
+    before = q.to_state()
+    entry = q.next_admittable(lambda j: True)
+    assert q.to_state() == before
+    assert q.next_admittable(lambda j: True) is entry
+    q.remove(entry, 600.0)
+    assert q.dequeued == 1
+    assert q.wait_samples_ns == [600.0 - entry.enqueued_ns]
+    assert entry not in q.waiting()
