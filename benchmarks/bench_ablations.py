@@ -14,17 +14,22 @@ direction of the effect the paper's analysis predicts:
 
 from conftest import save_and_show
 
-from repro.core.allreduce import run_switch_allreduce
+from repro.core.allreduce import plan_switch_allreduce
 from repro.core.config import FlareConfig
 from repro.core.models import evaluate_design
-from repro.sparse.allreduce import run_sparse_switch_allreduce
+from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.utils.tables import ascii_table
+
+
+def _switch(data_bytes, seed=0, jitter=1.0, **plan):
+    """Plan one switch-level dense allreduce and execute it once."""
+    return plan_switch_allreduce(data_bytes, **plan).execute(seed=seed, jitter=jitter)
 
 
 def test_ablation_staggered_sending(benchmark, results_dir, full_scale):
     def run():
         return {
-            label: run_switch_allreduce(
+            label: _switch(
                 "64KiB", children=8, n_clusters=2, algorithm="single",
                 staggered=flag, jitter=0.0, seed=21,
             )
@@ -63,7 +68,7 @@ def test_ablation_subset_size(benchmark, results_dir, full_scale):
 def test_ablation_buffer_count(benchmark, results_dir, full_scale):
     def run():
         return {
-            B: run_switch_allreduce(
+            B: _switch(
                 "16KiB", children=16, n_clusters=2,
                 algorithm=f"multi({B})" if B > 1 else "single", seed=22,
             )
@@ -85,7 +90,7 @@ def test_ablation_buffer_count(benchmark, results_dir, full_scale):
 def test_ablation_scheduler(benchmark, results_dir, full_scale):
     def run():
         return {
-            sched: run_switch_allreduce(
+            sched: _switch(
                 "32KiB", children=16, n_clusters=4, algorithm="tree",
                 scheduler=sched, seed=23,
             )
@@ -105,7 +110,7 @@ def test_ablation_reproducibility_cost(benchmark, results_dir, full_scale):
     """F3 at large sizes: tree (reproducible) vs single (fastest)."""
     def run():
         return {
-            label: run_switch_allreduce(
+            label: _switch(
                 "256KiB", children=16, n_clusters=2, algorithm=algo, seed=24,
             )
             for label, algo in (("tree (reproducible)", "tree"),
@@ -128,7 +133,7 @@ def test_ablation_cluster_scaling(benchmark, results_dir, full_scale):
     basis of the paper's 4->64 cluster extrapolation."""
     def run():
         return {
-            n: run_switch_allreduce(
+            n: _switch(
                 "32KiB", children=16, n_clusters=n, algorithm="tree", seed=25,
             )
             for n in (1, 2, 4)
@@ -150,7 +155,7 @@ def test_ablation_hash_table_sizing(benchmark, results_dir, full_scale):
     growth — the Sec. 7 memory/traffic dial."""
     def run():
         return {
-            f: run_sparse_switch_allreduce(
+            f: sparse_switch_allreduce(
                 "16KiB", density=0.2, storage="hash", children=16,
                 n_clusters=1, seed=26, hash_slots_factor=f,
             )

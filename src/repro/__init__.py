@@ -34,24 +34,19 @@ Layers:
   pluggable topologies (fat tree, XGFT, dragonfly, torus, multi-rail),
   routing policies (shortest / seeded ECMP / congestion-adaptive),
   aggregation-tree planning, and in-switch aggregation hooks.
-* ``repro.collectives`` — host-based baselines (ring, Rabenseifner,
-  recursive doubling, SparCML) and the in-network collectives built on
-  the network simulator.
+* ``repro.collectives`` — the host-based (ring, swing, butterfly,
+  Rabenseifner, recursive doubling, SparCML) and in-network (Flare
+  dense and sparse) allreduce schedules on the network simulator.
 * ``repro.baselines`` — SwitchML and SHARP behavioral reference models.
 * ``repro.data`` — workload generators, including synthetic ResNet-50
   gradients with bucket sparsification.
 * ``repro.figures`` — one runner per paper table/figure
   (``python -m repro <figure>``; ``python -m repro bench <algorithm>``
   drives any registered algorithm).
-
-The pre-registry entry points (``run_switch_allreduce``,
-``simulate_*_allreduce``) remain as deprecation shims over the
-registry.
 """
 
 from repro.core import (
     FlareConfig,
-    run_switch_allreduce,
     select_algorithm,
     evaluate_design,
     NetworkManager,
@@ -76,7 +71,6 @@ __all__ = [
     "register_algorithm",
     "available_algorithms",
     "FlareConfig",
-    "run_switch_allreduce",
     "select_algorithm",
     "evaluate_design",
     "NetworkManager",

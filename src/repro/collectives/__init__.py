@@ -1,42 +1,21 @@
-"""Host-based and in-network collectives.
+"""Host-based and in-network collectives on the network simulator.
 
-Two layers:
+* :mod:`repro.collectives.schedule` — the algorithms as data: host
+  exchange tables (``ring``, ``swing``, ``butterfly``,
+  ``rabenseifner``, ``recursive_doubling``) and in-network aggregation
+  trees (``flare_dense``, ``flare_sparse``), each run by one
+  interpreter that owns payload carriage, the Sec. 4.1 duplicate
+  filter, completion and the result.  They produce the completion
+  times and traffic volumes of Fig. 15 and reduce real payloads
+  bitwise.
+* :mod:`repro.collectives.sparcml` — SparCML's sparse split allreduce
+  (SSAR), a size-only timing schedule with its own issue path.
 
-* :mod:`repro.collectives.algorithms` — in-memory implementations of
-  the allreduce algorithms (ring, Rabenseifner, recursive doubling,
-  SparCML sparse) operating on real numpy arrays.  These are the golden
-  models: every schedule below moves exactly the bytes these algorithms
-  move.
-* Network *schedules* (``ring``, ``sparcml``, ``flare_dense``,
-  ``flare_sparse``) — event-driven simulations of the same algorithms on
-  :class:`repro.network.NetworkSimulator`, producing the completion
-  times and traffic volumes of Fig. 15.
-
-All of them are registered in the :mod:`repro.comm` algorithm registry;
-the ``simulate_*`` entry points below remain as deprecation shims
-delegating there.  Prefer ``repro.comm.Communicator``.
+All of them are registered in the :mod:`repro.comm` algorithm
+registry; use them through ``repro.comm.Communicator``.
 """
 
-from repro.collectives.algorithms import (
-    ring_allreduce,
-    rabenseifner_allreduce,
-    recursive_doubling_allreduce,
-    sparcml_allreduce,
-)
 from repro.collectives.result import CollectiveResult
-from repro.collectives.ring import simulate_ring_allreduce
-from repro.collectives.sparcml import simulate_sparcml_allreduce
-from repro.collectives.flare_dense import simulate_flare_dense_allreduce
-from repro.collectives.flare_sparse import simulate_flare_sparse_allreduce
+from repro.collectives.schedule import ExchangeTable, TreeSchedule
 
-__all__ = [
-    "ring_allreduce",
-    "rabenseifner_allreduce",
-    "recursive_doubling_allreduce",
-    "sparcml_allreduce",
-    "CollectiveResult",
-    "simulate_ring_allreduce",
-    "simulate_sparcml_allreduce",
-    "simulate_flare_dense_allreduce",
-    "simulate_flare_sparse_allreduce",
-]
+__all__ = ["CollectiveResult", "ExchangeTable", "TreeSchedule"]

@@ -1,0 +1,771 @@
+"""Collective schedules on the network simulator: the algorithms as data,
+two interpreters that run them.
+
+Every network allreduce of the registry except SparCML is a schedule
+object built once at plan time and issued any number of times into a
+(possibly shared) :class:`~repro.network.simulator.NetworkSimulator`.
+The interpreters own what the algorithms share: host-subset
+validation, payload slicing and combining, the Sec. 4.1 duplicate
+filter, completion counting and the :class:`CollectiveResult`.
+
+* :class:`ExchangeTable` — host-based exchanges.  Per step it lists
+  where each rank sends (``Step.dst``), which vector blocks each rank
+  receives (``Step.recv``; a sender ships what its destination
+  receives) and whether the receiver folds them into its own values
+  (reduce-scatter) or copies them (allgather).  Message bytes and
+  sub-chunk counts follow from the block counts.  ``pipelined`` says
+  what a step waits for: a pipelined table (ring) forwards each
+  sub-chunk the moment it lands; otherwise a rank processes a step only
+  once every sub-chunk of it has landed and its previous step is done,
+  then sends the whole next step (processing out of order would fold
+  partials that miss earlier contributions).  Tables: ``ring``,
+  ``swing``, ``butterfly``, ``rabenseifner`` and ``recursive_doubling``.
+* :class:`TreeSchedule` — Flare's in-network aggregation along an
+  :class:`~repro.network.trees.AggregationTree`: hosts stream chunks to
+  their switch, each switch forwards one aggregated chunk once all its
+  children delivered it, the root multicasts the result down.  Flare
+  dense and Flare sparse differ only in per-level chunk bytes and in
+  whether payloads ride along.
+
+With ``payloads`` the messages carry real data, combined in a fixed
+structural order (received value first, own value second; tree switches
+fold attached hosts first, child switches after, both in tree order),
+so every host ends with the bitwise-identical vector regardless of
+event timing, retransmissions or duplicate deliveries.  Timing is the
+same with or without payloads: data rides the messages a size-only run
+sends.
+
+Issue semantics: events start at ``net.now`` under flow id ``flow``;
+``on_complete(result)`` fires inside the event loop when the last host
+finishes, with times relative to the issue instant and traffic read
+from the flow's own accounting — so collectives issued into one loop
+interleave and still report per-tenant results.
+
+See DESIGN.md, "Schedule tables".
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.collectives.result import CollectiveResult
+from repro.core.ops import get_op
+from repro.network.simulator import Message
+from repro.network.trees import AggregationTree
+from repro.sparse.densify import expected_union
+
+SPARSE_ELEMENT_BYTES = 8
+
+
+# ----------------------------------------------------------------------
+# Shared machinery
+# ----------------------------------------------------------------------
+def split_slices(n_elements: int, n_parts: int) -> list[slice]:
+    """Contiguous ``np.array_split``-compatible slices of a vector."""
+    sizes = [n_elements // n_parts + (1 if i < n_elements % n_parts else 0)
+             for i in range(n_parts)]
+    out, start = [], 0
+    for size in sizes:
+        out.append(slice(start, start + size))
+        start += size
+    return out
+
+
+def combine_payloads(op, acc: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``acc ⊕ values`` without mutating either input (messages may be
+    duplicated by fault injection; in-place combines would corrupt)."""
+    out = acc.copy()
+    get_op(op).combine_into(out, values)
+    return out
+
+
+def resolve_hosts(topology, hosts=None) -> list:
+    """The participants in rank order: ``hosts`` (a placement subset,
+    validated against the topology) or every topology host."""
+    if hosts is None:
+        return list(topology.hosts)
+    hosts = list(hosts)
+    known = set(topology.hosts)
+    for h in hosts:
+        if h not in known:
+            raise ValueError(f"unknown host {h}")
+    return hosts
+
+
+def payload_arrays(payloads, n_ranks: int, vector_bytes: float) -> tuple[list, tuple]:
+    """Flat working copies of the per-rank payloads, and their shape.
+
+    Raises ``ValueError`` when the payload count or size does not match
+    what the schedule was planned for: a plan sized for one vector must
+    not silently time another.
+    """
+    arrays = [np.array(p).ravel() for p in payloads]
+    if len(arrays) != n_ranks:
+        raise ValueError(f"got {len(arrays)} payloads for {n_ranks} hosts")
+    for i, a in enumerate(arrays):
+        if a.nbytes != vector_bytes:
+            raise ValueError(
+                f"payload {i} has {a.size} elements ({a.nbytes} B); this plan "
+                f"was sized for {vector_bytes:g} B — plan the new shape "
+                "instead of reusing this one"
+            )
+    return arrays, np.shape(payloads[0])
+
+
+def collective_result(
+    net, flow, name: str, n_hosts: int, vector_bytes: float, time_ns: float,
+    sent_bytes_per_host: float, extra: dict, output=None,
+) -> CollectiveResult:
+    """A finished schedule's result, traffic read from ``flow``."""
+    extra = {**extra, **net.traffic_extra(flow=flow)}
+    if output is not None:
+        extra["output"] = output
+    return CollectiveResult(
+        name=name,
+        n_hosts=n_hosts,
+        vector_bytes=vector_bytes,
+        time_ns=time_ns,
+        traffic_bytes_hops=net.flow_stats(flow).bytes_hops,
+        sent_bytes_per_host=sent_bytes_per_host,
+        extra=extra,
+    )
+
+
+class Completion:
+    """Counts finished hosts; the last one fixes the collective's end."""
+
+    __slots__ = ("left", "finish")
+
+    def __init__(self, n_hosts: int, base_time: float) -> None:
+        self.left = n_hosts
+        self.finish = base_time
+
+    def host_done(self, t: float) -> bool:
+        """Record one host finishing at ``t``; True for the last one."""
+        if t > self.finish:
+            self.finish = t
+        self.left -= 1
+        return self.left == 0
+
+
+def repeated(net, seen: set, key) -> bool:
+    """Sec. 4.1 bitmap: under armed faults, True for a repeat delivery
+    of ``key`` (a duplicated chunk that must not count twice).  Armed-
+    ness is read at delivery time: faults may be armed after issue."""
+    if net.faults is None:
+        return False
+    if key in seen:
+        return True
+    seen.add(key)
+    return False
+
+
+def _n_sub(nbytes: float, sub_chunk_bytes: float) -> int:
+    if sub_chunk_bytes <= 0:
+        return 1
+    return max(1, int(round(nbytes / sub_chunk_bytes)))
+
+
+# ----------------------------------------------------------------------
+# Partner functions of the halving/doubling tables
+# ----------------------------------------------------------------------
+def butterfly_partner(rank: int, step: int, n_ranks: int) -> int:
+    """Hypercube exchange, nearest first: flip bit ``step``."""
+    return rank ^ (1 << step)
+
+
+def rabenseifner_partner(rank: int, step: int, n_ranks: int) -> int:
+    """Hypercube exchange, farthest first: distance ``P/2`` at step 0,
+    so the lower rank of each pair keeps the lower half of the vector
+    (Rabenseifner's recursive halving)."""
+    return rank ^ (n_ranks >> (step + 1))
+
+
+def swing_distance(step: int) -> int:
+    """Swing's *signed* step-``s`` partner distance
+    ``(1 - (-2)**(s+1)) / 3``: +1, -1, +3, -5, +11, -21, ...
+
+    The alternating sign is essential — it is what swings consecutive
+    exchanges to opposite sides of the logical ring so the distances
+    compose into full coverage (an unsigned 1, 1, 3, 5, ... would pair
+    the same ranks twice and never mix the halves).
+    """
+    return (1 - (-2) ** (step + 1)) // 3
+
+
+def swing_partner(rank: int, step: int, n_ranks: int) -> int:
+    """Swing exchange (arXiv 2401.09356): even ranks hop ``+delta``,
+    odd ranks ``-delta``.  ``delta`` is always odd, so an even rank's
+    partner is always odd and vice versa — every step is a perfect
+    matching, and on a ring/torus rank mapping every exchange stays
+    short (distance ``~2**s / 3`` where the butterfly has ``2**s``)."""
+    delta = swing_distance(step)
+    if rank % 2 == 0:
+        return (rank + delta) % n_ranks
+    return (rank - delta) % n_ranks
+
+
+PARTNER_FUNCTIONS = {
+    "butterfly": butterfly_partner,
+    "rabenseifner": rabenseifner_partner,
+    "swing": swing_partner,
+}
+
+
+def block_sets(partner_fn, n_ranks: int) -> list[list[frozenset]]:
+    """``T[s][j]`` — blocks rank ``j`` owns before reduce-scatter step
+    ``s`` — for ``s`` in ``0..L`` (``L = log2(n_ranks)``), from the
+    recursion ``T(j, L) = {j}``; ``T(j, s) = T(j, s+1) ∪ T(partner, s+1)``.
+
+    Validates the schedule: every step must be a perfect matching
+    (``partner(partner(i)) == i``, never self), partners' level-``s+1``
+    sets must be disjoint (no double-counted contributions), and
+    ``T[0]`` must be the full block set (every contribution reaches
+    every block).  Raises ``ValueError`` otherwise.
+    """
+    if n_ranks < 2 or n_ranks & (n_ranks - 1):
+        raise ValueError(f"halving/doubling needs a power-of-two rank count, got {n_ranks}")
+    L = int(math.log2(n_ranks))
+    T: list[list[frozenset]] = [[frozenset()] * n_ranks for _ in range(L + 1)]
+    T[L] = [frozenset({j}) for j in range(n_ranks)]
+    for s in range(L - 1, -1, -1):
+        for j in range(n_ranks):
+            p = partner_fn(j, s, n_ranks)
+            if p == j or not 0 <= p < n_ranks:
+                raise ValueError(f"step {s}: rank {j} pairs with {p}")
+            if partner_fn(p, s, n_ranks) != j:
+                raise ValueError(f"step {s}: pairing {j}<->{p} is not symmetric")
+            if T[s + 1][j] & T[s + 1][p]:
+                raise ValueError(
+                    f"step {s}: ranks {j} and {p} both own blocks "
+                    f"{sorted(T[s + 1][j] & T[s + 1][p])}"
+                )
+            T[s][j] = T[s + 1][j] | T[s + 1][p]
+    full = frozenset(range(n_ranks))
+    for j in range(n_ranks):
+        if T[0][j] != full:
+            raise ValueError(
+                f"rank {j} only reaches blocks {sorted(T[0][j])}; the "
+                "partner schedule does not cover all ranks"
+            )
+    return T
+
+
+# ----------------------------------------------------------------------
+# Host exchanges
+# ----------------------------------------------------------------------
+class Step(NamedTuple):
+    """One exchange step: rank ``i`` sends to ``dst[i]`` the blocks
+    ``recv[dst[i]]``; the receiver folds them into its own values
+    (``fold``) or copies them over."""
+
+    dst: tuple
+    recv: tuple
+    fold: bool
+
+
+def ring_steps(n_ranks: int) -> list[Step]:
+    """2(P-1) steps to the ring successor, one Z/P block each: rank i
+    receives block ``(i-1-k) mod P`` at step k, so block q is folded in
+    fixed ring order q, q+1, ... and the fully reduced blocks then
+    circulate once more."""
+    if n_ranks < 2:
+        raise ValueError("ring needs at least two hosts")
+    succ = tuple((i + 1) % n_ranks for i in range(n_ranks))
+    return [
+        Step(succ, tuple(((i - 1 - k) % n_ranks,) for i in range(n_ranks)),
+             fold=k < n_ranks - 1)
+        for k in range(2 * (n_ranks - 1))
+    ]
+
+
+def halving_steps(partner_fn, n_ranks: int) -> list[Step]:
+    """2 log2(P) steps over the ``block_sets`` of ``partner_fn``:
+    reduce-scatter step s keeps ``T[s+1][i]`` (halving each rank's
+    responsibility), the allgather replays the steps in reverse with the
+    same partners, receiving what the partner has fully reduced."""
+    T = block_sets(partner_fn, n_ranks)          # validates P and pairing
+    L = len(T) - 1
+    steps = []
+    for k in range(2 * L):
+        s = k if k < L else 2 * L - 1 - k
+        dst = tuple(partner_fn(i, s, n_ranks) for i in range(n_ranks))
+        own = tuple(tuple(sorted(T[s + 1][i])) for i in range(n_ranks))
+        recv = own if k < L else tuple(own[p] for p in dst)
+        steps.append(Step(dst, recv, fold=k < L))
+    return steps
+
+
+def doubling_steps(n_ranks: int) -> list[Step]:
+    """log2(P) steps of full-vector pairwise folds, partner ``i XOR 2**s``
+    (nearest first): latency-optimal, Z bytes per step."""
+    if n_ranks < 2 or n_ranks & (n_ranks - 1):
+        raise ValueError(
+            f"recursive doubling needs a power-of-two rank count, got {n_ranks}"
+        )
+    everything = (tuple(range(n_ranks)),) * n_ranks
+    return [
+        Step(tuple(i ^ (1 << s) for i in range(n_ranks)), everything, fold=True)
+        for s in range(n_ranks.bit_length() - 1)
+    ]
+
+
+#: Step builders of the registered host exchanges, and whether the
+#: table is pipelined (see the module docstring).
+EXCHANGES = {
+    "ring": (ring_steps, True),
+    "swing": (lambda p: halving_steps(swing_partner, p), False),
+    "butterfly": (lambda p: halving_steps(butterfly_partner, p), False),
+    "rabenseifner": (lambda p: halving_steps(rabenseifner_partner, p), False),
+    "recursive_doubling": (doubling_steps, False),
+}
+
+
+def _pieces(runs: tuple, lo: int, hi: int):
+    """``(array slice, data slice)`` pairs covering ``[lo, hi)`` of the
+    concatenation of ``runs`` (element ranges of the vector)."""
+    off = 0
+    for a, b in runs:
+        s, e = max(lo, off), min(hi, off + b - a)
+        if s < e:
+            yield slice(a + s - off, a + e - off), slice(s - lo, e - lo)
+        off += b - a
+
+
+def _runs(blocks: tuple, slices: list) -> tuple:
+    """Element ranges of ``blocks``, adjacent blocks merged."""
+    runs: list = []
+    for b in blocks:
+        sl = slices[b]
+        if runs and runs[-1][1] == sl.start:
+            runs[-1][1] = sl.stop
+        else:
+            runs.append([sl.start, sl.stop])
+    return tuple((a, b) for a, b in runs)
+
+
+class ExchangeTable:
+    """A host-based allreduce as a per-step table (module docstring)."""
+
+    def __init__(
+        self,
+        algorithm: str,
+        hosts,
+        vector_bytes: float,
+        *,
+        sub_chunk_bytes: float = 128 * 1024,
+        host_reduce_bytes_per_ns: float = 0.0,
+    ) -> None:
+        build, self.pipelined = EXCHANGES[algorithm]
+        self.hosts = tuple(hosts)
+        P = len(self.hosts)
+        self.steps = build(P)
+        self.name = algorithm
+        self.label = f"host-dense ({algorithm.replace('_', '-')})"
+        self.vector_bytes = vector_bytes
+        #: ``host_reduce_bytes_per_ns`` charges host reduction compute per
+        #: folded byte (0 = fully overlapped, the bandwidth regime).
+        self.host_reduce_bytes_per_ns = host_reduce_bytes_per_ns
+        block_bytes = vector_bytes / P
+        self.step_bytes = tuple(block_bytes * len(s.recv[0]) for s in self.steps)
+        self.n_sub = tuple(_n_sub(b, sub_chunk_bytes) for b in self.step_bytes)
+        self.extra = {"steps": len(self.steps), "step_bytes": self.step_bytes,
+                      "sub_chunks": self.n_sub, "pipelined": self.pipelined}
+        self.rank_of = {h: i for i, h in enumerate(self.hosts)}
+        for k, step in enumerate(self.steps):
+            if sorted(step.dst) != list(range(P)) or any(
+                d == i for i, d in enumerate(step.dst)
+            ):
+                raise ValueError(f"{algorithm} step {k}: destinations {step.dst} "
+                                 "are not a fixed-point-free permutation")
+            if self.pipelined and k and (
+                tuple(step.recv[d] for d in step.dst) != self.steps[k - 1].recv
+                or self.n_sub[k] != self.n_sub[k - 1]
+            ):
+                raise ValueError(f"{algorithm} step {k} does not forward the "
+                                 f"chunks of step {k - 1}; it cannot pipeline")
+        self._layouts: dict[int, list] = {}
+
+    def layout(self, n_elements: int) -> list:
+        """``[k][i]``: the element ranges rank i receives at step k, and
+        their sub-chunk boundaries in message coordinates."""
+        table = self._layouts.get(n_elements)
+        if table is None:
+            slices = split_slices(n_elements, len(self.hosts))
+            table = self._layouts[n_elements] = []
+            for step, n_sub in zip(self.steps, self.n_sub):
+                row = []
+                for blocks in step.recv:
+                    runs = _runs(blocks, slices)
+                    row.append((runs, split_slices(sum(b - a for a, b in runs), n_sub)))
+                table.append(row)
+        return table
+
+    def issue(self, net, *, flow=None, payloads=None, op="sum", on_complete) -> None:
+        """Issue one run of the table into ``net`` (module docstring)."""
+        hosts, steps, n_sub = self.hosts, self.steps, self.n_sub
+        name, rank_of = self.name, self.rank_of
+        P, K = len(hosts), len(steps)
+        base_time = net.now
+        rate = self.host_reduce_bytes_per_ns
+        sub_bytes = [b / n for b, n in zip(self.step_bytes, n_sub)]
+        #: Host reduction time per processed unit: a sub-chunk when
+        #: pipelined, a whole step otherwise.
+        unit_bytes = sub_bytes if self.pipelined else self.step_bytes
+        compute = [
+            b / rate if rate > 0 and s.fold else 0.0 for b, s in zip(unit_bytes, steps)
+        ]
+        done = Completion(P, base_time)
+        carry = payloads is not None
+        if carry:
+            arrays, shape = payload_arrays(payloads, P, self.vector_bytes)
+            layout = self.layout(arrays[0].size)
+
+        def message(i: int, k: int, sub: int, data) -> Message:
+            return Message(hosts[i], hosts[steps[k].dst[i]], sub_bytes[k],
+                           tag=(name, k, sub), payload=data, flow=flow)
+
+        def step_messages(i: int, k: int) -> list:
+            """Rank i's whole step-k message, as sub-chunks."""
+            if not carry:
+                return [message(i, k, sub, None) for sub in range(n_sub[k])]
+            runs, parts = layout[k][steps[k].dst[i]]
+            data = np.concatenate([arrays[i][a:b] for a, b in runs])
+            return [message(i, k, sub, data[sl]) for sub, sl in enumerate(parts)]
+
+        def put(i: int, k: int, sub: int, data):
+            """Fold or copy one received sub-chunk into rank i's values;
+            returns the values written (what a pipelined rank forwards)."""
+            runs, parts = layout[k][i]
+            sl = parts[sub]
+            piece = data
+            for asl, dsl in _pieces(runs, sl.start, sl.stop):
+                piece = data[dsl]
+                if steps[k].fold:
+                    piece = combine_payloads(op, piece, arrays[i][asl])
+                arrays[i][asl] = piece
+            return piece
+
+        def finished() -> None:
+            output = None
+            if carry:
+                for other in arrays[1:]:
+                    if not np.array_equal(arrays[0], other):
+                        raise AssertionError(
+                            f"{name} allreduce diverged: hosts disagree on "
+                            "the reduced vector"
+                        )
+                output = arrays[0].reshape(shape)
+            on_complete(collective_result(
+                net, flow, self.label, P, self.vector_bytes,
+                done.finish - base_time, sum(self.step_bytes),
+                self.extra, output,
+            ))
+
+        #: Pipelined: sub-chunks each rank has processed, of ``expected``.
+        expected = sum(n_sub)
+        received = [0] * P
+        seen: set = set()
+
+        def on_chunk(msg: Message, now: float) -> None:
+            """Pipelined: process and forward each sub-chunk on arrival."""
+            _name, k, sub = msg.tag
+            receiver = msg.dst
+            if repeated(net, seen, (receiver, k, sub)):
+                return
+            i = rank_of[receiver]
+            t = now + compute[k]
+            data = put(i, k, sub, msg.payload) if carry else None
+            if k + 1 < K:
+                net.send(message(i, k + 1, sub, data), at=t)
+            received[i] += 1
+            if received[i] == expected and done.host_done(t):
+                finished()
+
+        #: Per-(rank, step) sub-chunks landed so far, and the next step
+        #: each rank may process: a fast partner's step-k chunks buffer
+        #: until the rank's own pipeline catches up.
+        landed: dict = {}
+        progress = [0] * P
+
+        def drain(i: int, now: float) -> None:
+            """Process rank i's steps in order while they are complete;
+            a later step that landed first waits here for its turn."""
+            t = now
+            while progress[i] < K:
+                k = progress[i]
+                subs = landed.get((i, k))
+                if subs is None or len(subs) < n_sub[k]:
+                    return
+                t += compute[k]
+                if carry:
+                    for sub in range(n_sub[k]):
+                        put(i, k, sub, subs[sub])
+                del landed[(i, k)]
+                progress[i] = k + 1
+                if k + 1 < K:
+                    net.send_burst(step_messages(i, k + 1), at=t)
+            if done.host_done(t):
+                finished()
+
+        def on_step(msg: Message, now: float) -> None:
+            """Step-wise: process a step once all of it has landed."""
+            _name, k, sub = msg.tag
+            i = rank_of[msg.dst]
+            if k < progress[i]:
+                return                      # duplicate of a processed step
+            subs = landed.setdefault((i, k), {})
+            if sub in subs:
+                return                      # duplicate (Sec. 4.1 bitmap)
+            subs[sub] = msg.payload
+            if k == progress[i]:
+                drain(i, now)
+
+        deliver = on_chunk if self.pipelined else on_step
+        for h in hosts:
+            net.on_deliver(h, deliver, flow=flow)
+        # Every rank's first step leaves at the issue instant: one burst
+        # event serializes them in rank order (identical timing to
+        # per-message events, minus the per-event heap traffic).
+        net.send_burst(
+            [m for i in range(P) for m in step_messages(i, 0)], at=base_time
+        )
+
+
+# ----------------------------------------------------------------------
+# In-network aggregation trees
+# ----------------------------------------------------------------------
+class TreeSchedule:
+    """Flare's in-network allreduce along an aggregation tree.
+
+    ``host_bytes`` is what each host streams up; ``up_bytes[switch]``
+    what each switch forwards to its parent, the root's value also being
+    the multicast size.  Each is cut into ``n_chunks`` pipelined chunks;
+    a switch spends ``agg_latency_ns`` aggregating a chunk.  Payloads
+    ride along only when ``carries_payloads`` (sizes that shrink with
+    sparsity describe no dense vector).
+    """
+
+    def __init__(
+        self,
+        label: str,
+        tree: AggregationTree,
+        n_chunks: int,
+        *,
+        host_bytes: float,
+        up_bytes: dict,
+        agg_latency_ns: float,
+        vector_bytes: float,
+        carries_payloads: bool,
+        extra: "dict | None" = None,
+    ) -> None:
+        self.label = label
+        self.carries_payloads = carries_payloads
+        self.tree = tree
+        self.hosts = tree.all_hosts()
+        self.n_chunks = n_chunks
+        self.host_bytes = host_bytes
+        self.host_chunk = host_bytes / n_chunks
+        self.up_chunk = {s: b / n_chunks for s, b in up_bytes.items()}
+        self.down_chunk = up_bytes[tree.root] / n_chunks
+        self.agg_latency_ns = agg_latency_ns
+        self.vector_bytes = vector_bytes
+        self.extra = {"n_chunks": n_chunks, "tree_root": tree.root,
+                      "tree_depth": tree.depth(), **(extra or {})}
+
+    def issue(self, net, *, flow=None, payloads=None, op="sum", on_complete) -> None:
+        """Issue one run into ``net`` (module docstring); with payloads,
+        every switch folds its members in canonical tree order."""
+        tree, hosts, n_chunks = self.tree, self.hosts, self.n_chunks
+        agg = self.agg_latency_ns
+        down_chunk = self.down_chunk
+        base_time = net.now
+        #: Per-(switch, chunk) contributions by sender — counting senders,
+        #: not messages, makes fan-in immune to duplicate deliveries.
+        up_parts: dict = {}
+        host_received = {h: 0 for h in hosts}
+        host_seen: set = set()
+        #: Duplicate "down" messages must not re-trigger subtree multicasts.
+        down_seen: set = set()
+        done = Completion(len(hosts), base_time)
+        carry = payloads is not None
+        if carry:
+            if not self.carries_payloads:
+                raise ValueError(
+                    f"{self.label} is a size-only schedule and does not "
+                    "reduce payload values; pass a byte size instead"
+                )
+            arrays, shape = payload_arrays(payloads, len(hosts), self.vector_bytes)
+            chunk_slices = split_slices(arrays[0].size, n_chunks)
+            input_of = dict(zip(hosts, arrays))
+            output = np.empty_like(arrays[0])
+
+        def send_down(switch, chunk: int, at: float, data) -> None:
+            # One burst event for the whole multicast fan-out of a chunk.
+            net.send_burst(
+                [
+                    Message(switch, peer, down_chunk, tag=("down", chunk),
+                            payload=data, flow=flow)
+                    for peer in (*tree.children_of.get(switch, ()),
+                                 *tree.hosts_of.get(switch, ()))
+                ],
+                at=at,
+            )
+
+        def on_switch(switch):
+            fan_in = tree.fan_in(switch)
+            parent = tree.parent_of(switch)
+            up_chunk = self.up_chunk[switch]
+            members = (*tree.hosts_of.get(switch, ()),
+                       *tree.children_of.get(switch, ()))
+
+            def deliver(msg: Message, now: float) -> None:
+                direction, chunk = msg.tag
+                if direction == "down":     # the multicast continues down
+                    if not repeated(net, down_seen, (switch, chunk)):
+                        send_down(switch, chunk, now, msg.payload)
+                    return
+                parts = up_parts.get((switch, chunk))
+                if parts is None:
+                    parts = up_parts[(switch, chunk)] = {}
+                if msg.src in parts:
+                    return          # duplicate contribution, already counted
+                parts[msg.src] = msg.payload
+                if len(parts) < fan_in:
+                    return
+                data = None
+                if carry:
+                    data = parts[members[0]]
+                    for member in members[1:]:
+                        data = combine_payloads(op, data, parts[member])
+                if parent is None:          # root: turn around, multicast
+                    send_down(switch, chunk, now + agg, data)
+                else:
+                    net.send(Message(switch, parent, up_chunk, tag=("up", chunk),
+                                     payload=data, flow=flow), at=now + agg)
+
+            return deliver
+
+        def on_host(host):
+            def deliver(msg: Message, now: float) -> None:
+                chunk = msg.tag[1]
+                if repeated(net, host_seen, (host, chunk)):
+                    return
+                if carry:
+                    output[chunk_slices[chunk]] = msg.payload
+                host_received[host] += 1
+                if host_received[host] == n_chunks and done.host_done(now):
+                    on_complete(collective_result(
+                        net, flow, self.label, len(hosts), self.vector_bytes,
+                        done.finish - base_time, self.host_bytes, self.extra,
+                        output.reshape(shape) if carry else None,
+                    ))
+
+            return deliver
+
+        for switch in tree.switches():
+            net.on_deliver(switch, on_switch(switch), flow=flow)
+        for h in hosts:
+            net.on_deliver(h, on_host(h), flow=flow)
+        # Every host's upward chunk train leaves at once: one burst event.
+        net.send_burst(
+            [
+                Message(h, tree.attach_of(h), self.host_chunk, tag=("up", c),
+                        payload=input_of[h][chunk_slices[c]] if carry else None,
+                        flow=flow)
+                for h in hosts
+                for c in range(n_chunks)
+            ],
+            at=base_time,
+        )
+
+
+def dense_tree(
+    tree: AggregationTree, vector_bytes: float, chunk_bytes: float,
+    agg_latency_ns: float,
+) -> TreeSchedule:
+    """Flare dense: every host sends Z and receives Z, so every level
+    moves the full vector (the 2x wire saving over the ring's ~2Z)."""
+    n_chunks = max(1, int(round(vector_bytes / chunk_bytes)))
+    return TreeSchedule(
+        "Flare dense", tree, n_chunks,
+        host_bytes=vector_bytes,
+        up_bytes={s: vector_bytes for s in tree.switches()},
+        agg_latency_ns=agg_latency_ns,
+        vector_bytes=vector_bytes,
+        carries_payloads=True,
+    )
+
+
+def sparse_tree_bytes(
+    tree: AggregationTree,
+    total_elements: float,
+    bucket_span: int = 512,
+    nnz_per_bucket: float = 1.0,
+) -> tuple[float, dict]:
+    """(host bytes, per-switch upstream bytes) under the bucket model:
+    a switch forwards the expected index union over its subtree's
+    hosts, so sizes grow level by level as the partial sums densify."""
+    n_buckets = total_elements / bucket_span
+    host_bytes = n_buckets * nnz_per_bucket * SPARSE_ELEMENT_BYTES
+    up_bytes = {
+        s: n_buckets
+        * expected_union(bucket_span, nnz_per_bucket, tree.subtree_hosts(s))
+        * SPARSE_ELEMENT_BYTES
+        for s in tree.switches()
+    }
+    return host_bytes, up_bytes
+
+
+def sparse_tree(
+    tree: AggregationTree,
+    total_elements: float,
+    *,
+    bucket_span: int = 512,
+    nnz_per_bucket: float = 1.0,
+    n_chunks: int = 64,
+    agg_latency_ns: float = 4000.0,
+    level_bytes: "tuple[float, float, float] | None" = None,
+) -> TreeSchedule:
+    """Flare sparse: hosts send their sparsified vectors (nnz x 8 B),
+    each switch forwards the union of its subtree, the root multicasts
+    the global union — far fewer bytes than dense, and each datum
+    crosses the tree once instead of bouncing between hosts log P times.
+
+    ``level_bytes`` — measured (host, leaf, root) stream bytes, as the
+    Fig. 15 driver derives from the synthetic gradients — replaces the
+    bucket model; it only describes a two-level tree.
+    """
+    if level_bytes is not None:
+        if tree.depth() != 2:
+            raise ValueError(
+                "level_bytes describes a two-level tree; this tree has "
+                f"depth {tree.depth()} — pass bucket parameters instead"
+            )
+        host_bytes, leaf_b, root_b = level_bytes
+        up_bytes = {
+            s: (root_b if tree.parent_of(s) is None else leaf_b)
+            for s in tree.switches()
+        }
+    else:
+        host_bytes, up_bytes = sparse_tree_bytes(
+            tree, total_elements, bucket_span, nnz_per_bucket
+        )
+    # Representative per-level sizes for reporting: host, first
+    # non-root switch level, root.
+    first_leaf = next(
+        (s for s in tree.switches() if tree.parent_of(s) is not None), tree.root
+    )
+    return TreeSchedule(
+        "Flare sparse", tree, n_chunks,
+        host_bytes=host_bytes,
+        up_bytes=up_bytes,
+        agg_latency_ns=agg_latency_ns,
+        vector_bytes=total_elements * 4,
+        carries_payloads=False,
+        extra={"host_bytes": host_bytes, "leaf_bytes": up_bytes[first_leaf],
+               "root_bytes": up_bytes[tree.root]},
+    )

@@ -17,11 +17,14 @@ expected non-zeros.  The Fig. 15 driver feeds the bucket-top-1 profile
 from __future__ import annotations
 
 import math
-import warnings
 
-from repro.collectives.result import CollectiveResult
+from repro.collectives.schedule import (
+    Completion,
+    collective_result,
+    repeated,
+    resolve_hosts,
+)
 from repro.network.simulator import Message, NetworkSimulator
-from repro.network.topology import FatTreeTopology
 from repro.sparse.densify import expected_union
 
 #: Sparse wire bytes per element (index + value).
@@ -68,126 +71,44 @@ def sparcml_round_bytes(
     return sizes
 
 
-def simulate_sparcml_allreduce(
-    topology: FatTreeTopology,
+def issue_sparcml_allreduce(
+    net: NetworkSimulator,
     total_elements: float,
-    bucket_span: int = 512,
-    nnz_per_bucket: float = 1.0,
-    dense_switch: bool = True,
+    round_bytes: list[float],
+    *,
     host_reduce_bytes_per_ns: float = 2.5,
-) -> CollectiveResult:
-    """Simulate SSAR over all hosts of the topology.
-
-    .. deprecated::
-        Thin shim over the :mod:`repro.comm` registry ("sparcml"
-        algorithm); prefer ``Communicator.allreduce(..., sparse=True)``.
-    """
-    warnings.warn(
-        "simulate_sparcml_allreduce is deprecated; use repro.comm."
-        "Communicator.allreduce(..., algorithm='sparcml') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.comm import legacy_execute
-
-    return legacy_execute(
-        "sparcml",
-        nbytes=total_elements * DENSE_ELEMENT_BYTES,
-        n_hosts=topology.n_hosts,
-        sparse=True,
-        params={
-            "topology": topology,
-            "bucket_span": bucket_span,
-            "nnz_per_bucket": nnz_per_bucket,
-            "dense_switch": dense_switch,
-            "host_reduce_bytes_per_ns": host_reduce_bytes_per_ns,
-        },
-    )
-
-
-def _simulate_sparcml_allreduce(
-    topology: FatTreeTopology,
-    total_elements: float,
-    bucket_span: int = 512,
-    nnz_per_bucket: float = 1.0,
-    dense_switch: bool = True,
-    host_reduce_bytes_per_ns: float = 2.5,
-    round_bytes: list[float] | None = None,
-    router=None,
-    routing_seed: int = 0,
+    flow: object = None,
     hosts=None,
-) -> CollectiveResult:
-    """SSAR schedule implementation.
+    on_complete,
+) -> None:
+    """Issue one SSAR allreduce with per-round message sizes
+    ``round_bytes`` (:func:`sparcml_round_bytes`) into a (possibly
+    shared) simulator, with the issue semantics of
+    :mod:`repro.collectives.schedule`.
 
     ``host_reduce_bytes_per_ns`` charges host-side sparse summation per
     received byte during the reduce-scatter rounds (default 2.5 B/ns ~
     2.5 GB/s): merging sparse (index, value) streams is CPU-bound in
     SparCML's own evaluation, unlike the streaming dense adds of the
     ring, so it is *not* defaulted to free.  Allgather rounds only copy
-    and are not charged.  ``round_bytes`` lets a plan inject the
-    per-round sizes it computed once.
-    """
-    net = NetworkSimulator(topology, router=router, routing_seed=routing_seed)
-    done: list[CollectiveResult] = []
-    issue_sparcml_allreduce(
-        net,
-        total_elements,
-        bucket_span=bucket_span,
-        nnz_per_bucket=nnz_per_bucket,
-        dense_switch=dense_switch,
-        host_reduce_bytes_per_ns=host_reduce_bytes_per_ns,
-        round_bytes=round_bytes,
-        hosts=hosts,
-        on_complete=done.append,
-    )
-    net.run()
-    if not done:
-        raise RuntimeError("SSAR incomplete: not all hosts finished")
-    return done[0]
-
-
-def issue_sparcml_allreduce(
-    net: NetworkSimulator,
-    total_elements: float,
-    *,
-    bucket_span: int = 512,
-    nnz_per_bucket: float = 1.0,
-    dense_switch: bool = True,
-    host_reduce_bytes_per_ns: float = 2.5,
-    round_bytes: list[float] | None = None,
-    flow: object = None,
-    base_time: float = 0.0,
-    hosts=None,
-    on_complete,
-) -> None:
-    """Issue one SSAR allreduce into a (possibly shared) simulator.
-
-    Events start at ``base_time`` under flow id ``flow``;
-    ``on_complete(result)`` fires inside the event loop when the final
-    allgather round lands everywhere, with times relative to
-    ``base_time`` and traffic read from the flow's own accounting.
+    and are not charged.
 
     ``hosts`` restricts the exchange to a participant subset in the
     given order (placement); must still be a power of two.  Default:
     every topology host in id order.
+
+    A rank sends round r+1 as soon as *its round r* has landed, even
+    when an earlier round is still in flight, so a rank can run ahead of
+    its own rounds; the schedule tables of
+    :mod:`repro.collectives.schedule` process steps strictly in order.
     """
-    topology = net.topology
-    if hosts is None:
-        hosts = topology.hosts
-    else:
-        hosts = list(hosts)
-        known = set(topology.hosts)
-        for h in hosts:
-            if h not in known:
-                raise ValueError(f"unknown host {h}")
+    hosts = resolve_hosts(net.topology, hosts)
     P = len(hosts)
-    sizes = round_bytes if round_bytes is not None else sparcml_round_bytes(
-        P, total_elements, bucket_span, nnz_per_bucket, dense_switch
-    )
-    k = len(sizes) // 2
+    base_time = net.now
+    k = len(round_bytes) // 2
     #: Pairwise exchange distances: halving P/2..1, then doubling 1..P/2.
     distances = [P >> (r + 1) for r in range(k)] + [1 << r for r in range(k)]
-    total_rounds = len(sizes)
+    total_rounds = len(round_bytes)
 
     #: Pipeline granularity: rounds are cut into sub-chunks so a large
     #: round message does not pay full store-and-forward serialization
@@ -195,18 +116,14 @@ def issue_sparcml_allreduce(
     #: from the merged data, so it cannot start early).
     sub_chunk_bytes = 128 * 1024.0
 
-    progressed: dict[str, int] = {h: 0 for h in hosts}   # rounds finished
     subs_received: dict[tuple[str, int], int] = {}
-    state = {"done_hosts": 0, "finish": base_time}
-    #: Under fault injection duplicated sub-chunks must not advance the
-    #: round barrier early (the Sec. 4.1 bitmap property, host-side);
-    #: armed-ness is checked at delivery time (arming may follow issue).
-    dedup: set = set()
+    done = Completion(P, base_time)
+    seen: set = set()
 
     def send_round(i: int, rnd: int, at: float) -> None:
         partner = i ^ distances[rnd]
-        n_sub = max(1, int(round(sizes[rnd] / sub_chunk_bytes)))
-        sub_bytes = sizes[rnd] / n_sub
+        n_sub = max(1, int(round(round_bytes[rnd] / sub_chunk_bytes)))
+        sub_bytes = round_bytes[rnd] / n_sub
         # One burst event per round's sub-chunk train (same timing as
         # per-message events, issued back-to-back at one instant).
         net.send_burst(
@@ -220,42 +137,26 @@ def issue_sparcml_allreduce(
             at=at,
         )
 
-    def finished() -> CollectiveResult:
-        stats = net.flow_stats(flow)
-        return CollectiveResult(
-            name="host-sparse (SparCML)",
-            n_hosts=P,
-            vector_bytes=total_elements * DENSE_ELEMENT_BYTES,
-            time_ns=state["finish"] - base_time,
-            traffic_bytes_hops=stats.bytes_hops,
-            sent_bytes_per_host=sum(sizes),
-            extra={"round_bytes": sizes, **net.traffic_extra(flow=flow)},
-        )
-
     def on_deliver(msg: Message, now: float) -> None:
-        _kind, rnd, _sub, n_sub = msg.tag
+        _kind, rnd, sub, n_sub = msg.tag
         receiver = msg.dst
-        if net.faults is not None:
-            seen = (receiver, rnd, _sub)
-            if seen in dedup:
-                return
-            dedup.add(seen)
+        if repeated(net, seen, (receiver, rnd, sub)):
+            return
         key = (receiver, rnd)
         subs_received[key] = subs_received.get(key, 0) + 1
         if subs_received[key] < n_sub:
             return
-        i = rank_of[receiver]
-        progressed[receiver] = rnd + 1
         compute = 0.0
         if host_reduce_bytes_per_ns > 0 and rnd < k:
-            compute = sizes[rnd] / host_reduce_bytes_per_ns
+            compute = round_bytes[rnd] / host_reduce_bytes_per_ns
         if rnd + 1 < total_rounds:
-            send_round(i, rnd + 1, now + compute)
-        else:
-            state["done_hosts"] += 1
-            state["finish"] = max(state["finish"], now + compute)
-            if state["done_hosts"] == P:
-                on_complete(finished())
+            send_round(rank_of[receiver], rnd + 1, now + compute)
+        elif done.host_done(now + compute):
+            on_complete(collective_result(
+                net, flow, "host-sparse (SparCML)", P,
+                total_elements * DENSE_ELEMENT_BYTES, done.finish - base_time,
+                sum(round_bytes), {"round_bytes": round_bytes},
+            ))
 
     rank_of = {h: i for i, h in enumerate(hosts)}
     for h in hosts:

@@ -11,15 +11,9 @@ Importing this package registers every built-in algorithm::
 
     comm = Communicator(n_hosts=16)
     print(comm.allreduce("256KiB").summary())
-
-Legacy per-algorithm entry points (``run_switch_allreduce``,
-``simulate_*_allreduce``) remain as deprecation shims that delegate
-here via :func:`legacy_execute`.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Union
 
 from repro.collectives.result import CollectiveResult
 from repro.comm.communicator import (
@@ -68,46 +62,11 @@ from repro.comm.registry import (
     unregister_algorithm,
 )
 from repro.comm.request import CollectiveRequest
-from repro.core.ops import ReductionOp
 
 # Importing the backends populates the registry with the built-ins;
 # the planner registers the "cost" auto_mode selector on top of them.
 import repro.comm.backends  # noqa: F401  (import for side effect)
 import repro.comm.planner   # noqa: F401  (import for side effect)
-
-
-def legacy_execute(
-    algorithm: str,
-    *,
-    nbytes: Union[int, float, str],
-    n_hosts: int,
-    op: Union[str, ReductionOp] = "sum",
-    dtype: str = "float32",
-    reproducible: bool = False,
-    sparse: bool = False,
-    density: float = 1.0,
-    params: Optional[dict] = None,
-    payloads: Optional[object] = None,
-    execute_args: Optional[dict] = None,
-) -> CollectiveResult:
-    """One-shot plan+execute used by the deprecation shims.
-
-    Bypasses capability validation and the plan cache: legacy call
-    sites already chose their algorithm and execute exactly once.
-    """
-    request = CollectiveRequest(
-        nbytes=nbytes,
-        n_hosts=n_hosts,
-        op=op,
-        dtype=dtype,
-        algorithm=algorithm,
-        reproducible=reproducible,
-        sparse=sparse,
-        density=density,
-        params=dict(params or {}),
-    )
-    plan = build_plan(request, get_algorithm(algorithm))
-    return plan.execute(payloads, **(execute_args or {}))
 
 
 __all__ = [
@@ -145,7 +104,6 @@ __all__ = [
     "rejection_reasons",
     "resolve",
     "build_plan",
-    "legacy_execute",
     "resolve_topology_hosts",
     "wait_all",
     "wait_any",

@@ -3,56 +3,42 @@
 Adapts every allreduce implementation in the repository to the
 plan/execute contract of :mod:`repro.comm`:
 
-* host-based in-memory algorithms (``rabenseifner``,
-  ``recursive_doubling``) from :mod:`repro.collectives.algorithms`,
-  costed with an alpha-beta model;
-* network-schedule simulations (``ring``, ``sparcml``,
-  ``flare_dense``, ``flare_sparse``) from :mod:`repro.collectives`;
+* network schedules from :mod:`repro.collectives.schedule` — the host
+  exchanges ``ring``, ``swing``, ``butterfly``, ``rabenseifner`` and
+  ``recursive_doubling``, and the in-network trees ``flare_dense`` and
+  ``flare_sparse`` — plus ``sparcml`` from
+  :mod:`repro.collectives.sparcml`;
 * switch-level PsPIN drivers (``flare_switch``,
   ``flare_switch_sparse``) from :mod:`repro.core.allreduce` and
   :mod:`repro.sparse.allreduce`.
 
 Planners do the one-time work — topology shaping, reduction-tree
-embedding, per-round/level message sizing, Sec. 6.4 handler selection —
-and return a runner that only executes the data plane.
+embedding, schedule tables and message sizing, Sec. 6.4 handler
+selection — and return a runner that only executes the data plane.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from repro.collectives.algorithms import (
-    rabenseifner_allreduce,
-    recursive_doubling_allreduce,
-)
-from repro.collectives.flare_dense import (
-    _simulate_flare_dense_allreduce,
-    issue_flare_dense_allreduce,
-)
-from repro.collectives.flare_sparse import (
-    _simulate_flare_sparse_allreduce,
-    issue_flare_sparse_allreduce,
-    sparse_tree_bytes,
-)
-from repro.collectives.halving import (
-    _simulate_halving_allreduce,
-    issue_halving_allreduce,
-)
 from repro.collectives.result import CollectiveResult
-from repro.collectives.ring import _simulate_ring_allreduce, issue_ring_allreduce
-from repro.collectives.sparcml import (
-    _simulate_sparcml_allreduce,
-    issue_sparcml_allreduce,
-    sparcml_round_bytes,
+from repro.collectives.schedule import (
+    ExchangeTable,
+    TreeSchedule,
+    dense_tree,
+    resolve_hosts,
+    sparse_tree,
 )
+from repro.collectives.sparcml import issue_sparcml_allreduce, sparcml_round_bytes
 from repro.comm.plan import IssueContext, PlannedExecution
 from repro.comm.registry import AlgorithmCaps, CapabilityError, register_algorithm
 from repro.comm.request import DENSE_ELEMENT_BYTES, CollectiveRequest
 from repro.core.allreduce import plan_switch_allreduce
 from repro.network.routing import available_routers
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology, build_topology
 from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.trees import (
@@ -61,9 +47,7 @@ from repro.network.trees import (
     embed_reduction_tree,
 )
 from repro.pspin.costs import CostModel, get_dtype
-from repro.sparse.allreduce import _run_sparse_switch_allreduce
-from repro.utils.rngtools import seeded_rng
-from repro.utils.units import gbps_to_bytes_per_ns
+from repro.sparse.allreduce import sparse_switch_allreduce
 
 #: Families the tree-schedule (in-network) algorithms can plan over —
 #: everything the TreePlanner handles today.  Host-based schedules
@@ -103,9 +87,9 @@ class _TopologySource:
 
     Link serialization state (``busy_until``) is mutated by a run, so
     each execution gets its own topology built from the planned shape.
-    An explicitly supplied topology object (the legacy-shim path) is
-    honoured for the first execution and rebuilt from its
-    ``describe()`` kwargs afterwards.  ``params["topology"]`` may be a
+    An explicitly supplied topology object is honoured for the first
+    execution and rebuilt from its ``describe()`` kwargs afterwards.
+    ``params["topology"]`` may be a
     family name (built from ``params["topology_params"]``) or a
     :class:`~repro.network.topology.Topology`; absent means the
     paper's fat tree sized from the legacy knobs, with ``n_spines``
@@ -182,6 +166,12 @@ class _TopologySource:
             return topo
         return build_topology(self.family, **self._kwargs)
 
+    def fresh_net(self) -> NetworkSimulator:
+        """A private simulator over :meth:`fresh` (standalone runs)."""
+        return NetworkSimulator(
+            self.fresh(), router=self.routing, routing_seed=self.routing_seed
+        )
+
     def plan_tree(self, request: CollectiveRequest):
         """The aggregation tree for in-network schedules: an explicit
         ``params["tree"]``, the classic spine-rooted embedding on the
@@ -218,140 +208,7 @@ class _TopologySource:
 
 
 # ----------------------------------------------------------------------
-# Host-based in-memory algorithms (alpha-beta costed)
-# ----------------------------------------------------------------------
-def _link_model(request: CollectiveRequest) -> tuple[float, float]:
-    """(alpha ns, beta bytes/ns) from the same params the fat-tree
-    backends honor, so cross-algorithm comparisons share one fabric."""
-    p = request.params
-    return (
-        p.get("link_latency_ns", 250.0),
-        gbps_to_bytes_per_ns(p.get("link_gbps", 100.0)),
-    )
-
-
-def _inmemory_payloads(
-    request: CollectiveRequest, payloads, n_elements: int, seed: int
-) -> list[np.ndarray]:
-    if payloads is None:
-        rng = seeded_rng(seed)
-        data = rng.integers(0, 7, size=(request.n_hosts, n_elements))
-        return list(data.astype(request.dtype))
-    arrays = [np.asarray(a) for a in payloads]
-    if len(arrays) != request.n_hosts:
-        raise ValueError(
-            f"got {len(arrays)} payloads for {request.n_hosts} hosts"
-        )
-    for i, a in enumerate(arrays):
-        if a.size != n_elements:
-            raise ValueError(
-                f"payload {i} has {a.size} elements; this plan was sized "
-                f"for {n_elements} — plan the new shape instead of reusing "
-                "this one"
-            )
-    return arrays
-
-
-def _plan_inmemory(
-    request: CollectiveRequest,
-    label: str,
-    algorithm_fn,
-    bytes_per_host: float,
-    time_ns: float,
-    rounds: int,
-) -> PlannedExecution:
-    # numpy-native: the in-memory algorithms support any numpy dtype,
-    # including float64, which the switch cost model refuses.
-    dtype_size = np.dtype(request.dtype).itemsize
-    n_elements = max(1, int(request.nbytes) // dtype_size)
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        arrays = _inmemory_payloads(
-            request, payloads, n_elements, overrides.get("seed", 0)
-        )
-        outputs = algorithm_fn(arrays)
-        if overrides.get("verify", True):
-            golden = arrays[0].astype(np.float64)
-            for a in arrays[1:]:
-                golden = golden + a.astype(np.float64)
-            np.testing.assert_allclose(
-                outputs[0].astype(np.float64), golden, rtol=1e-5, atol=1e-5
-            )
-        return CollectiveResult(
-            name=f"host-dense ({label})",
-            n_hosts=request.n_hosts,
-            vector_bytes=float(arrays[0].nbytes),
-            time_ns=time_ns,
-            traffic_bytes_hops=bytes_per_host * request.n_hosts,
-            sent_bytes_per_host=bytes_per_host,
-            extra={"rounds": rounds, "output": outputs[0]},
-        )
-
-    return PlannedExecution(
-        runner=runner,
-        setup={
-            "rounds": rounds,
-            "bytes_per_host": bytes_per_host,
-            "elements": n_elements,
-            "modeled_time_ns": time_ns,
-        },
-    )
-
-
-@register_algorithm(
-    "rabenseifner",
-    caps=AlgorithmCaps(
-        dense=True,
-        reproducible=True,
-        ops=("sum",),
-        power_of_two_hosts=True,
-        min_hosts=2,
-        priority=20,
-        description="host-based recursive halving/doubling, exact in-memory "
-        "reduction with alpha-beta cost model",
-    ),
-)
-def _plan_rabenseifner(request: CollectiveRequest) -> PlannedExecution:
-    P = request.n_hosts
-    k = int(math.log2(P))
-    z = float(request.nbytes)
-    alpha, beta = _link_model(request)
-    bytes_per_host = 2.0 * (P - 1) / P * z
-    time_ns = 2 * k * alpha + bytes_per_host / beta
-    return _plan_inmemory(
-        request, "rabenseifner", rabenseifner_allreduce, bytes_per_host,
-        time_ns, rounds=2 * k,
-    )
-
-
-@register_algorithm(
-    "recursive_doubling",
-    caps=AlgorithmCaps(
-        dense=True,
-        reproducible=True,
-        ops=("sum",),
-        power_of_two_hosts=True,
-        min_hosts=2,
-        priority=15,
-        description="host-based recursive doubling (latency-optimal, "
-        "full-vector exchanges), exact in-memory reduction",
-    ),
-)
-def _plan_recursive_doubling(request: CollectiveRequest) -> PlannedExecution:
-    P = request.n_hosts
-    k = int(math.log2(P))
-    z = float(request.nbytes)
-    alpha, beta = _link_model(request)
-    bytes_per_host = k * z
-    time_ns = k * (alpha + z / beta)
-    return _plan_inmemory(
-        request, "recursive-doubling", recursive_doubling_allreduce,
-        bytes_per_host, time_ns, rounds=k,
-    )
-
-
-# ----------------------------------------------------------------------
-# Network-schedule simulations
+# Network schedules
 # ----------------------------------------------------------------------
 _SIMULATION_ONLY_REASON = (
     "is a timing/traffic simulation and does not reduce payload values; "
@@ -368,15 +225,14 @@ def _simulation_only(request: CollectiveRequest, payloads) -> Optional[str]:
 def _network_payload_rejects(
     request: CollectiveRequest, payloads
 ) -> Optional[str]:
-    """Payload gate for the payload-capable network schedules (ring,
-    flare_dense).
+    """Payload gate for ring, swing, butterfly and flare_dense.
 
     Payload execution is *opt-in by naming the algorithm*: under
     ``algorithm="auto"`` these remain timing simulations, so automatic
-    selection keeps preferring the switch-level / in-memory executing
-    backends exactly as before.  Explicitly-named requests carry and
-    bitwise-reduce real data (the differential and chaos suites drive
-    this path).
+    selection keeps preferring flare_switch and the host fallbacks
+    (rabenseifner, recursive_doubling) for payloads exactly as before.
+    Explicitly-named requests carry and bitwise-reduce real data (the
+    differential and chaos suites drive this path).
     """
     if request.algorithm == "auto":
         return _SIMULATION_ONLY_REASON
@@ -402,6 +258,86 @@ def _reject_payloads(name: str, payloads) -> None:
         raise ValueError(f"algorithm {name!r} {_SIMULATION_ONLY_REASON}")
 
 
+def _network_plan(source: _TopologySource, issue, setup: dict) -> PlannedExecution:
+    """The plan of a network schedule.
+
+    ``issue(net, flow=, payloads=, on_complete=)`` starts one run in a
+    simulator: a fabric passes its shared one, standalone runs
+    (``plan.execute``) a fresh private one.
+    """
+
+    def issuer(ctx: IssueContext, payloads, overrides) -> None:
+        source.check_fabric(ctx.net)
+        issue(ctx.net, flow=ctx.flow, payloads=payloads, on_complete=ctx.finish)
+
+    return PlannedExecution.from_issuer(
+        issuer, source.fresh_net, {"topology": source.describe(), **setup}
+    )
+
+
+def _plan_exchange(request: CollectiveRequest, algorithm: str) -> PlannedExecution:
+    """Shared planner of the host exchanges (:class:`ExchangeTable`)."""
+    source = _TopologySource(request)
+    p = request.params
+    table = ExchangeTable(
+        algorithm,
+        resolve_hosts(source.shape, source.hosts),
+        request.nbytes,
+        sub_chunk_bytes=p.get("sub_chunk_bytes", 128 * 1024),
+        host_reduce_bytes_per_ns=p.get("host_reduce_bytes_per_ns", 0.0),
+    )
+    return _network_plan(
+        source, partial(table.issue, op=request.op),
+        {**table.extra, "bytes_per_host": sum(table.step_bytes)},
+    )
+
+
+def _plan_tree(source: _TopologySource, schedule: TreeSchedule, op) -> PlannedExecution:
+    """Shared planner tail of the in-network tree schedules."""
+    tree = schedule.tree
+    return _network_plan(source, partial(schedule.issue, op=op), {
+        **schedule.extra,
+        "tree_switches": list(tree.switches()),
+        "tree_links": [tuple(edge) for edge in tree.tree_links()],
+        "root_fan_in": tree.fan_in(tree.root),
+    })
+
+
+@register_algorithm(
+    "rabenseifner",
+    caps=AlgorithmCaps(
+        dense=True,
+        reproducible=True,
+        ops=("sum",),
+        power_of_two_hosts=True,
+        min_hosts=2,
+        priority=20,
+        description="host-based Rabenseifner allreduce (recursive halving "
+        "from distance P/2, then doubling) on the network simulator; the "
+        "executing host fallback for payloads",
+    ),
+)
+def _plan_rabenseifner(request: CollectiveRequest) -> PlannedExecution:
+    return _plan_exchange(request, "rabenseifner")
+
+
+@register_algorithm(
+    "recursive_doubling",
+    caps=AlgorithmCaps(
+        dense=True,
+        reproducible=True,
+        ops=("sum",),
+        power_of_two_hosts=True,
+        min_hosts=2,
+        priority=15,
+        description="host-based recursive doubling (latency-optimal, "
+        "full-vector exchanges) on the network simulator",
+    ),
+)
+def _plan_recursive_doubling(request: CollectiveRequest) -> PlannedExecution:
+    return _plan_exchange(request, "recursive_doubling")
+
+
 @register_algorithm(
     "ring",
     payload_rejects=_network_payload_rejects,
@@ -417,104 +353,7 @@ def _reject_payloads(name: str, payloads) -> None:
     ),
 )
 def _plan_ring(request: CollectiveRequest) -> PlannedExecution:
-    source = _TopologySource(request)
-    p = request.params
-    sub_chunk_bytes = p.get("sub_chunk_bytes", 128 * 1024)
-    host_reduce = p.get("host_reduce_bytes_per_ns", 0.0)
-    seg_bytes = request.nbytes / request.n_hosts
-    op = request.op
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        return _simulate_ring_allreduce(
-            source.fresh(),
-            request.nbytes,
-            sub_chunk_bytes=sub_chunk_bytes,
-            host_reduce_bytes_per_ns=host_reduce,
-            router=source.routing,
-            routing_seed=source.routing_seed,
-            payloads=payloads,
-            op=op,
-            hosts=source.hosts,
-        )
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        source.check_fabric(ctx.net)
-        issue_ring_allreduce(
-            ctx.net,
-            request.nbytes,
-            sub_chunk_bytes=sub_chunk_bytes,
-            host_reduce_bytes_per_ns=host_reduce,
-            flow=ctx.flow,
-            base_time=ctx.net.now,
-            payloads=payloads,
-            op=op,
-            hosts=source.hosts,
-            on_complete=ctx.finish,
-        )
-
-    return PlannedExecution(
-        runner=runner,
-        issuer=issuer,
-        setup={
-            "topology": source.describe(),
-            "segment_bytes": seg_bytes,
-            "steps": 2 * (request.n_hosts - 1),
-        },
-    )
-
-
-def _plan_halving(request: CollectiveRequest, variant: str) -> PlannedExecution:
-    """Shared planner for the halving/doubling network schedules."""
-    source = _TopologySource(request)
-    p = request.params
-    sub_chunk_bytes = p.get("sub_chunk_bytes", 128 * 1024)
-    host_reduce = p.get("host_reduce_bytes_per_ns", 0.0)
-    op = request.op
-    steps = 2 * int(math.log2(request.n_hosts))
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        return _simulate_halving_allreduce(
-            source.fresh(),
-            request.nbytes,
-            variant=variant,
-            sub_chunk_bytes=sub_chunk_bytes,
-            host_reduce_bytes_per_ns=host_reduce,
-            router=source.routing,
-            routing_seed=source.routing_seed,
-            payloads=payloads,
-            op=op,
-            hosts=source.hosts,
-        )
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        source.check_fabric(ctx.net)
-        issue_halving_allreduce(
-            ctx.net,
-            request.nbytes,
-            variant=variant,
-            sub_chunk_bytes=sub_chunk_bytes,
-            host_reduce_bytes_per_ns=host_reduce,
-            flow=ctx.flow,
-            base_time=ctx.net.now,
-            payloads=payloads,
-            op=op,
-            hosts=source.hosts,
-            on_complete=ctx.finish,
-        )
-
-    return PlannedExecution(
-        runner=runner,
-        issuer=issuer,
-        setup={
-            "topology": source.describe(),
-            "variant": variant,
-            "steps": steps,
-            "bytes_per_host": 2.0
-            * (request.n_hosts - 1)
-            / request.n_hosts
-            * request.nbytes,
-        },
-    )
+    return _plan_exchange(request, "ring")
 
 
 @register_algorithm(
@@ -534,7 +373,7 @@ def _plan_halving(request: CollectiveRequest, variant: str) -> PlannedExecution:
     ),
 )
 def _plan_butterfly(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_halving(request, "butterfly")
+    return _plan_exchange(request, "butterfly")
 
 
 @register_algorithm(
@@ -554,7 +393,7 @@ def _plan_butterfly(request: CollectiveRequest) -> PlannedExecution:
     ),
 )
 def _plan_swing(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_halving(request, "swing")
+    return _plan_exchange(request, "swing")
 
 
 @register_algorithm(
@@ -575,54 +414,29 @@ def _plan_sparcml(request: CollectiveRequest) -> PlannedExecution:
     source = _TopologySource(request)
     p = request.params
     total_elements = request.total_elements
-    bucket_span = p.get("bucket_span", 512)
-    nnz_per_bucket = p.get("nnz_per_bucket", 1.0)
-    dense_switch = p.get("dense_switch", True)
     host_reduce = p.get("host_reduce_bytes_per_ns", 2.5)
     round_bytes = sparcml_round_bytes(
-        request.n_hosts, total_elements, bucket_span, nnz_per_bucket, dense_switch
+        request.n_hosts,
+        total_elements,
+        p.get("bucket_span", 512),
+        p.get("nnz_per_bucket", 1.0),
+        p.get("dense_switch", True),
     )
 
-    def runner(payloads, overrides) -> CollectiveResult:
+    def issue(net, *, flow, payloads, on_complete) -> None:
         _reject_payloads("sparcml", payloads)
-        return _simulate_sparcml_allreduce(
-            source.fresh(),
-            total_elements,
-            bucket_span=bucket_span,
-            nnz_per_bucket=nnz_per_bucket,
-            dense_switch=dense_switch,
-            host_reduce_bytes_per_ns=host_reduce,
-            round_bytes=round_bytes,
-            router=source.routing,
-            routing_seed=source.routing_seed,
-            hosts=source.hosts,
-        )
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        _reject_payloads("sparcml", payloads)
-        source.check_fabric(ctx.net)
         issue_sparcml_allreduce(
-            ctx.net,
+            net,
             total_elements,
-            bucket_span=bucket_span,
-            nnz_per_bucket=nnz_per_bucket,
-            dense_switch=dense_switch,
+            round_bytes,
             host_reduce_bytes_per_ns=host_reduce,
-            round_bytes=round_bytes,
-            flow=ctx.flow,
-            base_time=ctx.net.now,
+            flow=flow,
             hosts=source.hosts,
-            on_complete=ctx.finish,
+            on_complete=on_complete,
         )
 
-    return PlannedExecution(
-        runner=runner,
-        issuer=issuer,
-        setup={
-            "topology": source.describe(),
-            "rounds": len(round_bytes),
-            "round_bytes": round_bytes,
-        },
+    return _network_plan(
+        source, issue, {"rounds": len(round_bytes), "round_bytes": round_bytes}
     )
 
 
@@ -645,53 +459,13 @@ def _plan_sparcml(request: CollectiveRequest) -> PlannedExecution:
 def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
     source = _TopologySource(request)
     p = request.params
-    chunk_bytes = p.get("chunk_bytes", 1024 * 1024)
-    agg_latency = p.get("agg_latency_ns_per_chunk", 2000.0)
-    tree = source.plan_tree(request)
-    atree = as_aggregation_tree(tree, source.shape)
-    op = request.op
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        return _simulate_flare_dense_allreduce(
-            source.fresh(),
-            request.nbytes,
-            chunk_bytes=chunk_bytes,
-            agg_latency_ns_per_chunk=agg_latency,
-            tree=tree,
-            router=source.routing,
-            routing_seed=source.routing_seed,
-            payloads=payloads,
-            op=op,
-        )
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        source.check_fabric(ctx.net)
-        issue_flare_dense_allreduce(
-            ctx.net,
-            request.nbytes,
-            chunk_bytes=chunk_bytes,
-            agg_latency_ns_per_chunk=agg_latency,
-            tree=tree,
-            flow=ctx.flow,
-            base_time=ctx.net.now,
-            payloads=payloads,
-            op=op,
-            on_complete=ctx.finish,
-        )
-
-    return PlannedExecution(
-        runner=runner,
-        issuer=issuer,
-        setup={
-            "topology": source.describe(),
-            "tree_root": atree.root,
-            "tree_depth": atree.depth(),
-            "tree_switches": list(atree.switches()),
-            "tree_links": [tuple(edge) for edge in atree.tree_links()],
-            "root_fan_in": atree.fan_in(atree.root),
-            "n_chunks": max(1, int(round(request.nbytes / chunk_bytes))),
-        },
+    schedule = dense_tree(
+        as_aggregation_tree(source.plan_tree(request), source.shape),
+        request.nbytes,
+        chunk_bytes=p.get("chunk_bytes", 1024 * 1024),
+        agg_latency_ns=p.get("agg_latency_ns_per_chunk", 2000.0),
     )
+    return _plan_tree(source, schedule, request.op)
 
 
 @register_algorithm(
@@ -713,66 +487,16 @@ def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
 def _plan_flare_sparse(request: CollectiveRequest) -> PlannedExecution:
     source = _TopologySource(request)
     p = request.params
-    total_elements = request.total_elements
-    bucket_span = p.get("bucket_span", 512)
-    nnz_per_bucket = p.get("nnz_per_bucket", 1.0)
-    n_chunks = p.get("n_chunks", 64)
-    agg_latency = p.get("agg_latency_ns_per_chunk", 4000.0)
-    shape = source.shape
-    tree = source.plan_tree(request)
-    atree = as_aggregation_tree(tree, shape)
-    level_bytes = p.get("level_bytes")
-    if level_bytes is None:
-        host_bytes, up_bytes = sparse_tree_bytes(
-            atree, total_elements, bucket_span, nnz_per_bucket
-        )
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        _reject_payloads("flare_sparse", payloads)
-        return _simulate_flare_sparse_allreduce(
-            source.fresh(),
-            total_elements,
-            bucket_span=bucket_span,
-            nnz_per_bucket=nnz_per_bucket,
-            n_chunks=n_chunks,
-            agg_latency_ns_per_chunk=agg_latency,
-            level_bytes=level_bytes,
-            tree=tree,
-            router=source.routing,
-            routing_seed=source.routing_seed,
-        )
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        _reject_payloads("flare_sparse", payloads)
-        source.check_fabric(ctx.net)
-        issue_flare_sparse_allreduce(
-            ctx.net,
-            total_elements,
-            bucket_span=bucket_span,
-            nnz_per_bucket=nnz_per_bucket,
-            n_chunks=n_chunks,
-            agg_latency_ns_per_chunk=agg_latency,
-            level_bytes=level_bytes,
-            tree=tree,
-            flow=ctx.flow,
-            base_time=ctx.net.now,
-            on_complete=ctx.finish,
-        )
-
-    return PlannedExecution(
-        runner=runner,
-        issuer=issuer,
-        setup={
-            "topology": source.describe(),
-            "tree_root": atree.root,
-            "tree_depth": atree.depth(),
-            "tree_switches": list(atree.switches()),
-            "tree_links": [tuple(edge) for edge in atree.tree_links()],
-            "host_bytes": level_bytes[0] if level_bytes is not None else host_bytes,
-            "root_bytes": level_bytes[2] if level_bytes is not None
-            else up_bytes[atree.root],
-        },
+    schedule = sparse_tree(
+        as_aggregation_tree(source.plan_tree(request), source.shape),
+        request.total_elements,
+        bucket_span=p.get("bucket_span", 512),
+        nnz_per_bucket=p.get("nnz_per_bucket", 1.0),
+        n_chunks=p.get("n_chunks", 64),
+        agg_latency_ns=p.get("agg_latency_ns_per_chunk", 4000.0),
+        level_bytes=p.get("level_bytes"),
     )
+    return _plan_tree(source, schedule, request.op)
 
 
 # ----------------------------------------------------------------------
@@ -908,7 +632,7 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
 
     def runner(payloads, overrides) -> CollectiveResult:
         _reject_payloads("flare_switch_sparse", payloads)
-        r = _run_sparse_switch_allreduce(
+        r = sparse_switch_allreduce(
             int(request.nbytes),
             **kwargs,
             **_pick(overrides, ("seed", "jitter", "verify")),

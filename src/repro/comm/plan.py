@@ -47,9 +47,10 @@ class IssueContext:
 #: ``issuer(ctx, payloads, overrides) -> None`` — injects one
 #: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
 #: arranges for ``ctx.finish(result)`` when it completes.  Planners of
-#: event-driven network schedules provide it; planners whose execution
-#: is a closed-form model or a self-contained switch simulation leave
-#: it None and the fabric falls back to atomic execution.
+#: event-driven network schedules provide it (and derive their runner
+#: from it, :meth:`PlannedExecution.from_issuer`); planners whose
+#: execution is a self-contained switch simulation leave it None and
+#: the fabric falls back to atomic execution.
 Issuer = Callable[[IssueContext, Optional[object], dict], None]
 
 
@@ -60,6 +61,29 @@ class PlannedExecution:
     runner: Runner
     setup: dict = field(default_factory=dict)
     issuer: Optional[Issuer] = None
+
+    @classmethod
+    def from_issuer(
+        cls, issuer: Issuer, network: Callable[[], object], setup: dict
+    ) -> "PlannedExecution":
+        """A plan whose standalone runs issue into ``network()`` — a
+        fresh private simulator — with no flow tag, and run it to
+        completion."""
+
+        def runner(payloads, overrides) -> CollectiveResult:
+            net = network()
+            done: list[CollectiveResult] = []
+            issuer(IssueContext(net=net, flow=None, finish=done.append),
+                   payloads, overrides)
+            net.run()
+            if not done:
+                raise RuntimeError(
+                    "collective incomplete: the event loop drained before "
+                    "every host finished"
+                )
+            return done[0]
+
+        return cls(runner=runner, setup=setup, issuer=issuer)
 
 
 @dataclass

@@ -87,8 +87,8 @@ FEATURES = {
 
 
 def link_model(request: CollectiveRequest) -> tuple[float, float]:
-    """(alpha ns, beta bytes/ns) from the same params the fat-tree
-    backends honor (mirrors ``repro.comm.backends._link_model``)."""
+    """(alpha ns, beta bytes/ns) from the link params the fat-tree
+    backends wire (``repro.comm.backends.default_fat_tree_kwargs``)."""
     p = request.params
     return (
         p.get("link_latency_ns", 250.0),

@@ -1,8 +1,8 @@
 """Algorithm registry with declared capabilities.
 
-Every allreduce implementation in the repository — host-based in-memory
-algorithms, network-schedule simulations, and the switch-level PsPIN
-drivers — registers here under a stable name with an
+Every allreduce implementation in the repository — host-based and
+in-network schedules on the network simulator, and the switch-level
+PsPIN drivers — registers here under a stable name with an
 :class:`AlgorithmCaps` declaration.  ``algorithm="auto"`` requests are
 resolved by *capability matching*: filter the registry down to entries
 that support the request (dense/sparse, operator, reproducibility,

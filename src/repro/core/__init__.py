@@ -40,7 +40,6 @@ from repro.core.allreduce import (
     SwitchAllreducePlan,
     SwitchAllreduceResult,
     plan_switch_allreduce,
-    run_switch_allreduce,
     make_dense_blocks,
     scale_bandwidth,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SwitchAllreducePlan",
     "SwitchAllreduceResult",
     "plan_switch_allreduce",
-    "run_switch_allreduce",
     "make_dense_blocks",
     "scale_bandwidth",
 ]

@@ -24,7 +24,6 @@ results linearly with the number of deployed clusters").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -347,69 +346,6 @@ def plan_switch_allreduce(
         operator=operator,
         delta_sim=delta_sim,
     )
-
-
-def run_switch_allreduce(
-    data_bytes: int | str,
-    children: int = 64,
-    algorithm: Optional[str] = None,
-    dtype: str = "float32",
-    n_clusters: int = 4,
-    cores_per_cluster: int = 8,
-    subset_size: Optional[int] = None,
-    scheduler: str = "hierarchical",
-    staggered: bool = True,
-    jitter: float = 1.0,
-    seed: int = 0,
-    reproducible: bool = False,
-    op: "str | ReductionOp" = "sum",
-    cost_model: Optional[CostModel] = None,
-    packet_bytes: int = 1024,
-    data: Optional[np.ndarray] = None,
-    cold_start: bool = True,
-    verify: bool = True,
-) -> SwitchAllreduceResult:
-    """Simulate one dense allreduce through a Flare switch.
-
-    .. deprecated::
-        Thin shim over the :mod:`repro.comm` registry ("flare_switch"
-        algorithm); prefer ``Communicator.allreduce`` or
-        :func:`plan_switch_allreduce` for repeated executions.
-    """
-    warnings.warn(
-        "run_switch_allreduce is deprecated; use repro.comm.Communicator"
-        ".allreduce(..., algorithm='flare_switch') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.comm import legacy_execute
-
-    result = legacy_execute(
-        "flare_switch",
-        nbytes=parse_size(data_bytes),
-        n_hosts=children,
-        op=op,
-        dtype=dtype,
-        reproducible=reproducible,
-        params={
-            "aggregation": algorithm,
-            "n_clusters": n_clusters,
-            "cores_per_cluster": cores_per_cluster,
-            "subset_size": subset_size,
-            "scheduler": scheduler,
-            "staggered": staggered,
-            "cost_model": cost_model,
-            "packet_bytes": packet_bytes,
-        },
-        payloads=data,
-        execute_args={
-            "seed": seed,
-            "jitter": jitter,
-            "cold_start": cold_start,
-            "verify": verify,
-        },
-    )
-    return result.raw
 
 
 def _verify_outputs(

@@ -14,8 +14,9 @@ same engine runs the classic two-level fat-tree shape
 dragonfly or torus (:func:`run_tree_allreduce`) — switch-level
 behaviour across tree levels (e.g. sparse densification hitting the
 root, Sec. 7's "hash at the leaves, array at the root" guidance) on
-any wiring.  Use the chunk-level ``repro.collectives.flare_dense``
-schedule instead for end-to-end times at scale.
+any wiring.  Use the chunk-level ``flare_dense`` tree schedule
+(:mod:`repro.collectives.schedule`) instead for end-to-end times at
+scale.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.sparse.array_storage import ArrayStorage
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.sparse.densify import expected_union, densification_profile
 from repro.sparse.models import sparse_packet_cycles, sparse_design_point
-from repro.sparse.allreduce import SparseAllreduceResult, run_sparse_switch_allreduce
+from repro.sparse.allreduce import SparseAllreduceResult, sparse_switch_allreduce
 
 __all__ = [
     "SparseBlock",
@@ -42,5 +42,5 @@ __all__ = [
     "sparse_packet_cycles",
     "sparse_design_point",
     "SparseAllreduceResult",
-    "run_sparse_switch_allreduce",
+    "sparse_switch_allreduce",
 ]

@@ -1,15 +1,15 @@
 """Switch-level sparse allreduce driver (Fig. 13/14 simulated results).
 
-Mirrors :func:`repro.core.allreduce.run_switch_allreduce` for the sparse
-path: generates a sparse workload at a target density, packetizes it
-with the Sec. 7 rules, pushes it through the PsPIN switch with the
-sparse handler, and reports bandwidth (of *sparsified* bytes), per-block
-storage memory, and the extra traffic caused by hash spilling.
+The sparse counterpart of :mod:`repro.core.allreduce` (registered as
+``flare_switch_sparse``): generates a sparse workload at a target
+density, packetizes it with the Sec. 7 rules, pushes it through the
+PsPIN switch with the sparse handler, and reports bandwidth (of
+*sparsified* bytes), per-block storage memory, and the extra traffic
+caused by hash spilling.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,61 +67,7 @@ class SparseAllreduceResult:
         )
 
 
-def run_sparse_switch_allreduce(
-    data_bytes: int | str,
-    density: float,
-    storage: str = "hash",
-    children: int = 64,
-    n_clusters: int = 4,
-    cores_per_cluster: int = 8,
-    dtype: str = "float32",
-    correlation: float = 0.0,
-    seed: int = 0,
-    packet_bytes: int = 1024,
-    hash_slots_factor: float = 4.0,
-    cost_model: Optional[CostModel] = None,
-    workload: Optional[SparseWorkload] = None,
-    jitter: float = 1.0,
-    verify: bool = True,
-) -> SparseAllreduceResult:
-    """Simulate one sparse allreduce through a Flare switch.
-
-    .. deprecated::
-        Thin shim over the :mod:`repro.comm` registry
-        ("flare_switch_sparse" algorithm); prefer
-        ``Communicator.allreduce(..., sparse=True)``.
-    """
-    warnings.warn(
-        "run_sparse_switch_allreduce is deprecated; use repro.comm."
-        "Communicator.allreduce(..., algorithm='flare_switch_sparse')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.comm import legacy_execute
-
-    result = legacy_execute(
-        "flare_switch_sparse",
-        nbytes=parse_size(data_bytes),
-        n_hosts=children,
-        dtype=dtype,
-        sparse=True,
-        density=density,
-        params={
-            "storage": storage,
-            "n_clusters": n_clusters,
-            "cores_per_cluster": cores_per_cluster,
-            "correlation": correlation,
-            "packet_bytes": packet_bytes,
-            "hash_slots_factor": hash_slots_factor,
-            "cost_model": cost_model,
-            "workload": workload,
-        },
-        execute_args={"seed": seed, "jitter": jitter, "verify": verify},
-    )
-    return result.raw
-
-
-def _run_sparse_switch_allreduce(
+def sparse_switch_allreduce(
     data_bytes: int | str,
     density: float,
     storage: str = "hash",

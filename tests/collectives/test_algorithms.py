@@ -1,83 +1,61 @@
-"""Correctness tests for the in-memory collective algorithms."""
+"""The host-based allreduce schedules against numpy references.
+
+Each algorithm runs as a network schedule through the public
+Communicator, carrying real payloads; the reduced vector must match a
+numpy reduction of the inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.algorithms import (
-    rabenseifner_allreduce,
-    recursive_doubling_allreduce,
-    ring_allreduce,
-    sparcml_allreduce,
-)
+from repro.collectives.schedule import ExchangeTable
+from repro.comm import Communicator
 
 
 def _golden(arrays):
     return np.sum(np.stack(arrays), axis=0)
 
 
-@pytest.mark.parametrize("P", [1, 2, 3, 4, 7, 8])
+def _allreduce(arrays, algorithm):
+    comm = Communicator(n_hosts=len(arrays))
+    return comm.allreduce(np.stack(arrays), algorithm=algorithm).extra["output"]
+
+
+@pytest.mark.parametrize("P", [2, 3, 4, 7, 8])
 def test_ring_matches_dense_sum(P):
     rng = np.random.default_rng(P)
     arrays = [rng.integers(0, 100, size=23).astype(np.int64) for _ in range(P)]
-    out = ring_allreduce(arrays)
-    assert len(out) == P
-    for o in out:
-        np.testing.assert_array_equal(o, _golden(arrays))
+    np.testing.assert_array_equal(_allreduce(arrays, "ring"), _golden(arrays))
 
 
 @pytest.mark.parametrize("P", [2, 4, 8, 16])
 def test_recursive_doubling_matches(P):
     rng = np.random.default_rng(P)
     arrays = [rng.standard_normal(31) for _ in range(P)]
-    for o in recursive_doubling_allreduce(arrays):
-        np.testing.assert_allclose(o, _golden(arrays))
+    np.testing.assert_allclose(_allreduce(arrays, "recursive_doubling"), _golden(arrays))
 
 
 @pytest.mark.parametrize("P", [2, 4, 8, 16])
 def test_rabenseifner_matches(P):
     rng = np.random.default_rng(P + 100)
     arrays = [rng.standard_normal(40) for _ in range(P)]
-    for o in rabenseifner_allreduce(arrays):
-        np.testing.assert_allclose(o, _golden(arrays))
+    np.testing.assert_allclose(_allreduce(arrays, "rabenseifner"), _golden(arrays))
 
 
 def test_power_of_two_required():
-    arrays = [np.ones(4) for _ in range(3)]
-    with pytest.raises(ValueError):
-        recursive_doubling_allreduce(arrays)
-    with pytest.raises(ValueError):
-        rabenseifner_allreduce(arrays)
+    hosts = ["h0", "h1", "h2"]
+    with pytest.raises(ValueError, match="power-of-two"):
+        ExchangeTable("recursive_doubling", hosts, 48.0)
+    with pytest.raises(ValueError, match="power-of-two"):
+        ExchangeTable("rabenseifner", hosts, 48.0)
 
 
 def test_mismatched_lengths_rejected():
-    with pytest.raises(ValueError):
-        ring_allreduce([np.ones(4), np.ones(5)])
-    with pytest.raises(ValueError):
-        ring_allreduce([])
-
-
-def test_sparcml_matches_dense_sum():
-    rng = np.random.default_rng(1)
-    span = 64
-    inputs = []
-    golden = np.zeros(span, dtype=np.float32)
-    for _ in range(8):
-        idx = rng.choice(span, size=10, replace=False).astype(np.int32)
-        vals = rng.standard_normal(10).astype(np.float32)
-        inputs.append((idx, vals))
-        np.add.at(golden, idx, vals)
-    for o in sparcml_allreduce(inputs, span):
-        np.testing.assert_allclose(o, golden, atol=1e-5)
-
-
-def test_sparcml_empty_contribution():
-    inputs = [
-        (np.array([1], dtype=np.int32), np.array([2.0], dtype=np.float32)),
-        (np.array([], dtype=np.int32), np.array([], dtype=np.float32)),
-    ]
-    out = sparcml_allreduce(inputs, span=4)
-    np.testing.assert_allclose(out[0], [0, 2, 0, 0])
+    plan = Communicator(n_hosts=2).plan(nbytes=32, algorithm="ring")
+    with pytest.raises(ValueError, match="plan was sized"):
+        plan.execute([np.ones(4), np.ones(5)])
+    with pytest.raises(ValueError, match="0 payloads"):
+        plan.execute([])
 
 
 @settings(max_examples=20, deadline=None)
@@ -90,6 +68,5 @@ def test_property_all_dense_algorithms_agree(P, n, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.integers(-50, 50, size=n).astype(np.int64) for _ in range(P)]
     golden = _golden(arrays)
-    for fn in (ring_allreduce, recursive_doubling_allreduce, rabenseifner_allreduce):
-        for o in fn(arrays):
-            np.testing.assert_array_equal(o, golden)
+    for algorithm in ("ring", "recursive_doubling", "rabenseifner"):
+        np.testing.assert_array_equal(_allreduce(arrays, algorithm), golden)

@@ -1,18 +1,19 @@
-"""Unit tests for the halving/doubling schedule math (swing and
-butterfly partner sequences, owned-block T-sets) and the simulated
-engines built on them."""
+"""Unit tests for the halving/doubling schedule math (swing, butterfly
+and rabenseifner partner sequences, owned-block T-sets) and the
+simulated schedules built on them."""
 
 import numpy as np
 import pytest
 
-from repro.collectives.halving import (
+from repro.collectives.schedule import (
     PARTNER_FUNCTIONS,
-    _simulate_halving_allreduce,
     block_sets,
     butterfly_partner,
+    rabenseifner_partner,
     swing_distance,
     swing_partner,
 )
+from repro.comm import Communicator
 from repro.network.topology import FatTreeTopology
 from repro.utils.units import MIB
 
@@ -48,6 +49,13 @@ def test_butterfly_partner_is_xor():
     assert butterfly_partner(5, 2, 8) == 1
 
 
+def test_rabenseifner_partner_is_xor_farthest_first():
+    assert [rabenseifner_partner(5, s, 8) for s in range(3)] == [1, 7, 4]
+    # The lower rank of the first pair keeps the lower half.
+    T = block_sets(rabenseifner_partner, 8)
+    assert T[1][1] == frozenset(range(4)) and T[1][5] == frozenset(range(4, 8))
+
+
 def test_swing_partner_parity_mirrors():
     """Even ranks step +delta, odd ranks step -delta (mod P): that
     mirroring is what keeps the matching symmetric."""
@@ -81,9 +89,10 @@ def test_block_sets_rejects_non_power_of_two():
 
 @pytest.mark.parametrize("variant", sorted(PARTNER_FUNCTIONS))
 def test_simulated_wire_bytes_match_closed_form(variant):
-    """Both schedules move exactly 2 Z (P-1)/P bytes per host."""
+    """Every halving/doubling schedule moves exactly 2 Z (P-1)/P bytes
+    per host."""
     Z = 4 * MIB
-    r = _simulate_halving_allreduce(_topo(), Z, variant=variant)
+    r = Communicator(topology=_topo()).allreduce(Z, algorithm=variant)
     assert r.sent_bytes_per_host == pytest.approx(Z * 2 * 7 / 8)
     assert r.time_ns >= 2 * Z * 7 / 8 / 12.5      # bandwidth bound
 
@@ -96,8 +105,7 @@ def test_simulated_payload_reduction_bitwise(variant, n_ranks):
     golden = data.sum(axis=0)
     topo = FatTreeTopology(n_hosts=max(n_ranks, 8), hosts_per_leaf=4,
                            n_spines=2)
-    r = _simulate_halving_allreduce(
-        topo, data[0].nbytes, variant=variant, payloads=data,
-        hosts=[f"h{i}" for i in range(n_ranks)],
+    r = Communicator(topology=topo).allreduce(
+        data, algorithm=variant, hosts=[f"h{i}" for i in range(n_ranks)]
     )
     np.testing.assert_array_equal(np.asarray(r.extra["output"]), golden)

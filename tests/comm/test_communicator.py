@@ -1,4 +1,4 @@
-"""Communicator facade: unified routing, payloads, futures, shims."""
+"""Communicator facade: unified routing, payloads, futures."""
 
 import numpy as np
 import pytest
@@ -91,16 +91,19 @@ def test_auto_payload_falls_back_when_switch_infeasible(comm):
     assert result.algorithm == "rabenseifner"
     np.testing.assert_allclose(result.extra["output"], data.sum(axis=0))
     # float64 payloads: unsupported by the switch cost model, fine for
-    # the numpy in-memory path.
+    # the host-based schedules.
     data64 = np.ones((8, 256), dtype=np.float64)
     result = comm.allreduce(data64)
     assert result.algorithm == "rabenseifner"
 
 
 def test_stale_plan_rejects_resized_payloads(comm):
-    plan = comm.plan(nbytes=256, algorithm="rabenseifner")
-    with pytest.raises(ValueError, match="plan was sized"):
-        plan.execute(np.ones((8, 1000), dtype=np.float32))
+    # Every payload-carrying schedule, not only the host fallbacks.
+    for algorithm in ("ring", "swing", "butterfly", "rabenseifner",
+                      "recursive_doubling", "flare_dense"):
+        plan = comm.plan(nbytes=256, algorithm=algorithm)
+        with pytest.raises(ValueError, match="plan was sized"):
+            plan.execute(np.ones((8, 1000), dtype=np.float32))
 
 
 def test_plan_with_payloads_steers_selection(comm):
@@ -179,41 +182,40 @@ def test_context_manager_drains_fabric():
 
 
 # ----------------------------------------------------------------------
-# Legacy shims
+# Direct plans vs the Communicator
 # ----------------------------------------------------------------------
-def test_run_switch_allreduce_shim_warns_and_matches():
-    from repro.core.allreduce import run_switch_allreduce
+def test_switch_plan_matches_communicator():
+    from repro.core.allreduce import plan_switch_allreduce
 
-    with pytest.warns(DeprecationWarning, match="run_switch_allreduce"):
-        legacy = run_switch_allreduce("4KiB", children=4, n_clusters=1, seed=9)
+    direct = plan_switch_allreduce("4KiB", children=4, n_clusters=1).execute(seed=9)
     comm = Communicator(n_hosts=4, n_clusters=1)
     unified = comm.allreduce("4KiB", algorithm="flare_switch", seed=9)
-    assert legacy.makespan_cycles == unified.raw.makespan_cycles
-    assert legacy.algorithm == unified.raw.algorithm
-    np.testing.assert_array_equal(legacy.outputs[0], unified.raw.outputs[0])
+    assert direct.makespan_cycles == unified.raw.makespan_cycles
+    assert direct.algorithm == unified.raw.algorithm
+    np.testing.assert_array_equal(direct.outputs[0], unified.raw.outputs[0])
 
 
-def test_simulate_ring_shim_warns_and_matches():
-    from repro.collectives import simulate_ring_allreduce
+def test_ring_on_explicit_topology_matches_named_shape():
     from repro.network.topology import FatTreeTopology
 
     topo = FatTreeTopology(n_hosts=16, hosts_per_leaf=8, n_spines=4)
-    with pytest.warns(DeprecationWarning, match="simulate_ring_allreduce"):
-        legacy = simulate_ring_allreduce(topo, 2.0**20)
+    explicit = Communicator(topology=topo).allreduce(2.0**20, algorithm="ring")
     comm = Communicator(n_hosts=16, hosts_per_leaf=8, n_spines=4)
     unified = comm.allreduce(2.0**20, algorithm="ring")
-    assert legacy.time_ns == unified.time_ns
-    assert legacy.traffic_bytes_hops == unified.traffic_bytes_hops
+    assert explicit.time_ns == unified.time_ns
+    assert explicit.traffic_bytes_hops == unified.traffic_bytes_hops
 
 
-def test_sparse_shim_warns():
-    from repro.sparse.allreduce import run_sparse_switch_allreduce
+def test_sparse_switch_driver_matches_communicator():
+    from repro.sparse.allreduce import sparse_switch_allreduce
 
-    with pytest.warns(DeprecationWarning, match="run_sparse_switch_allreduce"):
-        r = run_sparse_switch_allreduce(
-            "8KiB", density=0.1, children=4, n_clusters=1, seed=2
-        )
-    assert r.feasible
+    direct = sparse_switch_allreduce("8KiB", density=0.1, children=4, n_clusters=1, seed=2)
+    comm = Communicator(n_hosts=4, n_clusters=1)
+    unified = comm.allreduce(
+        "8KiB", algorithm="flare_switch_sparse", sparse=True, density=0.1, seed=2
+    )
+    assert direct.feasible and unified.raw.feasible
+    assert direct.makespan_cycles == unified.raw.makespan_cycles
 
 
 # ----------------------------------------------------------------------

@@ -285,6 +285,34 @@ def test_payload_collectives_fall_back_to_executing_algorithm():
     np.testing.assert_allclose(rb.extra["output"], data.sum(axis=0), rtol=1e-5)
 
 
+def test_payload_fallback_runs_on_the_wire():
+    """The host fallback is a network schedule like any other: its
+    bytes reach the fabric's link counters and its time is simulated
+    under contention, not modeled."""
+    data = make_dense_blocks(8, 16, 256, dtype="float32", seed=5).reshape(8, -1)
+    fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
+    a = fabric.communicator(name="A")
+    b = fabric.communicator(name="B")
+    ra, rb = wait_all([
+        a.iallreduce(data, algorithm="flare_dense"),
+        b.iallreduce(data, algorithm="flare_dense"),
+    ])
+    assert ra.algorithm == "flare_dense"
+    assert rb.algorithm == "rabenseifner" and rb.extra["fell_back"]
+    traffic = fabric.net.traffic
+    assert ra.traffic_bytes_hops == 327_680.0            # tenant A alone
+    assert rb.traffic_bytes_hops > 0
+    assert traffic.bytes_hops == ra.traffic_bytes_hops + rb.traffic_bytes_hops
+    assert sum(traffic.per_link.values()) == traffic.bytes_hops
+    entry = fabric.timeline()[1]
+    assert entry["wire_bytes"] == rb.traffic_bytes_hops
+    assert entry["finish_ns"] == entry["start_ns"] + rb.time_ns
+    # Contended by tenant A, the fallback is slower than alone.
+    alone = Fabric(n_hosts=8).communicator().allreduce(data, algorithm="rabenseifner")
+    assert rb.time_ns > alone.time_ns
+    np.testing.assert_array_equal(rb.extra["output"], data.sum(axis=0))
+
+
 def test_sequential_atomic_collectives_release_slots():
     """issue -> result -> issue must not see the finished collective's
     switch slot still held (result() advances the fabric clock past

@@ -65,10 +65,18 @@ def test_unrelated_link_down_does_not_replan():
 # Switch-pool loss: host-based fallback
 # ----------------------------------------------------------------------
 def test_switch_down_falls_back_to_rabenseifner_with_payloads():
-    fabric = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=1)
+    # One handler slot per switch; a co-tenant's tree holds spine s1, so
+    # once s0 dies no tree can be admitted and the collective falls back
+    # host-based — over s1, the spine that still connects its hosts.
+    fabric = Fabric(n_hosts=16, hosts_per_leaf=4, n_spines=2,
+                    max_allreduces_per_switch=1)
+    hog = fabric.communicator(name="hog")
     comm = fabric.communicator(name="t")
+    hog.iallreduce("4MiB", algorithm="flare_dense", tree_root="s1",
+                   hosts=[f"h{i}" for i in range(8, 16)])
     data, golden = _payloads(n=4096)
-    future = comm.iallreduce(data, algorithm="flare_dense")
+    future = comm.iallreduce(data, algorithm="flare_dense", tree_root="s0",
+                             hosts=[f"h{i}" for i in range(8)])
     fabric.inject(switch="s0", at=2_000.0, kind="down")
     result = future.result()
     assert result.algorithm == "rabenseifner"
@@ -76,7 +84,8 @@ def test_switch_down_falls_back_to_rabenseifner_with_payloads():
     assert rec["cause"] == {"kind": "down", "switch": "s0"}
     assert rec["to_algorithm"] == "rabenseifner"
     np.testing.assert_array_equal(result.extra["output"], golden)
-    [entry] = fabric.timeline()
+    assert result.traffic_bytes_hops > 0        # the fallback ran on the wire
+    entry = fabric.timeline()[1]
     assert entry["algorithm"] == "rabenseifner"
     assert entry["fell_back"]
 

@@ -6,9 +6,16 @@ import pytest
 
 from repro.core.allreduce import (
     make_dense_blocks,
-    run_switch_allreduce,
+    plan_switch_allreduce,
     scale_bandwidth,
 )
+
+
+def _switch(data_bytes, data=None, seed=0, jitter=1.0, cold_start=True, **plan):
+    """Plan one switch-level dense allreduce and execute it once."""
+    return plan_switch_allreduce(data_bytes, **plan).execute(
+        data, seed=seed, jitter=jitter, cold_start=cold_start
+    )
 
 
 def test_scale_bandwidth_linear():
@@ -28,10 +35,10 @@ def test_make_dense_blocks_shape_and_dtype():
 
 @pytest.mark.parametrize("algorithm", ["single", "multi(2)", "multi(4)", "tree"])
 def test_all_algorithms_verify_against_golden(algorithm):
-    r = run_switch_allreduce(
+    r = _switch(
         "16KiB", children=8, n_clusters=2, algorithm=algorithm, seed=2
     )
-    # run_switch_allreduce raises if verification fails; spot-check too.
+    # execute() raises if verification fails; spot-check too.
     assert r.blocks_completed == r.n_blocks == 16
     assert len(r.outputs) == 16
     assert r.bandwidth_tbps > 0
@@ -39,7 +46,7 @@ def test_all_algorithms_verify_against_golden(algorithm):
 
 @pytest.mark.parametrize("dtype", ["int32", "int16", "int8", "float32"])
 def test_dtypes_supported(dtype):
-    r = run_switch_allreduce(
+    r = _switch(
         "8KiB", children=4, n_clusters=1, algorithm="tree", dtype=dtype, seed=3
     )
     assert r.dtype == dtype
@@ -47,36 +54,36 @@ def test_dtypes_supported(dtype):
 
 
 def test_auto_policy_selects_by_size():
-    r = run_switch_allreduce("4KiB", children=4, n_clusters=1, seed=4)
+    r = _switch("4KiB", children=4, n_clusters=1, seed=4)
     assert r.algorithm == "tree"
 
 
 def test_contention_hurts_single_buffer_at_small_sizes():
     """Fig. 11 left shape: tree strictly beats single for small data."""
-    tree = run_switch_allreduce("4KiB", children=16, n_clusters=2,
-                                algorithm="tree", seed=5)
-    single = run_switch_allreduce("4KiB", children=16, n_clusters=2,
-                                  algorithm="single", seed=5)
+    tree = _switch("4KiB", children=16, n_clusters=2,
+                   algorithm="tree", seed=5)
+    single = _switch("4KiB", children=16, n_clusters=2,
+                     algorithm="single", seed=5)
     assert tree.bandwidth_tbps > single.bandwidth_tbps
     assert single.contention_wait_cycles > 0
     assert tree.contention_wait_cycles == 0
 
 
 def test_staggering_reduces_contention_for_large_data():
-    stag = run_switch_allreduce("64KiB", children=8, n_clusters=2,
-                                algorithm="single", staggered=True,
-                                jitter=0.0, seed=6)
-    seq = run_switch_allreduce("64KiB", children=8, n_clusters=2,
-                               algorithm="single", staggered=False,
-                               jitter=0.0, seed=6)
+    stag = _switch("64KiB", children=8, n_clusters=2,
+                   algorithm="single", staggered=True,
+                   jitter=0.0, seed=6)
+    seq = _switch("64KiB", children=8, n_clusters=2,
+                  algorithm="single", staggered=False,
+                  jitter=0.0, seed=6)
     assert stag.contention_wait_cycles < seq.contention_wait_cycles
 
 
 def test_cold_start_slower_than_warm_for_small_data():
-    cold = run_switch_allreduce("1KiB", children=8, n_clusters=2,
-                                algorithm="tree", cold_start=True, seed=7)
-    warm = run_switch_allreduce("1KiB", children=8, n_clusters=2,
-                                algorithm="tree", cold_start=False, seed=7)
+    cold = _switch("1KiB", children=8, n_clusters=2,
+                   algorithm="tree", cold_start=True, seed=7)
+    warm = _switch("1KiB", children=8, n_clusters=2,
+                   algorithm="tree", cold_start=False, seed=7)
     assert warm.bandwidth_tbps > cold.bandwidth_tbps
     assert cold.icache_fills > 0
     assert warm.icache_fills == 0
@@ -84,7 +91,7 @@ def test_cold_start_slower_than_warm_for_small_data():
 
 def test_explicit_data_round_trip():
     data = np.ones((4, 2, 256), dtype=np.float32)
-    r = run_switch_allreduce(
+    r = _switch(
         2 * 1024, children=4, n_clusters=1, algorithm="tree", data=data, seed=8
     )
     for block in r.outputs.values():
@@ -93,14 +100,14 @@ def test_explicit_data_round_trip():
 
 def test_data_shape_validated():
     with pytest.raises(ValueError, match="data shape"):
-        run_switch_allreduce(
+        _switch(
             2 * 1024, children=4, n_clusters=1,
             data=np.ones((3, 2, 256), dtype=np.float32),
         )
 
 
 def test_min_operator_end_to_end():
-    r = run_switch_allreduce(
+    r = _switch(
         "2KiB", children=4, n_clusters=1, algorithm="single", op="min", seed=9
     )
     assert r.blocks_completed == 2
@@ -108,7 +115,7 @@ def test_min_operator_end_to_end():
 
 def test_fcfs_scheduler_also_correct():
     """Plain FCFS pays remote-L1 penalties but must stay correct."""
-    r = run_switch_allreduce(
+    r = _switch(
         "8KiB", children=4, n_clusters=2, algorithm="single",
         scheduler="fcfs", seed=10,
     )
@@ -116,6 +123,6 @@ def test_fcfs_scheduler_also_correct():
 
 
 def test_reproducible_flag_forces_tree():
-    r = run_switch_allreduce("4MiB".replace("4MiB", "64KiB"), children=4,
-                             n_clusters=1, reproducible=True, seed=11)
+    r = _switch("64KiB", children=4,
+                n_clusters=1, reproducible=True, seed=11)
     assert r.algorithm == "tree"

@@ -10,16 +10,16 @@ they are regression anchors for the calibration, not exact equalities.
 
 import pytest
 
-from repro.core.allreduce import run_switch_allreduce
+from repro.core.allreduce import plan_switch_allreduce
 from repro.core.config import FlareConfig
 from repro.core.models import evaluate_design
 
 
 def _sim(size, algo, children=16, clusters=2, **kw):
-    return run_switch_allreduce(
-        size, children=children, n_clusters=clusters, algorithm=algo,
-        jitter=0.0, seed=31, cold_start=False, **kw
+    plan = plan_switch_allreduce(
+        size, children=children, n_clusters=clusters, algorithm=algo, **kw
     )
+    return plan.execute(jitter=0.0, seed=31, cold_start=False)
 
 
 def test_tree_bandwidth_matches_model_within_30pct():
@@ -72,8 +72,7 @@ def test_bandwidth_never_exceeds_offered_load():
 
 
 def test_icache_fill_count_bounded_by_clusters():
-    sim = run_switch_allreduce(
-        "16KiB", children=8, n_clusters=2, algorithm="tree",
-        cold_start=True, seed=32,
-    )
+    sim = plan_switch_allreduce(
+        "16KiB", children=8, n_clusters=2, algorithm="tree"
+    ).execute(cold_start=True, seed=32)
     assert 1 <= sim.icache_fills <= 2   # once per cluster at most

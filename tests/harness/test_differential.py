@@ -4,8 +4,8 @@ One parametrized sweep drives *every registered algorithm* through the
 public :class:`~repro.comm.Communicator` over three topology families
 and two dtypes, replacing ad-hoc per-algorithm payload checks:
 
-* algorithms that execute payloads (in-memory hosts, the PsPIN switch,
-  and the explicitly-named network schedules) are checked **bitwise**
+* algorithms that execute payloads (the host fallbacks, the PsPIN
+  switch, and the explicitly-named network schedules) are checked **bitwise**
   against a numpy reference reduction — payload values are drawn from
   a small-integer range so the reference is exact in fp32 under any
   summation order, making "bitwise" meaningful for every backend;

@@ -4,7 +4,7 @@ driver) at reduced scale."""
 import pytest
 
 from repro.core.config import FlareConfig
-from repro.sparse.allreduce import run_sparse_switch_allreduce
+from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.sparse.handlers import SparseHandlerConfig
 from repro.sparse.models import (
     array_block_memory_bytes,
@@ -16,7 +16,7 @@ from repro.sparse.models import (
 
 def test_hash_and_array_verify_against_golden():
     for storage in ("hash", "array"):
-        r = run_sparse_switch_allreduce(
+        r = sparse_switch_allreduce(
             "8KiB", density=0.2, storage=storage, children=8,
             n_clusters=1, seed=1,
         )
@@ -27,7 +27,7 @@ def test_hash_and_array_verify_against_golden():
 def test_hash_memory_density_independent():
     mems = []
     for d in (0.2, 0.05):
-        r = run_sparse_switch_allreduce(
+        r = sparse_switch_allreduce(
             "8KiB", density=d, storage="hash", children=8, n_clusters=1, seed=2
         )
         mems.append(r.block_memory_bytes)
@@ -37,7 +37,7 @@ def test_hash_memory_density_independent():
 def test_array_memory_grows_as_density_drops():
     mems = []
     for d in (0.2, 0.05):
-        r = run_sparse_switch_allreduce(
+        r = sparse_switch_allreduce(
             "8KiB", density=d, storage="array", children=8, n_clusters=1, seed=2
         )
         mems.append(r.block_memory_bytes)
@@ -45,7 +45,7 @@ def test_array_memory_grows_as_density_drops():
 
 
 def test_array_infeasible_at_extreme_sparsity():
-    r = run_sparse_switch_allreduce(
+    r = sparse_switch_allreduce(
         "64KiB", density=0.001, storage="array", children=16,
         n_clusters=1, seed=3,
     )
@@ -55,7 +55,7 @@ def test_array_infeasible_at_extreme_sparsity():
 
 
 def test_array_never_generates_extra_traffic():
-    r = run_sparse_switch_allreduce(
+    r = sparse_switch_allreduce(
         "8KiB", density=0.2, storage="array", children=8, n_clusters=1, seed=4
     )
     assert r.spilled_bytes == 0
@@ -63,7 +63,7 @@ def test_array_never_generates_extra_traffic():
 
 
 def test_hash_generates_extra_traffic_when_dense():
-    r = run_sparse_switch_allreduce(
+    r = sparse_switch_allreduce(
         "16KiB", density=0.2, storage="hash", children=16, n_clusters=1, seed=5
     )
     assert r.spilled_bytes > 0
@@ -71,11 +71,11 @@ def test_hash_generates_extra_traffic_when_dense():
 
 
 def test_correlated_indices_reduce_spill():
-    uncorr = run_sparse_switch_allreduce(
+    uncorr = sparse_switch_allreduce(
         "16KiB", density=0.1, storage="hash", children=16,
         n_clusters=1, seed=6, correlation=0.0,
     )
-    corr = run_sparse_switch_allreduce(
+    corr = sparse_switch_allreduce(
         "16KiB", density=0.1, storage="hash", children=16,
         n_clusters=1, seed=6, correlation=0.9,
     )
@@ -84,12 +84,12 @@ def test_correlated_indices_reduce_spill():
 
 def test_sparse_bandwidth_below_dense():
     """Sec. 7.1: sparse handlers cost more per byte than dense."""
-    from repro.core.allreduce import run_switch_allreduce
+    from repro.core.allreduce import plan_switch_allreduce
 
-    dense = run_switch_allreduce("32KiB", children=8, n_clusters=1,
-                                 algorithm="single", seed=7)
-    sparse = run_sparse_switch_allreduce("32KiB", density=0.1, storage="hash",
-                                         children=8, n_clusters=1, seed=7)
+    dense = plan_switch_allreduce("32KiB", children=8, n_clusters=1,
+                                  algorithm="single").execute(seed=7)
+    sparse = sparse_switch_allreduce("32KiB", density=0.1, storage="hash",
+                                     children=8, n_clusters=1, seed=7)
     assert sparse.bandwidth_tbps < dense.bandwidth_tbps
 
 
