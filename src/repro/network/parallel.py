@@ -99,7 +99,7 @@ from repro.network.simulator import (
     Message, NetworkSimulator, UnreachableError, _LinkQueue,
 )
 from repro.network.topology import NodeId, Topology
-from repro.pspin.engine import _ARGS, _CALLBACK, _SEQ, _TIME, Simulator
+from repro.pspin.engine import Simulator
 from repro.utils.rngtools import stable_hash
 
 _INF = float("inf")
@@ -1522,24 +1522,18 @@ class _EventWorker(_WorkerBase):
         fault_apply = faults._apply if faults is not None else None
         fault_repair = faults._repair if faults is not None else None
         arrivals = []
-        for entry in self.sim._heap:
-            cb = entry[_CALLBACK]
-            if cb is None:
-                continue
+        for t, _priority, seq, cb, args in self.sim.queued():
             if cb == hop:
-                msg, node = entry[_ARGS]
-                arrivals.append((
-                    entry[_TIME], entry[_SEQ], msg.mid, idx[node],
-                    _msg_meta(msg),
-                ))
+                msg, node = args
+                arrivals.append((t, seq, msg.mid, idx[node], _msg_meta(msg)))
             elif cb == rearm:
                 continue  # re-derived from queue state
             elif cb == retransmit:
                 # Pending host timeout: fires at the source with the
                 # already-bumped retry count.
-                (msg,) = entry[_ARGS]
+                (msg,) = args
                 arrivals.append((
-                    entry[_TIME], entry[_SEQ], msg.mid, idx[msg.src],
+                    t, seq, msg.mid, idx[msg.src],
                     _META_RETRANSMIT | (msg.retries << 2),
                 ))
             elif cb == fault_apply or cb == fault_repair:

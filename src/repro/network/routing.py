@@ -64,6 +64,10 @@ class Router:
     #: True when ``next_hop(node, dst)`` is a pure function of its
     #: arguments (no live link state), so the simulator may memoize it.
     cacheable = False
+    #: True when ``next_hop`` is O(1) arithmetic on the node names,
+    #: cheaper than the simulator's ``(node, dst)`` memo, which then
+    #: stays off (a memo entry per pair only costs memory).
+    closed_form = False
 
     def __init__(self, topology: Topology, seed: int = 0) -> None:
         self.topology = topology
@@ -177,10 +181,31 @@ class UpDownRouter(Router):
 
     name = "updown"
     cacheable = True
+    closed_form = True
 
     def __init__(self, topology: Topology, seed: int = 0) -> None:
         super().__init__(topology, seed)
         self._salt = ecmp_salt(seed)
+
+    def next_hop(self, node: NodeId, dst: NodeId) -> NodeId:
+        """``route(node, dst)[1]`` without building the path: a host
+        climbs to its leaf; a leaf delivers to ``dst`` (a host below it
+        or a spine) or climbs to the salted spine; a spine descends to
+        ``dst``'s leaf."""
+        topo = self.topology
+        if not isinstance(topo, FatTreeTopology):
+            return topo.route(node, dst)[1]
+        kind = node[0]
+        if kind == "h":
+            return topo.leaf_of(node)
+        dst_leaf = topo.leaf_of(dst) if dst[0] == "h" else dst
+        if kind == "l":
+            if node == dst_leaf or dst[0] == "s":
+                return dst
+            return f"s{self.spine_index(int(node[1:]), dst)}"
+        if dst_leaf[0] == "s":
+            raise ValueError(f"no spine-to-spine path ({node} -> {dst})")
+        return dst_leaf
 
     def spine_index(self, leaf_idx: int, dst: NodeId) -> int:
         """Deterministic spine pick for traffic at leaf ``l<leaf_idx>``

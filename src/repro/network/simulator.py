@@ -209,9 +209,12 @@ class NetworkSimulator:
         self.fast_path = fast_path_env_enabled()
         #: next-hop memo for routers whose decision is a pure function
         #: of (node, dst) — shortest and seeded ECMP; adaptive routing
-        #: consults live link state and is never cached.
+        #: consults live link state and is never cached, and up-down's
+        #: closed form is cheaper than the memo.
+        router = self.router
         self._next_hop_cache: dict = (
-            {} if (self.router.cacheable and self.fast_path) else None
+            {} if (router.cacheable and not router.closed_form and self.fast_path)
+            else None
         )
         self.traffic = TrafficStats()
         self._flow_traffic: dict[object, TrafficStats] = {}

@@ -17,15 +17,10 @@ today remain verifiable tomorrow:
   (``REPRO_FASTPATH=0``: no route memoization, no burst sends, no
   uncontended-WFQ bypass).
 
-Speedups are reported two ways:
-
-* ``vs_des_path`` / ``vs_fastpath_off`` — measured live, in-process, on
-  the current machine (hardware-independent ratios; this is what CI
-  regression-gates).
-* ``vs_pre_pr`` — against a recorded reference of the same scenarios
-  measured at the pre-PR commit (see
-  ``benchmarks/baselines/pre_pr_reference.json``); only meaningful on
-  comparable hardware, kept for the historical trajectory.
+Speedups (``vs_des_path`` / ``vs_fastpath_off`` / the shard sweep's
+``vs_sequential``) are measured live, in-process, on the current machine:
+hardware-independent ratios, which CI regression-gates against the
+committed rolling baseline ``benchmarks/baselines/bench_simcore_baseline.json``.
 
 ``REPRO_BENCH_FULL=1`` extends the sweep with the small and the
 back-pressured sizes (1 KiB … 512 KiB; at ≥256 KiB the L2 input buffers
@@ -349,53 +344,11 @@ def _run_shard_sweep(reps: int, worker_counts) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Reference comparison + entry points
+# Entry points
 # ----------------------------------------------------------------------
-def _apply_reference(report: dict, reference: dict) -> None:
-    """Attach vs-pre-PR speedups from a recorded reference measurement
-    (same scenarios, same methodology, pre-PR tree)."""
-    ref_dense = {
-        (p["algorithm"], p["size"]): p["wall_s"]
-        for p in reference.get("dense_points", [])
-    }
-    matched_ref = matched_now = 0.0
-    for p in report["dense_sweep"]["points"]:
-        ref = ref_dense.get((p["algorithm"], p["size"]))
-        if ref is not None:
-            p["pre_pr_wall_s"] = ref
-            p["speedup_vs_pre_pr"] = ref / p["fast"]["wall_s"]
-            matched_ref += ref
-            matched_now += p["fast"]["wall_s"]
-    speedups = {}
-    if matched_now:
-        speedups["dense_sweep_vs_pre_pr"] = matched_ref / matched_now
-    ref_overlap = {
-        o["algorithm"]: o["wall_s"] for o in reference.get("overlap", [])
-    }
-    o_ref = o_now = 0.0
-    for s in report["overlap"]["scenarios"]:
-        if s["mode"] != "fast":
-            continue
-        ref = ref_overlap.get(s["algorithm"])
-        if ref is not None:
-            s["pre_pr_wall_s"] = ref
-            s["speedup_vs_pre_pr"] = ref / s["wall_s"]
-            o_ref += ref
-            o_now += s["wall_s"]
-    if o_now:
-        speedups["overlap_vs_pre_pr"] = o_ref / o_now
-    speedups["reference"] = {
-        k: reference.get(k)
-        for k in ("commit", "host", "note")
-        if reference.get(k) is not None
-    }
-    report["speedups_vs_pre_pr"] = speedups
-
-
 def run_simcore_bench(
     reps: int = 3,
     full: Optional[bool] = None,
-    reference_path: Optional[str] = None,
     worker_counts=SHARD_WORKER_COUNTS,
 ) -> dict:
     """Run all scenarios; returns the JSON-serializable report."""
@@ -427,17 +380,6 @@ def run_simcore_bench(
     }
     if worker_counts:
         report["shard_sweep"] = _run_shard_sweep(reps, tuple(worker_counts))
-    if reference_path is None:
-        default_ref = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))))),
-            "benchmarks", "baselines", "pre_pr_reference.json",
-        )
-        if os.path.exists(default_ref):
-            reference_path = default_ref
-    if reference_path and os.path.exists(reference_path):
-        with open(reference_path) as fh:
-            _apply_reference(report, json.load(fh))
     return report
 
 
@@ -517,9 +459,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="best-of repetitions per measurement")
     parser.add_argument("--full", action="store_true",
                         help="full sweep (or REPRO_BENCH_FULL=1)")
-    parser.add_argument("--reference", default=None,
-                        help="pre-PR reference JSON (default: "
-                        "benchmarks/baselines/pre_pr_reference.json)")
     parser.add_argument("--check-against", default=None, metavar="BASELINE",
                         help="fail (exit 1) on >tolerance regression vs a "
                         "checked-in baseline report")
@@ -538,7 +477,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = run_simcore_bench(
         reps=args.reps,
         full=True if args.full else None,
-        reference_path=args.reference,
         worker_counts=worker_counts,
     )
     with open(args.out, "w") as fh:
@@ -566,9 +504,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"[simcore] 100k-host scale run: {scale['events']} events "
                   f"in {scale['wall_s']:.1f} s "
                   f"({scale['events_per_s'] / 1e3:.0f}k ev/s)")
-    for key, value in sorted(report.get("speedups_vs_pre_pr", {}).items()):
-        if isinstance(value, float):
-            print(f"[simcore] {key}: {value:.2f}x")
     print(f"[simcore] report written to {args.out}")
     if args.check_against:
         failures = check_regression(report, args.check_against, args.tolerance)

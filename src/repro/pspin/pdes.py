@@ -24,30 +24,25 @@ policy, an armed fault injector — degrades *gracefully*: a
 Conservative window protocol (coordinator side)
 -----------------------------------------------
 The coordinator owns the driver loop.  Each barrier it computes the
-global minimum next-event time ``T0`` (its own heap, worker-advertised
+global minimum next-event time ``T0`` (its own queue, worker-advertised
 next events, undelivered cross-shard batches) and grants everyone the
 window ``[T0, T0 + lookahead)``.  Any message generated at ``t >= T0``
 reaches another shard no earlier than ``t + lookahead``, so every
 event strictly inside the window is safe to execute without further
 coordination — the classic lookahead argument, with the window length
 fixed at exactly the lookahead.  When all workers are idle the
-coordinator *free-runs* its local heap (no barriers) until it next
-offloads work across a shard boundary — the dynamic ``local_bound``
-below — which makes coordinator-heavy phases (plan execution, service
+coordinator *free-runs* its local queue (no barriers) until it next
+offloads work across a shard boundary — the dynamic
+:attr:`~repro.pspin.engine.Simulator.local_bound` that ``run_window``
+honors — which makes coordinator-heavy phases (plan execution, service
 callbacks) cost nothing extra.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
-from repro.pspin.engine import _ARGS, _CALLBACK, _TIME, Simulator
-
-try:  # pragma: no cover - trivial import guard
-    from heapq import heappop
-except ImportError:  # pragma: no cover
-    raise
+from repro.pspin.engine import Simulator
 
 
 class ShardedSimulator(Simulator):
@@ -66,40 +61,9 @@ class ShardedSimulator(Simulator):
         #: ``stop_requested`` interruptions so a window resumes rather
         #: than re-barriers.
         self._window_stop: float | None = None
-        #: Dynamic bound during free-run: earliest timestamp offloaded
-        #: across a shard boundary.  Events at or past it need a
-        #: barrier first.
-        self.local_bound: float = math.inf
 
     def attach_coupler(self, coupler) -> None:
         self._coupler = coupler
-
-    # ------------------------------------------------------------------
-    # Local window execution
-    # ------------------------------------------------------------------
-    def _run_local(self, stop: float, stoppable: bool) -> bool:
-        """Run events with ``time < min(stop, local_bound)``; returns
-        True iff interrupted by ``stop_requested``."""
-        heap = self._heap
-        processed = 0
-        stopped = False
-        while heap:
-            entry = heap[0]
-            if entry[_CALLBACK] is None:
-                heappop(heap)
-                continue
-            t = entry[_TIME]
-            if t >= stop or t >= self.local_bound:
-                break
-            heappop(heap)
-            self.now = t
-            entry[_CALLBACK](*entry[_ARGS])
-            processed += 1
-            if stoppable and self.stop_requested:
-                stopped = True
-                break
-        self._events_processed += processed
-        return stopped
 
     # ------------------------------------------------------------------
     # Driver API overrides
@@ -110,7 +74,7 @@ class ShardedSimulator(Simulator):
             return super().run(until)
         while True:
             if self._window_stop is not None:
-                self._run_local(self._window_stop, stoppable=False)
+                self.run_window(self._window_stop)
                 self._window_stop = None
             if not c.engaged:
                 return super().run(until)
@@ -130,7 +94,8 @@ class ShardedSimulator(Simulator):
         self.stop_requested = False
         while True:
             if self._window_stop is not None:
-                if self._run_local(self._window_stop, stoppable=True):
+                self.run_window(self._window_stop, stoppable=True)
+                if self.stop_requested:
                     return True
                 self._window_stop = None
             if not c.engaged:

@@ -19,7 +19,7 @@ per-packet path.
 The fast path is *pinned to parity*: it only engages when its timing
 model provably coincides with the per-packet DES —
 
-* the switch is pristine and the simulator heap empty (the train is the
+* the switch is pristine and the simulator queue empty (the train is the
   only traffic);
 * hierarchical FCFS scheduling with ``subset_size == cores_per_cluster``
   (core subsets == clusters, so subsets share no mutable state: no
@@ -137,7 +137,7 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     if train.n_packets == 0:
         return False
     sim = switch.sim
-    if sim._heap or sim.now > float(train.times[0]):
+    if sim.peek_time() is not None or sim.now > float(train.times[0]):
         return False                      # other traffic in flight
     if switch.egress_callback is not None:
         return False                      # egress feeds live events

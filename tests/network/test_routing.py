@@ -175,3 +175,38 @@ def test_contention_on_any_topology(policy, family):
     net.run()
     assert len(arrivals) == n_flows
     assert max(arrivals) - min(arrivals) >= 10000.0 * 0.99
+
+
+# ----------------------------------------------------------------------
+# Up-down closed-form next hop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "shape", [(32, 8, 2), (48, 4, 3)], ids=["32h-8pl-2s", "48h-4pl-3s"]
+)
+def test_updown_next_hop_matches_route(shape):
+    """The closed-form hop is the second node of the full route for
+    every (node, dst) pair, and spine -> spine fails identically."""
+    n_hosts, per_leaf, n_spines = shape
+    t = FatTreeTopology(n_hosts=n_hosts, hosts_per_leaf=per_leaf, n_spines=n_spines)
+    r = build_router("updown", t, seed=5)
+    assert r.closed_form
+    nodes = t.hosts + t.leaves + t.spines
+    for node in nodes:
+        for dst in nodes:
+            if node == dst:
+                continue
+            if node[0] == "s" and dst[0] == "s":
+                with pytest.raises(ValueError) as route_err:
+                    r.route(node, dst)
+                with pytest.raises(ValueError) as hop_err:
+                    r.next_hop(node, dst)
+                assert str(hop_err.value) == str(route_err.value)
+                continue
+            assert r.next_hop(node, dst) == r.route(node, dst)[1], (node, dst)
+
+
+def test_next_hop_memo_skipped_only_for_closed_form_router():
+    t = _oversubscribed()
+    assert NetworkSimulator(t, router="updown")._next_hop_cache is None
+    for policy in ("shortest", "ecmp"):
+        assert NetworkSimulator(t, router=policy)._next_hop_cache == {}

@@ -1,7 +1,10 @@
 """Tests for the discrete-event simulator core."""
 
+import heapq
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.pspin.engine import Simulator
 
@@ -103,3 +106,195 @@ def test_property_arbitrary_delays_execute_sorted(delays):
     sim.run()
     assert seen == sorted(delays)
     assert sim.events_processed == len(delays)
+
+
+# ----------------------------------------------------------------------
+# Execution order vs a plain (time, priority, seq) heap
+# ----------------------------------------------------------------------
+class _HeapSim:
+    """Reference engine: one ``heapq`` of ``[time, priority, seq,
+    callback, args]`` entries with lazy cancellation."""
+
+    local_bound = math.inf
+
+    def __init__(self):
+        self.now = 0.0
+        self.stop_requested = False
+        self._heap = []
+        self._seq = 0
+
+    def schedule_at(self, time, callback, *args, priority=1):
+        assert time >= self.now
+        entry = [time, priority, self._seq, callback, args]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return _RefHandle(entry)
+
+    def schedule_fast(self, time, callback, args=(), priority=1):
+        self.schedule_at(time, callback, *args, priority=priority)
+
+    def _head(self):
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def _exec(self, entry):
+        heapq.heappop(self._heap)
+        self.now = entry[0]
+        entry[3](*entry[4])
+
+    def peek_time(self):
+        entry = self._head()
+        return None if entry is None else entry[0]
+
+    def step(self):
+        entry = self._head()
+        if entry is None:
+            return False
+        self._exec(entry)
+        return True
+
+    def run(self, until=None):
+        while (entry := self._head()) is not None:
+            if until is not None and entry[0] > until:
+                self.now = until
+                return
+            self._exec(entry)
+        if until is not None and until > self.now:
+            self.now = until
+
+    def run_window(self, stop, stoppable=False):
+        n = 0
+        while (entry := self._head()) is not None:
+            if entry[0] >= stop or entry[0] >= self.local_bound:
+                break
+            self._exec(entry)
+            n += 1
+            if stoppable and self.stop_requested:
+                break
+        return n
+
+    def run_stoppable(self):
+        self.stop_requested = False
+        while (entry := self._head()) is not None:
+            self._exec(entry)
+            if self.stop_requested:
+                break
+        return self.stop_requested
+
+
+class _RefHandle:
+    def __init__(self, entry):
+        self._entry = entry
+
+    def cancel(self):
+        self._entry[3] = None
+
+
+_DELAYS = (0.0, 0.0, 0.5, 1.0, 3.0)
+_child = st.tuples(
+    st.sampled_from(_DELAYS), st.sampled_from((0, 1, 2)), st.booleans()
+)
+#: What the callback of event ``id`` does, looked up by ``id % len``:
+#: children to schedule (delay, priority, via schedule_at), whether to
+#: cancel the newest cancellable handle, set ``stop_requested``, lower
+#: ``local_bound`` to now, or re-enter the engine (1 peek, 2 step).
+_behaviour = st.fixed_dictionaries({
+    "children": st.lists(_child, max_size=3),
+    "cancel": st.booleans(),
+    "stop": st.booleans(),
+    "bound": st.booleans(),
+    "nested": st.sampled_from((0, 0, 0, 1, 2)),
+})
+_initial = st.tuples(
+    st.sampled_from((0.0, 0.5, 1.0, 2.0, 4.0)), st.sampled_from((0, 1, 2)),
+    st.booleans(), st.booleans(),
+)
+_drive = st.one_of(
+    st.tuples(st.just("run_until"), st.sampled_from((0.0, 0.5, 1.0, 2.5, 6.0))),
+    st.tuples(st.just("window"), st.sampled_from((0.5, 1.0, 2.0, 4.0)),
+              st.booleans()),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+    st.tuples(st.just("stoppable")),
+    st.tuples(st.just("sched"), st.sampled_from((0.0, 1.0)),
+              st.sampled_from((0, 1, 2))),
+)
+
+
+def _replay(sim, behaviours, initial, drive, limit=150):
+    """Drive ``sim`` through one scripted scenario; return its log."""
+    log = []
+    handles = []
+    state = {"ids": 0, "depth": 0}
+
+    def schedule(time, priority, via_at):
+        ev_id = state["ids"]
+        state["ids"] += 1
+        if via_at:
+            handles.append(sim.schedule_at(time, fire, ev_id, priority=priority))
+        else:
+            sim.schedule_fast(time, fire, (ev_id,), priority=priority)
+
+    def fire(ev_id):
+        log.append(("run", ev_id, sim.now))
+        b = behaviours[ev_id % len(behaviours)]
+        if state["ids"] < limit:
+            for delay, priority, via_at in b["children"]:
+                schedule(sim.now + delay, priority, via_at)
+        if b["cancel"] and handles:
+            handles.pop().cancel()
+        if b["stop"]:
+            sim.stop_requested = True
+        if b["bound"]:
+            sim.local_bound = sim.now
+        if b["nested"] and state["depth"] < 3:
+            state["depth"] += 1
+            if b["nested"] == 1:
+                log.append(("nested-peek", sim.peek_time()))
+            else:
+                log.append(("nested-step", sim.step(), sim.now))
+            state["depth"] -= 1
+
+    for time, priority, via_at, cancel in initial:
+        schedule(time, priority, via_at)
+        if cancel and via_at:
+            handles.pop().cancel()
+    for op in drive:
+        sim.local_bound = math.inf
+        kind = op[0]
+        if kind == "run_until":
+            out = sim.run(until=max(op[1], sim.now))
+        elif kind == "window":
+            out = sim.run_window(sim.now + op[1], stoppable=op[2])
+        elif kind == "step":
+            out = sim.step()
+        elif kind == "peek":
+            out = sim.peek_time()
+        elif kind == "stoppable":
+            out = sim.run_stoppable()
+        else:
+            schedule(sim.now + op[1], op[2], True)
+            out = None
+        log.append((kind, out, sim.now))
+    sim.local_bound = math.inf
+    sim.run()
+    log.append(("end", sim.now, sim.peek_time()))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    behaviours=st.lists(_behaviour, min_size=1, max_size=6),
+    initial=st.lists(_initial, min_size=1, max_size=12),
+    drive=st.lists(_drive, max_size=8),
+)
+def test_property_execution_order_matches_reference_heap(behaviours, initial, drive):
+    """Same-instant buckets never change the ``(time, priority, seq)``
+    order: callbacks that schedule at ``now`` with priorities 0/1/2,
+    cancellations, stop requests, ``local_bound`` and re-entrant
+    peek/step calls, under every driver loop."""
+    got = _replay(Simulator(), behaviours, initial, drive)
+    want = _replay(_HeapSim(), behaviours, initial, drive)
+    assert got == want

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allreduce import plan_switch_allreduce
-from repro.pspin.train import PacketTrain, try_run_train
 
 
 def run_pair(
@@ -139,23 +138,25 @@ def test_env_kill_switch_disables_fast_path(monkeypatch):
     assert_parity(fast, slow, expect_fast=False)
 
 
-def test_busy_switch_rejects_train():
+def test_busy_switch_rejects_train(monkeypatch):
     """A train injected into a switch with in-flight events must fall
-    back (the fast path only models the uncontended case)."""
-    plan = plan_switch_allreduce("4KiB", children=8, algorithm="single",
-                                 n_clusters=1)
+    back (the fast path only models the uncontended case).  A lone
+    pending event counts whichever part of the event queue holds it:
+    the priority-0 heap or the priority-1 same-instant buckets."""
+    import repro.core.allreduce as allreduce
     from repro.pspin.switch import PsPINSwitch
 
-    switch = PsPINSwitch(plan.switch_cfg)
-    switch.sim.schedule(5.0, lambda: None)
-    train = PacketTrain(
-        1,
-        times=np.array([0.0]),
-        block_ids=np.array([0]),
-        ports=np.array([0]),
-        data=np.zeros((8, 1, 256), dtype=np.float32),
-    )
-    assert try_run_train(switch, train) is False
+    plan = plan_switch_allreduce("4KiB", children=8, algorithm="single",
+                                 n_clusters=1)
+    assert plan.execute(seed=0).fast_path_used     # pristine: engages
+    for priority in (0, 1):
+        def busy_switch(cfg, priority=priority):
+            switch = PsPINSwitch(cfg)
+            switch.sim.schedule_at(0.0, lambda: None, priority=priority)
+            return switch
+
+        monkeypatch.setattr(allreduce, "PsPINSwitch", busy_switch)
+        assert plan.execute(seed=0).fast_path_used is False, priority
 
 
 @pytest.mark.slow
