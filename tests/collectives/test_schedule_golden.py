@@ -8,8 +8,9 @@ pins these bitwise, so a change to the schedule code that moves an
 event, resizes a message or reorders a reduction fails here.
 
 The grid: ring, swing, butterfly, flare_dense (size-only, int32 and
-fp32 payloads) and flare_sparse (size-only) on fat-tree, dragonfly and
-torus at 8 and 16 hosts, each run standalone (``plan.execute``) and on
+fp32 payloads), flare_sparse and sparcml (size-only) on fat-tree,
+dragonfly and torus at 8 and 16 hosts, each run standalone
+(``plan.execute``) and on
 a shared ``Fabric`` with ``workers`` 0 and 2; plus a ``hosts=``
 placement subset, a seeded lossy fault schedule, and 4-tenant WFQ
 overlaps on one fabric.  The workers-2 groups leave out the tree cases
@@ -56,6 +57,7 @@ KNOBS = {
     "butterfly": {"sub_chunk_bytes": 4096},
     "flare_dense": {"chunk_bytes": 16384},
     "flare_sparse": {"n_chunks": 1},
+    "sparcml": {"sub_chunk_bytes": 4096},
 }
 #: Cases the sharded engine cannot run yet: a tree switch that relays a
 #: chunk at its delivery instant schedules inside the lookahead window
@@ -120,6 +122,9 @@ def cases(n_hosts: int):
     sparse = {"algorithm": "flare_sparse", "sparse": True, "density": 0.01}
     yield "flare_sparse/size", N_ELEMENTS * 4, {**sparse, **KNOBS["flare_sparse"]}
     yield "flare_sparse/chunked", N_ELEMENTS * 4, {**sparse, "n_chunks": 8}
+    yield "sparcml/size", N_ELEMENTS * 4, {
+        **sparse, "algorithm": "sparcml", **KNOBS["sparcml"]
+    }
 
 
 def _communicator(topo: str, mode: str):
