@@ -1,15 +1,13 @@
 """Host-based and in-network collectives on the network simulator.
 
-* :mod:`repro.collectives.schedule` — the algorithms as data: host
-  exchange tables (``ring``, ``swing``, ``butterfly``,
-  ``rabenseifner``, ``recursive_doubling``) and in-network aggregation
-  trees (``flare_dense``, ``flare_sparse``), each run by one
-  interpreter that owns payload carriage, the Sec. 4.1 duplicate
-  filter, completion and the result.  They produce the completion
-  times and traffic volumes of Fig. 15 and reduce real payloads
-  bitwise.
-* :mod:`repro.collectives.sparcml` — SparCML's sparse split allreduce
-  (SSAR), a size-only timing schedule with its own issue path.
+:mod:`repro.collectives.schedule` holds the algorithms as data: host
+exchange tables (``ring``, ``swing``, ``butterfly``, ``rabenseifner``,
+``recursive_doubling``, and SparCML's split allreduce as a size-only
+``rabenseifner`` table) and in-network aggregation trees
+(``flare_dense``, ``flare_sparse``), each run by one interpreter that
+owns payload carriage, the Sec. 4.1 duplicate filter, completion and
+the result.  They produce the completion times and traffic volumes of
+Fig. 15 and reduce real payloads bitwise.
 
 All of them are registered in the :mod:`repro.comm` algorithm
 registry; use them through ``repro.comm.Communicator``.

@@ -1,25 +1,28 @@
 """Collective schedules on the network simulator: the algorithms as data,
 two interpreters that run them.
 
-Every network allreduce of the registry except SparCML is a schedule
-object built once at plan time and issued any number of times into a
-(possibly shared) :class:`~repro.network.simulator.NetworkSimulator`.
-The interpreters own what the algorithms share: host-subset
-validation, payload slicing and combining, the Sec. 4.1 duplicate
-filter, completion counting and the :class:`CollectiveResult`.
+Every network allreduce of the registry is a schedule object built
+once at plan time and issued any number of times into a (possibly
+shared) :class:`~repro.network.simulator.NetworkSimulator`.  The
+interpreters own what the algorithms share: host-subset validation,
+payload slicing and combining, the Sec. 4.1 duplicate filter,
+completion counting and the :class:`CollectiveResult`.
 
 * :class:`ExchangeTable` — host-based exchanges.  Per step it lists
   where each rank sends (``Step.dst``), which vector blocks each rank
   receives (``Step.recv``; a sender ships what its destination
   receives) and whether the receiver folds them into its own values
   (reduce-scatter) or copies them (allgather).  Message bytes and
-  sub-chunk counts follow from the block counts.  ``pipelined`` says
-  what a step waits for: a pipelined table (ring) forwards each
-  sub-chunk the moment it lands; otherwise a rank processes a step only
-  once every sub-chunk of it has landed and its previous step is done,
-  then sends the whole next step (processing out of order would fold
-  partials that miss earlier contributions).  Tables: ``ring``,
-  ``swing``, ``butterfly``, ``rabenseifner`` and ``recursive_doubling``.
+  sub-chunk counts follow from the block counts, or from explicit
+  per-step bytes for a size-only model.  ``pipelined`` says what a step
+  waits for: a pipelined table (ring) forwards each sub-chunk the
+  moment it lands; otherwise a rank processes a step only once every
+  sub-chunk of it has landed and its previous step is done, then sends
+  the whole next step (processing out of order would fold partials that
+  miss earlier contributions).  Tables: ``ring``, ``swing``,
+  ``butterfly``, ``rabenseifner`` and ``recursive_doubling``; SparCML's
+  split allreduce is the ``rabenseifner`` table with the sparse message
+  sizes of :func:`sparcml_round_bytes`.
 * :class:`TreeSchedule` — Flare's in-network aggregation along an
   :class:`~repro.network.trees.AggregationTree`: hosts stream chunks to
   their switch, each switch forwards one aggregated chunk once all its
@@ -55,9 +58,11 @@ from repro.collectives.result import CollectiveResult
 from repro.core.ops import get_op
 from repro.network.simulator import Message
 from repro.network.trees import AggregationTree
-from repro.sparse.densify import expected_union
-
-SPARSE_ELEMENT_BYTES = 8
+from repro.sparse.densify import (
+    DENSE_ELEMENT_BYTES,
+    SPARSE_ELEMENT_BYTES,
+    expected_union,
+)
 
 
 # ----------------------------------------------------------------------
@@ -95,13 +100,20 @@ def resolve_hosts(topology, hosts=None) -> list:
     return hosts
 
 
-def payload_arrays(payloads, n_ranks: int, vector_bytes: float) -> tuple[list, tuple]:
+def payload_arrays(schedule, payloads) -> tuple[list, tuple]:
     """Flat working copies of the per-rank payloads, and their shape.
 
-    Raises ``ValueError`` when the payload count or size does not match
-    what the schedule was planned for: a plan sized for one vector must
-    not silently time another.
+    Raises ``ValueError`` when ``schedule`` is size-only (its message
+    sizes describe no dense vector) or when the payload count or size
+    does not match what it was planned for: a plan sized for one vector
+    must not silently time another.
     """
+    if not schedule.carries_payloads:
+        raise ValueError(
+            f"{schedule.label} is a size-only schedule and does not "
+            "reduce payload values; pass a byte size instead"
+        )
+    n_ranks, vector_bytes = len(schedule.hosts), schedule.vector_bytes
     arrays = [np.array(p).ravel() for p in payloads]
     if len(arrays) != n_ranks:
         raise ValueError(f"got {len(arrays)} payloads for {n_ranks} hosts")
@@ -348,7 +360,13 @@ def _runs(blocks: tuple, slices: list) -> tuple:
 
 
 class ExchangeTable:
-    """A host-based allreduce as a per-step table (module docstring)."""
+    """A host-based allreduce as a per-step table (module docstring).
+
+    ``step_bytes`` replaces the block-count message sizes with explicit
+    per-step bytes (a size model such as :func:`sparcml_round_bytes`);
+    such a table is size-only and refuses payloads, like a
+    :class:`TreeSchedule` without ``carries_payloads``.
+    """
 
     def __init__(
         self,
@@ -358,19 +376,27 @@ class ExchangeTable:
         *,
         sub_chunk_bytes: float = 128 * 1024,
         host_reduce_bytes_per_ns: float = 0.0,
+        step_bytes: "tuple | list | None" = None,
+        label: "str | None" = None,
     ) -> None:
         build, self.pipelined = EXCHANGES[algorithm]
         self.hosts = tuple(hosts)
         P = len(self.hosts)
         self.steps = build(P)
         self.name = algorithm
-        self.label = f"host-dense ({algorithm.replace('_', '-')})"
+        self.label = label or f"host-dense ({algorithm.replace('_', '-')})"
         self.vector_bytes = vector_bytes
         #: ``host_reduce_bytes_per_ns`` charges host reduction compute per
         #: folded byte (0 = fully overlapped, the bandwidth regime).
         self.host_reduce_bytes_per_ns = host_reduce_bytes_per_ns
-        block_bytes = vector_bytes / P
-        self.step_bytes = tuple(block_bytes * len(s.recv[0]) for s in self.steps)
+        self.carries_payloads = step_bytes is None
+        if step_bytes is None:
+            block_bytes = vector_bytes / P
+            step_bytes = [block_bytes * len(s.recv[0]) for s in self.steps]
+        elif len(step_bytes) != len(self.steps):
+            raise ValueError(f"{algorithm} has {len(self.steps)} steps on {P} "
+                             f"hosts, got {len(step_bytes)} step sizes")
+        self.step_bytes = tuple(step_bytes)
         self.n_sub = tuple(_n_sub(b, sub_chunk_bytes) for b in self.step_bytes)
         self.extra = {"steps": len(self.steps), "step_bytes": self.step_bytes,
                       "sub_chunks": self.n_sub, "pipelined": self.pipelined}
@@ -421,7 +447,7 @@ class ExchangeTable:
         done = Completion(P, base_time)
         carry = payloads is not None
         if carry:
-            arrays, shape = payload_arrays(payloads, P, self.vector_bytes)
+            arrays, shape = payload_arrays(self, payloads)
             layout = self.layout(arrays[0].size)
 
         def message(i: int, k: int, sub: int, data) -> Message:
@@ -593,12 +619,7 @@ class TreeSchedule:
         done = Completion(len(hosts), base_time)
         carry = payloads is not None
         if carry:
-            if not self.carries_payloads:
-                raise ValueError(
-                    f"{self.label} is a size-only schedule and does not "
-                    "reduce payload values; pass a byte size instead"
-                )
-            arrays, shape = payload_arrays(payloads, len(hosts), self.vector_bytes)
+            arrays, shape = payload_arrays(self, payloads)
             chunk_slices = split_slices(arrays[0].size, n_chunks)
             input_of = dict(zip(hosts, arrays))
             output = np.empty_like(arrays[0])
@@ -718,6 +739,46 @@ def sparse_tree_bytes(
         for s in tree.switches()
     }
     return host_bytes, up_bytes
+
+
+def sparcml_round_bytes(
+    n_hosts: int,
+    total_elements: float,
+    bucket_span: int = 512,
+    nnz_per_bucket: float = 1.0,
+) -> list[float]:
+    """Per-step message bytes of SparCML's split allreduce (SSAR), the
+    Fig. 15 "Host-Based Sparse" baseline run as the ``rabenseifner``
+    table: ``log2(P)`` recursive-halving reduce-scatter steps over the
+    index space, then ``log2(P)`` recursive-doubling allgather steps.
+
+    Sparse (index, value) messages grow as the partial aggregates
+    densify under the bucket model (``nnz_per_bucket`` survivors per
+    ``bucket_span`` elements per host; after combining m hosts a range
+    holding fraction f of the index space carries
+    ``f * span * (1 - (1-p)^m)`` expected non-zeros).  Like SparCML, a
+    message switches to the dense representation when the sparse
+    encoding would exceed the dense bytes of its range.
+    """
+    if n_hosts & (n_hosts - 1):
+        raise ValueError("SSAR needs a power-of-two host count")
+    k = int(math.log2(n_hosts))
+    n_buckets = total_elements / bucket_span
+    sizes: list[float] = []
+    # Reduce-scatter (halving): before step r each rank has combined
+    # 2^r hosts over a range fraction 2^-r; it ships half of that range.
+    for r in range(k):
+        union_per_bucket = expected_union(bucket_span, nnz_per_bucket, 2**r)
+        ship = n_buckets * union_per_bucket * (2.0 ** -r) / 2.0
+        dense_bytes = total_elements * (2.0 ** -(r + 1)) * DENSE_ELEMENT_BYTES
+        sizes.append(min(ship * SPARSE_ELEMENT_BYTES, dense_bytes))
+    # Allgather (doubling): a rank holds the fully reduced fraction 2^r / P.
+    final_nnz = n_buckets * expected_union(bucket_span, nnz_per_bucket, n_hosts)
+    for r in range(k):
+        ship = final_nnz * (2.0**r) / n_hosts
+        dense_bytes = total_elements * (2.0**r) / n_hosts * DENSE_ELEMENT_BYTES
+        sizes.append(min(ship * SPARSE_ELEMENT_BYTES, dense_bytes))
+    return sizes
 
 
 def sparse_tree(

@@ -4,10 +4,9 @@ Adapts every allreduce implementation in the repository to the
 plan/execute contract of :mod:`repro.comm`:
 
 * network schedules from :mod:`repro.collectives.schedule` — the host
-  exchanges ``ring``, ``swing``, ``butterfly``, ``rabenseifner`` and
-  ``recursive_doubling``, and the in-network trees ``flare_dense`` and
-  ``flare_sparse`` — plus ``sparcml`` from
-  :mod:`repro.collectives.sparcml`;
+  exchanges ``ring``, ``swing``, ``butterfly``, ``rabenseifner``,
+  ``recursive_doubling`` and ``sparcml``, and the in-network trees
+  ``flare_dense`` and ``flare_sparse``;
 * switch-level PsPIN drivers (``flare_switch``,
   ``flare_switch_sparse``) from :mod:`repro.core.allreduce` and
   :mod:`repro.sparse.allreduce`.
@@ -30,12 +29,12 @@ from repro.collectives.schedule import (
     TreeSchedule,
     dense_tree,
     resolve_hosts,
+    sparcml_round_bytes,
     sparse_tree,
 )
-from repro.collectives.sparcml import issue_sparcml_allreduce, sparcml_round_bytes
 from repro.comm.plan import IssueContext, PlannedExecution
 from repro.comm.registry import AlgorithmCaps, CapabilityError, register_algorithm
-from repro.comm.request import DENSE_ELEMENT_BYTES, CollectiveRequest
+from repro.comm.request import CollectiveRequest
 from repro.core.allreduce import plan_switch_allreduce
 from repro.network.routing import available_routers
 from repro.network.simulator import NetworkSimulator
@@ -48,6 +47,7 @@ from repro.network.trees import (
 )
 from repro.pspin.costs import CostModel, get_dtype
 from repro.sparse.allreduce import sparse_switch_allreduce
+from repro.sparse.densify import DENSE_ELEMENT_BYTES
 
 #: Families the tree-schedule (in-network) algorithms can plan over —
 #: everything the TreePlanner handles today.  Host-based schedules
@@ -275,8 +275,12 @@ def _network_plan(source: _TopologySource, issue, setup: dict) -> PlannedExecuti
     )
 
 
-def _plan_exchange(request: CollectiveRequest, algorithm: str) -> PlannedExecution:
-    """Shared planner of the host exchanges (:class:`ExchangeTable`)."""
+def _plan_exchange(
+    request: CollectiveRequest, algorithm: str, *,
+    host_reduce_bytes_per_ns: float = 0.0, **table_kwargs,
+) -> PlannedExecution:
+    """Shared planner of the host exchanges (:class:`ExchangeTable`);
+    ``host_reduce_bytes_per_ns`` is the default of that knob."""
     source = _TopologySource(request)
     p = request.params
     table = ExchangeTable(
@@ -284,7 +288,10 @@ def _plan_exchange(request: CollectiveRequest, algorithm: str) -> PlannedExecuti
         resolve_hosts(source.shape, source.hosts),
         request.nbytes,
         sub_chunk_bytes=p.get("sub_chunk_bytes", 128 * 1024),
-        host_reduce_bytes_per_ns=p.get("host_reduce_bytes_per_ns", 0.0),
+        host_reduce_bytes_per_ns=p.get(
+            "host_reduce_bytes_per_ns", host_reduce_bytes_per_ns
+        ),
+        **table_kwargs,
     )
     return _network_plan(
         source, partial(table.issue, op=request.op),
@@ -411,32 +418,21 @@ def _plan_swing(request: CollectiveRequest) -> PlannedExecution:
     ),
 )
 def _plan_sparcml(request: CollectiveRequest) -> PlannedExecution:
-    source = _TopologySource(request)
+    """SSAR is the rabenseifner table with sparse message sizes.  Merging
+    sparse (index, value) streams is CPU-bound in SparCML's own
+    evaluation, unlike the streaming dense adds of the ring, so the
+    reduce-scatter steps default to 2.5 B/ns of host reduction."""
     p = request.params
-    total_elements = request.total_elements
-    host_reduce = p.get("host_reduce_bytes_per_ns", 2.5)
-    round_bytes = sparcml_round_bytes(
-        request.n_hosts,
-        total_elements,
-        p.get("bucket_span", 512),
-        p.get("nnz_per_bucket", 1.0),
-        p.get("dense_switch", True),
-    )
-
-    def issue(net, *, flow, payloads, on_complete) -> None:
-        _reject_payloads("sparcml", payloads)
-        issue_sparcml_allreduce(
-            net,
-            total_elements,
-            round_bytes,
-            host_reduce_bytes_per_ns=host_reduce,
-            flow=flow,
-            hosts=source.hosts,
-            on_complete=on_complete,
-        )
-
-    return _network_plan(
-        source, issue, {"rounds": len(round_bytes), "round_bytes": round_bytes}
+    return _plan_exchange(
+        request, "rabenseifner",
+        host_reduce_bytes_per_ns=2.5,
+        step_bytes=sparcml_round_bytes(
+            request.n_hosts,
+            request.total_elements,
+            p.get("bucket_span", 512),
+            p.get("nnz_per_bucket", 1.0),
+        ),
+        label="host-sparse (SparCML)",
     )
 
 

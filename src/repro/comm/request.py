@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-#: fp32 wire size used to convert dense-equivalent bytes to elements
-#: for the host-sparse size models (single definition, shared with the
-#: SparCML schedule).
-from repro.collectives.sparcml import DENSE_ELEMENT_BYTES
 from repro.core.ops import BUILTIN_OPS, ReductionOp, get_op
+from repro.sparse.densify import DENSE_ELEMENT_BYTES
 from repro.utils.units import parse_size
 
 

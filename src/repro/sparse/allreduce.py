@@ -21,7 +21,7 @@ from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.sparse.formats import SparseWorkload, make_sparse_workload, packetize_block
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
-from repro.sparse.models import SPARSE_ELEMENT_BYTES
+from repro.sparse.densify import SPARSE_ELEMENT_BYTES
 from repro.utils.units import parse_size
 
 FULL_CLUSTERS = 64

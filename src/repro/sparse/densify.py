@@ -18,6 +18,10 @@ is the special case nnz=1, s=512 applied per bucket.
 
 from __future__ import annotations
 
+#: Wire bytes per element: a sparse (int32 index, 4-byte value) pair,
+#: and a dense fp32 value.
+SPARSE_ELEMENT_BYTES = 8
+DENSE_ELEMENT_BYTES = 4
 
 
 def expected_union(span: int, nnz_per_host: float, n_hosts: int) -> float:

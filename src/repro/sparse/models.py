@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from repro.core.config import FlareConfig
 from repro.core.models import DesignPoint, evaluate_design
-
-#: Wire bytes per sparse element: int32 index + 4-byte value.
-SPARSE_ELEMENT_BYTES = 8
+from repro.sparse.densify import SPARSE_ELEMENT_BYTES
 
 
 def sparse_elements_per_packet(packet_bytes: int) -> int:

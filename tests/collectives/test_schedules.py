@@ -3,9 +3,10 @@ machinery) at reduced scale."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.collectives.sparcml import sparcml_round_bytes
+from repro.collectives.schedule import sparcml_round_bytes
 from repro.comm import Communicator
 from repro.network.topology import FatTreeTopology
 from repro.network.trees import embed_reduction_tree
@@ -75,19 +76,68 @@ def test_sparcml_round_sizes_shrink_then_grow():
 
 
 def test_sparcml_dense_switch_caps_sizes():
-    no_switch = sparcml_round_bytes(16, 1e6, 512, 400.0, dense_switch=False)
-    switched = sparcml_round_bytes(16, 1e6, 512, 400.0, dense_switch=True)
-    assert sum(switched) <= sum(no_switch)
+    # Dense bytes of the range each step ships: half the rank's range per
+    # reduce-scatter step, then the doubling allgather ranges.
+    dense = ([4e6 / 2 ** (r + 1) for r in range(4)]
+             + [4e6 * 2**r / 16 for r in range(4)])
+    sparse = sparcml_round_bytes(16, 1e6, 512, 1.0)
+    assert all(s <= d for s, d in zip(sparse, dense))
+    assert sparse[0] < dense[0]             # one survivor per bucket: sparse
     # With 400/512 survivors the sparse encoding (8 B) always exceeds
-    # dense (4 B), so every round must be dense-capped.
-    assert all(s <= n for s, n in zip(switched, no_switch))
+    # dense (4 B), so every round must be exactly its dense range.
+    assert sparcml_round_bytes(16, 1e6, 512, 400.0) == dense
 
 
 def test_sparcml_completes_and_reports():
     r = _sparse("sparcml", _topo(), 2**20)
     assert r.time_ns > 0
-    assert len(r.extra["round_bytes"]) == 8
+    assert r.extra["steps"] == 8
+    assert list(r.extra["step_bytes"]) == sparcml_round_bytes(16, 2**20)
+    assert len(r.extra["sub_chunks"]) == 8
     assert r.traffic_bytes_hops > 0
+
+
+def _sparcml_plan(topo, total_elements, **params):
+    return Communicator(topology=topo).plan(
+        nbytes=total_elements * 4, algorithm="sparcml", sparse=True, **params
+    )
+
+
+def test_sparcml_table_shape():
+    """SSAR is the rabenseifner table: step k pairs rank i with
+    ``i ^ d_k``, d = P/2 ... 1 then 1 ... P/2, at the sparse model's
+    bytes; it is size-only."""
+    from repro.comm.plan import IssueContext
+    from repro.network.simulator import NetworkSimulator
+
+    topo = _topo()
+    P, elements = 16, float(2**20)
+    plan = _sparcml_plan(topo, elements, sub_chunk_bytes=4096)
+    sizes = sparcml_round_bytes(P, elements)
+    assert list(plan.setup["step_bytes"]) == sizes
+    assert plan.setup["sub_chunks"] == tuple(
+        max(1, round(b / 4096)) for b in sizes
+    )
+    net = NetworkSimulator(topo)
+    rank = {h: i for i, h in enumerate(topo.hosts)}
+    sent: dict = {}
+    send_burst = net.send_burst
+
+    def burst(msgs, at=0.0):
+        for m in msgs:
+            sent.setdefault(m.tag[1], set()).add((rank[m.src], rank[m.dst]))
+        send_burst(msgs, at)
+
+    net.send_burst = burst
+    done = []
+    plan.issue(IssueContext(net=net, flow=None, finish=done.append))
+    net.run()
+    assert done and done[0].name == "host-sparse (SparCML)"
+    distances = [P >> (s + 1) for s in range(4)] + [1 << s for s in range(4)]
+    for k, d in enumerate(distances):
+        assert sent[k] == {(i, i ^ d) for i in range(P)}, k
+    with pytest.raises(ValueError, match="size-only"):
+        _sparcml_plan(topo, 1024).execute(np.zeros((P, 1024), np.float32))
 
 
 def test_sparcml_needs_power_of_two():
@@ -124,22 +174,24 @@ def test_embed_reduction_tree():
         embed_reduction_tree(t, root_spine=9)
 
 
-@pytest.mark.xfail(strict=True, reason="SparCML advances a rank when any "
-                   "round completes, not only its next one")
-def test_sparcml_sends_round_only_after_every_earlier_round():
-    """No rank may send round r+1 before it completed rounds 0..r: the
-    next round's content derives from the merged data of all of them."""
-    from repro.collectives.sparcml import issue_sparcml_allreduce
+def _sparcml_early_sends(faults=None):
+    """Run SparCML on a 64-host fat tree at 2^24 elements and list the
+    (rank, step) sends that left before every earlier step landed."""
+    from repro.comm.plan import IssueContext
+    from repro.network.faults import FaultSchedule
     from repro.network.simulator import NetworkSimulator
 
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
+    plan = _sparcml_plan(topo, float(2**24))
+    n_sub = plan.setup["sub_chunks"]
     net = NetworkSimulator(topo)
-    elements = float(2**24)
-    sizes = sparcml_round_bytes(64, elements, 512, 1.0)
-    landed: dict = {}
+    if faults is not None:
+        schedule = FaultSchedule.from_any(faults)
+        net.arm_faults(schedule, seed=schedule.seed)
+    #: Distinct (dst, step, sub) deliveries: a duplicate counts once.
+    landed: set = set()
     completed = {h: set() for h in topo.hosts}
     early = []
-
     send_burst, on_deliver = net.send_burst, net.on_deliver
 
     def burst(msgs, at=0.0):
@@ -150,17 +202,35 @@ def test_sparcml_sends_round_only_after_every_earlier_round():
 
     def register(node, callback, flow=None):
         def deliver(msg, now):
-            _kind, rnd, _sub, n_sub = msg.tag
-            landed[msg.dst, rnd] = landed.get((msg.dst, rnd), 0) + 1
-            if landed[msg.dst, rnd] == n_sub:
-                completed[msg.dst].add(rnd)
+            _name, k, sub = msg.tag
+            if (msg.dst, k, sub) not in landed:
+                landed.add((msg.dst, k, sub))
+                if sum((msg.dst, k, s) in landed for s in range(n_sub[k])) == n_sub[k]:
+                    completed[msg.dst].add(k)
             callback(msg, now)
 
         on_deliver(node, deliver, flow)
 
     net.send_burst, net.on_deliver = burst, register
     done = []
-    issue_sparcml_allreduce(net, elements, sizes, on_complete=done.append)
+    plan.issue(IssueContext(net=net, flow=None, finish=done.append))
     net.run()
-    assert done
+    assert len(done) == 1
+    return done[0], early
+
+
+def test_sparcml_sends_round_only_after_every_earlier_round():
+    """No rank may send round r+1 before it completed rounds 0..r: the
+    next round's content derives from the merged data of all of them."""
+    _result, early = _sparcml_early_sends()
+    assert early == []
+
+
+def test_sparcml_round_order_holds_under_loss():
+    """Drops and duplicates must not let a rank run ahead either: a
+    retransmitted sub-chunk holds back every later step of its rank."""
+    from tests.collectives.test_schedule_golden import LOSSY
+
+    result, early = _sparcml_early_sends(LOSSY)
+    assert result.extra["drops"] > 0 and result.extra["duplicates"] > 0
     assert early == []
