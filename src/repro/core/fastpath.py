@@ -24,6 +24,7 @@ switch transparently re-runs the train through the per-packet path.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from repro.core.handler_base import PARENT_PORT
 from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.single_buffer import SingleBufferHandler
-from repro.core.tree_buffer import TreeAggregationHandler
+from repro.core.tree_buffer import PairTree, TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.train import (
     FastPathAbort,
@@ -39,6 +40,8 @@ from repro.pspin.train import (
     register_train_kernel,
     replay_region_profile,
 )
+
+_INF = float("inf")
 
 #: Builtin operators whose whole-block reduction a single ufunc call
 #: reproduces exactly (given an order-insensitive dtype).
@@ -80,12 +83,13 @@ class _DenseKernelBase:
         )
         self.copy_c = cm.copy_cycles(nbytes)
         self.admission_need = (self.worst_case_buffers + 1) * max(nbytes, 1)
-        # Eager per-cluster L1 accounting (call-order, like BufferPool).
+        # Eager per-cluster L1 accounting (call-order, like BufferPool):
+        # each cluster's events as flat time and delta lists.
         self.l1_free = [
             cl.l1.capacity_bytes - cl.l1.used_bytes for cl in switch.clusters
         ]
-        self.l1_events: list[list[tuple[float, int]]] = [[] for _ in switch.clusters]
-        self.wm_events: list[tuple[float, float]] = []
+        self.l1_times: list[list[float]] = [[] for _ in switch.clusters]
+        self.l1_deltas: list[list[int]] = [[] for _ in switch.clusters]
         self.blocks: dict[int, object] = {}
         #: block -> home cluster; filled by the runner (subset == cluster).
         self.block_cluster: dict[int, int] = {}
@@ -111,13 +115,13 @@ class _DenseKernelBase:
     # -- L1 bookkeeping -------------------------------------------------
     def _l1_alloc(self, cluster: int, t: float) -> None:
         self.l1_free[cluster] -= self.nbytes
-        self.l1_events[cluster].append((t, self.nbytes))
-        self.wm_events.append((t, float(self.nbytes)))
+        self.l1_times[cluster].append(t)
+        self.l1_deltas[cluster].append(self.nbytes)
 
     def _l1_release(self, cluster: int, t: float) -> None:
         self.l1_free[cluster] += self.nbytes
-        self.l1_events[cluster].append((t, -self.nbytes))
-        self.wm_events.append((t, -float(self.nbytes)))
+        self.l1_times[cluster].append(t)
+        self.l1_deltas[cluster].append(-self.nbytes)
 
     # -- runner interface ----------------------------------------------
     def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
@@ -133,10 +137,14 @@ class _DenseKernelBase:
     def commit(self) -> tuple[list[tuple[float, SwitchPacket]], int]:
         """Apply kernel-side state; returns (egress emissions, bytes)."""
         switch = self.switch
-        for cluster, events in zip(switch.clusters, self.l1_events):
-            replay_region_profile(cluster.l1, events)
         wm = switch.telemetry.working_memory_bytes
-        wm.events.extend(self.wm_events)
+        # Subsets are clusters and run in order, so cluster order is the
+        # order the handlers' working-memory calls were made in.
+        for cluster, times, deltas in zip(
+            switch.clusters, self.l1_times, self.l1_deltas
+        ):
+            replay_region_profile(cluster.l1, times, deltas)
+            wm.extend(times, deltas)
         handler = self.handler
         handler.blocks_completed += self.blocks_completed
         handler.duplicates_dropped += self.duplicates
@@ -368,16 +376,41 @@ class MultiBufferKernel(_DenseKernelBase):
 # ----------------------------------------------------------------------
 # Tree (Sec. 6.3)
 # ----------------------------------------------------------------------
-class _TreeRecord:
-    __slots__ = ("seen", "count", "done_at", "claimed", "ops", "live_buffers")
+@lru_cache(maxsize=64)
+def _flat_tree(n_leaves: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:class:`PairTree` on integer node ids: ``(parent, sibling)``
+    tables, -1 where there is none.  Node ``(level, j)`` gets id
+    ``offset[level] + j``, so leaves are the ports, the ids of one level
+    rise with ``j`` (the even-index child is the smaller id), and the
+    root is the last id."""
+    tree = PairTree(n_leaves)
+    offsets = [0]
+    for level in range(tree.root_level + 1):
+        offsets.append(offsets[-1] + tree.level_count(level))
+    parent: list[int] = []
+    sibling: list[int] = []
+    for level in range(tree.root_level + 1):
+        for j in range(tree.level_count(level)):
+            up = tree.parent((level, j))
+            sib = tree.sibling((level, j))
+            parent.append(-1 if up is None else offsets[up[0]] + up[1])
+            sibling.append(-1 if sib is None else offsets[level] + sib[1])
+    return tuple(parent), tuple(sibling)
 
-    def __init__(self) -> None:
+
+class _TreeRecord:
+    __slots__ = ("block_id", "cluster", "seen", "done", "claimed", "ops", "live_buffers")
+
+    def __init__(self, block_id: int, cluster: int, n_nodes: int, replay: bool) -> None:
+        self.block_id = block_id
+        self.cluster = cluster
         self.seen = 0
-        self.count = 0
-        self.done_at: dict[tuple[int, int], float] = {}
-        self.claimed: set[tuple[int, int]] = set()
-        #: ("promote", node, parent) | ("merge", left, right, parent)
-        self.ops: list[tuple] = []
+        #: node -> time its data is available (inf: not yet).
+        self.done = [_INF] * n_nodes
+        self.claimed = bytearray(n_nodes)
+        #: (left, right, parent) merges and (-1, node, parent) promotions,
+        #: kept only for order-replay payloads.
+        self.ops: Optional[list[tuple[int, int, int]]] = [] if replay else None
         self.live_buffers = 0
 
 
@@ -387,7 +420,7 @@ class TreeKernel(_DenseKernelBase):
     Fills are DMA copies into per-packet buffers; merges climb the fixed
     pair tree as continuations, exactly one merge per resume, with the
     "only if a core finds available data in both buffers" rule and
-    event-order tie-breaking via the claimed set.
+    event-order tie-breaking via the claimed flags.
     """
 
     has_continuations = True
@@ -395,8 +428,10 @@ class TreeKernel(_DenseKernelBase):
     def __init__(self, handler, switch, train, handler_name) -> None:
         self.worst_case_buffers = handler.config.n_children
         super().__init__(handler, switch, train, handler_name)
-        self.tree = handler.tree
-        self._programs: dict[int, tuple[list[tuple], tuple[int, int]]] = {}
+        self.parent, self.sibling = _flat_tree(handler.tree.n_leaves)
+        self.n_nodes = len(self.parent)
+        #: block -> its merge/promotion ops (order-replay payloads only).
+        self._programs: dict[int, list[tuple[int, int, int]]] = {}
 
     def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
         cluster = self.block_cluster[block_id]
@@ -404,7 +439,7 @@ class TreeKernel(_DenseKernelBase):
         if rec is None:
             if self.l1_free[cluster] < self.admission_need:
                 raise FastPathAbort("working-memory admission stall")
-            rec = _TreeRecord()
+            rec = _TreeRecord(block_id, cluster, self.n_nodes, not self.vectorized)
             self.blocks[block_id] = rec
         t = start_t + self.dispatch_c
         bit = 1 << port
@@ -412,7 +447,6 @@ class TreeKernel(_DenseKernelBase):
             self.duplicates += 1
             return t, 0.0, None
         rec.seen |= bit
-        rec.count += 1
         t += self.mgmt_c
         if self.l1_free[cluster] < self.nbytes:
             # The DES would roll back the bitmap and stall the packet.
@@ -420,79 +454,74 @@ class TreeKernel(_DenseKernelBase):
         self._l1_alloc(cluster, dispatch_t)
         rec.live_buffers += 1
         t += self.copy_c
-        leaf = (0, port)
-        rec.done_at[leaf] = t
-        return t, 0.0, (block_id, cluster, rec, leaf)
+        rec.done[port] = t           # leaf ids are the ports
+        return t, 0.0, (rec, port)
 
     def resume(self, cont, now: float):
         """At most one merge upward from ``cont``'s node (the DES chains
         each further level as a fresh continuation)."""
-        block_id, cluster, rec, node = cont
-        tree = self.tree
-        done_at = rec.done_at
+        rec, node = cont
+        parent_of = self.parent
+        done = rec.done
         claimed = rec.claimed
-        t = now
+        ops = rec.ops
         while True:
-            parent = tree.parent(node)
-            if parent is None:
+            parent = parent_of[node]
+            if parent < 0:
                 # Root: this climb owns the final result.
-                self.emissions.append((t, block_id))
-                self._l1_release(cluster, t)
+                block_id = rec.block_id
+                self.emissions.append((now, block_id))
+                self._l1_release(rec.cluster, now)
                 rec.live_buffers -= 1
                 if rec.live_buffers:
                     raise FastPathAbort("tree left live buffers at the root")
                 self.blocks_completed += 1
-                self._programs[block_id] = (rec.ops, node)
+                if ops is not None:
+                    self._programs[block_id] = ops
                 del self.blocks[block_id]
                 # The DES returns a zero-length extension carrying the
                 # outputs; replicate it so the completion bookkeeping
                 # (last-completion update) lands on its own event.
-                return t, None
-            if parent in claimed:
+                return now, None
+            if claimed[parent]:
                 return None
-            sibling = tree.sibling(node)
-            if sibling is None:
+            sibling = self.sibling[node]
+            if sibling < 0:
                 # Odd subtree: promote for free.
-                claimed.add(parent)
-                done_at[parent] = done_at[node]
-                rec.ops.append(("promote", node, parent))
+                claimed[parent] = 1
+                done[parent] = done[node]
+                if ops is not None:
+                    ops.append((-1, node, parent))
                 node = parent
                 continue
-            sib_done = done_at.get(sibling)
-            if sib_done is None or sib_done > t:
+            if done[sibling] > now:
                 return None   # sibling's (later) handler will climb
-            claimed.add(parent)
-            level, j = node
-            left = (level, j & ~1)
-            right = (level, j | 1)
-            t += self.combine_c
-            self._l1_release(cluster, t)
+            claimed[parent] = 1
+            t = now + self.combine_c
+            self._l1_release(rec.cluster, t)
             rec.live_buffers -= 1
-            done_at[parent] = t
-            rec.ops.append(("merge", left, right, parent))
-            return t, (block_id, cluster, rec, parent)
+            done[parent] = t
+            if ops is not None:
+                ops.append((min(node, sibling), max(node, sibling), parent))
+            return t, (rec, parent)
 
     def _build_payloads(self) -> dict[int, np.ndarray]:
         if self.vectorized:
             return self._vector_reduce()
         data = self.train.data
         combine = self.config.op.combine_into
+        n_leaves = self.n_children
+        pad = [None] * (self.n_nodes - n_leaves)
         out: dict[int, np.ndarray] = {}
-        for block_id, (ops, root) in self._programs.items():
-            arrays: dict[tuple[int, int], np.ndarray] = {
-                (0, port): data[port, block_id].copy()
-                for port in range(self.n_children)
-                # only leaves that actually arrived exist; completed
-                # blocks saw every child exactly once.
-            }
-            for op in ops:
-                if op[0] == "promote":
-                    arrays[op[2]] = arrays[op[1]]
-                else:
-                    _kind, left, right, parent = op
+        for block_id, ops in self._programs.items():
+            # Completed blocks saw every child exactly once: one fresh
+            # buffer per leaf, then the recorded merges in order.
+            arrays = list(data[:n_leaves, block_id].copy()) + pad
+            for left, right, parent in ops:
+                if left >= 0:
                     combine(arrays[right], arrays[left])
-                    arrays[parent] = arrays[right]
-            out[block_id] = arrays[root].copy()
+                arrays[parent] = arrays[right]
+            out[block_id] = arrays[-1].copy()
         return out
 
 

@@ -10,6 +10,7 @@ sPIN separates the NIC/switch architecture from user handlers.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
@@ -143,8 +144,11 @@ class PsPINSwitch:
             Cluster(i, config.cores_per_cluster, config.l1_bytes)
             for i in range(config.n_clusters)
         ]
+        # A weak reference: the L1 regions must not keep their switch
+        # alive (a per-call switch is then freed by refcount on return).
+        on_release = weakref.WeakMethod(self._on_working_memory_release)
         for cluster in self.clusters:
-            cluster.l1.release_listener = self._on_working_memory_release
+            cluster.l1.release_listener = lambda t: on_release()(t)
         self._hpus = [hpu for cl in self.clusters for hpu in cl.hpus]
         if config.scheduler == "hierarchical":
             self.scheduler = HierarchicalFCFSScheduler(self._hpus, config.subset_size)
@@ -247,7 +251,6 @@ class PsPINSwitch:
         self.telemetry.packets_in.add(1)
         self.telemetry.bytes_in.add(packet.wire_bytes)
         self.scheduler.enqueue(packet)
-        self.telemetry.queued_packets.record(now, self.scheduler.queued())
         self.telemetry.input_buffer_bytes.record(now, self.memories.l2_packet.used_bytes)
         self._dispatch()
 
@@ -305,7 +308,6 @@ class PsPINSwitch:
                 (hpu, packet, result, False),
                 priority=0,
             )
-        self.telemetry.queued_packets.record(now, self.scheduler.queued())
 
     def _on_working_memory_release(self, release_time: float) -> None:
         """Working memory freed (possibly at a *future* simulated time —
@@ -352,11 +354,14 @@ class PsPINSwitch:
         for out in result.outputs:
             self._emit(now, out)
         extended = False
-        hpu.pending_decision = False
         if result.continuation is not None:
             # The continuation must run before anything else can claim
             # this core: a tree merge extends the same HPU (dispatchers
             # were held off by ``pending_decision`` until this point).
+            # A result without one left the flag clear when it was
+            # booked; the core may since have taken a new packet at this
+            # same instant, whose flag must stand.
+            hpu.pending_decision = False
             next_result = result.continuation(now)
             if next_result is not None:
                 hpu.occupy(now, next_result.finish_time)

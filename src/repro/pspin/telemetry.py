@@ -1,14 +1,18 @@
-"""Time-series telemetry for switch experiments.
+"""Summary telemetry for switch experiments.
 
-Collects the quantities the paper plots: input-buffer occupancy (Fig. 7
-center), working-memory occupancy (Fig. 7 right), queue lengths (Fig. 5),
-per-HPU utilization, and wire counters (bytes in/out, for Fig. 14's
-extra-traffic panel).
+Collects the quantities the paper reports: input-buffer occupancy (Fig. 7
+center) and working-memory occupancy (Fig. 7 right) as peak and
+time-weighted mean, per-HPU utilization, and wire counters (bytes in/out,
+for Fig. 14's extra-traffic panel).  Gauges keep summaries, not series:
+Fig. 5's queue length Q is
+:meth:`repro.pspin.scheduler.HierarchicalFCFSScheduler.queue_length`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -22,15 +26,12 @@ class Counter:
 
 
 class GaugeSeries:
-    """A sampled gauge: records (time, value) transitions, tracks peak.
-
-    Stores transitions rather than fixed-interval samples, so peak and
-    time-weighted mean are exact regardless of event spacing.
-    """
+    """A gauge fed (time, value) transitions; keeps peak, time integral
+    and last value, so peak and time-weighted mean are exact regardless
+    of event spacing."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.samples: list[tuple[float, float]] = []
         self.peak: float = 0.0
         self._weighted = 0.0
         self._last_t = 0.0
@@ -42,15 +43,12 @@ class GaugeSeries:
         self._weighted += self._last_v * (time - self._last_t)
         self._last_t, self._last_v = time, value
         self.peak = max(self.peak, value)
-        self.samples.append((time, value))
 
     def bulk_record_arrays(self, times, values) -> None:
-        """Append a pre-sorted run of samples in one vectorized pass
-        (the packet-train fast path commits its reconstructed series
+        """Record a pre-sorted run of transitions in one vectorized pass
+        (the packet-train fast path commits its reconstructed profile
         this way): peak and the time-weighted integral are computed
         with array ops, equivalent to per-sample :meth:`record` calls."""
-        import numpy as np
-
         n = len(times)
         if n == 0:
             return
@@ -65,7 +63,6 @@ class GaugeSeries:
         self._last_t = float(times[-1])
         self._last_v = float(values[-1])
         self.peak = max(self.peak, float(values.max()))
-        self.samples.extend(zip(times.tolist(), values.tolist()))
 
     def mean(self, until: float | None = None) -> float:
         """Time-weighted mean up to ``until`` (default: last sample)."""
@@ -85,36 +82,46 @@ class DeltaGauge:
 
     Handlers are evaluated eagerly at dispatch time but release working
     memory at *future* timestamps; this gauge therefore accumulates
-    deltas and reconstructs the exact time profile (peak, time-weighted
-    mean) lazily by sorting.
+    deltas in two flat lists and reconstructs the exact time profile
+    (peak, time-weighted mean) lazily by a stable sort and a scan.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.events: list[tuple[float, float]] = []
+        self.times: list[float] = []
+        self.deltas: list[float] = []
         self._cache_len = -1
         self._cache: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def add(self, time: float, delta: float) -> None:
-        self.events.append((time, delta))
+        self.times.append(time)
+        self.deltas.append(delta)
+
+    def extend(self, times: list[float], deltas: list[float]) -> None:
+        """Append a run of events in call order."""
+        self.times.extend(times)
+        self.deltas.extend(deltas)
 
     def _profile(self) -> tuple[float, float, float]:
-        """Returns (peak, time_weighted_mean, final_value)."""
-        if self._cache_len == len(self.events):
+        """Returns (peak, time_weighted_mean, final_value).
+
+        ``np.cumsum`` is a sequential scan, so every sum is bitwise the
+        one a per-event loop in time order would produce."""
+        if self._cache_len == len(self.times):
             return self._cache
-        events = sorted(self.events, key=lambda e: e[0])
-        value = 0.0
-        peak = 0.0
-        weighted = 0.0
-        last_t = 0.0
-        for t, d in events:
-            weighted += value * (t - last_t)
-            last_t = t
-            value += d
-            peak = max(peak, value)
-        mean = weighted / last_t if last_t > 0 else 0.0
-        self._cache = (peak, mean, value)
-        self._cache_len = len(self.events)
+        if self.times:
+            times = np.asarray(self.times, dtype=np.float64)
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            values = np.cumsum(np.asarray(self.deltas, dtype=np.float64)[order])
+            # Each gap between events weighs the value before it (the
+            # value is 0 from t = 0 to the first event).
+            gaps = values[:-1] * np.diff(times)
+            weighted = float(np.cumsum(gaps)[-1]) if len(gaps) else 0.0
+            last_t = float(times[-1])
+            mean = weighted / last_t if last_t > 0 else 0.0
+            self._cache = (max(0.0, float(values.max())), mean, float(values[-1]))
+        self._cache_len = len(self.times)
         return self._cache
 
     @property
@@ -135,7 +142,6 @@ class Telemetry:
 
     input_buffer_bytes: GaugeSeries = field(default_factory=lambda: GaugeSeries("input_buffer_bytes"))
     working_memory_bytes: DeltaGauge = field(default_factory=lambda: DeltaGauge("working_memory_bytes"))
-    queued_packets: GaugeSeries = field(default_factory=lambda: GaugeSeries("queued_packets"))
     bytes_in: Counter = field(default_factory=Counter)
     bytes_out: Counter = field(default_factory=Counter)
     packets_in: Counter = field(default_factory=Counter)

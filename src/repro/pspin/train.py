@@ -41,6 +41,7 @@ Kernels for the dense aggregation designs live in
 from __future__ import annotations
 
 import os
+from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -180,27 +181,34 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     return True
 
 
-def replay_region_profile(region, events: list[tuple[float, int]]) -> None:
-    """Load a (time, delta) *call-order* sequence into a MemoryRegion,
-    reproducing the accounting the per-packet path would leave behind
-    (used/peak bytes and the clamped time-weighted integral — handlers
-    book releases eagerly at future timestamps, so call order, not time
-    order, is what the region saw)."""
-    used = region.used_bytes
-    peak = region.peak_bytes
-    weighted = region._weighted_sum
-    last_t = region._last_time
-    for t, delta in events:
-        if t > last_t:
-            weighted += used * (t - last_t)
-            last_t = t
-        used += delta
-        if used > peak:
-            peak = used
-    region.used_bytes = used
-    region.peak_bytes = peak
-    region._weighted_sum = weighted
-    region._last_time = last_t
+def replay_region_profile(region, times: list[float], deltas: list[int]) -> None:
+    """Load a *call-order* sequence of (time, delta) events into a
+    MemoryRegion, reproducing the accounting the per-packet path would
+    leave behind (used/peak bytes and the clamped time-weighted integral
+    — handlers book releases eagerly at future timestamps, so call
+    order, not time order, is what the region saw).
+
+    The region's clock is the running maximum of the times, so an event
+    in its past adds a zero-width term; ``np.cumsum`` is a sequential
+    scan, so every sum is bitwise the per-event loop's."""
+    n = len(times)
+    if n == 0:
+        return
+    clock = np.empty(n + 1)
+    clock[0] = region._last_time
+    clock[1:] = times
+    np.maximum.accumulate(clock, out=clock)
+    used = np.empty(n + 1, dtype=np.int64)
+    used[0] = region.used_bytes
+    used[1:] = deltas
+    np.cumsum(used, out=used)
+    area = np.empty(n + 1)
+    area[0] = region._weighted_sum
+    np.multiply(used[:-1], np.diff(clock), out=area[1:])
+    region.used_bytes = int(used[-1])
+    region.peak_bytes = max(region.peak_bytes, int(used[1:].max()))
+    region._weighted_sum = float(np.cumsum(area)[-1])
+    region._last_time = float(clock[-1])
 
 
 class _SubsetState:
@@ -208,7 +216,6 @@ class _SubsetState:
 
     __slots__ = (
         "subset",
-        "arr_idx",
         "arr_times",
         "arr_blocks",
         "arr_ports",
@@ -216,13 +223,11 @@ class _SubsetState:
         "pending",
         "handlers_run",
         "busy_cycles",
-        "comp_seq",
         "warm",
     )
 
     def __init__(self, subset: int, n_slots: int, warm: bool) -> None:
         self.subset = subset
-        self.arr_idx: list[int] = []
         self.arr_times: list[float] = []
         self.arr_blocks: list[int] = []
         self.arr_ports: list[int] = []
@@ -230,7 +235,6 @@ class _SubsetState:
         self.pending = [False] * n_slots
         self.handlers_run = [0] * n_slots
         self.busy_cycles = [0.0] * n_slots
-        self.comp_seq = 0
         self.warm = warm
 
 
@@ -260,11 +264,6 @@ class TrainRunner:
         self.busy_total = 0.0
         self.wait_total = 0.0
         self.l2_release_times: list[float] = []
-        #: Per-dispatch records (instant + tie-break keys) for the
-        #: queued-packets gauge reconstruction.
-        self.disp_t: list[float] = []
-        self.disp_p: list[int] = []
-        self.disp_s: list[int] = []
         self.last_completion = 0.0
         self.end_time = 0.0
         self.subsets: list[_SubsetState] = []
@@ -302,7 +301,6 @@ class TrainRunner:
         for s, st in enumerate(self.subsets):
             idx = grouped[bounds[s] : bounds[s + 1]]
             if len(idx):
-                st.arr_idx = idx.tolist()
                 st.arr_times = train.times[idx].tolist()
                 st.arr_blocks = blocks[idx].tolist()
                 st.arr_ports = train.ports[idx].tolist()
@@ -321,7 +319,7 @@ class TrainRunner:
         capacity = self.switch.memories.l2_packet.capacity_bytes
         wire = self.train.wire_bytes
         for st in self.subsets:
-            if not st.arr_idx:
+            if not st.arr_times:
                 continue
             run(st)
             done_arrivals.append(st.arr_times)
@@ -357,16 +355,11 @@ class TrainRunner:
         busy_cycles = st.busy_cycles
         n_slots = self.n_slots
         slot_range = range(n_slots)
-        arr_idx = st.arr_idx
         arr_times = st.arr_times
         arr_blocks = st.arr_blocks
         arr_ports = st.arr_ports
-        n_arr = len(arr_idx)
-        queue: list[int] = []
-        queue_head = 0
-        disp_t = self.disp_t
-        disp_p = self.disp_p
-        disp_s = self.disp_s
+        n_arr = len(arr_times)
+        queue: deque[int] = deque()
         l2_release = self.l2_release_times
         last_completion = self.last_completion
         icache_fill = self.icache_fill
@@ -376,19 +369,14 @@ class TrainRunner:
         warm = st.warm
         inf = float("inf")
         arr_i = 0
-        while arr_i < n_arr or queue_head < len(queue):
+        while arr_i < n_arr or queue:
             next_arr = arr_times[arr_i] if arr_i < n_arr else inf
-            if queue_head < len(queue):
+            if queue:
                 # Queued head dispatches at the next completion instant
                 # (its own arrival precedes every core's busy time).
                 now = min(busy)
                 if now <= next_arr:
-                    k = queue[queue_head]
-                    queue_head += 1
-                    if queue_head > 512:
-                        del queue[:queue_head]
-                        queue_head = 0
-                    pri, seq = 0, 0
+                    k = queue.popleft()
                 else:
                     k = arr_i
                     arr_i += 1
@@ -399,7 +387,6 @@ class TrainRunner:
                 k = arr_i
                 arr_i += 1
                 now = next_arr
-                pri, seq = 1, 2 * arr_idx[k] + 1
             slot = -1
             for s in slot_range:
                 if busy[s] <= now:
@@ -416,9 +403,6 @@ class TrainRunner:
             finish, wait, _cont = kernel_process(
                 arr_blocks[k], arr_ports[k], now, start
             )
-            disp_t.append(now)
-            disp_p.append(pri)
-            disp_s.append(seq)
             busy[slot] = finish
             handlers_run[slot] += 1
             busy_cycles[slot] += finish - now
@@ -435,127 +419,99 @@ class TrainRunner:
         self.last_completion = last_completion
 
     def _run_subset(self, st: _SubsetState) -> None:
-        kernel_process = self.kernel.process
-        kernel_resume = self.kernel.resume
+        """Heap-driven sweep for kernels whose handlers extend (tree
+        merges): completions pop in the event loop's ``(time, priority
+        0, scheduling order)`` and run the kernel's continuation first;
+        queued packets then dispatch on the first free core index."""
+        kernel = self.kernel
+        kernel_process = kernel.process
+        kernel_resume = kernel.resume
         busy = st.busy
         pending = st.pending
         handlers_run = st.handlers_run
         busy_cycles = st.busy_cycles
-        comp_heap: list[tuple] = []
-        n_slots = self.n_slots
-        slot_range = range(n_slots)
-        arr_idx = st.arr_idx
+        slot_range = range(self.n_slots)
         arr_times = st.arr_times
         arr_blocks = st.arr_blocks
         arr_ports = st.arr_ports
-        n_arr = len(arr_idx)
+        n_arr = len(arr_times)
         arr_i = 0
-        queue_head = 0
-        queue: list[int] = []   # indices (into arr_*) awaiting dispatch
-        disp_t = self.disp_t
-        disp_p = self.disp_p
-        disp_s = self.disp_s
+        queue: deque[int] = deque()   # indices (into arr_*) awaiting dispatch
+        comp_heap: list[tuple] = []
+        comp_seq = 0
         l2_release = self.l2_release_times
         last_completion = self.last_completion
         icache_fill = self.icache_fill
-        comp_seq = 0
-        invocations = 0
-        busy_total = 0.0
-        wait_total = 0.0
+        warm = st.warm
+        icache_fills = invocations = 0
+        busy_total = wait_total = 0.0
         inf = float("inf")
-
-        def run_one(k: int, slot: int, now: float, pri: int, seq: int) -> None:
-            """Dispatch packet ``k`` on core ``slot`` (DES conventions)."""
-            nonlocal comp_seq, invocations, busy_total, wait_total
-            start = now
-            if not st.warm:
-                st.warm = True
-                start += icache_fill
-                self.icache_fills += 1
-            finish, wait, cont = kernel_process(
-                arr_blocks[k], arr_ports[k], now, start
-            )
-            disp_t.append(now)
-            disp_p.append(pri)
-            disp_s.append(seq)
-            busy[slot] = finish
-            pending[slot] = cont is not None
-            handlers_run[slot] += 1
-            busy_cycles[slot] += finish - now
-            invocations += 1
-            busy_total += finish - now
-            wait_total += wait
-            heappush(comp_heap, (finish, comp_seq, slot, True, cont))
-            comp_seq += 1
-
-        def dispatch(now: float, pri: int, seq: int) -> None:
-            nonlocal queue_head
-            while queue_head < len(queue):
-                slot = -1
-                for s in slot_range:
-                    if busy[s] <= now and not pending[s]:
-                        slot = s
-                        break
-                if slot < 0:
-                    break
-                k = queue[queue_head]
-                queue_head += 1
-                run_one(k, slot, now, pri, seq)
-            if queue_head > 512:
-                del queue[:queue_head]
-                queue_head = 0
-
         while arr_i < n_arr or comp_heap:
             next_arr = arr_times[arr_i] if arr_i < n_arr else inf
             if comp_heap and comp_heap[0][0] <= next_arr:
                 # Completion event (priority 0 beats same-instant
                 # arrivals; same-instant completions pop in scheduling
                 # order via comp_seq).
-                t, _seq, slot, primary, cont = heappop(comp_heap)
+                now, _seq, slot, primary, cont = heappop(comp_heap)
                 if primary:
                     # Input buffers hold queueing + service of the
                     # packet handler; extensions work in L1 only.
-                    l2_release.append(t)
-                extended = False
-                if cont is not None:
-                    nxt = kernel_resume(cont, t)
-                    if nxt is not None:
-                        finish, cont2 = nxt
-                        busy[slot] = finish
-                        pending[slot] = cont2 is not None
-                        handlers_run[slot] += 1      # occupy() counts these
-                        busy_cycles[slot] += finish - t
-                        busy_total += finish - t
-                        heappush(
-                            comp_heap, (finish, comp_seq, slot, False, cont2)
-                        )
-                        comp_seq += 1
-                        extended = True
-                    else:
+                    l2_release.append(now)
+                nxt = None if cont is None else kernel_resume(cont, now)
+                if nxt is None:
+                    if cont is not None:
                         pending[slot] = False
-                if not extended and t > last_completion:
-                    last_completion = t
-                if queue_head < len(queue):
-                    dispatch(t, 0, 0)
-            else:
-                k = arr_i
-                arr_i += 1
-                t = arr_times[k]
-                if queue_head == len(queue):
-                    # Uncontended steady state: straight to a free core.
-                    slot = -1
-                    for s in slot_range:
-                        if busy[s] <= t and not pending[s]:
-                            slot = s
-                            break
-                    if slot >= 0:
-                        run_one(k, slot, t, 1, 2 * arr_idx[k] + 1)
-                    else:
-                        queue.append(k)
+                    if now > last_completion:
+                        last_completion = now
                 else:
-                    queue.append(k)
-                    dispatch(t, 1, 2 * arr_idx[k] + 1)
-        st.comp_seq = comp_seq
+                    finish, cont = nxt
+                    busy[slot] = finish
+                    pending[slot] = cont is not None
+                    handlers_run[slot] += 1      # occupy() counts these
+                    busy_cycles[slot] += finish - now
+                    busy_total += finish - now
+                    heappush(comp_heap, (finish, comp_seq, slot, False, cont))
+                    comp_seq += 1
+                    if cont is not None and not kernel.duplicates:
+                        # The core stays pending, and while the queue is
+                        # non-empty no other core is free at this
+                        # instant (each freed core took the queue head
+                        # at its own completion): nothing to dispatch.
+                        # A duplicate's handler has no continuation, so
+                        # its core is free from its finish instant on,
+                        # before its own completion runs: scan then.
+                        continue
+            else:
+                now = next_arr
+                queue.append(arr_i)
+                arr_i += 1
+            # Queued packets take free cores, first free index first.
+            while queue:
+                for slot in slot_range:
+                    if busy[slot] <= now and not pending[slot]:
+                        break
+                else:
+                    break
+                k = queue.popleft()
+                start = now
+                if not warm:
+                    warm = True
+                    start += icache_fill
+                    icache_fills += 1
+                finish, wait, cont = kernel_process(
+                    arr_blocks[k], arr_ports[k], now, start
+                )
+                busy[slot] = finish
+                pending[slot] = cont is not None
+                handlers_run[slot] += 1
+                busy_cycles[slot] += finish - now
+                invocations += 1
+                busy_total += finish - now
+                wait_total += wait
+                heappush(comp_heap, (finish, comp_seq, slot, True, cont))
+                comp_seq += 1
+        st.warm = warm
+        self.icache_fills += icache_fills
         self.handler_invocations += invocations
         self.busy_total += busy_total
         self.wait_total += wait_total
@@ -624,8 +580,6 @@ class TrainRunner:
             l2._weighted_sum += float(np.dot(occ, widths))
             l2._last_time = float(ts[-1])
 
-        self._commit_queue_gauge()
-
         # Cores + i-caches ---------------------------------------------
         for st in self.subsets:
             cluster = switch.clusters[st.subset]
@@ -651,28 +605,3 @@ class TrainRunner:
         sim = switch.sim
         if self.end_time > sim.now:
             sim.now = self.end_time
-
-    def _commit_queue_gauge(self) -> None:
-        """Reconstruct the queued-packets gauge from static enqueue
-        instants (+1 at each arrival) and the recorded dispatch instants
-        (-1 each, ordered after their triggering event's enqueues).
-        Sample positions differ from the per-packet path only by
-        zero-width intermediate points, so peak and time-weighted mean
-        are identical."""
-        train = self.train
-        n = train.n_packets
-        times = np.concatenate([train.times, np.asarray(self.disp_t)])
-        pri = np.concatenate(
-            [np.ones(n, dtype=np.int8), np.asarray(self.disp_p, dtype=np.int8)]
-        )
-        seq = np.concatenate(
-            [2 * np.arange(n, dtype=np.int64), np.asarray(self.disp_s, dtype=np.int64)]
-        )
-        delta = np.concatenate(
-            [np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)]
-        )
-        order = np.lexsort((seq, pri, times))
-        values = np.cumsum(delta[order])
-        self.switch.telemetry.queued_packets.bulk_record_arrays(
-            times[order], values
-        )

@@ -59,3 +59,29 @@ def test_pspin_memory_map_capacities():
     assert mm.l2_handler.capacity_bytes == 4 * 1024 * 1024
     assert mm.l2_program.capacity_bytes == 32 * 1024
     assert MemoryAccounting.l1_tcdm().capacity_bytes == 1024 * 1024
+
+
+def test_replayed_profile_is_bitwise_the_call_order_accounting():
+    """The fast path loads a call-order (time, delta) log with one scan;
+    it must leave the region exactly as allocate/release calls would,
+    including releases booked in the region's future."""
+    import numpy as np
+
+    from repro.pspin.train import replay_region_profile
+
+    rng = np.random.default_rng(0)
+    times, deltas = [], []
+    for t in np.sort(rng.random(300) * 1e4).tolist():
+        times += [t, t + float(rng.random()) * 300.0]
+        deltas += [1000, -1000]
+    direct, replayed = MemoryRegion("a", 1 << 30), MemoryRegion("b", 1 << 30)
+    for region in (direct, replayed):
+        region.allocate(512, now=0.5)
+    for t, d in zip(times, deltas):
+        if d > 0:
+            direct.allocate(d, now=t)
+        else:
+            direct.release(-d, now=t)
+    replay_region_profile(replayed, times, deltas)
+    state = lambda r: (r.used_bytes, r.peak_bytes, r._weighted_sum, r._last_time)  # noqa: E731
+    assert state(replayed) == state(direct)

@@ -1,5 +1,6 @@
 """Tests for telemetry gauges and counters."""
 
+import numpy as np
 import pytest
 
 from repro.pspin.telemetry import Counter, DeltaGauge, GaugeSeries, Telemetry
@@ -55,3 +56,23 @@ def test_utilization_and_goodput():
     # 1 KiB over 1024 cycles at 1 GHz = 1 B/ns = 8 Gb/s = 0.008 Tbps.
     assert t.achieved_tbps(1024.0) == pytest.approx(0.008)
     assert t.achieved_tbps(0.0) == 0.0
+
+
+def test_delta_gauge_profile_is_bitwise_the_time_ordered_loop():
+    """The cumsum scan must reproduce the per-event loop exactly,
+    including same-instant events, which keep their call order."""
+    rng = np.random.default_rng(7)
+    # Repeated instants (ties) and inexact float areas.
+    times = rng.integers(0, 50, size=400) * np.pi
+    deltas = rng.choice([1000.0, -1000.0, 4099.0, -97.0], size=400)
+    g = DeltaGauge("wm")
+    g.extend(times[:100].tolist(), deltas[:100].tolist())
+    for t, d in zip(times[100:].tolist(), deltas[100:].tolist()):
+        g.add(t, d)
+    value = peak = weighted = last_t = 0.0
+    for t, d in sorted(zip(times.tolist(), deltas.tolist()), key=lambda e: e[0]):
+        weighted += value * (t - last_t)
+        last_t = t
+        value += d
+        peak = max(peak, value)
+    assert (g.peak, g.mean(), g.current) == (peak, weighted / last_t, value)
