@@ -649,6 +649,7 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
                 "feasible": r.feasible,
                 "block_memory_bytes": r.block_memory_bytes,
                 "extra_traffic_pct": r.extra_traffic_pct,
+                "fast_path_used": r.fast_path_used,
             },
             raw=r,
         )

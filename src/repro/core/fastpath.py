@@ -37,8 +37,8 @@ from repro.pspin.packets import SwitchPacket
 from repro.pspin.train import (
     FastPathAbort,
     PacketTrain,
+    commit_working_memory,
     register_train_kernel,
-    replay_region_profile,
 )
 
 _INF = float("inf")
@@ -136,15 +136,7 @@ class _DenseKernelBase:
 
     def commit(self) -> tuple[list[tuple[float, SwitchPacket]], int]:
         """Apply kernel-side state; returns (egress emissions, bytes)."""
-        switch = self.switch
-        wm = switch.telemetry.working_memory_bytes
-        # Subsets are clusters and run in order, so cluster order is the
-        # order the handlers' working-memory calls were made in.
-        for cluster, times, deltas in zip(
-            switch.clusters, self.l1_times, self.l1_deltas
-        ):
-            replay_region_profile(cluster.l1, times, deltas)
-            wm.extend(times, deltas)
+        commit_working_memory(self.switch, self.l1_times, self.l1_deltas)
         handler = self.handler
         handler.blocks_completed += self.blocks_completed
         handler.duplicates_dropped += self.duplicates

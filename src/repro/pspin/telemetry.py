@@ -48,7 +48,8 @@ class GaugeSeries:
         """Record a pre-sorted run of transitions in one vectorized pass
         (the packet-train fast path commits its reconstructed profile
         this way): peak and the time-weighted integral are computed
-        with array ops, equivalent to per-sample :meth:`record` calls."""
+        with array ops, bitwise equal to per-sample :meth:`record`
+        calls."""
         n = len(times)
         if n == 0:
             return
@@ -57,9 +58,13 @@ class GaugeSeries:
             raise ValueError(
                 f"{self.name}: time went backwards ({t0} < {self._last_t})"
             )
-        self._weighted += self._last_v * (t0 - self._last_t)
-        if n > 1:
-            self._weighted += float(np.dot(values[:-1], np.diff(times)))
+        # One term per transition, summed in order: ``np.cumsum`` is a
+        # sequential scan, so the integral is bitwise the per-sample
+        # loop's.
+        area = np.empty(n)
+        area[0] = self._weighted + self._last_v * (t0 - self._last_t)
+        np.multiply(values[:-1], np.diff(times), out=area[1:])
+        self._weighted = float(np.cumsum(area)[-1])
         self._last_t = float(times[-1])
         self._last_v = float(values[-1])
         self.peak = max(self.peak, float(values.max()))

@@ -1,9 +1,12 @@
 """Packet-train fast path: vectorized simulation of uncontended bursts.
 
-A :class:`PacketTrain` is a struct-of-arrays description of a contiguous
+A packet train is a struct-of-arrays description of a contiguous
 same-allreduce packet burst (the whole ingress stream of one switch-level
-allreduce in the common case): arrival times, block ids, ingress ports,
-and a dense ``(hosts, blocks, elements)`` payload cube.
+allreduce in the common case): arrival times, block ids, ingress ports
+and the payloads.  :class:`PacketTrain` carries a dense ``(hosts,
+blocks, elements)`` payload cube; the sparse train
+(:class:`repro.sparse.fastpath.SparsePacketTrain`) carries flat
+``(indices, values)`` arrays with per-packet offsets and wire bytes.
 
 When a train is injected into an otherwise idle switch
 (:meth:`repro.pspin.switch.PsPINSwitch.inject_train`), the
@@ -33,9 +36,12 @@ The moment any of these fail, :func:`try_run_train` abandons the
 back to per-packet injection — contention, admission-queueing and drops
 always take the existing DES path.
 
-Kernels for the dense aggregation designs live in
-:mod:`repro.core.fastpath` and register themselves here via
-:func:`register_train_kernel`.
+Train kernels register themselves here via
+:func:`register_train_kernel`: the dense aggregation designs in
+:mod:`repro.core.fastpath`, the sparse hash/array handler in
+:mod:`repro.sparse.fastpath`.  A train's ``wire_bytes`` is one integer
+(dense: uniform packets) or a per-packet array (sparse); the L2
+input-buffer accounting takes either.
 """
 
 from __future__ import annotations
@@ -181,6 +187,18 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     return True
 
 
+def commit_working_memory(switch, l1_times, l1_deltas) -> None:
+    """Book a kernel's per-cluster L1 events (call-order time and delta
+    lists) into the clusters' L1 regions and the working-memory gauge.
+
+    Subsets are clusters and run in order, so cluster order is the
+    order the handlers' working-memory calls were made in."""
+    wm = switch.telemetry.working_memory_bytes
+    for cluster, times, deltas in zip(switch.clusters, l1_times, l1_deltas):
+        replay_region_profile(cluster.l1, times, deltas)
+        wm.extend(times, deltas)
+
+
 def replay_region_profile(region, times: list[float], deltas: list[int]) -> None:
     """Load a *call-order* sequence of (time, delta) events into a
     MemoryRegion, reproducing the accounting the per-packet path would
@@ -216,6 +234,7 @@ class _SubsetState:
 
     __slots__ = (
         "subset",
+        "idx",
         "arr_times",
         "arr_blocks",
         "arr_ports",
@@ -228,6 +247,8 @@ class _SubsetState:
 
     def __init__(self, subset: int, n_slots: int, warm: bool) -> None:
         self.subset = subset
+        #: Train positions of this subset's packets, arrival order.
+        self.idx = np.empty(0, dtype=np.int64)
         self.arr_times: list[float] = []
         self.arr_blocks: list[int] = []
         self.arr_ports: list[int] = []
@@ -301,6 +322,7 @@ class TrainRunner:
         for s, st in enumerate(self.subsets):
             idx = grouped[bounds[s] : bounds[s + 1]]
             if len(idx):
+                st.idx = idx
                 st.arr_times = train.times[idx].tolist()
                 st.arr_blocks = blocks[idx].tolist()
                 st.arr_ports = train.ports[idx].tolist()
@@ -314,24 +336,23 @@ class TrainRunner:
             if getattr(self.kernel, "has_continuations", False)
             else self._run_subset_simple
         )
-        done_arrivals: list[list[float]] = []
-        done_packets = 0
+        done: list[np.ndarray] = []
+        done_bytes = 0
         capacity = self.switch.memories.l2_packet.capacity_bytes
-        wire = self.train.wire_bytes
         for st in self.subsets:
             if not st.arr_times:
                 continue
             run(st)
-            done_arrivals.append(st.arr_times)
-            done_packets += len(st.arr_times)
+            done.append(st.idx)
+            done_bytes += int(self._wire(st.idx).sum())
             # Incremental lower-bound check: the simulated subsets'
             # packets alone (a pointwise lower bound on occupancy) must
             # already fit the L2 input buffers — a contended train
             # aborts after a fraction of the sweep instead of at the
             # end.  Skipped while the simulated packets could not fill
             # the buffers even if they all overlapped.
-            if done_packets * wire > capacity:
-                self._check_l2(done_arrivals, self.l2_release_times)
+            if done_bytes > capacity:
+                self._check_l2(np.concatenate(done))
         self.kernel.finish_check()
         self._validate_l2()
         self.end_time = max(
@@ -518,13 +539,20 @@ class TrainRunner:
         self.last_completion = last_completion
 
     # ------------------------------------------------------------------
-    def _l2_profile(self, arrivals, releases):
+    def _wire(self, idx) -> np.ndarray:
+        """Wire bytes of the packets at train positions ``idx``."""
         wire = self.train.wire_bytes
+        if np.ndim(wire):
+            return wire[idx]
+        return np.broadcast_to(np.int64(wire), len(idx))
+
+    def _l2_profile(self, arrivals, arrival_wire, releases, release_wire):
         n_a, n_r = len(arrivals), len(releases)
         times = np.concatenate([arrivals, np.asarray(releases)])
-        deltas = np.concatenate(
-            [np.full(n_a, wire, dtype=np.int64), np.full(n_r, -wire, dtype=np.int64)]
-        )
+        deltas = np.concatenate([
+            np.broadcast_to(arrival_wire, n_a),
+            -np.broadcast_to(release_wire, n_r),
+        ]).astype(np.int64)
         # Releases (priority 0) settle before same-instant arrivals.
         pri = np.concatenate(
             [np.ones(n_a, dtype=np.int8), np.zeros(n_r, dtype=np.int8)]
@@ -532,9 +560,16 @@ class TrainRunner:
         order = np.lexsort((pri, times))
         return times[order], np.cumsum(deltas[order])
 
-    def _check_l2(self, arrival_lists, releases) -> None:
-        arrivals = np.concatenate([np.asarray(a) for a in arrival_lists])
-        _times, occ = self._l2_profile(arrivals, releases)
+    def _check_l2(self, idx) -> None:
+        """L2 check over the packets at train positions ``idx``: the
+        swept subsets' packets, in sweep order.  Releases are booked in
+        that same order (uniform trains are order-free; a per-packet
+        wire train runs the FIFO sweep, which releases each subset's
+        packets in arrival order)."""
+        wire = self._wire(idx)
+        _times, occ = self._l2_profile(
+            self.train.times[idx], wire, self.l2_release_times, wire
+        )
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
             raise FastPathAbort("L2 packet memory would back-pressure")
 
@@ -545,7 +580,13 @@ class TrainRunner:
         n = self.train.n_packets
         if len(self.l2_release_times) != n:
             raise FastPathAbort("not every packet completed")
-        times, occ = self._l2_profile(self.train.times, self.l2_release_times)
+        swept = np.concatenate([st.idx for st in self.subsets])
+        times, occ = self._l2_profile(
+            self.train.times,
+            self.train.wire_bytes,
+            self.l2_release_times,
+            self._wire(swept),
+        )
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
             raise FastPathAbort("L2 packet memory would back-pressure")
         self._l2_occ = occ
@@ -559,10 +600,9 @@ class TrainRunner:
         train = self.train
         tel = switch.telemetry
         n = train.n_packets
-        wire = train.wire_bytes
 
         tel.packets_in.add(n)
-        tel.bytes_in.add(n * wire)
+        tel.bytes_in.add(int(self._wire(np.arange(n)).sum()))
         tel.handler_invocations.add(self.handler_invocations)
         tel.busy_cycles.add(self.busy_total)
         tel.contention_wait_cycles.add(self.wait_total)
@@ -576,8 +616,12 @@ class TrainRunner:
         l2.peak_bytes = max(l2.peak_bytes, int(occ.max(initial=0)))
         l2.used_bytes = int(occ[-1]) if len(occ) else 0
         if len(ts):
-            widths = np.diff(ts, append=ts[-1])
-            l2._weighted_sum += float(np.dot(occ, widths))
+            # The region's time integral, summed in event order like
+            # its per-event ``_advance`` (``np.cumsum`` is sequential).
+            area = np.empty(len(ts))
+            area[0] = l2._weighted_sum
+            np.multiply(occ[:-1], np.diff(ts), out=area[1:])
+            l2._weighted_sum = float(np.cumsum(area)[-1])
             l2._last_time = float(ts[-1])
 
         # Cores + i-caches ---------------------------------------------

@@ -2,10 +2,17 @@
 
 The sparse counterpart of :mod:`repro.core.allreduce` (registered as
 ``flare_switch_sparse``): generates a sparse workload at a target
-density, packetizes it with the Sec. 7 rules, pushes it through the
+density, packetizes it with the Sec. 7 rules into one
+:class:`~repro.sparse.fastpath.SparsePacketTrain`, hands that to the
 PsPIN switch with the sparse handler, and reports bandwidth (of
 *sparsified* bytes), per-block storage memory, and the extra traffic
 caused by hash spilling.
+
+The switch runs the train on the packet-train fast path
+(:mod:`repro.sparse.fastpath`) whenever it reproduces the per-packet
+DES exactly, and re-injects it packet by packet otherwise — an
+infeasible storage choice, for one, reaches the DES and its
+``MemoryError``.  ``SparseAllreduceResult.fast_path_used`` says which.
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.staggered import arrival_stream
+from repro.core.staggered import arrival_arrays
 from repro.pspin.costs import CostModel
-from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
-from repro.sparse.formats import SparseWorkload, make_sparse_workload, packetize_block
-from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.sparse.densify import SPARSE_ELEMENT_BYTES
+from repro.sparse.fastpath import SparsePacketTrain
+from repro.sparse.formats import SparseWorkload, make_sparse_workload
+from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.utils.units import parse_size
 
 FULL_CLUSTERS = 64
@@ -53,6 +60,9 @@ class SparseAllreduceResult:
     extra_traffic_pct: float = 0.0
     contention_wait_cycles: float = 0.0
     blocks_completed: int = 0
+    #: True when the packet-train fast path simulated the whole run
+    #: (False: the per-packet DES did, e.g. for an infeasible run).
+    fast_path_used: bool = False
     infeasible_reason: str = ""
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -93,6 +103,15 @@ def sparse_switch_allreduce(
     cost_model = cost_model or CostModel()
     elements_per_packet = max(1, packet_bytes // SPARSE_ELEMENT_BYTES)
     n_blocks = max(1, data_bytes // (elements_per_packet * SPARSE_ELEMENT_BYTES))
+    hconf = SparseHandlerConfig(
+        allreduce_id=1,
+        n_children=children,
+        storage=storage,
+        density=density,
+        dtype_name=dtype,
+        packet_bytes=packet_bytes,
+        hash_slots_factor=hash_slots_factor,
+    )
 
     if workload is None:
         workload = make_sparse_workload(
@@ -104,6 +123,17 @@ def sparse_switch_allreduce(
             seed=seed,
             correlation=correlation,
         )
+    else:
+        if workload.n_hosts != children:
+            raise ValueError(
+                f"workload has {workload.n_hosts} hosts but the switch "
+                f"aggregates {children} children"
+            )
+        if workload.block_span > hconf.block_span:
+            raise ValueError(
+                f"workload block span {workload.block_span} exceeds the "
+                f"handler's span {hconf.block_span} at density {density}"
+            )
     n_blocks = workload.n_blocks
 
     switch_cfg = SwitchConfig(
@@ -111,25 +141,11 @@ def sparse_switch_allreduce(
         cores_per_cluster=cores_per_cluster,
         cost_model=cost_model,
     )
-    switch = PsPINSwitch(switch_cfg)
-    hconf = SparseHandlerConfig(
-        allreduce_id=1,
-        n_children=children,
-        storage=storage,
-        density=density,
-        dtype_name=dtype,
-        packet_bytes=packet_bytes,
-        hash_slots_factor=hash_slots_factor,
-    )
-    handler = SparseAggregationHandler(hconf)
-    switch.register_handler(handler)
-    switch.parser.install_allreduce(1, handler.name)
-
     # Arrival schedule: blocks staggered like the dense driver; a block's
     # shards from one host go back-to-back.
     delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
     delta_sim = delta_full * FULL_CLUSTERS / n_clusters
-    stream = arrival_stream(
+    times, hosts, blocks = arrival_arrays(
         n_hosts=children,
         n_blocks=n_blocks,
         delta=delta_sim,
@@ -137,23 +153,21 @@ def sparse_switch_allreduce(
         jitter=jitter,
         seed=seed + 1,
     )
-    ingress_payload = 0
-    for sp in stream:
-        chunks = packetize_block(
-            workload.blocks[sp.host][sp.block], elements_per_packet
+    train = SparsePacketTrain.from_workload(
+        1, workload, times, hosts, blocks, elements_per_packet, delta_sim
+    )
+    if train.values.dtype != np.dtype(dtype):
+        raise ValueError(
+            f"workload values are {train.values.dtype} but dtype is {dtype}"
         )
-        for i, chunk in enumerate(chunks):
-            pkt = SwitchPacket(
-                allreduce_id=1,
-                block_id=chunk.block_id,
-                port=sp.host,
-                payload=chunk.values,
-                indices=chunk.indices,
-                last_of_block=chunk.last_of_block,
-                shard_count=chunk.shard_count,
-            )
-            ingress_payload += chunk.wire_bytes
-            switch.inject(pkt, at=sp.time + i * delta_sim)
+    ingress_payload = int(train.indices.nbytes + train.values.nbytes)
+
+    switch = PsPINSwitch(switch_cfg)
+    handler = SparseAggregationHandler(hconf)
+    switch.register_handler(handler)
+    switch.parser.install_allreduce(1, handler.name)
+    fast_path_used = switch.inject_train(train)
+    del train   # free the flat arrays: fallback packets hold their own views
 
     try:
         makespan = switch.run()
@@ -182,10 +196,9 @@ def sparse_switch_allreduce(
     # Ideal egress: the fully aggregated union of each block, once.
     ideal_egress = 0
     for b in range(n_blocks):
-        union = set()
-        for h in range(workload.n_hosts):
-            union.update(workload.blocks[h][b].indices.tolist())
-        ideal_egress += len(union) * SPARSE_ELEMENT_BYTES
+        union = np.sort(np.concatenate([host[b].indices for host in workload.blocks]))
+        distinct = np.count_nonzero(union[1:] != union[:-1]) + (len(union) > 0)
+        ideal_egress += int(distinct) * SPARSE_ELEMENT_BYTES
     if verify:
         for b in range(n_blocks):
             golden = workload.golden_dense_sum(b)
@@ -221,6 +234,7 @@ def sparse_switch_allreduce(
         ),
         contention_wait_cycles=switch.telemetry.contention_wait_cycles.value,
         blocks_completed=handler.blocks_completed,
+        fast_path_used=fast_path_used,
         outputs=dense_out,
     )
 

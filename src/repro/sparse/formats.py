@@ -198,7 +198,14 @@ def make_sparse_workload(
             n_cold = nnz - (len(picks[0]) if picks else 0)
             if n_cold > 0:
                 picks.append(rng.choice(span, size=n_cold, replace=False))
-            idx = np.unique(np.concatenate(picks) if picks else np.array([], dtype=np.int64))
+            if len(picks) == 2:
+                # Hot and cold picks may overlap: merge them.
+                idx = np.unique(np.concatenate(picks))
+            elif picks:
+                # A draw without replacement is already unique.
+                idx = np.sort(picks[0])
+            else:
+                idx = np.array([], dtype=np.int64)
             values = rng.integers(1, 7, size=len(idx)).astype(dtype)
             blocks[h].append(
                 SparseBlock(

@@ -177,7 +177,6 @@ class SparseAggregationHandler:
             else:
                 hold += len(indices) * cm.array_flush_cycles_per_element
             outputs.extend(self._emit_sparse(indices, values, packet.block_id))
-            l1 = ctx.switch.clusters[rec.home_cluster].l1
             completed = rec.state.key
             self.blocks_completed += 1
 

@@ -55,6 +55,40 @@ class SpillEvent:
         return self.n_elements * ELEMENT_BYTES
 
 
+def drain_table(
+    keys: np.ndarray, values: np.ndarray, spill_indices: list, spill_values: list
+) -> tuple[np.ndarray, np.ndarray, SpillEvent | None]:
+    """The completed block of a table (``keys`` -1 where empty) and its
+    pending spill buffer: the table's entries sorted by index, with any
+    residual spilled elements merged in (see :meth:`HashStorage.finalize`).
+    """
+    mask = keys != -1
+    indices = keys[mask].astype(np.int32)
+    values_out = values[mask].copy()
+    order = np.argsort(indices, kind="stable")
+    indices, values_out = indices[order], values_out[order]
+    residual: SpillEvent | None = None
+    if spill_indices:
+        residual = SpillEvent(
+            indices=np.array(spill_indices, dtype=np.int32),
+            values=np.array(spill_values, dtype=values.dtype),
+        )
+        # Residual spilled elements merge into the output where the
+        # index already exists, otherwise append (the *next* switch
+        # would aggregate them; merging here models the final-hop
+        # host doing it, keeping numerics exact).
+        out = dict(zip(indices.tolist(), values_out.tolist()))
+        for idx, val in zip(spill_indices, spill_values):
+            if idx in out:
+                out[idx] = out[idx] + val
+            else:
+                out[idx] = val
+        items = sorted(out.items())
+        indices = np.array([k for k, _ in items], dtype=np.int32)
+        values_out = np.array([v for _, v in items], dtype=values.dtype)
+    return indices, values_out, residual
+
+
 class HashStorage:
     """Per-block aggregation state backed by a single-probe hash table."""
 
@@ -176,33 +210,12 @@ class HashStorage:
         spill covers elements still in the buffer (they ride along with
         the final result packet rather than a dedicated flush).
         """
-        mask = self._keys != -1
-        indices = self._keys[mask].astype(np.int32)
-        values = self._values[mask].copy()
-        order = np.argsort(indices, kind="stable")
-        indices, values = indices[order], values[order]
-        residual: SpillEvent | None = None
-        if self._spill_indices:
-            residual = SpillEvent(
-                indices=np.array(self._spill_indices, dtype=np.int32),
-                values=np.array(self._spill_values, dtype=self._values.dtype),
-            )
-            # Residual spilled elements merge into the output where the
-            # index already exists, otherwise append (the *next* switch
-            # would aggregate them; merging here models the final-hop
-            # host doing it, keeping numerics exact).
-            out = dict(zip(indices.tolist(), values.tolist()))
-            for idx, val in zip(self._spill_indices, self._spill_values):
-                if idx in out:
-                    out[idx] = out[idx] + val
-                else:
-                    out[idx] = val
-            items = sorted(out.items())
-            indices = np.array([k for k, _ in items], dtype=np.int32)
-            values = np.array([v for _, v in items], dtype=self._values.dtype)
-            self._spill_indices.clear()
-            self._spill_values.clear()
-        return indices, values, residual
+        out = drain_table(
+            self._keys, self._values, self._spill_indices, self._spill_values
+        )
+        self._spill_indices.clear()
+        self._spill_values.clear()
+        return out
 
     # ------------------------------------------------------------------
     @property

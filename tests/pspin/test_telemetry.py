@@ -76,3 +76,21 @@ def test_delta_gauge_profile_is_bitwise_the_time_ordered_loop():
         value += d
         peak = max(peak, value)
     assert (g.peak, g.mean(), g.current) == (peak, weighted / last_t, value)
+
+
+def test_gauge_bulk_record_is_bitwise_the_per_sample_loop():
+    """The fast path's vectorized commit must leave the gauge exactly
+    where per-sample ``record`` calls would: same peak, same integral."""
+    rng = np.random.default_rng(3)
+    # Repeated instants (zero-width terms) and inexact float widths.
+    times = np.sort(rng.integers(0, 60, size=300)) * np.pi + 1.0
+    values = rng.integers(0, 5000, size=300)
+    bulk, loop = GaugeSeries("bulk"), GaugeSeries("loop")
+    for g in (bulk, loop):
+        g.record(0.5, 7)
+    bulk.bulk_record_arrays(times, values)
+    for t, v in zip(times.tolist(), values.tolist()):
+        loop.record(t, v)
+    assert (bulk.peak, bulk.mean(), bulk.current) == (
+        loop.peak, loop.mean(), loop.current
+    )

@@ -1,0 +1,377 @@
+"""Parity suite: the sparse packet-train fast path vs the per-packet DES.
+
+The sparse kernel's contract is the dense one's: identical makespans,
+bitwise outputs and egress, matching wire and spill accounting on every
+configuration it engages for — and a transparent fallback (identical
+results, trivially) on the ones it must decline.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.staggered import arrival_arrays, arrival_stream
+from repro.pspin.packets import HEADER_BYTES
+from repro.pspin.switch import PsPINSwitch, SwitchConfig
+from repro.sparse.allreduce import sparse_switch_allreduce
+from repro.sparse.fastpath import SparsePacketTrain, SparseTrainKernel
+from repro.sparse.formats import (
+    SparseBlock,
+    SparseWorkload,
+    make_sparse_workload,
+    packetize_block,
+)
+from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
+
+EPP = 128   # elements per 1 KiB sparse packet
+
+
+def run_pair(monkeypatch, **kwargs):
+    """The same sparse allreduce on the fast path and on the DES."""
+    results = []
+    for env in ("1", "0"):
+        monkeypatch.setenv("REPRO_FASTPATH", env)
+        results.append(sparse_switch_allreduce(**kwargs))
+    return results
+
+
+def assert_parity(fast, slow, expect_fast=True):
+    assert fast.fast_path_used is expect_fast
+    assert slow.fast_path_used is False
+    assert fast.feasible == slow.feasible
+    assert fast.infeasible_reason == slow.infeasible_reason
+    assert fast.makespan_cycles == slow.makespan_cycles
+    assert set(fast.outputs) == set(slow.outputs)
+    for block_id, payload in slow.outputs.items():
+        got = fast.outputs[block_id]
+        assert got.dtype == payload.dtype
+        assert np.array_equal(got, payload)
+    assert fast.ingress_payload_bytes == slow.ingress_payload_bytes
+    assert fast.egress_payload_bytes == slow.egress_payload_bytes
+    assert fast.ideal_egress_bytes == slow.ideal_egress_bytes
+    assert fast.spilled_bytes == slow.spilled_bytes
+    assert fast.extra_traffic_pct == slow.extra_traffic_pct
+    assert fast.blocks_completed == slow.blocks_completed
+    assert fast.block_memory_bytes == slow.block_memory_bytes
+    # The fast path sums waits per subset: float addition-order noise.
+    assert math.isclose(
+        fast.contention_wait_cycles,
+        slow.contention_wait_cycles,
+        rel_tol=1e-9,
+        abs_tol=1e-6,
+    )
+
+
+@pytest.mark.parametrize("children,n_clusters", [(8, 1), (16, 2), (64, 4)])
+@pytest.mark.parametrize("correlation", [0.0, 0.7])
+@pytest.mark.parametrize("density", [0.01, 0.1, 0.5])
+@pytest.mark.parametrize("storage", ["hash", "array"])
+def test_parity_matrix(monkeypatch, storage, density, correlation, children, n_clusters):
+    for jitter in (0.0, 1.0):
+        for dtype in ("float32", "int32"):
+            fast, slow = run_pair(
+                monkeypatch,
+                data_bytes="4KiB",
+                density=density,
+                storage=storage,
+                children=children,
+                n_clusters=n_clusters,
+                correlation=correlation,
+                jitter=jitter,
+                dtype=dtype,
+                seed=3,
+            )
+            assert_parity(fast, slow)
+
+
+def noisy_workload(children, n_blocks, density, seed, correlation=0.0):
+    """A generated workload with non-integer float32 values, so every
+    float add order shows in the bits."""
+    wl = make_sparse_workload(
+        children, n_blocks, EPP, density, seed=seed, correlation=correlation
+    )
+    rng = np.random.default_rng(seed)
+    blocks = [
+        [
+            SparseBlock(
+                blk.block_id,
+                blk.span,
+                blk.indices,
+                rng.standard_normal(blk.nnz).astype(np.float32),
+            )
+            for blk in host
+        ]
+        for host in wl.blocks
+    ]
+    return SparseWorkload(
+        blocks, wl.n_hosts, wl.n_blocks, wl.block_span, wl.density, wl.dtype
+    )
+
+
+@pytest.mark.parametrize("storage", ["hash", "array"])
+@pytest.mark.parametrize("density", [0.1, 0.5])
+def test_float_add_order_is_bitwise(monkeypatch, storage, density):
+    workload = noisy_workload(16, 8, density, seed=4, correlation=0.7)
+    fast, slow = run_pair(
+        monkeypatch, data_bytes="8KiB", density=density, storage=storage,
+        children=16, n_clusters=2, workload=workload, seed=4, verify=False,
+    )
+    assert_parity(fast, slow)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1.0])
+def test_train_packets_are_packetize_block_shards(jitter):
+    """The vectorized packetization against the per-block reference:
+    :func:`packetize_block` shards along :func:`arrival_stream`, shard
+    ``i`` at ``time + i * delta``, in the event engine's (time,
+    injection order) pop order.  Small packets give multi-shard and
+    empty blocks."""
+    epp, delta = 2, 2.5
+    workload = make_sparse_workload(6, 5, epp, 0.2, seed=8, correlation=0.5)
+    stream = arrival_stream(6, 5, delta, jitter=jitter, seed=9)
+    reference = [
+        (sp.time + i * delta, sp.host, chunk)
+        for sp in stream
+        for i, chunk in enumerate(
+            packetize_block(workload.blocks[sp.host][sp.block], epp)
+        )
+    ]
+    reference.sort(key=lambda entry: entry[0])    # stable: injection order
+    assert any(chunk.shard_count > 1 for _t, _h, chunk in reference)
+    assert any(chunk.n_elements == 0 for _t, _h, chunk in reference)
+    times, hosts, blocks = arrival_arrays(6, 5, delta, jitter=jitter, seed=9)
+    train = SparsePacketTrain.from_workload(
+        1, workload, times, hosts, blocks, epp, delta
+    )
+    assert train.times.tolist() == [t for t, _h, _c in reference]
+    assert len(train.packets()) == len(reference)
+    for pkt, wire, (_t, host, chunk) in zip(
+        train.packets(), train.wire_bytes.tolist(), reference
+    ):
+        assert (pkt.block_id, pkt.port, pkt.last_of_block, pkt.shard_count) == (
+            chunk.block_id, host, chunk.last_of_block, chunk.shard_count
+        )
+        assert pkt.indices.dtype == chunk.indices.dtype
+        assert pkt.payload.dtype == chunk.values.dtype
+        assert np.array_equal(pkt.indices, chunk.indices)
+        assert np.array_equal(pkt.payload, chunk.values)
+        assert wire == pkt.wire_bytes == chunk.wire_bytes + HEADER_BYTES
+
+
+# ----------------------------------------------------------------------
+# Switch level: one sparse train into two switches
+# ----------------------------------------------------------------------
+def switch_pair(
+    storage="hash",
+    density=0.1,
+    children=8,
+    n_clusters=2,
+    n_blocks=4,
+    jitter=1.0,
+    seed=5,
+    workload=None,
+    l2_bytes=None,
+    handler_children=None,
+    op="sum",
+):
+    """Inject one train into a fast-path switch and a DES switch; returns
+    ``[(used_fast_path, makespan_or_error, switch, handler), ...]``."""
+    if workload is None:
+        workload = noisy_workload(children, n_blocks, density, seed)
+    runs = []
+    for fast in (True, False):
+        cfg = SwitchConfig(n_clusters=n_clusters, fast_path=fast)
+        delta = cfg.packet_interarrival_cycles(1024) * 64 / n_clusters
+        times, hosts, blocks = arrival_arrays(
+            children, workload.n_blocks, delta, jitter=jitter, seed=seed + 1
+        )
+        train = SparsePacketTrain.from_workload(
+            1, workload, times, hosts, blocks, EPP, delta
+        )
+        switch = PsPINSwitch(cfg)
+        if l2_bytes is not None:
+            switch.memories.l2_packet.capacity_bytes = l2_bytes
+        handler = SparseAggregationHandler(SparseHandlerConfig(
+            1, handler_children or children, storage=storage, density=density,
+            op=op,
+        ))
+        switch.register_handler(handler)
+        switch.parser.install_allreduce(1, handler.name)
+        used = switch.inject_train(train)
+        try:
+            makespan = switch.run()
+        except MemoryError as exc:
+            makespan = str(exc)
+        runs.append((used, makespan, switch, handler))
+    return runs
+
+
+def assert_switch_parity(runs, expect_fast=True):
+    (used_f, ms_f, sw_f, h_f), (used_s, ms_s, sw_s, h_s) = runs
+    assert used_f is expect_fast and used_s is False
+    assert ms_f == ms_s
+    assert len(sw_f.egress) == len(sw_s.egress)
+    for (t_f, p_f), (t_s, p_s) in zip(sw_f.egress, sw_s.egress):
+        assert t_f == t_s
+        assert (p_f.block_id, p_f.port, p_f.last_of_block, p_f.shard_count) == (
+            p_s.block_id, p_s.port, p_s.last_of_block, p_s.shard_count
+        )
+        assert p_f.indices.dtype == p_s.indices.dtype
+        assert p_f.payload.dtype == p_s.payload.dtype
+        assert np.array_equal(p_f.indices, p_s.indices)
+        assert np.array_equal(p_f.payload, p_s.payload)
+    tel_f, tel_s = sw_f.telemetry, sw_s.telemetry
+    for name in ("packets_in", "bytes_in", "packets_out", "bytes_out",
+                 "handler_invocations", "icache_fills", "deferred_arrivals"):
+        assert getattr(tel_f, name).value == getattr(tel_s, name).value, name
+    for gauge in ("input_buffer_bytes", "working_memory_bytes"):
+        g_f, g_s = getattr(tel_f, gauge), getattr(tel_s, gauge)
+        assert (g_f.peak, g_f.mean(), g_f.current) == (g_s.peak, g_s.mean(), g_s.current)
+    l2_f, l2_s = sw_f.memories.l2_packet, sw_s.memories.l2_packet
+    assert (l2_f.used_bytes, l2_f.peak_bytes, l2_f._weighted_sum) == (
+        l2_s.used_bytes, l2_s.peak_bytes, l2_s._weighted_sum
+    )
+    for cl_f, cl_s in zip(sw_f.clusters, sw_s.clusters):
+        assert (cl_f.l1.used_bytes, cl_f.l1.peak_bytes, cl_f.l1._weighted_sum) == (
+            cl_s.l1.used_bytes, cl_s.l1.peak_bytes, cl_s.l1._weighted_sum
+        )
+        for hpu_f, hpu_s in zip(cl_f.hpus, cl_s.hpus):
+            assert hpu_f.busy_until == hpu_s.busy_until
+            assert hpu_f.handlers_run == hpu_s.handlers_run
+    assert (h_f.blocks_completed, h_f.spilled_bytes_total, h_f.peak_block_memory) == (
+        h_s.blocks_completed, h_s.spilled_bytes_total, h_s.peak_block_memory
+    )
+    assert h_f._budget_used == h_s._budget_used
+
+
+@pytest.mark.parametrize("storage", ["hash", "array"])
+@pytest.mark.parametrize("jitter", [0.0, 1.0])
+def test_switch_egress_in_order(storage, jitter):
+    assert_switch_parity(
+        switch_pair(storage, density=0.5, children=16, n_clusters=4,
+                    n_blocks=8, jitter=jitter)
+    )
+
+
+@pytest.mark.parametrize("children,n_clusters", [(8, 4), (16, 4), (16, 16)])
+def test_switch_egress_ties_follow_dispatch_order(children, n_clusters):
+    """Full, identical blocks without jitter finish at the same instants
+    on several clusters: the egress order then follows the DES's
+    dispatch order (queued packets first, ascending subset), not the
+    arrival order."""
+    workload = make_sparse_workload(children, 32, EPP, 1.0, seed=2)
+    assert_switch_parity(
+        switch_pair("hash", density=1.0, children=children,
+                    n_clusters=n_clusters, jitter=0.0, seed=2, workload=workload)
+    )
+
+
+def test_large_train_below_l2_capacity_engages():
+    """A train larger than the input buffers still engages when its
+    occupancy fits: the lower-bound pre-sweep must not reject it."""
+    runs = switch_pair("hash", children=16, n_clusters=2, n_blocks=8)
+    peak = runs[0][2].memories.l2_packet.peak_bytes
+    total = int(runs[0][2].telemetry.bytes_in.value)
+    assert peak < total
+    assert_switch_parity(
+        switch_pair("hash", children=16, n_clusters=2, n_blocks=8, l2_bytes=peak)
+    )
+
+
+def test_l2_back_pressure_falls_back(monkeypatch):
+    """Input buffers that fill: the fast path declines — before it
+    resolves a single insert — and both switches run the DES."""
+    def must_not_resolve(*_args, **_kwargs):
+        raise AssertionError("inserts resolved for a back-pressured train")
+
+    monkeypatch.setattr(SparseTrainKernel, "_resolve_hash", must_not_resolve)
+    runs = switch_pair("hash", children=16, n_clusters=2, n_blocks=8,
+                       l2_bytes=16 * 1024)
+    assert runs[1][2].telemetry.deferred_arrivals.value > 0
+    assert_switch_parity(runs, expect_fast=False)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"op": "max"},                     # combines element by element
+        {"handler_children": 9},           # a child never sends: no block completes
+        # int32 payloads cast into float32 storage
+        {"workload": make_sparse_workload(8, 4, EPP, 0.1, dtype="int32", seed=5)},
+    ],
+)
+def test_switch_declines_what_it_cannot_model(case):
+    runs = switch_pair("hash", **case)
+    assert_switch_parity(runs, expect_fast=False)
+
+
+def test_infeasible_array_declines(monkeypatch):
+    fast, slow = run_pair(
+        monkeypatch, data_bytes="64KiB", density=0.001, storage="array",
+        children=16, n_clusters=1, seed=3,
+    )
+    assert not slow.feasible
+    assert "partition" in slow.infeasible_reason
+    assert_parity(fast, slow, expect_fast=False)
+
+
+def test_backend_reports_fast_path():
+    from repro.comm import Communicator
+
+    comm = Communicator(n_hosts=8, n_clusters=1)
+    result = comm.allreduce(
+        "4KiB", algorithm="flare_switch_sparse", sparse=True, density=0.1
+    )
+    assert result.extra["fast_path_used"] is True
+    assert result.raw.fast_path_used is True
+
+
+# ----------------------------------------------------------------------
+# Caller-supplied workloads: typed errors before any switch is built
+# ----------------------------------------------------------------------
+def test_workload_host_count_mismatch_raises():
+    workload = make_sparse_workload(8, 4, EPP, 0.1, seed=1)
+    for children in (4, 16):
+        with pytest.raises(ValueError, match="hosts"):
+            sparse_switch_allreduce("4KiB", 0.1, children=children, workload=workload)
+
+
+def test_workload_dtype_mismatch_raises():
+    workload = make_sparse_workload(8, 4, EPP, 0.1, dtype="int32", seed=1)
+    with pytest.raises(ValueError, match="dtype"):
+        sparse_switch_allreduce("4KiB", 0.1, children=8, workload=workload)
+
+
+def test_workload_block_span_too_large_raises():
+    workload = make_sparse_workload(8, 4, EPP, 0.05, seed=1)
+    with pytest.raises(ValueError, match="span"):
+        sparse_switch_allreduce("4KiB", 0.1, children=8, workload=workload)
+
+
+@pytest.mark.slow
+@settings(max_examples=25, deadline=None)
+@given(
+    storage=st.sampled_from(["hash", "array"]),
+    density=st.sampled_from([0.02, 0.1, 0.3, 0.8]),
+    correlation=st.sampled_from([0.0, 0.5, 0.9]),
+    jitter=st.sampled_from([0.0, 0.5, 1.0]),
+    children=st.sampled_from([2, 5, 8, 16]),
+    n_clusters=st.sampled_from([1, 2, 4]),
+    dtype=st.sampled_from(["float32", "int32"]),
+    size_kib=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_property_random_configs_parity(
+    storage, density, correlation, jitter, children, n_clusters, dtype, size_kib, seed
+):
+    """Toggling the fast path never changes a sparse run."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fast, slow = run_pair(
+            monkeypatch, data_bytes=size_kib * 1024, density=density,
+            storage=storage, children=children, n_clusters=n_clusters,
+            correlation=correlation, jitter=jitter, dtype=dtype, seed=seed,
+        )
+    assert_parity(fast, slow, expect_fast=fast.fast_path_used)
+    assert fast.fast_path_used or not fast.feasible
