@@ -570,7 +570,7 @@ class TreeSchedule:
     ``host_bytes`` is what each host streams up; ``up_bytes[switch]``
     what each switch forwards to its parent, the root's value also being
     the multicast size.  Each is cut into ``n_chunks`` pipelined chunks;
-    a switch spends ``agg_latency_ns`` aggregating a chunk.  Payloads
+    a switch spends ``agg_latency_ns[switch]`` aggregating a chunk.  Payloads
     ride along only when ``carries_payloads`` (sizes that shrink with
     sparsity describe no dense vector).
     """
@@ -583,7 +583,7 @@ class TreeSchedule:
         *,
         host_bytes: float,
         up_bytes: dict,
-        agg_latency_ns: float,
+        agg_latency_ns: dict,
         vector_bytes: float,
         carries_payloads: bool,
         extra: "dict | None" = None,
@@ -606,7 +606,6 @@ class TreeSchedule:
         """Issue one run into ``net`` (module docstring); with payloads,
         every switch folds its members in canonical tree order."""
         tree, hosts, n_chunks = self.tree, self.hosts, self.n_chunks
-        agg = self.agg_latency_ns
         down_chunk = self.down_chunk
         base_time = net.now
         #: Per-(switch, chunk) contributions by sender — counting senders,
@@ -640,6 +639,7 @@ class TreeSchedule:
             fan_in = tree.fan_in(switch)
             parent = tree.parent_of(switch)
             up_chunk = self.up_chunk[switch]
+            agg = self.agg_latency_ns[switch]
             members = (*tree.hosts_of.get(switch, ()),
                        *tree.children_of.get(switch, ()))
 
@@ -706,16 +706,17 @@ class TreeSchedule:
 
 def dense_tree(
     tree: AggregationTree, vector_bytes: float, chunk_bytes: float,
-    agg_latency_ns: float,
+    agg_latency_ns: float, label: str = "Flare dense",
 ) -> TreeSchedule:
     """Flare dense: every host sends Z and receives Z, so every level
-    moves the full vector (the 2x wire saving over the ring's ~2Z)."""
+    moves the full vector (the 2x wire saving over the ring's ~2Z).
+    Every switch spends the constant ``agg_latency_ns`` per chunk."""
     n_chunks = max(1, int(round(vector_bytes / chunk_bytes)))
     return TreeSchedule(
-        "Flare dense", tree, n_chunks,
+        label, tree, n_chunks,
         host_bytes=vector_bytes,
         up_bytes={s: vector_bytes for s in tree.switches()},
-        agg_latency_ns=agg_latency_ns,
+        agg_latency_ns=dict.fromkeys(tree.switches(), agg_latency_ns),
         vector_bytes=vector_bytes,
         carries_payloads=True,
     )
@@ -824,7 +825,7 @@ def sparse_tree(
         "Flare sparse", tree, n_chunks,
         host_bytes=host_bytes,
         up_bytes=up_bytes,
-        agg_latency_ns=agg_latency_ns,
+        agg_latency_ns=dict.fromkeys(tree.switches(), agg_latency_ns),
         vector_bytes=total_elements * 4,
         carries_payloads=False,
         extra={"host_bytes": host_bytes, "leaf_bytes": up_bytes[first_leaf],

@@ -9,7 +9,10 @@ plan/execute contract of :mod:`repro.comm`:
   ``flare_dense`` and ``flare_sparse``;
 * switch-level PsPIN drivers (``flare_switch``,
   ``flare_switch_sparse``) from :mod:`repro.core.allreduce` and
-  :mod:`repro.sparse.allreduce`.
+  :mod:`repro.sparse.allreduce`.  Standalone, ``flare_switch`` runs the
+  single-switch simulation; on a fabric it issues the ``flare_dense``
+  tree with each switch priced by that simulation.
+  ``flare_switch_sparse`` has no issuer: a fabric runs it atomically.
 
 Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
@@ -18,6 +21,8 @@ selection — and return a runner that only executes the data plane.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace as dc_replace
 from functools import partial
 from typing import Optional
 
@@ -53,6 +58,10 @@ from repro.sparse.densify import DENSE_ELEMENT_BYTES
 #: everything the TreePlanner handles today.  Host-based schedules
 #: accept any routable topology ("*").
 TREE_PLANNABLE = ("fat-tree", "xgft", "dragonfly", "torus", "multi-rail")
+
+#: ``flare_dense``'s default ``chunk_bytes``, and the chunk size of
+#: ``flare_switch``'s tree on a fabric.
+TREE_CHUNK_BYTES = 1024 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +467,7 @@ def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
     schedule = dense_tree(
         as_aggregation_tree(source.plan_tree(request), source.shape),
         request.nbytes,
-        chunk_bytes=p.get("chunk_bytes", 1024 * 1024),
+        chunk_bytes=p.get("chunk_bytes", TREE_CHUNK_BYTES),
         agg_latency_ns=p.get("agg_latency_ns_per_chunk", 2000.0),
     )
     return _plan_tree(source, schedule, request.op)
@@ -548,15 +557,20 @@ def _switch_payload_rejects(
         priority=50,
         description="switch-level dense allreduce on the PsPIN behavioral "
         "model (paper Secs. 4-6; reproducible via tree aggregation, any "
-        "operator via sPIN handlers)",
+        "operator via sPIN handlers); on a fabric, a tree schedule whose "
+        "switches are priced by that model",
     ),
 )
 def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
+    """Standalone runs (``plan.execute``) simulate one PsPIN switch
+    aggregating every host.  On a fabric the collective is the
+    ``flare_dense`` tree over the same planned aggregation tree, each
+    switch charging per chunk the processing tail of a one-chunk PsPIN
+    run at its fan-in (makespan minus last arrival: the link
+    serialization already charges the arrivals).  Tails are priced on
+    first issue and cached per fan-in."""
     p = request.params
-    splan = plan_switch_allreduce(
-        int(request.nbytes),
-        children=request.n_hosts,
-        algorithm=p.get("aggregation"),
+    switch_kwargs = dict(
         dtype=request.dtype,
         n_clusters=p.get("n_clusters", 4),
         cores_per_cluster=p.get("cores_per_cluster", 8),
@@ -567,6 +581,12 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
         op=request.op,
         cost_model=p.get("cost_model"),
         packet_bytes=p.get("packet_bytes", 1024),
+    )
+    splan = plan_switch_allreduce(
+        int(request.nbytes),
+        children=request.n_hosts,
+        algorithm=p.get("aggregation"),
+        **switch_kwargs,
     )
     clock_ghz = splan.flare_cfg.cost_model.clock_ghz
 
@@ -592,7 +612,61 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
             raw=r,
         )
 
-    return PlannedExecution(runner=runner, setup=splan.describe())
+    try:
+        source = _TopologySource(request)
+        tree = as_aggregation_tree(source.plan_tree(request), source.shape)
+    except (CapabilityError, ValueError) as exc:
+        # Only the fabric tree needs the wiring; the lone switch runs
+        # anyway, and an implicit fabric runs it atomically.
+        reason = f"flare_switch has no aggregation tree here: {exc}"
+
+        def unplaceable(ctx: IssueContext, payloads, overrides) -> None:
+            raise CapabilityError(reason)
+
+        return PlannedExecution(
+            runner=runner, setup=splan.describe(), issuer=unplaceable
+        )
+    schedule = dense_tree(
+        tree,
+        request.nbytes,
+        chunk_bytes=TREE_CHUNK_BYTES,
+        agg_latency_ns=0.0,           # priced on first issue
+        label=f"Flare switch ({splan.choice.label})",
+    )
+    tree_plan = _plan_tree(source, schedule, request.op)
+    #: fan-in -> (processing tail in ns, provenance counters)
+    tails: dict = {}
+
+    def tail(fan_in: int) -> tuple:
+        if fan_in not in tails:
+            r = plan_switch_allreduce(
+                math.ceil(schedule.host_chunk),
+                children=fan_in,
+                algorithm=splan.choice.label,
+                **switch_kwargs,
+            ).execute()
+            tails[fan_in] = (
+                (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz,
+                r.provenance,
+            )
+        return tails[fan_in]
+
+    def issuer(ctx: IssueContext, payloads, overrides) -> None:
+        priced = {s: tail(tree.fan_in(s)) for s in tree.switches()}
+        schedule.agg_latency_ns = {s: ns for s, (ns, _) in priced.items()}
+        finish = ctx.finish
+
+        def settle(result: CollectiveResult) -> None:
+            result.extra["switch_counters"] = {
+                s: counters for s, (_, counters) in priced.items()
+            }
+            finish(result)
+
+        tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
+
+    return PlannedExecution(
+        runner=runner, setup={**splan.describe(), **tree_plan.setup}, issuer=issuer
+    )
 
 
 @register_algorithm(

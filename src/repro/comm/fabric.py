@@ -659,8 +659,9 @@ class Fabric:
             raise
 
     def _execute_atomic_record(self, rec: _Inflight) -> None:
-        """Non-interleaving plans (closed-form models, the PsPIN switch
-        simulation) execute in one shot at the current fabric time;
+        """Plans without an issuer (``flare_switch_sparse``) and plans
+        shaped for another fabric on an implicit one execute in one
+        shot at the current fabric time;
         their switch resources stay held until the fabric clock passes
         their modeled finish (``future.result()`` advances it there, so
         strictly sequential issue/result never sees a stale pool)."""
@@ -710,13 +711,26 @@ class Fabric:
             result.extra["recoveries"] = list(entry["recoveries"])
             result.time_ns = duration    # end-to-end, including re-runs
         if self.provenance is not None:
-            raw = getattr(result, "raw", None)
-            counters = getattr(raw, "provenance", None)
-            if counters:
-                switch = rec.plan.setup.get("tree_root") or "switch"
-                self.provenance.add_switch_counters(switch, counters)
+            self._record_switch_counters(rec, result)
         self._pending.discard(rec.future)
         rec.future._settle(result=result)
+
+    def _record_switch_counters(self, rec: _Inflight, result) -> None:
+        """Fold a settled collective's PsPIN counters into provenance.
+
+        A ``flare_switch`` tree reports each switch's one-chunk pricing
+        run (``extra["switch_counters"]``), folded once per chunk; an
+        atomic switch run reports its one switch on ``raw``."""
+        per_switch = result.extra.get("switch_counters")
+        repeats = result.extra.get("n_chunks", 1)
+        if per_switch is None:
+            counters = getattr(getattr(result, "raw", None), "provenance", None)
+            if not counters:
+                return
+            per_switch = {rec.plan.setup.get("tree_root") or "switch": counters}
+            repeats = 1
+        for switch, counters in per_switch.items():
+            self.provenance.add_switch_counters(switch, counters, repeats)
 
     # ------------------------------------------------------------------
     # Driving the loop

@@ -48,9 +48,11 @@ class IssueContext:
 #: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
 #: arranges for ``ctx.finish(result)`` when it completes.  Planners of
 #: event-driven network schedules provide it (and derive their runner
-#: from it, :meth:`PlannedExecution.from_issuer`); planners whose
-#: execution is a self-contained switch simulation leave it None and
-#: the fabric falls back to atomic execution.
+#: from it, :meth:`PlannedExecution.from_issuer`).  ``flare_switch``
+#: pairs one with a different runner: its issuer runs a tree schedule,
+#: its runner the single-switch simulation.  Only planners whose
+#: execution is a self-contained simulation (``flare_switch_sparse``)
+#: leave it None, and the fabric then executes them atomically.
 Issuer = Callable[[IssueContext, Optional[object], dict], None]
 
 

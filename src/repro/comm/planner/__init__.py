@@ -12,11 +12,11 @@ schedules on the shared fabric* — ring, swing, butterfly and
 flare_dense for dense requests; sparcml and flare_sparse for sparse
 ones — because those are the algorithms whose completion time the
 model prices and that actually contend for links when issued
-together.  The atomic switch-level backends (flare_switch) model a
-single switch with no wire time; comparing their timings against
-fabric schedules would be meaningless, so when only atomic candidates
-survive capability matching the cost mode falls back to the static
-priority order unchanged.
+together.  The model has no price for ``flare_switch`` (a tree whose
+switches the PsPIN simulation prices) and the atomic
+``flare_switch_sparse`` (a lone switch with no wire time), so neither is
+ranked; when only unranked candidates survive capability matching the
+cost mode falls back to the static priority order unchanged.
 
 The congestion input comes from ``params["congestion"]`` — a small
 quantized level the :class:`~repro.comm.planner.tuner.OnlineTuner`
@@ -117,14 +117,14 @@ def cost_select(
     adjusted), tunes the winner's knobs, and records the decision in
     ``params["planned_costs"]``-free form (the plan setup carries the
     knobs).  Falls back to the static pick when no candidate is
-    priceable (e.g. only atomic switch backends survived).
+    priceable (e.g. only the switch-level backends survived).
     """
     congestion = float(request.params.get("congestion", 0) or 0)
     model = default_model()
     names = [e.name for e in candidates if e.name in ISSUABLE]
     ranked = model.rank(names, request, congestion)
     if not ranked:
-        return candidates[0]          # static fallback: atomic-only pool
+        return candidates[0]          # static fallback: nothing priceable
     best_name = ranked[0][1]
     tune_knobs(best_name, request)
     if best_name in ("flare_dense", "flare_sparse"):

@@ -94,6 +94,9 @@ class SwitchAllreduceResult:
     deferred_arrivals: int
     blocks_completed: int
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
+    #: Arrival time of the last packet; ``makespan_cycles`` minus this
+    #: is the processing tail the arrival stream does not cover.
+    last_arrival_cycles: float = 0.0
     #: True when the packet-train fast path simulated the whole run
     #: analytically (bitwise/makespan-identical to the per-packet DES).
     fast_path_used: bool = False
@@ -269,6 +272,7 @@ class SwitchAllreducePlan:
             deferred_arrivals=int(tel.deferred_arrivals.value),
             blocks_completed=handler.blocks_completed,
             outputs=outputs,
+            last_arrival_cycles=float(times.max()),
             fast_path_used=fast_path_used,
             provenance=collect_switch(switch),
         )

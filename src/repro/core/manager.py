@@ -340,40 +340,6 @@ class NetworkManager:
             root_switch=root_switch,
         )
 
-    def tree_from_aggregation(
-        self, tree: "object", id_of: dict
-    ) -> ReductionTree:
-        """Build a :class:`ReductionTree` from a planned
-        :class:`repro.network.trees.AggregationTree`.
-
-        ``id_of`` maps topology switch names to integer switch ids.
-        Each switch's ingress ports are its directly attached hosts
-        first, then its child switches — the same ordering callers use
-        when wiring egress callbacks and injecting host packets.
-        """
-        allreduce_id = self._next_id
-        nodes: dict[int, TreeNode] = {}
-        host_to_switch: dict[int, int] = {}
-        host_row = 0
-        for name in tree.switches():
-            sid = id_of[name]
-            attached = tree.hosts_of.get(name, ())
-            kids = tree.children_of.get(name, ())
-            nodes[sid] = TreeNode(
-                switch_id=sid,
-                children=list(range(len(attached) + len(kids))),
-                parent_port=None if tree.parent_of(name) is None else 0,
-            )
-            for _h in attached:
-                host_to_switch[host_row] = sid
-                host_row += 1
-        return ReductionTree(
-            allreduce_id=allreduce_id,
-            nodes=nodes,
-            host_to_switch=host_to_switch,
-            root_switch=id_of[tree.root],
-        )
-
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------

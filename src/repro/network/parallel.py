@@ -18,6 +18,11 @@ Design in five invariants
    most one hop per window.  That single-hop property is what lets a
    worker execute a whole window as one numpy batch (sort arrivals per
    link, chain the serializations) instead of running an event loop.
+   One exception: a callback at a *switch* (an aggregation tree) may
+   relay from that switch at its delivery instant, with no link in
+   between.  A worker's window therefore ends just past its first
+   switch delivery, and no grant passes a switch delivery the
+   coordinator has not run yet.
 
 2. **Scheduling-time diversion.**  ``NetworkSimulator._schedule_hop``
    is the single seam through which every arrival is scheduled.  The
@@ -240,6 +245,11 @@ class ShardedNetworkSimulator(NetworkSimulator):
         # Parked originals and message ids.
         self._parked: dict[int, Message] = {}
         self._next_mid = 1
+        # Times of bounced switch deliveries not yet run here: a switch
+        # callback may relay from its (worker-owned) switch at its
+        # delivery instant, so no grant may pass one (heap).
+        self._relay_times: list[float] = []
+        self._first_switch = len(topology.hosts)
         # Undelivered cross-shard rows (hub relay).
         self._pending_rows: list[tuple] = []
         self._pending_batches: list[tuple] = []
@@ -403,6 +413,15 @@ class ShardedNetworkSimulator(NetworkSimulator):
             return
         super()._hop(msg, node)
 
+    def send_burst(self, msgs: list[Message], at: float = 0.0) -> None:
+        if self.engaged and any(self._owner[m.src] >= 0 for m in msgs):
+            # Divert now, at ``at``: a burst event expanding at ``at``
+            # could run after the source's worker has passed ``at``.
+            for msg in msgs:
+                self.send(msg, at=at)
+            return
+        super().send_burst(msgs, at)
+
     def _offload(self, time: float, msg: Message, node: NodeId) -> None:
         mid = msg.mid
         if mid == 0:
@@ -513,14 +532,21 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 return None
             self._fork()
         stop = t0 + self.window
+        relays = self._relay_times
+        while relays and (local is None or relays[0] < local):
+            heapq.heappop(relays)           # already run here
+        if relays and relays[0] < stop:
+            stop = math.nextafter(relays[0], _INF)
         if until is not None and until < stop:
             stop = math.nextafter(until, _INF)
         sim.local_bound = _INF
-        self._dispatch(stop)
-        return stop
+        return self._dispatch(stop)
 
-    def _dispatch(self, stop: float) -> None:
+    def _dispatch(self, stop: float) -> float:
+        """Grant the window ending at ``stop``; return the bound the
+        coordinator's own copy of it may run to."""
         self._flushed = False
+        until = stop
         ctl = self._ctl[self._ctl_sent:]
         self._ctl_sent = len(self._ctl)
         shard_batches = self._split_pending()
@@ -542,9 +568,12 @@ class ShardedNetworkSimulator(NetworkSimulator):
             except _WorkerDied as exc:
                 dead[exc.worker] = exc.reason
                 continue
-            (_, outbox, dels, stats, next_t, last_t, events, npend, ck) = (
-                reply
-            )
+            (_, outbox, dels, stats, next_t, last_t, events, npend, ck,
+             w_stop) = reply
+            # A worker that stopped at a switch delivery ran less than
+            # the window; nothing may run past it before the relay.
+            if w_stop < until:
+                until = w_stop
             if outbox is not None:
                 ow = self._owner_arr[outbox[2]]
                 coord = ow < 0
@@ -560,10 +589,12 @@ class ShardedNetworkSimulator(NetworkSimulator):
                         self._pending_min = low
             if dels is not None:
                 deliveries.append(dels)
+                for t in dels[0][dels[2] >= self._first_switch].tolist():
+                    heapq.heappush(self._relay_times, t)
             if stats is not None:
                 self._merge_stats(stats)
             if ck is not None:
-                self._absorb_ck(w, ck, stop)
+                self._absorb_ck(w, ck, w_stop)
             self._worker_next[w] = next_t if next_t is not None else _INF
             self._worker_last[w] = last_t
             self._worker_pending[w] = npend
@@ -575,6 +606,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 self._schedule_batch(_sort_batch(batch))
         if dead:
             self._crash_recover(dead, stop)
+        return until
 
     def _recv(self, w: int, conn):
         """One barrier receive with heartbeat supervision.  Raises
@@ -1214,6 +1246,11 @@ class _WorkerBase:
         # Delivery-callback keys: an arrival terminating at one of
         # these is state the coordinator wants to see — bounce it back.
         self.cb_keys = set(coord._deliver_cb.keys())
+        # Node indices at or past this are switches.  A callback at a
+        # switch may relay from that switch at its delivery instant (a
+        # tree schedule), with no link latency to hide behind, so a
+        # window ends right after a switch delivery.
+        self.first_switch = len(coord.topology.hosts)
         links = coord.topology.links()
         self.links = links
         self.link_owner = self.owner[self.index.link_src]
@@ -1376,7 +1413,10 @@ class _EventWorker(_WorkerBase):
         self.apply_controls(ctl)
         if batch is not None:
             self._schedule_batch(batch)
-        events = self.sim.run_window(stop)
+        self.sim.stop_requested = False
+        events = self.sim.run_window(stop, stoppable=True)
+        if self.sim.stop_requested:     # stopped at a switch delivery
+            stop = math.nextafter(self.sim.now, _INF)
         # A bounced delivery executes as a coordinator event; don't
         # count its worker-side arrival too.
         events -= len(self.deliveries)
@@ -1401,7 +1441,7 @@ class _EventWorker(_WorkerBase):
             ck = None
         return (
             "r", out, dels, self._stats_delta(), self.sim.peek_time(),
-            self.sim.now, events, self.sim.pending, ck,
+            self.sim.now, events, self.sim.pending, ck, stop,
         )
 
     def _schedule_batch(self, batch: tuple) -> None:
@@ -1596,10 +1636,10 @@ class _ShardNet(NetworkSimulator):
         if node == msg.dst:
             rt = self.runtime
             if (node, msg.flow) in rt.cb_keys or (node, None) in rt.cb_keys:
-                rt.deliveries.append(
-                    (self.sim.now, msg.mid, rt.index.idx[node],
-                     _msg_meta(msg))
-                )
+                i = rt.index.idx[node]
+                rt.deliveries.append((self.sim.now, msg.mid, i, _msg_meta(msg)))
+                if i >= rt.first_switch:
+                    self.sim.stop_requested = True
             return
         super()._hop(msg, node)
 
@@ -1737,6 +1777,7 @@ class _VectorWorker(_WorkerBase):
         idx = self.index.idx
         for node, _flow in self.cb_keys:
             self.has_cb[idx[node]] = True
+        self.switch_cb = bool(self.has_cb[self.first_switch:].any())
 
     def on_cb_change(self) -> None:
         self._rebuild_cb()
@@ -1760,6 +1801,7 @@ class _VectorWorker(_WorkerBase):
         self.apply_controls(ctl)
         if batch is not None:
             self.pend = _concat_batches([self.pend, batch])
+        stop = self._relay_stop(stop)
         start_events = self.events
         if self.faulty:
             self._window_faulty(stop)
@@ -1793,8 +1835,22 @@ class _VectorWorker(_WorkerBase):
             ck = None
         return (
             "r", out, dels, self._stats_delta(), next_t, self.now,
-            self.events - start_events, npend, ck,
+            self.events - start_events, npend, ck, stop,
         )
+
+    def _relay_stop(self, stop: float) -> float:
+        """``stop``, or just past the earliest switch delivery before it
+        (see ``first_switch``)."""
+        if self.pend is None or not self.switch_cb:
+            return stop
+        t, node, dst = self.pend[0], self.pend[2], self.pend[4]
+        relay = (
+            (t < stop) & (node == dst) & (node >= self.first_switch)
+            & self.has_cb[node]
+        )
+        if relay.any():
+            return math.nextafter(float(t[relay].min()), _INF)
+        return stop
 
     def _process(self, rows: tuple) -> None:
         t, mid, node, src, dst, nb, fl, meta = rows

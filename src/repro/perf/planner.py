@@ -59,9 +59,10 @@ def _fabric(family: str, n_hosts: int) -> Fabric:
 
 def static_issuable_pick(family: str, n_hosts: int, size) -> str:
     """The static auto baseline: highest-priority candidate among the
-    fabric-issuable algorithms (atomic switch backends excluded — they
-    model a lone switch with no wire time, so their 'makespan' is not
-    comparable to a network schedule's)."""
+    algorithms the cost model prices (the switch-level backends are
+    excluded: ``flare_switch_sparse`` models a lone switch with no wire
+    time, and the model has no price for ``flare_switch``'s
+    PsPIN-priced tree)."""
     request = CollectiveRequest(
         nbytes=size,
         n_hosts=n_hosts,

@@ -76,8 +76,12 @@ class ProvenanceRecorder:
     # ------------------------------------------------------------------
     # Accumulation (driven by the fabric as collectives settle)
     # ------------------------------------------------------------------
-    def add_switch_counters(self, switch: str, counters: dict) -> None:
-        """Fold one collective's switch snapshot into the run totals.
+    def add_switch_counters(
+        self, switch: str, counters: dict, repeats: int = 1
+    ) -> None:
+        """Fold one collective's switch snapshot, ``repeats`` times (a
+        tree switch's one-chunk snapshot, once per chunk), into the run
+        totals.
 
         Peak gauges (``*_peak_bytes``) max-merge — each collective ran
         on its own simulated switch instance, so the run-level
@@ -92,7 +96,7 @@ class ProvenanceRecorder:
                 if name not in acc or value > acc[name]:
                     acc[name] = value
             else:
-                acc[name] = acc.get(name, 0.0) + value
+                acc[name] = acc.get(name, 0.0) + value * repeats
 
     # ------------------------------------------------------------------
     # Row assembly

@@ -11,7 +11,8 @@ The grid: ring, swing, butterfly, flare_dense (size-only, int32 and
 fp32 payloads), flare_sparse and sparcml (size-only) on fat-tree,
 dragonfly and torus at 8 and 16 hosts, each run standalone
 (``plan.execute``) and on
-a shared ``Fabric`` with ``workers`` 0 and 2; plus a ``hosts=``
+a shared ``Fabric`` with ``workers`` 0 and 2; flare_switch (int32 and
+fp32 payloads, one chunk) on the fabrics only; plus a ``hosts=``
 placement subset, a seeded lossy fault schedule, and 4-tenant WFQ
 overlaps on one fabric.  The workers-2 groups leave out the tree cases
 listed in ``SHARDED_UNSAFE``.  Each engine's numbers are pinned on their
@@ -59,9 +60,13 @@ KNOBS = {
     "flare_sparse": {"n_chunks": 1},
     "sparcml": {"sub_chunk_bytes": 4096},
 }
-#: Cases the sharded engine cannot run yet: a tree switch that relays a
-#: chunk at its delivery instant schedules inside the lookahead window
-#: (ROADMAP, "sharded engine: zero-lookahead tree relays").
+#: flare_switch on a fabric is a tree schedule priced by the PsPIN
+#: switch; standalone it is the single-switch simulation (pinned in
+#: tests/comm/test_topology_integration.py).
+FABRIC_ONLY = {"flare_switch/int32", "flare_switch/float32"}
+#: Tree cases left out of the workers-2 groups.  The sharded engine runs
+#: them now, but adding them would shift the rows that follow on the
+#: same fabric (ROADMAP, "sharded engine: zero-lookahead tree relays").
 SHARDED_UNSAFE = {"flare_sparse/chunked", "overlap-tree"}
 PLACED = ("h1", "h2", "h5", "h6", "h9", "h10", "h13", "h14")
 LOSSY = {
@@ -125,6 +130,10 @@ def cases(n_hosts: int):
     yield "sparcml/size", N_ELEMENTS * 4, {
         **sparse, "algorithm": "sparcml", **KNOBS["sparcml"]
     }
+    for dtype in ("int32", "float32"):
+        yield f"flare_switch/{dtype}", payloads(n_hosts, dtype), {
+            "algorithm": "flare_switch"
+        }
 
 
 def _communicator(topo: str, mode: str):
@@ -160,7 +169,8 @@ def run_group(group: str) -> dict:
         return {
             case: record(comm.allreduce(data, **kwargs, **extra))
             for case, data, kwargs in cases(n_hosts)
-            if mode != "workers2" or case not in SHARDED_UNSAFE
+            if (mode != "workers2" or case not in SHARDED_UNSAFE)
+            and (mode != "standalone" or case not in FABRIC_ONLY)
         }
     finally:
         if fabric is not None:

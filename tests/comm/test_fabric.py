@@ -76,19 +76,60 @@ def test_single_tenant_fabric_parity(isolated_ring):
 
 
 def test_flare_switch_bitwise_parity_on_fabric():
-    """The PsPIN switch data path is byte-identical through the fabric."""
-    data = make_dense_blocks(8, 4, 256, dtype="float32", seed=11)
-    standalone = Communicator(n_hosts=8, n_clusters=1).allreduce(
-        data, algorithm="flare_switch", seed=11
-    )
-    fabric = Fabric(n_hosts=8)
-    tenant = fabric.communicator(name="t", n_clusters=1)
-    via_fabric = tenant.iallreduce(data, algorithm="flare_switch", seed=11).result()
-    assert via_fabric.raw.makespan_cycles == standalone.raw.makespan_cycles
-    for block in standalone.raw.outputs:
-        np.testing.assert_array_equal(
-            via_fabric.raw.outputs[block], standalone.raw.outputs[block]
+    """On a fabric flare_switch is a tree schedule whose outputs are the
+    numpy reduction bitwise (small-integer fp32 sums are exact in any
+    order); standalone it stays the single-switch DES, unchanged."""
+    for dtype in ("int32", "float32"):
+        data = make_dense_blocks(8, 4, 256, dtype=dtype, seed=11)
+        standalone = Communicator(n_hosts=8, n_clusters=1).allreduce(
+            data, algorithm="flare_switch", seed=11
         )
+        assert standalone.raw.makespan_cycles == 7991.948261077873
+        fabric = Fabric(n_hosts=8)
+        tenant = fabric.communicator(name="t", n_clusters=1)
+        via_fabric = tenant.iallreduce(
+            data, algorithm="flare_switch", seed=11
+        ).result()
+        out = via_fabric.extra["output"]
+        assert out.dtype == data.dtype
+        np.testing.assert_array_equal(out, data.sum(axis=0, dtype=data.dtype))
+
+
+def test_flare_switch_without_a_tree_stays_standalone():
+    """A payload that does not fit the wiring has no aggregation tree:
+    the lone switch still runs (standalone, or atomically on the
+    implicit fabric), while an explicit fabric rejects it loudly."""
+    torus = dict(topology="torus",
+                 topology_params=dict(dim_x=2, dim_y=2, hosts_per_switch=4))
+    data = make_dense_blocks(8, 1, 256, dtype="int32", seed=3)
+    comm = Communicator(**torus)
+    standalone = comm.allreduce(data, algorithm="flare_switch")
+    implicit = comm.iallreduce(data, algorithm="flare_switch").result()
+    assert implicit.time_ns == standalone.time_ns
+    tenant = Fabric(**torus).communicator()
+    with pytest.raises(CapabilityError, match="no aggregation tree"):
+        tenant.iallreduce(data, algorithm="flare_switch")
+
+
+def test_flare_switch_tree_contends_and_conserves_bytes():
+    """A flare_switch tenant puts its tree on the wire: it slows a ring
+    it overlaps, and the fabric's link counters hold both tenants'
+    bytes, no more and no less."""
+    alone = Fabric(n_hosts=16).communicator().allreduce(SIZE, algorithm="ring")
+    fabric = Fabric(n_hosts=16)
+    ring = fabric.communicator(name="ring")
+    switch = fabric.communicator(name="switch")
+    rr, rs = wait_all([
+        ring.iallreduce(SIZE, algorithm="ring"),
+        switch.iallreduce(SIZE, algorithm="flare_switch"),
+    ])
+    assert alone.time_ns == 740_517.4400000004
+    assert rr.time_ns > alone.time_ns
+    assert rs.traffic_bytes_hops > 0
+    traffic = fabric.net.traffic
+    assert traffic.bytes_hops == rr.traffic_bytes_hops + rs.traffic_bytes_hops
+    assert sum(traffic.per_link.values()) == traffic.bytes_hops
+    assert fabric.timeline()[1]["wire_bytes"] == rs.traffic_bytes_hops
 
 
 def test_in_network_tenants_contend_too():
@@ -313,25 +354,30 @@ def test_payload_fallback_runs_on_the_wire():
     np.testing.assert_array_equal(rb.extra["output"], data.sum(axis=0))
 
 
+#: flare_switch_sparse is the one backend left without an issuer: the
+#: fabric executes it atomically.
+ATOMIC = dict(algorithm="flare_switch_sparse", sparse=True, density=0.1)
+
+
 def test_sequential_atomic_collectives_release_slots():
     """issue -> result -> issue must not see the finished collective's
     switch slot still held (result() advances the fabric clock past
     the modeled finish)."""
     fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
     t = fabric.communicator(name="t", n_clusters=1)
-    r1 = t.iallreduce("16KiB", algorithm="flare_switch").result()
+    r1 = t.iallreduce("16KiB", **ATOMIC).result()
     assert fabric.now > 0      # the clock moved to the modeled finish
-    r2 = t.iallreduce("16KiB", algorithm="flare_switch").result()
+    r2 = t.iallreduce("16KiB", **ATOMIC).result()
     assert not r1.extra["fell_back"] and not r2.extra["fell_back"]
-    assert r1.algorithm == r2.algorithm == "flare_switch"
+    assert r1.algorithm == r2.algorithm == "flare_switch_sparse"
 
 
 def test_atomic_collectives_still_contend_when_overlapped():
     fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
     a = fabric.communicator(name="A", n_clusters=1)
     b = fabric.communicator(name="B", n_clusters=1)
-    fa = a.iallreduce("16KiB", algorithm="flare_switch")
-    fb = b.iallreduce("16KiB", algorithm="flare_switch")   # before result()
+    fa = a.iallreduce("16KiB", **ATOMIC)
+    fb = b.iallreduce("16KiB", **ATOMIC)   # before result()
     ra, rb = wait_all([fa, fb])
     assert not ra.extra["fell_back"]
     assert rb.extra["fell_back"]       # pool was genuinely contended

@@ -20,22 +20,30 @@ def _payloads(n_hosts=8, n=512, dtype=np.int32, seed=0):
 # ----------------------------------------------------------------------
 # Canary-style re-root on a link outage
 # ----------------------------------------------------------------------
-def test_link_down_recovers_flare_dense_and_traces_it():
+def _link_down_recovers_and_traces(algorithm):
     fabric = Fabric(n_hosts=16, hosts_per_leaf=4, n_spines=2)
     comm = fabric.communicator(name="train")
-    future = comm.iallreduce("4MiB", algorithm="flare_dense")
+    future = comm.iallreduce("4MiB", algorithm=algorithm)
     fabric.inject(link="l0-s0", at=5_000.0, kind="down")
     result = future.result()
     recoveries = result.extra["recoveries"]
     assert len(recoveries) == 1
     assert recoveries[0]["cause"] == {"kind": "down", "link": "l0-s0"}
-    assert recoveries[0]["to_algorithm"] == "flare_dense"
+    assert recoveries[0]["to_algorithm"] == algorithm
     [entry] = fabric.timeline()
     assert entry["status"] == "done"
     assert entry["recoveries"] == recoveries
     assert fabric.tenant_stats()["train"]["recovered"] == 1
     # The replanned tree avoids the failed link.
     assert ("l0", "s0") not in fabric.topology.paths("h0", "h15")[0]
+
+
+def test_link_down_recovers_flare_dense_and_traces_it():
+    _link_down_recovers_and_traces("flare_dense")
+
+
+def test_link_down_recovers_flare_switch_and_traces_it():
+    _link_down_recovers_and_traces("flare_switch")
 
 
 def test_link_down_recovery_preserves_payload_bitwise():

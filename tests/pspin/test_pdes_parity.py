@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.comm import wait_all
 from repro.comm.fabric import Fabric
 from repro.network import FatTreeTopology, Message
 from repro.network.shard import ShardingError, plan_shards
@@ -236,6 +237,42 @@ def test_fabric_ring_allreduce_bitwise_and_makespan():
     np.testing.assert_array_equal(par_out, seq_out)
     assert par_makespan == seq_makespan
     assert par_tl == seq_tl
+
+
+def _fabric_trees(workers, arbitration):
+    """Chunked trees, one overlapping a ring: their switches relay at
+    the delivery instant, with no link latency before the relay."""
+    fab = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2, workers=workers,
+                 arbitration=arbitration)
+    a = fab.communicator(name="a")
+    b = fab.communicator(name="b")
+    data = np.random.default_rng(0).integers(-9, 9, size=(8, 16384))
+    results = [
+        a.allreduce(data.astype(np.int32), algorithm="flare_dense",
+                    chunk_bytes=8192),
+        a.allreduce("2MiB", algorithm="flare_switch"),
+        a.allreduce(65536, algorithm="flare_sparse", sparse=True,
+                    density=0.01, n_chunks=8),
+        # Fine chunks keep the relaying switches' links contended.
+        *wait_all([
+            a.iallreduce("256KiB", algorithm="flare_dense", chunk_bytes=4096),
+            b.iallreduce("256KiB", algorithm="ring", sub_chunk_bytes=4096),
+        ]),
+    ]
+    makespan = fab.now
+    fab.shutdown()
+    return makespan, [
+        (r.time_ns, r.traffic_bytes_hops, r.extra.get("n_chunks"),
+         None if "output" not in r.extra else r.extra["output"].tobytes())
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("arbitration", ["fifo", "wfq"])
+def test_fabric_chunked_trees_run_sharded(arbitration):
+    seq = _fabric_trees(0, arbitration)
+    assert [r[2] for r in seq[1][:3]] == [8, 2, 8]
+    assert _fabric_trees(2, arbitration) == seq
 
 
 def test_fabric_workers_builds_sharded_engine():

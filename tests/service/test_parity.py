@@ -2,8 +2,11 @@
 
 The acceptance pin for the whole service layer: a lone full-fabric job
 run through FabricService must produce a makespan identical to the same
-allreduce issued directly, because the engine adds no placement params,
-no queueing, and no extra events around an uncontended job.
+allreduce issued directly into a fabric, because the engine adds no
+placement params, no queueing, and no extra events around an
+uncontended job.  (Directly into a fabric, not standalone: ``auto``
+picks flare_switch, whose standalone run is the single-switch PsPIN
+simulation rather than its fabric tree schedule.)
 """
 
 import pytest
@@ -28,7 +31,7 @@ def _single_job_trace(algorithm, size="2MiB"):
 
 @pytest.mark.parametrize("algorithm", ["flare_dense", "ring", "auto"])
 def test_single_tenant_makespan_identical(algorithm):
-    direct = Communicator(**SHAPE).allreduce("2MiB", algorithm=algorithm)
+    direct = Fabric(**SHAPE).communicator().allreduce("2MiB", algorithm=algorithm)
 
     fabric = Fabric(**SHAPE)
     service = FabricService(
