@@ -5,7 +5,7 @@ Every network allreduce of the registry is a schedule object built
 once at plan time and issued any number of times into a (possibly
 shared) :class:`~repro.network.simulator.NetworkSimulator`.  The
 interpreters own what the algorithms share: host-subset validation,
-payload slicing and combining, the Sec. 4.1 duplicate filter,
+payload reduction, the Sec. 4.1 duplicate filter,
 completion counting and the :class:`CollectiveResult`.
 
 * :class:`ExchangeTable` — host-based exchanges.  Per step it lists
@@ -30,13 +30,25 @@ completion counting and the :class:`CollectiveResult`.
   dense and Flare sparse differ only in per-level chunk bytes and in
   whether payloads ride along.
 
-With ``payloads`` the messages carry real data, combined in a fixed
-structural order (received value first, own value second; tree switches
-fold attached hosts first, child switches after, both in tree order),
-so every host ends with the bitwise-identical vector regardless of
-event timing, retransmissions or duplicate deliveries.  Timing is the
-same with or without payloads: data rides the messages a size-only run
-sends.
+With ``payloads`` a schedule reduces real data by one of two payload
+programs (:func:`payload_program`, reported as
+``extra["payload_program"]``), the two of :mod:`repro.core.fastpath`:
+
+* ``"vectorized"`` — integer payloads under a builtin operator: any
+  combine order gives the same bits, so ``issue`` reduces them once
+  with a single ufunc call and the messages carry no data.
+  :func:`check_coverage` proves, once per exchange table, that the
+  steps combine every contribution exactly once.
+* ``"order-replay"`` — floats and custom operators: the messages carry
+  slices of per-rank working copies, combined in a fixed structural
+  order (received value first, own value second; tree switches fold
+  attached hosts first, child switches after, both in tree order), so
+  every host ends with the bitwise-identical vector regardless of event
+  timing, retransmissions or duplicate deliveries; exchange hosts must
+  agree on it at the end.
+
+Either way the values are taken at issue time, and timing is the same
+with or without payloads: data rides the messages a size-only run sends.
 
 Issue semantics: events start at ``net.now`` under flow id ``flow``;
 ``on_complete(result)`` fires inside the event loop when the last host
@@ -55,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.collectives.result import CollectiveResult
-from repro.core.ops import get_op
+from repro.core.ops import get_op, order_free_ufunc
 from repro.network.simulator import Message
 from repro.network.trees import AggregationTree
 from repro.sparse.densify import (
@@ -101,7 +113,8 @@ def resolve_hosts(topology, hosts=None) -> list:
 
 
 def payload_arrays(schedule, payloads) -> tuple[list, tuple]:
-    """Flat working copies of the per-rank payloads, and their shape.
+    """Flat views of the per-rank payloads (copied only where a payload
+    is not contiguous), and their shape.
 
     Raises ``ValueError`` when ``schedule`` is size-only (its message
     sizes describe no dense vector) or when the payload count or size
@@ -114,7 +127,7 @@ def payload_arrays(schedule, payloads) -> tuple[list, tuple]:
             "reduce payload values; pass a byte size instead"
         )
     n_ranks, vector_bytes = len(schedule.hosts), schedule.vector_bytes
-    arrays = [np.array(p).ravel() for p in payloads]
+    arrays = [np.asarray(p).ravel() for p in payloads]
     if len(arrays) != n_ranks:
         raise ValueError(f"got {len(arrays)} payloads for {n_ranks} hosts")
     for i, a in enumerate(arrays):
@@ -125,6 +138,32 @@ def payload_arrays(schedule, payloads) -> tuple[list, tuple]:
                 "instead of reusing this one"
             )
     return arrays, np.shape(payloads[0])
+
+
+#: The payload programs, named after those of :mod:`repro.core.fastpath`.
+VECTORIZED, ORDER_REPLAY = "vectorized", "order-replay"
+
+
+def payload_program(schedule, payloads, op) -> tuple[str, object, tuple]:
+    """Validate ``payloads`` and pick how the schedule reduces them.
+
+    Returns ``(program, data, shape)``.  ``VECTORIZED`` (integer
+    payloads under a builtin operator, see
+    :func:`~repro.core.ops.order_free_ufunc`): ``data`` is the flat
+    reduced vector, computed here in one ufunc call — any combine order
+    gives these bits, so the messages need not carry data.
+    ``ORDER_REPLAY``: ``data`` is a flat working copy per rank, combined
+    message by message in the schedule's structural order.  Either way
+    the values are taken at issue time.
+    """
+    arrays, shape = payload_arrays(schedule, payloads)
+    dtype = arrays[0].dtype
+    ufunc = order_free_ufunc(op, dtype)
+    if ufunc is None or any(a.dtype != dtype for a in arrays):
+        return ORDER_REPLAY, [a.copy() for a in arrays], shape
+    stacked = payloads if isinstance(payloads, np.ndarray) else arrays
+    reduced = ufunc.reduce(np.reshape(stacked, (len(arrays), -1)), axis=0, dtype=dtype)
+    return VECTORIZED, reduced, shape
 
 
 def collective_result(
@@ -336,6 +375,47 @@ EXCHANGES = {
 }
 
 
+def check_coverage(algorithm: str, steps: list, n_ranks: int) -> None:
+    """Prove that ``steps`` leave every rank holding every rank's
+    contribution to every block exactly once; ``ValueError`` otherwise.
+
+    Replays the table over contributor sets: ``held[i][b]`` is the set
+    (a bitmask) of ranks whose contribution rank i's block b includes.
+    Every message of a step carries its sender's pre-step set; a fold
+    adds it to the receiver's, a copy replaces it.  A fold of
+    overlapping sets counts a contribution twice, and the value stays
+    tainted until a copy overwrites it — a double count every host
+    shares, which comparing the hosts' results would not catch.
+    """
+    full = (1 << n_ranks) - 1
+    held = [[1 << i] * n_ranks for i in range(n_ranks)]
+    twice: set = set()
+    for step in steps:
+        updates = []
+        for src, i in enumerate(step.dst):
+            for b in step.recv[i]:
+                value, dup = held[src][b], (src, b) in twice
+                if step.fold:
+                    dup = dup or (i, b) in twice or bool(value & held[i][b])
+                    value |= held[i][b]
+                updates.append((i, b, value, dup))
+        for i, b, value, dup in updates:
+            held[i][b] = value
+            if dup:
+                twice.add((i, b))
+            else:
+                twice.discard((i, b))
+    for i in range(n_ranks):
+        for b in range(n_ranks):
+            if (i, b) in twice:
+                raise ValueError(f"{algorithm}: rank {i} ends counting a "
+                                 f"contribution to block {b} twice")
+            if held[i][b] != full:
+                missing = [c for c in range(n_ranks) if not held[i][b] >> c & 1]
+                raise ValueError(f"{algorithm}: rank {i} ends without the "
+                                 f"contributions of ranks {missing} to block {b}")
+
+
 def _pieces(runs: tuple, lo: int, hi: int):
     """``(array slice, data slice)`` pairs covering ``[lo, hi)`` of the
     concatenation of ``runs`` (element ranges of the vector)."""
@@ -413,6 +493,7 @@ class ExchangeTable:
             ):
                 raise ValueError(f"{algorithm} step {k} does not forward the "
                                  f"chunks of step {k - 1}; it cannot pipeline")
+        check_coverage(algorithm, self.steps, P)
         self._layouts: dict[int, list] = {}
 
     def layout(self, n_elements: int) -> list:
@@ -445,10 +526,17 @@ class ExchangeTable:
             b / rate if rate > 0 and s.fold else 0.0 for b, s in zip(unit_bytes, steps)
         ]
         done = Completion(P, base_time)
-        carry = payloads is not None
-        if carry:
-            arrays, shape = payload_arrays(self, payloads)
-            layout = self.layout(arrays[0].size)
+        extra, carry, output = self.extra, False, None
+        if payloads is not None:
+            program, data, shape = payload_program(self, payloads, op)
+            extra = {**extra, "payload_program": program}
+            carry = program == ORDER_REPLAY
+            if carry:
+                arrays = data
+                layout = self.layout(arrays[0].size)
+                output = arrays[0]
+            else:
+                output = data
 
         def message(i: int, k: int, sub: int, data) -> Message:
             return Message(hosts[i], hosts[steps[k].dst[i]], sub_bytes[k],
@@ -476,7 +564,6 @@ class ExchangeTable:
             return piece
 
         def finished() -> None:
-            output = None
             if carry:
                 for other in arrays[1:]:
                     if not np.array_equal(arrays[0], other):
@@ -484,11 +571,10 @@ class ExchangeTable:
                             f"{name} allreduce diverged: hosts disagree on "
                             "the reduced vector"
                         )
-                output = arrays[0].reshape(shape)
             on_complete(collective_result(
                 net, flow, self.label, P, self.vector_bytes,
-                done.finish - base_time, sum(self.step_bytes),
-                self.extra, output,
+                done.finish - base_time, sum(self.step_bytes), extra,
+                None if output is None else output.reshape(shape),
             ))
 
         #: Pipelined: sub-chunks each rank has processed, of ``expected``.
@@ -616,12 +702,17 @@ class TreeSchedule:
         #: Duplicate "down" messages must not re-trigger subtree multicasts.
         down_seen: set = set()
         done = Completion(len(hosts), base_time)
-        carry = payloads is not None
-        if carry:
-            arrays, shape = payload_arrays(self, payloads)
-            chunk_slices = split_slices(arrays[0].size, n_chunks)
-            input_of = dict(zip(hosts, arrays))
-            output = np.empty_like(arrays[0])
+        extra, carry, output = self.extra, False, None
+        if payloads is not None:
+            program, data, shape = payload_program(self, payloads, op)
+            extra = {**extra, "payload_program": program}
+            carry = program == ORDER_REPLAY
+            if carry:
+                chunk_slices = split_slices(data[0].size, n_chunks)
+                input_of = dict(zip(hosts, data))
+                output = np.empty_like(data[0])
+            else:
+                output = data
 
         def send_down(switch, chunk: int, at: float, data) -> None:
             # One burst event for the whole multicast fan-out of a chunk.
@@ -681,8 +772,8 @@ class TreeSchedule:
                 if host_received[host] == n_chunks and done.host_done(now):
                     on_complete(collective_result(
                         net, flow, self.label, len(hosts), self.vector_bytes,
-                        done.finish - base_time, self.host_bytes, self.extra,
-                        output.reshape(shape) if carry else None,
+                        done.finish - base_time, self.host_bytes, extra,
+                        None if output is None else output.reshape(shape),
                     ))
 
             return deliver

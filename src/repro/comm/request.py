@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-from repro.core.ops import BUILTIN_OPS, ReductionOp, get_op
+from repro.core.ops import ReductionOp, builtin_ufunc, get_op
 from repro.sparse.densify import DENSE_ELEMENT_BYTES
 from repro.utils.units import parse_size
 
@@ -81,8 +81,7 @@ class CollectiveRequest:
     @property
     def custom_op(self) -> bool:
         """True when ``op`` is not one of the built-in operators."""
-        operator = self.operator
-        return BUILTIN_OPS.get(operator.name) is not operator
+        return builtin_ufunc(self.operator) is None
 
     @property
     def total_elements(self) -> float:

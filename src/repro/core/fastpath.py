@@ -6,10 +6,11 @@ management, critical-section waits, tree climbs — while the
 :class:`repro.pspin.train.TrainRunner` replicates the event loop around
 it.  Payload math is deferred to commit time and executed as *programs*:
 
-* **vectorized** — integer payloads under a commutative+associative
-  builtin operator reduce as one whole-train numpy block operation
-  (wrapping integer arithmetic is order-insensitive, so this is bitwise
-  identical to any combine order the DES would have used);
+* **vectorized** — integer payloads under a builtin operator (by
+  identity, :func:`~repro.core.ops.order_free_ufunc`) reduce as one
+  whole-train numpy block operation (wrapping integer arithmetic is
+  order-insensitive, so this is bitwise identical to any combine order
+  the DES would have used);
 * **order replay** — float payloads and custom operators re-execute the
   exact combine sequence the DES would run (lock-acquisition order for
   single/multi buffers, the fixed merge structure for trees), which is
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.core.handler_base import PARENT_PORT
 from repro.core.multi_buffer import MultiBufferHandler
+from repro.core.ops import order_free_ufunc
 from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import PairTree, TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
@@ -42,15 +44,6 @@ from repro.pspin.train import (
 )
 
 _INF = float("inf")
-
-#: Builtin operators whose whole-block reduction a single ufunc call
-#: reproduces exactly (given an order-insensitive dtype).
-_UFUNCS = {
-    "sum": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-    "prod": np.multiply,
-}
 
 
 class _DenseKernelBase:
@@ -97,15 +90,8 @@ class _DenseKernelBase:
         self.duplicates = 0
         #: (finish_time, block_id) in completion order.
         self.emissions: list[tuple[float, int]] = []
-        op = config.op
-        ufunc = _UFUNCS.get(op.name)
-        self.vectorized = (
-            ufunc is not None
-            and op.commutative
-            and op.associative
-            and train.data.dtype.kind in "iu"
-        )
-        self.ufunc = ufunc
+        self.ufunc = order_free_ufunc(config.op, train.data.dtype)
+        self.vectorized = self.ufunc is not None
 
     def set_block_clusters(self, block_subset: dict[int, int]) -> None:
         """Runner-provided block -> subset map (subsets are clusters

@@ -76,6 +76,9 @@ PROD = ReductionOp("prod", _prod_into, cycles_factor=1.25)
 
 BUILTIN_OPS: dict[str, ReductionOp] = {op.name: op for op in (SUM, MIN, MAX, PROD)}
 
+#: The numpy ufunc each builtin's ``combine_into`` applies.
+_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum, "prod": np.multiply}
+
 
 def get_op(op: "str | ReductionOp") -> ReductionOp:
     """Resolve an operator by name or pass a custom one through."""
@@ -85,3 +88,30 @@ def get_op(op: "str | ReductionOp") -> ReductionOp:
         return BUILTIN_OPS[op]
     except KeyError:
         raise ValueError(f"unknown operator {op!r}; known: {sorted(BUILTIN_OPS)}") from None
+
+
+def builtin_ufunc(op: "str | ReductionOp") -> "np.ufunc | None":
+    """The numpy ufunc of a builtin operator, or None for a custom one.
+
+    Builtins are recognised by identity, not by name: a user
+    :class:`ReductionOp` that reuses the name ``"sum"`` still runs its
+    own ``combine_into``.
+    """
+    op = get_op(op)
+    if BUILTIN_OPS.get(op.name) is not op:
+        return None
+    return _UFUNCS[op.name]
+
+
+def order_free_ufunc(op: "str | ReductionOp", dtype) -> "np.ufunc | None":
+    """The ufunc whose single whole-array ``reduce`` is bitwise equal to
+    *any* combine order of ``op`` over ``dtype`` values, or None.
+
+    True for builtins over integer dtypes: wrapping two's-complement
+    sum and product, min and max are commutative and associative
+    bit for bit.  Floats (rounding) and custom operators (unknown
+    algebra) return None; their callers replay the exact combine order.
+    """
+    if np.dtype(dtype).kind not in "iu":
+        return None
+    return builtin_ufunc(op)

@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.ops import builtin_ufunc
 from repro.pspin.packets import HEADER_BYTES, SwitchPacket
 from repro.pspin.train import (
     FastPathAbort,
@@ -217,7 +218,7 @@ class SparseTrainKernel:
         if not isinstance(train, SparsePacketTrain):
             raise FastPathAbort("sparse handler needs a sparse train")
         cfg = handler.config
-        if cfg.op.name != "sum":
+        if builtin_ufunc(cfg.op) is not np.add:
             raise FastPathAbort("custom operators combine element by element")
         if train.values.dtype != np.dtype(cfg.dtype_name):
             raise FastPathAbort("payload dtype != handler dtype")

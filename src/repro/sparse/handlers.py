@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.blockstate import BlockState
-from repro.core.ops import ReductionOp, SUM, get_op
+from repro.core.ops import ReductionOp, SUM, builtin_ufunc, get_op
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import HandlerContext, HandlerResult
 from repro.sparse.array_storage import ArrayStorage
@@ -94,7 +94,7 @@ class SparseAggregationHandler:
     # ------------------------------------------------------------------
     def _make_storage(self):
         cfg = self.config
-        op = None if cfg.op.name == "sum" else cfg.op
+        op = None if builtin_ufunc(cfg.op) is np.add else cfg.op
         if cfg.storage == "hash":
             spill_cap = cfg.spill_capacity or cfg.elements_per_packet
             return HashStorage(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allreduce import plan_switch_allreduce
+from repro.core.ops import ReductionOp
 
 
 def run_pair(
@@ -28,6 +29,7 @@ def run_pair(
     scheduler="hierarchical",
     subset_size=None,
     jitter=1.0,
+    data=None,
 ):
     """Execute the same planned allreduce through both tiers."""
     results = []
@@ -45,7 +47,7 @@ def run_pair(
         )
         plan.switch_cfg.fast_path = fast
         results.append(
-            plan.execute(seed=seed, cold_start=cold_start, jitter=jitter)
+            plan.execute(data, seed=seed, cold_start=cold_start, jitter=jitter)
         )
     return results
 
@@ -95,6 +97,29 @@ def test_parity_warm_start(algo):
 def test_parity_other_operators(op):
     fast, slow = run_pair("single", "8KiB", dtype="int16", op=op)
     assert_parity(fast, slow)
+
+
+def _saturating_add(acc, values):
+    wide = acc.astype(np.int64) + values
+    acc[...] = np.clip(wide, np.iinfo(acc.dtype).min, np.iinfo(acc.dtype).max)
+
+
+#: A custom operator that reuses a builtin's name.
+SATURATING_SUM = ReductionOp("sum", _saturating_add)
+
+
+@pytest.mark.parametrize("algo", ["single", "multi(4)", "tree"])
+def test_custom_op_named_like_a_builtin_is_replayed(algo):
+    """Builtins are told apart by identity, not name: the fast path
+    must replay a custom "sum" instead of vectorizing np.add (whose
+    wrapped sums would fail the integer golden check)."""
+    children, elements = 16, 8 * 256
+    data = np.full((children, elements), 2**28, dtype=np.int32)
+    data[:, ::3] = 5
+    fast, slow = run_pair(algo, elements * 4, op=SATURATING_SUM, data=data)
+    assert_parity(fast, slow)
+    for block in slow.outputs.values():
+        assert set(np.unique(block)) == {children * 5, np.iinfo(np.int32).max}
 
 
 def test_parity_float_min_replay():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ops import SUM, ReductionOp
 from repro.core.staggered import arrival_arrays, arrival_stream
 from repro.pspin.packets import HEADER_BYTES
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
@@ -300,6 +301,8 @@ def test_l2_back_pressure_falls_back(monkeypatch):
         {"handler_children": 9},           # a child never sends: no block completes
         # int32 payloads cast into float32 storage
         {"workload": make_sparse_workload(8, 4, EPP, 0.1, dtype="int32", seed=5)},
+        # a custom operator that reuses the builtin's name is custom too
+        {"op": ReductionOp("sum", SUM.combine_into)},
     ],
 )
 def test_switch_declines_what_it_cannot_model(case):
