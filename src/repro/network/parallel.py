@@ -7,8 +7,8 @@ processes; the coordinator process keeps the driver loop, the
 collectives' callbacks, and every ``Message`` object, while workers
 simulate transport through their region of the fabric.
 
-Design in five invariants
--------------------------
+Design in six invariants
+------------------------
 1. **Windows equal lookahead.**  Each barrier grants everyone the
    window ``[T0, T0 + L)`` where ``T0`` is the global minimum next
    event and ``L`` the minimum link latency.  A message processed at
@@ -16,8 +16,9 @@ Design in five invariants
    T0 + L``, so every event strictly inside the window is safe — and,
    because *every* link's latency is at least ``L``, a message makes at
    most one hop per window.  That single-hop property is what lets a
-   worker execute a whole window as one numpy batch (sort arrivals per
-   link, chain the serializations) instead of running an event loop.
+   FIFO worker with no fault schedule (``_VectorWorker``) execute a
+   whole window as one numpy batch (sort arrivals per link, chain the
+   serializations) instead of running an event loop.
    One exception: a callback at a *switch* (an aggregation tree) may
    relay from that switch at its delivery instant, with no link in
    between.  A worker's window therefore ends just past its first
@@ -52,10 +53,13 @@ Design in five invariants
 5. **Faults replay inside their owning shard.**  ``LinkFault`` rolls
    are seeded on the link's monotone message counter, so they are a
    pure function of per-link event order — deterministic wherever the
-   link executes.  Each worker arms its own injector over its private
+   link executes.  A run with an armed fault schedule forks per-event
+   workers (``_EventWorker``, whatever the arbitration): each is a real
+   ``NetworkSimulator`` that arms its own injector over its private
    topology copy from the coordinator's armed spec list, fires
    apply/repair transitions at the exact simulated instants, and rolls
-   loss/duplication locally; end-to-end retransmissions are handed to
+   loss/duplication locally with the oracle's own ``Link.transmit``,
+   ``_lose`` and injector code.  End-to-end retransmissions are handed to
    the shard owning the source host through the regular crossing
    batches (an extra ``meta`` column carries the retry count,
    duplicate flag, and retransmit-event flag).  Only the genuinely
@@ -65,8 +69,8 @@ Design in five invariants
    reactions mutate cross-shard state at window granularity).
 
 6. **The engine supervises its own workers.**  Barrier receives poll
-   with a heartbeat instead of blocking forever.  Under the default
-   ``checkpoint`` supervision mode each window's reply carries the
+   with a heartbeat (``REPRO_WORKER_TIMEOUT`` seconds, default 30)
+   instead of blocking forever.  Each window's reply carries the
    worker's post-window in-flight state (pending arrivals, WFQ queue
    contents, link-counter deltas), which the coordinator folds into a
    per-shard mirror — windows are natural checkpoint boundaries.  When
@@ -74,8 +78,7 @@ Design in five invariants
    through the completed window, the dead shard is restored from its
    last completed window plus the undelivered grant, and the run
    continues sequentially with identical results, recording a
-   degradation event instead of hanging.  ``REPRO_SUPERVISE=detect``
-   keeps detection but fails fast; ``off`` restores blocking receives.
+   degradation event instead of hanging.
 
 Determinism: batches are sorted by ``(time, mid)`` before scheduling
 (mid is the coordinator-assigned creation order), worker replies are
@@ -97,7 +100,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from repro.network.faults import _HASH_SPAN, FaultInjector
+from repro.network.faults import FaultInjector
 from repro.network.routing import Router
 from repro.network.shard import ShardPlan, updown_next_hop_vec
 from repro.network.simulator import (
@@ -105,7 +108,6 @@ from repro.network.simulator import (
 )
 from repro.network.topology import NodeId, Topology
 from repro.pspin.engine import Simulator
-from repro.utils.rngtools import stable_hash
 
 _INF = float("inf")
 
@@ -153,6 +155,24 @@ def _sort_batch(batch: tuple) -> tuple:
 
 def _msg_meta(msg: Message) -> int:
     return (msg.retries << 2) | (_META_EPHEMERAL if msg.ephemeral else 0)
+
+
+def _worker_timeout_s() -> float:
+    """Barrier heartbeat timeout from ``REPRO_WORKER_TIMEOUT``.  A
+    non-finite deadline never expires (a wedged worker would hang the
+    barrier) and a non-positive one declares any reply slower than one
+    poll wedged, so both are rejected."""
+    raw = os.environ.get("REPRO_WORKER_TIMEOUT", "30")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"REPRO_WORKER_TIMEOUT={raw!r}; use a finite number of "
+            "seconds > 0"
+        )
+    return value
 
 
 class _WorkerDied(Exception):
@@ -280,22 +300,13 @@ class ShardedNetworkSimulator(NetworkSimulator):
         #: worker-crash recovery, as dicts with ``event``, ``reason``,
         #: ``sim_time_ns`` (provenance records these per run).
         self.degradations: list[dict] = []
-        #: Worker supervision at the barrier: ``checkpoint`` (default)
-        #: ships per-window state mirrors and recovers crashed workers
-        #: sequentially; ``detect`` fails fast on a dead/wedged worker;
-        #: ``off`` restores plain blocking receives.
-        self.supervision = os.environ.get("REPRO_SUPERVISE", "checkpoint")
-        if self.supervision not in ("checkpoint", "detect", "off"):
-            raise ValueError(
-                f"REPRO_SUPERVISE={self.supervision!r}; "
-                "use 'checkpoint', 'detect' or 'off'"
-            )
-        self.worker_timeout_s = float(
-            os.environ.get("REPRO_WORKER_TIMEOUT", "30")
-        )
-        # Per-shard state mirrors (checkpoint supervision): the shard's
-        # post-window in-flight state, and the last grant batch not yet
-        # folded into it.  FIFO mirrors accumulate as batch *lists*
+        self.worker_timeout_s = _worker_timeout_s()
+        # Worker kind, fixed at fork: vectorized windows (FIFO, no
+        # fault schedule) or per-event shards.
+        self._vector = False
+        # Per-shard state mirrors: the shard's post-window in-flight
+        # state, and the last grant batch not yet folded into it.
+        # Vector-worker mirrors accumulate as batch *lists*
         # (appending is O(1) per window) and compact lazily — the
         # delivered-row filter is monotone in the window stop, so one
         # filter at compaction/crash time equals filtering every
@@ -552,8 +563,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
         shard_batches = self._split_pending()
         dead: dict[int, str] = {}
         for w, (conn, batch) in enumerate(zip(self._conns, shard_batches)):
-            if self.supervision == "checkpoint":
-                self._last_batch[w] = batch
+            self._last_batch[w] = batch
             try:
                 conn.send(("w", stop, batch, ctl))
             except (BrokenPipeError, OSError):
@@ -611,34 +621,31 @@ class ShardedNetworkSimulator(NetworkSimulator):
     def _recv(self, w: int, conn):
         """One barrier receive with heartbeat supervision.  Raises
         :class:`_WorkerDied` when the worker exited or stayed silent
-        past the timeout (supervision 'checkpoint'/'detect' only)."""
-        if self.supervision == "off":
-            reply = conn.recv()
-        else:
-            proc = self._procs[w]
-            deadline = _walltime.monotonic() + self.worker_timeout_s
-            while True:
+        past the timeout."""
+        proc = self._procs[w]
+        deadline = _walltime.monotonic() + self.worker_timeout_s
+        while True:
+            try:
+                if conn.poll(0.05):
+                    reply = conn.recv()
+                    break
+            except (EOFError, OSError):
+                raise _WorkerDied(w, "worker process died") from None
+            if not proc.is_alive():
+                # Drain a reply written just before death.
                 try:
-                    if conn.poll(0.05):
+                    if conn.poll(0):
                         reply = conn.recv()
                         break
                 except (EOFError, OSError):
-                    raise _WorkerDied(w, "worker process died") from None
-                if not proc.is_alive():
-                    # Drain a reply written just before death.
-                    try:
-                        if conn.poll(0):
-                            reply = conn.recv()
-                            break
-                    except (EOFError, OSError):
-                        pass
-                    raise _WorkerDied(w, "worker process died")
-                if _walltime.monotonic() >= deadline:
-                    raise _WorkerDied(
-                        w,
-                        "worker wedged at the barrier "
-                        f"(> {self.worker_timeout_s:.0f}s)",
-                    )
+                    pass
+                raise _WorkerDied(w, "worker process died")
+            if _walltime.monotonic() >= deadline:
+                raise _WorkerDied(
+                    w,
+                    "worker wedged at the barrier "
+                    f"(> {self.worker_timeout_s:.0f}s)",
+                )
         if reply[0] == "err":
             if len(reply) > 2 and reply[2] == "UnreachableError":
                 raise UnreachableError(
@@ -675,7 +682,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
             self._apply_busy(busy)
         if peaks:
             self._merge_queue_peaks(peaks)
-        if self.arbitration == "fifo":
+        if self._vector:
             # state = every arrival generated inside the shard this
             # window; post-window pend is exactly the t >= stop subset
             # of (previous pend | every grant | everything generated) —
@@ -697,9 +704,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
         self._last_batch[w] = None
 
     def _compact_mirror(self, w: int) -> list:
-        """Concat shard ``w``'s accumulated FIFO mirror batches and
-        drop rows its worker already delivered (``t`` before the last
-        completed window stop)."""
+        """Concat shard ``w``'s accumulated vector-worker mirror
+        batches and drop rows its worker already delivered (``t``
+        before the last completed window stop)."""
         bucket = self._mirror[w]
         if not bucket:
             return []
@@ -734,13 +741,6 @@ class ShardedNetworkSimulator(NetworkSimulator):
         its live state; re-executing from there sequentially reproduces
         the uninterrupted run bitwise.
         """
-        if self.supervision != "checkpoint":
-            raise RuntimeError(
-                "shard worker(s) died at the barrier: "
-                + "; ".join(
-                    f"worker {w}: {reason}" for w, reason in dead.items()
-                )
-            )
         for w, reason in dead.items():
             self._record_degradation(
                 "worker_crash", reason, worker=w, window_stop=float(stop),
@@ -760,33 +760,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
         arrivals: list[tuple] = []
         queues: list[tuple] = []
         for w in range(self._plan.n_shards):
-            mirror = self._mirror[w]
-            if self.arbitration == "fifo":
-                batch = _concat_batches(
-                    self._compact_mirror(w) + [self._last_batch[w]]
-                )
-                if batch is not None:
-                    t, mid, node, meta = (
-                        batch[0], batch[1], batch[2], batch[7]
-                    )
-                    for i in range(t.size):
-                        arrivals.append((
-                            float(t[i]), int(mid[i]), int(mid[i]),
-                            int(node[i]), int(meta[i]),
-                        ))
-            else:
-                if mirror is not None:
-                    arr, qs = mirror
-                    arrivals.extend(arr)
-                    queues.extend(qs)
-                last = self._last_batch[w]
-                if last is not None:
-                    t, mid, node, meta = last[0], last[1], last[2], last[7]
-                    for i in range(t.size):
-                        arrivals.append((
-                            float(t[i]), int(mid[i]), int(mid[i]),
-                            int(node[i]), int(meta[i]),
-                        ))
+            self._mirror_state(w, arrivals, queues)
         self._shutdown_procs()
         self.engaged = False
         self._flushed = True
@@ -794,6 +768,27 @@ class ShardedNetworkSimulator(NetworkSimulator):
         self._worker_next = [_INF] * n
         self._worker_pending = [0] * n
         self._restore_recalled(arrivals, queues)
+
+    def _mirror_state(self, w: int, arrivals: list, queues: list) -> None:
+        """Append shard ``w``'s in-flight state as of its last completed
+        window — its mirror plus the grant batch not yet folded into
+        it — as ``_restore_recalled`` arrival and queue rows."""
+        if self._vector:
+            batches = self._compact_mirror(w) + [self._last_batch[w]]
+        else:
+            if self._mirror[w] is not None:
+                arr, qs = self._mirror[w]
+                arrivals.extend(arr)
+                queues.extend(qs)
+            batches = [self._last_batch[w]]
+        batch = _concat_batches(batches)
+        if batch is not None:
+            t, mid, node, meta = batch[0], batch[1], batch[2], batch[7]
+            for i in range(t.size):
+                arrivals.append((
+                    float(t[i]), int(mid[i]), int(mid[i]), int(node[i]),
+                    int(meta[i]),
+                ))
 
     def _schedule_batch(self, batch: tuple) -> None:
         names = self._index.names
@@ -938,20 +933,12 @@ class ShardedNetworkSimulator(NetworkSimulator):
                 self._merge_queue_peaks(peaks)
             self._worker_last[w] = last_t
         self._flushed = True
-        if dead:
-            # At a flush barrier every shard is idle (quiescence) or
-            # its in-flight state is intentionally dropped (shutdown
-            # mid-run); under checkpoint supervision the counters were
-            # already merged per window, so only record the loss.
-            if self.supervision != "checkpoint":
-                raise RuntimeError(
-                    "shard worker(s) died at the flush barrier: "
-                    + "; ".join(
-                        f"worker {w}: {r}" for w, r in dead.items()
-                    )
-                )
-            for w, reason in dead.items():
-                self._record_degradation("worker_crash", reason, worker=w)
+        # At a flush barrier every shard is idle (quiescence) or its
+        # in-flight state is intentionally dropped (shutdown mid-run);
+        # the counters were already merged per window, so only record
+        # the loss.
+        for w, reason in dead.items():
+            self._record_degradation("worker_crash", reason, worker=w)
 
     def _quiesce(self) -> None:
         """Global idle: merge per-link tables, settle the clock."""
@@ -975,6 +962,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
     # ------------------------------------------------------------------
     def _fork(self) -> None:
         ctx = get_context("fork")
+        self._vector = self.arbitration == "fifo" and self.faults is None
         # Everything in the ctl log so far is visible in the fork
         # snapshot; only later entries need broadcasting.
         self._ctl_sent = len(self._ctl)
@@ -1060,47 +1048,13 @@ class ShardedNetworkSimulator(NetworkSimulator):
             if peaks:
                 self._merge_queue_peaks(peaks)
             self._worker_last[w] = last_t
-        if dead:
-            if self.supervision != "checkpoint":
-                raise RuntimeError(
-                    "shard worker(s) died during recall: "
-                    + "; ".join(f"worker {w}: {r}" for w, r in dead.items())
-                )
-            # Restore the dead shard(s) from their mirrors (state as of
-            # the last completed window — exact: a recall happens
-            # between windows, when every effect through the last
-            # window has already been absorbed).
-            for w, reason_ in dead.items():
-                self._record_degradation("worker_crash", reason_, worker=w)
-                mirror = self._mirror[w]
-                if self.arbitration == "fifo":
-                    batch = _concat_batches(
-                        self._compact_mirror(w) + [self._last_batch[w]]
-                    )
-                    if batch is not None:
-                        t, mid, node, meta = (
-                            batch[0], batch[1], batch[2], batch[7]
-                        )
-                        for i in range(t.size):
-                            arrivals.append((
-                                float(t[i]), int(mid[i]), int(mid[i]),
-                                int(node[i]), int(meta[i]),
-                            ))
-                else:
-                    if mirror is not None:
-                        arr, qs = mirror
-                        arrivals.extend(arr)
-                        queues.extend(qs)
-                    last = self._last_batch[w]
-                    if last is not None:
-                        t, mid, node, meta = (
-                            last[0], last[1], last[2], last[7]
-                        )
-                        for i in range(t.size):
-                            arrivals.append((
-                                float(t[i]), int(mid[i]), int(mid[i]),
-                                int(node[i]), int(meta[i]),
-                            ))
+        # Restore the dead shard(s) from their mirrors (state as of the
+        # last completed window — exact: a recall happens between
+        # windows, when every effect through the last window has
+        # already been absorbed).
+        for w, reason_ in dead.items():
+            self._record_degradation("worker_crash", reason_, worker=w)
+            self._mirror_state(w, arrivals, queues)
         self._shutdown_procs()
         self.engaged = False
         self._restore_recalled(arrivals, queues)
@@ -1205,7 +1159,7 @@ def _worker_main(conn, shard: int, coord: ShardedNetworkSimulator) -> None:
     """Forked worker entry point: build the shard runtime over the
     inherited (copy-on-write) snapshot and serve barrier requests."""
     try:
-        if coord.arbitration == "fifo":
+        if coord._vector:
             runtime = _VectorWorker(coord, shard)
         else:
             runtime = _EventWorker(coord, shard)
@@ -1263,13 +1217,6 @@ class _WorkerBase:
         self.snap_msgs = np.fromiter(
             (ln.messages_carried for ln in links), np.int64, len(links)
         )
-        # Checkpoint supervision: ship post-window in-flight state with
-        # every barrier reply so the coordinator can recover this shard
-        # if the process later dies.
-        self.ship_ck = coord.supervision == "checkpoint"
-        self.link_index = {
-            key: i for i, key in enumerate(self.index.link_keys)
-        }
 
     # -- control ops ---------------------------------------------------
     def apply_controls(self, ctl: list[tuple]) -> None:
@@ -1363,10 +1310,12 @@ class _WorkerBase:
 
 
 class _EventWorker(_WorkerBase):
-    """Per-event worker shard (WFQ arbitration): a real
-    :class:`NetworkSimulator` over this process's topology copy, with
-    cross-shard arrivals diverted into the outbox and deliveries
-    bounced back to the coordinator."""
+    """Per-event worker shard, used under WFQ arbitration or any armed
+    fault schedule: a real :class:`NetworkSimulator` over this
+    process's topology copy (so fault replay runs the sequential
+    oracle's own transmit, loss and injector code), with cross-shard
+    arrivals diverted into the outbox and deliveries bounced back to
+    the coordinator."""
 
     def __init__(self, coord: ShardedNetworkSimulator, shard: int) -> None:
         super().__init__(coord, shard)
@@ -1381,6 +1330,9 @@ class _EventWorker(_WorkerBase):
         self.net._dead_flows |= coord._dead_flows
         self.outbox: list[tuple] = []
         self.deliveries: list[tuple] = []
+        self.link_index = {
+            key: i for i, key in enumerate(self.index.link_keys)
+        }
         # Global-scalar snapshots for per-window deltas.
         self._bh_sent = 0.0
         self._msgs_sent = 0
@@ -1431,14 +1383,13 @@ class _EventWorker(_WorkerBase):
         self.outbox = []
         dels = _deliveries_to_batch(self.deliveries)
         self.deliveries = []
-        if self.ship_ck:
-            arrivals, queues = self._live_state()
-            ck = (
-                arrivals, queues, self.link_flush(), self.busy_state(),
-                self.queue_peaks(),
-            )
-        else:
-            ck = None
+        # Checkpoint: post-window in-flight state, so the coordinator
+        # can recover this shard if the process later dies.
+        arrivals, queues = self._live_state()
+        ck = (
+            arrivals, queues, self.link_flush(), self.busy_state(),
+            self.queue_peaks(),
+        )
         return (
             "r", out, dels, self._stats_delta(), self.sim.peek_time(),
             self.sim.now, events, self.sim.pending, ck, stop,
@@ -1676,7 +1627,7 @@ class _ShardNet(NetworkSimulator):
 
 
 class _VectorWorker(_WorkerBase):
-    """Vectorized worker shard (FIFO arbitration).
+    """Vectorized worker shard (FIFO arbitration, no fault schedule).
 
     The single-hop-per-window invariant means a window's work is: take
     every pending arrival with ``time < stop``, route it one hop,
@@ -1717,59 +1668,12 @@ class _VectorWorker(_WorkerBase):
             for f in coord._dead_flows
             if f in self.enc_by_flow
         }
-        # Per-flow accounting [bytes_hops, messages, {link: bytes},
-        # drops, duplicates, retransmits].
+        # Per-flow accounting [bytes_hops, messages, {link: bytes}].
         self.flow_acc: dict = {}
         self._bh = 0.0
         self._nmsg = 0
         # Checkpoint supervision: every mine-generated row this window.
         self.ck_mine: list = []
-        # -- fault replay state (armed schedules only) ------------------
-        faults = coord.faults
-        self.faulty = faults is not None
-        if self.faulty:
-            self.fsalt = faults._salt
-            self.retx_timeout = coord.retransmit_timeout_ns
-            self.max_retx = coord.max_retransmits
-            # Absolute per-link message counters: the roll key.  Rolls
-            # read the post-increment counter, exactly like
-            # ``Link.transmit`` + ``FaultInjector.roll``.
-            self.nmsg_roll = self.snap_msgs.copy()
-            self.link_fault: dict[int, object] = {}
-            self.link_down = np.fromiter(
-                (ln.failed for ln in self.links), np.bool_, len(self.links)
-            )
-            self.node_failed = np.zeros(index.n_nodes, np.bool_)
-            for s in self.topology._failed_switches:
-                self.node_failed[index.idx[s]] = True
-            # Apply/repair timeline, fired lazily before the next row at
-            # or past each transition (priority-0 semantics: an event at
-            # t beats a row at t).  Applies sort before repairs at equal
-            # instants, matching the coordinator's schedule order.
-            now0 = coord.sim.now
-            timeline: list[tuple] = []
-            for i, spec in enumerate(faults.specs):
-                at = max(spec.at, now0)
-                timeline.append((at, 0, (0.0, i), spec))
-                if spec.duration_ns is not None:
-                    # Repairs at equal instants fire in the order their
-                    # applies did — the sequential heap assigns a repair
-                    # its sequence number when the apply executes.
-                    timeline.append(
-                        (at + spec.duration_ns, 1, (at, i), spec)
-                    )
-            timeline.sort(key=lambda e: (e[0], e[1], e[2]))
-            self.fault_timeline = timeline
-            self.fault_i = 0
-            # Scalar event loop state: a (t, mid, ...) row heap for the
-            # current window plus the rows parked past it.
-            self._fheap: list = []
-            self._frest: list = []
-            self._fdels: list = []
-            self._fout: list = []
-            # Reliability counters since last delta:
-            # [drops, dups, retransmits, {li: drops}, {li: dups}].
-            self.rel = [0, 0, 0, {}, {}]
 
     # -- control hooks -------------------------------------------------
     def _rebuild_cb(self) -> None:
@@ -1803,19 +1707,14 @@ class _VectorWorker(_WorkerBase):
             self.pend = _concat_batches([self.pend, batch])
         stop = self._relay_stop(stop)
         start_events = self.events
-        if self.faulty:
-            self._window_faulty(stop)
-        else:
-            while self.pend is not None:
-                take = self.pend[0] < stop
-                if not take.any():
-                    break
-                rows = _mask_batch(self.pend, take)
-                rest = ~take
-                self.pend = (
-                    _mask_batch(self.pend, rest) if rest.any() else None
-                )
-                self._process(rows)
+        while self.pend is not None:
+            take = self.pend[0] < stop
+            if not take.any():
+                break
+            rows = _mask_batch(self.pend, take)
+            rest = ~take
+            self.pend = _mask_batch(self.pend, rest) if rest.any() else None
+            self._process(rows)
         out = _concat_batches(self.outbox) if self.outbox else None
         self.outbox = []
         dels = _concat_batches(self.deliveries) if self.deliveries else None
@@ -1825,14 +1724,11 @@ class _VectorWorker(_WorkerBase):
             npend = int(self.pend[0].size)
         else:
             next_t, npend = None, 0
-        if self.ship_ck:
-            ck = (
-                _concat_batches(self.ck_mine) if self.ck_mine else None,
-                None, self.link_flush(), self.busy_state(), None,
-            )
-            self.ck_mine = []
-        else:
-            ck = None
+        ck = (
+            _concat_batches(self.ck_mine) if self.ck_mine else None,
+            None, self.link_flush(), self.busy_state(), None,
+        )
+        self.ck_mine = []
         return (
             "r", out, dels, self._stats_delta(), next_t, self.now,
             self.events - start_events, npend, ck, stop,
@@ -1924,251 +1820,11 @@ class _VectorWorker(_WorkerBase):
         out_rows = (arr, mid, nxt, src, dst, nb, fl, meta)
         if mine.any():
             mine_rows = _mask_batch(out_rows, mine)
-            if self.ship_ck:
-                self.ck_mine.append(mine_rows)
+            self.ck_mine.append(mine_rows)
             self.pend = _concat_batches([self.pend, mine_rows])
         away = ~mine
         if away.any():
             self.outbox.append(_mask_batch(out_rows, away))
-
-    # -- fault replay: scalar per-row engine ----------------------------
-    def _window_faulty(self, stop: float) -> None:
-        """Window execution under an armed fault schedule.
-
-        Faults break the batch model (each row may roll loss or
-        duplication, and the rolls consume per-link counters in event
-        order), so the window runs as a scalar mini event loop over a
-        ``(t, mid)``-ordered row heap — the same order the batch path's
-        lexsort established, so fault-free prefixes stay bitwise
-        identical.  Apply/repair transitions fire lazily before the
-        first row at or past their instant (priority-0 semantics).
-        """
-        self._fstop = stop
-        heap = self._fheap
-        if self.pend is not None:
-            take = self.pend[0] < stop
-            if take.any():
-                rows = _mask_batch(self.pend, take)
-                rest = ~take
-                self.pend = (
-                    _mask_batch(self.pend, rest) if rest.any() else None
-                )
-                cols = tuple(
-                    col.tolist() for col in rows
-                )
-                for row in zip(*cols):
-                    heapq.heappush(heap, row)
-        timeline = self.fault_timeline
-        ntl = len(timeline)
-        while heap:
-            t = heap[0][0]
-            while self.fault_i < ntl and timeline[self.fault_i][0] <= t:
-                self._fire_fault(timeline[self.fault_i])
-                self.fault_i += 1
-            self._exec_row(*heapq.heappop(heap))
-        if self._frest:
-            rest = _rows_to_batch(self._frest)
-            self._frest = []
-            if self.ship_ck:
-                self.ck_mine.append(rest)
-            self.pend = _concat_batches([self.pend, rest])
-        if self._fdels:
-            self.deliveries.append(_deliveries_to_batch(self._fdels))
-            self._fdels = []
-        if self._fout:
-            self.outbox.append(_rows_to_batch(self._fout))
-            self._fout = []
-
-    def _exec_row(
-        self, t: float, mid: int, node: int, src: int, dst: int,
-        nb: float, fl: int, meta: int,
-    ) -> None:
-        if t > self.now:
-            self.now = t
-        self.events += 1
-        if fl in self.dead_encs:
-            return
-        if meta & _META_RETRANSMIT:
-            # Host timeout firing at the source: count, then hop.
-            meta &= ~_META_RETRANSMIT
-            self._count_rel(fl, 2)
-        if node == dst:
-            if self.has_cb[node]:
-                self._fdels.append((t, mid, node, meta))
-                self.events -= 1  # executed coordinator-side
-            return
-        if node != src and self.node_failed[node]:
-            # Dead switch swallows the chunk (no link attribution).
-            self._lose_row(t, mid, src, dst, nb, fl, meta)
-            return
-        nxt = self._route_one(node, dst)
-        li = self.link_index[(self.names[node], self.names[nxt])]
-        if self.link_down[li]:
-            self._count_link_rel(li, 3)
-            self._lose_row(t, mid, src, dst, nb, fl, meta)
-            return
-        fault = self.link_fault.get(li)
-        # Mirror Link.transmit's float chain (and counter bumps) bit
-        # for bit.
-        rate = self.rate[li]
-        if fault is not None and fault.kind == "slow":
-            rate = rate / fault.slow_factor
-        busy = self.busy[li]
-        start = t if t > busy else busy
-        fin = start + nb / rate
-        self.busy[li] = fin
-        self.nmsg_roll[li] += 1
-        self.acc_bytes[li] += nb
-        self.acc_msgs[li] += 1
-        self._bh += nb
-        self._nmsg += 1
-        if fl:
-            stats = self._flow_entry(fl)
-            stats[0] += nb
-            stats[1] += 1
-            stats[2][li] = stats[2].get(li, 0.0) + nb
-        arr = fin + self.latency[li]
-        if fault is not None and fault.kind == "lossy":
-            if fault.loss_rate and self._roll(li, "drop", fault.loss_rate):
-                self._count_link_rel(li, 3)
-                self._lose_row(t, mid, src, dst, nb, fl, meta)
-                return
-            if fault.duplicate_rate and self._roll(
-                li, "dup", fault.duplicate_rate
-            ):
-                self._count_link_rel(li, 4)
-                self._count_rel(fl, 1)
-                self._emit_row(
-                    arr + self.latency[li], mid, nxt, src, dst, nb, fl,
-                    meta | _META_EPHEMERAL,
-                )
-        self._emit_row(arr, mid, nxt, src, dst, nb, fl, meta)
-
-    def _lose_row(
-        self, t: float, mid: int, src: int, dst: int, nb: float,
-        fl: int, meta: int,
-    ) -> None:
-        self._count_rel(fl, 0)
-        if meta & _META_EPHEMERAL:
-            return      # a lost duplicate; the original recovers itself
-        retries = meta >> 2
-        if retries >= self.max_retx:
-            raise UnreachableError(
-                f"chunk {self.names[src]} -> {self.names[dst]} (flow enc "
-                f"{fl}) lost {retries} retransmissions in a row; "
-                "destination unreachable (persistent failure or partition)"
-            )
-        self._emit_row(
-            t + self.retx_timeout, mid, src, src, dst, nb, fl,
-            _META_RETRANSMIT | ((retries + 1) << 2),
-        )
-
-    def _emit_row(
-        self, t: float, mid: int, node: int, src: int, dst: int,
-        nb: float, fl: int, meta: int,
-    ) -> None:
-        if self.owner[node] == self.shard:
-            row = (t, mid, node, src, dst, nb, fl, meta)
-            if t < self._fstop:
-                # Executes this window; the checkpoint mirror only needs
-                # rows that survive past the stop (``_frest``).
-                heapq.heappush(self._fheap, row)
-            else:
-                self._frest.append(row)
-        else:
-            self._fout.append((t, mid, node, src, dst, nb, fl, meta))
-
-    def _count_rel(self, fl: int, slot: int) -> None:
-        """Run-level reliability counter bump (slot 0 drops, 1
-        duplicates, 2 retransmits) with per-flow attribution."""
-        self.rel[slot] += 1
-        if fl:
-            self._flow_entry(fl)[3 + slot] += 1
-
-    def _count_link_rel(self, li: int, slot: int) -> None:
-        """Per-link attribution (slot 3 link_drops, 4 link_dups)."""
-        table = self.rel[slot]
-        table[li] = table.get(li, 0) + 1
-
-    def _flow_entry(self, fl: int) -> list:
-        stats = self.flow_acc.get(fl)
-        if stats is None:
-            stats = self.flow_acc[fl] = [0.0, 0, {}, 0, 0, 0]
-        return stats
-
-    def _roll(self, li: int, what: str, rate: float) -> bool:
-        a, b = self.index.link_keys[li]
-        return stable_hash(
-            a, b, int(self.nmsg_roll[li]), what, salt=self.fsalt
-        ) < rate * _HASH_SPAN
-
-    def _route_one(self, node: int, dst: int) -> int:
-        key = node * self.index.n_nodes + dst
-        hop = self.route_memo.get(key)
-        if hop is None:
-            names = self.names
-            try:
-                hop = self.index.idx[
-                    self.router.next_hop(names[node], names[dst])
-                ]
-            except ValueError as exc:
-                raise UnreachableError(
-                    f"no route {names[node]} -> {names[dst]}: the "
-                    "injected failures partitioned the network "
-                    f"({exc})"
-                ) from exc
-            self.route_memo[key] = hop
-        return hop
-
-    def _spec_link_ids(self, spec) -> list[int]:
-        if spec.link == "*":
-            return list(range(len(self.links)))
-        a, b = spec.link
-        out = []
-        for key in ((a, b), (b, a)):
-            li = self.link_index.get(key)
-            if li is not None:
-                out.append(li)
-        return out
-
-    def _fire_fault(self, ev: tuple) -> None:
-        _at, phase, _n, spec = ev
-        topo = self.topology
-        if phase == 0:
-            if spec.switch is not None:
-                topo.fail_switch(spec.switch)
-                self._sync_topology_state()
-            elif spec.kind == "down":
-                topo.fail_link(*spec.link)
-                self._sync_topology_state()
-            else:
-                fault = spec.link_fault()
-                for li in self._spec_link_ids(spec):
-                    self.link_fault[li] = fault
-        else:
-            if spec.switch is not None:
-                topo.repair_switch(spec.switch)
-                self._sync_topology_state()
-            elif spec.kind == "down":
-                topo.repair_link(*spec.link)
-                self._sync_topology_state()
-            else:
-                for li in self._spec_link_ids(spec):
-                    fault = self.link_fault.get(li)
-                    if fault is not None and fault.kind == spec.kind:
-                        del self.link_fault[li]
-
-    def _sync_topology_state(self) -> None:
-        """Recompute failure masks from the (just mutated) topology
-        copy and drop the route memo — outage transitions are rare, so
-        a full refresh keeps the hot path branch-free."""
-        self.link_down = np.fromiter(
-            (ln.failed for ln in self.links), np.bool_, len(self.links)
-        )
-        self.node_failed[:] = False
-        for s in self.topology._failed_switches:
-            self.node_failed[self.index.idx[s]] = True
-        self.route_memo.clear()
 
     def _route(self, node: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if self.vec_routing:
@@ -2209,17 +1865,9 @@ class _VectorWorker(_WorkerBase):
         self.flow_acc = {}
         self._bh = 0.0
         self._nmsg = 0
-        rel = None
-        if self.faulty:
-            drops, dups, retx, ldrops, ldups = self.rel
-            if drops or dups or retx or ldrops or ldups:
-                rel = (drops, dups, retx, ldrops, ldups)
-                self.rel = [0, 0, 0, {}, {}]
-        if bh == 0.0 and nmsg == 0 and not flows and rel is None:
+        if bh == 0.0 and nmsg == 0 and not flows:
             return None
-        if rel is None:
-            return (bh, nmsg, flows)
-        return (bh, nmsg, flows, rel)
+        return (bh, nmsg, flows)
 
     # -- quiescence / recall -------------------------------------------
     def link_flush(self):

@@ -13,10 +13,9 @@ returns a :class:`ShardedSimulator` whose ``run``/``run_stoppable``/
 ``step`` drive the PDES barrier protocol — every existing driver loop
 (``Fabric.run_until``, service engine, benches) works unchanged.
 
-Synchronization strategies are pluggable via ``SYNC_STRATEGIES``
-(currently ``"window"``: conservative time-stepping with the fabric's
-minimum link latency as lookahead; null-message CMB is a documented
-extension point).  Any reason the sharded engine cannot engage — no
+Synchronization is conservative time-stepping with the fabric's
+minimum link latency as lookahead (the window protocol below); it is
+the only strategy.  Any reason the sharded engine cannot engage — no
 clean cut, more workers than edge switches, a non-cacheable routing
 policy, an armed fault injector — degrades *gracefully*: a
 ``RuntimeWarning`` and the sequential engine, never an error.
@@ -184,12 +183,6 @@ def _window_backend(
     return sim, net
 
 
-#: Pluggable conservative-sync strategies for the sharded engine.
-#: ``"window"`` is lookahead-wide time-stepping; null-message CMB would
-#: register here.
-SYNC_STRATEGIES = {"window": _window_backend}
-
-
 def build_engine(
     topology,
     workers: int = 0,
@@ -197,7 +190,6 @@ def build_engine(
     routing_seed: int = 0,
     arbitration: str = "wfq",
     coordinator_hosts: bool = True,
-    sync: str = "window",
 ):
     """Build a ``(sim, net)`` engine pair, sharded when requested.
 
@@ -207,14 +199,7 @@ def build_engine(
     """
     if workers and workers > 0:
         try:
-            strategy = SYNC_STRATEGIES[sync]
-        except KeyError:
-            raise ValueError(
-                f"unknown sync strategy {sync!r}; "
-                f"available: {tuple(sorted(SYNC_STRATEGIES))}"
-            ) from None
-        try:
-            return strategy(
+            return _window_backend(
                 topology, router, routing_seed, arbitration,
                 workers, coordinator_hosts,
             )

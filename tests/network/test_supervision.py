@@ -1,9 +1,8 @@
 """Worker supervision: crashed or wedged shard workers must not hang.
 
-The coordinator heartbeats the barrier (``REPRO_SUPERVISE=checkpoint``,
-the default): every window each worker ships a checkpoint of its
-in-flight state, so when a worker dies mid-window the coordinator
-restores the whole fabric from the last completed window and finishes
+The coordinator heartbeats the barrier: every window each worker
+ships a checkpoint of its in-flight state, so when a worker dies
+mid-window the coordinator restores the whole fabric from the last completed window and finishes
 the run sequentially — with results bitwise identical to an
 uninterrupted run, plus a recorded degradation event.
 
@@ -127,14 +126,11 @@ def test_crash_recovery_warns():
     assert len(got) == 200
 
 
-def test_detect_mode_fails_fast(monkeypatch):
-    monkeypatch.setenv("REPRO_SUPERVISE", "detect")
-    with pytest.raises(RuntimeError, match="died at the barrier"):
-        _storm(2, sig=signal.SIGKILL)
-
-
-def test_unknown_supervision_mode_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_SUPERVISE", "maybe")
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1", "soon"])
+def test_bad_worker_timeout_rejected(monkeypatch, raw):
+    """A non-finite timeout never fires (a wedged worker would hang the
+    barrier); a non-positive one declares every slow reply wedged."""
+    monkeypatch.setenv("REPRO_WORKER_TIMEOUT", raw)
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    with pytest.raises(ValueError, match="REPRO_SUPERVISE"):
+    with pytest.raises(ValueError, match="REPRO_WORKER_TIMEOUT"):
         build_engine(topo, workers=2, router="updown")

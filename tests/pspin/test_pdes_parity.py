@@ -239,11 +239,17 @@ def test_fabric_ring_allreduce_bitwise_and_makespan():
     assert par_tl == seq_tl
 
 
-def _fabric_trees(workers, arbitration):
+_TREE_LOSSY = [{"kind": "lossy", "link": "*", "loss_rate": 0.02,
+                "duplicate_rate": 0.02}]
+
+
+def _fabric_trees(workers, arbitration, faults=None):
     """Chunked trees, one overlapping a ring: their switches relay at
     the delivery instant, with no link latency before the relay."""
     fab = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2, workers=workers,
                  arbitration=arbitration)
+    if faults is not None:
+        fab.load_faults(faults, seed=1)
     a = fab.communicator(name="a")
     b = fab.communicator(name="b")
     data = np.random.default_rng(0).integers(-9, 9, size=(8, 16384))
@@ -260,19 +266,27 @@ def _fabric_trees(workers, arbitration):
         ]),
     ]
     makespan = fab.now
+    traffic = fab.net.traffic
+    counters = (traffic.drops, traffic.duplicates, traffic.retransmits)
     fab.shutdown()
-    return makespan, [
+    return makespan, counters, [
         (r.time_ns, r.traffic_bytes_hops, r.extra.get("n_chunks"),
          None if "output" not in r.extra else r.extra["output"].tobytes())
         for r in results
     ]
 
 
-@pytest.mark.parametrize("arbitration", ["fifo", "wfq"])
-def test_fabric_chunked_trees_run_sharded(arbitration):
-    seq = _fabric_trees(0, arbitration)
-    assert [r[2] for r in seq[1][:3]] == [8, 2, 8]
-    assert _fabric_trees(2, arbitration) == seq
+@pytest.mark.parametrize(
+    "arbitration,faults",
+    [("fifo", None), ("wfq", None),
+     ("fifo", _TREE_LOSSY), ("wfq", _TREE_LOSSY)],
+    ids=["fifo", "wfq", "fifo-lossy", "wfq-lossy"],
+)
+def test_fabric_chunked_trees_run_sharded(arbitration, faults):
+    seq = _fabric_trees(0, arbitration, faults)
+    assert [r[2] for r in seq[2][:3]] == [8, 2, 8]
+    assert (seq[1][0] > 0) == (faults is not None)
+    assert _fabric_trees(2, arbitration, faults) == seq
 
 
 def test_fabric_workers_builds_sharded_engine():
@@ -311,12 +325,6 @@ def test_plan_shards_rejects_impossible_cuts():
     topo = FatTreeTopology(n_hosts=16, hosts_per_leaf=8, n_spines=2)
     with pytest.raises(ShardingError):
         plan_shards(topo, 8)
-
-
-def test_unknown_sync_strategy_is_an_error():
-    topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    with pytest.raises(ValueError, match="unknown sync strategy"):
-        build_engine(topo, workers=2, sync="cmb")
 
 
 def test_interceptor_registration_disengages_with_warning():
