@@ -18,7 +18,9 @@ Design in six invariants
    most one hop per window.  That single-hop property is what lets a
    FIFO worker with no fault schedule (``_VectorWorker``) execute a
    whole window as one numpy batch (sort arrivals per link, chain the
-   serializations) instead of running an event loop.
+   serializations) instead of running an event loop.  The sequential
+   simulator runs the same windows with the same kernel
+   (``repro.network.windows``).
    One exception: a callback at a *switch* (an aggregation tree) may
    relay from that switch at its delivery instant, with no link in
    between.  A worker's window therefore ends just past its first
@@ -102,11 +104,12 @@ import numpy as np
 
 from repro.network.faults import FaultInjector
 from repro.network.routing import Router
-from repro.network.shard import ShardPlan, updown_next_hop_vec
+from repro.network.shard import ShardPlan
 from repro.network.simulator import (
     Message, NetworkSimulator, UnreachableError, _LinkQueue,
 )
 from repro.network.topology import NodeId, Topology
+from repro.network.windows import VectorRoutes, chain_links
 from repro.pspin.engine import Simulator
 
 _INF = float("inf")
@@ -230,6 +233,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
     """
 
     _fault_injector_cls = _CoordinatorFaultInjector
+    _windowed = False
 
     def __init__(
         self,
@@ -1571,6 +1575,7 @@ class _ShardNet(NetworkSimulator):
     """Worker-side event simulator: owns one region of the fabric."""
 
     runtime: _EventWorker  # attached right after construction
+    _windowed = False
 
     def _schedule_hop(self, time: float, msg: Message, node: NodeId) -> None:
         rt = self.runtime
@@ -1632,15 +1637,16 @@ class _VectorWorker(_WorkerBase):
     The single-hop-per-window invariant means a window's work is: take
     every pending arrival with ``time < stop``, route it one hop,
     chain the per-link serializations, and emit the next-hop arrivals.
-    All of that runs as numpy array operations — the shard needs no
-    event heap at all, which is where the order-of-magnitude event
-    throughput over the per-event engine comes from.
+    All of that runs as numpy array operations, with no event heap.
+    Routing and the serialization chain are the sequential simulator's
+    own FIFO-window kernel (:mod:`repro.network.windows`), called with
+    the ``(time, mid)`` tie order; the sequential engine batches the
+    same windows in-process, so a sharded run gains over it only by
+    running shards in parallel.
 
-    Bitwise parity with ``Link.transmit``: a link visited by exactly
-    one arrival this window computes ``max(t, busy) + nbytes/rate``
-    elementwise (identical IEEE operations to the scalar path); links
-    with several arrivals run the same scalar ``max``/``+`` chain in a
-    Python loop over the (time, mid)-sorted segment.
+    Bitwise parity with ``Link.transmit``: :func:`chain_links` computes
+    ``max(t, busy) + nbytes/rate`` per row in per-link order, the
+    scalar path's IEEE operations.
     """
 
     def __init__(self, coord: ShardedNetworkSimulator, shard: int) -> None:
@@ -1658,11 +1664,7 @@ class _VectorWorker(_WorkerBase):
         self.deliveries: list[tuple] = []
         self.has_cb = np.zeros(index.n_nodes, np.bool_)
         self._rebuild_cb()
-        self.vec_routing = (
-            index.kind is not None and self.router.name == "updown"
-        )
-        self.salt = getattr(self.router, "_salt", 0)
-        self.route_memo: dict = {}
+        self.routes = VectorRoutes(index, self.router)
         self.dead_encs: set = {
             self.enc_by_flow[f]
             for f in coord._dead_flows
@@ -1687,7 +1689,7 @@ class _VectorWorker(_WorkerBase):
         self._rebuild_cb()
 
     def on_topology_ctl(self) -> None:
-        self.route_memo.clear()
+        self.routes.clear()
 
     def on_rate_ctl(self, a: NodeId, b: NodeId) -> None:
         idx = self.index.idx
@@ -1779,42 +1781,16 @@ class _VectorWorker(_WorkerBase):
             t, mid, node, src, dst, nb, fl, meta = (
                 c[keep] for c in (t, mid, node, src, dst, nb, fl, meta)
             )
-        nxt = self._route(node, dst)
+        nxt = self.routes(node, dst)
         li = self.index.link_ids(node, nxt)
-        ser = nb / self.rate[li]
-        order = np.lexsort((mid, t, li))
-        li_s = li[order]
-        t_s = t[order]
-        ser_s = ser[order]
-        fin = np.empty_like(t_s)
-        starts = np.ones(li_s.size, np.bool_)
-        starts[1:] = li_s[1:] != li_s[:-1]
-        seg_start = np.nonzero(starts)[0]
-        seg_end = np.append(seg_start[1:], li_s.size)
-        single = (seg_end - seg_start) == 1
-        if single.any():
-            pos = seg_start[single]
-            lids = li_s[pos]
-            fin[pos] = np.maximum(t_s[pos], self.busy[lids]) + ser_s[pos]
-            self.busy[lids] = fin[pos]
-        if not single.all():
-            busy = self.busy
-            for s, e in zip(seg_start[~single], seg_end[~single]):
-                lid = li_s[s]
-                b = busy[lid]
-                for i in range(s, e):
-                    when = t_s[i]
-                    b = (when if when > b else b) + ser_s[i]
-                    fin[i] = b
-                busy[lid] = b
+        fin = chain_links(li, t, nb / self.rate[li], mid, self.busy)
         np.add.at(self.acc_bytes, li, nb)
         np.add.at(self.acc_msgs, li, 1)
         self._bh += float(nb.sum())
         self._nmsg += int(nb.size)
         if (fl != 0).any():
             self._account_flows(li, nb, fl)
-        arr = np.empty_like(fin)
-        arr[order] = fin + self.latency[li_s]
+        arr = fin + self.latency[li]
         ow = self.owner[nxt]
         mine = ow == self.shard
         out_rows = (arr, mid, nxt, src, dst, nb, fl, meta)
@@ -1825,26 +1801,6 @@ class _VectorWorker(_WorkerBase):
         away = ~mine
         if away.any():
             self.outbox.append(_mask_batch(out_rows, away))
-
-    def _route(self, node: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        if self.vec_routing:
-            return updown_next_hop_vec(self.index, node, dst, self.salt)
-        # Scalar fallback: route each unique (node, dst) pair once.
-        nn = np.int64(self.index.n_nodes)
-        uniq, inverse = np.unique(node * nn + dst, return_inverse=True)
-        memo = self.route_memo
-        names = self.names
-        idx = self.index.idx
-        next_hop = self.router.next_hop
-        table = np.empty(uniq.size, np.int64)
-        for i, key in enumerate(uniq):
-            key = int(key)
-            hop = memo.get(key)
-            if hop is None:
-                a, b = divmod(key, int(nn))
-                hop = memo[key] = idx[next_hop(names[a], names[b])]
-            table[i] = hop
-        return table[inverse]
 
     def _account_flows(self, li, nb, fl) -> None:
         acc = self.flow_acc

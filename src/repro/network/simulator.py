@@ -39,6 +39,7 @@ from typing import Callable, Optional
 from repro.network.faults import FaultInjector, FaultSchedule
 from repro.network.routing import Router, build_router
 from repro.network.topology import NodeId, Topology
+from repro.network.windows import HopRows
 from repro.pspin.engine import Simulator
 
 
@@ -183,6 +184,9 @@ class NetworkSimulator:
     #: armed specs into the worker shards and mutes the coordinator's
     #: redundant topology broadcasts.
     _fault_injector_cls = FaultInjector
+    #: Whether hops may run in FIFO windows (:mod:`repro.network.windows`);
+    #: the sharded engine's simulators divert hops themselves.
+    _windowed = True
 
     def __init__(
         self,
@@ -207,16 +211,8 @@ class NetworkSimulator:
         #: ``REPRO_FASTPATH=0`` disables them so the benchmark harness
         #: can measure the per-event baseline.
         self.fast_path = fast_path_env_enabled()
-        #: next-hop memo for routers whose decision is a pure function
-        #: of (node, dst) — shortest and seeded ECMP; adaptive routing
-        #: consults live link state and is never cached, and up-down's
-        #: closed form is cheaper than the memo.
-        router = self.router
-        self._next_hop_cache: dict = (
-            {} if (router.cacheable and not router.closed_form and self.fast_path)
-            else None
-        )
-        self.traffic = TrafficStats()
+        self._next_hop_cache = self._fresh_memo()
+        self._traffic = TrafficStats()
         self._flow_traffic: dict[object, TrafficStats] = {}
         self._flow_weight: dict[object, float] = {}
         self._interceptors: dict[NodeId, Interceptor] = {}
@@ -248,9 +244,46 @@ class NetworkSimulator:
         # leave the memo stale.  The sharded engine extends this hook
         # to fan mutations out to worker shards.
         topology.add_change_listener(self._topology_changed)
+        #: Hop rows (:class:`~repro.network.windows.HopRows`), attached
+        #: to the engine as its row source under FIFO arbitration with a
+        #: pure router.  ``_hops`` is the store while it takes new hops
+        #: (from when it lifts a wide backlog off the engine until it
+        #: drains), None while hops are plain engine events.
+        self._rows: Optional[HopRows] = None
+        if (
+            self._windowed and arbitration == "fifo" and self.fast_path
+            and self.router.cacheable and self.sim._rows is None
+        ):
+            self._rows = self.sim._rows = HopRows(self)
+        self._hops: Optional[HopRows] = None
+
+    def _fresh_memo(self) -> Optional[dict]:
+        """A next-hop memo for routers whose decision is a pure function
+        of (node, dst) — shortest and seeded ECMP — while no faults are
+        armed; adaptive routing consults live link state and is never
+        cached, and up-down's closed form is cheaper than the memo."""
+        router = self.router
+        if router.cacheable and not router.closed_form and self.fast_path:
+            return {}
+        return None
+
+    def _settle(self) -> None:
+        """Bring a running hop window to the per-event state (see
+        :mod:`repro.network.windows`); free outside windows."""
+        rows = self._rows
+        if rows is not None and rows.dirty:
+            rows.settle()
+
+    @property
+    def traffic(self) -> TrafficStats:
+        """Aggregate traffic of the run so far."""
+        self._settle()
+        return self._traffic
 
     def _topology_changed(self, event: str, *args) -> None:
         self.on_topology_change()
+        if self._rows is not None:
+            self._rows.on_topology_change(event, args)
 
     # ------------------------------------------------------------------
     # Registration
@@ -267,17 +300,21 @@ class NetworkSimulator:
         has no registration falls back to the node's flow-``None``
         callback, so single-flow callers need not tag anything.
         """
+        self._settle()
         self._deliver_cb[(node, flow)] = callback
         self._flow_nodes.setdefault(flow, set()).add(node)
 
     def intercept(self, node: NodeId, interceptor: Interceptor) -> None:
         """Install an in-network processing hook at a switch node."""
+        self._settle()
+        self._hops = None
         self._interceptors[node] = interceptor
 
     def set_flow_weight(self, flow: object, weight: float) -> None:
         """QoS weight used by WFQ link arbitration (default 1.0)."""
         if weight <= 0:
             raise ValueError("flow weight must be positive")
+        self._settle()
         self._flow_weight[flow] = float(weight)
 
     def remove_flow(self, flow: object) -> None:
@@ -286,6 +323,7 @@ class NetworkSimulator:
         per-flow state must not accumulate; results snapshot what they
         need from :meth:`flow_stats` before the flow is removed (global
         stats always remain)."""
+        self._settle()
         self._flow_weight.pop(flow, None)
         self._flow_traffic.pop(flow, None)
         for node in self._flow_nodes.pop(flow, ()):
@@ -299,14 +337,16 @@ class NetworkSimulator:
         Used when a collective is replanned after a failure: chunks of
         the dead flow still in the event heap are discarded at their
         next hop instead of delivering into stale callbacks."""
+        self._settle()
         self._dead_flows.add(flow)
         self.remove_flow(flow)
 
     def flow_stats(self, flow: object = None) -> TrafficStats:
         """Traffic carried by one flow (global stats when ``flow`` is
         None).  Untagged messages only appear in the global stats."""
+        self._settle()
         if flow is None:
-            return self.traffic
+            return self._traffic
         return self._flow_traffic.setdefault(flow, TrafficStats())
 
     # ------------------------------------------------------------------
@@ -325,10 +365,12 @@ class NetworkSimulator:
         WFQ bypass is skipped — every chunk takes the per-packet DES
         path where loss, duplication and retransmission are exact.
         """
+        self._settle()
         if self.faults is None:
             self.faults = self._fault_injector_cls(self, seed=seed or 0)
             self.fast_path = False
             self._next_hop_cache = None
+            self._hops = None
         elif seed is not None:
             self.faults.seed = seed
             from repro.utils.rngtools import stable_hash
@@ -339,9 +381,13 @@ class NetworkSimulator:
         return self.faults
 
     def on_topology_change(self) -> None:
-        """Invalidate routing memos after a link/switch failure or
-        repair (the topology's own path caches are already reset)."""
-        self._next_hop_cache = None
+        """Clear routing memos after a link/switch failure, repair or
+        re-rating (the topology's own path caches are already reset).
+        They fill again from the live topology; armed faults keep them
+        off for good."""
+        self._settle()
+        if self.faults is None:
+            self._next_hop_cache = self._fresh_memo()
 
     # ------------------------------------------------------------------
     # Sending
@@ -349,6 +395,8 @@ class NetworkSimulator:
     def send(self, msg: Message, at: float = 0.0) -> None:
         """Inject a message at its source at absolute time ``at``."""
         now = self.sim.now
+        if self._hops is None and self._rows is not None:
+            self._rows.note_sends(1)
         self._schedule_hop(at if at > now else now, msg, msg.src)
 
     def _schedule_hop(self, time: float, msg: Message, node: NodeId) -> None:
@@ -358,9 +406,14 @@ class NetworkSimulator:
         The sharded engine overrides it: arrivals at nodes owned by
         another shard are diverted into cross-shard event batches at
         *scheduling* time — interception at execution time would be too
-        late to meet the conservative lookahead deadline.
+        late to meet the conservative lookahead deadline.  Under FIFO
+        windows the hop joins the row store instead.
         """
-        self.sim.schedule_fast(time, self._hop, (msg, node))
+        hops = self._hops
+        if hops is not None:
+            hops.push(time, msg, node)
+        else:
+            self.sim.schedule_fast(time, self._hop, (msg, node))
 
     def send_burst(self, msgs: list[Message], at: float = 0.0) -> None:
         """Inject a burst of messages at one time under ONE event.
@@ -371,7 +424,10 @@ class NetworkSimulator:
         segment sub-chunk trains they issue at the same instant.
         """
         now = self.sim.now
-        if not self.fast_path:
+        if self._hops is None and self._rows is not None:
+            self._rows.note_sends(len(msgs))
+        if not self.fast_path or self._hops is not None:
+            # Hop rows: one row per message, the per-event order.
             for msg in msgs:
                 self.send(msg, at=at)
             return
@@ -448,7 +504,7 @@ class NetworkSimulator:
         # Inlined TrafficStats.record x2: this runs once per link hop.
         nbytes = msg.nbytes
         key = (src, dst)
-        stats = self.traffic
+        stats = self._traffic
         stats.bytes_hops += nbytes
         stats.messages += 1
         per_link = stats.per_link
@@ -484,7 +540,7 @@ class NetworkSimulator:
         per-message decision; slow links stretch serialization inside
         :meth:`Link.transmit`."""
         if link.failed:
-            self._count_link(msg, self.traffic.link_drops, link)
+            self._count_link(msg, self._traffic.link_drops, link)
             self._lose(msg)
             return
         fault = link.fault
@@ -493,13 +549,13 @@ class NetworkSimulator:
         if fault is not None and fault.kind == "lossy":
             faults = self.faults
             if fault.loss_rate and faults.roll(link, "drop", fault.loss_rate):
-                self._count_link(msg, self.traffic.link_drops, link)
+                self._count_link(msg, self._traffic.link_drops, link)
                 self._lose(msg)
                 return
             if fault.duplicate_rate and faults.roll(
                 link, "dup", fault.duplicate_rate
             ):
-                self._count_link(msg, self.traffic.link_duplicates, link)
+                self._count_link(msg, self._traffic.link_duplicates, link)
                 self._count(msg, "duplicates")
                 dup = Message(
                     msg.src, msg.dst, msg.nbytes, msg.tag, msg.payload,
@@ -518,7 +574,8 @@ class NetworkSimulator:
         table[key] = table.get(key, 0) + 1
 
     def _count(self, msg: Message, counter: str) -> None:
-        setattr(self.traffic, counter, getattr(self.traffic, counter) + 1)
+        stats = self._traffic
+        setattr(stats, counter, getattr(stats, counter) + 1)
         flow = msg.flow
         if flow is not None:
             stats = self._flow_traffic.get(flow)

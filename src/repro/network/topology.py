@@ -71,6 +71,8 @@ class Topology:
         #: tables — are invalidated *at the mutation site* instead of
         #: relying on every caller to remember ``on_topology_change()``.
         self._change_listeners: list = []
+        #: Callables run before a ``Link`` is handed out (see ``link``).
+        self._read_hooks: list = []
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -200,13 +202,23 @@ class Topology:
             raise ValueError(f"unknown region {region}")
         return (region,)
 
+    def _before_read(self) -> None:
+        """Run the read hooks: network simulators with deferred hop
+        window state settle it before a ``Link`` is handed out."""
+        for hook in tuple(self._read_hooks):
+            hook()
+
     def link(self, src: NodeId, dst: NodeId) -> Link:
+        if self._read_hooks:
+            self._before_read()
         try:
             return self._links[(src, dst)]
         except KeyError:
             raise ValueError(f"no link {src} -> {dst}") from None
 
     def links(self) -> list[Link]:
+        if self._read_hooks:
+            self._before_read()
         return list(self._links.values())
 
     # ------------------------------------------------------------------

@@ -35,17 +35,48 @@ Entries are plain lists in both parts; :class:`Event` is a thin
 slotted handle over one so callers keep the ``cancel()`` API, and hot
 paths that discard the handle use :meth:`Simulator.schedule_fast` and
 skip even that allocation.
+
+A third part may be attached: a *row source* (``Simulator._rows``), the
+network simulator's store of hop rows
+(:class:`repro.network.windows.HopRows`).  Its rows are priority-1
+events keyed by the same ``(time, 1, seq)`` — they draw ``seq`` from
+this engine's counter — so the next event is the smallest of the heap
+head, the earliest bucket's head and the row head.  When a row comes
+first the loop hands the row source the engine's next entry as a bound
+and it runs every row before it (see its ``run``); every row counts as
+one event.  ``peek_time``, ``step``, ``run``, ``run_stoppable``,
+``run_window``, ``pending``, ``queued`` and ``events_processed`` all see
+the rows.  A row source may defer its own bookkeeping while it runs a
+window of rows; any re-entrant call into the engine first has it
+*settle* (bring every structure to the per-event state).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 # Entry layout (plain list; heap entries compare element-wise):
 _TIME, _PRIORITY, _SEQ, _CALLBACK, _ARGS = range(5)
 _INF = float("inf")
+
+
+def _row_first(rows, entry: list | None) -> bool:
+    """Whether the row source's head comes before engine ``entry``
+    (None = idle engine) under ``(time, priority, seq)``; rows are
+    priority 1."""
+    rt = rows.head_t
+    if entry is None:
+        return rt < _INF
+    t = entry[_TIME]
+    if rt != t:
+        return rt < t
+    priority = entry[_PRIORITY]
+    if priority != 1:
+        return priority > 1
+    return rows.head_seq < entry[_SEQ]
 
 
 class Event:
@@ -129,6 +160,8 @@ class Simulator:
         #: it (e.g. a future settling) to hand control back to the
         #: driver without a per-event predicate call.
         self.stop_requested: bool = False
+        #: Attached row source (None = none): see the module docstring.
+        self._rows = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -265,7 +298,11 @@ class Simulator:
     def queued(self) -> Iterator[tuple]:
         """Every live pending event as ``(time, priority, seq, callback,
         args)``, in no particular order (recall/checkpoint snapshots)."""
-        return map(tuple, self._live())
+        rows = self._settled_rows()
+        live = map(tuple, self._live())
+        if rows is None or not rows.count:
+            return live
+        return chain(live, rows.queued())
 
     # ------------------------------------------------------------------
     # Execution
@@ -278,11 +315,15 @@ class Simulator:
         :attr:`local_bound` after every event.  ``stoppable`` also stops
         right after an event that set :attr:`stop_requested`.
         """
+        if self._rows is not None:
+            self._rows.prepare()
         heap = self._heap
         buckets = self._buckets
         times = self._times
         processed = 0
         while True:
+            # Re-read per event: a callback may attach a row source.
+            rows = self._rows
             # The next entry: the earliest bucket's head unless the heap
             # head comes first (an inlined :meth:`_head`, which purges
             # any cancelled head on the rare path).
@@ -301,10 +342,21 @@ class Simulator:
                 entry = heap[0]
                 t = entry[_TIME]
             else:
-                break
-            if entry[_CALLBACK] is None:
+                entry = None
+                t = _INF
+            if entry is not None and entry[_CALLBACK] is None:
                 self._head()
                 continue
+            if rows is not None and rows.head_t <= t and _row_first(rows, entry):
+                ran = rows.run(entry, stop, window, stoppable)
+                if not ran:
+                    break                     # the head row is past ``stop``
+                processed += ran
+                if stoppable and self.stop_requested:
+                    break
+                continue
+            if entry is None:
+                break
             if window:
                 bound = self.local_bound
                 if t >= (stop if stop < bound else bound):
@@ -343,6 +395,8 @@ class Simulator:
                         break
                     if heap and heap[0][_TIME] <= t and heap[0][_PRIORITY] < 1:
                         break
+                    if rows is not None and rows.head_t <= t:
+                        break                 # a row may come between
                 if stoppable and self.stop_requested:
                     break
                 continue
@@ -352,11 +406,25 @@ class Simulator:
             if stoppable and self.stop_requested:
                 break
         self._events_processed += processed
+        self._settled_rows()
         return processed
+
+    def _settled_rows(self):
+        """The attached row source, settled first if it is mid-window
+        (a callback re-entering the engine sees the per-event state)."""
+        rows = self._rows
+        if rows is not None and rows.dirty:
+            rows.settle()
+        return rows
 
     def step(self) -> bool:
         """Run the single earliest pending event.  Returns False when idle."""
+        rows = self._settled_rows()
         entry = self._head()
+        if rows is not None and _row_first(rows, entry):
+            rows.step()
+            self._events_processed += 1
+            return True
         if entry is None:
             return False
         self._pop(entry)
@@ -368,7 +436,10 @@ class Simulator:
     def run(self, until: float | None = None) -> None:
         """Run events in order; stop when the queue drains or time passes ``until``."""
         self._run(_INF if until is None else until, False, False)
-        if until is not None and (until > self.now or self._head() is not None):
+        if until is not None and (
+            until > self.now or self._head() is not None
+            or (self._rows is not None and self._rows.count)
+        ):
             self.now = until
 
     def run_stoppable(self) -> bool:
@@ -391,7 +462,10 @@ class Simulator:
         advertises its next event time so the coordinator can compute a
         global safe window.
         """
+        rows = self._settled_rows()
         entry = self._head()
+        if rows is not None and _row_first(rows, entry):
+            return rows.head_t
         return None if entry is None else entry[_TIME]
 
     def run_window(self, stop: float, stoppable: bool = False) -> int:
@@ -413,7 +487,8 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for _ in self._live())
+        rows = self._settled_rows()
+        return sum(1 for _ in self._live()) + (rows.count if rows is not None else 0)
 
     @property
     def events_processed(self) -> int:
