@@ -246,16 +246,13 @@ class NetworkSimulator:
         topology.add_change_listener(self._topology_changed)
         #: Hop rows (:class:`~repro.network.windows.HopRows`), attached
         #: to the engine as its row source under FIFO arbitration with a
-        #: pure router.  ``_hops`` is the store while it takes new hops
-        #: (from when it lifts a wide backlog off the engine until it
-        #: drains), None while hops are plain engine events.
+        #: pure router.
         self._rows: Optional[HopRows] = None
         if (
             self._windowed and arbitration == "fifo" and self.fast_path
             and self.router.cacheable and self.sim._rows is None
         ):
             self._rows = self.sim._rows = HopRows(self)
-        self._hops: Optional[HopRows] = None
 
     def _fresh_memo(self) -> Optional[dict]:
         """A next-hop memo for routers whose decision is a pure function
@@ -307,7 +304,6 @@ class NetworkSimulator:
     def intercept(self, node: NodeId, interceptor: Interceptor) -> None:
         """Install an in-network processing hook at a switch node."""
         self._settle()
-        self._hops = None
         self._interceptors[node] = interceptor
 
     def set_flow_weight(self, flow: object, weight: float) -> None:
@@ -370,7 +366,6 @@ class NetworkSimulator:
             self.faults = self._fault_injector_cls(self, seed=seed or 0)
             self.fast_path = False
             self._next_hop_cache = None
-            self._hops = None
         elif seed is not None:
             self.faults.seed = seed
             from repro.utils.rngtools import stable_hash
@@ -395,8 +390,6 @@ class NetworkSimulator:
     def send(self, msg: Message, at: float = 0.0) -> None:
         """Inject a message at its source at absolute time ``at``."""
         now = self.sim.now
-        if self._hops is None and self._rows is not None:
-            self._rows.note_sends(1)
         self._schedule_hop(at if at > now else now, msg, msg.src)
 
     def _schedule_hop(self, time: float, msg: Message, node: NodeId) -> None:
@@ -406,14 +399,9 @@ class NetworkSimulator:
         The sharded engine overrides it: arrivals at nodes owned by
         another shard are diverted into cross-shard event batches at
         *scheduling* time — interception at execution time would be too
-        late to meet the conservative lookahead deadline.  Under FIFO
-        windows the hop joins the row store instead.
+        late to meet the conservative lookahead deadline.
         """
-        hops = self._hops
-        if hops is not None:
-            hops.push(time, msg, node)
-        else:
-            self.sim.schedule_fast(time, self._hop, (msg, node))
+        self.sim.schedule_fast(time, self._hop, (msg, node))
 
     def send_burst(self, msgs: list[Message], at: float = 0.0) -> None:
         """Inject a burst of messages at one time under ONE event.
@@ -424,10 +412,7 @@ class NetworkSimulator:
         segment sub-chunk trains they issue at the same instant.
         """
         now = self.sim.now
-        if self._hops is None and self._rows is not None:
-            self._rows.note_sends(len(msgs))
-        if not self.fast_path or self._hops is not None:
-            # Hop rows: one row per message, the per-event order.
+        if not self.fast_path:
             for msg in msgs:
                 self.send(msg, at=at)
             return

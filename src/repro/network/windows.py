@@ -7,65 +7,56 @@ arrival one link later.  Every link is at least ``L`` (the minimum link
 latency) long, so a hop processed at ``t >= T`` schedules its child no
 earlier than ``T + L``: all hop events in ``[T, T + L)`` are independent
 of each other except through the FIFO order on shared links.
-:class:`HopRows` exploits that.  It is the network's store of pending
-hop *rows*, attached to the engine as its row source
-(``Simulator._rows``); rows are keyed by the engine's own ``(time, 1,
-seq)``, so the engine interleaves them with its other events exactly.
+:class:`HopRows` exploits that.  It holds a block of hop *rows* sorted
+by the engine's own key ``(time, 1, seq)`` and is attached to the
+engine as its row source (``Simulator._rows``), so the engine
+interleaves the rows with its other events exactly.
 
-A *window* takes every row before both ``T + L`` and the engine's next
-entry, routes the rows with :class:`VectorRoutes`, serializes each
-link's rows in ``(time, seq)`` order with :func:`chain_links` (the
-kernel the sharded engine's vector workers call too), and gives the
-children ``seq`` numbers in processing order.  Deliveries run their
-callbacks in row order with ``sim.now`` and the engine's seq counter
-set where the per-event loop would have them.  Windows narrower than
-:data:`MIN_VECTOR_ROWS` run row by row through ``NetworkSimulator._hop``
-from the same store, which is also how rows run whenever the window
-path is off (armed faults, interceptors, non-pure routing).  Hops are
-plain engine events until the engine holds a wide backlog of them
-(:data:`LIFT_MIN_EVENTS`); only then does the store take them over.
+A *window* starts at the earliest row or event ``T`` and takes every
+hop before both ``T + L`` and the first engine entry a window may not
+take (any event that is not a hop of an untagged message with an
+integral, non-negative byte count).  When it holds at least
+:data:`MIN_VECTOR_ROWS` hops, the hop events it covers move from the
+engine into the block, the rows are routed with :class:`VectorRoutes`,
+each link's rows are serialized in ``(time, seq)`` order with
+:func:`chain_links` (the kernel the sharded engine's vector workers
+call too), and the children get ``seq`` numbers in processing order.
+Deliveries run their callbacks in row order with ``sim.now`` and the
+engine's seq counter set where the per-event loop would have them.  A
+narrower window hands its rows back to the engine as plain hop events,
+so ``NetworkSimulator._hop`` in the engine loop stays the only
+per-event path.
 
-Callback contract.  Link fields and traffic statistics are written
-lazily: per window, or deferred across windows until read (see
-:class:`HopRows`); they are current whenever the engine's run returns.
-Inside a delivery callback, reading them through ``net.traffic``,
-``net.flow_stats``, ``net.traffic_extra``, ``topology.link`` or
-``topology.links`` — or calling into the engine, or changing flows,
-weights, faults, interceptors, routes or rates, or scheduling anything
-before the window's last row — *settles* the window: every row before
-the current one is committed, the rows after it go back to the store,
-and the window ends after the current row.  A ``Link`` object held from
-before the run is only current outside callbacks.
+Callback contract.  A window writes the ``Link`` fields and the traffic
+statistics when it ends.  Inside a delivery callback, reading them
+through ``net.traffic``, ``net.flow_stats``, ``net.traffic_extra``,
+``topology.link`` or ``topology.links`` — or calling into the engine,
+or changing flows, weights, faults, interceptors, routes or rates, or
+scheduling anything at or before the window's last row — *settles* the
+window: every row before the current one is committed, the rows after
+it go back to the block, and the window ends after the current row.  A
+``Link`` object held from before the run is only current outside
+callbacks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 _INF = float("inf")
-#: Windows with fewer rows run row by row through ``_hop``: the numpy
-#: kernel's fixed cost (a few dozen array calls) pays off only on wider
-#: windows.
+#: Windows with fewer hops run as engine events: the numpy kernel's
+#: fixed cost (a few dozen array calls) pays off only on wider windows.
 MIN_VECTOR_ROWS = 256
-#: Hop events the engine must hold, :data:`MIN_VECTOR_ROWS` of them in
-#: its next window, before the network moves them into its row store;
-#: below that hops stay plain engine events (a standalone collective's
-#: few messages per step never pay for the store).  The store hands new
-#: hops back to the engine after :data:`COLD_AFTER` windows in a row
-#: ran row by row.
-LIFT_MIN_EVENTS = 1024
-COLD_AFTER = 8
-#: A vector window cut before half its rows ran (its callbacks keep
-#: reading state or sending inside it) wasted its kernel work, so the
-#: next windows run row by row: 1, 2, 4, ... up to this many.
-MAX_BACKOFF = 64
-#: Sums of integral floats below 2**53 are exact, so order-free;
-#: deferred totals stay below 2**52 so base plus delta stays exact.
-_EXACT = 2.0 ** 53
+#: A window takes at most this many rows (a prefix of a wider one is a
+#: window too): wider windows gain little, and their arrays grow with
+#: them.
+MAX_VECTOR_ROWS = 16384
+#: Deferred byte totals and deltas stay below this, so their sums stay
+#: below 2**53: exact integers, whatever the order of addition.
 _HALF = 2.0 ** 52
 
 
@@ -149,87 +140,36 @@ class VectorRoutes:
         return table[inverse]
 
 
-def _groups(key: np.ndarray, values: np.ndarray):
-    """Group rows by ``key`` keeping row order inside each group.
-
-    Returns ``(order, keys, a, z, sums)``: rows sorted by key (stable),
-    and per group — in order of first appearance — its key, its
-    ``[a, z)`` span in ``order`` and the sum of its ``values``."""
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    brk = np.flatnonzero(ks[1:] != ks[:-1]) + 1
-    a = np.concatenate(([0], brk))
-    z = np.append(brk, key.size)
-    sums = np.add.reduceat(values[order], a)
-    first = np.argsort(order[a], kind="stable")
-    return order, ks[a][first], a[first], z[first], sums[first]
-
-
-def _fold(v, values: list, a: int, z: int):
-    """``v`` plus ``values[a:z]`` one at a time (the per-event sum)."""
-    for x in values[a:z]:
-        v = v + x
-    return v
-
-
-def _exact(v, s) -> bool:
-    """Whether ``v + s`` equals adding the integral summands of ``s``
-    to ``v`` one at a time: ``v`` is integral and the total below
-    2**53."""
-    return v % 1.0 == 0.0 and v + s < _EXACT
-
-
 class _Window:
     """One vector window in flight (see :meth:`HopRows._vector`)."""
 
     __slots__ = (
         "cols", "xp", "li", "nxt", "arr", "fin", "base", "t_last",
-        "pos", "xr", "cb_pos", "cb_extra", "settled", "called",
+        "pos", "xr", "cb_pos", "cb_extra", "settled",
     )
 
 
-_seq_of = itemgetter(0)      # a bucket row's seq (a lifted burst's rows share one)
-_dst = attrgetter("dst")
-_nbytes = attrgetter("nbytes")
-_flow = attrgetter("flow")
+_seq_of = itemgetter(2)      # an engine entry's seq
 
 
 class HopRows:
-    """A network's pending hop rows and their window executor.
+    """A network's hop rows and their window executor.
 
-    Rows pushed one at a time (sends, hops run row by row) wait in
-    same-instant buckets of ``(seq, msg, node)`` tuples under a heap of
-    distinct times, as in the engine; rows a vector window produces,
-    and the buckets when a window is wide, live in one block of columns
-    sorted by ``(time, seq)``: time, seq, node, dst, nbytes, flow code,
-    message.  Flat tables (node and link indices, rates,
-    latencies, deferred link state) are built at the first vector
-    window.
-
-    Deferred state.  Windows over integral byte counts keep the links'
-    ``busy_until`` and the byte and message counts of links and of the
-    global :class:`TrafficStats` in arrays (sums of integers below
-    2**52 are exact, so the order of addition does not matter); they
-    reach the ``Link`` objects and ``net.traffic`` when read through an
-    accessor or when the engine's run returns (:meth:`settle`).  Other
-    windows write them directly with the per-event float sums.
+    The rows live in one block of columns sorted by ``(time, seq)``:
+    time, seq, node, dst, nbytes, message.  Only hops of untagged
+    messages with integral, non-negative byte counts enter it, so a
+    window's byte sums are integer sums.  Flat tables (node and link
+    indices, rates, latencies) are built at the first window that
+    takes rows, not with the simulator.
     """
 
     def __init__(self, net) -> None:
         self.net = net
         self.sim = net.sim
-        self._times: list = []          # distinct bucket times (heap)
-        self._bkt: dict = {}            # time -> lone row or deque
-        self._nb = 0                    # rows in buckets
         self._blk: tuple | None = None
-        self._bt = _INF               # block head key
-        self._bs = 0
         #: Head row key (``_INF`` when empty), read by the engine.
         self.head_t = _INF
         self.head_seq = 0
-        #: Rows pushed so far (tells a callback's row pushes apart from
-        #: its engine events).
-        self.pushes = 0
         #: The window whose callbacks are running (None outside one).
         self.active: _Window | None = None
         #: A window is running or deferred state is pending: readers
@@ -238,196 +178,69 @@ class HopRows:
         self._lookahead_ns: float | None = None
         self._index = None
         self._routes: VectorRoutes | None = None
-        self._flow_code: dict = {None: 0}
-        self._flows: list = [None]
-        self._skip = 0                # windows to run row by row
-        self._backoff = 1
-        self._cold_sends = 0          # sends since the last backlog check
-        self._row_windows = 0         # windows in a row run row by row
 
     # ------------------------------------------------------------------
     # Queue interface (engine side)
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
-        return self._nb + (self._blk[0].size if self._blk is not None else 0)
-
-    def push(self, time: float, msg, node) -> None:
-        """Queue ``msg`` to hop at ``node`` at ``time`` (the
-        ``schedule_fast`` of a hop event)."""
-        sim = self.sim
-        if time < sim.now:
-            raise ValueError(f"cannot schedule at {time} < now {sim.now}")
-        seq = sim._seq
-        sim._seq = seq + 1
-        row = (seq, msg, node)
-        bkt = self._bkt
-        b = bkt.get(time)
-        if b is None:
-            bkt[time] = row
-            heappush(self._times, time)
-        elif b.__class__ is deque:
-            b.append(row)
-        else:
-            bkt[time] = deque((b, row))
-        self._nb += 1
-        self.pushes += 1
-        if time < self.head_t:
-            self.head_t = time
-            self.head_seq = seq
-        w = self.active
-        if w is not None and time < w.t_last:
-            self.settle()     # it would run between this window's rows
-
-    def _bucket_rows(self):
-        """Every bucket row as ``(time, seq, msg, node)``."""
-        for t, b in self._bkt.items():
-            for row in b if b.__class__ is deque else (b,):
-                yield (t,) + row
+        return 0 if self._blk is None else self._blk[0].size
 
     def queued(self):
+        if self._blk is None:
+            return
         hop = self.net._hop
-        for t, seq, msg, node in self._bucket_rows():
-            yield (t, 1, seq, hop, (msg, node))
-        if self._blk is not None:
-            names = self._names
-            t, seq, node, _d, _b, _f, msg = self._blk
-            for row in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
-                yield (row[0], 1, row[1], hop, (row[3], names[row[2]]))
+        names = self._names
+        t, seq, node, _d, _b, msg = self._blk
+        for row in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
+            yield (row[0], 1, row[1], hop, (row[3], names[row[2]]))
 
     def step(self) -> None:
-        """Run the head row alone."""
-        if self._bt == self.head_t and self._bs == self.head_seq:
-            self._unblock(1)
-        t = self._times[0]
-        bkt = self._bkt
-        b = bkt[t]
-        if b.__class__ is deque:
-            _seq, msg, node = b.popleft()
-            if not b:
-                del bkt[t]
-                heappop(self._times)
-        else:
-            _seq, msg, node = b
-            del bkt[t]
-            heappop(self._times)
-        self._nb -= 1
-        self._rehead()
-        self.sim.now = t
-        self.net._hop(msg, node)
+        """Hand the head row to the engine (which then runs it)."""
+        self._unblock(1)
 
     def prepare(self) -> None:
-        """Engine run start: settle, and take over a wide backlog of hop
-        events from the engine (see :data:`LIFT_MIN_EVENTS`)."""
+        """Engine run start: settle, and when at least
+        :data:`MIN_VECTOR_ROWS` hop events a window may take fall within
+        ``L`` of the engine's earliest bucket, take every such hop event
+        off the engine (so later waves sent up front run as windows
+        too)."""
         if self.dirty:
             self.settle()
-        net = self.net
-        if net._hops is None and self._vector_ok():
-            sim = self.sim
-            times = sim._times
-            if times and _count_before(
-                times, sim._buckets, times[0] + self._lookahead(), _INF,
-                MIN_VECTOR_ROWS,
-            ) >= MIN_VECTOR_ROWS and sum(
-                len(b) if b.__class__ is deque else 1 for b in sim._buckets.values()
-            ) >= LIFT_MIN_EVENTS:
-                self._lift()
-
-    def note_sends(self, k: int) -> None:
-        """``k`` messages were sent as engine events: every
-        :data:`LIFT_MIN_EVENTS` of them, check the backlog (so a storm
-        sent up front reaches the store early, not as engine events)."""
-        self._cold_sends += k
-        if self._cold_sends >= LIFT_MIN_EVENTS:
-            self._cold_sends = 0
-            self.prepare()
-
-    def _lift(self) -> None:
-        """Move the engine's hop events into the block, keeping their
-        ``(time, seq)`` keys; a burst event becomes one row per message,
-        all under the burst's key (run in list order, as the burst).
-
-        Hop events are priority 1, so they sit in the engine's buckets;
-        those are edited in place, since an engine loop further up the
-        stack may be draining one of them."""
-        net = self.net
         sim = self.sim
-        hop = net._hop
-        burst = net._hop_burst
-        cols = ts, seqs, msgs, nodes = [], [], [], []
-
-        def take(entry: list) -> bool:
-            cb = entry[3]
-            if cb == hop:
-                msg, node = entry[4]
-                ts.append(entry[0])
-                seqs.append(entry[2])
-                msgs.append(msg)
-                nodes.append(node)
-            elif cb == burst:
-                for msg in entry[4][0]:
-                    ts.append(entry[0])
-                    seqs.append(entry[2])
-                    msgs.append(msg)
-                    nodes.append(msg.src)
-            else:
-                return False
-            return True
-
+        if self._blk is not None or not sim._times or not self._vector_ok():
+            return
         buckets = sim._buckets
-        emptied = []
-        for t, b in buckets.items():
-            if b.__class__ is deque:
-                kept = [entry for entry in b if not take(entry)]
-                if len(kept) < len(b):
-                    b.clear()
-                    b.extend(kept)
-                    if not kept:
-                        emptied.append(t)
-            elif take(b):
-                emptied.append(t)
-        if emptied:
-            for t in emptied:
-                del buckets[t]
-            times = sim._times
-            times[:] = [t for t in times if t in buckets]
-            heapify(times)
-        net._hops = self
-        if ts:
-            self._add_rows(*cols)
+        cols, take = self._taker()
+        count = 0
+        for t in self._bucket_times(sim._times[0] + self._lookahead(), _INF):
+            b = buckets[t]
+            for e in b if b.__class__ is deque else (b,):
+                count += take(e)
+            if count >= MIN_VECTOR_ROWS:
+                self._lift()
+                return
 
-    def run(self, entry, stop: float, window: bool, stoppable: bool) -> int:
-        """Run the rows before engine ``entry`` (None: idle engine) and
-        within the engine's ``stop``, one window's worth; return how
-        many ran (0: the head row is past ``stop``)."""
-        ran = 0
-        if not self._skip and self._vector_ok():
-            n = self._prefix(entry, stop, window)
-            if self._times:
-                k = self._bucket_count(entry, stop, window, max(MIN_VECTOR_ROWS - n, 1))
-                if k and n + k >= MIN_VECTOR_ROWS:
-                    self._add_rows(*self._take_buckets())
-                    n = self._prefix(entry, stop, window)
-                elif k:
-                    n = 0
-            if n >= MIN_VECTOR_ROWS:
-                ran = self._vector(n, entry, stop, window, stoppable)
-        if not ran:
-            ran = self._scalar(entry, stop, window, stoppable)
-        net = self.net
-        if net._hops is self and self._blk is None and not self._times:
-            net._hops = None          # drained: new hops are engine events
-        return ran
+    def run(self, stop: float, window: bool, stoppable: bool) -> int:
+        """Run the window that starts at the head row (which comes
+        before the engine's next entry and within ``stop``); return how
+        many rows ran.  A narrow window's rows go back to the engine
+        instead (0 ran, the engine runs them next)."""
+        if not self._vector_ok():
+            self._unblock(self.count)
+            return 0
+        n = self._gather(stop, window)
+        if n < MIN_VECTOR_ROWS:
+            self._unblock(n)
+            return 0
+        return self._vector(min(n, MAX_VECTOR_ROWS), window, stoppable)
 
     def settle(self) -> None:
         """Bring everything to the per-event state: end a running window
         after its current row (commit the rows before it, requeue the
-        rows after it) and write deferred state to the ``Link`` objects
-        and the traffic statistics."""
+        rows after it) and write the deferred link and traffic state."""
         self.dirty = False
-        hooks = self.net.topology._read_hooks
-        if self.settle in hooks:
-            hooks.remove(self.settle)
+        self.net.topology._read_hooks.remove(self.settle)
         w = self.active
         if w is not None:
             self.active = None
@@ -445,17 +258,12 @@ class HopRows:
             )
         return self._lookahead_ns
 
-    def _window_end(self) -> float:
-        """``head_t + L``: no row before it can feed another (unbounded
-        when some link has no latency)."""
-        lookahead = self._lookahead()
-        return self.head_t + lookahead if lookahead > 0.0 else _INF
-
     def _vector_ok(self) -> bool:
         net = self.net
         return (
             net.fast_path and net.faults is None and not net._interceptors
-            and net.router.cacheable and self._lookahead() > 0.0
+            and net.router.cacheable and None not in net._dead_flows
+            and self._lookahead() > 0.0
         )
 
     def _tables(self) -> None:
@@ -464,7 +272,6 @@ class HopRows:
         net = self.net
         if self._index is None:
             index = build_index(net.topology)
-            n = index.n_links
             self._index = index
             self._names = index.names
             self._idx = index.idx
@@ -472,16 +279,17 @@ class HopRows:
             self._keys = index.link_keys
             self._rate = index.link_rate.copy()
             self._lat = index.link_latency
+            n = index.n_links
             # Deferred link state: ``_busy`` is authoritative where
-            # ``_owned``; elsewhere it holds the last value read.
+            # ``_pend``; ``_order`` lists pending links, first touch first.
             self._busy = np.zeros(n, np.float64)
             self._scratch = np.zeros(n, np.float64)
-            self._owned = np.zeros(n, np.bool_)
+            self._pend = np.zeros(n, np.bool_)
             self._dbytes = np.zeros(n, np.float64)
             self._dmsgs = np.zeros(n, np.int64)
-            self._order: list = []          # owned links, first-touch order
+            self._order: list = []
             self._dbh = 0.0
-            self._dmessages = 0
+            self._dn = 0
         if self._routes is None or self._routes.router is not net.router:
             self._routes = VectorRoutes(self._index, net.router)
 
@@ -503,271 +311,233 @@ class HopRows:
             blk = None
         self._blk = blk
         if blk is None:
-            self._bt, self._bs = _INF, 0
+            self.head_t, self.head_seq = _INF, 0
         else:
-            self._bt, self._bs = float(blk[0][0]), int(blk[1][0])
+            self.head_t, self.head_seq = float(blk[0][0]), int(blk[1][0])
 
-    def _rehead(self) -> None:
-        t, s = self._bt, self._bs
-        times = self._times
-        if times:
-            ht = times[0]
-            b = self._bkt[ht]
-            hs = (b[0] if b.__class__ is deque else b)[0]
-            if ht < t or (ht == t and hs < s):
-                t, s = ht, hs
-        self.head_t = t
-        self.head_seq = s
+    def _bucket_times(self, lim: float, last: float) -> list:
+        """The engine's bucket times before ``lim`` and at most ``last``,
+        ascending: they form a subtree at the root of its time heap."""
+        times = self.sim._times
+        size = len(times)
+        sel = []
+        todo = [0]
+        while todo:
+            i = todo.pop()
+            if i < size:
+                t = times[i]
+                if t < lim and t <= last:
+                    sel.append(t)
+                    todo.append(2 * i + 1)
+                    todo.append(2 * i + 2)
+        sel.sort()
+        return sel
 
-    def _prefix(self, entry, stop: float, window: bool) -> int:
-        """How many leading block rows come before ``head_t + L``, the
-        engine ``entry`` and ``stop``."""
+    def _gather(self, stop: float, window: bool) -> int:
+        """Size the window that starts at the head row: its block rows
+        plus the engine's hop events it covers, up to the first engine
+        entry a window may not take.  When that is at least
+        :data:`MIN_VECTOR_ROWS`, move those events into the block.
+        Returns how many block rows the window then holds."""
+        sim = self.sim
+        sim._head()                   # drops cancelled heads
+        lim = self.head_t + self._lookahead()    # exclusive
+        last = _INF                        # inclusive (``run(until)``)
+        if window:
+            lim = min(lim, stop, sim.local_bound)
+        else:
+            last = stop
+        heap = sim._heap
+        if heap:
+            h = heap[0]
+            if h[1] < 1:
+                lim = min(lim, h[0])
+            else:
+                last = min(last, h[0])
+        times = sim._times
+        buckets = sim._buckets
+        sel = self._bucket_times(lim, last)
+        cols, take = self._taker()
+        cut = None                    # the first entry a window may not take
+        for t in sel:
+            b = buckets[t]
+            for e in b if b.__class__ is deque else (b,):
+                if e[3] is not None and not take(e):   # (skip cancelled)
+                    cut = (t, e[2])
+                    break
+            if cut is not None:
+                break
+        n = self._prefix(lim, last, cut)
+        k = len(cols[0])
+        if not k or n + k < MIN_VECTOR_ROWS:
+            return n
+        for t in sel:
+            b = buckets[t]
+            if b.__class__ is deque:
+                # In place: an engine loop up the stack may be draining it.
+                while b and (cut is None or t < cut[0] or b[0][2] < cut[1]):
+                    b.popleft()
+                if b:
+                    break
+            elif cut is not None and t == cut[0]:
+                break
+            del buckets[t]
+            heappop(times)
+        self._add_rows(*cols)
+        return n + k
+
+    def _taker(self):
+        """Columns (time, seq, node, dst, nbytes, message; nodes by
+        name) and ``take(entry)``: whether a window may take engine
+        ``entry`` — a hop of an untagged message with an integral,
+        non-negative byte count — appending it to the columns if so."""
+        hop = self.net._hop
+        cols = ts, seqs, nodes, dsts, nbs, msgs = [], [], [], [], [], []
+
+        def take(e) -> bool:
+            if e[3] != hop:
+                return False
+            m, node = e[4]
+            nb = m.nbytes
+            if m.flow is not None or not (nb >= 0 and nb % 1.0 == 0.0):
+                return False
+            ts.append(e[0])
+            seqs.append(e[2])
+            nodes.append(node)
+            dsts.append(m.dst)
+            nbs.append(nb)
+            msgs.append(m)
+            return True
+
+        return cols, take
+
+    def _lift(self) -> None:
+        """Move every hop event a window may take from the engine into
+        the block, keys kept.  Buckets are edited in place: an engine
+        loop up the stack may be draining one of them."""
+        sim = self.sim
+        buckets = sim._buckets
+        cols, take = self._taker()
+        emptied = []
+        for t, b in buckets.items():
+            if b.__class__ is deque:
+                kept = [e for e in b if not take(e)]
+                if len(kept) < len(b):
+                    b.clear()
+                    b.extend(kept)
+                    if not kept:
+                        emptied.append(t)
+            elif take(b):
+                emptied.append(t)
+        if emptied:
+            for t in emptied:
+                del buckets[t]
+            times = sim._times
+            times[:] = [t for t in times if t in buckets]
+            heapify(times)
+        if cols[0]:
+            self._add_rows(*cols)
+
+    def _prefix(self, lim: float, last: float, cut) -> int:
+        """How many leading block rows come before ``lim``, at or before
+        ``last`` and before the engine entry keyed ``cut``."""
         blk = self._blk
         if blk is None:
             return 0
         t = blk[0]
-        lim = self._window_end()
-        if window:
-            lim = min(lim, stop, self.sim.local_bound)
         n = int(np.searchsorted(t, lim, "left"))
-        if not window and stop < lim:
-            n = min(n, int(np.searchsorted(t, stop, "right")))
-        if entry is not None and n:
-            et, ep = entry[0], entry[1]
-            lo = int(np.searchsorted(t[:n], et, "left"))
-            if ep == 1:
-                hi = int(np.searchsorted(t[:n], et, "right"))
-                lo += int(np.searchsorted(blk[1][lo:hi], entry[2], "left"))
-            elif ep > 1:
-                lo = int(np.searchsorted(t[:n], et, "right"))
-            n = min(n, lo)
+        if last < _INF:
+            n = min(n, int(np.searchsorted(t, last, "right")))
+        if cut is not None and n:
+            ct, cs = cut
+            lo = int(np.searchsorted(t[:n], ct, "left"))
+            hi = int(np.searchsorted(t[:n], ct, "right"))
+            n = min(n, lo + int(np.searchsorted(blk[1][lo:hi], cs, "left")))
         return n
 
-    def _bucket_count(self, entry, stop: float, window: bool, need: int) -> int:
-        """About how many bucket rows fall in the window :meth:`_prefix`
-        bounds (a same-instant tie with the engine entry counts whole),
-        counting no further than ``need``: the times before a bound form
-        a subtree at the heap's root, so this visits O(need) buckets."""
-        times = self._times
-        bkt = self._bkt
-        lim = self._window_end()        # exclusive
-        last = _INF                     # inclusive (``run(until)``)
-        if window:
-            lim = min(lim, stop, self.sim.local_bound)
-        else:
-            last = stop
-        if entry is not None:
-            if entry[1] < 1:
-                lim = min(lim, entry[0])
-            else:
-                last = min(last, entry[0])
-        return _count_before(times, bkt, lim, last, need)
-
-    def _take_buckets(self) -> tuple:
-        """Empty the buckets; return their rows as columns."""
-        cols = ts, seqs, msgs, nodes = [], [], [], []
-        for t, b in self._bkt.items():
-            for seq, msg, node in b if b.__class__ is deque else (b,):
-                ts.append(t)
-                seqs.append(seq)
-                msgs.append(msg)
-                nodes.append(node)
-        self._times.clear()         # in place: a row loop may hold them
-        self._bkt.clear()
-        self._nb = 0
-        return cols
-
-    def _add_rows(self, ts: list, seqs: list, msgs: list, nodes: list) -> None:
-        """Merge rows, given as time, seq, message and node columns,
-        into the block."""
+    def _add_rows(self, ts, seqs, nodes, dsts, nbs, msgs) -> None:
+        """Merge rows given as columns (see :meth:`_taker`), in any
+        order, into the block."""
         self._tables()
-        k = len(ts)
         at = self._idx.__getitem__
-        flows = list(map(_flow, msgs))
-        if flows.count(None) == k:
-            fe = np.zeros(k, np.int64)
-        else:
-            code = self._flow_code
-            for f in flows:
-                if f not in code:
-                    code[f] = len(self._flows)
-                    self._flows.append(f)
-            fe = np.fromiter(map(code.__getitem__, flows), np.int64, k)
-        new = (
+        cols = [
             np.array(ts, np.float64),
             np.array(seqs, np.int64),
-            np.fromiter(map(at, nodes), np.int64, k),
-            np.fromiter(map(at, map(_dst, msgs)), np.int64, k),
-            np.fromiter(map(_nbytes, msgs), np.float64, k),
-            fe,
-            np.fromiter(msgs, object, k),
-        )
+            np.fromiter(map(at, nodes), np.int64, len(nodes)),
+            np.fromiter(map(at, dsts), np.int64, len(dsts)),
+            np.array(nbs, np.float64),
+            np.fromiter(msgs, object, len(msgs)),
+        ]
         blk = self._blk
         if blk is not None:
-            new = tuple(np.concatenate((a, b)) for a, b in zip(blk, new))
-        order = np.lexsort((new[1], new[0]))
-        cols = list(new)
-        del new
+            for i, old in enumerate(blk):
+                cols[i] = np.concatenate((old, cols[i]))
+        order = np.lexsort((cols[1], cols[0]))
         for i, col in enumerate(cols):
             cols[i] = col[order]      # one column copy alive at a time
         self._set_block(tuple(cols))
-        self._rehead()
 
     def _unblock(self, k: int) -> None:
-        """Move the first ``k`` block rows into the buckets."""
+        """Hand the first ``k`` block rows to the engine as hop events."""
+        if not k:
+            return
         blk = self._blk
-        names = self._names
-        bkt = self._bkt
-        t, seq, node, _d, _b, _f, msg = (c[:k] for c in blk)
-        rows = zip(seq.tolist(), msg.tolist(), (names[i] for i in node.tolist()))
-        for time, row in zip(t.tolist(), rows):
-            b = bkt.get(time)
-            if b is None:
-                bkt[time] = row
-                heappush(self._times, time)
-            elif b.__class__ is deque:
-                if row[0] > b[-1][0]:
-                    b.append(row)
-                else:
-                    bkt[time] = deque(sorted((*b, row), key=_seq_of))
-            else:
-                bkt[time] = deque(sorted((b, row), key=_seq_of))
-        self._nb += k
-        self._set_block(tuple(c[k:] for c in blk))
-
-    # ------------------------------------------------------------------
-    # Row by row
-    # ------------------------------------------------------------------
-    def _scalar(self, entry, stop: float, window: bool, stoppable: bool) -> int:
-        """Run rows one at a time through ``_hop``, each re-checked
-        against the engine's head: the per-event loop.  Runs on across
-        windows until the engine's entry, ``stop``, the block or a
-        window wide enough for :meth:`_vector` comes first."""
-        if self.dirty:
-            self.settle()
         sim = self.sim
-        lookahead = self._lookahead()
-        tb = self._window_end()
-        if self._blk is not None:
-            # A small block goes back to the buckets whole, sparing the
-            # next row-by-row windows the numpy slicing.
-            k = self._blk[0].size
-            if k > MIN_VECTOR_ROWS:
-                k = self._prefix(entry, stop, window)
-            if k:
-                self._unblock(k)
-        self._row_window()
-        vec = self._vector_ok()
-        times = self._times
-        bkt = self._bkt
+        buckets = sim._buckets
+        times = sim._times
         hop = self.net._hop
-        et, ep, es = (_INF, 1, 0) if entry is None else entry[:3]
-        processed = 0
-        while times:
-            t = times[0]
-            b = bkt[t]
-            lone = b.__class__ is not deque
-            seq, msg, node = b if lone else b[0]
-            if window:
-                bound = sim.local_bound
-                if t >= (stop if stop < bound else bound):
-                    break
-            elif t > stop:
-                break
-            if t > et or (t == et and (ep < 1 or (ep == 1 and seq > es))):
-                break
-            bt = self._bt
-            if t > bt or (t == bt and seq > self._bs):
-                break
-            if t >= tb:               # the next window starts here
-                if not self._skip and vec and self._nb >= MIN_VECTOR_ROWS and (
-                    self._bucket_count(
-                        None if et == _INF else (et, ep, es), stop, window,
-                        MIN_VECTOR_ROWS,
-                    ) >= MIN_VECTOR_ROWS
-                ):
-                    break
-                self._row_window()
-                tb = t + lookahead
-            if lone:
-                del bkt[t]
-                heappop(times)
+        names = self._names
+        t, seq, node, _d, _b, msg = (c[:k] for c in blk)
+        for time, s, nd, m in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
+            entry = [time, 1, s, hop, (m, names[nd])]
+            b = buckets.get(time)
+            if b is None:
+                buckets[time] = entry
+                heappush(times, time)
+            elif b.__class__ is deque:
+                if s > b[-1][2]:
+                    b.append(entry)
+                else:
+                    merged = sorted((*b, entry), key=_seq_of)
+                    b.clear()
+                    b.extend(merged)
             else:
-                b.popleft()
-                if not b:
-                    del bkt[t]
-                    heappop(times)
-            self._nb -= 1
-            self._rehead()
-            sim.now = t
-            s0 = sim._seq
-            p0 = self.pushes
-            hop(msg, node)
-            processed += 1
-            if stoppable and sim.stop_requested:
-                break
-            if sim._seq - s0 != self.pushes - p0:
-                head = sim._head()
-                et, ep, es = (_INF, 1, 0) if head is None else head[:3]
-        return processed
-
-    def _row_window(self) -> None:
-        """A window starts row by row: count it against the backoff and
-        against :data:`COLD_AFTER`."""
-        if self._skip:
-            self._skip -= 1
-        self._row_windows += 1
-        if self._row_windows >= COLD_AFTER and self.net._hops is self:
-            self.net._hops = None
+                buckets[time] = deque(sorted((b, entry), key=_seq_of))
+        self._set_block(tuple(c[k:] for c in blk))
 
     # ------------------------------------------------------------------
     # Vector windows
     # ------------------------------------------------------------------
-    def _vector(
-        self, n: int, entry, stop: float, window: bool, stoppable: bool
-    ) -> int:
+    def _vector(self, n: int, window: bool, stoppable: bool) -> int:
         """Run the first ``n`` block rows as one window."""
         sim = self.sim
-        net = self.net
-        self._row_windows = 0
         self._tables()
         blk = self._blk
         cols = tuple(c[:n] for c in blk)
-        t, seq, node, dst, nb, fe, msg = cols
-        hop = node != dst
-        xmit, deliver = hop, ~hop
-        if net._dead_flows:
-            code = self._flow_code
-            dead = [code[f] for f in net._dead_flows if f in code]
-            if dead:
-                live = ~np.isin(fe, dead)
-                xmit = hop & live
-                deliver &= live
-        xp = np.flatnonzero(xmit)
-        nbx = nb[xp]
+        t, seq, node, dst, nb, _msg = cols
+        xp = np.flatnonzero(node != dst)
         xn = node[xp]
         try:
-            if (nbx < 0).any():
-                raise ValueError("negative message size")
             nxt = self._routes(xn, dst[xp])
             li = self._index.link_ids(xn, nxt)
         except (ValueError, KeyError):
-            # Row by row, the offending row raises where it would.
-            return self._scalar(entry, stop, window, stoppable)
+            # Per event, the offending hop raises where it would.
+            self._unblock(n)
+            return 0
+        total = float(nb[xp].sum())
+        if self._dbh + total >= _HALF:
+            self._sync()
+        touched = np.unique(li)
+        if total >= _HALF or not self._load(touched[~self._pend[touched]]):
+            self._unblock(n)        # a sum would not be an exact integer
+            return 0
         self._set_block(tuple(c[n:] for c in blk))
-        self._rehead()
         if not self.dirty:
             self.dirty = True
-            net.topology._read_hooks.append(self.settle)
-        touched = np.unique(li)
-        busy = self._busy
-        load = touched[~self._owned[touched]]
-        if load.size:
-            links = self._links
-            busy[load] = [links[i].busy_until for i in load.tolist()]
+            self.net.topology._read_hooks.append(self.settle)
         scratch = self._scratch
-        scratch[touched] = busy[touched]
-        fin = chain_links(li, t[xp], nbx / self._rate[li], seq[xp], scratch)
+        scratch[touched] = self._busy[touched]
+        fin = chain_links(li, t[xp], nb[xp] / self._rate[li], seq[xp], scratch)
 
         w = _Window()
         w.cols = cols
@@ -781,17 +551,11 @@ class HopRows:
         w.cb_pos = []
         w.cb_extra = []
         w.settled = False
-        w.called = False
-        dp = np.flatnonzero(deliver)
+        dp = np.flatnonzero(node == dst)
         if dp.size:
             cut = self._deliver(w, dp, window, stoppable)
             if cut is not None:
-                if 2 * (cut + 1) < n:
-                    self._skip = self._backoff
-                    self._backoff = min(2 * self._backoff, MAX_BACKOFF)
                 return cut + 1
-            if w.called:
-                self._backoff = 1
         self._finish(w, None)
         sim.now = w.t_last
         sim._seq = base + xp.size + (w.cb_extra[-1] if w.cb_extra else 0)
@@ -803,7 +567,7 @@ class HopRows:
         sim = self.sim
         names = self._names
         dcb = self.net._deliver_cb
-        t, _s, node, _d, _b, _f, msg = w.cols
+        t, _s, node, _d, _b, msg = w.cols
         base = w.base
         extra = 0
         cb_pos = w.cb_pos
@@ -814,20 +578,14 @@ class HopRows:
                 dp.tolist(), t[dp].tolist(), node[dp].tolist(), msg[dp].tolist(),
                 np.searchsorted(w.xp, dp).tolist(),
             ):
-                flow = m.flow
-                name = names[nd]
-                cb = dcb.get((name, flow))
-                if cb is None and flow is not None:
-                    cb = dcb.get((name, None))
+                cb = dcb.get((names[nd], None))
                 if cb is None:
                     continue
                 w.pos = p
                 w.xr = xr
-                w.called = True
                 s0 = base + xr + extra
                 sim.now = tp
                 sim._seq = s0
-                p0 = self.pushes
                 cb(m, tp)
                 if w.settled:
                     return p
@@ -836,11 +594,10 @@ class HopRows:
                     extra += used
                     cb_pos.append(p)
                     cb_extra.append(extra)
-                    if used != self.pushes - p0:
-                        head = sim._head()
-                        if head is not None and head[0] <= w.t_last:
-                            self.settle()   # an event inside the window
-                            return p
+                    head = sim._head()
+                    if head is not None and head[0] <= w.t_last:
+                        self.settle()   # an event inside the window
+                        return p
                 if (stoppable and sim.stop_requested) or (
                     window and sim.local_bound <= tp
                 ):
@@ -857,20 +614,19 @@ class HopRows:
         """Commit the window's transmissions up to ``cut`` (all when
         None), queue their children and requeue the rows after ``cut``."""
         hi = w.xp.size if cut is None else w.xr
-        self._commit(w, hi)
         blk = self._blk
         if hi:
             xs = w.xp[:hi]
+            _t, _s, _n, dst, nb, msg = w.cols
+            self._defer(w.li[:hi], nb[xs], w.fin[:hi])
             cseq = w.base + np.arange(hi, dtype=np.int64)
             if w.cb_pos:
                 extra = np.concatenate(([0], w.cb_extra))
                 cseq += extra[np.searchsorted(w.cb_pos, xs)]
-            _t, _s, _n, dst, nb, fe, msg = w.cols
             arr = w.arr[:hi]
             order = np.lexsort((cseq, arr))
             child = tuple(
-                c[order]
-                for c in (arr, cseq, w.nxt[:hi], dst[xs], nb[xs], fe[xs], msg[xs])
+                c[order] for c in (arr, cseq, w.nxt[:hi], dst[xs], nb[xs], msg[xs])
             )
             blk = _merge_after(blk, child)
         if cut is not None and cut + 1 < w.cols[0].size:
@@ -879,62 +635,51 @@ class HopRows:
                 np.concatenate((a, b)) for a, b in zip(rest, blk)
             )
         self._set_block(blk)
-        self._rehead()
 
-    # ------------------------------------------------------------------
-    # Commit: link state and traffic statistics
-    # ------------------------------------------------------------------
-    def _commit(self, w: _Window, hi: int) -> None:
-        """Account the first ``hi`` transmissions (processing order) to
-        their links and to the traffic statistics, with the values and
-        float sums a row-by-row run would leave."""
-        if not hi:
-            return
-        xs = w.xp[:hi]
-        li = w.li[:hi]
-        nb = w.cols[4][xs]
-        fe = w.cols[5][xs]
-        fin = w.fin[:hi]
-        integral = bool((nb == np.floor(nb)).all())
-        if not (integral and self._defer(li, nb, fin)):
-            self._sync()
-            self._commit_links(li, nb, fin)
-        if fe.any():
-            self._commit_flows(li, nb, fe, integral)
-
-    def _defer(self, li: np.ndarray, nb: np.ndarray, fin: np.ndarray) -> bool:
-        """Account integral transmissions to the deferred arrays; False
-        (nothing done) if some running total is fractional or large."""
+    def _load(self, fresh: np.ndarray) -> bool:
+        """Read ``busy_until`` of links without deferred state; False if
+        a byte total they would defer onto (the link's, its ``per_link``
+        entry or the global one) is not an integer below 2**52."""
+        links = self._links
+        keys = self._keys
         traffic = self.net._traffic
-        total = float(nb.sum())
-        base = traffic.bytes_hops
-        if not (base % 1.0 == 0.0 and base + self._dbh + total < _HALF):
+        per_link = traffic.per_link
+        busy = self._busy
+        v = traffic.bytes_hops
+        if not (v % 1.0 == 0.0 and v < _HALF):
             return False
-        uniq, first = np.unique(li, return_index=True)
-        fresh = ~self._owned[uniq]
-        if fresh.any():
-            fresh = uniq[fresh][np.argsort(first[fresh])]
-            links = self._links
-            keys = self._keys
-            per_link = traffic.per_link
-            for lid in fresh.tolist():
-                v = links[lid].bytes_carried
-                p = per_link.get(keys[lid], 0.0)
-                if not (v % 1.0 == 0.0 and p % 1.0 == 0.0 and v < _HALF and p < _HALF):
-                    return False
-            self._owned[fresh] = True
-            self._order.append(fresh)
+        for lid in fresh.tolist():
+            link = links[lid]
+            v = link.bytes_carried
+            p = per_link.get(keys[lid], 0.0)
+            if not (v % 1.0 == 0.0 and p % 1.0 == 0.0 and v < _HALF and p < _HALF):
+                return False
+            busy[lid] = link.busy_until
+        return True
+
+    def _defer(self, li: np.ndarray, nb: np.ndarray, fin: np.ndarray) -> None:
+        """Account transmissions (processing order) to the deferred
+        state: each link's last finish time, integer byte and message
+        sums, and newly touched links in first-touch order."""
         np.maximum.at(self._busy, li, fin)
         np.add.at(self._dbytes, li, nb)
         np.add.at(self._dmsgs, li, 1)
-        self._dbh += total
-        self._dmessages += int(li.size)
-        return True
+        uniq, first = np.unique(li, return_index=True)
+        fresh = ~self._pend[uniq]
+        if fresh.any():
+            fresh = uniq[fresh][np.argsort(first[fresh])]
+            self._pend[fresh] = True
+            self._order.append(fresh)
+        self._dbh += float(nb.sum())
+        self._dn += li.size
 
     def _sync(self) -> None:
         """Write the deferred state to the ``Link`` objects and the
-        global traffic statistics (links in first-touch order, as the
-        per-event run fills ``per_link``)."""
+        global traffic statistics.  Every total was an integer below
+        2**52 when its link was first deferred, and the deltas sum
+        integers below 2**52, so each sum is exact: the value a
+        row-by-row run leaves.  ``per_link`` fills in first-touch order,
+        as it does row by row."""
         if self._index is None or not self._order:
             return
         ids = np.concatenate(self._order)
@@ -954,104 +699,12 @@ class HopRows:
             key = keys[lid]
             per_link[key] = per_link.get(key, 0.0) + d
         traffic.bytes_hops += self._dbh
-        traffic.messages += self._dmessages
-        self._owned[ids] = False
+        traffic.messages += self._dn
+        self._pend[ids] = False
         self._dbytes[ids] = 0.0
         self._dmsgs[ids] = 0
         self._dbh = 0.0
-        self._dmessages = 0
-
-    def _commit_links(self, li: np.ndarray, nb: np.ndarray, fin: np.ndarray) -> None:
-        """Write transmissions straight to the ``Link`` objects and the
-        global statistics, adding byte counts one at a time in row order
-        (the rare windows :meth:`_defer` refuses; its state is synced)."""
-        order, lids, a, z, _ = _groups(li, nb)
-        nb_s = nb[order].tolist()
-        links = self._links
-        keys = self._keys
-        traffic = self.net._traffic
-        per_link = traffic.per_link
-        for lid, b, i, j in zip(
-            lids.tolist(), fin[order[z - 1]].tolist(), a.tolist(), z.tolist(),
-        ):
-            link = links[lid]
-            link.busy_until = b
-            link.messages_carried += j - i
-            link.bytes_carried = _fold(link.bytes_carried, nb_s, i, j)
-            key = keys[lid]
-            per_link[key] = _fold(per_link.get(key, 0.0), nb_s, i, j)
-        _add_stats(traffic, nb, False)
-
-    def _commit_flows(
-        self, li: np.ndarray, nb: np.ndarray, fe: np.ndarray, integral: bool
-    ) -> None:
-        """Per-flow statistics of the transmissions with a flow."""
-        fx = np.flatnonzero(fe)
-        fsub = fe[fx]
-        nsub = nb[fx]
-        flows = self._flows
-        flow_traffic = self.net._flow_traffic
-        forder, fcodes, fa, fz, _ = _groups(fsub, nsub)
-        stats_of = {}
-        for c, i, j in zip(fcodes.tolist(), fa.tolist(), fz.tolist()):
-            flow = flows[c]
-            stats = flow_traffic.get(flow)
-            if stats is None:
-                stats = flow_traffic[flow] = _traffic_stats()
-            stats_of[c] = stats
-            _add_stats(stats, nsub[forder[i:j]], integral)
-        n_links = len(self._links)
-        keys = self._keys
-        porder, pkeys, pa, pz, psums = _groups(fsub * np.int64(n_links) + li[fx], nsub)
-        ps = nsub[porder].tolist()
-        for k, s, i, j in zip(pkeys.tolist(), psums.tolist(), pa.tolist(), pz.tolist()):
-            c, lid = divmod(k, n_links)
-            table = stats_of[c].per_link
-            key = keys[lid]
-            v = table.get(key, 0.0)
-            table[key] = v + s if integral and _exact(v, s) else _fold(v, ps, i, j)
-
-
-def _add_stats(stats, nb: np.ndarray, integral: bool) -> None:
-    """``stats.record`` for each of ``nb`` (processing order), bytes and
-    messages only — the caller owns the per-link table."""
-    stats.messages += int(nb.size)
-    v = stats.bytes_hops
-    s = float(nb.sum()) if integral else 0.0
-    if integral and _exact(v, s):
-        stats.bytes_hops = v + s
-    else:
-        stats.bytes_hops = _fold(v, nb.tolist(), 0, nb.size)
-
-
-def _count_before(times: list, buckets: dict, lim: float, last: float, need: int) -> int:
-    """Entries of same-instant ``buckets`` (lone or ``deque``) at times
-    before ``lim`` and at most ``last``, counted no further than
-    ``need``: the times before a bound form a subtree at the root of the
-    ``times`` heap, so this visits O(need) buckets."""
-    size = len(times)
-    count = 0
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        if i >= size:
-            continue
-        t = times[i]
-        if t >= lim or t > last:
-            continue
-        b = buckets[t]
-        count += len(b) if b.__class__ is deque else 1
-        if count >= need:
-            break
-        todo.append(2 * i + 1)
-        todo.append(2 * i + 2)
-    return count
-
-
-def _traffic_stats():
-    from repro.network.simulator import TrafficStats
-
-    return TrafficStats()
+        self._dn = 0
 
 
 def _merge_after(blk: tuple | None, new: tuple) -> tuple:

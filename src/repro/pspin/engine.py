@@ -42,13 +42,14 @@ network simulator's store of hop rows
 events keyed by the same ``(time, 1, seq)`` — they draw ``seq`` from
 this engine's counter — so the next event is the smallest of the heap
 head, the earliest bucket's head and the row head.  When a row comes
-first the loop hands the row source the engine's next entry as a bound
-and it runs every row before it (see its ``run``); every row counts as
-one event.  ``peek_time``, ``step``, ``run``, ``run_stoppable``,
-``run_window``, ``pending``, ``queued`` and ``events_processed`` all see
-the rows.  A row source may defer its own bookkeeping while it runs a
-window of rows; any re-entrant call into the engine first has it
-*settle* (bring every structure to the per-event state).
+first the loop hands control to the row source's ``run``, which either
+runs a window of rows (each counts as one event) or hands the rows back
+to the engine's buckets as plain events.  ``peek_time``, ``step``,
+``run``, ``run_stoppable``, ``run_window``, ``pending``, ``queued`` and
+``events_processed`` all see the rows.  Any re-entrant call into the
+engine first has the row source *settle*: end a running window at the
+current row and write its deferred link state, so the engine and the
+network stand as the per-event loop would have them.
 """
 
 from __future__ import annotations
@@ -348,10 +349,14 @@ class Simulator:
                 self._head()
                 continue
             if rows is not None and rows.head_t <= t and _row_first(rows, entry):
-                ran = rows.run(entry, stop, window, stoppable)
-                if not ran:
-                    break                     # the head row is past ``stop``
-                processed += ran
+                t = rows.head_t
+                if window:
+                    bound = self.local_bound
+                    if t >= (stop if stop < bound else bound):
+                        break
+                elif t > stop:
+                    break
+                processed += rows.run(stop, window, stoppable)
                 if stoppable and self.stop_requested:
                     break
                 continue
@@ -422,9 +427,8 @@ class Simulator:
         rows = self._settled_rows()
         entry = self._head()
         if rows is not None and _row_first(rows, entry):
-            rows.step()
-            self._events_processed += 1
-            return True
+            rows.step()                       # the head row becomes an event
+            entry = self._head()
         if entry is None:
             return False
         self._pop(entry)

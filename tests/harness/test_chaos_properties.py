@@ -130,21 +130,9 @@ def test_fastpath_toggle_is_invisible_under_faults(fault_seed, loss_rate):
     np.testing.assert_array_equal(out_fast, out_slow)
 
 
-@pytest.mark.parametrize("algorithm", ["ring", "swing", "butterfly"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=5, deadline=None)
-@given(
-    fault_seed=st.integers(min_value=0, max_value=2**16),
-    loss_rate=st.floats(min_value=0.001, max_value=0.01),
-    duplicate_rate=st.floats(min_value=0.0, max_value=0.01),
-)
-def test_sharded_fault_replay_matches_sequential(
-    algorithm, fault_seed, loss_rate, duplicate_rate
-):
-    """Pure link-fault schedules replay *inside* the worker shards
-    (``workers=2``): payloads, makespan, and reliability counters are
-    bitwise vs the sequential fabric, and no recall/disengage warning
-    ever fires (RuntimeWarning is an error here)."""
+def _sharded_and_sequential(algorithm, fault_seed, loss_rate, duplicate_rate):
+    """One lossy run on ``workers=2`` and one on ``workers=0``: time,
+    payload bytes, reliability counters and traffic of each."""
 
     def run(workers):
         data, _ = make_payloads("int32", seed=5)
@@ -166,7 +154,39 @@ def test_sharded_fault_replay_matches_sequential(
             stats.bytes_hops, dict(stats.per_link),
         )
 
-    assert run(2) == run(0)
+    return run(2), run(0)
+
+
+@pytest.mark.parametrize("algorithm", ["ring", "swing", "butterfly"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=5, deadline=None)
+@given(
+    fault_seed=st.integers(min_value=0, max_value=2**16),
+    loss_rate=st.floats(min_value=0.001, max_value=0.01),
+    duplicate_rate=st.floats(min_value=0.0, max_value=0.01),
+)
+def test_sharded_fault_replay_matches_sequential(
+    algorithm, fault_seed, loss_rate, duplicate_rate
+):
+    """Pure link-fault schedules replay *inside* the worker shards
+    (``workers=2``): payloads, makespan, and reliability counters are
+    bitwise vs the sequential fabric, and no recall/disengage warning
+    ever fires (RuntimeWarning is an error here)."""
+    sharded, sequential = _sharded_and_sequential(
+        algorithm, fault_seed, loss_rate, duplicate_rate
+    )
+    assert sharded == sequential
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known counterexample of test_sharded_fault_replay_matches_sequential: "
+    "the engines break same-instant ties differently (ROADMAP item 1); "
+    "workers=2 ends at 55,474.56 ns, workers=0 at 55,638.4 ns"
+))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sharded_fault_replay_tie_split_counterexample():
+    sharded, sequential = _sharded_and_sequential("swing", 34395, 0.0078125, 0.0)
+    assert sharded == sequential
 
 
 def test_single_outage_recovery_under_residual_loss():

@@ -6,6 +6,9 @@ Every scenario runs twice on fresh simulators: once per event
 order and times, what callbacks observed mid-run, ``events_processed``,
 ``sim.now``, every ``Link`` field, and the traffic statistics globally
 and per flow, ``per_link`` tables included (in insertion order).
+Windows take only plain hops (untagged, whole bytes); flow-tagged,
+fractional and burst hops run per event between them, so the mixed
+scenarios check the boundary between the two paths.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ FLOWS = ("f0", "f1", "f2")
 
 @pytest.fixture
 def vector_windows(monkeypatch):
-    """Count the vector windows a run executes."""
+    """Count the vector windows a run opens (a window whose totals are
+    not exact integers hands its rows back to the engine)."""
     calls = []
     vector = HopRows._vector
 
@@ -74,6 +78,12 @@ def _both(monkeypatch, scenario, **kw) -> tuple[dict, dict]:
 
 def _storm(seed: int, fractional: bool = False, flows: bool = False,
            per_host: int = 4):
+    """A random storm.  With ``fractional`` or ``flows``, a third of the
+    messages carry fractional sizes or flow tags (windows leave those to
+    the per-event loop) and are sent in a second wave; a third wave of
+    plain messages then meets the running totals the second left."""
+    mixed = fractional or flows
+
     def scenario(topo, net):
         rng = np.random.default_rng(seed)
         hosts = topo.hosts
@@ -91,10 +101,13 @@ def _storm(seed: int, fractional: bool = False, flows: bool = False,
         dst += dst >= src
         size = rng.uniform(64.0, 8192.0, m) if fractional else np.full(m, 4096.0)
         for i in range(m):
-            flow = FLOWS[i % 3] if flows else None
+            wave = i % 3 if mixed else 0
+            odd = wave == 1
+            flow = FLOWS[i % 3] if flows and odd else None
+            nbytes = float(size[i]) if odd else 4096.0
             net.send(
-                Message(hosts[src[i]], hosts[dst[i]], float(size[i]), i, flow=flow),
-                at=3.0 * (i % 97),
+                Message(hosts[src[i]], hosts[dst[i]], nbytes, i, flow=flow),
+                at=3.0 * (i % 97) + 20000.0 * wave,
             )
         net.run()
         return _observe(topo, net, log)
@@ -113,6 +126,22 @@ def test_storm_fractional_bytes_and_flows(monkeypatch, vector_windows):
     assert vector_windows
     assert new == ref
     assert ref["flows"] and ref["traffic"][0] % 1.0 != 0.0
+
+
+def test_windows_take_only_plain_hops(monkeypatch):
+    """Flow-tagged, fractional and burst hops never enter a window."""
+    seen = []
+    vector = HopRows._vector
+
+    def spy(self, n, *args):
+        seen.extend(self._blk[5][:n].tolist())
+        return vector(self, n, *args)
+
+    monkeypatch.setattr(HopRows, "_vector", spy)
+    _, net = _net(monkeypatch, True)
+    _storm(3, fractional=True, flows=True)(net.topology, net)
+    assert seen
+    assert all(m.flow is None and m.nbytes % 1.0 == 0.0 for m in seen)
 
 
 @pytest.mark.parametrize("router", ["shortest", "ecmp"])
@@ -166,6 +195,15 @@ def _busy_callbacks(topo, net):
     k = 0
     for step in range(6):
         at = 40.0 * step
+        for i in range(n):
+            if i == n // 2:
+                # Between same-instant sends: half of them run first.
+                sim.schedule_at(at, tick, "between", 1)
+            for _ in range(2):
+                dst = int(rng.integers(0, n - 1))
+                dst += dst >= i
+                net.send(Message(hosts[i], hosts[dst], 4096.0, ("one", k)), at=at)
+                k += 1
         for i in range(0, n, 2):
             burst = []
             for _ in range(3):
@@ -174,13 +212,7 @@ def _busy_callbacks(topo, net):
                 burst.append(Message(hosts[i], hosts[dst], 2048.0 + 0.5 * (k % 3),
                                      ("burst", k), flow=FLOWS[k % 3]))
                 k += 1
-            net.send_burst(burst, at=at)
-        for i in range(1, n, 2):
-            dst = int(rng.integers(0, n - 1))
-            dst += dst >= i
-            net.send(Message(hosts[i], hosts[dst], 4096.0, ("one", k),
-                             flow=FLOWS[k % 3]), at=at)
-            k += 1
+            net.send_burst(burst, at=at + 1.0)
         # Engine events at the same instants as the sends.
         sim.schedule_at(at, tick, "p0", 0, priority=0)
         sim.schedule_at(at, tick, "p1", 1)
@@ -193,6 +225,8 @@ def _busy_callbacks(topo, net):
 def test_callbacks_flows_bursts_and_ticks(monkeypatch, vector_windows):
     ref, new = _both(monkeypatch, _busy_callbacks)
     assert vector_windows
+    # A burst of three is one event on the fast path, three per event.
+    assert new.pop("events") == ref.pop("events") - 2 * 6 * 128
     assert new == ref
     assert any(e[0] == "flow" for e in ref["log"])
     assert any(e[0] == "link" for e in ref["log"])
@@ -274,16 +308,44 @@ def test_run_stoppable_and_priorities(monkeypatch, vector_windows):
     assert any(e[0] == "stopped" for e in ref["log"])
 
 
-def _fractional_totals(topo, net):
-    """Running totals that are already fractional when a window starts
-    take the row-by-row float sums."""
-    net.traffic.bytes_hops = 0.25
-    topo.link("h3", "l0").bytes_carried = 0.5
-    return _storm(9)(topo, net)
+def _fractional_totals(which: str):
+    """Running totals that are already fractional when the run starts
+    (every link's bytes, every ``per_link`` entry, or the global bytes),
+    or that grow past 2**53 (``huge``), keep the row-by-row float sums:
+    adding 4096 to a third twice (or 512 times) differs from adding the
+    sum once."""
+    third = 1.0 / 3.0
+
+    def scenario(topo, net):
+        for link in topo.links():
+            if which == "link":
+                link.bytes_carried = third
+            elif which == "per_link":
+                net.traffic.per_link[link.key] = third
+        if which == "global":
+            net.traffic.bytes_hops = third
+        # Sums of these pass 2**53 and round: order matters.
+        nbytes = 2.0 ** 50 + 1.0 if which == "huge" else 4096.0
+        hosts = topo.hosts
+        log = []
+        for h in hosts:
+            net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+        # Two messages per host uplink (one for the global total: 512
+        # hops in all), each window as wide as the minimum.
+        for i, h in enumerate(hosts):
+            for j in (1,) if which == "global" else (1, 2):
+                net.send(Message(h, hosts[i ^ j], nbytes, (i, j)))
+        if which == "huge":
+            # The totals after the first window, before later ones round.
+            net.sim.schedule_at(1.0, lambda: log.append(("tick", _stats(net.traffic))))
+        net.run()
+        return _observe(topo, net, log)
+    return scenario
 
 
-def test_fractional_running_totals(monkeypatch, vector_windows):
-    ref, new = _both(monkeypatch, _fractional_totals)
+@pytest.mark.parametrize("which", ["link", "per_link", "global", "huge"])
+def test_fractional_running_totals(monkeypatch, vector_windows, which):
+    ref, new = _both(monkeypatch, _fractional_totals(which))
     assert vector_windows
     assert new == ref
 
@@ -400,12 +462,15 @@ def test_zero_bytes_arrive_after_queue_and_latency(monkeypatch, vector_windows):
 
 def _dense_sends(net, hosts) -> None:
     """Six messages per host sent within 12 ns: wide enough that windows
-    with deliveries run vectorized."""
+    with deliveries run vectorized; then one message per flow."""
     for i, h in enumerate(hosts):
         for j in (17, 37, 60, 91, 140, 201):
             k = 6 * i + j
-            net.send(Message(h, hosts[(i + j) % len(hosts)], 4096.0 + (k % 3), k,
-                             flow=FLOWS[k % 3]), at=2.0 * (k % 7))
+            net.send(Message(h, hosts[(i + j) % len(hosts)], 4096.0 + (k % 3), k),
+                     at=2.0 * (k % 7))
+    for j, flow in enumerate(FLOWS):
+        net.send(Message(hosts[j], hosts[-1 - j], 1000.0, ("tagged", j), flow=flow),
+                 at=6000.0)
 
 
 def _trigger(action: str, at_delivery: int = 300):
