@@ -26,6 +26,7 @@ single-tenant API (and its results) are unchanged.
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -136,8 +137,8 @@ class Communicator:
     ) -> None:
         if n_hosts < 1:
             raise ValueError("n_hosts must be >= 1")
-        if weight <= 0:
-            raise ValueError("tenant weight must be positive")
+        if not 0 < weight < math.inf:      # also rejects nan
+            raise ValueError(f"tenant weight must be positive and finite, got {weight!r}")
         if fabric is not None:
             if topology is not None or topology_params is not None:
                 raise ValueError(

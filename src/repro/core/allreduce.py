@@ -234,9 +234,7 @@ class SwitchAllreducePlan:
         # --------------------------------------------------------------
         # Collect + verify
         # --------------------------------------------------------------
-        outputs: dict[int, np.ndarray] = {}
-        for _t, pkt in switch.egress:
-            outputs.setdefault(pkt.block_id, pkt.payload)
+        outputs = switch.block_outputs()
         if verify:
             _verify_outputs(outputs, data, self.operator, cfg.dtype_name)
 

@@ -4,18 +4,22 @@ Each kernel replicates, packet for packet, the cycle arithmetic its
 handler performs under the per-packet DES — dispatch overhead, buffer
 management, critical-section waits, tree climbs — while the
 :class:`repro.pspin.train.TrainRunner` replicates the event loop around
-it.  Payload math is deferred to commit time and executed as *programs*:
+it (the tree kernel, whose handlers extend, runs its own).  Payload
+math is deferred to commit time and executed as *programs*:
 
 * **vectorized** — integer payloads under a builtin operator (by
   identity, :func:`~repro.core.ops.order_free_ufunc`) reduce as one
   whole-train numpy block operation (wrapping integer arithmetic is
   order-insensitive, so this is bitwise identical to any combine order
   the DES would have used);
-* **order replay** — float payloads and custom operators re-execute the
-  exact combine sequence the DES would run (lock-acquisition order for
-  single/multi buffers, the fixed merge structure for trees), which is
-  what keeps fp32 results — including reproducible-mode tree sums —
-  bitwise identical.
+* **order replay** — float payloads and custom operators on single/multi
+  buffers re-execute the DES's lock-acquisition combine order;
+* **fixed tree** — on the tree they evaluate its fixed pair structure
+  (F3) level by level, which is what keeps fp32 results — including
+  reproducible-mode tree sums — bitwise identical.
+
+Egress leaves as one :class:`~repro.pspin.packets.EgressRecord` per
+commit, expanded into per-port packets only when read.
 
 Any situation a kernel cannot reproduce exactly (working-memory
 admission stalls, L1 exhaustion, incomplete blocks, payload/config dtype
@@ -25,21 +29,24 @@ switch transparently re-runs the train through the per-packet path.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
 
 from repro.core.handler_base import PARENT_PORT
 from repro.core.multi_buffer import MultiBufferHandler
-from repro.core.ops import order_free_ufunc
+from repro.core.ops import builtin_ufunc, order_free_ufunc
 from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import PairTree, TreeAggregationHandler
-from repro.pspin.packets import SwitchPacket
+from repro.pspin.packets import HEADER_BYTES, EgressRecord
 from repro.pspin.train import (
     FastPathAbort,
     PacketTrain,
     commit_working_memory,
+    completion_order,
     register_train_kernel,
 )
 
@@ -50,9 +57,6 @@ class _DenseKernelBase:
     """Shared state and cost precomputation for dense train kernels."""
 
     worst_case_buffers = 1
-    #: Kernels whose handlers never extend (no tree climbs) let the
-    #: runner use its heap-free sweep.
-    has_continuations = False
 
     def __init__(self, handler, switch, train: PacketTrain, handler_name: str) -> None:
         self.handler = handler
@@ -88,8 +92,10 @@ class _DenseKernelBase:
         self.block_cluster: dict[int, int] = {}
         self.blocks_completed = 0
         self.duplicates = 0
-        #: (finish_time, block_id) in completion order.
-        self.emissions: list[tuple[float, int]] = []
+        #: (finish_time, block_id, dispatch_time, port) per completed
+        #: block, from the handler that completed (and emits) it; egress
+        #: order as (time, block) pairs once :meth:`finish_check` ran.
+        self.emissions: list[tuple] = []
         self.ufunc = order_free_ufunc(config.op, train.data.dtype)
         self.vectorized = self.ufunc is not None
 
@@ -111,49 +117,45 @@ class _DenseKernelBase:
 
     # -- runner interface ----------------------------------------------
     def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
+        """Run one packet's handler: ``(finish_time, wait_cycles)``."""
         raise NotImplementedError
-
-    def resume(self, cont, now: float):
-        raise FastPathAbort("kernel does not support continuations")
 
     def finish_check(self) -> None:
         if self.blocks:
             raise FastPathAbort("train left incomplete blocks behind")
+        train = self.train
+        finish, blocks, dispatch, ports = map(np.array, zip(*self.emissions))
+        # A completing packet is the first copy of its (block, port) in
+        # the train: later copies are duplicates and complete nothing.
+        width = int(train.ports.max()) + 1
+        keys, first = np.unique(train.block_ids * width + train.ports, return_index=True)
+        train_pos = first[np.searchsorted(keys, blocks * width + ports)]
+        subset = np.array([self.block_cluster[b] for b in blocks.tolist()])
+        order = completion_order(self.switch, train, finish, dispatch, train_pos, subset)
+        self.emissions = [self.emissions[i][:2] for i in order.tolist()]
 
-    def commit(self) -> tuple[list[tuple[float, SwitchPacket]], int]:
-        """Apply kernel-side state; returns (egress emissions, bytes)."""
+    def commit(self) -> tuple[EgressRecord, int]:
+        """Apply kernel-side state; returns (egress record, bytes)."""
         commit_working_memory(self.switch, self.l1_times, self.l1_deltas)
         handler = self.handler
         handler.blocks_completed += self.blocks_completed
         handler.duplicates_dropped += self.duplicates
-        payloads = self._build_payloads()
-        out: list[tuple[float, SwitchPacket]] = []
+        # The record expands each block's ports in list order, as the
+        # DES's completion emits them.
         ports = self.config.multicast_ports
-        aid = self.config.allreduce_id
-        # Sorting the (time, block) pairs here — before port expansion,
-        # which emits ports in ascending order — leaves the expanded
-        # list in the runner's (time, block, port) egress order.
-        self.emissions.sort()
-        for t, block_id in self.emissions:
-            payload = payloads[block_id]
-            if ports is None:
-                out.append((t, SwitchPacket(aid, block_id, PARENT_PORT, payload)))
-            else:
-                # One block copy per egress port (what the DES emits,
-                # materialized as rows of a single repeated matrix).
-                rows = np.repeat(payload[None, :], len(ports), axis=0)
-                out.extend(
-                    (t, SwitchPacket(aid, block_id, p, rows[i]))
-                    for i, p in enumerate(ports)
-                )
+        record = EgressRecord(
+            self.config.allreduce_id,
+            self.emissions,
+            self._vector_reduce() if self.vectorized else self._build_payloads(),
+            [PARENT_PORT] if ports is None else ports,
+            multicast=ports is not None,
+        )
         # Dense emissions are uniform: one aggregated block per packet.
-        from repro.pspin.packets import HEADER_BYTES
-
-        out_bytes = len(out) * (self.nbytes + HEADER_BYTES)
-        return out, out_bytes
+        return record, len(record) * (self.nbytes + HEADER_BYTES)
 
     # -- payload programs ----------------------------------------------
     def _build_payloads(self) -> dict[int, np.ndarray]:
+        """Float payloads and custom operators: the design's program."""
         raise NotImplementedError
 
     def _vector_reduce(self) -> dict[int, np.ndarray]:
@@ -198,7 +200,7 @@ class SingleBufferKernel(_DenseKernelBase):
         bit = 1 << port
         if rec.seen & bit:
             self.duplicates += 1
-            return t, 0.0, None
+            return t, 0.0
         rec.seen |= bit
         rec.count += 1
         if not rec.allocated:
@@ -211,16 +213,14 @@ class SingleBufferKernel(_DenseKernelBase):
         rec.lock_free = finish
         rec.order.append(port)
         if rec.count == self.n_children:
-            self.emissions.append((finish, block_id))
+            self.emissions.append((finish, block_id, dispatch_t, port))
             self._l1_release(cluster, finish)
             self.blocks_completed += 1
             self._orders[block_id] = rec.order
             del self.blocks[block_id]
-        return finish, wait, None
+        return finish, wait
 
     def _build_payloads(self) -> dict[int, np.ndarray]:
-        if self.vectorized:
-            return self._vector_reduce()
         data = self.train.data
         combine = self.config.op.combine_into
         out: dict[int, np.ndarray] = {}
@@ -276,7 +276,7 @@ class MultiBufferKernel(_DenseKernelBase):
         bit = 1 << port
         if rec.seen & bit:
             self.duplicates += 1
-            return t, 0.0, None
+            return t, 0.0
         rec.seen |= bit
         rec.count += 1
         # _pick_buffer: first free, else allocate (under the B budget),
@@ -305,7 +305,7 @@ class MultiBufferKernel(_DenseKernelBase):
         chosen.filled = True
         chosen.order.append(port)
         if rec.count != self.n_children:
-            return finish, wait, None
+            return finish, wait
         # Completing handler folds the other filled buffers (list order)
         # into its own, waiting out writers still in their sections.
         fold_order: list[int] = []
@@ -319,7 +319,7 @@ class MultiBufferKernel(_DenseKernelBase):
             t_fold = entry2 + self.combine_c
             other.free_at = t_fold
             fold_order.append(i)
-        self.emissions.append((t_fold, block_id))
+        self.emissions.append((t_fold, block_id, dispatch_t, port))
         for _ in buffers:
             self._l1_release(cluster, t_fold)
         self.blocks_completed += 1
@@ -329,11 +329,9 @@ class MultiBufferKernel(_DenseKernelBase):
             fold_order,
         )
         del self.blocks[block_id]
-        return t_fold, wait, None
+        return t_fold, wait
 
     def _build_payloads(self) -> dict[int, np.ndarray]:
-        if self.vectorized:
-            return self._vector_reduce()
         data = self.train.data
         combine = self.config.op.combine_into
         out: dict[int, np.ndarray] = {}
@@ -376,131 +374,203 @@ def _flat_tree(n_leaves: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(parent), tuple(sibling)
 
 
-class _TreeRecord:
-    __slots__ = ("block_id", "cluster", "seen", "done", "claimed", "ops", "live_buffers")
-
-    def __init__(self, block_id: int, cluster: int, n_nodes: int, replay: bool) -> None:
-        self.block_id = block_id
-        self.cluster = cluster
-        self.seen = 0
-        #: node -> time its data is available (inf: not yet).
-        self.done = [_INF] * n_nodes
-        self.claimed = bytearray(n_nodes)
-        #: (left, right, parent) merges and (-1, node, parent) promotions,
-        #: kept only for order-replay payloads.
-        self.ops: Optional[list[tuple[int, int, int]]] = [] if replay else None
-        self.live_buffers = 0
-
-
 class TreeKernel(_DenseKernelBase):
     """Exact train model of :class:`TreeAggregationHandler`.
 
     Fills are DMA copies into per-packet buffers; merges climb the fixed
-    pair tree as continuations, exactly one merge per resume, with the
-    "only if a core finds available data in both buffers" rule and
-    event-order tie-breaking via the claimed flags.
+    pair tree, one merge per extension of the handler, with the "only if
+    a core finds available data in both buffers" rule and event-order
+    tie-breaking via claimed parents.  An extension keeps its core
+    busy, so the kernel runs its own heap sweep with the fill and the
+    climb written inline.
     """
-
-    has_continuations = True
 
     def __init__(self, handler, switch, train, handler_name) -> None:
         self.worst_case_buffers = handler.config.n_children
         super().__init__(handler, switch, train, handler_name)
         self.parent, self.sibling = _flat_tree(handler.tree.n_leaves)
-        self.n_nodes = len(self.parent)
-        #: block -> its merge/promotion ops (order-replay payloads only).
-        self._programs: dict[int, list[tuple[int, int, int]]] = {}
 
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
-        cluster = self.block_cluster[block_id]
-        rec = self.blocks.get(block_id)
-        if rec is None:
-            if self.l1_free[cluster] < self.admission_need:
-                raise FastPathAbort("working-memory admission stall")
-            rec = _TreeRecord(block_id, cluster, self.n_nodes, not self.vectorized)
-            self.blocks[block_id] = rec
-        t = start_t + self.dispatch_c
-        bit = 1 << port
-        if rec.seen & bit:
-            self.duplicates += 1
-            return t, 0.0, None
-        rec.seen |= bit
-        t += self.mgmt_c
-        if self.l1_free[cluster] < self.nbytes:
-            # The DES would roll back the bitmap and stall the packet.
-            raise FastPathAbort("working-memory stall on tree buffer")
-        self._l1_alloc(cluster, dispatch_t)
-        rec.live_buffers += 1
-        t += self.copy_c
-        rec.done[port] = t           # leaf ids are the ports
-        return t, 0.0, (rec, port)
+    def sweep(self, runner, st) -> None:
+        """Run one core subset (== cluster) through the event loop.
+        Completions pop in ``(time, priority 0, scheduling order)``; a
+        core whose handler may still climb reads busy until inf, so no
+        packet takes it first.  Queued packets take the first free core.
+        A block's state is node -> time its data is available (inf: not
+        yet): a leaf's is set at its fill, so a second copy finds it set
+        (a duplicate), and a parent's when a climb claims it."""
+        cluster = st.subset
+        parent_of, sibling_of = self.parent, self.sibling
+        unfilled = [_INF] * len(parent_of)
+        blocks: dict[int, list[float]] = self.blocks
+        emissions = self.emissions
+        l1_times, l1_deltas = self.l1_times[cluster], self.l1_deltas[cluster]
+        l1_free = self.l1_free[cluster]
+        nbytes, admission_need = self.nbytes, self.admission_need
+        dispatch_c, mgmt_c = self.dispatch_c, self.mgmt_c
+        copy_c, combine_c = self.copy_c, self.combine_c
+        duplicates, blocks_completed = self.duplicates, self.blocks_completed
+        busy, handlers_run, busy_cycles = st.busy, st.handlers_run, st.busy_cycles
+        slot_range = range(runner.n_slots)
+        arr_times, arr_blocks, arr_ports = st.arr_times, st.arr_blocks, st.arr_ports
+        n_arr = len(arr_times)
+        arr_i = seq = icache_fills = invocations = 0
+        queue: deque[int] = deque()   # indices (into arr_*) awaiting dispatch
+        # (time, seq, slot, is_fill, block_id, node): the handler climbs
+        # from ``node`` at this completion; node -1 ends it instead.
+        heap: list[tuple] = []
+        l2_release = runner.l2_release_times
+        last_completion = runner.last_completion
+        icache_fill = runner.icache_fill
+        warm = st.warm
+        busy_total = 0.0
+        while arr_i < n_arr or heap:
+            next_arr = arr_times[arr_i] if arr_i < n_arr else _INF
+            if heap and heap[0][0] <= next_arr:
+                # Completion: priority 0 beats same-instant arrivals.
+                now, _seq, slot, is_fill, block_id, node = heappop(heap)
+                if is_fill:
+                    l2_release.append(now)   # merges work in L1 only
+                if node < 0:
+                    # A duplicate's handler, or a root's zero-length
+                    # extension, ends here.
+                    if now > last_completion:
+                        last_completion = now
+                else:
+                    done = blocks[block_id]
+                    up = parent_of[node]
+                    # Odd subtrees promote for free.
+                    while up >= 0 and done[up] == _INF and sibling_of[node] < 0:
+                        done[up] = done[node]
+                        node = up
+                        up = parent_of[node]
+                    if up < 0:
+                        # Root: this climb owns the final result.  Like
+                        # the DES, a zero-length extension carries it,
+                        # and its own completion ends the handler.
+                        emissions.append((now, block_id))
+                        l1_free += nbytes
+                        l1_times.append(now)
+                        l1_deltas.append(-nbytes)
+                        blocks_completed += 1
+                        del blocks[block_id]
+                        busy[slot] = now
+                        handlers_run[slot] += 1
+                        heappush(heap, (now, seq, slot, False, block_id, -1))
+                        seq += 1
+                    elif done[up] != _INF or done[sibling_of[node]] > now:
+                        # Parent claimed, or the sibling's (later)
+                        # handler will climb: this handler ends.
+                        busy[slot] = now
+                        if now > last_completion:
+                            last_completion = now
+                    else:
+                        t = now + combine_c
+                        l1_free += nbytes
+                        l1_times.append(t)
+                        l1_deltas.append(-nbytes)
+                        done[up] = t
+                        busy[slot] = _INF
+                        handlers_run[slot] += 1      # occupy() counts these
+                        busy_cycles[slot] += t - now
+                        busy_total += t - now
+                        heappush(heap, (t, seq, slot, False, block_id, up))
+                        seq += 1
+                        if not duplicates:
+                            # While the queue is non-empty no other core
+                            # is free now (each freed core took its head
+                            # at its own completion).  A duplicate's core
+                            # is free from its finish on, before its own
+                            # completion runs: scan then.
+                            continue
+                if not queue:
+                    continue
+            else:
+                now = next_arr
+                queue.append(arr_i)
+                arr_i += 1
+            # Queued packets take free cores, first free index first.
+            while queue:
+                for slot in slot_range:
+                    if busy[slot] <= now:
+                        break
+                else:
+                    break
+                k = queue.popleft()
+                t = now
+                if not warm:
+                    warm = True
+                    t += icache_fill
+                    icache_fills += 1
+                block_id = arr_blocks[k]
+                port = arr_ports[k]           # leaf ids are the ports
+                done = blocks.get(block_id)
+                if done is None:
+                    if l1_free < admission_need:
+                        raise FastPathAbort("working-memory admission stall")
+                    done = blocks[block_id] = unfilled.copy()
+                t += dispatch_c
+                if done[port] != _INF:
+                    duplicates += 1
+                    busy[slot] = t
+                    port = -1
+                else:
+                    t += mgmt_c
+                    if l1_free < nbytes:
+                        # The DES would roll back the bitmap and stall.
+                        raise FastPathAbort("working-memory stall on tree buffer")
+                    l1_free -= nbytes
+                    l1_times.append(now)
+                    l1_deltas.append(nbytes)
+                    t += copy_c
+                    done[port] = t
+                    busy[slot] = _INF
+                handlers_run[slot] += 1
+                busy_cycles[slot] += t - now
+                invocations += 1
+                busy_total += t - now
+                heappush(heap, (t, seq, slot, True, block_id, port))
+                seq += 1
+        self.l1_free[cluster] = l1_free
+        self.duplicates, self.blocks_completed = duplicates, blocks_completed
+        st.warm = warm
+        runner.icache_fills += icache_fills
+        runner.handler_invocations += invocations
+        runner.busy_total += busy_total
+        runner.last_completion = last_completion
 
-    def resume(self, cont, now: float):
-        """At most one merge upward from ``cont``'s node (the DES chains
-        each further level as a fresh continuation)."""
-        rec, node = cont
-        parent_of = self.parent
-        done = rec.done
-        claimed = rec.claimed
-        ops = rec.ops
-        while True:
-            parent = parent_of[node]
-            if parent < 0:
-                # Root: this climb owns the final result.
-                block_id = rec.block_id
-                self.emissions.append((now, block_id))
-                self._l1_release(rec.cluster, now)
-                rec.live_buffers -= 1
-                if rec.live_buffers:
-                    raise FastPathAbort("tree left live buffers at the root")
-                self.blocks_completed += 1
-                if ops is not None:
-                    self._programs[block_id] = ops
-                del self.blocks[block_id]
-                # The DES returns a zero-length extension carrying the
-                # outputs; replicate it so the completion bookkeeping
-                # (last-completion update) lands on its own event.
-                return now, None
-            if claimed[parent]:
-                return None
-            sibling = self.sibling[node]
-            if sibling < 0:
-                # Odd subtree: promote for free.
-                claimed[parent] = 1
-                done[parent] = done[node]
-                if ops is not None:
-                    ops.append((-1, node, parent))
-                node = parent
-                continue
-            if done[sibling] > now:
-                return None   # sibling's (later) handler will climb
-            claimed[parent] = 1
-            t = now + self.combine_c
-            self._l1_release(rec.cluster, t)
-            rec.live_buffers -= 1
-            done[parent] = t
-            if ops is not None:
-                ops.append((min(node, sibling), max(node, sibling), parent))
-            return t, (rec, parent)
+    def finish_check(self) -> None:
+        if self.blocks:
+            raise FastPathAbort("train left incomplete blocks behind")
+        self.emissions.sort()
 
     def _build_payloads(self) -> dict[int, np.ndarray]:
-        if self.vectorized:
-            return self._vector_reduce()
-        data = self.train.data
-        combine = self.config.op.combine_into
-        n_leaves = self.n_children
-        pad = [None] * (self.n_nodes - n_leaves)
-        out: dict[int, np.ndarray] = {}
-        for block_id, ops in self._programs.items():
-            # Completed blocks saw every child exactly once: one fresh
-            # buffer per leaf, then the recorded merges in order.
-            arrays = list(data[:n_leaves, block_id].copy()) + pad
-            for left, right, parent in ops:
-                if left >= 0:
-                    combine(arrays[right], arrays[left])
-                arrays[parent] = arrays[right]
-            out[block_id] = arrays[-1].copy()
-        return out
+        """The fixed pair tree (F3), level by level: each pair merges as
+        ``combine_into(right, left)``, a node without a sibling promotes.
+        What combines with what is fixed by the tree shape, so the DES's
+        (arrival-dependent) merge order need not be recorded: with an
+        element-wise ``combine_into`` the order does not change a bit."""
+        level = self.train.data[: self.n_children]    # (nodes, blocks, elements)
+        ufunc = builtin_ufunc(self.config.op)
+        if ufunc is None:
+            # Custom operators: one buffer per leaf, block by block.
+            combine = self.config.op.combine_into
+            return {b: _pair_reduce(list(level[:, b].copy()), combine)
+                    for _t, b in self.emissions}
+        while len(level) > 1:
+            pairs = len(level) // 2
+            merged = ufunc(level[1 : 2 * pairs : 2], level[0 : 2 * pairs : 2])
+            level = np.concatenate([merged, level[-1:]]) if len(level) % 2 else merged
+        roots = level[0] if self.n_children > 1 else level[0].copy()
+        return {b: roots[b] for _t, b in self.emissions}
+
+
+def _pair_reduce(nodes: list, combine) -> np.ndarray:
+    """Reduce one block's leaf buffers up the pair tree, in place."""
+    while len(nodes) > 1:
+        for i in range(1, len(nodes), 2):
+            combine(nodes[i], nodes[i - 1])
+        nodes = nodes[1::2] + nodes[-1:] if len(nodes) % 2 else nodes[1::2]
+    return nodes[0]
 
 
 def _make_single(handler, switch, train, name):

@@ -69,9 +69,8 @@ def arrival_arrays(
     """Vectorized arrival synthesis: ``(times, hosts, blocks)`` arrays,
     sorted by ``(time, host)``.
 
-    Bit-identical to :func:`arrival_stream` (same per-host RNG draw
-    order, same float arithmetic) while skipping the per-packet Python
-    objects — the form the packet-train fast path injects directly.
+    :func:`arrival_stream` is the per-packet object view of these
+    arrays; the packet-train fast path injects them directly.
     """
     if n_hosts < 1 or n_blocks < 1:
         raise ValueError("need at least one host and one block")
@@ -82,16 +81,18 @@ def arrival_arrays(
         orders = (offsets[:, None] + np.arange(n_blocks)[None, :]) % n_blocks
     else:
         orders = np.broadcast_to(np.arange(n_blocks), (n_hosts, n_blocks))
-    rng = seeded_rng(seed)
-    times = np.empty((n_hosts, n_blocks), dtype=np.float64)
-    base = np.arange(n_blocks) * (n_hosts * delta)
-    for h in range(n_hosts):
-        if jitter > 0:
-            gaps = rng.exponential(scale=n_hosts * delta, size=n_blocks)
-            gaps = (1.0 - jitter) * (n_hosts * delta) + jitter * gaps
-            times[h] = start + h * delta + np.cumsum(gaps) - gaps[0]
-        else:
-            times[h] = start + h * delta + base
+    # Host h's first packet lands at ``start + h * delta``.
+    first = start + np.arange(n_hosts, dtype=np.float64)[:, None] * delta
+    if jitter > 0:
+        # One draw fills the rows in host order, the same stream the
+        # per-host draws consumed; the row-wise cumsum is sequential.
+        gaps = seeded_rng(seed).exponential(
+            scale=n_hosts * delta, size=(n_hosts, n_blocks)
+        )
+        gaps = (1.0 - jitter) * (n_hosts * delta) + jitter * gaps
+        times = first + np.cumsum(gaps, axis=1) - gaps[:, :1]
+    else:
+        times = first + np.arange(n_blocks) * (n_hosts * delta)
     hosts = np.repeat(np.arange(n_hosts), n_blocks)
     flat_times = times.reshape(-1)
     flat_blocks = orders.reshape(-1)

@@ -33,6 +33,7 @@ which is what pins single-tenant parity across the fabric refactor.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -308,8 +309,8 @@ class NetworkSimulator:
 
     def set_flow_weight(self, flow: object, weight: float) -> None:
         """QoS weight used by WFQ link arbitration (default 1.0)."""
-        if weight <= 0:
-            raise ValueError("flow weight must be positive")
+        if not 0 < weight < math.inf:      # also rejects nan
+            raise ValueError(f"flow weight must be positive and finite, got {weight!r}")
         self._settle()
         self._flow_weight[flow] = float(weight)
 

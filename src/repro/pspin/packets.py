@@ -84,3 +84,55 @@ class SwitchPacket:
     def key(self) -> tuple[int, int]:
         """Aggregation key: packets with equal keys reduce together."""
         return (self.allreduce_id, self.block_id)
+
+
+class EgressRecord:
+    """One fast-path commit's egress, kept unexpanded.
+
+    ``entries`` are the completed blocks as ``(time, block_id)`` pairs
+    in egress order, ``payloads`` maps each block to its aggregated
+    result, and ``ports`` lists the egress ports.  With ``multicast``
+    every port gets its own copy of the block (what the per-packet
+    handlers emit); without it the single port's packet carries the
+    payload itself.  :meth:`expand` builds the ``(time, SwitchPacket)``
+    entries the per-packet path would have appended, ports in list
+    order within each block.
+    """
+
+    __slots__ = ("allreduce_id", "entries", "payloads", "ports", "multicast")
+
+    def __init__(
+        self,
+        allreduce_id: int,
+        entries: list[tuple[float, int]],
+        payloads: dict[int, np.ndarray],
+        ports: list[int],
+        multicast: bool,
+    ) -> None:
+        self.allreduce_id = allreduce_id
+        self.entries = entries
+        self.payloads = payloads
+        self.ports = ports
+        self.multicast = multicast
+
+    def __len__(self) -> int:
+        return len(self.entries) * len(self.ports)
+
+    def expand(self) -> list[tuple[float, SwitchPacket]]:
+        aid = self.allreduce_id
+        ports = self.ports
+        payloads = self.payloads
+        if not self.multicast:
+            return [
+                (t, SwitchPacket(aid, b, p, payloads[b]))
+                for t, b in self.entries
+                for p in ports
+            ]
+        out: list[tuple[float, SwitchPacket]] = []
+        for t, b in self.entries:
+            # One block copy per port, as rows of a single matrix.
+            rows = np.repeat(payloads[b][None, :], len(ports), axis=0)
+            out.extend(
+                (t, SwitchPacket(aid, b, p, row)) for p, row in zip(ports, rows)
+            )
+        return out

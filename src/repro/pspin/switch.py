@@ -19,7 +19,7 @@ from repro.pspin.cluster import Cluster
 from repro.pspin.costs import CostModel
 from repro.pspin.engine import Simulator
 from repro.pspin.memory import MemoryAccounting
-from repro.pspin.packets import SwitchPacket
+from repro.pspin.packets import EgressRecord, SwitchPacket
 from repro.pspin.parser import PacketParser
 from repro.pspin.scheduler import FCFSScheduler, HierarchicalFCFSScheduler
 from repro.pspin.telemetry import Telemetry
@@ -160,7 +160,9 @@ class PsPINSwitch:
         self.memories = MemoryAccounting()
         self.telemetry = Telemetry()
         self._handlers: dict[str, Handler] = {}
-        self.egress: list[tuple[float, SwitchPacket]] = []
+        self._egress: list[tuple[float, SwitchPacket]] = []
+        #: Fast-path commits not yet expanded into ``_egress``.
+        self._egress_records: list[EgressRecord] = []
         self.egress_callback: Optional[Callable[[float, SwitchPacket], None]] = None
         self._first_arrival: Optional[float] = None
         self._last_completion: float = 0.0
@@ -395,7 +397,37 @@ class PsPINSwitch:
         if self.egress_callback is not None:
             self.egress_callback(time, packet)
         else:
+            # Through the property: pending fast-path records expand
+            # first, so this packet lands after them.
             self.egress.append((time, packet))
+
+    def _commit_egress(self, egress: "EgressRecord | list") -> None:
+        """Append a fast-path commit's egress: a ready ``(time, packet)``
+        list, or an :class:`EgressRecord` expanded on first read."""
+        if isinstance(egress, EgressRecord):
+            self._egress_records.append(egress)
+        else:
+            self.egress.extend(egress)
+
+    @property
+    def egress(self) -> list[tuple[float, SwitchPacket]]:
+        """Emitted packets as ``(time, packet)``, in emission order."""
+        if self._egress_records:
+            for record in self._egress_records:
+                self._egress.extend(record.expand())
+            self._egress_records.clear()
+        return self._egress
+
+    def block_outputs(self) -> dict:
+        """Block id -> payload of the block's first egress packet,
+        read without expanding fast-path records."""
+        out: dict = {}
+        for _t, pkt in self._egress:
+            out.setdefault(pkt.block_id, pkt.payload)
+        for record in self._egress_records:
+            for _t, block_id in record.entries:
+                out.setdefault(block_id, record.payloads[block_id])
+        return out
 
     # ------------------------------------------------------------------
     # Execution / reporting

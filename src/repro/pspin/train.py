@@ -15,9 +15,9 @@ analytically — one lean per-subset sweep over arrival offsets plus a
 handler-specific *train kernel* — instead of pushing one heap event, one
 ``HandlerContext`` and one handler call per packet through the
 discrete-event engine.  Aggregation itself runs as whole-train numpy
-block reductions where the operator's algebra allows, and as an exact
-order-replay otherwise, so payloads are **bitwise identical** to the
-per-packet path.
+block reductions where the operator's algebra allows, and otherwise
+in an order that gives the per-packet path's bits (its combine order,
+or the tree's fixed structure), so payloads are **bitwise identical**.
 
 The fast path is *pinned to parity*: it only engages when its timing
 model provably coincides with the per-packet DES —
@@ -39,7 +39,9 @@ always take the existing DES path.
 Train kernels register themselves here via
 :func:`register_train_kernel`: the dense aggregation designs in
 :mod:`repro.core.fastpath`, the sparse hash/array handler in
-:mod:`repro.sparse.fastpath`.  A train's ``wire_bytes`` is one integer
+:mod:`repro.sparse.fastpath`.  A kernel whose handlers extend (the
+tree's merges) supplies its own ``sweep(runner, subset)``; the others
+share the runner's heap-free one.  A train's ``wire_bytes`` is one integer
 (dense: uniform packets) or a per-packet array (sparse); the L2
 input-buffer accounting takes either.
 """
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from heapq import heappop, heappush
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -187,6 +189,34 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     return True
 
 
+#: ``set`` iteration order of subset ids is ascending while every id is
+#: below the smallest hash table (8 slots); the DES's scheduler visits
+#: its active subsets in that order.
+ORDERED_SUBSETS = 8
+
+
+def completion_order(switch, train, finish, dispatch, train_pos, subset) -> np.ndarray:
+    """Order emitting handlers as the DES pops their completion events:
+    by finish time, then by dispatch order.  A packet dispatched at its
+    own arrival instant was dispatched by its arrival event; a queued
+    one by the first completion event at that instant (priority 0:
+    earlier), which visits the subsets in ascending id order and each
+    subset's queue FIFO.
+
+    Arrays are per emitting handler: ``train_pos`` is its packet's train
+    position and ``subset`` its block's subset.  Returns the permutation;
+    aborts where the DES order would depend on ``set`` iteration."""
+    queued = dispatch != train.times[train_pos]
+    subset = np.where(queued, subset, 0)
+    order = np.lexsort((train_pos, subset, ~queued, dispatch, finish))
+    if switch.scheduler.n_subsets > ORDERED_SUBSETS:
+        f, d, q, s = finish[order], dispatch[order], queued[order], subset[order]
+        tie = (f[1:] == f[:-1]) & (d[1:] == d[:-1]) & q[1:] & q[:-1]
+        if np.any(tie & (s[1:] != s[:-1])):
+            raise FastPathAbort("egress order depends on set iteration order")
+    return order
+
+
 def commit_working_memory(switch, l1_times, l1_deltas) -> None:
     """Book a kernel's per-cluster L1 events (call-order time and delta
     lists) into the clusters' L1 regions and the working-memory gauge.
@@ -239,7 +269,6 @@ class _SubsetState:
         "arr_blocks",
         "arr_ports",
         "busy",
-        "pending",
         "handlers_run",
         "busy_cycles",
         "warm",
@@ -253,7 +282,6 @@ class _SubsetState:
         self.arr_blocks: list[int] = []
         self.arr_ports: list[int] = []
         self.busy = [0.0] * n_slots
-        self.pending = [False] * n_slots
         self.handlers_run = [0] * n_slots
         self.busy_cycles = [0.0] * n_slots
         self.warm = warm
@@ -331,18 +359,16 @@ class TrainRunner:
     def simulate(self) -> None:
         self._assign_subsets()
         self.kernel.set_block_clusters(self.block_subset)
-        run = (
-            self._run_subset
-            if getattr(self.kernel, "has_continuations", False)
-            else self._run_subset_simple
-        )
+        # Kernels whose handlers extend (tree merges) own their sweep.
+        kernel_sweep = getattr(self.kernel, "sweep", None)
+        sweep = self._sweep if kernel_sweep is None else partial(kernel_sweep, self)
         done: list[np.ndarray] = []
         done_bytes = 0
         capacity = self.switch.memories.l2_packet.capacity_bytes
         for st in self.subsets:
             if not st.arr_times:
                 continue
-            run(st)
+            sweep(st)
             done.append(st.idx)
             done_bytes += int(self._wire(st.idx).sum())
             # Incremental lower-bound check: the simulated subsets'
@@ -361,8 +387,8 @@ class TrainRunner:
             self.last_completion,
         )
 
-    def _run_subset_simple(self, st: _SubsetState) -> None:
-        """Heap-free sweep for kernels without continuations.
+    def _sweep(self, st: _SubsetState) -> None:
+        """Heap-free sweep for kernels whose handlers never extend.
 
         Completion events of non-extending handlers only ever free a
         core, release L2, and hand the core to the queue head — all of
@@ -421,7 +447,7 @@ class TrainRunner:
                 warm = True
                 start += icache_fill
                 self.icache_fills += 1
-            finish, wait, _cont = kernel_process(
+            finish, wait = kernel_process(
                 arr_blocks[k], arr_ports[k], now, start
             )
             busy[slot] = finish
@@ -434,105 +460,6 @@ class TrainRunner:
             if finish > last_completion:
                 last_completion = finish
         st.warm = warm
-        self.handler_invocations += invocations
-        self.busy_total += busy_total
-        self.wait_total += wait_total
-        self.last_completion = last_completion
-
-    def _run_subset(self, st: _SubsetState) -> None:
-        """Heap-driven sweep for kernels whose handlers extend (tree
-        merges): completions pop in the event loop's ``(time, priority
-        0, scheduling order)`` and run the kernel's continuation first;
-        queued packets then dispatch on the first free core index."""
-        kernel = self.kernel
-        kernel_process = kernel.process
-        kernel_resume = kernel.resume
-        busy = st.busy
-        pending = st.pending
-        handlers_run = st.handlers_run
-        busy_cycles = st.busy_cycles
-        slot_range = range(self.n_slots)
-        arr_times = st.arr_times
-        arr_blocks = st.arr_blocks
-        arr_ports = st.arr_ports
-        n_arr = len(arr_times)
-        arr_i = 0
-        queue: deque[int] = deque()   # indices (into arr_*) awaiting dispatch
-        comp_heap: list[tuple] = []
-        comp_seq = 0
-        l2_release = self.l2_release_times
-        last_completion = self.last_completion
-        icache_fill = self.icache_fill
-        warm = st.warm
-        icache_fills = invocations = 0
-        busy_total = wait_total = 0.0
-        inf = float("inf")
-        while arr_i < n_arr or comp_heap:
-            next_arr = arr_times[arr_i] if arr_i < n_arr else inf
-            if comp_heap and comp_heap[0][0] <= next_arr:
-                # Completion event (priority 0 beats same-instant
-                # arrivals; same-instant completions pop in scheduling
-                # order via comp_seq).
-                now, _seq, slot, primary, cont = heappop(comp_heap)
-                if primary:
-                    # Input buffers hold queueing + service of the
-                    # packet handler; extensions work in L1 only.
-                    l2_release.append(now)
-                nxt = None if cont is None else kernel_resume(cont, now)
-                if nxt is None:
-                    if cont is not None:
-                        pending[slot] = False
-                    if now > last_completion:
-                        last_completion = now
-                else:
-                    finish, cont = nxt
-                    busy[slot] = finish
-                    pending[slot] = cont is not None
-                    handlers_run[slot] += 1      # occupy() counts these
-                    busy_cycles[slot] += finish - now
-                    busy_total += finish - now
-                    heappush(comp_heap, (finish, comp_seq, slot, False, cont))
-                    comp_seq += 1
-                    if cont is not None and not kernel.duplicates:
-                        # The core stays pending, and while the queue is
-                        # non-empty no other core is free at this
-                        # instant (each freed core took the queue head
-                        # at its own completion): nothing to dispatch.
-                        # A duplicate's handler has no continuation, so
-                        # its core is free from its finish instant on,
-                        # before its own completion runs: scan then.
-                        continue
-            else:
-                now = next_arr
-                queue.append(arr_i)
-                arr_i += 1
-            # Queued packets take free cores, first free index first.
-            while queue:
-                for slot in slot_range:
-                    if busy[slot] <= now and not pending[slot]:
-                        break
-                else:
-                    break
-                k = queue.popleft()
-                start = now
-                if not warm:
-                    warm = True
-                    start += icache_fill
-                    icache_fills += 1
-                finish, wait, cont = kernel_process(
-                    arr_blocks[k], arr_ports[k], now, start
-                )
-                busy[slot] = finish
-                pending[slot] = cont is not None
-                handlers_run[slot] += 1
-                busy_cycles[slot] += finish - now
-                invocations += 1
-                busy_total += finish - now
-                wait_total += wait
-                heappush(comp_heap, (finish, comp_seq, slot, True, cont))
-                comp_seq += 1
-        st.warm = warm
-        self.icache_fills += icache_fills
         self.handler_invocations += invocations
         self.busy_total += busy_total
         self.wait_total += wait_total
@@ -638,10 +565,10 @@ class TrainRunner:
         switch.scheduler._next_subset = self.n_blocks_seen % self.n_subsets
 
         # Kernel state: L1 accounting, working-memory gauge, handler
-        # counters, and the payload programs -> egress packets.
-        emissions, out_bytes = self.kernel.commit()   # (time, block) sorted
-        switch.egress.extend(emissions)
-        tel.packets_out.add(len(emissions))
+        # counters, and the payload programs -> egress.
+        egress, out_bytes = self.kernel.commit()
+        switch._commit_egress(egress)
+        tel.packets_out.add(len(egress))
         tel.bytes_out.add(out_bytes)
 
         switch._first_arrival = float(train.times[0])

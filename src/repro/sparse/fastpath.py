@@ -46,15 +46,11 @@ from repro.pspin.train import (
     FastPathAbort,
     TrainRunner,
     commit_working_memory,
+    completion_order,
     register_train_kernel,
 )
 from repro.sparse.handlers import SparseAggregationHandler
 from repro.sparse.hash_storage import ELEMENT_BYTES, _slot_of, drain_table
-
-#: ``set`` iteration order of subset ids is ascending while every id is
-#: below the smallest hash table (8 slots); the DES's scheduler visits
-#: its active subsets in that order.
-_ORDERED_SUBSETS = 8
 
 
 def _group(keys: np.ndarray, first: bool = False):
@@ -211,8 +207,6 @@ class SparsePacketTrain:
 
 class SparseTrainKernel:
     """Exact train model of :class:`SparseAggregationHandler`."""
-
-    has_continuations = False
 
     def __init__(self, handler, switch, train, handler_name: str) -> None:
         if not isinstance(train, SparsePacketTrain):
@@ -395,29 +389,22 @@ class SparseTrainKernel:
             self.l1_free[cluster] += mem
             self.l1_times[cluster].append(finish)
             self.l1_deltas[cluster].append(-mem)
-        return finish, entry - t, None
+        return finish, entry - t
 
     def finish_check(self) -> None:
         """Order the emitting packets as the DES pops their completion
-        events: by finish time, then by dispatch order.  A packet
-        dispatched at its own arrival instant was dispatched by its
-        arrival event; a queued one by the first completion event at
-        that instant (priority 0: earlier), which visits the subsets in
-        ascending id order and each subset's queue FIFO."""
+        events (:func:`~repro.pspin.train.completion_order`)."""
         emit = np.flatnonzero(self.flushes > 0)
         emit = np.union1d(emit, self.last_bo)
-        finish = np.asarray(self.finish)[emit]
-        dispatch = np.asarray(self.dispatch)[emit]
-        train_pos = self.bo[emit]
-        queued = dispatch != self.train.times[train_pos]
         clusters = np.array([self.block_cluster[b] for b in self.ublocks.tolist()])
-        subset = np.where(queued, clusters[self.block_of_bo[emit]], 0)
-        order = np.lexsort((train_pos, subset, ~queued, dispatch, finish))
-        if self.switch.scheduler.n_subsets > _ORDERED_SUBSETS:
-            f, d, q, s = finish[order], dispatch[order], queued[order], subset[order]
-            tie = (f[1:] == f[:-1]) & (d[1:] == d[:-1]) & q[1:] & q[:-1]
-            if np.any(tie & (s[1:] != s[:-1])):
-                raise FastPathAbort("egress order depends on set iteration order")
+        order = completion_order(
+            self.switch,
+            self.train,
+            np.asarray(self.finish)[emit],
+            np.asarray(self.dispatch)[emit],
+            self.bo[emit],
+            clusters[self.block_of_bo[emit]],
+        )
         self.emit_order = emit[order]
 
     def commit(self) -> tuple[list[tuple[float, SwitchPacket]], int]:
@@ -458,8 +445,6 @@ class _ServiceBound:
     overflows the input buffers, the DES back-pressures, and the runner
     aborts before the inserts are resolved."""
 
-    has_continuations = False
-
     def __init__(self, dispatch_c: float, insert: list, ublocks, bstart) -> None:
         self.dispatch_c = dispatch_c
         self.insert = insert
@@ -473,7 +458,7 @@ class _ServiceBound:
         cursor = self.cursor[block_id]
         j = cursor[0]
         cursor[0] = j + 1
-        return start_t + self.dispatch_c + self.insert[j], 0.0, None
+        return start_t + self.dispatch_c + self.insert[j], 0.0
 
     def finish_check(self) -> None:
         pass

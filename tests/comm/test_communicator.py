@@ -240,3 +240,10 @@ def test_scale_bandwidth_validates_target_clusters():
     with pytest.raises(ValueError, match="sim_clusters"):
         scale_bandwidth(1.0, 0)
     assert scale_bandwidth(1.0, 4, target_clusters=8) == 2.0
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_tenant_weight_must_be_positive_and_finite(weight):
+    # nan <= 0 is False: a plain sign check would let nan into WFQ tags.
+    with pytest.raises(ValueError, match="positive and finite"):
+        Communicator(n_hosts=8, weight=weight)

@@ -1,14 +1,17 @@
 """Tests for staggered sending and arrival-stream synthesis (Sec. 5)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.staggered import (
+    arrival_arrays,
     arrival_stream,
     measured_delta_c,
     sequential_schedule,
     staggered_schedule,
 )
+from repro.utils.rngtools import seeded_rng
 
 
 def test_sequential_schedule_all_hosts_identical():
@@ -80,3 +83,43 @@ def test_invalid_args_rejected():
 
 def test_measured_delta_c_empty_stream():
     assert measured_delta_c([], 0) == 0.0
+
+
+def _loop_arrival_arrays(n_hosts, n_blocks, delta, staggered, jitter, seed, start):
+    """The per-host loop ``arrival_arrays`` vectorizes, kept as the
+    oracle: one ``exponential`` draw and one ``cumsum`` per host."""
+    if staggered:
+        offsets = (np.arange(n_hosts) * n_blocks) // n_hosts
+        orders = (offsets[:, None] + np.arange(n_blocks)[None, :]) % n_blocks
+    else:
+        orders = np.broadcast_to(np.arange(n_blocks), (n_hosts, n_blocks))
+    rng = seeded_rng(seed)
+    times = np.empty((n_hosts, n_blocks), dtype=np.float64)
+    base = np.arange(n_blocks) * (n_hosts * delta)
+    for h in range(n_hosts):
+        if jitter > 0:
+            gaps = rng.exponential(scale=n_hosts * delta, size=n_blocks)
+            gaps = (1.0 - jitter) * (n_hosts * delta) + jitter * gaps
+            times[h] = start + h * delta + np.cumsum(gaps) - gaps[0]
+        else:
+            times[h] = start + h * delta + base
+    hosts = np.repeat(np.arange(n_hosts), n_blocks)
+    flat_times = times.reshape(-1)
+    flat_blocks = orders.reshape(-1)
+    order = np.lexsort((hosts, flat_times))
+    return flat_times[order], hosts[order], flat_blocks[order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("jitter", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("start", [0.0, 3.5, 1e6 + 0.1])
+@pytest.mark.parametrize("staggered", [True, False])
+def test_arrival_arrays_bitwise_equal_to_per_host_loop(seed, jitter, start, staggered):
+    for hosts, blocks, delta in ((64, 64, 3.7), (6, 16, 1.0), (4, 8, 2), (1, 5, 0.3)):
+        got = arrival_arrays(hosts, blocks, delta, staggered=staggered,
+                             jitter=jitter, seed=seed, start=start)
+        want = _loop_arrival_arrays(hosts, blocks, delta, staggered, jitter,
+                                    seed, start)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()

@@ -200,6 +200,15 @@ def test_wfq_weights_interleave_proportionally():
     assert a_w < a_eq
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_flow_weight_must_be_finite(weight):
+    # nan <= 0 is False: a plain sign check would let nan into WFQ tags.
+    net = _two_flow_net("wfq")
+    with pytest.raises(ValueError, match="positive and finite"):
+        net.set_flow_weight("A", weight)
+    assert "A" not in net._flow_weight
+
+
 def test_wfq_rejects_bad_inputs():
     net = _two_flow_net("wfq")
     with pytest.raises(ValueError):
