@@ -106,7 +106,7 @@ from repro.network.faults import FaultInjector
 from repro.network.routing import Router
 from repro.network.shard import ShardPlan
 from repro.network.simulator import (
-    Message, NetworkSimulator, UnreachableError, _LinkQueue,
+    Message, NetworkSimulator, UnreachableError, _LinkQueue, check_sends,
 )
 from repro.network.topology import NodeId, Topology
 from repro.network.windows import VectorRoutes, chain_links
@@ -254,6 +254,8 @@ class ShardedNetworkSimulator(NetworkSimulator):
             raise TypeError("sharded engine needs a ShardedSimulator")
         self._plan = plan
         self._index = plan.index
+        #: ``Link`` objects by link index (worker busy_until replies).
+        self._link_list = [topology._links[k] for k in plan.index.link_keys]
         self.window = plan.lookahead
         self.engaged = True
         self._forked = False
@@ -429,6 +431,7 @@ class ShardedNetworkSimulator(NetworkSimulator):
         super()._hop(msg, node)
 
     def send_burst(self, msgs: list[Message], at: float = 0.0) -> None:
+        check_sends(msgs, at)         # before any message is diverted
         if self.engaged and any(self._owner[m.src] >= 0 for m in msgs):
             # Divert now, at ``at``: a burst event expanding at ``at``
             # could run after the source's worker has passed ``at``.
@@ -802,11 +805,10 @@ class ShardedNetworkSimulator(NetworkSimulator):
         # Crossing batches carry meta in column 7, delivery bounces in
         # column 3.
         meta_col = batch[7] if len(batch) > 4 else batch[3]
-        for i in range(t_col.size):
-            schedule(
-                float(t_col[i]), resume,
-                (int(mid_col[i]), names[int(node_col[i])], int(meta_col[i])),
-            )
+        for t, mid, node, meta in zip(
+            t_col.tolist(), mid_col.tolist(), node_col.tolist(), meta_col.tolist()
+        ):
+            schedule(t, resume, (mid, names[node], meta))
 
     def _split_pending(self) -> list:
         batch = _concat_batches(
@@ -885,10 +887,9 @@ class ShardedNetworkSimulator(NetworkSimulator):
 
     def _apply_busy(self, busy: tuple) -> None:
         idx, values = busy
-        keys = self._index.link_keys
-        links = self.topology._links
-        for i in range(len(idx)):
-            links[keys[int(idx[i])]].busy_until = float(values[i])
+        links = self._link_list
+        for i, value in zip(idx.tolist(), values.tolist()):
+            links[i].busy_until = value
 
     def _merge_queue_peaks(self, peaks: list) -> None:
         names = self._index.names

@@ -44,6 +44,20 @@ from repro.network.windows import HopRows
 from repro.pspin.engine import Simulator
 
 
+_INF = math.inf
+
+
+def check_sends(msgs, at: float) -> None:
+    """Raise ``ValueError`` if the send time ``at`` or a message size is
+    NaN or +inf.  (A negative size raises when the message is
+    transmitted; a time before now means now.)"""
+    if not at < _INF:
+        raise ValueError(f"send time must not be nan or +inf, got {at!r}")
+    for msg in msgs:
+        if not msg.nbytes < _INF:
+            raise ValueError(f"message size must not be nan or +inf, got {msg.nbytes!r}")
+
+
 class UnreachableError(RuntimeError):
     """A message exhausted its retransmission budget or lost every
     path to its destination (network partitioned)."""
@@ -278,6 +292,12 @@ class NetworkSimulator:
         self._settle()
         return self._traffic
 
+    @property
+    def windowed_hops(self) -> int:
+        """Hop events run inside vector FIFO windows so far (0 when
+        windows are off); the rest ran one engine event each."""
+        return 0 if self._rows is None else self._rows.windowed
+
     def _topology_changed(self, event: str, *args) -> None:
         self.on_topology_change()
         if self._rows is not None:
@@ -389,9 +409,28 @@ class NetworkSimulator:
     # Sending
     # ------------------------------------------------------------------
     def send(self, msg: Message, at: float = 0.0) -> None:
-        """Inject a message at its source at absolute time ``at``."""
-        now = self.sim.now
-        self._schedule_hop(at if at > now else now, msg, msg.src)
+        """Inject a message at its source at absolute time ``at`` (a
+        time before now means now).
+
+        Sent while the engine is idle, a hop a FIFO window may take
+        (untagged, whole non-negative bytes) goes straight into the hop
+        rows with the ``seq`` the engine would have given its event
+        (:meth:`repro.network.windows.HopRows.push`).
+        """
+        nbytes = msg.nbytes
+        if not (nbytes < _INF and at < _INF):
+            check_sends((msg,), at)
+        sim = self.sim
+        now = sim.now
+        t = at if at > now else now
+        rows = self._rows
+        if (
+            rows is not None and not sim.running and msg.flow is None
+            and nbytes >= 0 and nbytes % 1.0 == 0.0
+        ):
+            rows.push(t, msg)
+        else:
+            self._schedule_hop(t, msg, msg.src)
 
     def _schedule_hop(self, time: float, msg: Message, node: NodeId) -> None:
         """Schedule ``msg`` to arrive (or start) at ``node`` at ``time``.
@@ -412,6 +451,7 @@ class NetworkSimulator:
         costs a single heap event — collectives use it for the per-
         segment sub-chunk trains they issue at the same instant.
         """
+        check_sends(msgs, at)
         now = self.sim.now
         if not self.fast_path:
             for msg in msgs:

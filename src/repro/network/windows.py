@@ -7,17 +7,26 @@ arrival one link later.  Every link is at least ``L`` (the minimum link
 latency) long, so a hop processed at ``t >= T`` schedules its child no
 earlier than ``T + L``: all hop events in ``[T, T + L)`` are independent
 of each other except through the FIFO order on shared links.
-:class:`HopRows` exploits that.  It holds a block of hop *rows* sorted
-by the engine's own key ``(time, 1, seq)`` and is attached to the
-engine as its row source (``Simulator._rows``), so the engine
-interleaves the rows with its other events exactly.
+:class:`HopRows` exploits that.  It holds hop *rows* keyed by the
+engine's own ``(time, 1, seq)`` and is attached to the engine as its
+row source (``Simulator._rows``), so the engine interleaves the rows
+with its other events exactly.
+
+Rows come from two places.  A plain hop (untagged message, integral
+non-negative byte count) sent while the engine is idle — no run loop
+on the stack — becomes a row at once, with the ``seq`` its engine event
+would have drawn; such ``seq`` numbers need not be contiguous, since
+events scheduled between the sends take theirs.  Fewer than
+:data:`MIN_VECTOR_ROWS` of them go back to the engine as plain hop
+events instead.  The other rows are made by windows: their children,
+and the hop events (sent from callbacks during a run) a window takes
+from the engine.
 
 A *window* starts at the earliest row or event ``T`` and takes every
 hop before both ``T + L`` and the first engine entry a window may not
-take (any event that is not a hop of an untagged message with an
-integral, non-negative byte count).  When it holds at least
+take (any event that is not a plain hop).  When it holds at least
 :data:`MIN_VECTOR_ROWS` hops, the hop events it covers move from the
-engine into the block, the rows are routed with :class:`VectorRoutes`,
+engine into the rows, the rows are routed with :class:`VectorRoutes`,
 each link's rows are serialized in ``(time, seq)`` order with
 :func:`chain_links` (the kernel the sharded engine's vector workers
 call too), and the children get ``seq`` numbers in processing order.
@@ -25,7 +34,9 @@ Deliveries run their callbacks in row order with ``sim.now`` and the
 engine's seq counter set where the per-event loop would have them.  A
 narrower window hands its rows back to the engine as plain hop events,
 so ``NetworkSimulator._hop`` in the engine loop stays the only
-per-event path.
+per-event path.  Rows are kept as sorted runs, one per source (see
+:class:`HopRows`): a window sorts only the rows it takes, so it costs
+O(its rows + live runs) however many rows are queued behind it.
 
 Callback contract.  A window writes the ``Link`` fields and the traffic
 statistics when it ends.  Inside a delivery callback, reading them
@@ -34,7 +45,7 @@ through ``net.traffic``, ``net.flow_stats``, ``net.traffic_extra``,
 or changing flows, weights, faults, interceptors, routes or rates, or
 scheduling anything at or before the window's last row — *settles* the
 window: every row before the current one is committed, the rows after
-it go back to the block, and the window ends after the current row.  A
+it go back to the rows, and the window ends after the current row.  A
 ``Link`` object held from before the run is only current outside
 callbacks.
 """
@@ -42,8 +53,8 @@ callbacks.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -55,6 +66,9 @@ MIN_VECTOR_ROWS = 256
 #: window too): wider windows gain little, and their arrays grow with
 #: them.
 MAX_VECTOR_ROWS = 16384
+#: Live runs past this many are sorted into one: a window visits every
+#: run, so their count bounds its fixed cost.
+MAX_RUNS = 64
 #: Deferred byte totals and deltas stay below this, so their sums stay
 #: below 2**53: exact integers, whatever the order of addition.
 _HALF = 2.0 ** 52
@@ -150,31 +164,53 @@ class _Window:
 
 
 _seq_of = itemgetter(2)      # an engine entry's seq
+_src = attrgetter("src")
+_dst = attrgetter("dst")
+_nbytes = attrgetter("nbytes")
 
 
 class HopRows:
     """A network's hop rows and their window executor.
 
-    The rows live in one block of columns sorted by ``(time, seq)``:
-    time, seq, node, dst, nbytes, message.  Only hops of untagged
-    messages with integral, non-negative byte counts enter it, so a
-    window's byte sums are integer sums.  Flat tables (node and link
-    indices, rates, latencies) are built at the first window that
-    takes rows, not with the simulator.
+    Rows are held in *runs*: column tuples (time, seq, node, dst,
+    nbytes, message) sorted by ``(time, seq)``.  Each source of rows
+    adds its own run: the hops sent while the engine was idle
+    (:meth:`push`, folded in at the next engine access), each window's
+    children, the rows a cut window put back, and the hop events a
+    window took from the engine.  A window takes, from every run, the
+    leading rows before its bound and sorts just those into ``_blk``;
+    no run is ever merged with the others (unless more than
+    :data:`MAX_RUNS` are live), so a window costs O(its rows + live
+    runs), not O(queued rows).  Only hops of untagged messages with
+    integral, non-negative byte counts become rows, so a window's byte
+    sums are integer sums.  Flat tables (node and link indices, rates,
+    latencies) are built by the first window or wide idle injection,
+    not with the simulator.
     """
 
     def __init__(self, net) -> None:
         self.net = net
         self.sim = net.sim
+        #: The runs (never empty ones), the index of the one holding the
+        #: head row, and the window being dispatched (None outside one).
+        self._runs: list[tuple] = []
+        self._head_run = -1
         self._blk: tuple | None = None
+        #: Hops pushed while idle and not yet folded in: times, seqs and
+        #: messages, in push (seq) order.
+        self._pt: list = []
+        self._ps: list = []
+        self._pm: list = []
         #: Head row key (``_INF`` when empty), read by the engine.
         self.head_t = _INF
         self.head_seq = 0
         #: The window whose callbacks are running (None outside one).
         self.active: _Window | None = None
-        #: A window is running or deferred state is pending: readers
-        #: must :meth:`settle` first.
+        #: A window is running, deferred state is pending or idle hops
+        #: wait to be folded in: readers must :meth:`settle` first.
         self.dirty = False
+        #: Hops run inside vector windows so far.
+        self.windowed = 0
         self._lookahead_ns: float | None = None
         self._index = None
         self._routes: VectorRoutes | None = None
@@ -184,42 +220,40 @@ class HopRows:
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
-        return 0 if self._blk is None else self._blk[0].size
+        return sum(run[0].size for run in self._runs) + len(self._pt)
 
     def queued(self):
-        if self._blk is None:
-            return
         hop = self.net._hop
         names = self._names
-        t, seq, node, _d, _b, msg = self._blk
-        for row in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
-            yield (row[0], 1, row[1], hop, (row[3], names[row[2]]))
+        for run in self._runs:
+            t, seq, node, _d, _b, msg = run
+            for row in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
+                yield (row[0], 1, row[1], hop, (row[3], names[row[2]]))
+
+    def push(self, t: float, msg) -> None:
+        """Queue the first hop of ``msg``, sent at ``t`` while the engine
+        is idle: the row takes its seq now, as an engine event would,
+        and the rows pushed so far become a run at the next engine
+        access (:meth:`settle`)."""
+        sim = self.sim
+        s = sim._seq
+        sim._seq = s + 1
+        self._pt.append(t)
+        self._ps.append(s)
+        self._pm.append(msg)
+        if t < self.head_t:
+            self.head_t = t
+            self.head_seq = s
+        if not self.dirty:
+            self.dirty = True
+            self.net.topology._read_hooks.append(self.settle)
 
     def step(self) -> None:
         """Hand the head row to the engine (which then runs it)."""
-        self._unblock(1)
-
-    def prepare(self) -> None:
-        """Engine run start: settle, and when at least
-        :data:`MIN_VECTOR_ROWS` hop events a window may take fall within
-        ``L`` of the engine's earliest bucket, take every such hop event
-        off the engine (so later waves sent up front run as windows
-        too)."""
-        if self.dirty:
-            self.settle()
-        sim = self.sim
-        if self._blk is not None or not sim._times or not self._vector_ok():
-            return
-        buckets = sim._buckets
-        cols, take = self._taker()
-        count = 0
-        for t in self._bucket_times(sim._times[0] + self._lookahead(), _INF):
-            b = buckets[t]
-            for e in b if b.__class__ is deque else (b,):
-                count += take(e)
-            if count >= MIN_VECTOR_ROWS:
-                self._lift()
-                return
+        ks = [0] * len(self._runs)
+        ks[self._head_run] = 1
+        self._take(ks, 1)
+        self._unblock()
 
     def run(self, stop: float, window: bool, stoppable: bool) -> int:
         """Run the window that starts at the head row (which comes
@@ -227,18 +261,23 @@ class HopRows:
         many rows ran.  A narrow window's rows go back to the engine
         instead (0 ran, the engine runs them next)."""
         if not self._vector_ok():
-            self._unblock(self.count)
+            for run in self._runs:
+                self._unblock(run)
+            self._runs = []
+            self._set_head()
             return 0
-        n = self._gather(stop, window)
-        if n < MIN_VECTOR_ROWS:
-            self._unblock(n)
+        ks = self._gather(stop, window)
+        n = self._take(ks, MAX_VECTOR_ROWS)
+        if sum(ks) < MIN_VECTOR_ROWS:
+            self._unblock()
             return 0
-        return self._vector(min(n, MAX_VECTOR_ROWS), window, stoppable)
+        return self._vector(n, window, stoppable)
 
     def settle(self) -> None:
         """Bring everything to the per-event state: end a running window
         after its current row (commit the rows before it, requeue the
-        rows after it) and write the deferred link and traffic state."""
+        rows after it), write the deferred link and traffic state and
+        fold in the hops pushed while idle."""
         self.dirty = False
         self.net.topology._read_hooks.remove(self.settle)
         w = self.active
@@ -247,9 +286,11 @@ class HopRows:
             w.settled = True
             self._finish(w, w.pos)
         self._sync()
+        if self._pt:
+            self._flush()
 
     # ------------------------------------------------------------------
-    # Eligibility, tables, block bookkeeping
+    # Eligibility, tables, run bookkeeping
     # ------------------------------------------------------------------
     def _lookahead(self) -> float:
         if self._lookahead_ns is None:
@@ -306,14 +347,70 @@ class HopRows:
             for i in li.tolist():
                 self._rate[i] = self._links[i].bytes_per_ns
 
-    def _set_block(self, blk: tuple | None) -> None:
-        if blk is not None and not blk[0].size:
-            blk = None
-        self._blk = blk
-        if blk is None:
-            self.head_t, self.head_seq = _INF, 0
+    def _set_head(self) -> None:
+        t, s, at = _INF, 0, -1
+        for i, run in enumerate(self._runs):
+            rt = run[0][0]
+            if rt < t or (rt == t and run[1][0] < s):
+                t, s, at = rt, run[1][0], i
+        self.head_t, self.head_seq, self._head_run = float(t), int(s), at
+
+    def _add_run(self, run: tuple) -> None:
+        """Add a sorted run; past :data:`MAX_RUNS` live runs, sort them
+        all into one (so a window visits at most that many)."""
+        runs = self._runs
+        runs.append(run)
+        if len(runs) > MAX_RUNS:
+            self._runs = [_sorted(tuple(np.concatenate(c) for c in zip(*runs)))]
+
+    def _flush(self) -> None:
+        """Fold the hops pushed while idle into the rows as one run.
+        Fewer than :data:`MIN_VECTOR_ROWS` of them, or any while windows
+        cannot run, go to the engine as plain hop events instead, with
+        no numpy work and no tables built."""
+        ts, seqs, msgs = self._pt, self._ps, self._pm
+        self._pt, self._ps, self._pm = [], [], []
+        n = len(ts)
+        if n < MIN_VECTOR_ROWS or not self._vector_ok():
+            self._requeue(zip(ts, seqs, msgs, map(_src, msgs)))
         else:
-            self.head_t, self.head_seq = float(blk[0][0]), int(blk[1][0])
+            self._tables()
+            at = self._idx.__getitem__
+            self._add_run(_sorted((
+                np.array(ts, np.float64),
+                np.array(seqs, np.int64),
+                np.fromiter(map(at, map(_src, msgs)), np.int64, n),
+                np.fromiter(map(at, map(_dst, msgs)), np.int64, n),
+                np.fromiter(map(_nbytes, msgs), np.float64, n),
+                np.fromiter(msgs, object, n),
+            )))
+        self._set_head()
+
+    def _take(self, ks: list, cap: int) -> int:
+        """Move the ``cap`` earliest of the first ``ks[i]`` rows of every
+        run ``i`` into the window block ``_blk``, sorted; return how
+        many moved."""
+        runs = self._runs
+        parts = []
+        for i, k in enumerate(ks):
+            k = min(k, cap)           # rows past ``cap`` cannot be taken
+            if k:
+                run = runs[i]
+                parts.append(tuple(c[:k] for c in run))
+                runs[i] = None if k == run[0].size else tuple(c[k:] for c in run)
+        self._runs = [run for run in runs if run is not None]
+        if len(parts) == 1:
+            blk = parts[0]
+        else:
+            blk = _sorted(tuple(np.concatenate(c) for c in zip(*parts)))
+        n = blk[0].size
+        if n > cap:                   # the rest are a run again
+            self._add_run(tuple(c[cap:] for c in blk))
+            blk = tuple(c[:cap] for c in blk)
+            n = cap
+        self._blk = blk
+        self._set_head()
+        return n
 
     def _bucket_times(self, lim: float, last: float) -> list:
         """The engine's bucket times before ``lim`` and at most ``last``,
@@ -333,12 +430,13 @@ class HopRows:
         sel.sort()
         return sel
 
-    def _gather(self, stop: float, window: bool) -> int:
-        """Size the window that starts at the head row: its block rows
-        plus the engine's hop events it covers, up to the first engine
-        entry a window may not take.  When that is at least
-        :data:`MIN_VECTOR_ROWS`, move those events into the block.
-        Returns how many block rows the window then holds."""
+    def _gather(self, stop: float, window: bool) -> list:
+        """Size the window that starts at the head row: the leading rows
+        of every run, plus the engine's hop events it covers, up to the
+        first engine entry a window may not take.  When that is at
+        least :data:`MIN_VECTOR_ROWS`, move those events into a run of
+        their own.  Returns how many rows of each run the window
+        holds."""
         sim = self.sim
         sim._head()                   # drops cancelled heads
         lim = self.head_t + self._lookahead()    # exclusive
@@ -367,10 +465,10 @@ class HopRows:
                     break
             if cut is not None:
                 break
-        n = self._prefix(lim, last, cut)
+        ks = [_prefix(run, lim, last, cut) for run in self._runs]
         k = len(cols[0])
-        if not k or n + k < MIN_VECTOR_ROWS:
-            return n
+        if not k or sum(ks) + k < MIN_VECTOR_ROWS:
+            return ks
         for t in sel:
             b = buckets[t]
             if b.__class__ is deque:
@@ -384,7 +482,7 @@ class HopRows:
             del buckets[t]
             heappop(times)
         self._add_rows(*cols)
-        return n + k
+        return ks + [k]
 
     def _taker(self):
         """Columns (time, seq, node, dst, nbytes, message; nodes by
@@ -411,85 +509,42 @@ class HopRows:
 
         return cols, take
 
-    def _lift(self) -> None:
-        """Move every hop event a window may take from the engine into
-        the block, keys kept.  Buckets are edited in place: an engine
-        loop up the stack may be draining one of them."""
-        sim = self.sim
-        buckets = sim._buckets
-        cols, take = self._taker()
-        emptied = []
-        for t, b in buckets.items():
-            if b.__class__ is deque:
-                kept = [e for e in b if not take(e)]
-                if len(kept) < len(b):
-                    b.clear()
-                    b.extend(kept)
-                    if not kept:
-                        emptied.append(t)
-            elif take(b):
-                emptied.append(t)
-        if emptied:
-            for t in emptied:
-                del buckets[t]
-            times = sim._times
-            times[:] = [t for t in times if t in buckets]
-            heapify(times)
-        if cols[0]:
-            self._add_rows(*cols)
-
-    def _prefix(self, lim: float, last: float, cut) -> int:
-        """How many leading block rows come before ``lim``, at or before
-        ``last`` and before the engine entry keyed ``cut``."""
-        blk = self._blk
-        if blk is None:
-            return 0
-        t = blk[0]
-        n = int(np.searchsorted(t, lim, "left"))
-        if last < _INF:
-            n = min(n, int(np.searchsorted(t, last, "right")))
-        if cut is not None and n:
-            ct, cs = cut
-            lo = int(np.searchsorted(t[:n], ct, "left"))
-            hi = int(np.searchsorted(t[:n], ct, "right"))
-            n = min(n, lo + int(np.searchsorted(blk[1][lo:hi], cs, "left")))
-        return n
-
     def _add_rows(self, ts, seqs, nodes, dsts, nbs, msgs) -> None:
-        """Merge rows given as columns (see :meth:`_taker`), in any
-        order, into the block."""
+        """Add rows given as columns (see :meth:`_taker`), in any order,
+        as the last run (never sorted into the others: the caller holds
+        a count per run)."""
         self._tables()
         at = self._idx.__getitem__
-        cols = [
+        self._runs.append(_sorted((
             np.array(ts, np.float64),
             np.array(seqs, np.int64),
             np.fromiter(map(at, nodes), np.int64, len(nodes)),
             np.fromiter(map(at, dsts), np.int64, len(dsts)),
             np.array(nbs, np.float64),
             np.fromiter(msgs, object, len(msgs)),
-        ]
-        blk = self._blk
-        if blk is not None:
-            for i, old in enumerate(blk):
-                cols[i] = np.concatenate((old, cols[i]))
-        order = np.lexsort((cols[1], cols[0]))
-        for i, col in enumerate(cols):
-            cols[i] = col[order]      # one column copy alive at a time
-        self._set_block(tuple(cols))
+        )))
+        self._set_head()
 
-    def _unblock(self, k: int) -> None:
-        """Hand the first ``k`` block rows to the engine as hop events."""
-        if not k:
-            return
-        blk = self._blk
+    def _unblock(self, run: tuple | None = None) -> None:
+        """Hand a run's rows (the window block's by default) to the
+        engine as hop events."""
+        if run is None:
+            run, self._blk = self._blk, None
+        t, seq, node, _d, _b, msg = run
+        self._requeue(zip(
+            t.tolist(), seq.tolist(), msg.tolist(),
+            map(self._names.__getitem__, node.tolist()),
+        ))
+
+    def _requeue(self, rows) -> None:
+        """Queue ``(time, seq, message, node)`` rows on the engine as hop
+        events, each in seq order within its instant's bucket."""
         sim = self.sim
         buckets = sim._buckets
         times = sim._times
         hop = self.net._hop
-        names = self._names
-        t, seq, node, _d, _b, msg = (c[:k] for c in blk)
-        for time, s, nd, m in zip(t.tolist(), seq.tolist(), node.tolist(), msg.tolist()):
-            entry = [time, 1, s, hop, (m, names[nd])]
+        for time, s, m, node in rows:
+            entry = [time, 1, s, hop, (m, node)]
             b = buckets.get(time)
             if b is None:
                 buckets[time] = entry
@@ -503,17 +558,15 @@ class HopRows:
                     b.extend(merged)
             else:
                 buckets[time] = deque(sorted((b, entry), key=_seq_of))
-        self._set_block(tuple(c[k:] for c in blk))
 
     # ------------------------------------------------------------------
     # Vector windows
     # ------------------------------------------------------------------
     def _vector(self, n: int, window: bool, stoppable: bool) -> int:
-        """Run the first ``n`` block rows as one window."""
+        """Run the ``n`` rows of the window block as one window."""
         sim = self.sim
         self._tables()
-        blk = self._blk
-        cols = tuple(c[:n] for c in blk)
+        cols = self._blk
         t, seq, node, dst, nb, _msg = cols
         xp = np.flatnonzero(node != dst)
         xn = node[xp]
@@ -522,16 +575,16 @@ class HopRows:
             li = self._index.link_ids(xn, nxt)
         except (ValueError, KeyError):
             # Per event, the offending hop raises where it would.
-            self._unblock(n)
+            self._unblock()
             return 0
         total = float(nb[xp].sum())
         if self._dbh + total >= _HALF:
             self._sync()
         touched = np.unique(li)
         if total >= _HALF or not self._load(touched[~self._pend[touched]]):
-            self._unblock(n)        # a sum would not be an exact integer
+            self._unblock()         # a sum would not be an exact integer
             return 0
-        self._set_block(tuple(c[n:] for c in blk))
+        self._blk = None
         if not self.dirty:
             self.dirty = True
             self.net.topology._read_hooks.append(self.settle)
@@ -555,10 +608,12 @@ class HopRows:
         if dp.size:
             cut = self._deliver(w, dp, window, stoppable)
             if cut is not None:
+                self.windowed += cut + 1
                 return cut + 1
         self._finish(w, None)
         sim.now = w.t_last
         sim._seq = base + xp.size + (w.cb_extra[-1] if w.cb_extra else 0)
+        self.windowed += n
         return n
 
     def _deliver(self, w: _Window, dp: np.ndarray, window: bool, stoppable: bool):
@@ -612,9 +667,9 @@ class HopRows:
 
     def _finish(self, w: _Window, cut: int | None) -> None:
         """Commit the window's transmissions up to ``cut`` (all when
-        None), queue their children and requeue the rows after ``cut``."""
+        None), add their children as a run and put the rows after
+        ``cut`` back as another."""
         hi = w.xp.size if cut is None else w.xr
-        blk = self._blk
         if hi:
             xs = w.xp[:hi]
             _t, _s, _n, dst, nb, msg = w.cols
@@ -623,18 +678,12 @@ class HopRows:
             if w.cb_pos:
                 extra = np.concatenate(([0], w.cb_extra))
                 cseq += extra[np.searchsorted(w.cb_pos, xs)]
-            arr = w.arr[:hi]
-            order = np.lexsort((cseq, arr))
-            child = tuple(
-                c[order] for c in (arr, cseq, w.nxt[:hi], dst[xs], nb[xs], msg[xs])
-            )
-            blk = _merge_after(blk, child)
+            self._add_run(_sorted(
+                (w.arr[:hi], cseq, w.nxt[:hi], dst[xs], nb[xs], msg[xs])
+            ))
         if cut is not None and cut + 1 < w.cols[0].size:
-            rest = tuple(c[cut + 1:] for c in w.cols)
-            blk = rest if blk is None else tuple(
-                np.concatenate((a, b)) for a, b in zip(rest, blk)
-            )
-        self._set_block(blk)
+            self._add_run(tuple(c[cut + 1:] for c in w.cols))
+        self._set_head()
 
     def _load(self, fresh: np.ndarray) -> bool:
         """Read ``busy_until`` of links without deferred state; False if
@@ -707,22 +756,31 @@ class HopRows:
         self._dn = 0
 
 
-def _merge_after(blk: tuple | None, new: tuple) -> tuple:
-    """Merge ``new`` rows (sorted, every seq above ``blk``'s) into the
-    sorted block ``blk``: ties in time keep ``blk``'s rows first."""
-    if blk is None:
-        return new
-    t = blk[0]
-    k = new[0].size
-    at = np.searchsorted(t, new[0], "right") + np.arange(k)
-    total = t.size + k
-    mine = np.zeros(total, np.bool_)
-    mine[at] = True
-    rest = ~mine
-    out = []
-    for old, add in zip(blk, new):
-        col = np.empty(total, old.dtype)
-        col[at] = add
-        col[rest] = old
-        out.append(col)
-    return tuple(out)
+def _sorted(cols: tuple) -> tuple:
+    """Rows given as columns, sorted by ``(time, seq)``.  A stable sort
+    by time (fast on rows made of sorted runs) is that order unless
+    rows at equal times are out of seq order."""
+    t, seq = cols[0], cols[1]
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    tie = ts[1:] == ts[:-1]
+    if tie.any():
+        ss = seq[order]
+        if (ss[1:][tie] < ss[:-1][tie]).any():
+            order = np.lexsort((seq, t))
+    return tuple(c[order] for c in cols)
+
+
+def _prefix(run: tuple, lim: float, last: float, cut) -> int:
+    """How many leading rows of ``run`` come before ``lim``, at or
+    before ``last`` and before the engine entry keyed ``cut``."""
+    t = run[0]
+    n = int(np.searchsorted(t, lim, "left"))
+    if last < _INF:
+        n = min(n, int(np.searchsorted(t, last, "right")))
+    if cut is not None and n:
+        ct, cs = cut
+        lo = int(np.searchsorted(t[:n], ct, "left"))
+        hi = int(np.searchsorted(t[:n], ct, "right"))
+        n = min(n, lo + int(np.searchsorted(run[1][lo:hi], cs, "left")))
+    return n

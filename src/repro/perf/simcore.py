@@ -267,6 +267,7 @@ def _shard_storm(workers: int, cfg: dict, collect: bool = False) -> dict:
     out = {
         "wall_s": wall,
         "events": sim.events_processed,
+        "windowed_hops": net.windowed_hops,
         "makespan_ns": sim.now,
     }
     if collect:
@@ -328,6 +329,7 @@ def _run_shard_sweep(reps: int, worker_counts) -> dict:
             "events": base["events"],
             "events_per_s": base["events"] / base_wall,
             "makespan_ns": base["makespan_ns"],
+            "windowed_hops": base["windowed_hops"],
         },
         "points": points,
         "parity": {"storm": dict(SHARD_PARITY), "checks": parity},
@@ -494,8 +496,10 @@ def main(argv: Optional[list[str]] = None) -> int:
           f"=> {overlap['speedup_vs_fastpath_off']:.2f}x")
     shard = report.get("shard_sweep")
     if shard:
-        seq_rate = shard["sequential"]["events_per_s"]
-        print(f"[simcore] shard sweep (sequential {seq_rate / 1e3:.0f}k ev/s):")
+        seq = shard["sequential"]
+        print(f"[simcore] shard sweep (sequential {seq['events_per_s'] / 1e3:.0f}k "
+              f"ev/s, {seq['windowed_hops'] / seq['events']:.0%} of hops "
+              "in FIFO windows):")
         for p in shard["points"]:
             print(f"[simcore]   {p['workers']}w: "
                   f"{p['events_per_s'] / 1e3:.0f}k ev/s "

@@ -46,10 +46,11 @@ first the loop hands control to the row source's ``run``, which either
 runs a window of rows (each counts as one event) or hands the rows back
 to the engine's buckets as plain events.  ``peek_time``, ``step``,
 ``run``, ``run_stoppable``, ``run_window``, ``pending``, ``queued`` and
-``events_processed`` all see the rows.  Any re-entrant call into the
-engine first has the row source *settle*: end a running window at the
-current row and write its deferred link state, so the engine and the
-network stand as the per-event loop would have them.
+``events_processed`` all see the rows.  Any call into the engine first
+has the row source *settle*: end a running window at the current row,
+write its deferred link state and fold in the rows sent while the
+engine was idle (:attr:`Simulator.running` unset), so the engine and
+the network stand as the per-event loop would have them.
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ class Simulator:
         self.stop_requested: bool = False
         #: Attached row source (None = none): see the module docstring.
         self._rows = None
+        #: True while a run loop is on the stack.  The network simulator
+        #: turns sends made while it is False (the engine idle) straight
+        #: into rows of the row source.
+        self.running: bool = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -315,9 +320,17 @@ class Simulator:
         ``window`` — ``time >= min(stop, local_bound)``, re-reading
         :attr:`local_bound` after every event.  ``stoppable`` also stops
         right after an event that set :attr:`stop_requested`.
+        :attr:`running` is set meanwhile.
         """
-        if self._rows is not None:
-            self._rows.prepare()
+        running = self.running
+        self.running = True
+        try:
+            return self._loop(stop, window, stoppable)
+        finally:
+            self.running = running
+
+    def _loop(self, stop: float, window: bool, stoppable: bool) -> int:
+        self._settled_rows()
         heap = self._heap
         buckets = self._buckets
         times = self._times
@@ -416,7 +429,8 @@ class Simulator:
 
     def _settled_rows(self):
         """The attached row source, settled first if it is mid-window
-        (a callback re-entering the engine sees the per-event state)."""
+        or holds rows sent while idle (a caller sees the per-event
+        state)."""
         rows = self._rows
         if rows is not None and rows.dirty:
             rows.settle()

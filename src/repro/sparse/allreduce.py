@@ -194,18 +194,18 @@ def sparse_switch_allreduce(
         np.add.at(acc, pkt.indices, pkt.payload)
         egress_payload += int(pkt.indices.nbytes + pkt.payload.nbytes)
     # Ideal egress: the fully aggregated union of each block, once.
-    ideal_egress = 0
-    for b in range(n_blocks):
-        union = np.sort(np.concatenate([host[b].indices for host in workload.blocks]))
-        distinct = np.count_nonzero(union[1:] != union[:-1]) + (len(union) > 0)
-        ideal_egress += int(distinct) * SPARSE_ELEMENT_BYTES
+    flat = workload.flat()
+    mark = np.zeros(n_blocks * workload.block_span, np.bool_)
+    mark[flat[0]] = True
+    ideal_egress = int(np.count_nonzero(mark)) * SPARSE_ELEMENT_BYTES
     if verify:
+        golden = workload.golden_dense_sums(flat)
         for b in range(n_blocks):
-            golden = workload.golden_dense_sum(b)
             got = dense_out.get(b)
             if got is None:
                 raise AssertionError(f"block {b} never completed")
-            if not np.allclose(got[: len(golden)], golden, rtol=1e-5, atol=1e-5):
+            want = golden[b, : workload.blocks[0][b].span]
+            if not np.allclose(got[: len(want)], want, rtol=1e-5, atol=1e-5):
                 raise AssertionError(f"block {b}: sparse aggregation mismatch")
 
     seconds = makespan / (cost_model.clock_ghz * 1e9) if makespan > 0 else float("inf")

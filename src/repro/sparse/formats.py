@@ -156,6 +156,29 @@ class SparseWorkload:
             acc = acc + self.blocks[h][block_id].to_dense()
         return acc
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every host's non-zeros as ``(positions, values)`` in host
+        order, a position being ``block * block_span + index``."""
+        span = self.block_span
+        pos, vals = [], []
+        for host in self.blocks:
+            for b, blk in enumerate(host):
+                pos.append(blk.indices + np.int64(b * span))
+                vals.append(blk.values)
+        return np.concatenate(pos), np.concatenate(vals)
+
+    def golden_dense_sums(self, flat=None) -> np.ndarray:
+        """:meth:`golden_dense_sum` of every block at once, as rows of a
+        ``(n_blocks, block_span)`` array: one ``np.add.at`` over
+        :meth:`flat` (or ``flat``), which adds each element's values in
+        host order.  Bitwise equal to the per-block sums, which only add
+        ``0.0`` where a host has no value (``x + 0.0 == x``; a position
+        every host holds as ``-0.0`` sums to ``+0.0`` here)."""
+        pos, vals = self.flat() if flat is None else flat
+        out = np.zeros((self.n_blocks, self.block_span), vals.dtype)
+        np.add.at(out.reshape(-1), pos, vals)
+        return out
+
 
 def make_sparse_workload(
     n_hosts: int,

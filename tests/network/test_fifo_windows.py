@@ -574,3 +574,276 @@ def test_mid_window_callback_contract(monkeypatch, action):
     # The action ran inside a vector window on the window path.
     assert ref.pop("in_window") == [False] and new.pop("in_window") == [True]
     assert new == ref
+
+
+# ----------------------------------------------------------------------
+# Sends made while the engine is idle go straight into the hop rows
+# ----------------------------------------------------------------------
+@pytest.fixture
+def pushes(monkeypatch):
+    """Count the hops pushed into the rows while the engine was idle."""
+    calls = []
+    push = HopRows.push
+
+    def counted(self, t, msg):
+        calls.append(msg.tag)
+        return push(self, t, msg)
+
+    monkeypatch.setattr(HopRows, "push", counted)
+    return calls
+
+
+def _plain_sends(net, hosts, per_host: int = 4, at0: float = 0.0, tag="s") -> int:
+    """``per_host`` plain messages per host on a 3 ns grid from ``at0``."""
+    n = len(hosts)
+    k = 0
+    for i, h in enumerate(hosts):
+        for j in range(per_host):
+            net.send(Message(h, hosts[(i * 7 + 5 + 11 * j) % n], 4096.0, (tag, k)),
+                     at=at0 + 3.0 * (k % 97))
+            k += 1
+    return k
+
+
+def _first_access(first: str):
+    """Idle sends and engine events, then one engine call before any
+    run: the rows must already order with the events."""
+    def scenario(topo, net):
+        sim = net.sim
+        hosts = topo.hosts
+        log = []
+        for h in hosts:
+            net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+        sim.schedule_at(3.0, lambda: log.append(("tick", sim.now)))
+        _plain_sends(net, hosts)
+        sim.schedule_at(0.0, lambda: log.append(("tick0", sim.now)), priority=0)
+        sim.schedule_at(6.0, lambda: log.append(("tick2", sim.now)), priority=2)
+        if first == "step":
+            log.append([sim.step() for _ in range(40)] + [sim.now])
+        elif first == "peek_time":
+            log.append(sim.peek_time())
+        elif first == "pending":
+            log.append(sim.pending)
+        elif first == "queued":
+            log.append(_queue(sim))
+        log.append((sim.peek_time(), sim.pending, len(_queue(sim))))
+        net.run()
+        return _observe(topo, net, log)
+    return scenario
+
+
+@pytest.mark.parametrize("first", ["step", "peek_time", "pending", "queued"])
+def test_idle_rows_seen_by_first_engine_call(monkeypatch, vector_windows, pushes, first):
+    ref, new = _both(monkeypatch, _first_access(first))
+    assert vector_windows and pushes
+    assert new == ref
+
+
+def _idle_after_partial_run(topo, net):
+    """A partial run leaves rows in flight and events queued; idle sends
+    then join them, some dated before ``now``."""
+    sim = net.sim
+    hosts = topo.hosts
+    log = []
+
+    def sink(m, t):
+        log.append((m.tag, t))
+        if m.tag[0] == "s" and m.tag[1] % 9 == 0:
+            net.send(Message(m.dst, m.src, 512.0, ("back", m.tag[1])), at=t + 900.0)
+
+    for h in hosts:
+        net.on_deliver(h, sink)
+    _plain_sends(net, hosts)
+    net.run(until=700.0)
+    log.append(("until", sim.now, sim.pending))
+    # Before now (run at now), at now, and later.
+    _plain_sends(net, hosts, per_host=2, at0=400.0, tag="again")
+    _plain_sends(net, hosts, per_host=2, at0=1800.0, tag="later")
+    net.run(until=2000.0)
+    log.append(("until", sim.now, sim.peek_time(), sim.pending))
+    net.run()
+    return _observe(topo, net, log)
+
+
+def test_idle_sends_after_partial_run(monkeypatch, vector_windows, pushes):
+    ref, new = _both(monkeypatch, _idle_after_partial_run)
+    assert vector_windows
+    assert not any(tag[0] == "back" for tag in pushes)
+    assert new == ref
+
+
+def _idle_mixed(topo, net):
+    """Idle plain sends interleaved, at the same instants, with
+    flow-tagged, fractional and burst sends and engine events of each
+    priority (the seqs of the rows are not contiguous).  The last hosts
+    send the odd ones, so each instant still opens with a wide run of
+    plain rows."""
+    sim = net.sim
+    hosts = topo.hosts
+    n = len(hosts)
+    log = []
+    for h in hosts:
+        net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+        for flow in FLOWS:
+            net.on_deliver(h, lambda m, t: log.append(("f", m.tag, t)), flow=flow)
+    k = 0
+    for i, h in enumerate(hosts):
+        for j in range(6):
+            at = 2.0 * ((i + j) % 5)
+            dst = hosts[(i * 3 + 1 + j) % n]
+            net.send(Message(h, dst, 4096.0, ("plain", k)), at=at)
+            if i >= n - 32:
+                odd = k % 4
+                if odd == 0:
+                    net.send(Message(h, dst, 1000.5, ("frac", k)), at=at)
+                elif odd == 1:
+                    net.send(Message(h, dst, 2048.0, ("flow", k), flow=FLOWS[k % 3]),
+                             at=at)
+                elif odd == 2:
+                    net.send_burst([Message(h, hosts[(i + 2) % n], 512.0, ("burst", k, b))
+                                    for b in range(3)], at=at)
+                else:
+                    for priority in (0, 1, 2):
+                        sim.schedule_at(
+                            at, lambda p=priority: log.append(("tick", p, sim.now)),
+                            priority=priority,
+                        )
+            k += 1
+    net.run()
+    return _observe(topo, net, log)
+
+
+def test_idle_sends_mixed_with_per_event_hops(monkeypatch, vector_windows, pushes):
+    ref, new = _both(monkeypatch, _idle_mixed)
+    assert vector_windows
+    assert all(tag[0] == "plain" for tag in pushes)
+    events = new.pop("events") - ref.pop("events")
+    assert events == -2 * sum(1 for t in ref["log"] if t[0][0] == "burst") // 3
+    assert new == ref
+
+
+def _change_before_run(change: str):
+    def scenario(topo, net):
+        log = []
+        hosts = topo.hosts
+        for h in hosts:
+            net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+        _plain_sends(net, hosts)
+        if change == "arm_faults":
+            net.arm_faults()
+        elif change == "intercept":
+            net.intercept("l3", lambda n, m, now: log.append(("x", m.tag, now)) or False)
+        elif change == "rate":
+            topo.set_link_rate("l0", "s1", 20.0)
+        elif change == "fail":
+            topo.fail_link("l2", "s0")
+        _plain_sends(net, hosts, per_host=1, tag="after")
+        net.run()
+        return _observe(topo, net, log)
+    return scenario
+
+
+@pytest.mark.parametrize("change", ["arm_faults", "intercept", "rate", "fail"])
+def test_changes_between_idle_sends_and_run(monkeypatch, pushes, change):
+    router = "ecmp" if change in ("rate", "fail") else "updown"
+    ref, new = _both(monkeypatch, _change_before_run(change), router=router)
+    assert pushes
+    assert new == ref
+
+
+def test_send_from_callback_takes_engine_path(monkeypatch, vector_windows, pushes):
+    """Relays sent by delivery callbacks are engine events (inside a
+    window they take the window's seq accounting), not pushed rows."""
+    def scenario(topo, net):
+        hosts = topo.hosts
+        log = []
+
+        def relay(m, t):
+            log.append((m.tag, t))
+            if m.tag[0] == "s" and m.tag[1] % 3 == 0:
+                net.send(Message(m.dst, m.src, 4096.0, ("relay", m.tag[1])), at=t)
+
+        for h in hosts:
+            net.on_deliver(h, relay)
+        sent = _plain_sends(net, hosts)
+        net.run()
+        out = _observe(topo, net, log)
+        out["sent"] = sent
+        return out
+
+    ref, new = _both(monkeypatch, scenario)
+    assert vector_windows
+    assert len(pushes) == new["sent"] and all(tag[0] == "s" for tag in pushes)
+    assert any(e[0][0] == "relay" for e in ref["log"])
+    assert new == ref
+
+
+def test_narrow_idle_injection_builds_no_tables(monkeypatch, pushes):
+    """Fewer than MIN_VECTOR_ROWS idle sends go back to the engine as
+    plain hop events: no index built, no window run."""
+    import repro.network.shard as shard
+
+    def scenario(topo, net):
+        log = []
+        hosts = topo.hosts
+        for h in hosts:
+            net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+        for i in range(40):
+            net.send(Message(hosts[i], hosts[-1 - i], 4096.0, ("n", i)), at=float(i % 3))
+        net.run()
+        out = _observe(topo, net, log)
+        out["index"] = net._rows is not None and net._rows._index is not None
+        out["windowed"] = net.windowed_hops
+        return out
+
+    ref = scenario(*_net(monkeypatch, False))
+    monkeypatch.setattr(shard, "build_index", lambda topo: pytest.fail("index built"))
+    new = scenario(*_net(monkeypatch, True))
+    assert len(pushes) == 40
+    assert new == ref
+    assert not new["index"] and new["windowed"] == 0
+
+
+def test_windowed_hops_counts_vector_rows(monkeypatch, vector_windows):
+    def scenario(topo, net):
+        out = _storm(2)(topo, net)
+        out["windowed"] = net.windowed_hops
+        return out
+
+    ref, new = _both(monkeypatch, scenario)
+    assert ref.pop("windowed") == 0
+    windowed = new.pop("windowed")
+    assert 0 < windowed <= new["events"] and windowed >= sum(vector_windows) // 2
+    assert new == ref
+
+
+@pytest.mark.parametrize("scenario", ["storm", "callbacks", "partial"])
+def test_runs_sorted_into_one_past_max_runs(monkeypatch, vector_windows, scenario):
+    """Past MAX_RUNS live runs the rows are sorted into one run; with a
+    bound of one that happens on every added run."""
+    import repro.network.windows as windows
+
+    monkeypatch.setattr(windows, "MAX_RUNS", 1)
+    build = {"storm": _storm(7), "callbacks": _busy_callbacks,
+             "partial": _run_until_and_step}[scenario]
+    ref, new = _both(monkeypatch, build)
+    assert vector_windows
+    if scenario == "callbacks":
+        ref["events"] -= 2 * 6 * 128          # bursts: one event each
+    assert new == ref
+
+
+@pytest.mark.parametrize("scenario", ["storm", "mixed", "partial"])
+def test_windows_capped_at_max_rows(monkeypatch, vector_windows, scenario):
+    """A window holding more than MAX_VECTOR_ROWS rows runs its earliest
+    ones; the rest stay queued as a run of their own."""
+    import repro.network.windows as windows
+
+    monkeypatch.setattr(windows, "MAX_VECTOR_ROWS", 300)
+    build = {"storm": _storm(11), "mixed": _idle_mixed,
+             "partial": _idle_after_partial_run}[scenario]
+    ref, new = _both(monkeypatch, build)
+    assert vector_windows and max(vector_windows) == 300
+    if scenario == "mixed":         # a burst is one event on the fast path
+        assert new.pop("events") < ref.pop("events")
+    assert new == ref
