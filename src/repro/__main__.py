@@ -177,13 +177,10 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
         n_hosts=args.hosts,
         routing=args.routing,
         routing_seed=args.seed,
-        workers=args.workers or 0,
         provenance_db=args.provenance_db,
         run_label=f"bench/{args.algorithm}/{args.size}",
         **_reliability_kwargs(args),
     )
-    if args.workers:
-        print(f"[sharded engine: {args.workers} worker process(es)]")
     if args.provenance_db:
         print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
     if args.faults:
@@ -253,10 +250,6 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
             target = event.get("switch") or event.get("link")
             print(f"  t={event['at_ns']:.0f}ns {event['event']} "
                   f"{event['kind']} {target}")
-    degradations = getattr(fabric.net, "degradations", None) or []
-    for event in degradations:
-        print(f"[degraded t={event['sim_time_ns']:.0f}ns "
-              f"{event['event']}: {event['reason']}]")
     if args.timeline_out:
         fabric.timeline_json(path=args.timeline_out)
         print(f"[timeline written to {args.timeline_out}]")
@@ -495,8 +488,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "--reps", str(args.repeat)]
         if args.check_against:
             argv += ["--check-against", args.check_against]
-        if args.workers is not None:
-            argv += ["--workers", str(args.workers)]
         return simcore_main(argv)
 
     try:
@@ -507,11 +498,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if (
         args.tenants > 1 or args.faults or args.provenance_db
-        or args.workers or _reliability_kwargs(args)
+        or _reliability_kwargs(args)
     ):
-        # Chaos, provenance, sharded-engine, and reliability-knob runs
-        # need the persistent shared fabric (faults, worker processes,
-        # and retransmission timers live on its links and clock; the
+        # Chaos, provenance and reliability-knob runs need the
+        # persistent shared fabric (faults and retransmission timers
+        # live on its links and clock; the
         # provenance recorder hangs off it), so those flags route
         # through it even for one tenant.
         return _cmd_multi_tenant_bench(args, topology)
@@ -659,12 +650,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--check-against", default=None, metavar="BASELINE",
                        help="(simcore) fail on >30%% perf regression vs a "
                        "checked-in baseline report")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="run the bench on the sharded parallel engine "
-                       "with N worker processes (routes through the shared "
-                       "fabric; degradation events are printed). With the "
-                       "'simcore' pseudo-algorithm: cap its shard sweep at "
-                       "N workers (default 1/2/4/8; 0 skips it)")
     bench.add_argument("--max-retransmits", type=int, default=None,
                        metavar="N",
                        help="end-to-end retransmission budget per message "

@@ -158,7 +158,6 @@ class Fabric:
         fallback: bool = True,
         retransmit_timeout_ns: float = 50_000.0,
         max_retransmits: int = 64,
-        workers: int = 0,
         provenance_db: Optional[str] = None,
         run_label: Optional[str] = None,
     ) -> None:
@@ -179,15 +178,9 @@ class Fabric:
         self.routing = routing
         self.routing_seed = routing_seed
         #: The single fabric clock — the PsPIN discrete-event engine,
-        #: shared by every collective issued into this fabric.  With
-        #: ``workers >= 1`` the engine pair is the sharded conservative
-        #: PDES (see ``repro.pspin.pdes``); results are identical, and
-        #: any sharding obstacle falls back to the sequential engine
-        #: with a RuntimeWarning.
-        self.workers = workers
+        #: shared by every collective issued into this fabric.
         self.sim, self.net = build_engine(
             topo,
-            workers=workers,
             router=routing,
             routing_seed=routing_seed,
             arbitration=arbitration,
@@ -211,7 +204,7 @@ class Fabric:
         #: timelines are attributable even without a provenance store.
         from repro.provenance.identity import new_run_id
 
-        self.run_id = new_run_id(self.topology.family, routing_seed, workers)
+        self.run_id = new_run_id(self.topology.family, routing_seed)
         self.provenance = None
         if provenance_db is not None:
             self.attach_provenance(provenance_db, label=run_label)
@@ -779,17 +772,8 @@ class Fabric:
         return self.tuner().level()
 
     def shutdown(self) -> None:
-        """Stop sharded-engine worker processes (if any) and flush the
-        attached provenance recorder.  Safe to call on a sequential
-        fabric (no-op); call at quiescence.
-
-        Provenance flushes *after* engine shutdown: the sharded
-        engine's quiescence barrier has already merged worker-side link
-        tables by then, so the recorder reads final, engine-independent
-        counters."""
-        stop = getattr(self.net, "shutdown", None)
-        if stop is not None:
-            stop()
+        """Flush the attached provenance recorder (no-op without one);
+        call at quiescence."""
         if self.provenance is not None:
             self.provenance.close()
 

@@ -187,9 +187,7 @@ class FaultInjector:
         self._salt = stable_hash("fault-injector", seed)
         #: Log of applied fault/repair events (dicts), application order.
         self.applied: list[dict] = []
-        #: Every spec ever armed via :meth:`inject`, arming order.  The
-        #: sharded engine replays this list inside each worker shard so
-        #: shard-local links roll their own faults.
+        #: Every spec ever armed via :meth:`inject`, arming order.
         self.specs: list[FaultSpec] = []
         self._listeners: list[Callable[[dict], None]] = []
         self._pending = 0

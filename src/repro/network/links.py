@@ -82,7 +82,7 @@ class Link:
         Mutating :attr:`gbps` directly would leave ``_rate`` stale;
         every re-rating must go through here (or
         ``Topology.set_link_rate``, which also fans the change out to
-        registered listeners — e.g. per-shard rate tables).
+        registered listeners — e.g. the FIFO windows' rate table).
         """
         if gbps <= 0:
             raise ValueError("link rate must be positive")
@@ -133,13 +133,12 @@ class Link:
         """Serialization occupancy: time this link spent transmitting.
 
         Derived from ``bytes_carried / rate`` rather than accumulated
-        per message, for two reasons: the sharded engine merges
-        ``bytes_carried`` deltas bitwise-identically to the sequential
-        run, so a single division of identical operands keeps busy time
-        bitwise engine-independent too (float accumulation would be
-        summation-order-dependent); and it costs nothing on the
-        transmit hot path.  Under a mid-run ``slow`` fault this is an
-        estimate at the healthy line rate.
+        per message, for two reasons: FIFO hop windows add
+        ``bytes_carried`` in batches, and a single division of identical
+        operands keeps busy time bitwise identical to a per-event run
+        (float accumulation would be summation-order-dependent); and it
+        costs nothing on the transmit hot path.  Under a mid-run ``slow``
+        fault this is an estimate at the healthy line rate.
         """
         if not self._rate:
             return 0.0

@@ -35,8 +35,8 @@ def mix64(x: int) -> int:
     """splitmix64 finalizer over a 64-bit integer key.
 
     The up-down router's spine selection must be computable both one
-    message at a time (sequential engine) and over whole numpy batches
-    (sharded engine's vectorized windows) with *identical* results —
+    message at a time (per-event hops) and over whole numpy batches
+    (FIFO hop windows) with *identical* results —
     which rules out the string-based :func:`stable_hash`.  This scalar
     form and :func:`mix64_np` implement the same wrapping arithmetic.
     """
@@ -171,7 +171,7 @@ class UpDownRouter(Router):
     when the endpoints sit under different leaves, descend.  The spine
     is picked by salting the (current leaf, destination) pair through
     :func:`mix64`, so the *same* selection runs vectorized over numpy
-    batches inside sharded workers (see ``repro.network.shard``).
+    batches in FIFO hop windows (see ``repro.network.windows``).
 
     Structural/oblivious: like real up-down tables it does not consult
     failure state — use ``shortest``/``ecmp``/``adaptive`` for

@@ -48,14 +48,16 @@ _INF = math.inf
 
 
 def check_sends(msgs, at: float) -> None:
-    """Raise ``ValueError`` if the send time ``at`` or a message size is
-    NaN or +inf.  (A negative size raises when the message is
-    transmitted; a time before now means now.)"""
+    """Raise ``ValueError`` if the send time ``at`` is NaN or +inf, or a
+    message size is negative, NaN or +inf.  (A time before now means
+    now.)"""
     if not at < _INF:
         raise ValueError(f"send time must not be nan or +inf, got {at!r}")
     for msg in msgs:
-        if not msg.nbytes < _INF:
-            raise ValueError(f"message size must not be nan or +inf, got {msg.nbytes!r}")
+        if not 0.0 <= msg.nbytes < _INF:
+            raise ValueError(
+                f"message size must be non-negative and finite, got {msg.nbytes!r}"
+            )
 
 
 class UnreachableError(RuntimeError):
@@ -81,13 +83,6 @@ class Message:
     #: protocol — otherwise dropped duplicates would feed back into
     #: retransmission storms and burn the retry budget).
     ephemeral: bool = False
-    #: Sharded-engine message id (0 = unassigned).  The coordinator
-    #: assigns one the first time a message crosses a shard boundary;
-    #: it keys the parked original (payload, tag, callbacks stay in the
-    #: coordinator process) while the workers move only numeric
-    #: metadata, and doubles as the deterministic tie-break for
-    #: same-timestamp cross-shard arrivals.
-    mid: int = 0
 
 
 @dataclass
@@ -105,8 +100,7 @@ class TrafficStats:
     #: Per-link reliability attribution (fault-injection runs):
     #: (src, dst) -> count.  Dead-switch swallows have no link and stay
     #: in the run-level ``drops`` only, so ``sum(link_drops.values())
-    #: <= drops``.  Sharded fault runs merge these from worker deltas
-    #: (integer counts keyed per link, so the merge is order-free).
+    #: <= drops``.
     link_drops: dict = field(default_factory=dict)
     link_duplicates: dict = field(default_factory=dict)
 
@@ -163,8 +157,7 @@ class _LinkQueue:
         #: Provenance: most messages ever waiting at once (counted after
         #: each push, so a transient lone occupant registers as 1).  The
         #: uncontended fast-path bypass never pushes, so under
-        #: ``REPRO_FASTPATH`` only genuinely contended instants count —
-        #: consistently so across sequential and sharded engines.
+        #: ``REPRO_FASTPATH`` only genuinely contended instants count.
         self.depth_peak = 0
 
     def push(self, msg: Message, node: NodeId, weight: float, seq: int) -> None:
@@ -193,15 +186,6 @@ class NetworkSimulator:
     arrival-order serialization) or ``"wfq"`` (weighted start-time-fair
     queueing across flows).
     """
-
-    #: Injector class :meth:`arm_faults` instantiates.  The sharded
-    #: engine substitutes a coordinator-aware subclass that mirrors
-    #: armed specs into the worker shards and mutes the coordinator's
-    #: redundant topology broadcasts.
-    _fault_injector_cls = FaultInjector
-    #: Whether hops may run in FIFO windows (:mod:`repro.network.windows`);
-    #: the sharded engine's simulators divert hops themselves.
-    _windowed = True
 
     def __init__(
         self,
@@ -256,15 +240,14 @@ class NetworkSimulator:
         self._dead_flows: set = set()
         # Invalidate the next-hop memo at the mutation site: a direct
         # ``topology.fail_link()`` (no armed fault injector) used to
-        # leave the memo stale.  The sharded engine extends this hook
-        # to fan mutations out to worker shards.
+        # leave the memo stale.
         topology.add_change_listener(self._topology_changed)
         #: Hop rows (:class:`~repro.network.windows.HopRows`), attached
         #: to the engine as its row source under FIFO arbitration with a
         #: pure router.
         self._rows: Optional[HopRows] = None
         if (
-            self._windowed and arbitration == "fifo" and self.fast_path
+            arbitration == "fifo" and self.fast_path
             and self.router.cacheable and self.sim._rows is None
         ):
             self._rows = self.sim._rows = HopRows(self)
@@ -384,7 +367,7 @@ class NetworkSimulator:
         """
         self._settle()
         if self.faults is None:
-            self.faults = self._fault_injector_cls(self, seed=seed or 0)
+            self.faults = FaultInjector(self, seed=seed or 0)
             self.fast_path = False
             self._next_hop_cache = None
         elif seed is not None:
@@ -413,12 +396,12 @@ class NetworkSimulator:
         time before now means now).
 
         Sent while the engine is idle, a hop a FIFO window may take
-        (untagged, whole non-negative bytes) goes straight into the hop
+        (untagged, whole bytes) goes straight into the hop
         rows with the ``seq`` the engine would have given its event
         (:meth:`repro.network.windows.HopRows.push`).
         """
         nbytes = msg.nbytes
-        if not (nbytes < _INF and at < _INF):
+        if not (0.0 <= nbytes < _INF and at < _INF):
             check_sends((msg,), at)
         sim = self.sim
         now = sim.now
@@ -426,22 +409,11 @@ class NetworkSimulator:
         rows = self._rows
         if (
             rows is not None and not sim.running and msg.flow is None
-            and nbytes >= 0 and nbytes % 1.0 == 0.0
+            and nbytes % 1.0 == 0.0
         ):
             rows.push(t, msg)
         else:
-            self._schedule_hop(t, msg, msg.src)
-
-    def _schedule_hop(self, time: float, msg: Message, node: NodeId) -> None:
-        """Schedule ``msg`` to arrive (or start) at ``node`` at ``time``.
-
-        The single seam every arrival-scheduling site funnels through.
-        The sharded engine overrides it: arrivals at nodes owned by
-        another shard are diverted into cross-shard event batches at
-        *scheduling* time — interception at execution time would be too
-        late to meet the conservative lookahead deadline.
-        """
-        self.sim.schedule_fast(time, self._hop, (msg, node))
+            sim.schedule_fast(t, self._hop, (msg, msg.src))
 
     def send_burst(self, msgs: list[Message], at: float = 0.0) -> None:
         """Inject a burst of messages at one time under ONE event.
@@ -552,7 +524,7 @@ class NetworkSimulator:
             return
         arrival = link.transmit(msg.nbytes, self.sim.now)
         self._record(node, next_node, msg)
-        self._schedule_hop(arrival, msg, next_node)
+        self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
 
     # ------------------------------------------------------------------
     # Reliability (fault-injection runs only)
@@ -585,10 +557,12 @@ class NetworkSimulator:
                 self._count(msg, "duplicates")
                 dup = Message(
                     msg.src, msg.dst, msg.nbytes, msg.tag, msg.payload,
-                    msg.flow, ephemeral=True, mid=msg.mid,
+                    msg.flow, ephemeral=True,
                 )
-                self._schedule_hop(arrival + link.latency_ns, dup, next_node)
-        self._schedule_hop(arrival, msg, next_node)
+                self.sim.schedule_fast(
+                    arrival + link.latency_ns, self._hop, (dup, next_node)
+                )
+        self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
 
     def _count_link(self, msg: Message, table: dict, link) -> None:
         """Per-link reliability attribution, mirroring :meth:`_lose`'s
@@ -655,7 +629,7 @@ class NetworkSimulator:
                 queue.vtime = start
             arrival = link.transmit(msg.nbytes, now)
             self._record(node, next_node, msg)
-            self._schedule_hop(arrival, msg, next_node)
+            self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
             return
         queue.push(msg, next_node, weight, self._queue_seq)
         self._queue_seq += 1
@@ -676,7 +650,7 @@ class NetworkSimulator:
                 continue
             arrival = link.transmit(msg.nbytes, now)
             self._record(key[0], next_node, msg)
-            self._schedule_hop(arrival, msg, next_node)
+            self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
         if queue.heap and not queue.drain_scheduled:
             queue.drain_scheduled = True
             # priority 0: the link must free before same-instant arrivals.
@@ -701,9 +675,7 @@ class NetworkSimulator:
     def queue_depth_peaks(self) -> dict:
         """Provenance: ``{(src, dst): peak}`` high-water marks of the
         WFQ link queues (empty under FIFO arbitration, which never
-        materializes queues).  Peaks are integer maxima, so the sharded
-        engine's override max-merges worker peaks order-independently
-        — bitwise-equal to a sequential run."""
+        materializes queues)."""
         return {
             key: queue.depth_peak
             for key, queue in self._queues.items()

@@ -67,8 +67,8 @@ class Topology:
         self._failed_switches: set[NodeId] = set()
         #: Weak listeners notified of every structural mutation
         #: (fail/repair link/switch, rate changes).  Simulators register
-        #: here so derived caches — next-hop memos, per-shard link-rate
-        #: tables — are invalidated *at the mutation site* instead of
+        #: here so derived caches — next-hop memos, the FIFO windows'
+        #: link-rate table — are invalidated *at the mutation site* instead of
         #: relying on every caller to remember ``on_topology_change()``.
         self._change_listeners: list = []
         #: Callables run before a ``Link`` is handed out (see ``link``).
@@ -222,7 +222,7 @@ class Topology:
         return list(self._links.values())
 
     # ------------------------------------------------------------------
-    # Change listeners (cache invalidation across simulators/shards)
+    # Change listeners (cache invalidation across simulators)
     # ------------------------------------------------------------------
     def add_change_listener(self, listener) -> None:
         """Register ``listener(event, *args)`` for structural mutations.
@@ -261,8 +261,8 @@ class Topology:
         """Re-rate the duplex link ``a <-> b`` (both directions).
 
         Goes through :meth:`Link.set_gbps` so the cached bytes/ns
-        divisor is rebuilt, and notifies change listeners so per-shard
-        rate tables pick the new value up across process boundaries.
+        divisor is rebuilt, and notifies change listeners so derived
+        rate tables pick the new value up.
         """
         found = False
         for key in ((a, b), (b, a)):

@@ -13,10 +13,10 @@ row source (``Simulator._rows``), so the engine interleaves the rows
 with its other events exactly.
 
 Rows come from two places.  A plain hop (untagged message, integral
-non-negative byte count) sent while the engine is idle — no run loop
-on the stack — becomes a row at once, with the ``seq`` its engine event
-would have drawn; such ``seq`` numbers need not be contiguous, since
-events scheduled between the sends take theirs.  Fewer than
+byte count) sent while the engine is idle — no run loop on the stack —
+becomes a row at once, with the ``seq`` its engine event would have
+drawn; such ``seq`` numbers need not be contiguous, since events
+scheduled between the sends take theirs.  Fewer than
 :data:`MIN_VECTOR_ROWS` of them go back to the engine as plain hop
 events instead.  The other rows are made by windows: their children,
 and the hop events (sent from callbacks during a run) a window takes
@@ -28,13 +28,12 @@ take (any event that is not a plain hop).  When it holds at least
 :data:`MIN_VECTOR_ROWS` hops, the hop events it covers move from the
 engine into the rows, the rows are routed with :class:`VectorRoutes`,
 each link's rows are serialized in ``(time, seq)`` order with
-:func:`chain_links` (the kernel the sharded engine's vector workers
-call too), and the children get ``seq`` numbers in processing order.
-Deliveries run their callbacks in row order with ``sim.now`` and the
-engine's seq counter set where the per-event loop would have them.  A
-narrower window hands its rows back to the engine as plain hop events,
-so ``NetworkSimulator._hop`` in the engine loop stays the only
-per-event path.  Rows are kept as sorted runs, one per source (see
+:func:`chain_links`, and the children get ``seq`` numbers in
+processing order.  Deliveries run their callbacks in row order with
+``sim.now`` and the engine's seq counter set where the per-event loop
+would have them.  A narrower window hands its rows back to the engine
+as plain hop events, so ``NetworkSimulator._hop`` in the engine loop
+stays the only per-event path.  Rows are kept as sorted runs, one per source (see
 :class:`HopRows`): a window sorts only the rows it takes, so it costs
 O(its rows + live runs) however many rows are queued behind it.
 
@@ -53,10 +52,14 @@ callbacks.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
 
 import numpy as np
+
+from repro.network.routing import mix64_np
+from repro.network.topology import FatTreeTopology, NodeId, Topology
 
 _INF = float("inf")
 #: Windows with fewer hops run as engine events: the numpy kernel's
@@ -72,6 +75,147 @@ MAX_RUNS = 64
 #: Deferred byte totals and deltas stay below this, so their sums stay
 #: below 2**53: exact integers, whatever the order of addition.
 _HALF = 2.0 ** 52
+
+
+@dataclass
+class FabricIndex:
+    """Flat integer/float views of one topology.
+
+    Node indices follow ``topology.hosts + topology.switches`` order;
+    link indices follow ``topology.links()`` order, so windows address
+    nodes and links by index instead of name.
+    """
+
+    names: list[NodeId]
+    idx: dict[NodeId, int]
+    link_keys: list[tuple[NodeId, NodeId]]
+    link_src: np.ndarray  # int64 node index per directed link
+    link_dst: np.ndarray
+    link_rate: np.ndarray  # float64 bytes/ns per link
+    link_latency: np.ndarray  # float64 ns per link
+    # Sorted composite key table for vectorized (src, dst) -> link id.
+    _lookup_keys: np.ndarray = field(repr=False)
+    _lookup_perm: np.ndarray = field(repr=False)
+    # Fat-tree structure for closed-form vectorized up-down routing
+    # (None on other families, which route per distinct pair).
+    kind: np.ndarray | None = None  # 0 host / 1 leaf / 2 spine
+    num: np.ndarray | None = None  # numeric suffix of each node name
+    host_leaf_node: np.ndarray | None = None  # host idx -> leaf node idx
+    spine_node: np.ndarray | None = None  # spine number -> node idx
+    n_spines: int = 0
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.names)
+
+    @property
+    def n_links(self) -> int:
+        return len(self.link_keys)
+
+    def link_ids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Vectorized directed-link lookup by endpoint node indices."""
+        composite = src * np.int64(self.n_nodes) + dst
+        pos = np.searchsorted(self._lookup_keys, composite)
+        if pos.size and (
+            (pos >= self._lookup_keys.size).any()
+            or (self._lookup_keys[np.minimum(pos, self._lookup_keys.size - 1)]
+                != composite).any()
+        ):
+            raise KeyError("no such link in index")
+        return self._lookup_perm[pos]
+
+
+def build_index(topology: Topology) -> FabricIndex:
+    """Build the flat numpy tables for one topology."""
+    names = list(topology.hosts) + list(topology.switches)
+    idx = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    links = topology.links()
+    link_keys = [link.key for link in links]
+    link_src = np.fromiter((idx[a] for a, _ in link_keys), np.int64, len(link_keys))
+    link_dst = np.fromiter((idx[b] for _, b in link_keys), np.int64, len(link_keys))
+    link_rate = np.fromiter((ln.bytes_per_ns for ln in links), np.float64, len(links))
+    link_latency = np.fromiter(
+        (ln.latency_ns for ln in links), np.float64, len(links)
+    )
+    composite = link_src * np.int64(n) + link_dst
+    perm = np.argsort(composite, kind="stable")
+    index = FabricIndex(
+        names=names,
+        idx=idx,
+        link_keys=link_keys,
+        link_src=link_src,
+        link_dst=link_dst,
+        link_rate=link_rate,
+        link_latency=link_latency,
+        _lookup_keys=composite[perm],
+        _lookup_perm=perm.astype(np.int64),
+    )
+    if isinstance(topology, FatTreeTopology):
+        kind = np.zeros(n, dtype=np.int64)
+        num = np.zeros(n, dtype=np.int64)
+        host_leaf_node = np.zeros(n, dtype=np.int64)
+        spine_node = np.zeros(topology.n_spines, dtype=np.int64)
+        for i, name in enumerate(names):
+            value = int(name[1:])
+            num[i] = value
+            if name[0] == "l":
+                kind[i] = 1
+            elif name[0] == "s":
+                kind[i] = 2
+                spine_node[value] = i
+        for i, name in enumerate(names):
+            if kind[i] == 0:
+                host_leaf_node[i] = idx[topology.leaf_of(name)]
+        index.kind = kind
+        index.num = num
+        index.host_leaf_node = host_leaf_node
+        index.spine_node = spine_node
+        index.n_spines = topology.n_spines
+    return index
+
+
+def updown_next_hop_vec(
+    index: FabricIndex, node: np.ndarray, dst: np.ndarray, salt: int
+) -> np.ndarray:
+    """Vectorized up-down next hop over fat-tree structure arrays.
+
+    Bit-identical to ``UpDownRouter.next_hop`` — both sides compute the
+    spine pick with the same splitmix64 key (see ``routing.mix64``).
+    ``node != dst`` rows only (deliveries are split off by the caller).
+    """
+    kind, num = index.kind, index.num
+    out = np.empty(node.shape, dtype=np.int64)
+    nk = kind[node]
+    dk = kind[dst]
+    # Hosts climb to their leaf.
+    mask = nk == 0
+    out[mask] = index.host_leaf_node[node[mask]]
+    # Spines descend to the destination('s) leaf.
+    mask = nk == 2
+    if mask.any():
+        d = dst[mask]
+        out[mask] = np.where(dk[mask] == 0, index.host_leaf_node[d], d)
+    # Leaves: descend locally, jump straight to a spine destination, or
+    # cross the salted spine pick.
+    mask = nk == 1
+    if mask.any():
+        n_ = node[mask]
+        d = dst[mask]
+        dk_ = dk[mask]
+        dleaf = np.where(dk_ == 0, index.host_leaf_node[d], d)
+        key = (
+            (num[n_].astype(np.uint64) << np.uint64(34))
+            ^ ((dk_ != 0).astype(np.uint64) << np.uint64(33))
+            ^ num[d].astype(np.uint64)
+            ^ np.uint64(salt)
+        )
+        spine = index.spine_node[
+            (mix64_np(key) % np.uint64(index.n_spines)).astype(np.int64)
+        ]
+        local = np.where(dleaf == n_, d, spine)
+        out[mask] = np.where(dk_ == 2, d, local)
+    return out
 
 
 def chain_links(
@@ -135,8 +279,6 @@ class VectorRoutes:
 
     def __call__(self, node: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if self.vec:
-            from repro.network.shard import updown_next_hop_vec
-
             return updown_next_hop_vec(self.index, node, dst, self.salt)
         nn = self.index.n_nodes
         uniq, inverse = np.unique(node * np.int64(nn) + dst, return_inverse=True)
@@ -182,7 +324,7 @@ class HopRows:
     no run is ever merged with the others (unless more than
     :data:`MAX_RUNS` are live), so a window costs O(its rows + live
     runs), not O(queued rows).  Only hops of untagged messages with
-    integral, non-negative byte counts become rows, so a window's byte
+    integral byte counts become rows, so a window's byte
     sums are integer sums.  Flat tables (node and link indices, rates,
     latencies) are built by the first window or wide idle injection,
     not with the simulator.
@@ -255,7 +397,7 @@ class HopRows:
         self._take(ks, 1)
         self._unblock()
 
-    def run(self, stop: float, window: bool, stoppable: bool) -> int:
+    def run(self, stop: float, stoppable: bool) -> int:
         """Run the window that starts at the head row (which comes
         before the engine's next entry and within ``stop``); return how
         many rows ran.  A narrow window's rows go back to the engine
@@ -266,12 +408,12 @@ class HopRows:
             self._runs = []
             self._set_head()
             return 0
-        ks = self._gather(stop, window)
+        ks = self._gather(stop)
         n = self._take(ks, MAX_VECTOR_ROWS)
         if sum(ks) < MIN_VECTOR_ROWS:
             self._unblock()
             return 0
-        return self._vector(n, window, stoppable)
+        return self._vector(n, stoppable)
 
     def settle(self) -> None:
         """Bring everything to the per-event state: end a running window
@@ -308,8 +450,6 @@ class HopRows:
         )
 
     def _tables(self) -> None:
-        from repro.network.shard import build_index
-
         net = self.net
         if self._index is None:
             index = build_index(net.topology)
@@ -430,7 +570,7 @@ class HopRows:
         sel.sort()
         return sel
 
-    def _gather(self, stop: float, window: bool) -> list:
+    def _gather(self, stop: float) -> list:
         """Size the window that starts at the head row: the leading rows
         of every run, plus the engine's hop events it covers, up to the
         first engine entry a window may not take.  When that is at
@@ -440,11 +580,7 @@ class HopRows:
         sim = self.sim
         sim._head()                   # drops cancelled heads
         lim = self.head_t + self._lookahead()    # exclusive
-        last = _INF                        # inclusive (``run(until)``)
-        if window:
-            lim = min(lim, stop, sim.local_bound)
-        else:
-            last = stop
+        last = stop                        # inclusive (``run(until)``)
         heap = sim._heap
         if heap:
             h = heap[0]
@@ -487,8 +623,8 @@ class HopRows:
     def _taker(self):
         """Columns (time, seq, node, dst, nbytes, message; nodes by
         name) and ``take(entry)``: whether a window may take engine
-        ``entry`` — a hop of an untagged message with an integral,
-        non-negative byte count — appending it to the columns if so."""
+        ``entry`` — a hop of an untagged message with an integral byte
+        count — appending it to the columns if so."""
         hop = self.net._hop
         cols = ts, seqs, nodes, dsts, nbs, msgs = [], [], [], [], [], []
 
@@ -497,7 +633,7 @@ class HopRows:
                 return False
             m, node = e[4]
             nb = m.nbytes
-            if m.flow is not None or not (nb >= 0 and nb % 1.0 == 0.0):
+            if m.flow is not None or nb % 1.0 != 0.0:
                 return False
             ts.append(e[0])
             seqs.append(e[2])
@@ -562,7 +698,7 @@ class HopRows:
     # ------------------------------------------------------------------
     # Vector windows
     # ------------------------------------------------------------------
-    def _vector(self, n: int, window: bool, stoppable: bool) -> int:
+    def _vector(self, n: int, stoppable: bool) -> int:
         """Run the ``n`` rows of the window block as one window."""
         sim = self.sim
         self._tables()
@@ -606,7 +742,7 @@ class HopRows:
         w.settled = False
         dp = np.flatnonzero(node == dst)
         if dp.size:
-            cut = self._deliver(w, dp, window, stoppable)
+            cut = self._deliver(w, dp, stoppable)
             if cut is not None:
                 self.windowed += cut + 1
                 return cut + 1
@@ -616,7 +752,7 @@ class HopRows:
         self.windowed += n
         return n
 
-    def _deliver(self, w: _Window, dp: np.ndarray, window: bool, stoppable: bool):
+    def _deliver(self, w: _Window, dp: np.ndarray, stoppable: bool):
         """Run the window's delivery callbacks in row order; return the
         position the window was cut after (None: it ran to the end)."""
         sim = self.sim
@@ -653,9 +789,7 @@ class HopRows:
                     if head is not None and head[0] <= w.t_last:
                         self.settle()   # an event inside the window
                         return p
-                if (stoppable and sim.stop_requested) or (
-                    window and sim.local_bound <= tp
-                ):
+                if stoppable and sim.stop_requested:
                     self.settle()
                     return p
         except BaseException:

@@ -17,10 +17,10 @@ today remain verifiable tomorrow:
   (``REPRO_FASTPATH=0``: no route memoization, no burst sends, no
   uncontended-WFQ bypass).
 
-Speedups (``vs_des_path`` / ``vs_fastpath_off`` / the shard sweep's
-``vs_sequential``) are measured live, in-process, on the current machine:
-hardware-independent ratios, which CI regression-gates against the
-committed rolling baseline ``benchmarks/baselines/bench_simcore_baseline.json``.
+Speedups (``vs_des_path`` / ``vs_fastpath_off``) are measured live,
+in-process, on the current machine: hardware-independent ratios, which
+CI regression-gates against the committed rolling baseline
+``benchmarks/baselines/bench_simcore_baseline.json``.
 
 ``REPRO_BENCH_FULL=1`` extends the sweep with the small and the
 back-pressured sizes (1 KiB … 512 KiB; at ≥256 KiB the L2 input buffers
@@ -51,31 +51,6 @@ OVERLAP_SCENARIOS = (
     ("flare_dense", {"chunk_bytes": 8 * 1024.0}),
 )
 OVERLAP_WEIGHTS = (4.0, 1.0)
-
-#: Sharded-engine scaling sweep: a cross-rack transport storm on a fat
-#: tree, sequential engine vs the window-synchronized PDES at increasing
-#: worker counts.  Both run FIFO windows through the same numpy kernel
-#: (``repro.network.windows``), so ``workers=1`` is pure sharding
-#: overhead, not a fast path.  Send times are staggered on a
-#: 3 ns grid so FIFO service order is tie-free and the runs are
-#: bitwise-comparable.
-SHARD_WORKER_COUNTS = (1, 2, 4, 8)
-SHARD_STORM = {
-    "n_hosts": 8192, "hosts_per_leaf": 32, "n_spines": 16,
-    "msgs_per_host": 8,
-}
-#: Small storm used for the in-bench parity assertion (full arrival
-#: log compared host-by-host, outside the timed region).
-SHARD_PARITY = {
-    "n_hosts": 512, "hosts_per_leaf": 16, "n_spines": 8,
-    "msgs_per_host": 4,
-}
-#: Scale demonstrator (full mode): a 100k-host fabric, one cross-pod
-#: message per host.
-SHARD_SCALE = {
-    "n_hosts": 102400, "hosts_per_leaf": 64, "n_spines": 32,
-    "msgs_per_host": 1,
-}
 
 
 def bench_full_mode() -> bool:
@@ -225,142 +200,15 @@ def _run_overlap(reps: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Sharded-engine scaling sweep
-# ----------------------------------------------------------------------
-def _shard_storm(workers: int, cfg: dict, collect: bool = False) -> dict:
-    """One transport storm run; ``collect`` gathers the full arrival
-    log for parity checking (never inside a timed measurement)."""
-    from repro.network import FatTreeTopology, Message
-    from repro.pspin.pdes import build_engine
-
-    topo = FatTreeTopology(
-        n_hosts=cfg["n_hosts"], hosts_per_leaf=cfg["hosts_per_leaf"],
-        n_spines=cfg["n_spines"],
-    )
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration="fifo",
-        coordinator_hosts=False,
-    )
-    arrivals: list = []
-    if collect:
-        for h in topo.hosts:
-            net.on_deliver(
-                h, lambda m, t, h=h: arrivals.append((h, m.src, m.nbytes, t))
-            )
-    else:
-        sink = lambda m, t: None  # noqa: E731
-        for h in topo.hosts:
-            net.on_deliver(h, sink)
-    hosts = topo.hosts
-    n = len(hosts)
-    k = 0
-    for i, src in enumerate(hosts):
-        for off in range(1, cfg["msgs_per_host"] + 1):
-            net.send(
-                Message(src, hosts[(i + off * 37) % n], 4096.0),
-                at=3.0 * (k % 97),
-            )
-            k += 1
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    out = {
-        "wall_s": wall,
-        "events": sim.events_processed,
-        "windowed_hops": net.windowed_hops,
-        "makespan_ns": sim.now,
-    }
-    if collect:
-        out["arrivals"] = sorted(arrivals)
-        out["per_link"] = dict(net.traffic.per_link)
-    if hasattr(net, "shutdown"):
-        net.shutdown()
-    return out
-
-
-def _run_shard_sweep(reps: int, worker_counts) -> dict:
-    parity_ref = _shard_storm(0, SHARD_PARITY, collect=True)
-    parity = []
-    for w in worker_counts:
-        run = _shard_storm(w, SHARD_PARITY, collect=True)
-        ok = (
-            run["arrivals"] == parity_ref["arrivals"]
-            and run["per_link"] == parity_ref["per_link"]
-            and run["makespan_ns"] == parity_ref["makespan_ns"]
-        )
-        parity.append({"workers": w, "bitwise_identical": ok})
-        if not ok:
-            raise RuntimeError(
-                f"PDES parity violation at workers={w}: sharded storm "
-                "diverged from the sequential engine"
-            )
-
-    base_wall = _best_of(lambda: _shard_storm(0, SHARD_STORM), reps)
-    base = _shard_storm(0, SHARD_STORM)
-    points = []
-    for w in worker_counts:
-        wall = _best_of(lambda: _shard_storm(w, SHARD_STORM), reps)
-        run = _shard_storm(w, SHARD_STORM)
-        if (run["events"], run["makespan_ns"]) != (
-            base["events"], base["makespan_ns"]
-        ):
-            raise RuntimeError(
-                f"PDES parity violation at workers={w}: event count or "
-                "makespan diverged from the sequential engine"
-            )
-        speedup = base_wall / wall
-        points.append({
-            "workers": w,
-            "wall_s": wall,
-            "events_per_s": run["events"] / wall,
-            "speedup_vs_sequential": speedup,
-            "parallel_efficiency": speedup / w,
-        })
-    report = {
-        "storm": dict(SHARD_STORM),
-        "cpu_count": os.cpu_count(),
-        "note": (
-            "single-box measurement; both engines run FIFO windows as "
-            "numpy batches (the sequential one in-process, with the same "
-            "kernel), so a ratio above 1 can only come from parallel shards"
-        ),
-        "sequential": {
-            "wall_s": base_wall,
-            "events": base["events"],
-            "events_per_s": base["events"] / base_wall,
-            "makespan_ns": base["makespan_ns"],
-            "windowed_hops": base["windowed_hops"],
-        },
-        "points": points,
-        "parity": {"storm": dict(SHARD_PARITY), "checks": parity},
-    }
-    scale_workers = min(4, max(worker_counts))
-    scale = _shard_storm(scale_workers, SHARD_SCALE)
-    report["scale_100k"] = {
-        "storm": dict(SHARD_SCALE),
-        "workers": scale_workers,
-        "wall_s": scale["wall_s"],
-        "events": scale["events"],
-        "events_per_s": scale["events"] / scale["wall_s"],
-        "makespan_ns": scale["makespan_ns"],
-    }
-    return report
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def run_simcore_bench(
-    reps: int = 3,
-    full: Optional[bool] = None,
-    worker_counts=SHARD_WORKER_COUNTS,
-) -> dict:
+def run_simcore_bench(reps: int = 3, full: Optional[bool] = None) -> dict:
     """Run all scenarios; returns the JSON-serializable report."""
     if full is None:
         full = bench_full_mode()
     from repro.provenance.identity import run_identity
 
-    report = {
+    return {
         "benchmark": "simcore",
         "version": 2,
         "mode": "full" if full else "fast",
@@ -373,18 +221,11 @@ def run_simcore_bench(
         # Run identity: git SHA + dirty flag, seed-free engine config —
         # makes every BENCH_simcore.json attributable to its tree.
         "identity": run_identity(
-            engine={
-                "mode": "full" if full else "fast",
-                "reps": reps,
-                "workers": list(worker_counts or ()),
-            },
+            engine={"mode": "full" if full else "fast", "reps": reps},
         ),
         "dense_sweep": _run_dense_sweep(reps, full),
         "overlap": _run_overlap(reps),
     }
-    if worker_counts:
-        report["shard_sweep"] = _run_shard_sweep(reps, tuple(worker_counts))
-    return report
 
 
 def check_regression(
@@ -432,22 +273,6 @@ def check_regression(
         / base["dense_sweep"]["des_packets_per_s"]
     )
     gate("dense_sweep.relative_packets_per_s", now_rel, ref_rel)
-    # Sharded-engine speedup ratios (measured vs the sequential engine
-    # on the same box, so hardware-stable), per matching worker count.
-    now_shard = report.get("shard_sweep")
-    ref_shard = base.get("shard_sweep")
-    if now_shard and ref_shard:
-        ref_by_w = {
-            p["workers"]: p["speedup_vs_sequential"]
-            for p in ref_shard["points"]
-        }
-        for p in now_shard["points"]:
-            ref = ref_by_w.get(p["workers"])
-            if ref is not None:
-                gate(
-                    f"shard_sweep.speedup@{p['workers']}w",
-                    p["speedup_vs_sequential"], ref,
-                )
     return failures
 
 
@@ -467,22 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="fail (exit 1) on >tolerance regression vs a "
                         "checked-in baseline report")
     parser.add_argument("--tolerance", type=float, default=0.30)
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="cap the sharded-engine sweep at N workers "
-                        "(default: the full 1/2/4/8 sweep; 0 skips it)")
     args = parser.parse_args(argv)
 
-    if args.workers is None:
-        worker_counts = SHARD_WORKER_COUNTS
-    else:
-        worker_counts = tuple(
-            w for w in SHARD_WORKER_COUNTS if w <= args.workers
-        )
-    report = run_simcore_bench(
-        reps=args.reps,
-        full=True if args.full else None,
-        worker_counts=worker_counts,
-    )
+    report = run_simcore_bench(reps=args.reps, full=True if args.full else None)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -494,22 +306,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     print(f"[simcore] two-tenant overlap: {overlap['fast_wall_s'] * 1e3:.0f} ms "
           f"fast vs {overlap['fastpath_off_wall_s'] * 1e3:.0f} ms off "
           f"=> {overlap['speedup_vs_fastpath_off']:.2f}x")
-    shard = report.get("shard_sweep")
-    if shard:
-        seq = shard["sequential"]
-        print(f"[simcore] shard sweep (sequential {seq['events_per_s'] / 1e3:.0f}k "
-              f"ev/s, {seq['windowed_hops'] / seq['events']:.0%} of hops "
-              "in FIFO windows):")
-        for p in shard["points"]:
-            print(f"[simcore]   {p['workers']}w: "
-                  f"{p['events_per_s'] / 1e3:.0f}k ev/s "
-                  f"=> {p['speedup_vs_sequential']:.2f}x "
-                  f"(efficiency {p['parallel_efficiency']:.2f})")
-        scale = shard.get("scale_100k")
-        if scale:
-            print(f"[simcore] 100k-host scale run: {scale['events']} events "
-                  f"in {scale['wall_s']:.1f} s "
-                  f"({scale['events_per_s'] / 1e3:.0f}k ev/s)")
     print(f"[simcore] report written to {args.out}")
     if args.check_against:
         failures = check_regression(report, args.check_against, args.tolerance)

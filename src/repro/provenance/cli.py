@@ -7,7 +7,6 @@ Three subcommands over a :class:`~repro.provenance.store
   engine, algorithm, makespan, energy total).
 * ``prov show <run>`` — full identity, per-switch and per-link counter
   tables, the energy breakdown, and any recorded degradation events
-  (worker crashes recovered sequentially, recalled fault schedules)
   for one run; run ids accept unique prefixes.
 * ``prov diff <run-a> <run-b>`` — compare two runs: makespan and
   energy deltas, counter-family deltas, and the hottest links by byte
@@ -88,8 +87,7 @@ def _run_line(store: ProvenanceStore, run: dict) -> str:
     total = energy.get("total_j")
     return (
         f"{run['run_id']}  {run.get('created_utc') or '-':20s} "
-        f"{sha:10s} w={run.get('workers') or 1}"
-        f"/{run.get('arbitration') or '-'} "
+        f"{sha:10s} {run.get('arbitration') or '-'} "
         f"{(run.get('algorithm') or '-'):24.24s} "
         f"makespan={_fmt(makespan) if makespan is not None else '-':>14s}ns "
         f"energy={f'{total:.3f}J' if total is not None else '-'}"
@@ -244,11 +242,11 @@ def diff_runs(store: ProvenanceStore, id_a: str, id_b: str) -> dict:
     return {
         "a": {k: run_a.get(k) for k in (
             "run_id", "created_utc", "git_sha", "git_dirty", "seed",
-            "workers", "arbitration", "routing", "algorithm", "label",
+            "arbitration", "routing", "algorithm", "label",
         )},
         "b": {k: run_b.get(k) for k in (
             "run_id", "created_utc", "git_sha", "git_dirty", "seed",
-            "workers", "arbitration", "routing", "algorithm", "label",
+            "arbitration", "routing", "algorithm", "label",
         )},
         "makespan_ns": makespan,
         "energy": energy,
@@ -283,7 +281,7 @@ def cmd_diff(store: ProvenanceStore, args) -> int:
         sha = (info.get("git_sha") or "-")[:9] + ("*" if info.get("git_dirty") else "")
         print(
             f"  {side}: {info['run_id']}  {info.get('created_utc') or '-'}"
-            f"  {sha}  w={info.get('workers') or 1}/{info.get('arbitration') or '-'}"
+            f"  {sha}  {info.get('arbitration') or '-'}"
             f"  {info.get('algorithm') or '-'}"
             + (f"  [{info['label']}]" if info.get("label") else "")
         )

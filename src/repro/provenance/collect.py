@@ -12,9 +12,7 @@ as dict equality:
   ``contention_wait_cycles``) agree to float addition-order tolerance —
   the fast-path parity suite pins both.
 * :func:`collect_links` reads a :class:`~repro.network.simulator
-  .NetworkSimulator` (sequential or sharded) at quiescence.  The
-  sharded engine merges worker-side link tables bitwise-identically to
-  the sequential engine, so these rows are engine-independent too.
+  .NetworkSimulator` at quiescence.
 
 Counter families (not individual names) are what the CI smoke gate
 checks for: a run missing a whole family means a collection path broke.
@@ -111,8 +109,7 @@ def collect_links(net) -> list[tuple]:
     """Per-link provenance rows ``(src, dst, counter, value)``.
 
     Reads the network simulator at quiescence: bytes/messages from the
-    link objects (the sharded engine merges worker deltas into these
-    bitwise-identically), busy time from each link's serialization
+    link objects, busy time from each link's serialization
     occupancy, WFQ queue-depth peaks from the arbitration queues, and —
     on fault-injection runs — per-link drop/duplicate counts.  All-zero
     links are omitted to keep the database proportional to traffic, not

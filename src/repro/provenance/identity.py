@@ -13,7 +13,7 @@ configuration that produced it:
   the commit's.
 * ``created_utc`` — ISO-8601 UTC timestamp.
 * ``seed`` / ``engine`` — the run's RNG seed and engine configuration
-  (worker count, arbitration, routing, ...), whatever the caller used.
+  (arbitration, routing, ...), whatever the caller used.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def run_identity(
     """The identity block stamped into every recorded artifact.
 
     ``engine`` is a JSON-serializable dict of whatever configuration
-    shaped the run (workers, arbitration, routing, scale points...).
+    shaped the run (arbitration, routing, scale points...).
     """
     engine = dict(engine or {})
     git = git_state(repo_dir)

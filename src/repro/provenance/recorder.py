@@ -61,7 +61,6 @@ class ProvenanceRecorder:
         self.identity = run_identity(
             seed=fabric.routing_seed if seed is None else seed,
             engine={
-                "workers": fabric.workers,
                 "arbitration": fabric.net.arbitration,
                 "routing": fabric.net.router.name,
             },
@@ -114,7 +113,7 @@ class ProvenanceRecorder:
             "git_sha": ident["git_sha"],
             "git_dirty": ident["git_dirty"],
             "seed": ident["seed"],
-            "workers": fabric.workers,
+            "workers": 0,
             "arbitration": fabric.net.arbitration,
             "routing": fabric.net.router.name,
             "topology": repr(topo.fingerprint()),
@@ -139,31 +138,6 @@ class ProvenanceRecorder:
             for counter, value in sorted(self._switch_counters[switch].items())
         ]
 
-    def _degradation_rows(self) -> list[tuple]:
-        """Engine degradation events (worker crashes recovered
-        sequentially, fault schedules recalled to the coordinator) as
-        store rows.  Sequential engines expose no such list; a sharded
-        run that degraded would otherwise leave identical results and
-        no trace — this is the record that it happened."""
-        import json as _json
-
-        events = getattr(self.fabric.net, "degradations", None) or []
-        rows = []
-        for seq, event in enumerate(events):
-            detail = {
-                k: v for k, v in event.items()
-                if k not in ("event", "reason", "sim_time_ns")
-            }
-            rows.append((
-                seq,
-                event.get("sim_time_ns"),
-                event.get("event", "unknown"),
-                event.get("reason"),
-                _json.dumps(detail, sort_keys=True, default=str)
-                if detail else None,
-            ))
-        return rows
-
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
@@ -175,7 +149,6 @@ class ProvenanceRecorder:
         self.store.upsert_link_counters(
             self.run_id, collect_links(self.fabric.net)
         )
-        self.store.upsert_degradations(self.run_id, self._degradation_rows())
 
     def flush(self) -> None:
         """Quiescence flush: final counters plus the energy estimate.
@@ -198,7 +171,6 @@ class ProvenanceRecorder:
         self.store.upsert_switch_counters(self.run_id, self._switch_rows())
         self.store.upsert_link_counters(self.run_id, link_rows)
         self.store.upsert_energy(self.run_id, rows)
-        self.store.upsert_degradations(self.run_id, self._degradation_rows())
         self.flushed = True
 
     def close(self) -> None:

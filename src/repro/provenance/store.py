@@ -16,7 +16,8 @@ Schema (version 3)
 ------------------
 * ``meta(key, value)`` — schema version and bookkeeping.
 * ``runs`` — one row per recorded run: identity (run id, git SHA,
-  UTC timestamp, seed), engine config (workers, arbitration, routing),
+  UTC timestamp, seed), engine config (arbitration, routing; the
+  ``workers`` column is kept for old databases and is 0 in new runs),
   topology fingerprint, algorithm, makespan, and the full config JSON.
 * ``switch_counters(run_id, switch, counter, value)`` — long format:
   HPU cycles, handler dispatches, L1/L2 high-water marks, admission
@@ -27,11 +28,11 @@ Schema (version 3)
   output per run (scope ``"run"``) and per tenant (``"tenant:<name>"``);
   added by the version 1 → 2 migration.
 * ``degradations(run_id, seq, sim_time_ns, event, reason,
-  detail_json)`` — engine degradation events (a sharded run losing a
-  worker and recovering sequentially, a fault schedule recalled to the
-  coordinator): results stay bitwise identical, so this table is the
-  only record that a run did not execute the way it was configured to.
-  Added by the version 2 → 3 migration.
+  detail_json)`` — engine degradation events: a run that did not
+  execute the way it was configured to while its results stayed
+  bitwise identical.  Added by the version 2 → 3 migration.  The
+  sharded engine that wrote these rows is gone; new runs record none,
+  and rows in older databases stay readable (``prov show``/``diff``).
 
 Writes are idempotent upserts keyed on the run id, which is what lets
 :class:`~repro.provenance.recorder.ProvenanceRecorder` stream the same

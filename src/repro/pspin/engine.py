@@ -45,7 +45,7 @@ head, the earliest bucket's head and the row head.  When a row comes
 first the loop hands control to the row source's ``run``, which either
 runs a window of rows (each counts as one event) or hands the rows back
 to the engine's buckets as plain events.  ``peek_time``, ``step``,
-``run``, ``run_stoppable``, ``run_window``, ``pending``, ``queued`` and
+``run``, ``run_stoppable``, ``pending``, ``queued`` and
 ``events_processed`` all see the rows.  Any call into the engine first
 has the row source *settle*: end a running window at the current row,
 write its deferred link state and fold in the rows sent while the
@@ -139,11 +139,6 @@ class Simulator:
     >>> order
     ['a', 'b']
     """
-
-    #: Exclusive bound on :meth:`run_window` that callbacks may lower
-    #: mid-window: the sharded coordinator's free-run must stop before
-    #: its earliest cross-shard offload.  The other run loops ignore it.
-    local_bound: float = _INF
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -303,7 +298,7 @@ class Simulator:
 
     def queued(self) -> Iterator[tuple]:
         """Every live pending event as ``(time, priority, seq, callback,
-        args)``, in no particular order (recall/checkpoint snapshots)."""
+        args)``, in no particular order."""
         rows = self._settled_rows()
         live = map(tuple, self._live())
         if rows is None or not rows.count:
@@ -313,23 +308,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _run(self, stop: float, window: bool, stoppable: bool) -> int:
+    def _run(self, stop: float, stoppable: bool) -> int:
         """Execute events in order; return how many ran.
 
-        Stops before the first event with ``time > stop`` or — for a
-        ``window`` — ``time >= min(stop, local_bound)``, re-reading
-        :attr:`local_bound` after every event.  ``stoppable`` also stops
-        right after an event that set :attr:`stop_requested`.
-        :attr:`running` is set meanwhile.
+        Stops before the first event with ``time > stop``.
+        ``stoppable`` also stops right after an event that set
+        :attr:`stop_requested`.  :attr:`running` is set meanwhile.
         """
         running = self.running
         self.running = True
         try:
-            return self._loop(stop, window, stoppable)
+            return self._loop(stop, stoppable)
         finally:
             self.running = running
 
-    def _loop(self, stop: float, window: bool, stoppable: bool) -> int:
+    def _loop(self, stop: float, stoppable: bool) -> int:
         self._settled_rows()
         heap = self._heap
         buckets = self._buckets
@@ -363,23 +356,13 @@ class Simulator:
                 continue
             if rows is not None and rows.head_t <= t and _row_first(rows, entry):
                 t = rows.head_t
-                if window:
-                    bound = self.local_bound
-                    if t >= (stop if stop < bound else bound):
-                        break
-                elif t > stop:
+                if t > stop:
                     break
-                processed += rows.run(stop, window, stoppable)
+                processed += rows.run(stop, stoppable)
                 if stoppable and self.stop_requested:
                     break
                 continue
-            if entry is None:
-                break
-            if window:
-                bound = self.local_bound
-                if t >= (stop if stop < bound else bound):
-                    break
-            elif t > stop:
+            if entry is None or t > stop:
                 break
             if entry[_PRIORITY] != 1:
                 heappop(heap)
@@ -406,8 +389,6 @@ class Simulator:
                         callback(*entry[_ARGS])
                         processed += 1
                         if stoppable and self.stop_requested:
-                            break
-                        if window and self.local_bound <= t:
                             break
                     if not bucket:
                         break
@@ -453,7 +434,7 @@ class Simulator:
 
     def run(self, until: float | None = None) -> None:
         """Run events in order; stop when the queue drains or time passes ``until``."""
-        self._run(_INF if until is None else until, False, False)
+        self._run(_INF if until is None else until, False)
         if until is not None and (
             until > self.now or self._head() is not None
             or (self._rows is not None and self._rows.count)
@@ -469,38 +450,20 @@ class Simulator:
         ``run_until`` can get without overrunning a completion.
         """
         self.stop_requested = False
-        self._run(_INF, False, True)
+        self._run(_INF, True)
         return self.stop_requested
 
     def peek_time(self) -> float | None:
         """Timestamp of the earliest pending event (None when idle).
 
         Lazily discards cancelled heads, so repeated peeks stay O(1)
-        amortized.  This is the conservative-PDES probe: a shard
-        advertises its next event time so the coordinator can compute a
-        global safe window.
+        amortized.
         """
         rows = self._settled_rows()
         entry = self._head()
         if rows is not None and _row_first(rows, entry):
             return rows.head_t
         return None if entry is None else entry[_TIME]
-
-    def run_window(self, stop: float, stoppable: bool = False) -> int:
-        """Run every event with ``time < min(stop, local_bound)``
-        (strict); return count.
-
-        The workhorse of window-synchronized conservative PDES: a shard
-        granted the window ``[now, stop)`` may execute exactly the
-        events strictly before ``stop`` — events *at* ``stop`` belong
-        to the next window (they may race with cross-shard arrivals
-        carrying the same timestamp, whose tie-break lives with the
-        coordinator).  ``self.now`` is left at the last executed event,
-        never advanced to ``stop``: the clock must not outrun a
-        cross-shard arrival at ``stop`` itself.  ``stoppable`` also
-        stops right after an event that set :attr:`stop_requested`.
-        """
-        return self._run(stop, True, stoppable)
 
     @property
     def pending(self) -> int:

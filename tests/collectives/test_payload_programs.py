@@ -6,12 +6,10 @@ else replays the schedule's structural combine order message by
 message.  The twin of each builtin-operator run is the same operator
 wrapped as a custom :class:`ReductionOp`, which forces the replay: the
 two must agree bitwise in their outputs and exactly in time and
-traffic, standalone and as tenants of a WFQ overlap on both engines.
+traffic, standalone and as tenants of a WFQ overlap.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -82,10 +80,8 @@ def plan_for(comm, data, op, algorithm):
     return build_plan(request, get_algorithm(algorithm)), arrays
 
 
-def fabric(workers: int = 0) -> Fabric:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return Fabric(**TOPOLOGY, workers=workers)
+def fabric() -> Fabric:
+    return Fabric(**TOPOLOGY)
 
 
 def assert_twins(vectorized, replayed, want):
@@ -128,8 +124,8 @@ def test_vectorized_matches_replay_flare_switch_alone(op):
     assert_twins(*runs, reference(data, op))
 
 
-def _overlap(workers, dtype, tenants, custom):
-    fab = fabric(workers)
+def _overlap(dtype, tenants, custom):
+    fab = fabric()
     try:
         futures, wants = [], []
         for i, (algorithm, op, weight) in enumerate(tenants):
@@ -147,11 +143,10 @@ def _overlap(workers, dtype, tenants, custom):
 
 @pytest.mark.parametrize("overlap", sorted(OVERLAPS))
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("workers", (0, 2))
-def test_vectorized_matches_replay_in_wfq_overlap(workers, dtype, overlap):
+def test_vectorized_matches_replay_in_wfq_overlap(dtype, overlap):
     tenants = OVERLAPS[overlap]
-    vectorized, wants = _overlap(workers, dtype, tenants, custom=False)
-    replayed, _ = _overlap(workers, dtype, tenants, custom=True)
+    vectorized, wants = _overlap(dtype, tenants, custom=False)
+    replayed, _ = _overlap(dtype, tenants, custom=True)
     for fast, replay, want in zip(vectorized, replayed, wants):
         assert_twins(fast, replay, want)
 

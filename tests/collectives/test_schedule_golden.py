@@ -10,14 +10,11 @@ event, resizes a message or reorders a reduction fails here.
 The grid: ring, swing, butterfly, flare_dense (size-only, int32 and
 fp32 payloads), flare_sparse and sparcml (size-only) on fat-tree,
 dragonfly and torus at 8 and 16 hosts, each run standalone
-(``plan.execute``) and on
-a shared ``Fabric`` with ``workers`` 0 and 2; flare_switch (int32 and
-fp32 payloads, one chunk) on the fabrics only; plus a ``hosts=``
+(``plan.execute``) and on a shared ``Fabric`` (the ``workers0`` groups,
+named for the engine they were first pinned on); flare_switch (int32
+and fp32 payloads, one chunk) on the fabrics only; plus a ``hosts=``
 placement subset, a seeded lossy fault schedule, and 4-tenant WFQ
-overlaps on one fabric.  The workers-2 groups leave out the tree cases
-listed in ``SHARDED_UNSAFE``.  Each engine's numbers are pinned on their
-own: same-instant ties on a shared link may break differently in the
-sharded engine, which moves a few makespans but never an output.
+overlaps on one fabric.
 
 Regenerate only when a change to the simulated results is intended::
 
@@ -48,7 +45,7 @@ TOPOLOGIES = {
     "torus-8": ("torus", {"dim_x": 2, "dim_y": 2, "hosts_per_switch": 2}),
     "torus-16": ("torus", {"dim_x": 4, "dim_y": 2, "hosts_per_switch": 2}),
 }
-MODES = ("standalone", "workers0", "workers2")
+MODES = ("standalone", "workers0")
 N_ELEMENTS = 16384                      # 64 KiB of 4-byte elements
 DENSE = ("ring", "swing", "butterfly", "flare_dense")
 #: Small chunks so every schedule pipelines several sub-chunks per step.
@@ -64,10 +61,6 @@ KNOBS = {
 #: switch; standalone it is the single-switch simulation (pinned in
 #: tests/comm/test_topology_integration.py).
 FABRIC_ONLY = {"flare_switch/int32", "flare_switch/float32"}
-#: Tree cases left out of the workers-2 groups.  The sharded engine runs
-#: them now, but adding them would shift the rows that follow on the
-#: same fabric (ROADMAP, "sharded engine: zero-lookahead tree relays").
-SHARDED_UNSAFE = {"flare_sparse/chunked", "overlap-tree"}
 PLACED = ("h1", "h2", "h5", "h6", "h9", "h10", "h13", "h14")
 LOSSY = {
     "seed": 3,
@@ -143,22 +136,14 @@ def _communicator(topo: str, mode: str):
     family, params = TOPOLOGIES[topo]
     if mode == "standalone":
         return Communicator(topology=family, topology_params=params), None
-    fabric = Fabric(
-        topology=family, topology_params=params, workers=int(mode[-1])
-    )
+    fabric = Fabric(topology=family, topology_params=params)
     return fabric.communicator(name="t"), fabric
 
 
 def run_group(group: str) -> dict:
     """Run one group of cases and return ``{case id: record}``."""
-    import warnings
-
     topo, kind, mode = group.split("/")
-    with warnings.catch_warnings():
-        # Small fabrics may not cut into two shards; the sequential
-        # fallback must give the same table, so its warning is noise.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        comm, fabric = _communicator(topo, mode)
+    comm, fabric = _communicator(topo, mode)
     try:
         if kind in OVERLAP:
             return _run_overlap(fabric, OVERLAP[kind])
@@ -169,8 +154,7 @@ def run_group(group: str) -> dict:
         return {
             case: record(comm.allreduce(data, **kwargs, **extra))
             for case, data, kwargs in cases(n_hosts)
-            if (mode != "workers2" or case not in SHARDED_UNSAFE)
-            and (mode != "standalone" or case not in FABRIC_ONLY)
+            if mode != "standalone" or case not in FABRIC_ONLY
         }
     finally:
         if fabric is not None:
@@ -199,7 +183,6 @@ def groups() -> list[str]:
         for topo in ("fat-tree-16", "torus-16")
         for kind in OVERLAP
         for mode in MODES[1:]
-        if mode != "workers2" or kind not in SHARDED_UNSAFE
     ]
     return out
 

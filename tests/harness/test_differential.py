@@ -134,37 +134,3 @@ def test_differential_outputs_agree_across_hosts():
     baseline = results.pop("ring")
     for algo, out in results.items():
         np.testing.assert_array_equal(baseline, out, err_msg=algo)
-
-
-@pytest.mark.parametrize(
-    "algorithm", ["ring", "flare_dense", "rabenseifner", "swing", "butterfly"]
-)
-def test_differential_sharded_fabric_matches_sequential(algorithm):
-    """The sharded parallel engine (``Fabric(workers=2)``) is a pure
-    execution substitution: the same network schedules must produce
-    bitwise-identical payloads and the identical makespan as the
-    sequential oracle fabric."""
-    from repro.comm.fabric import Fabric
-    from repro.pspin.pdes import ShardedSimulator
-
-    data, golden = make_payloads("float32", seed=4)
-    runs = {}
-    for workers in (0, 2):
-        fabric = Fabric(
-            topology="fat-tree",
-            topology_params=TOPOLOGIES["fat-tree"],
-            workers=workers,
-        )
-        if workers:
-            # Guard against a silent fall-back making this test vacuous.
-            assert isinstance(fabric.sim, ShardedSimulator)
-            assert fabric.net.engaged
-        comm = fabric.communicator(name="t0")
-        result = comm.allreduce(data, algorithm=algorithm)
-        runs[workers] = (output_of(result), result.time_ns,
-                         result.traffic_bytes_hops)
-        fabric.shutdown()
-    np.testing.assert_array_equal(runs[2][0], golden)
-    np.testing.assert_array_equal(runs[2][0], runs[0][0])
-    assert runs[2][1] == runs[0][1]     # identical makespan
-    assert runs[2][2] == runs[0][2]     # identical wire traffic

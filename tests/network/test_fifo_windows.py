@@ -267,7 +267,6 @@ def _run_until_and_step(topo, net):
     for _ in range(25):
         sim.step()
     log.append(("stepped", sim.now, sim.peek_time()))
-    log.append(("window", sim.run_window(2100.0), sim.now, sim.peek_time()))
     net.run()
     return _observe(topo, net, log)
 
@@ -425,12 +424,12 @@ def _storm_plus(extra_nbytes: float, dst: str = "h200"):
         for i, h in enumerate(hosts):
             for j in (37, 61, 99, 140):
                 net.send(Message(h, hosts[(i + j) % len(hosts)], 4096.0, (i, j)), at=0.0)
-        net.send(Message("h0", dst, extra_nbytes, "odd"), at=1.0)
+        err = None
         try:
-            net.run()
-            err = None
+            net.send(Message("h0", dst, extra_nbytes, "odd"), at=1.0)
         except ValueError as exc:
             err = str(exc)
+        net.run()
         out = _observe(topo, net, log)
         out["err"] = err
         return out
@@ -440,7 +439,8 @@ def _storm_plus(extra_nbytes: float, dst: str = "h200"):
 def test_negative_size_raises_before_commit(monkeypatch, vector_windows):
     ref, new = _both(monkeypatch, _storm_plus(-1.0))
     assert vector_windows
-    assert ref["err"] == new["err"] == "negative message size"
+    assert ref["err"] == new["err"]
+    assert new["err"].startswith("message size must be non-negative")
     assert new == ref
     link = dict((k[0], k[1:]) for k in ref["links"])[("h0", "l0")]
     assert link[2] == 4            # only the storm messages committed
@@ -781,7 +781,7 @@ def test_send_from_callback_takes_engine_path(monkeypatch, vector_windows, pushe
 def test_narrow_idle_injection_builds_no_tables(monkeypatch, pushes):
     """Fewer than MIN_VECTOR_ROWS idle sends go back to the engine as
     plain hop events: no index built, no window run."""
-    import repro.network.shard as shard
+    import repro.network.windows as windows
 
     def scenario(topo, net):
         log = []
@@ -797,7 +797,7 @@ def test_narrow_idle_injection_builds_no_tables(monkeypatch, pushes):
         return out
 
     ref = scenario(*_net(monkeypatch, False))
-    monkeypatch.setattr(shard, "build_index", lambda topo: pytest.fail("index built"))
+    monkeypatch.setattr(windows, "build_index", lambda topo: pytest.fail("index built"))
     new = scenario(*_net(monkeypatch, True))
     assert len(pushes) == 40
     assert new == ref

@@ -1,25 +1,20 @@
-"""Shard-safety of derived caches (tentpole satellite).
+"""Caches derived from the topology follow its mutations.
 
-Two caches derive state from the topology and used to be invalidated
-only at their own mutation call sites, which is exactly the pattern
-that breaks once mutations can originate in another process:
-
-* the simulator's next-hop memo (``_next_hop_cache``), and
-* the sharded workers' per-shard route memos and link-rate arrays.
-
-Both now invalidate through ``Topology.add_change_listener`` —
-``fail_link`` / ``repair_link`` / ``fail_switch`` / ``repair_switch`` /
-``set_link_rate`` notify every registered engine, and the sharded
-coordinator forwards the events to its workers as control ops.  These
-tests pin the listener path: a stale memo here would silently route
-bytes over failed links (sequential) or desynchronize the shards
-(parallel).
+Two caches derive state from the topology: the simulator's next-hop
+memo (``_next_hop_cache``) and the FIFO hop windows' route memo and
+link-rate table (``repro.network.windows``).  Both invalidate through
+``Topology.add_change_listener`` — ``fail_link`` / ``repair_link`` /
+``fail_switch`` / ``repair_switch`` / ``set_link_rate`` notify every
+registered simulator — so a mutation that bypasses the simulator
+cannot leave a stale route or rate behind.  The window tests run a
+storm, mutate the topology, run a second storm, and compare every
+arrival and link total against the per-event loop
+(``REPRO_FASTPATH=0``).
 """
 
 import pytest
 
 from repro.network import FatTreeTopology, Message, NetworkSimulator
-from repro.pspin.pdes import build_engine
 
 
 def _uplinks_used(net, leaf="l0"):
@@ -73,64 +68,73 @@ def test_next_hop_memo_recovers_after_repair():
 
 
 # ----------------------------------------------------------------------
-# Sharded engine: cross-shard invalidation through control ops
+# FIFO hop windows: route memo and rate table
 # ----------------------------------------------------------------------
-def _two_phase(workers, mutate):
-    """Storm, mid-run topology mutation, second storm; parity digest."""
-    topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    sim, net = build_engine(
-        topo, workers=workers, router="ecmp", arbitration="fifo",
-        coordinator_hosts=False,
-    )
+def _two_phase(monkeypatch, fast, mutate):
+    """Storm, topology mutation, second storm: the makespan, the sorted
+    arrival log, ``per_link`` and how many hops ran in windows."""
+    monkeypatch.setenv("REPRO_FASTPATH", "1" if fast else "0")
+    topo = FatTreeTopology(n_hosts=256, hosts_per_leaf=16, n_spines=8)
+    net = NetworkSimulator(topo, router="ecmp")
+    sim = net.sim
     arrivals = []
     for h in topo.hosts:
-        net.on_deliver(h, lambda m, t, h=h: arrivals.append((h, m.src, t)))
+        net.on_deliver(h, lambda m, t, h=h: arrivals.append((h, m.src, m.tag, t)))
     hosts = topo.hosts
     n = len(hosts)
-    for i, src in enumerate(hosts):
-        net.send(Message(src, hosts[(i + 11) % n], 8192.0), at=3.0 * i)
-    sim.run()               # phase 1: populates every route memo
-    mutate(topo)            # cross-shard mutation between phases
-    for i, src in enumerate(hosts):
-        net.send(Message(src, hosts[(i + 11) % n], 8192.0),
-                 at=sim.now + 3.0 * i)
+
+    def storm(t0):
+        for i, src in enumerate(hosts):
+            for j, off in enumerate((37, 101, 149)):
+                net.send(Message(src, hosts[(i + off) % n], 4096.0, (i, j)),
+                         at=t0 + 3.0 * ((2 * i + j) % 97))
+
+    storm(0.0)
+    sim.run()               # phase 1: fills the route memo and rate table
+    mutate(topo)
+    storm(sim.now)
     sim.run()
-    out = (sim.now, sorted(arrivals), dict(net.traffic.per_link))
-    if hasattr(net, "shutdown"):
-        net.shutdown()
-    return out
+    return sim.now, sorted(arrivals), dict(net.traffic.per_link), net.windowed_hops
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_cross_shard_link_failure_invalidates_worker_memos(workers):
-    mutate = lambda topo: topo.fail_link("l0", "s0")  # noqa: E731
-    assert _two_phase(workers, mutate) == _two_phase(0, mutate)
+def _check(monkeypatch, mutate):
+    ref = _two_phase(monkeypatch, False, mutate)
+    got = _two_phase(monkeypatch, True, mutate)
+    assert ref[3] == 0 and got[3] > 0        # windows ran both phases' hops
+    assert got[:3] == ref[:3]
+    return got
 
 
-def test_cross_shard_switch_failure_invalidates_worker_memos():
-    mutate = lambda topo: topo.fail_switch("s1")  # noqa: E731
-    assert _two_phase(2, mutate) == _two_phase(0, mutate)
+def test_link_failure_invalidates_window_routes(monkeypatch):
+    got = _check(monkeypatch, lambda topo: topo.fail_link("l0", "s0"))
+    assert got[2][("l0", "s0")] == _two_phase(
+        monkeypatch, True, lambda topo: None
+    )[2][("l0", "s0")] / 2       # only phase 1 crossed the failed uplink
 
 
-def test_cross_shard_repair_restores_parity():
+def test_switch_failure_invalidates_window_routes(monkeypatch):
+    _check(monkeypatch, lambda topo: topo.fail_switch("s1"))
+
+
+def test_repair_restores_window_routes(monkeypatch):
     def mutate(topo):
         topo.fail_link("l0", "s0")
         topo.repair_link("l0", "s0")
 
-    assert _two_phase(2, mutate) == _two_phase(0, mutate)
+    assert _check(monkeypatch, mutate) == _two_phase(
+        monkeypatch, True, lambda topo: None
+    )
 
 
-def test_set_link_rate_propagates_to_worker_rate_caches():
-    """Degrading a link's rate mid-run must reach the workers' cached
-    per-link rate arrays: serialization times (and so every later
-    arrival) shift identically in both engines."""
+def test_set_link_rate_reaches_window_rate_table(monkeypatch):
+    """Re-rating links between the phases must reach the windows' rate
+    table: later serializations shift exactly as in the per-event loop."""
     def mutate(topo):
         topo.set_link_rate("l0", "s0", 10.0)   # 100 -> 10 Gbps
         topo.set_link_rate("l1", "s1", 25.0)
 
-    slow = _two_phase(2, mutate)
-    assert slow == _two_phase(0, mutate)
-    fast = _two_phase(2, lambda topo: None)
+    slow = _check(monkeypatch, mutate)
+    fast = _two_phase(monkeypatch, True, lambda topo: None)
     assert slow[0] > fast[0], "rate degradation never took effect"
 
 

@@ -4,10 +4,12 @@ The acceptance contract for the observability subsystem: the counter
 rows the database records must not depend on *which* engine simulated
 the run.
 
-* sequential vs sharded (``workers=2``): :func:`collect_links` rows are
-  bitwise-identical — bytes/messages merge as integer-valued float
-  sums, ``busy_ns`` is derived from merged bytes by one division, and
-  WFQ queue-depth peaks max-merge as integers.
+* network fast paths vs the per-event loop (``REPRO_FASTPATH=0``):
+  :func:`collect_links` rows are bitwise-identical — FIFO hop windows
+  add bytes/messages as integer-valued float sums and ``busy_ns`` is
+  derived from those bytes by one division.  Under WFQ every family
+  but the queue-depth peaks matches (the uncontended bypass never
+  queues, so only genuinely contended instants raise a peak).
 * packet-train fast path vs per-packet DES: :func:`collect_switch`
   integer families are bitwise-identical; the cycle accumulators agree
   to float addition-order tolerance (the fast path sums per subset),
@@ -15,8 +17,6 @@ the run.
   telemetry.
 * fault runs: per-link drops/duplicates reconcile with the run-level
   totals.
-
-Sharded runs fork real worker processes — keep the fabrics small.
 """
 
 import math
@@ -27,7 +27,7 @@ from repro.core.allreduce import plan_switch_allreduce
 from repro.network import FatTreeTopology, Message
 from repro.network.faults import FaultSpec
 from repro.network.simulator import NetworkSimulator
-from repro.pspin.pdes import build_engine
+from repro.pspin.engine import Simulator
 from repro.provenance.collect import (
     LINK_COUNTER_FAMILIES,
     SWITCH_COUNTER_FAMILIES,
@@ -43,27 +43,27 @@ _CYCLE_FAMILIES = {"busy_cycles", "hpu_busy_cycles", "contention_wait_cycles"}
 
 
 # ----------------------------------------------------------------------
-# Link counters: sequential vs sharded, bitwise
+# Link counters: fast paths vs the per-event loop, bitwise
 # ----------------------------------------------------------------------
-def _storm_links(workers, arbitration="fifo", flows=False, incast=False):
-    """The pdes-parity transport storm, read back as provenance rows.
-    The optional incast drives WFQ queues deep enough to record
-    nonzero ``queue_depth_peak`` on contended links."""
+def _storm_links(monkeypatch, fast, arbitration="fifo", flows=False, incast=False):
+    """A transport storm, read back as provenance rows (and how many
+    hops ran in FIFO windows).  The optional incast drives WFQ queues
+    deep enough to record nonzero ``queue_depth_peak`` on contended
+    links."""
+    monkeypatch.setenv("REPRO_FASTPATH", "1" if fast else "0")
     topo = FatTreeTopology(n_hosts=64, hosts_per_leaf=8, n_spines=4)
-    sim, net = build_engine(
-        topo, workers=workers, router="updown", arbitration=arbitration,
-        coordinator_hosts=False,
-    )
+    sim = Simulator()
+    net = NetworkSimulator(topo, router="updown", sim=sim, arbitration=arbitration)
     hosts = topo.hosts
     n = len(hosts)
     k = 0
     for i, src in enumerate(hosts):
-        for off in (1, 7, 19):
+        for off in (1, 7, 19, 23, 37):
             flow = f"f{k % 3}" if flows else None
             net.send(
                 Message(src, hosts[(i + off) % n], 4096.0 * (1 + k % 5),
                         flow=flow),
-                at=3.0 * k,
+                at=1.0 * (k % 50),
             )
             k += 1
     if incast:
@@ -76,36 +76,39 @@ def _storm_links(workers, arbitration="fifo", flows=False, incast=False):
     if flows:
         net.set_flow_weight("f0", 2.0)
     sim.run()
-    table = link_rows_to_table(collect_links(net))
-    makespan = sim.now
-    if hasattr(net, "shutdown"):
-        net.shutdown()
-    return makespan, table
+    return sim.now, link_rows_to_table(collect_links(net)), net.windowed_hops
 
 
-def test_fifo_link_rows_bitwise_across_engines():
-    seq_makespan, seq = _storm_links(0)
-    par_makespan, par = _storm_links(2)
-    assert par_makespan == seq_makespan
-    assert par == seq  # dict equality == bitwise float equality
+def test_fifo_link_rows_bitwise_across_engines(monkeypatch):
+    ref_makespan, ref, ref_windowed = _storm_links(monkeypatch, fast=False)
+    makespan, table, windowed = _storm_links(monkeypatch, fast=True)
+    assert ref_windowed == 0 and windowed > 0
+    assert makespan == ref_makespan
+    assert table == ref  # dict equality == bitwise float equality
     # The storm crossed real links and every row is a known family.
-    assert seq
-    for counters in seq.values():
+    assert ref
+    for counters in ref.values():
         assert set(counters) <= set(LINK_COUNTER_FAMILIES)
 
 
-def test_wfq_link_rows_and_queue_peaks_bitwise_across_engines():
-    seq_makespan, seq = _storm_links(0, arbitration="wfq", flows=True,
-                                     incast=True)
-    par_makespan, par = _storm_links(2, arbitration="wfq", flows=True,
-                                     incast=True)
-    assert par_makespan == seq_makespan
-    assert par == seq
-    # The incast actually exercised the peak gauge (max-merged across
-    # shard boundaries on the parallel run).
-    peak_links = [c for c in seq.values() if "queue_depth_peak" in c]
-    assert peak_links
-    assert all(c["queue_depth_peak"] >= 1.0 for c in peak_links)
+def _without_peaks(table: dict) -> dict:
+    return {
+        link: {k: v for k, v in counters.items() if k != "queue_depth_peak"}
+        for link, counters in table.items()
+    }
+
+
+def test_wfq_link_rows_and_queue_peaks_bitwise_across_engines(monkeypatch):
+    kw = {"arbitration": "wfq", "flows": True, "incast": True}
+    ref_makespan, ref, _ = _storm_links(monkeypatch, fast=False, **kw)
+    makespan, table, _ = _storm_links(monkeypatch, fast=True, **kw)
+    assert makespan == ref_makespan
+    assert _without_peaks(table) == _without_peaks(ref)
+    # The incast actually exercised the peak gauge on both paths.
+    for run in (ref, table):
+        peak_links = [c for c in run.values() if "queue_depth_peak" in c]
+        assert peak_links
+        assert all(c["queue_depth_peak"] >= 1.0 for c in peak_links)
 
 
 # ----------------------------------------------------------------------

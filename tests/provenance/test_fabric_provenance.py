@@ -3,10 +3,7 @@
 End-to-end over real collectives: run rows carry the fabric's identity
 and makespan, switch counters are snapshotted as collectives settle,
 link counters are read at shutdown, and the energy estimate lands with
-the quiescence flush.  The sequential-vs-sharded test pins the
-acceptance contract at the *database* level: the same workload run
-under ``workers=2`` leaves bitwise-identical counter tables (the
-engine-level half lives in test_counter_parity.py).
+the quiescence flush.
 """
 
 import pytest
@@ -21,12 +18,12 @@ from repro.provenance.energy import ENERGY_COMPONENTS
 from repro.provenance.store import ProvenanceStore
 
 
-def _record_run(db_path, workers=0):
+def _record_run(db_path):
     """One two-tenant run — a PsPIN switch collective (switch counters)
     and a host ring (wire traffic) — recorded into ``db_path``."""
     fabric = Fabric(
         n_hosts=32, hosts_per_leaf=8, n_spines=2, routing="updown",
-        workers=workers, provenance_db=db_path, run_label="unit",
+        provenance_db=db_path, run_label="unit",
     )
     a = fabric.communicator(name="A", n_clusters=1)
     b = fabric.communicator(name="B")
@@ -49,6 +46,8 @@ def test_end_to_end_run_record(tmp_path):
         assert run["label"] == "unit"
         assert run["makespan_ns"] == makespan
         assert run["n_hosts"] == 32
+        assert run["workers"] == 0      # one engine; the column stays
+        assert store.degradations(run_id) == []
         assert run["algorithm"] == "flare_switch,ring"
         assert sorted(run["config"]["tenants"]) == ["A", "B"]
         # Every switch counter family was snapshotted (zero-valued peak
@@ -74,22 +73,6 @@ def test_end_to_end_run_record(tmp_path):
             + energy["run"]["switch_static_j"]
         )
         assert energy["run"]["total_j"] == pytest.approx(parts)
-
-
-def test_sharded_run_database_is_bitwise_identical(tmp_path):
-    """The acceptance gate: same workload, workers=0 vs workers=2,
-    bitwise-identical provenance tables (worker counter merge +
-    shutdown flush)."""
-    seq_db = str(tmp_path / "seq.db")
-    par_db = str(tmp_path / "par.db")
-    seq_id, seq_makespan = _record_run(seq_db, workers=0)
-    par_id, par_makespan = _record_run(par_db, workers=2)
-    assert par_makespan == seq_makespan
-    with ProvenanceStore(seq_db) as seq, ProvenanceStore(par_db) as par:
-        assert par.switch_counters(par_id) == seq.switch_counters(seq_id)
-        assert par.link_counters(par_id) == seq.link_counters(seq_id)
-        assert par.energy(par_id) == seq.energy(seq_id)
-        assert par.run(par_id)["makespan_ns"] == seq.run(seq_id)["makespan_ns"]
 
 
 def test_tick_streams_rows_before_flush(tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the discrete-event simulator core."""
 
 import heapq
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,8 +114,6 @@ class _HeapSim:
     """Reference engine: one ``heapq`` of ``[time, priority, seq,
     callback, args]`` entries with lazy cancellation."""
 
-    local_bound = math.inf
-
     def __init__(self):
         self.now = 0.0
         self.stop_requested = False
@@ -164,17 +161,6 @@ class _HeapSim:
         if until is not None and until > self.now:
             self.now = until
 
-    def run_window(self, stop, stoppable=False):
-        n = 0
-        while (entry := self._head()) is not None:
-            if entry[0] >= stop or entry[0] >= self.local_bound:
-                break
-            self._exec(entry)
-            n += 1
-            if stoppable and self.stop_requested:
-                break
-        return n
-
     def run_stoppable(self):
         self.stop_requested = False
         while (entry := self._head()) is not None:
@@ -198,13 +184,12 @@ _child = st.tuples(
 )
 #: What the callback of event ``id`` does, looked up by ``id % len``:
 #: children to schedule (delay, priority, via schedule_at), whether to
-#: cancel the newest cancellable handle, set ``stop_requested``, lower
-#: ``local_bound`` to now, or re-enter the engine (1 peek, 2 step).
+#: cancel the newest cancellable handle, set ``stop_requested``, or
+#: re-enter the engine (1 peek, 2 step).
 _behaviour = st.fixed_dictionaries({
     "children": st.lists(_child, max_size=3),
     "cancel": st.booleans(),
     "stop": st.booleans(),
-    "bound": st.booleans(),
     "nested": st.sampled_from((0, 0, 0, 1, 2)),
 })
 _initial = st.tuples(
@@ -213,8 +198,6 @@ _initial = st.tuples(
 )
 _drive = st.one_of(
     st.tuples(st.just("run_until"), st.sampled_from((0.0, 0.5, 1.0, 2.5, 6.0))),
-    st.tuples(st.just("window"), st.sampled_from((0.5, 1.0, 2.0, 4.0)),
-              st.booleans()),
     st.tuples(st.just("step")),
     st.tuples(st.just("peek")),
     st.tuples(st.just("stoppable")),
@@ -247,8 +230,6 @@ def _replay(sim, behaviours, initial, drive, limit=150):
             handles.pop().cancel()
         if b["stop"]:
             sim.stop_requested = True
-        if b["bound"]:
-            sim.local_bound = sim.now
         if b["nested"] and state["depth"] < 3:
             state["depth"] += 1
             if b["nested"] == 1:
@@ -262,12 +243,9 @@ def _replay(sim, behaviours, initial, drive, limit=150):
         if cancel and via_at:
             handles.pop().cancel()
     for op in drive:
-        sim.local_bound = math.inf
         kind = op[0]
         if kind == "run_until":
             out = sim.run(until=max(op[1], sim.now))
-        elif kind == "window":
-            out = sim.run_window(sim.now + op[1], stoppable=op[2])
         elif kind == "step":
             out = sim.step()
         elif kind == "peek":
@@ -278,7 +256,6 @@ def _replay(sim, behaviours, initial, drive, limit=150):
             schedule(sim.now + op[1], op[2], True)
             out = None
         log.append((kind, out, sim.now))
-    sim.local_bound = math.inf
     sim.run()
     log.append(("end", sim.now, sim.peek_time()))
     return log
@@ -293,7 +270,7 @@ def _replay(sim, behaviours, initial, drive, limit=150):
 def test_property_execution_order_matches_reference_heap(behaviours, initial, drive):
     """Same-instant buckets never change the ``(time, priority, seq)``
     order: callbacks that schedule at ``now`` with priorities 0/1/2,
-    cancellations, stop requests, ``local_bound`` and re-entrant
+    cancellations, stop requests and re-entrant
     peek/step calls, under every driver loop."""
     got = _replay(Simulator(), behaviours, initial, drive)
     want = _replay(_HeapSim(), behaviours, initial, drive)
