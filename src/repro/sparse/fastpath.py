@@ -149,27 +149,29 @@ class SparsePacketTrain:
         shard) order.
         """
         epp = elements_per_packet
-        sent = [workload.blocks[h][b] for h, b in zip(hosts.tolist(), blocks.tolist())]
-        nnz = np.array([blk.nnz for blk in sent], dtype=np.int64)
+        row = hosts.astype(np.int64) * workload.n_blocks + blocks
+        nnz = workload.row_nnz()[row]
         n_shards = np.maximum(1, -(-nnz // epp))
-        entry = np.repeat(np.arange(len(sent)), n_shards)
+        entry = np.repeat(np.arange(len(row)), n_shards)
         shard = np.arange(len(entry)) - (np.cumsum(n_shards) - n_shards)[entry]
         pkt_times = times[entry] + shard * delta
         order = np.argsort(pkt_times, kind="stable")
         entry, shard, n_shards = entry[order], shard[order], n_shards[entry][order]
-        # Each packet's slice of its block, laid out in train order.
-        pieces = list(zip([sent[e] for e in entry.tolist()], (shard * epp).tolist()))
+        # Each packet's slice of its row, laid out in train order.
+        counts = np.minimum(nnz[entry] - shard * epp, epp)
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(np.minimum(nnz[entry] - shard * epp, epp), out=offsets[1:])
+        np.cumsum(counts, out=offsets[1:])
+        src = workload.offsets[row[entry]] + shard * epp
+        gather = np.repeat(src - offsets[:-1], counts) + np.arange(offsets[-1])
         return cls(
             allreduce_id,
             times=pkt_times[order],
-            block_ids=[blk.block_id for blk, _lo in pieces],
+            block_ids=blocks[entry],
             ports=hosts[entry],
             last_of_block=shard == n_shards - 1,
             shard_count=n_shards,
-            indices=np.concatenate([blk.indices[lo : lo + epp] for blk, lo in pieces]),
-            values=np.concatenate([blk.values[lo : lo + epp] for blk, lo in pieces]),
+            indices=workload.indices[gather],
+            values=workload.values[gather],
             offsets=offsets,
         )
 

@@ -138,16 +138,115 @@ def packetize_block(block: SparseBlock, max_elements: int) -> list[SparseChunk]:
     return chunks
 
 
-@dataclass
 class SparseWorkload:
-    """Per-host sparse blocks plus the generation parameters."""
+    """Every host's sparse blocks as flat rows.
 
-    blocks: list[list[SparseBlock]]     # [host][block]
-    n_hosts: int
-    n_blocks: int
-    block_span: int
-    density: float
-    dtype: str
+    Row ``r = host * n_blocks + block`` holds one host's non-zeros of one
+    block: ``indices[offsets[r]:offsets[r + 1]]`` (block-relative int32,
+    sorted and unique) and the same slice of ``values``.  Rows are
+    host-major, so a pass over the flat arrays visits hosts in order.
+
+    ``SparseWorkload(blocks, n_hosts, ...)`` takes a ``[host][block]``
+    grid of :class:`SparseBlock` and converts it;
+    :meth:`from_rows` takes the flat arrays directly.  ``blocks`` is
+    rebuilt from the rows, as views, on first access.
+    """
+
+    __slots__ = ("n_hosts", "n_blocks", "block_span", "density", "dtype",
+                 "indices", "values", "offsets", "_blocks")
+
+    def __init__(
+        self,
+        blocks: list[list[SparseBlock]],
+        n_hosts: int,
+        n_blocks: int,
+        block_span: int,
+        density: float,
+        dtype: str,
+    ) -> None:
+        if len(blocks) != n_hosts or any(len(host) != n_blocks for host in blocks):
+            shape = [len(host) for host in blocks]
+            raise ValueError(
+                f"blocks must be n_hosts x n_blocks = {n_hosts} x {n_blocks}, "
+                f"got {len(blocks)} hosts with {shape} blocks"
+            )
+        rows = [blk for host in blocks for blk in host]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([blk.nnz for blk in rows], out=offsets[1:])
+        if rows:
+            indices = np.concatenate([blk.indices for blk in rows])
+            values = np.concatenate([blk.values for blk in rows])
+        else:
+            indices, values = np.zeros(0, np.int32), np.zeros(0, dtype)
+        self._init_rows(indices, values, offsets, n_hosts, n_blocks,
+                        block_span, density, dtype)
+
+    @classmethod
+    def from_rows(
+        cls,
+        indices: np.ndarray,
+        values: np.ndarray,
+        offsets: np.ndarray,
+        n_hosts: int,
+        n_blocks: int,
+        block_span: int,
+        density: float,
+        dtype: str,
+    ) -> "SparseWorkload":
+        """A workload from its flat rows (see the class docstring)."""
+        self = cls.__new__(cls)
+        self._init_rows(indices, values, offsets, n_hosts, n_blocks,
+                        block_span, density, dtype)
+        return self
+
+    def _init_rows(self, indices, values, offsets, n_hosts, n_blocks,
+                   block_span, density, dtype) -> None:
+        indices, values = np.asarray(indices), np.asarray(values)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if len(offsets) != n_hosts * n_blocks + 1:
+            raise ValueError(
+                f"offsets must have n_hosts x n_blocks + 1 = "
+                f"{n_hosts} x {n_blocks} + 1 entries, got {len(offsets)}"
+            )
+        if (
+            offsets[0] != 0
+            or np.any(np.diff(offsets) < 0)
+            or offsets[-1] != len(indices)
+            or len(indices) != len(values)
+        ):
+            raise ValueError("offsets must cover the flat indices/values")
+        if len(indices) and (indices.min() < 0 or indices.max() >= block_span):
+            raise ValueError("indices out of block span")
+        self.n_hosts = n_hosts
+        self.n_blocks = n_blocks
+        self.block_span = block_span
+        self.density = density
+        self.dtype = dtype
+        self.indices = indices.astype(np.int32, copy=False)
+        self.values = values
+        self.offsets = offsets
+        self._blocks: list[list[SparseBlock]] | None = None
+
+    @property
+    def blocks(self) -> list[list[SparseBlock]]:
+        """The rows as a ``[host][block]`` grid of :class:`SparseBlock`
+        views (built on first access)."""
+        if self._blocks is None:
+            off = self.offsets.tolist()
+            idx, vals, nb = self.indices, self.values, self.n_blocks
+            self._blocks = [
+                [
+                    SparseBlock(b, self.block_span,
+                                idx[off[r] : off[r + 1]], vals[off[r] : off[r + 1]])
+                    for b, r in enumerate(range(h * nb, (h + 1) * nb))
+                ]
+                for h in range(self.n_hosts)
+            ]
+        return self._blocks
+
+    def row_nnz(self) -> np.ndarray:
+        """Non-zeros per row (``n_hosts * n_blocks``, host-major)."""
+        return np.diff(self.offsets)
 
     def golden_dense_sum(self, block_id: int) -> np.ndarray:
         """Numpy golden model: dense element-wise sum of one block."""
@@ -159,13 +258,10 @@ class SparseWorkload:
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """Every host's non-zeros as ``(positions, values)`` in host
         order, a position being ``block * block_span + index``."""
-        span = self.block_span
-        pos, vals = [], []
-        for host in self.blocks:
-            for b, blk in enumerate(host):
-                pos.append(blk.indices + np.int64(b * span))
-                vals.append(blk.values)
-        return np.concatenate(pos), np.concatenate(vals)
+        n_rows = self.n_hosts * self.n_blocks
+        block = np.repeat(np.arange(n_rows, dtype=np.int64) % self.n_blocks,
+                          self.row_nnz())
+        return block * self.block_span + self.indices, self.values
 
     def golden_dense_sums(self, flat=None) -> np.ndarray:
         """:meth:`golden_dense_sum` of every block at once, as rows of a
@@ -208,7 +304,8 @@ def make_sparse_workload(
     span = max(1, int(round(elements_per_packet / density)))
     rng = seeded_rng(seed)
     hot_size = max(1, elements_per_packet)
-    blocks: list[list[SparseBlock]] = [[] for _ in range(n_hosts)]
+    rows_idx: list[list[np.ndarray]] = [[] for _ in range(n_hosts)]
+    rows_val: list[list[np.ndarray]] = [[] for _ in range(n_hosts)]
     for b in range(n_blocks):
         hot = rng.choice(span, size=min(hot_size, span), replace=False)
         for h in range(n_hosts):
@@ -229,17 +326,16 @@ def make_sparse_workload(
                 idx = np.sort(picks[0])
             else:
                 idx = np.array([], dtype=np.int64)
-            values = rng.integers(1, 7, size=len(idx)).astype(dtype)
-            blocks[h].append(
-                SparseBlock(
-                    block_id=b,
-                    span=span,
-                    indices=idx.astype(np.int32),
-                    values=values,
-                )
-            )
-    return SparseWorkload(
-        blocks=blocks,
+            rows_idx[h].append(idx.astype(np.int32))
+            rows_val[h].append(rng.integers(1, 7, size=len(idx)).astype(dtype))
+    flat_idx = [idx for host in rows_idx for idx in host]
+    offsets = np.zeros(len(flat_idx) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx in flat_idx], out=offsets[1:])
+    return SparseWorkload.from_rows(
+        np.concatenate(flat_idx) if flat_idx else np.zeros(0, np.int32),
+        np.concatenate([v for host in rows_val for v in host]) if flat_idx
+        else np.zeros(0, dtype),
+        offsets,
         n_hosts=n_hosts,
         n_blocks=n_blocks,
         block_span=span,
