@@ -16,6 +16,10 @@ Rules the paper derives for sparse packetization:
 
 Indices inside a packet are block-relative (int32), values follow the
 allreduce dtype; each pair costs 8 bytes on the wire for fp32/int32.
+
+A :class:`SparseWorkload` keeps every host's blocks as flat rows, drawn
+all at once by :func:`make_sparse_workload`; see DESIGN.md, "Sparse
+workload synthesis".
 """
 
 from __future__ import annotations
@@ -359,12 +363,14 @@ def make_sparse_workload(
     set (fraction of each host's non-zeros drawn from a common subset of
     the span), modeling top-k gradient selection where large-magnitude
     coordinates coincide across workers; 0 gives independent uniform
-    positions.  Per block, the hot set is ``elements_per_packet``
-    positions; per row, ``round(correlation * nnz)`` positions come
-    from it and the rest from the whole span, the overlap merged away.
+    positions.  Per block, the hot set is ``min(elements_per_packet,
+    span)`` positions; per row, ``round(correlation * nnz)`` positions
+    come from it and the rest from the whole span, the overlap merged
+    away.
 
-    Every row is drawn at once (:func:`_uniform_subsets`): a fixed
-    number of ``Generator`` calls, whatever the workload's size.
+    Every row is drawn at once (:func:`_uniform_subsets`): a few
+    ``Generator`` calls plus one per redraw round, whatever the
+    workload's size.
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
