@@ -14,7 +14,8 @@ completion counting and the :class:`CollectiveResult`.
   receives) and whether the receiver folds them into its own values
   (reduce-scatter) or copies them (allgather).  Message bytes and
   sub-chunk counts follow from the block counts, or from explicit
-  per-step bytes for a size-only model.  ``pipelined`` says what a step
+  per-step bytes for a size-only model; every message carries whole
+  bytes (:func:`whole_bytes`).  ``pipelined`` says what a step
   waits for: a pipelined table (ring) forwards each sub-chunk the
   moment it lands; otherwise a rank processes a step only once every
   sub-chunk of it has landed and its previous step is done, then sends
@@ -62,6 +63,7 @@ See DESIGN.md, "Schedule tables".
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -443,9 +445,10 @@ class ExchangeTable:
     """A host-based allreduce as a per-step table (module docstring).
 
     ``step_bytes`` replaces the block-count message sizes with explicit
-    per-step bytes (a size model such as :func:`sparcml_round_bytes`);
-    such a table is size-only and refuses payloads, like a
-    :class:`TreeSchedule` without ``carries_payloads``.
+    per-step bytes (a size model such as :func:`sparcml_round_bytes`,
+    its sub-chunks rounded up to whole bytes); such a table is size-only
+    and refuses payloads, like a :class:`TreeSchedule` without
+    ``carries_payloads``.
     """
 
     def __init__(
@@ -471,13 +474,17 @@ class ExchangeTable:
         self.host_reduce_bytes_per_ns = host_reduce_bytes_per_ns
         self.carries_payloads = step_bytes is None
         if step_bytes is None:
-            block_bytes = vector_bytes / P
+            block_bytes = Fraction(vector_bytes) / P
             step_bytes = [block_bytes * len(s.recv[0]) for s in self.steps]
         elif len(step_bytes) != len(self.steps):
             raise ValueError(f"{algorithm} has {len(self.steps)} steps on {P} "
                              f"hosts, got {len(step_bytes)} step sizes")
-        self.step_bytes = tuple(step_bytes)
-        self.n_sub = tuple(_n_sub(b, sub_chunk_bytes) for b in self.step_bytes)
+        self.n_sub = tuple(_n_sub(b, sub_chunk_bytes) for b in step_bytes)
+        #: Whole bytes per sub-chunk message, and per step what they add up to.
+        self.sub_bytes = tuple(
+            whole_bytes(b, n) for b, n in zip(step_bytes, self.n_sub)
+        )
+        self.step_bytes = tuple(b * n for b, n in zip(self.sub_bytes, self.n_sub))
         self.extra = {"steps": len(self.steps), "step_bytes": self.step_bytes,
                       "sub_chunks": self.n_sub, "pipelined": self.pipelined}
         self.rank_of = {h: i for i, h in enumerate(self.hosts)}
@@ -518,7 +525,7 @@ class ExchangeTable:
         P, K = len(hosts), len(steps)
         base_time = net.now
         rate = self.host_reduce_bytes_per_ns
-        sub_bytes = [b / n for b, n in zip(self.step_bytes, n_sub)]
+        sub_bytes = self.sub_bytes
         #: Host reduction time per processed unit: a sub-chunk when
         #: pipelined, a whole step otherwise.
         unit_bytes = sub_bytes if self.pipelined else self.step_bytes
@@ -655,10 +662,11 @@ class TreeSchedule:
 
     ``host_bytes`` is what each host streams up; ``up_bytes[switch]``
     what each switch forwards to its parent, the root's value also being
-    the multicast size.  Each is cut into ``n_chunks`` pipelined chunks;
-    a switch spends ``agg_latency_ns[switch]`` aggregating a chunk.  Payloads
-    ride along only when ``carries_payloads`` (sizes that shrink with
-    sparsity describe no dense vector).
+    the multicast size.  Each is cut into ``n_chunks`` pipelined chunks
+    of whole bytes (:func:`whole_bytes`); a switch spends
+    ``agg_latency_ns[switch]`` aggregating a chunk.  Payloads ride along
+    only when ``carries_payloads`` (sizes that shrink with sparsity
+    describe no dense vector).
     """
 
     def __init__(
@@ -672,21 +680,22 @@ class TreeSchedule:
         agg_latency_ns: dict,
         vector_bytes: float,
         carries_payloads: bool,
-        extra: "dict | None" = None,
     ) -> None:
         self.label = label
         self.carries_payloads = carries_payloads
         self.tree = tree
         self.hosts = tree.all_hosts()
         self.n_chunks = n_chunks
-        self.host_bytes = host_bytes
-        self.host_chunk = host_bytes / n_chunks
-        self.up_chunk = {s: b / n_chunks for s, b in up_bytes.items()}
-        self.down_chunk = up_bytes[tree.root] / n_chunks
+        #: Whole bytes per chunk message; ``host_bytes`` is what a host's
+        #: chunks add up to.
+        self.host_chunk = whole_bytes(host_bytes, n_chunks)
+        self.up_chunk = {s: whole_bytes(b, n_chunks) for s, b in up_bytes.items()}
+        self.down_chunk = self.up_chunk[tree.root]
+        self.host_bytes = self.host_chunk * n_chunks
         self.agg_latency_ns = agg_latency_ns
         self.vector_bytes = vector_bytes
         self.extra = {"n_chunks": n_chunks, "tree_root": tree.root,
-                      "tree_depth": tree.depth(), **(extra or {})}
+                      "tree_depth": tree.depth()}
 
     def issue(self, net, *, flow=None, payloads=None, op="sum", on_complete) -> None:
         """Issue one run into ``net`` (module docstring); with payloads,
@@ -813,6 +822,14 @@ def dense_tree(
     )
 
 
+def whole_bytes(nbytes, parts: int = 1) -> int:
+    """Each of ``parts`` messages carrying ``nbytes`` between them,
+    rounded up to a whole byte: a size model's expected value may be
+    fractional, a wire carries whole bytes.  Computed exactly, so a
+    share that is already whole gains nothing."""
+    return math.ceil(Fraction(nbytes) / parts)
+
+
 def sparse_tree_bytes(
     tree: AggregationTree,
     total_elements: float,
@@ -907,18 +924,22 @@ def sparse_tree(
         host_bytes, up_bytes = sparse_tree_bytes(
             tree, total_elements, bucket_span, nnz_per_bucket
         )
-    # Representative per-level sizes for reporting: host, first
-    # non-root switch level, root.
-    first_leaf = next(
-        (s for s in tree.switches() if tree.parent_of(s) is not None), tree.root
-    )
-    return TreeSchedule(
+    schedule = TreeSchedule(
         "Flare sparse", tree, n_chunks,
         host_bytes=host_bytes,
         up_bytes=up_bytes,
         agg_latency_ns=dict.fromkeys(tree.switches(), agg_latency_ns),
         vector_bytes=total_elements * 4,
         carries_payloads=False,
-        extra={"host_bytes": host_bytes, "leaf_bytes": up_bytes[first_leaf],
-               "root_bytes": up_bytes[tree.root]},
     )
+    # Representative per-level sizes for reporting, as carried: host,
+    # first non-root switch level, root.
+    first_leaf = next(
+        (s for s in tree.switches() if tree.parent_of(s) is not None), tree.root
+    )
+    schedule.extra.update(
+        host_bytes=schedule.host_bytes,
+        leaf_bytes=schedule.up_chunk[first_leaf] * n_chunks,
+        root_bytes=schedule.down_chunk * n_chunks,
+    )
+    return schedule

@@ -640,7 +640,7 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
     def tail(fan_in: int) -> tuple:
         if fan_in not in tails:
             r = plan_switch_allreduce(
-                math.ceil(schedule.host_chunk),
+                schedule.host_chunk,
                 children=fan_in,
                 algorithm=splan.choice.label,
                 **switch_kwargs,

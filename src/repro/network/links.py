@@ -59,7 +59,7 @@ class Link:
     gbps: float = 100.0
     latency_ns: float = 250.0
     busy_until: float = 0.0
-    bytes_carried: float = field(default=0.0, compare=False)
+    bytes_carried: int = field(default=0, compare=False)
     messages_carried: int = field(default=0, compare=False)
     #: Live fault state (None = healthy), set by the fault injector.
     fault: "LinkFault | None" = field(default=None, compare=False)
@@ -93,19 +93,7 @@ class Link:
     def bytes_per_ns(self) -> float:
         return self._rate
 
-    def serialization_ns(self, nbytes: float) -> float:
-        return nbytes / self.effective_rate
-
-    @property
-    def effective_rate(self) -> float:
-        """Bytes/ns the link serializes at right now (slow faults
-        stretch it; healthy links keep the cached line rate)."""
-        fault = self.fault
-        if fault is not None and fault.kind == "slow":
-            return self._rate / fault.slow_factor
-        return self._rate
-
-    def transmit(self, nbytes: float, when: float) -> float:
+    def transmit(self, nbytes: int, when: float) -> float:
         """Queue ``nbytes`` at time ``when``; returns arrival time at dst.
 
         The head of the message leaves when the link frees; arrival is
@@ -133,12 +121,12 @@ class Link:
         """Serialization occupancy: time this link spent transmitting.
 
         Derived from ``bytes_carried / rate`` rather than accumulated
-        per message, for two reasons: FIFO hop windows add
-        ``bytes_carried`` in batches, and a single division of identical
-        operands keeps busy time bitwise identical to a per-event run
-        (float accumulation would be summation-order-dependent); and it
-        costs nothing on the transmit hot path.  Under a mid-run ``slow``
-        fault this is an estimate at the healthy line rate.
+        per message: ``bytes_carried`` is an exact integer however it was
+        summed (FIFO hop windows add it in batches), so one division
+        gives a per-event run's busy time bitwise, where float
+        accumulation would depend on summation order; and it costs
+        nothing on the transmit hot path.  Under a mid-run ``slow`` fault
+        this is an estimate at the healthy line rate.
         """
         if not self._rate:
             return 0.0

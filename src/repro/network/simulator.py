@@ -6,7 +6,10 @@ chunks, and in-switch aggregation hooks all compose naturally.  Traffic
 is accounted as bytes carried per link — summing over links gives the
 paper's "total number of bytes that traversed the network" (Fig. 15
 right), and the per-link breakdown (:meth:`TrafficStats.hot_links`)
-shows where a routing policy piled the load.
+shows where a routing policy piled the load.  A message carries whole
+bytes (``send`` rejects any other size), so every byte counter — a
+``Link``'s, the global and per-flow ``TrafficStats`` — is an exact
+``int``.
 
 Next hops come from a :class:`repro.network.routing.Router` policy —
 deterministic, ECMP, or congestion-adaptive — consulted at every hop,
@@ -49,14 +52,18 @@ _INF = math.inf
 
 def check_sends(msgs, at: float) -> None:
     """Raise ``ValueError`` if the send time ``at`` is NaN or +inf, or a
-    message size is negative, NaN or +inf.  (A time before now means
-    now.)"""
+    message size is not a whole, non-negative number of bytes (NaN and
+    +inf included); store a whole float size (``4096.0``) as an ``int``.
+    (A time before now means now.)"""
     if not at < _INF:
         raise ValueError(f"send time must not be nan or +inf, got {at!r}")
     for msg in msgs:
-        if not 0.0 <= msg.nbytes < _INF:
+        nbytes = msg.nbytes
+        if nbytes.__class__ is not int and 0.0 <= nbytes < _INF and nbytes % 1 == 0:
+            msg.nbytes = nbytes = int(nbytes)
+        if nbytes.__class__ is not int or nbytes < 0:
             raise ValueError(
-                f"message size must be non-negative and finite, got {msg.nbytes!r}"
+                f"message size must be non-negative, finite and whole, got {nbytes!r}"
             )
 
 
@@ -71,7 +78,8 @@ class Message:
 
     src: NodeId
     dst: NodeId
-    nbytes: float
+    #: Whole bytes; ``send`` stores a whole float size as an ``int``.
+    nbytes: int
     tag: tuple = ()
     payload: object = None
     #: Tenant/collective the chunk belongs to (None = untagged traffic).
@@ -89,9 +97,9 @@ class Message:
 class TrafficStats:
     """Aggregate and per-link traffic accounting for one run."""
 
-    bytes_hops: float = 0.0          # sum over links of bytes carried
+    bytes_hops: int = 0              # sum over links of bytes carried
     messages: int = 0
-    per_link: dict = field(default_factory=dict)   # (src, dst) -> bytes
+    per_link: dict = field(default_factory=dict)   # (src, dst) -> int bytes
     #: Reliability counters (fault-injection runs): messages lost on a
     #: link, spuriously duplicated, and end-to-end retransmissions.
     drops: int = 0
@@ -109,22 +117,16 @@ class TrafficStats:
         return self.bytes_hops / (1024**3)
 
     @property
-    def max_link_bytes(self) -> float:
+    def max_link_bytes(self) -> int:
         """Bytes carried by the most loaded link (the congestion metric
         adaptive routing minimizes)."""
-        return max(self.per_link.values(), default=0.0)
+        return max(self.per_link.values(), default=0)
 
-    def hot_links(self, n: int = 5) -> list[tuple[str, float]]:
+    def hot_links(self, n: int = 5) -> list[tuple[str, int]]:
         """The ``n`` most loaded links as ("src->dst", bytes), hottest
         first (ties broken by link name for determinism)."""
         ranked = sorted(self.per_link.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(f"{src}->{dst}", nbytes) for (src, dst), nbytes in ranked[:n]]
-
-    def record(self, src: NodeId, dst: NodeId, nbytes: float) -> None:
-        self.bytes_hops += nbytes
-        self.messages += 1
-        key = (src, dst)
-        self.per_link[key] = self.per_link.get(key, 0.0) + nbytes
 
 
 #: An interceptor sees (sim, message, arrival_time) when a message
@@ -396,21 +398,18 @@ class NetworkSimulator:
         time before now means now).
 
         Sent while the engine is idle, a hop a FIFO window may take
-        (untagged, whole bytes) goes straight into the hop
-        rows with the ``seq`` the engine would have given its event
+        (untagged) goes straight into the hop rows with the ``seq`` the
+        engine would have given its event
         (:meth:`repro.network.windows.HopRows.push`).
         """
         nbytes = msg.nbytes
-        if not (0.0 <= nbytes < _INF and at < _INF):
+        if nbytes.__class__ is not int or nbytes < 0 or not at < _INF:
             check_sends((msg,), at)
         sim = self.sim
         now = sim.now
         t = at if at > now else now
         rows = self._rows
-        if (
-            rows is not None and not sim.running and msg.flow is None
-            and nbytes % 1.0 == 0.0
-        ):
+        if rows is not None and not sim.running and msg.flow is None:
             rows.push(t, msg)
         else:
             sim.schedule_fast(t, self._hop, (msg, msg.src))
@@ -499,14 +498,14 @@ class NetworkSimulator:
     # Link service
     # ------------------------------------------------------------------
     def _record(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        # Inlined TrafficStats.record x2: this runs once per link hop.
+        """Account one hop globally and to its flow (once per link hop)."""
         nbytes = msg.nbytes
         key = (src, dst)
         stats = self._traffic
         stats.bytes_hops += nbytes
         stats.messages += 1
         per_link = stats.per_link
-        per_link[key] = per_link.get(key, 0.0) + nbytes
+        per_link[key] = per_link.get(key, 0) + nbytes
         flow = msg.flow
         if flow is not None:
             stats = self._flow_traffic.get(flow)
@@ -515,7 +514,7 @@ class NetworkSimulator:
             stats.bytes_hops += nbytes
             stats.messages += 1
             per_link = stats.per_link
-            per_link[key] = per_link.get(key, 0.0) + nbytes
+            per_link[key] = per_link.get(key, 0) + nbytes
 
     def _transmit(self, node: NodeId, next_node: NodeId, msg: Message) -> None:
         link = self.topology.link(node, next_node)

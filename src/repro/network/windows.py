@@ -12,9 +12,9 @@ engine's own ``(time, 1, seq)`` and is attached to the engine as its
 row source (``Simulator._rows``), so the engine interleaves the rows
 with its other events exactly.
 
-Rows come from two places.  A plain hop (untagged message, integral
-byte count) sent while the engine is idle — no run loop on the stack —
-becomes a row at once, with the ``seq`` its engine event would have
+Rows come from two places.  A plain hop (an untagged message) sent
+while the engine is idle — no run loop on the stack — becomes a row at
+once, with the ``seq`` its engine event would have
 drawn; such ``seq`` numbers need not be contiguous, since events
 scheduled between the sends take theirs.  Fewer than
 :data:`MIN_VECTOR_ROWS` of them go back to the engine as plain hop
@@ -47,6 +47,11 @@ window: every row before the current one is committed, the rows after
 it go back to the rows, and the window ends after the current row.  A
 ``Link`` object held from before the run is only current outside
 callbacks.
+
+Byte counts are whole (``NetworkSimulator.send`` rejects any other
+size), so a window defers its byte sums in int64 columns and adds them
+to the ``Link`` and traffic counters when it ends: exact, in any order
+of addition, below 2**63 bytes.
 """
 
 from __future__ import annotations
@@ -72,9 +77,6 @@ MAX_VECTOR_ROWS = 16384
 #: Live runs past this many are sorted into one: a window visits every
 #: run, so their count bounds its fixed cost.
 MAX_RUNS = 64
-#: Deferred byte totals and deltas stay below this, so their sums stay
-#: below 2**53: exact integers, whatever the order of addition.
-_HALF = 2.0 ** 52
 
 
 @dataclass
@@ -323,9 +325,8 @@ class HopRows:
     leading rows before its bound and sorts just those into ``_blk``;
     no run is ever merged with the others (unless more than
     :data:`MAX_RUNS` are live), so a window costs O(its rows + live
-    runs), not O(queued rows).  Only hops of untagged messages with
-    integral byte counts become rows, so a window's byte
-    sums are integer sums.  Flat tables (node and link indices, rates,
+    runs), not O(queued rows).  Only hops of untagged messages become
+    rows.  Flat tables (node and link indices, rates,
     latencies) are built by the first window or wide idle injection,
     not with the simulator.
     """
@@ -466,10 +467,10 @@ class HopRows:
             self._busy = np.zeros(n, np.float64)
             self._scratch = np.zeros(n, np.float64)
             self._pend = np.zeros(n, np.bool_)
-            self._dbytes = np.zeros(n, np.float64)
+            self._dbytes = np.zeros(n, np.int64)
             self._dmsgs = np.zeros(n, np.int64)
             self._order: list = []
-            self._dbh = 0.0
+            self._dbh = 0
             self._dn = 0
         if self._routes is None or self._routes.router is not net.router:
             self._routes = VectorRoutes(self._index, net.router)
@@ -521,7 +522,7 @@ class HopRows:
                 np.array(seqs, np.int64),
                 np.fromiter(map(at, map(_src, msgs)), np.int64, n),
                 np.fromiter(map(at, map(_dst, msgs)), np.int64, n),
-                np.fromiter(map(_nbytes, msgs), np.float64, n),
+                np.fromiter(map(_nbytes, msgs), np.int64, n),
                 np.fromiter(msgs, object, n),
             )))
         self._set_head()
@@ -623,8 +624,8 @@ class HopRows:
     def _taker(self):
         """Columns (time, seq, node, dst, nbytes, message; nodes by
         name) and ``take(entry)``: whether a window may take engine
-        ``entry`` — a hop of an untagged message with an integral byte
-        count — appending it to the columns if so."""
+        ``entry`` — a hop of an untagged message — appending it to the
+        columns if so."""
         hop = self.net._hop
         cols = ts, seqs, nodes, dsts, nbs, msgs = [], [], [], [], [], []
 
@@ -632,14 +633,13 @@ class HopRows:
             if e[3] != hop:
                 return False
             m, node = e[4]
-            nb = m.nbytes
-            if m.flow is not None or nb % 1.0 != 0.0:
+            if m.flow is not None:
                 return False
             ts.append(e[0])
             seqs.append(e[2])
             nodes.append(node)
             dsts.append(m.dst)
-            nbs.append(nb)
+            nbs.append(m.nbytes)
             msgs.append(m)
             return True
 
@@ -656,7 +656,7 @@ class HopRows:
             np.array(seqs, np.int64),
             np.fromiter(map(at, nodes), np.int64, len(nodes)),
             np.fromiter(map(at, dsts), np.int64, len(dsts)),
-            np.array(nbs, np.float64),
+            np.array(nbs, np.int64),
             np.fromiter(msgs, object, len(msgs)),
         )))
         self._set_head()
@@ -713,13 +713,8 @@ class HopRows:
             # Per event, the offending hop raises where it would.
             self._unblock()
             return 0
-        total = float(nb[xp].sum())
-        if self._dbh + total >= _HALF:
-            self._sync()
         touched = np.unique(li)
-        if total >= _HALF or not self._load(touched[~self._pend[touched]]):
-            self._unblock()         # a sum would not be an exact integer
-            return 0
+        self._load(touched[~self._pend[touched]])
         self._blk = None
         if not self.dirty:
             self.dirty = True
@@ -819,31 +814,17 @@ class HopRows:
             self._add_run(tuple(c[cut + 1:] for c in w.cols))
         self._set_head()
 
-    def _load(self, fresh: np.ndarray) -> bool:
-        """Read ``busy_until`` of links without deferred state; False if
-        a byte total they would defer onto (the link's, its ``per_link``
-        entry or the global one) is not an integer below 2**52."""
+    def _load(self, fresh: np.ndarray) -> None:
+        """Read ``busy_until`` of links without deferred state."""
         links = self._links
-        keys = self._keys
-        traffic = self.net._traffic
-        per_link = traffic.per_link
         busy = self._busy
-        v = traffic.bytes_hops
-        if not (v % 1.0 == 0.0 and v < _HALF):
-            return False
         for lid in fresh.tolist():
-            link = links[lid]
-            v = link.bytes_carried
-            p = per_link.get(keys[lid], 0.0)
-            if not (v % 1.0 == 0.0 and p % 1.0 == 0.0 and v < _HALF and p < _HALF):
-                return False
-            busy[lid] = link.busy_until
-        return True
+            busy[lid] = links[lid].busy_until
 
     def _defer(self, li: np.ndarray, nb: np.ndarray, fin: np.ndarray) -> None:
         """Account transmissions (processing order) to the deferred
-        state: each link's last finish time, integer byte and message
-        sums, and newly touched links in first-touch order."""
+        state: each link's last finish time, byte and message sums, and
+        newly touched links in first-touch order."""
         np.maximum.at(self._busy, li, fin)
         np.add.at(self._dbytes, li, nb)
         np.add.at(self._dmsgs, li, 1)
@@ -853,16 +834,14 @@ class HopRows:
             fresh = uniq[fresh][np.argsort(first[fresh])]
             self._pend[fresh] = True
             self._order.append(fresh)
-        self._dbh += float(nb.sum())
+        self._dbh += int(nb.sum())
         self._dn += li.size
 
     def _sync(self) -> None:
         """Write the deferred state to the ``Link`` objects and the
-        global traffic statistics.  Every total was an integer below
-        2**52 when its link was first deferred, and the deltas sum
-        integers below 2**52, so each sum is exact: the value a
-        row-by-row run leaves.  ``per_link`` fills in first-touch order,
-        as it does row by row."""
+        global traffic statistics.  Integer sums are exact, so each total
+        is the value a row-by-row run leaves; ``per_link`` fills in
+        first-touch order, as it does row by row."""
         if self._index is None or not self._order:
             return
         ids = np.concatenate(self._order)
@@ -880,13 +859,13 @@ class HopRows:
             link.bytes_carried += d
             link.messages_carried += m
             key = keys[lid]
-            per_link[key] = per_link.get(key, 0.0) + d
+            per_link[key] = per_link.get(key, 0) + d
         traffic.bytes_hops += self._dbh
         traffic.messages += self._dn
         self._pend[ids] = False
-        self._dbytes[ids] = 0.0
+        self._dbytes[ids] = 0
         self._dmsgs[ids] = 0
-        self._dbh = 0.0
+        self._dbh = 0
         self._dn = 0
 
 

@@ -271,13 +271,13 @@ class FabricService:
         self.stats.from_state(state["stats"])
         tr = self.fabric.net.traffic
         ts = state["traffic"]
-        tr.bytes_hops = float(ts["bytes_hops"])
+        tr.bytes_hops = int(ts["bytes_hops"])
         tr.messages = int(ts["messages"])
         tr.drops = int(ts["drops"])
         tr.duplicates = int(ts["duplicates"])
         tr.retransmits = int(ts["retransmits"])
         tr.per_link.update(
-            {(a, b): float(v) for a, b, v in ts["per_link"]}
+            {(a, b): int(v) for a, b, v in ts["per_link"]}
         )
         tr.link_drops.update(
             {(a, b): int(v) for a, b, v in ts["link_drops"]}

@@ -5,7 +5,9 @@ the public API and records what the simulation produced: ``time_ns``,
 ``traffic_bytes_hops``, ``max_link_bytes``, the reliability counters of
 a lossy run, and a sha256 of the reduced output.  ``schedule_golden.json``
 pins these bitwise, so a change to the schedule code that moves an
-event, resizes a message or reorders a reduction fails here.
+event, resizes a message or reorders a reduction fails here.  Every byte
+counter the runs leave (each ``Link``'s, the global and per-flow
+traffic) must be an ``int``: messages carry whole bytes.
 
 The grid: ring, swing, butterfly, flare_dense (size-only, int32 and
 fp32 payloads), flare_sparse and sparcml (size-only) on fat-tree,
@@ -19,6 +21,8 @@ overlaps on one fabric.
 Regenerate only when a change to the simulated results is intended::
 
     PYTHONPATH=src python tests/collectives/test_schedule_golden.py --write
+
+Rows whose values did not change keep their recorded text.
 """
 
 from __future__ import annotations
@@ -192,13 +196,41 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture
+def nets(monkeypatch) -> list:
+    """Every ``NetworkSimulator`` built while the test runs."""
+    from repro.network.simulator import NetworkSimulator
+
+    made = []
+    init = NetworkSimulator.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(NetworkSimulator, "__init__", spy)
+    return made
+
+
+def whole_byte_counters(net) -> bool:
+    stats = [net._traffic, *net._flow_traffic.values()]
+    values = [s.bytes_hops for s in stats]
+    values += [v for s in stats for v in s.per_link.values()]
+    values += [link.bytes_carried for link in net.topology.links()]
+    return all(type(v) is int for v in values)
+
+
 @pytest.mark.parametrize("group", groups())
-def test_schedule_golden(golden, group):
+def test_schedule_golden(golden, nets, group):
     got = run_group(group)
     want = golden[group]
     assert sorted(got) == sorted(want)
     for case in want:
         assert got[case] == want[case], f"{group} {case}"
+    assert nets and all(whole_byte_counters(net) for net in nets)
+    for row in got.values():
+        assert type(row["traffic_bytes_hops"]) is int
+        assert type(row["max_link_bytes"]) is int
 
 
 def test_table_covers_every_group(golden):
@@ -208,6 +240,13 @@ def test_table_covers_every_group(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    table = {group: run_group(group) for group in groups()}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    table = {}
+    for group in groups():
+        kept = old.get(group, {})
+        table[group] = {
+            case: kept[case] if kept.get(case) == row else row
+            for case, row in run_group(group).items()
+        }
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} groups to {GOLDEN}")

@@ -2,11 +2,12 @@
 machinery) at reduced scale."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.collectives.schedule import sparcml_round_bytes
+from repro.collectives.schedule import sparcml_round_bytes, whole_bytes
 from repro.comm import Communicator
 from repro.network.topology import FatTreeTopology
 from repro.network.trees import embed_reduction_tree
@@ -88,13 +89,31 @@ def test_sparcml_dense_switch_caps_sizes():
     assert sparcml_round_bytes(16, 1e6, 512, 400.0) == dense
 
 
+def _carried(sizes, n_sub) -> list:
+    """Step bytes as carried: each sub-chunk of the model's step size
+    rounded up to whole bytes."""
+    return [n * whole_bytes(b, n) for b, n in zip(sizes, n_sub)]
+
+
 def test_sparcml_completes_and_reports():
     r = _sparse("sparcml", _topo(), 2**20)
     assert r.time_ns > 0
     assert r.extra["steps"] == 8
-    assert list(r.extra["step_bytes"]) == sparcml_round_bytes(16, 2**20)
     assert len(r.extra["sub_chunks"]) == 8
+    sizes = sparcml_round_bytes(16, 2**20)
+    assert list(r.extra["step_bytes"]) == _carried(sizes, r.extra["sub_chunks"])
+    assert r.sent_bytes_per_host == sum(r.extra["step_bytes"])
     assert r.traffic_bytes_hops > 0
+
+
+def test_whole_bytes_rounds_up_only_fractions():
+    assert whole_bytes(1234.56) == 1235
+    assert whole_bytes(4096.0, 4) == 1024
+    assert type(whole_bytes(4096.0, 4)) is int
+    assert whole_bytes(10, 3) == 4
+    # Exact arithmetic, past float precision too.
+    assert whole_bytes(Fraction(10**20 + 1, 3) * 3) == 10**20 + 1
+    assert whole_bytes(10**20 + 1, 10**20) == 2
 
 
 def _sparcml_plan(topo, total_elements, **params):
@@ -114,10 +133,10 @@ def test_sparcml_table_shape():
     P, elements = 16, float(2**20)
     plan = _sparcml_plan(topo, elements, sub_chunk_bytes=4096)
     sizes = sparcml_round_bytes(P, elements)
-    assert list(plan.setup["step_bytes"]) == sizes
     assert plan.setup["sub_chunks"] == tuple(
         max(1, round(b / 4096)) for b in sizes
     )
+    assert list(plan.setup["step_bytes"]) == _carried(sizes, plan.setup["sub_chunks"])
     net = NetworkSimulator(topo)
     rank = {h: i for i, h in enumerate(topo.hosts)}
     sent: dict = {}

@@ -6,9 +6,9 @@ Every scenario runs twice on fresh simulators: once per event
 order and times, what callbacks observed mid-run, ``events_processed``,
 ``sim.now``, every ``Link`` field, and the traffic statistics globally
 and per flow, ``per_link`` tables included (in insertion order).
-Windows take only plain hops (untagged, whole bytes); flow-tagged,
-fractional and burst hops run per event between them, so the mixed
-scenarios check the boundary between the two paths.
+Windows take only plain hops (untagged); flow-tagged and burst hops
+run per event between them, so the mixed scenarios check the boundary
+between the two paths.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ FLOWS = ("f0", "f1", "f2")
 
 @pytest.fixture
 def vector_windows(monkeypatch):
-    """Count the vector windows a run opens (a window whose totals are
-    not exact integers hands its rows back to the engine)."""
+    """Count the vector windows a run opens."""
     calls = []
     vector = HopRows._vector
 
@@ -76,13 +75,14 @@ def _both(monkeypatch, scenario, **kw) -> tuple[dict, dict]:
     return ref, new
 
 
-def _storm(seed: int, fractional: bool = False, flows: bool = False,
+def _storm(seed: int, varied: bool = False, flows: bool = False,
            per_host: int = 4):
-    """A random storm.  With ``fractional`` or ``flows``, a third of the
-    messages carry fractional sizes or flow tags (windows leave those to
-    the per-event loop) and are sent in a second wave; a third wave of
-    plain messages then meets the running totals the second left."""
-    mixed = fractional or flows
+    """A random storm.  With ``varied`` or ``flows``, a third of the
+    messages carry varied sizes or flow tags (windows leave flow-tagged
+    hops to the per-event loop) and are sent in a second wave; a third
+    wave of plain messages then meets the running totals the second
+    left."""
+    mixed = varied or flows
 
     def scenario(topo, net):
         rng = np.random.default_rng(seed)
@@ -99,12 +99,12 @@ def _storm(seed: int, fractional: bool = False, flows: bool = False,
         src = np.repeat(np.arange(n), per_host)
         dst = rng.integers(0, n - 1, size=m)
         dst += dst >= src
-        size = rng.uniform(64.0, 8192.0, m) if fractional else np.full(m, 4096.0)
+        size = rng.integers(64, 8192, m) if varied else np.full(m, 4096)
         for i in range(m):
             wave = i % 3 if mixed else 0
             odd = wave == 1
             flow = FLOWS[i % 3] if flows and odd else None
-            nbytes = float(size[i]) if odd else 4096.0
+            nbytes = int(size[i]) if odd else 4096
             net.send(
                 Message(hosts[src[i]], hosts[dst[i]], nbytes, i, flow=flow),
                 at=3.0 * (i % 97) + 20000.0 * wave,
@@ -121,15 +121,15 @@ def test_storm_same_instant_ties(monkeypatch, vector_windows, seed):
     assert new == ref
 
 
-def test_storm_fractional_bytes_and_flows(monkeypatch, vector_windows):
-    ref, new = _both(monkeypatch, _storm(3, fractional=True, flows=True))
+def test_storm_varied_sizes_and_flows(monkeypatch, vector_windows):
+    ref, new = _both(monkeypatch, _storm(3, varied=True, flows=True))
     assert vector_windows
     assert new == ref
-    assert ref["flows"] and ref["traffic"][0] % 1.0 != 0.0
+    assert ref["flows"]
 
 
 def test_windows_take_only_plain_hops(monkeypatch):
-    """Flow-tagged, fractional and burst hops never enter a window."""
+    """Flow-tagged and burst hops never enter a window."""
     seen = []
     vector = HopRows._vector
 
@@ -139,9 +139,9 @@ def test_windows_take_only_plain_hops(monkeypatch):
 
     monkeypatch.setattr(HopRows, "_vector", spy)
     _, net = _net(monkeypatch, True)
-    _storm(3, fractional=True, flows=True)(net.topology, net)
+    _storm(3, varied=True, flows=True)(net.topology, net)
     assert seen
-    assert all(m.flow is None and m.nbytes % 1.0 == 0.0 for m in seen)
+    assert all(m.flow is None for m in seen)
 
 
 @pytest.mark.parametrize("router", ["shortest", "ecmp"])
@@ -209,7 +209,7 @@ def _busy_callbacks(topo, net):
             for _ in range(3):
                 dst = int(rng.integers(0, n - 1))
                 dst += dst >= i
-                burst.append(Message(hosts[i], hosts[dst], 2048.0 + 0.5 * (k % 3),
+                burst.append(Message(hosts[i], hosts[dst], 2048 + k % 3,
                                      ("burst", k), flow=FLOWS[k % 3]))
                 k += 1
             net.send_burst(burst, at=at + 1.0)
@@ -307,46 +307,31 @@ def test_run_stoppable_and_priorities(monkeypatch, vector_windows):
     assert any(e[0] == "stopped" for e in ref["log"])
 
 
-def _fractional_totals(which: str):
-    """Running totals that are already fractional when the run starts
-    (every link's bytes, every ``per_link`` entry, or the global bytes),
-    or that grow past 2**53 (``huge``), keep the row-by-row float sums:
-    adding 4096 to a third twice (or 512 times) differs from adding the
-    sum once."""
-    third = 1.0 / 3.0
-
-    def scenario(topo, net):
-        for link in topo.links():
-            if which == "link":
-                link.bytes_carried = third
-            elif which == "per_link":
-                net.traffic.per_link[link.key] = third
-        if which == "global":
-            net.traffic.bytes_hops = third
-        # Sums of these pass 2**53 and round: order matters.
-        nbytes = 2.0 ** 50 + 1.0 if which == "huge" else 4096.0
-        hosts = topo.hosts
-        log = []
-        for h in hosts:
-            net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
-        # Two messages per host uplink (one for the global total: 512
-        # hops in all), each window as wide as the minimum.
-        for i, h in enumerate(hosts):
-            for j in (1,) if which == "global" else (1, 2):
-                net.send(Message(h, hosts[i ^ j], nbytes, (i, j)))
-        if which == "huge":
-            # The totals after the first window, before later ones round.
-            net.sim.schedule_at(1.0, lambda: log.append(("tick", _stats(net.traffic))))
-        net.run()
-        return _observe(topo, net, log)
-    return scenario
+def _large_totals(topo, net):
+    """Byte totals past 2**53, where float sums would round and depend
+    on the order of addition: the windows' int64 sums must still equal
+    the row-by-row ones."""
+    nbytes = 2**50 + 1
+    hosts = topo.hosts
+    log = []
+    for h in hosts:
+        net.on_deliver(h, lambda m, t: log.append((m.tag, t)))
+    # Two messages per host uplink (512 hops in all), each window as wide
+    # as the minimum.
+    for i, h in enumerate(hosts):
+        for j in (1, 2):
+            net.send(Message(h, hosts[i ^ j], nbytes, (i, j)))
+    # The totals after the first window.
+    net.sim.schedule_at(1.0, lambda: log.append(("tick", _stats(net.traffic))))
+    net.run()
+    return _observe(topo, net, log)
 
 
-@pytest.mark.parametrize("which", ["link", "per_link", "global", "huge"])
-def test_fractional_running_totals(monkeypatch, vector_windows, which):
-    ref, new = _both(monkeypatch, _fractional_totals(which))
+def test_large_integer_totals(monkeypatch, vector_windows):
+    ref, new = _both(monkeypatch, _large_totals)
     assert vector_windows
     assert new == ref
+    assert ref["traffic"][0] > 2**53 and type(new["traffic"][0]) is int
 
 
 def test_partial_runs(monkeypatch, vector_windows):
@@ -437,13 +422,17 @@ def _storm_plus(extra_nbytes: float, dst: str = "h200"):
 
 
 def test_negative_size_raises_before_commit(monkeypatch, vector_windows):
-    ref, new = _both(monkeypatch, _storm_plus(-1.0))
-    assert vector_windows
-    assert ref["err"] == new["err"]
-    assert new["err"].startswith("message size must be non-negative")
-    assert new == ref
-    link = dict((k[0], k[1:]) for k in ref["links"])[("h0", "l0")]
-    assert link[2] == 4            # only the storm messages committed
+    """A negative or fractional size raises at ``send``, before anything
+    of it is committed."""
+    for nbytes in (-1.0, 1000.5):
+        vector_windows.clear()
+        ref, new = _both(monkeypatch, _storm_plus(nbytes))
+        assert vector_windows
+        assert ref["err"] == new["err"]
+        assert new["err"].startswith("message size must be non-negative")
+        assert new == ref
+        link = dict((k[0], k[1:]) for k in ref["links"])[("h0", "l0")]
+        assert link[2] == 4            # only the storm messages committed
 
 
 def test_zero_bytes_arrive_after_queue_and_latency(monkeypatch, vector_windows):
@@ -674,7 +663,7 @@ def test_idle_sends_after_partial_run(monkeypatch, vector_windows, pushes):
 
 def _idle_mixed(topo, net):
     """Idle plain sends interleaved, at the same instants, with
-    flow-tagged, fractional and burst sends and engine events of each
+    flow-tagged and burst sends and engine events of each
     priority (the seqs of the rows are not contiguous).  The last hosts
     send the odd ones, so each instant still opens with a wide run of
     plain rows."""
@@ -693,13 +682,11 @@ def _idle_mixed(topo, net):
             dst = hosts[(i * 3 + 1 + j) % n]
             net.send(Message(h, dst, 4096.0, ("plain", k)), at=at)
             if i >= n - 32:
-                odd = k % 4
+                odd = k % 3
                 if odd == 0:
-                    net.send(Message(h, dst, 1000.5, ("frac", k)), at=at)
+                    net.send(Message(h, dst, 2048.0, ("flow", k),
+                                     flow=FLOWS[k // 3 % 3]), at=at)
                 elif odd == 1:
-                    net.send(Message(h, dst, 2048.0, ("flow", k), flow=FLOWS[k % 3]),
-                             at=at)
-                elif odd == 2:
                     net.send_burst([Message(h, hosts[(i + 2) % n], 512.0, ("burst", k, b))
                                     for b in range(3)], at=at)
                 else:

@@ -1,11 +1,12 @@
-"""Sends with a negative, NaN or +inf size, or a NaN or +inf time,
-raise ``ValueError`` at the call.
+"""Sends with a negative, fractional, NaN or +inf size, or a NaN or
++inf time, raise ``ValueError`` at the call.
 
 Unchecked, such a send either hung ``run()`` (a FIFO ``inf`` size or
 time, a WFQ ``nan`` size), delivered at ``nan`` or ``inf`` and left the
 clock and the traffic totals there, (a ``nan`` time) quietly ran at
 ``now``, or (a negative size) raised only when the message was
-transmitted, mid-run.  Every case is checked at the call, on both
+transmitted, mid-run; a link carries whole bytes, so a fractional size
+is refused too.  Every case is checked at the call, on both
 arbitrations, for ``send`` and ``send_burst``; nothing is queued by a
 rejected call.  A time before ``now`` still means ``now``.
 """
@@ -22,12 +23,12 @@ from repro.pspin.pdes import build_engine
 
 BAD = [
     ("nbytes", math.nan), ("nbytes", math.inf),
-    ("nbytes", -1.0), ("nbytes", -math.inf),
+    ("nbytes", -1.0), ("nbytes", -math.inf), ("nbytes", 1000.5),
     ("at", math.nan), ("at", math.inf),
 ]
 BAD_IDS = [
     "nbytes-nan", "nbytes-inf", "nbytes-minus-one", "nbytes-minus-inf",
-    "at-nan", "at-inf",
+    "nbytes-fractional", "at-nan", "at-inf",
 ]
 
 

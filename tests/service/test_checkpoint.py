@@ -119,7 +119,7 @@ def test_quiescent_checkpoint_invariant(tmp_path):
 
 def test_traffic_counters_survive_resume(tmp_path):
     """Link-level traffic accounting continues across the crash: the
-    resumed run's final tables equal the uninterrupted run's."""
+    resumed run's final tables equal the uninterrupted run's, as ints."""
     ckpt = str(tmp_path / "svc.ckpt")
     oracle_svc = _service(str(tmp_path / "oracle.ckpt"))
     oracle_svc.run()
@@ -133,6 +133,8 @@ def test_traffic_counters_survive_resume(tmp_path):
     assert tr.bytes_hops == oracle_tr.bytes_hops
     assert tr.messages == oracle_tr.messages
     assert dict(tr.per_link) == dict(oracle_tr.per_link)
+    assert type(tr.bytes_hops) is int
+    assert all(type(v) is int for v in tr.per_link.values())
 
 
 # ----------------------------------------------------------------------
