@@ -14,13 +14,12 @@ with its other events exactly.
 
 Rows come from two places.  A plain hop (an untagged message) sent
 while the engine is idle — no run loop on the stack — becomes a row at
-once, with the ``seq`` its engine event would have
-drawn; such ``seq`` numbers need not be contiguous, since events
-scheduled between the sends take theirs.  Fewer than
-:data:`MIN_VECTOR_ROWS` of them go back to the engine as plain hop
-events instead.  The other rows are made by windows: their children,
-and the hop events (sent from callbacks during a run) a window takes
-from the engine.
+once, with the ``seq`` its engine event would have drawn; such ``seq``
+numbers need not be contiguous, since events scheduled between the
+sends take theirs.  Fewer than :data:`MIN_VECTOR_ROWS` of them go back
+to the engine as plain hop events instead.  The other rows are made by
+windows: their children, and the hop events (sent from callbacks during
+a run) a window takes from the engine.
 
 A *window* starts at the earliest row or event ``T`` and takes every
 hop before both ``T + L`` and the first engine entry a window may not
@@ -326,9 +325,9 @@ class HopRows:
     no run is ever merged with the others (unless more than
     :data:`MAX_RUNS` are live), so a window costs O(its rows + live
     runs), not O(queued rows).  Only hops of untagged messages become
-    rows.  Flat tables (node and link indices, rates,
-    latencies) are built by the first window or wide idle injection,
-    not with the simulator.
+    rows.  Flat tables (node and link indices, rates, latencies) are
+    built by the first window or wide idle injection, not with the
+    simulator.
     """
 
     def __init__(self, net) -> None:
