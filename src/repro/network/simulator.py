@@ -59,7 +59,7 @@ def check_sends(msgs, at: float) -> None:
         raise ValueError(f"send time must not be nan or +inf, got {at!r}")
     for msg in msgs:
         nbytes = msg.nbytes
-        if nbytes.__class__ is not int and 0.0 <= nbytes < _INF and nbytes % 1 == 0:
+        if nbytes.__class__ is not int and 0.0 <= nbytes < _INF and nbytes == int(nbytes):
             msg.nbytes = nbytes = int(nbytes)
         if nbytes.__class__ is not int or nbytes < 0:
             raise ValueError(
