@@ -33,7 +33,7 @@ Layers:
 * ``repro.network`` — an SST-like chunk-level network simulator with
   pluggable topologies (fat tree, XGFT, dragonfly, torus, multi-rail),
   routing policies (shortest / seeded ECMP / congestion-adaptive),
-  aggregation-tree planning, and in-switch aggregation hooks.
+  and aggregation-tree planning.
 * ``repro.collectives`` — the host-based (ring, swing, butterfly,
   Rabenseifner, recursive doubling, SparCML) and in-network (Flare
   dense and sparse) allreduce schedules on the network simulator.

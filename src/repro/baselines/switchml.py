@@ -59,6 +59,3 @@ class SwitchMLModel:
         packet_bits = self.elements_per_packet * self.element_bits
         packets_per_s = self.peak_tbps * 1e12 / packet_bits
         return packets_per_s * self.elements_per_packet
-
-    def max_elements_without_recirculation(self) -> int:
-        return self.elements_per_packet

@@ -759,18 +759,6 @@ class Fabric:
         """Collectives issued but not yet completed."""
         return len(self._pending)
 
-    def tuner(self):
-        """An :class:`~repro.comm.planner.tuner.OnlineTuner` over this
-        fabric's live telemetry (in-flight count, hot links, WFQ queue
-        depths) — what ``auto_mode="cost"`` consults between issues."""
-        from repro.comm.planner.tuner import OnlineTuner
-
-        return OnlineTuner(self)
-
-    def congestion_level(self) -> int:
-        """Quantized live congestion level (see :meth:`tuner`)."""
-        return self.tuner().level()
-
     def shutdown(self) -> None:
         """Flush the attached provenance recorder (no-op without one);
         call at quiescence."""
@@ -863,7 +851,7 @@ class Fabric:
                     "fell_back": 0,
                     "recovered": 0,
                     "bytes": 0.0,
-                    "wire_bytes": 0.0,
+                    "wire_bytes": 0,
                     "busy_ns": 0.0,
                 },
             )
@@ -875,7 +863,7 @@ class Fabric:
                 s["recovered"] += 1
             if e["status"] == "done":
                 s["completed"] += 1
-                s["wire_bytes"] += e["wire_bytes"] or 0.0
+                s["wire_bytes"] += e["wire_bytes"] or 0
                 s["busy_ns"] += e["duration_ns"] or 0.0
         return out
 

@@ -86,8 +86,8 @@ def steer_tree_root(request: CollectiveRequest) -> None:
 
     Honored on topologies where the tree planner accepts an explicit
     root (everything except the fat tree's canonical spine embedding).
-    ``avoid_switches`` typically comes from
-    :meth:`OnlineTuner.hot_switches`.
+    ``avoid_switches`` is the caller's list, e.g. the switches on
+    ``net.traffic.hot_links()``.
     """
     p = request.params
     avoid = p.get("avoid_switches")

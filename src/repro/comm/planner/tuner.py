@@ -3,10 +3,9 @@
 The offline fit prices algorithms for a quiet fabric.  Between issues,
 the :class:`OnlineTuner` reads the live signals a running
 :class:`~repro.comm.fabric.Fabric` already exposes — in-flight
-collective count, per-link traffic concentration (``TrafficStats.
-hot_links``), and WFQ queue-depth peaks — and folds them into one
-*quantized* congestion level that scales the cost model's contention
-term (the ``g`` coefficient).
+collective count, attached co-tenants and WFQ queue-depth peaks — and
+folds them into one *quantized* congestion level that scales the cost
+model's contention term (the ``g`` coefficient).
 
 Quantization matters: the level is written into
 ``request.params["congestion"]`` before resolution, so it participates
@@ -68,47 +67,10 @@ class OnlineTuner:
         return max(0, min(self.max_level, level))
 
     def _co_tenants(self) -> int:
-        tenants = getattr(self.fabric, "_tenants", None)
-        return max(0, len(tenants) - 1) if tenants is not None else 0
+        return max(0, len(self.fabric._tenants) - 1)
 
     def _peak_queue_depth(self) -> int:
-        peaks = getattr(self.fabric.net, "queue_depth_peaks", None)
-        if peaks is None:
-            return 0
-        try:
-            depths = peaks()
-        except Exception:
-            return 0
-        return max(depths.values(), default=0)
-
-    # ------------------------------------------------------------------
-    def hot_switches(self, n: int = 3) -> list[str]:
-        """Switches touching the busiest links, busiest first.
-
-        Tree-planning algorithms can steer their root away from these
-        (``params["tree_root"]``) on topologies where the planner
-        honors an explicit root.
-        """
-        traffic = getattr(self.fabric.net, "traffic", None)
-        if traffic is None:
-            return []
-        topo = self.fabric.topology
-        ranked: list[str] = []
-        for link, _nbytes in traffic.hot_links(2 * n):
-            src, _, dst = link.partition("->")
-            for node in (src, dst):
-                if topo.is_switch(node) and node not in ranked:
-                    ranked.append(node)
-        return ranked[:n]
-
-    def observe(self) -> dict:
-        """One snapshot of everything the planner consumes."""
-        return {
-            "congestion": self.level(),
-            "in_flight": self.fabric.in_flight,
-            "peak_queue_depth": self._peak_queue_depth(),
-            "hot_switches": self.hot_switches(),
-        }
+        return max(self.fabric.net.queue_depth_peaks().values(), default=0)
 
 
 def congestion_level(fabric: Optional[object]) -> int:

@@ -29,12 +29,10 @@ from repro.core.single_buffer import SingleBufferHandler
 from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.core.policy import select_algorithm, ALGORITHMS
-from repro.core.staggered import staggered_schedule, sequential_schedule, arrival_stream
 from repro.core.manager import (
     AdmissionError,
     AdmissionTicket,
     NetworkManager,
-    ReductionTree,
 )
 from repro.core.allreduce import (
     SwitchAllreducePlan,
@@ -74,13 +72,9 @@ __all__ = [
     "TreeAggregationHandler",
     "select_algorithm",
     "ALGORITHMS",
-    "staggered_schedule",
-    "sequential_schedule",
-    "arrival_stream",
     "AdmissionError",
     "AdmissionTicket",
     "NetworkManager",
-    "ReductionTree",
     "SwitchAllreducePlan",
     "SwitchAllreduceResult",
     "plan_switch_allreduce",

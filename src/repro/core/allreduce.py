@@ -1,17 +1,16 @@
 """End-to-end switch-level dense allreduce driver.
 
-Ties the pieces together for one allreduce on one switch: the network
-manager computes a (single-switch) reduction tree and installs the
-chosen aggregation handler; hosts' packets are synthesized with
-staggered sending and exponential jitter; the PsPIN behavioral model
-executes them; the result reports bandwidth, memory occupancy, and the
+Ties the pieces together for one allreduce on one switch: the chosen
+aggregation handler is installed on the switch, the root of a
+one-switch reduction tree that multicasts to every child; hosts'
+packets are synthesized with staggered sending and exponential jitter;
+the PsPIN behavioral model executes them; the result reports bandwidth, memory occupancy, and the
 actual aggregated vectors (so tests verify numerics, not just timing).
 
 The driver is split plan/execute (the :mod:`repro.comm` contract):
 :func:`plan_switch_allreduce` performs the one-time control-plane work —
-configuration, Sec. 6.4 algorithm selection, reduction-tree
-construction, arrival-rate sizing — and the returned
-:class:`SwitchAllreducePlan` can then :meth:`~SwitchAllreducePlan.execute`
+configuration, Sec. 6.4 algorithm selection, arrival-rate sizing — and
+the returned :class:`SwitchAllreducePlan` can then :meth:`~SwitchAllreducePlan.execute`
 many allreduces of that shape, each on a fresh simulated switch.
 
 This driver is what the Fig. 11 benchmark runs.  Like the paper, the
@@ -31,9 +30,9 @@ import numpy as np
 
 import repro.core.fastpath  # noqa: F401  (registers the train kernels)
 from repro.core.config import FlareConfig
-from repro.core.manager import NetworkManager, ReductionTree
+from repro.core.handler_base import HandlerConfig
 from repro.core.ops import ReductionOp, get_op
-from repro.core.policy import AlgorithmChoice, select_algorithm
+from repro.core.policy import AlgorithmChoice, build_handler, select_algorithm
 from repro.core.staggered import arrival_arrays
 from repro.provenance.collect import collect_switch
 from repro.pspin.costs import CostModel, get_dtype
@@ -120,15 +119,14 @@ class SwitchAllreducePlan:
 
     Everything request-shape-dependent is computed exactly once — the
     :class:`FlareConfig`, the Sec. 6.4 aggregation-design choice, the
-    switch configuration, the reduction tree, and the fair-share arrival
-    rate.  :meth:`execute` instantiates a fresh simulated switch (the
-    data plane is stateful) and runs one allreduce through it.
+    switch configuration, and the fair-share arrival rate.
+    :meth:`execute` instantiates a fresh simulated switch (the data
+    plane is stateful) and runs one allreduce through it.
     """
 
     flare_cfg: FlareConfig
     switch_cfg: SwitchConfig
     choice: AlgorithmChoice
-    tree: ReductionTree
     handler_name: str
     operator: ReductionOp
     delta_sim: float          # fair-share packet interarrival (cycles)
@@ -143,7 +141,7 @@ class SwitchAllreducePlan:
         return self.flare_cfg.elements_per_packet
 
     def describe(self) -> dict:
-        """Plan metadata (what the network manager decided)."""
+        """Plan metadata (what the control plane decided)."""
         return {
             "aggregation": self.choice.label,
             "reason": self.choice.reason,
@@ -183,16 +181,17 @@ class SwitchAllreducePlan:
                 cluster.icache_load("flare-single")
                 cluster.icache_load("flare-tree")
 
-        manager = NetworkManager()
-        installed = manager.install(
-            self.tree,
-            {self.tree.root_switch: switch},
-            cfg.data_bytes,
+        hconf = HandlerConfig(
+            allreduce_id=1,
+            n_children=children,
             dtype_name=cfg.dtype_name,
+            multicast_ports=list(range(children)),
             reproducible=cfg.reproducible,
             op=self.operator,
-            algorithm=self.choice.label,
         )
+        handler = build_handler(self.choice, hconf)
+        switch.register_handler(handler)
+        switch.parser.install_allreduce(hconf.allreduce_id, handler.name)
         if not cold_start:
             for cluster in switch.clusters:
                 cluster.icache_load(self.handler_name)
@@ -220,7 +219,7 @@ class SwitchAllreducePlan:
             seed=seed + 1,
         )
         train = PacketTrain(
-            installed.allreduce_id,
+            hconf.allreduce_id,
             times=times,
             block_ids=blocks,
             ports=hosts,
@@ -251,7 +250,6 @@ class SwitchAllreducePlan:
             else 0.0
         )
         tel = switch.telemetry
-        handler = switch.handler(self.handler_name)
         return SwitchAllreduceResult(
             algorithm=self.choice.label,
             data_bytes=cfg.data_bytes,
@@ -332,8 +330,6 @@ def plan_switch_allreduce(
         subset_size=subset_size,
         cost_model=cost_model,
     )
-    tree = NetworkManager().single_switch_tree(children)
-
     # Feed the simulated unit its fair share of line rate: a 4-cluster
     # simulation of the 64-cluster switch sees 4/64 of the traffic.
     delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
@@ -343,7 +339,6 @@ def plan_switch_allreduce(
         flare_cfg=flare_cfg,
         switch_cfg=switch_cfg,
         choice=choice,
-        tree=tree,
         handler_name=handler_name,
         operator=operator,
         delta_sim=delta_sim,

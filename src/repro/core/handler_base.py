@@ -50,7 +50,7 @@ class WorkingMemoryStall(Exception):
 
 @dataclass
 class HandlerConfig:
-    """Per-allreduce handler parameters installed by the network manager."""
+    """Per-allreduce handler parameters, installed with the handler (Sec. 4)."""
 
     allreduce_id: int
     n_children: int

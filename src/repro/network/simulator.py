@@ -1,24 +1,23 @@
 """Chunk-level network discrete-event simulator.
 
 Messages travel hop by hop (store-and-forward) over the topology's
-links; each hop is an event, so link contention, pipelining across
-chunks, and in-switch aggregation hooks all compose naturally.  Traffic
-is accounted as bytes carried per link — summing over links gives the
-paper's "total number of bytes that traversed the network" (Fig. 15
-right), and the per-link breakdown (:meth:`TrafficStats.hot_links`)
-shows where a routing policy piled the load.  A message carries whole
-bytes (``send`` rejects any other size), so every byte counter — a
-``Link``'s, the global and per-flow ``TrafficStats`` — is an exact
-``int``.
+links; each hop is an event, so link contention and pipelining across
+chunks compose naturally.  Traffic is accounted as bytes carried per
+link — summing over links gives the paper's "total number of bytes that
+traversed the network" (Fig. 15 right), and the per-link breakdown
+(:meth:`TrafficStats.hot_links`) shows where a routing policy piled the
+load.  A message carries whole bytes (``send`` rejects any other size),
+so every byte counter — a ``Link``'s, the global and per-flow
+``TrafficStats`` — is an exact ``int``.
 
 Next hops come from a :class:`repro.network.routing.Router` policy —
 deterministic, ECMP, or congestion-adaptive — consulted at every hop,
 over any :class:`repro.network.topology.Topology`.
 
-In-switch processing is modeled through *interceptors*: a callback
-registered at a switch node sees every message addressed through it and
-may consume the message (aggregate it into block state) and/or emit new
-ones — exactly the capability the authors added to SST.
+In-network aggregation runs from the collectives' schedule tables
+(:mod:`repro.collectives.schedule`): a tree schedule delivers chunks to
+each switch and sends the aggregated chunk on once all its children's
+chunks have arrived.
 
 Multi-tenancy.  Several collectives may share one simulator: each
 message carries a ``flow`` id, delivery callbacks can be registered per
@@ -113,10 +112,6 @@ class TrafficStats:
     link_duplicates: dict = field(default_factory=dict)
 
     @property
-    def gib(self) -> float:
-        return self.bytes_hops / (1024**3)
-
-    @property
     def max_link_bytes(self) -> int:
         """Bytes carried by the most loaded link (the congestion metric
         adaptive routing minimizes)."""
@@ -127,12 +122,6 @@ class TrafficStats:
         first (ties broken by link name for determinism)."""
         ranked = sorted(self.per_link.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(f"{src}->{dst}", nbytes) for (src, dst), nbytes in ranked[:n]]
-
-
-#: An interceptor sees (sim, message, arrival_time) when a message
-#: reaches the node it is registered at (before further forwarding) and
-#: returns True to consume the message (stop forwarding).
-Interceptor = Callable[["NetworkSimulator", Message, float], bool]
 
 
 class _LinkQueue:
@@ -216,17 +205,12 @@ class NetworkSimulator:
         self._traffic = TrafficStats()
         self._flow_traffic: dict[object, TrafficStats] = {}
         self._flow_weight: dict[object, float] = {}
-        self._interceptors: dict[NodeId, Interceptor] = {}
         self._deliver_cb: dict[tuple, Callable[[Message, float], None]] = {}
         #: flow -> nodes it registered deliver callbacks at, so removing
         #: a finished flow touches only its own registrations.
         self._flow_nodes: dict[object, set] = {}
         self._queues: dict[tuple, _LinkQueue] = {}
         self._queue_seq = 0
-        #: Per-switch store-and-forward processing overhead (ns) applied
-        #: when an interceptor re-emits; plain forwarding relies on link
-        #: latency alone.
-        self.switch_overhead_ns = 0.0
         #: Fault injection (None until :meth:`arm_faults`): models loss,
         #: duplication, degradation, and outages on the links.
         self.faults: Optional[FaultInjector] = None
@@ -306,11 +290,6 @@ class NetworkSimulator:
         self._settle()
         self._deliver_cb[(node, flow)] = callback
         self._flow_nodes.setdefault(flow, set()).add(node)
-
-    def intercept(self, node: NodeId, interceptor: Interceptor) -> None:
-        """Install an in-network processing hook at a switch node."""
-        self._settle()
-        self._interceptors[node] = interceptor
 
     def set_flow_weight(self, flow: object, weight: float) -> None:
         """QoS weight used by WFQ link arbitration (default 1.0)."""
@@ -439,12 +418,6 @@ class NetworkSimulator:
         now = self.sim.now
         if self._dead_flows and msg.flow in self._dead_flows:
             return  # collective was abandoned/replanned; chunk discarded
-        if self._interceptors and (node != msg.src or node in self._interceptors):
-            # Arrived at an intermediate or terminal node.
-            interceptor = self._interceptors.get(node)
-            if interceptor is not None and node != msg.dst:
-                if interceptor(self, msg, now):
-                    return  # consumed by in-network processing
         if node == msg.dst:
             if self.faults is not None:
                 # The chunk got through; a fresh loss later (e.g. of a

@@ -197,9 +197,6 @@ class TreePlanner:
         switches = topo.aggregating_switches()
         return sorted(switches, key=lambda s: (-dist.get(s, 0), s))
 
-    def _attached_hosts(self, switch: NodeId) -> list[NodeId]:
-        return [n for n in self.topology.neighbors(switch) if not self.topology.is_switch(n)]
-
     def plan(
         self,
         root: "NodeId | None" = None,

@@ -1,12 +1,12 @@
 """Exact FIFO hop windows for the sequential network simulator.
 
-Under FIFO arbitration with no faults armed, no interceptors and a pure
-router, a hop event does three things: route the message one hop,
-serialize it behind its link's ``busy_until``, and schedule the
-arrival one link later.  Every link is at least ``L`` (the minimum link
-latency) long, so a hop processed at ``t >= T`` schedules its child no
-earlier than ``T + L``: all hop events in ``[T, T + L)`` are independent
-of each other except through the FIFO order on shared links.
+Under FIFO arbitration with no faults armed and a pure router, a hop
+event does three things: route the message one hop, serialize it
+behind its link's ``busy_until``, and schedule the arrival one link
+later.  Every link is at least ``L`` (the minimum link latency) long,
+so a hop processed at ``t >= T`` schedules its child no earlier than
+``T + L``: all hop events in ``[T, T + L)`` are independent of each
+other except through the FIFO order on shared links.
 :class:`HopRows` exploits that.  It holds hop *rows* keyed by the
 engine's own ``(time, 1, seq)`` and is attached to the engine as its
 row source (``Simulator._rows``), so the engine interleaves the rows
@@ -40,7 +40,7 @@ Callback contract.  A window writes the ``Link`` fields and the traffic
 statistics when it ends.  Inside a delivery callback, reading them
 through ``net.traffic``, ``net.flow_stats``, ``net.traffic_extra``,
 ``topology.link`` or ``topology.links`` — or calling into the engine,
-or changing flows, weights, faults, interceptors, routes or rates, or
+or changing flows, weights, faults, routes or rates, or
 scheduling anything at or before the window's last row — *settles* the
 window: every row before the current one is committed, the rows after
 it go back to the rows, and the window ends after the current row.  A
@@ -444,9 +444,8 @@ class HopRows:
     def _vector_ok(self) -> bool:
         net = self.net
         return (
-            net.fast_path and net.faults is None and not net._interceptors
-            and net.router.cacheable and None not in net._dead_flows
-            and self._lookahead() > 0.0
+            net.fast_path and net.faults is None and net.router.cacheable
+            and None not in net._dead_flows and self._lookahead() > 0.0
         )
 
     def _tables(self) -> None:

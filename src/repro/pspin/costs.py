@@ -143,10 +143,6 @@ class CostModel:
             return n_elements * self.array_cycles_per_element
         raise ValueError(f"unknown sparse storage {storage!r}")
 
-    def array_flush_cycles(self, span_elements: int) -> float:
-        """Cycles to scan and emit an array-storage block of given span."""
-        return span_elements * self.array_flush_cycles_per_element
-
     def cycles_to_ns(self, cycles: float) -> float:
         """Convert cycles to wall-clock nanoseconds at the model clock."""
         return cycles / self.clock_ghz

@@ -6,9 +6,10 @@ matching rules, decides if the packet must be processed by a processing
 unit (or sent directly to the routing tables unit), and which function
 must be executed on the packet."
 
-The control plane (our ``repro.core.manager.NetworkManager``) installs
-one rule per active allreduce.  Rules match on the packet's allreduce
-id — the behavioral analogue of matching EtherType / IP option headers.
+The single-switch drivers (:mod:`repro.core.allreduce`,
+:mod:`repro.sparse.allreduce`) install one rule per allreduce.  Rules
+match on the packet's allreduce id — the behavioral analogue of
+matching EtherType / IP option headers.
 """
 
 from __future__ import annotations

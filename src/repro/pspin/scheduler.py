@@ -23,7 +23,6 @@ dispatch on arrivals and on handler completions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 from repro.pspin.hpu import HPU
 from repro.pspin.packets import SwitchPacket
@@ -65,10 +64,6 @@ class FCFSScheduler:
 
     def release_block(self, key: tuple[int, int]) -> None:
         """No per-block state to release."""
-
-    def iter_queued(self) -> Iterator[SwitchPacket]:
-        return iter(self._queue)
-
 
 class HierarchicalFCFSScheduler:
     """Block-affine scheduling onto fixed-size core subsets.
@@ -150,7 +145,3 @@ class HierarchicalFCFSScheduler:
     def release_block(self, key: tuple[int, int]) -> None:
         """Forget a completed block's subset mapping (bounded state)."""
         self._block_to_subset.pop(key, None)
-
-    def iter_queued(self) -> Iterator[SwitchPacket]:
-        for queue in self._queues:
-            yield from queue

@@ -228,9 +228,5 @@ class HashStorage:
         )
 
     @property
-    def occupied_slots(self) -> int:
-        return int((self._keys != -1).sum())
-
-    @property
     def spilled_bytes(self) -> int:
         return self.spilled_elements * ELEMENT_BYTES

@@ -13,15 +13,10 @@ from repro.utils.units import (
     GIB,
     GBPS,
     TBPS,
-    bytes_per_cycle_to_tbps,
-    tbps_to_bytes_per_ns,
-    bytes_to_kib,
     bytes_to_mib,
-    bytes_to_gib,
     parse_size,
-    format_size,
 )
-from repro.utils.rngtools import seeded_rng, spawn_rngs
+from repro.utils.rngtools import seeded_rng
 from repro.utils.tables import ascii_table, series_block
 
 __all__ = [
@@ -30,15 +25,9 @@ __all__ = [
     "GIB",
     "GBPS",
     "TBPS",
-    "bytes_per_cycle_to_tbps",
-    "tbps_to_bytes_per_ns",
-    "bytes_to_kib",
     "bytes_to_mib",
-    "bytes_to_gib",
     "parse_size",
-    "format_size",
     "seeded_rng",
-    "spawn_rngs",
     "ascii_table",
     "series_block",
 ]

@@ -68,13 +68,3 @@ def child_rng(seed: int, *tag: object) -> np.random.Generator:
     key = stable_hash(*tag)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(key,))
     return np.random.default_rng(ss)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from one seed.
-
-    Uses ``SeedSequence.spawn`` so child streams are statistically
-    independent — one per simulated host, for example.
-    """
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

@@ -17,42 +17,15 @@ GIB = 1024 * MIB
 GBPS = 1e9
 TBPS = 1e12
 
-#: Switch clock (Hz).  One cycle == one nanosecond at 1 GHz.
-CLOCK_HZ = 1e9
-
-
-def bytes_per_cycle_to_tbps(bytes_per_cycle: float, clock_hz: float = CLOCK_HZ) -> float:
-    """Convert a switch-internal rate (bytes/cycle) to Tbps.
-
-    >>> round(bytes_per_cycle_to_tbps(512.0), 3)   # 512 B/cycle at 1 GHz
-    4.096
-    """
-    return bytes_per_cycle * clock_hz * 8.0 / TBPS
-
-
-def tbps_to_bytes_per_ns(tbps: float) -> float:
-    """Convert Tbps to bytes per nanosecond (== bytes/cycle at 1 GHz)."""
-    return tbps * TBPS / 8.0 / 1e9
-
 
 def gbps_to_bytes_per_ns(gbps: float) -> float:
     """Convert Gbps to bytes per nanosecond."""
     return gbps * GBPS / 8.0 / 1e9
 
 
-def bytes_to_kib(n: float) -> float:
-    """Bytes -> KiB."""
-    return n / KIB
-
-
 def bytes_to_mib(n: float) -> float:
     """Bytes -> MiB."""
     return n / MIB
-
-
-def bytes_to_gib(n: float) -> float:
-    """Bytes -> GiB."""
-    return n / GIB
 
 
 _SIZE_SUFFIXES = {
@@ -111,18 +84,3 @@ def parse_time_ns(text: str | int | float) -> float:
         if s.endswith(suffix):
             return float(s[: -len(suffix)]) * _TIME_SUFFIXES[suffix]
     return float(s)
-
-
-def format_size(n: float) -> str:
-    """Format a byte count with a binary suffix, e.g. ``524288 -> '512KiB'``.
-
-    >>> format_size(512 * 1024)
-    '512KiB'
-    """
-    for unit, div in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if abs(n) >= div:
-            value = n / div
-            if value == int(value):
-                return f"{int(value)}{unit}"
-            return f"{value:.2f}{unit}"
-    return f"{int(n)}B"

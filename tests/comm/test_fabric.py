@@ -306,6 +306,7 @@ def test_tenant_stats_aggregate():
     for s in stats.values():
         assert s["collectives"] == s["completed"] == 1
         assert s["busy_ns"] > 0 and s["wire_bytes"] > 0
+        assert isinstance(s["wire_bytes"], int)   # whole bytes, summed exactly
 
 
 # ----------------------------------------------------------------------

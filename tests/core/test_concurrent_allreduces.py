@@ -5,7 +5,6 @@ packets belonging to the same allreduce are aggregated together")."""
 import numpy as np
 
 from repro.core.handler_base import HandlerConfig
-from repro.core.manager import NetworkManager
 from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
@@ -46,18 +45,6 @@ def test_two_allreduces_interleaved_do_not_mix():
     outs = {pkt.allreduce_id: pkt.payload for _t, pkt in sw.egress}
     np.testing.assert_array_equal(outs[1], np.full(8, 60, dtype=np.int32))
     np.testing.assert_array_equal(outs[2], np.full(8, 3, dtype=np.int32))
-
-
-def test_manager_installs_many_then_saturates():
-    mgr = NetworkManager(max_allreduces_per_switch=3)
-    sw = PsPINSwitch(SwitchConfig(n_clusters=1, cores_per_cluster=2))
-    for _ in range(3):
-        mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    assert mgr.active_allreduces == 3
-    import pytest
-
-    with pytest.raises(RuntimeError):
-        mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
 
 
 def test_same_block_ids_across_allreduces_are_distinct_keys():

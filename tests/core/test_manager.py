@@ -1,90 +1,37 @@
-"""Tests for the network-manager control plane (Sec. 4)."""
+"""Tests for the network-manager control plane (Sec. 4): handler
+installation on the simulated switch, and pooled admission."""
 
 import pytest
 
+import repro.core.allreduce as dense
 from repro.core.manager import NetworkManager
-from repro.pspin.switch import PsPINSwitch, SwitchConfig
+from repro.pspin.switch import PsPINSwitch
 
 
-def _switch():
-    return PsPINSwitch(SwitchConfig(n_clusters=1, cores_per_cluster=2))
+@pytest.mark.parametrize("algorithm", ["single", "multi(2)", "tree"])
+def test_plan_execute_installs_handler_and_rule(monkeypatch, algorithm):
+    """``SwitchAllreducePlan.execute`` installs one handler, the root of
+    a one-switch tree multicasting to every child, and its parser rule."""
+    switches = []
 
+    def captured(cfg):
+        switches.append(PsPINSwitch(cfg))
+        return switches[-1]
 
-def test_single_switch_tree_shape():
-    mgr = NetworkManager()
-    tree = mgr.single_switch_tree(8)
-    assert tree.fan_in(0) == 8
-    assert tree.nodes[0].is_root
-    assert tree.root_switch == 0
-    assert tree.depth() == 1
-
-
-def test_two_level_tree_shape():
-    mgr = NetworkManager()
-    tree = mgr.two_level_tree(
-        hosts_per_leaf={1: [0, 1, 2], 2: [3, 4]}, root_switch=99
+    monkeypatch.setattr(dense, "PsPINSwitch", captured)
+    plan = dense.plan_switch_allreduce(
+        "8KiB", children=4, algorithm=algorithm, n_clusters=1
     )
-    assert tree.fan_in(1) == 3
-    assert tree.fan_in(2) == 2
-    assert tree.fan_in(99) == 2
-    assert tree.nodes[99].is_root
-    assert not tree.nodes[1].is_root
-    assert tree.host_to_switch[4] == 2
-
-
-def test_install_registers_handler_and_rule():
-    mgr = NetworkManager()
-    sw = _switch()
-    tree = mgr.single_switch_tree(4)
-    installed = mgr.install(tree, {0: sw}, data_bytes=1024)
-    assert installed.algorithm_label == "tree"  # 1 KiB -> tree policy
-    assert sw.parser.classify.__self__ is sw.parser
-    assert any(r.name == f"allreduce-{installed.allreduce_id}" for r in sw.parser.rules)
-    # Root switch multicasts to its children.
-    assert installed.handler_configs[0].multicast_ports == [0, 1, 2, 3]
-
-
-def test_allreduce_ids_are_unique():
-    mgr = NetworkManager()
-    sw = _switch()
-    a = mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    b = mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    assert a.allreduce_id != b.allreduce_id
-    assert mgr.active_allreduces == 2
-
-
-def test_capacity_limit_rejects_install():
-    mgr = NetworkManager(max_allreduces_per_switch=1)
-    sw = _switch()
-    mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    with pytest.raises(RuntimeError, match="fall back to host-based"):
-        mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-
-
-def test_uninstall_frees_capacity_and_rule():
-    mgr = NetworkManager(max_allreduces_per_switch=1)
-    sw = _switch()
-    installed = mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    mgr.uninstall(installed.allreduce_id, {0: sw})
-    assert mgr.active_allreduces == 0
-    assert not sw.parser.rules
-    # Capacity is free again.
-    mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-
-
-def test_uninstall_unknown_id_raises():
-    mgr = NetworkManager()
-    with pytest.raises(KeyError):
-        mgr.uninstall(42, {})
-
-
-def test_explicit_algorithm_override():
-    mgr = NetworkManager()
-    sw = _switch()
-    installed = mgr.install(
-        mgr.single_switch_tree(2), {0: sw}, data_bytes=1024, algorithm="multi(2)"
-    )
-    assert installed.algorithm_label == "multi(2)"
+    plan.execute(seed=0)
+    (switch,) = switches
+    assert list(switch._handlers) == [plan.handler_name]
+    handler = switch.handler(plan.handler_name)
+    assert handler.config.allreduce_id == 1
+    assert handler.config.n_children == 4
+    assert handler.config.multicast_ports == [0, 1, 2, 3]
+    (rule,) = switch.parser.rules
+    assert rule.name == "allreduce-1" and rule.handler == plan.handler_name
+    assert plan.describe()["aggregation"] == algorithm
 
 
 # ----------------------------------------------------------------------
@@ -137,22 +84,3 @@ def test_release_unknown_ticket_raises():
     mgr.release(ticket)
     with pytest.raises(KeyError):
         mgr.release(ticket)
-
-
-def test_install_raises_tagged_admission_error():
-    from repro.core.manager import AdmissionError
-
-    mgr = NetworkManager(max_allreduces_per_switch=1)
-    sw = _switch()
-    mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-    with pytest.raises(AdmissionError, match="fall back to host-based"):
-        mgr.install(mgr.single_switch_tree(2), {0: sw}, data_bytes=1024)
-
-
-def test_admit_and_install_share_one_pool():
-    mgr = NetworkManager(max_allreduces_per_switch=2)
-    sw = _switch()
-    mgr.install(mgr.single_switch_tree(2, switch_id=0), {0: sw}, data_bytes=1024)
-    mgr.admit((0,), tenant="T")
-    with pytest.raises(RuntimeError, match="already serves"):
-        mgr.admit((0,), tenant="U")

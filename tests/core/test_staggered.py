@@ -4,85 +4,88 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.staggered import (
-    arrival_arrays,
-    arrival_stream,
-    measured_delta_c,
-    sequential_schedule,
-    staggered_schedule,
-)
+from repro.core.staggered import arrival_arrays
 from repro.utils.rngtools import seeded_rng
 
 
+def _host_orders(n_hosts, n_blocks, staggered=True):
+    """Each host's blocks in the order it sends them."""
+    _times, hosts, blocks = arrival_arrays(
+        n_hosts, n_blocks, delta=1.0, staggered=staggered
+    )
+    return [blocks[hosts == h].tolist() for h in range(n_hosts)]
+
+
+def _delta_c(times, blocks):
+    """Empirical mean intra-block interarrival of a stream: the mean
+    gap between consecutive packets of the same block."""
+    gaps = [np.diff(np.sort(times[blocks == b])) for b in np.unique(blocks)]
+    return float(np.mean(np.concatenate(gaps)))
+
+
 def test_sequential_schedule_all_hosts_identical():
-    orders = sequential_schedule(4, 8)
+    orders = _host_orders(4, 8, staggered=False)
     assert all(o == list(range(8)) for o in orders)
 
 
 def test_staggered_schedule_offsets_hosts():
-    orders = staggered_schedule(4, 8)
-    assert orders[0][0] == 0
-    assert orders[1][0] == 2
-    assert orders[2][0] == 4
-    assert orders[3][0] == 6
+    orders = _host_orders(4, 8)
+    assert [o[0] for o in orders] == [0, 2, 4, 6]
 
 
 @given(hosts=st.integers(1, 16), blocks=st.integers(1, 64))
 def test_property_staggered_orders_are_permutations(hosts, blocks):
-    for order in staggered_schedule(hosts, blocks):
+    for h, order in enumerate(_host_orders(hosts, blocks)):
         assert sorted(order) == list(range(blocks))
+        # Host h starts at block h * Z / P and wraps around.
+        start = (h * blocks) // hosts
+        assert order == [(start + i) % blocks for i in range(blocks)]
 
 
 def test_stream_is_sorted_and_complete():
-    stream = arrival_stream(n_hosts=4, n_blocks=8, delta=2.0, jitter=0.0)
-    assert len(stream) == 32
-    times = [p.time for p in stream]
-    assert times == sorted(times)
+    times, hosts, blocks = arrival_arrays(n_hosts=4, n_blocks=8, delta=2.0, jitter=0.0)
+    assert len(times) == len(hosts) == len(blocks) == 32
+    assert times.tolist() == sorted(times.tolist())
     # Every (host, block) pair appears exactly once.
-    assert len({(p.host, p.block) for p in stream}) == 32
+    assert len(set(zip(hosts.tolist(), blocks.tolist()))) == 32
 
 
 def test_staggering_raises_intra_block_interarrival():
-    seq = arrival_stream(4, 16, delta=1.0, staggered=False, jitter=0.0)
-    stag = arrival_stream(4, 16, delta=1.0, staggered=True, jitter=0.0)
-    assert measured_delta_c(stag, 16) > 3 * measured_delta_c(seq, 16)
+    seq_t, _, seq_b = arrival_arrays(4, 16, delta=1.0, staggered=False, jitter=0.0)
+    stag_t, _, stag_b = arrival_arrays(4, 16, delta=1.0, staggered=True, jitter=0.0)
+    assert _delta_c(stag_t, stag_b) > 3 * _delta_c(seq_t, seq_b)
 
 
 def test_delta_c_upper_bound_is_delta_blocks():
     """Sec. 5: delta <= delta_c <= delta * Z/N."""
     for blocks in (4, 8, 32):
-        stream = arrival_stream(4, blocks, delta=2.0, staggered=True, jitter=0.0)
-        dc = measured_delta_c(stream, blocks)
+        times, _, block_ids = arrival_arrays(4, blocks, delta=2.0, staggered=True, jitter=0.0)
+        dc = _delta_c(times, block_ids)
         assert 2.0 <= dc <= 2.0 * blocks + 1e-9
 
 
 def test_jitter_preserves_mean_rate():
-    base = arrival_stream(4, 64, delta=2.0, jitter=0.0)
-    noisy = arrival_stream(4, 64, delta=2.0, jitter=1.0, seed=3)
-    span_base = base[-1].time - base[0].time
-    span_noisy = noisy[-1].time - noisy[0].time
+    base = arrival_arrays(4, 64, delta=2.0, jitter=0.0)[0]
+    noisy = arrival_arrays(4, 64, delta=2.0, jitter=1.0, seed=3)[0]
+    span_base = base[-1] - base[0]
+    span_noisy = noisy[-1] - noisy[0]
     assert span_noisy == pytest.approx(span_base, rel=0.35)
 
 
 def test_jitter_streams_are_seed_deterministic():
-    a = arrival_stream(4, 16, delta=2.0, jitter=1.0, seed=5)
-    b = arrival_stream(4, 16, delta=2.0, jitter=1.0, seed=5)
-    assert [(p.time, p.host, p.block) for p in a] == [
-        (p.time, p.host, p.block) for p in b
-    ]
+    a = arrival_arrays(4, 16, delta=2.0, jitter=1.0, seed=5)
+    b = arrival_arrays(4, 16, delta=2.0, jitter=1.0, seed=5)
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_invalid_args_rejected():
     with pytest.raises(ValueError):
-        arrival_stream(0, 4, delta=1.0)
+        arrival_arrays(0, 4, delta=1.0)
     with pytest.raises(ValueError):
-        arrival_stream(4, 0, delta=1.0)
+        arrival_arrays(4, 0, delta=1.0)
     with pytest.raises(ValueError):
-        arrival_stream(4, 4, delta=0.0)
-
-
-def test_measured_delta_c_empty_stream():
-    assert measured_delta_c([], 0) == 0.0
+        arrival_arrays(4, 4, delta=0.0)
 
 
 def _loop_arrival_arrays(n_hosts, n_blocks, delta, staggered, jitter, seed, start):

@@ -512,8 +512,6 @@ def _trigger(action: str, at_delivery: int = 300):
                 topo.fail_link("l1", "s3")
             elif action == "arm_faults":
                 net.arm_faults()
-            elif action == "intercept":
-                net.intercept("l4", lambda n, m, now: log.append(("x", m.tag, now)) or False)
             elif action == "peek":
                 log.append((sim.peek_time(), sim.pending, len(list(sim.queued()))))
             elif action == "step":
@@ -555,7 +553,7 @@ def _trigger(action: str, at_delivery: int = 300):
     "traffic", "flow_stats", "traffic_extra", "link", "links", "send_now",
     "send_later", "burst_now", "schedule_now", "schedule_p0", "abandon",
     "remove", "on_deliver", "weight", "rate", "fail", "arm_faults",
-    "intercept", "peek", "step", "run_until", "raise",
+    "peek", "step", "run_until", "raise",
 ])
 def test_mid_window_callback_contract(monkeypatch, action):
     router = "ecmp" if action in ("rate", "fail") else "updown"
@@ -718,8 +716,6 @@ def _change_before_run(change: str):
         _plain_sends(net, hosts)
         if change == "arm_faults":
             net.arm_faults()
-        elif change == "intercept":
-            net.intercept("l3", lambda n, m, now: log.append(("x", m.tag, now)) or False)
         elif change == "rate":
             topo.set_link_rate("l0", "s1", 20.0)
         elif change == "fail":
@@ -730,7 +726,7 @@ def _change_before_run(change: str):
     return scenario
 
 
-@pytest.mark.parametrize("change", ["arm_faults", "intercept", "rate", "fail"])
+@pytest.mark.parametrize("change", ["arm_faults", "rate", "fail"])
 def test_changes_between_idle_sends_and_run(monkeypatch, pushes, change):
     router = "ecmp" if change in ("rate", "fail") else "updown"
     ref, new = _both(monkeypatch, _change_before_run(change), router=router)

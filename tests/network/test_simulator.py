@@ -51,22 +51,6 @@ def test_intra_rack_traffic_counts_two_hops():
     assert net.traffic.bytes_hops == pytest.approx(1000.0)
 
 
-def test_interceptor_consumes_in_transit_messages():
-    topo = FatTreeTopology(n_hosts=16, hosts_per_leaf=4, n_spines=2)
-    net = NetworkSimulator(topo)
-    eaten = []
-
-    def interceptor(sim, msg, now):
-        eaten.append(msg.tag)
-        return True
-
-    net.intercept("l0", interceptor)
-    net.on_deliver("h1", lambda m, t: pytest.fail("should have been intercepted"))
-    net.send(Message("h0", "h1", nbytes=100.0, tag=("to-eat",)), at=0.0)
-    net.run()
-    assert eaten == [("to-eat",)]
-
-
 def test_per_link_breakdown_and_hot_links():
     topo = FatTreeTopology(n_hosts=16, hosts_per_leaf=4, n_spines=1)
     net = NetworkSimulator(topo)

@@ -1,38 +1,30 @@
-"""The online tuner: quantized congestion levels and hot-switch
-ranking from (stubbed and real) fabric telemetry."""
+"""The online tuner: quantized congestion levels from (stubbed and
+real) fabric telemetry."""
+
+import pytest
 
 from repro.comm import Fabric
 from repro.comm.planner import OnlineTuner, congestion_level
 
 
-class _StubTopology:
-    def is_switch(self, node):
-        return node.startswith(("l", "s"))
-
-
-class _StubTraffic:
-    def __init__(self, hot):
-        self._hot = hot
-
-    def hot_links(self, n):
-        return self._hot[:n]
-
-
 class _StubNet:
-    def __init__(self, hot=(), peaks=None):
-        self.traffic = _StubTraffic(list(hot))
+    def __init__(self, peaks=None):
         self._peaks = dict(peaks or {})
 
     def queue_depth_peaks(self):
         return self._peaks
 
 
+class _BrokenNet:
+    def queue_depth_peaks(self):
+        raise RuntimeError("queue telemetry unavailable")
+
+
 class _StubFabric:
-    def __init__(self, in_flight=0, tenants=1, hot=(), peaks=None):
+    def __init__(self, in_flight=0, tenants=1, peaks=None, net=None):
         self.in_flight = in_flight
         self._tenants = {f"t{i}": None for i in range(tenants)}
-        self.net = _StubNet(hot, peaks)
-        self.topology = _StubTopology()
+        self.net = net if net is not None else _StubNet(peaks)
 
 
 def test_level_counts_in_flight_collectives():
@@ -64,23 +56,14 @@ def test_queue_depth_peak_adds_one_level():
     ).level() == 1
 
 
-def test_hot_switches_filters_hosts_and_ranks():
-    fabric = _StubFabric(hot=[
-        ("h0->l0", 900), ("l0->s1", 800), ("s1->l2", 700), ("h3->h4", 50),
-    ])
-    assert OnlineTuner(fabric).hot_switches() == ["l0", "s1", "l2"]
-    assert OnlineTuner(fabric).hot_switches(n=1) == ["l0"]
+def test_telemetry_errors_propagate():
+    """A failing telemetry read is an error, not an idle fabric."""
+    with pytest.raises(RuntimeError, match="queue telemetry unavailable"):
+        OnlineTuner(_StubFabric(in_flight=1, net=_BrokenNet())).level()
 
 
 def test_congestion_level_none_is_zero():
     assert congestion_level(None) == 0
-
-
-def test_observe_snapshot_shape():
-    snap = OnlineTuner(_StubFabric(in_flight=2, tenants=1)).observe()
-    assert snap["congestion"] == 2
-    assert snap["in_flight"] == 2
-    assert snap["hot_switches"] == []
 
 
 def test_real_fabric_telemetry_end_to_end():
@@ -88,10 +71,9 @@ def test_real_fabric_telemetry_end_to_end():
     flight and falls back to the co-tenant floor once drained."""
     fabric = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2)
     comm = fabric.communicator(name="t0")
-    assert fabric.congestion_level() == 0
+    assert congestion_level(fabric) == 0
     future = comm.iallreduce("256KiB", algorithm="flare_dense")
-    assert fabric.congestion_level() >= 1
+    assert congestion_level(fabric) >= 1
     future.result()
     fabric.run()
-    assert fabric.congestion_level() == 0
-    assert fabric.tuner().hot_switches()    # traffic left hot links behind
+    assert congestion_level(fabric) == 0

@@ -10,11 +10,31 @@ import pytest
 
 from repro.comm.fabric import Fabric
 from repro.core.manager import AdmissionError
-from repro.perf.service import _make_trace
 from repro.service import FabricService, TraceWorkload
 
 #: Enough tenants that a queue forms at ``max_allreduces_per_switch=2``.
 TENANTS = 48
+
+
+def _make_trace(n_tenants: int) -> dict:
+    """A burst of ``n_tenants`` 8-host 256 KiB training jobs, two QoS
+    classes, arrivals 1 us apart so concurrency ~= the tenant count."""
+    return {
+        "schema_version": 1,
+        "classes": {"prod": {"weight": 4.0}, "batch": {"weight": 1.0}},
+        "jobs": [
+            {
+                "tenant": "prod" if i % 2 == 0 else "batch",
+                "arrival": float(i * 1_000.0),
+                "size": 256.0 * 1024,
+                "algorithm": "flare_dense" if i % 2 == 0 else "ring",
+                "gap": 20_000.0,
+                "iterations": 2,
+                "n_hosts": 8,
+            }
+            for i in range(n_tenants)
+        ],
+    }
 
 
 class _PerEntryProbe(FabricService):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ops import SUM, ReductionOp
-from repro.core.staggered import arrival_arrays, arrival_stream
+from repro.core.staggered import arrival_arrays
 from repro.pspin.packets import HEADER_BYTES
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.sparse.allreduce import sparse_switch_allreduce
@@ -125,24 +125,21 @@ def test_float_add_order_is_bitwise(monkeypatch, storage, density):
 @pytest.mark.parametrize("jitter", [0.0, 1.0])
 def test_train_packets_are_packetize_block_shards(jitter):
     """The vectorized packetization against the per-block reference:
-    :func:`packetize_block` shards along :func:`arrival_stream`, shard
+    :func:`packetize_block` shards along :func:`arrival_arrays`, shard
     ``i`` at ``time + i * delta``, in the event engine's (time,
     injection order) pop order.  Small packets give multi-shard and
     empty blocks."""
     epp, delta = 2, 2.5
     workload = make_sparse_workload(6, 5, epp, 0.2, seed=8, correlation=0.5)
-    stream = arrival_stream(6, 5, delta, jitter=jitter, seed=9)
+    times, hosts, blocks = arrival_arrays(6, 5, delta, jitter=jitter, seed=9)
     reference = [
-        (sp.time + i * delta, sp.host, chunk)
-        for sp in stream
-        for i, chunk in enumerate(
-            packetize_block(workload.blocks[sp.host][sp.block], epp)
-        )
+        (t + i * delta, h, chunk)
+        for t, h, b in zip(times.tolist(), hosts.tolist(), blocks.tolist())
+        for i, chunk in enumerate(packetize_block(workload.blocks[h][b], epp))
     ]
     reference.sort(key=lambda entry: entry[0])    # stable: injection order
     assert any(chunk.shard_count > 1 for _t, _h, chunk in reference)
     assert any(chunk.n_elements == 0 for _t, _h, chunk in reference)
-    times, hosts, blocks = arrival_arrays(6, 5, delta, jitter=jitter, seed=9)
     train = SparsePacketTrain.from_workload(
         1, workload, times, hosts, blocks, epp, delta
     )
