@@ -5,6 +5,7 @@ packets belonging to the same allreduce are aggregated together")."""
 import numpy as np
 
 from repro.core.handler_base import HandlerConfig
+from repro.core.manager import NetworkManager
 from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
@@ -45,6 +46,17 @@ def test_two_allreduces_interleaved_do_not_mix():
     outs = {pkt.allreduce_id: pkt.payload for _t, pkt in sw.egress}
     np.testing.assert_array_equal(outs[1], np.full(8, 60, dtype=np.int32))
     np.testing.assert_array_equal(outs[2], np.full(8, 3, dtype=np.int32))
+
+
+def test_manager_installs_many_then_saturates():
+    mgr = NetworkManager(max_allreduces_per_switch=3)
+    for _ in range(3):
+        mgr.admit((0,))
+    assert mgr.utilization()["admitted"] == 3
+    import pytest
+
+    with pytest.raises(RuntimeError):
+        mgr.admit((0,))
 
 
 def test_same_block_ids_across_allreduces_are_distinct_keys():

@@ -84,3 +84,38 @@ def test_release_unknown_ticket_raises():
     mgr.release(ticket)
     with pytest.raises(KeyError):
         mgr.release(ticket)
+
+
+def test_capacity_limit_rejects_install():
+    mgr = NetworkManager(max_allreduces_per_switch=1)
+    mgr.admit((0,))
+    with pytest.raises(RuntimeError, match="fall back to host-based"):
+        mgr.admit((0,))
+
+
+def test_install_raises_tagged_admission_error():
+    from repro.core.manager import AdmissionError
+
+    mgr = NetworkManager(max_allreduces_per_switch=1)
+    mgr.admit((0,))
+    with pytest.raises(AdmissionError, match="fall back to host-based") as info:
+        mgr.admit((0,))
+    assert info.value.resource == "slots"
+
+
+def test_uninstall_frees_capacity_and_rule():
+    mgr = NetworkManager(max_allreduces_per_switch=1)
+    ticket = mgr.admit((0,))
+    mgr.release(ticket)
+    assert mgr.utilization()["admitted"] == 0
+    assert mgr.utilization()["switch_load"][0] == 0
+    # Capacity is free again.
+    mgr.admit((0,))
+
+
+def test_uninstall_unknown_id_raises():
+    from repro.core.manager import AdmissionTicket
+
+    mgr = NetworkManager()
+    with pytest.raises(KeyError):
+        mgr.release(AdmissionTicket(42, (), None, 0.0))
