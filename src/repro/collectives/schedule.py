@@ -899,6 +899,7 @@ def sparse_tree(
     n_chunks: int = 64,
     agg_latency_ns: float = 4000.0,
     level_bytes: "tuple[float, float, float] | None" = None,
+    label: str = "Flare sparse",
 ) -> TreeSchedule:
     """Flare sparse: hosts send their sparsified vectors (nnz x 8 B),
     each switch forwards the union of its subtree, the root multicasts
@@ -925,7 +926,7 @@ def sparse_tree(
             tree, total_elements, bucket_span, nnz_per_bucket
         )
     schedule = TreeSchedule(
-        "Flare sparse", tree, n_chunks,
+        label, tree, n_chunks,
         host_bytes=host_bytes,
         up_bytes=up_bytes,
         agg_latency_ns=dict.fromkeys(tree.switches(), agg_latency_ns),

@@ -9,10 +9,10 @@ plan/execute contract of :mod:`repro.comm`:
   ``flare_dense`` and ``flare_sparse``;
 * switch-level PsPIN drivers (``flare_switch``,
   ``flare_switch_sparse``) from :mod:`repro.core.allreduce` and
-  :mod:`repro.sparse.allreduce`.  Standalone, ``flare_switch`` runs the
-  single-switch simulation; on a fabric it issues the ``flare_dense``
-  tree with each switch priced by that simulation.
-  ``flare_switch_sparse`` has no issuer: a fabric runs it atomically.
+  :mod:`repro.sparse.allreduce`.  Standalone, each runs the
+  single-switch simulation; on a fabric each issues the matching tree
+  (``flare_dense``'s, ``flare_sparse``'s) with every switch priced by
+  that simulation.
 
 Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
@@ -21,7 +21,6 @@ selection — and return a runner that only executes the data plane.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace as dc_replace
 from functools import partial
 from typing import Optional
@@ -45,14 +44,10 @@ from repro.network.routing import available_routers
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology, build_topology
 from repro.network import topologies as _topologies  # noqa: F401  (registers families)
-from repro.network.trees import (
-    TreePlanner,
-    as_aggregation_tree,
-    embed_reduction_tree,
-)
+from repro.network.trees import TreePlanner
 from repro.pspin.costs import CostModel, get_dtype
 from repro.sparse.allreduce import sparse_switch_allreduce
-from repro.sparse.densify import DENSE_ELEMENT_BYTES
+from repro.sparse.densify import DENSE_ELEMENT_BYTES, SPARSE_ELEMENT_BYTES
 
 #: Families the tree-schedule (in-network) algorithms can plan over —
 #: everything the TreePlanner handles today.  Host-based schedules
@@ -62,6 +57,11 @@ TREE_PLANNABLE = ("fat-tree", "xgft", "dragonfly", "torus", "multi-rail")
 #: ``flare_dense``'s default ``chunk_bytes``, and the chunk size of
 #: ``flare_switch``'s tree on a fabric.
 TREE_CHUNK_BYTES = 1024 * 1024
+
+#: What every switch of a ``flare_dense`` / ``flare_sparse`` tree spends
+#: aggregating one chunk.
+DENSE_AGG_NS_PER_CHUNK = 2000.0
+SPARSE_AGG_NS_PER_CHUNK = 4000.0
 
 
 # ----------------------------------------------------------------------
@@ -183,17 +183,14 @@ class _TopologySource:
 
     def plan_tree(self, request: CollectiveRequest):
         """The aggregation tree for in-network schedules: an explicit
-        ``params["tree"]``, the classic spine-rooted embedding on the
-        fat tree (paper-figure parity), or a planned BFS tree.  A
-        placement subset (``params["hosts"]``) always goes through the
-        generic planner so the tree covers exactly the placed hosts."""
+        ``params["tree"]``, else a planned BFS tree rooted at
+        ``params["tree_root"]`` (default: the topmost candidate, which on
+        the fat tree is the classic spine-rooted embedding) over the
+        placed hosts."""
         tree = request.params.get("tree")
         if tree is not None:
             return tree
-        shape = self.shape
-        if self.family == "fat-tree" and self.hosts is None:
-            return embed_reduction_tree(shape)
-        return TreePlanner(shape).plan(
+        return TreePlanner(self.shape).plan(
             root=request.params.get("tree_root"), hosts=self.hosts
         )
 
@@ -465,10 +462,10 @@ def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
     source = _TopologySource(request)
     p = request.params
     schedule = dense_tree(
-        as_aggregation_tree(source.plan_tree(request), source.shape),
+        source.plan_tree(request),
         request.nbytes,
         chunk_bytes=p.get("chunk_bytes", TREE_CHUNK_BYTES),
-        agg_latency_ns=p.get("agg_latency_ns_per_chunk", 2000.0),
+        agg_latency_ns=DENSE_AGG_NS_PER_CHUNK,
     )
     return _plan_tree(source, schedule, request.op)
 
@@ -493,12 +490,12 @@ def _plan_flare_sparse(request: CollectiveRequest) -> PlannedExecution:
     source = _TopologySource(request)
     p = request.params
     schedule = sparse_tree(
-        as_aggregation_tree(source.plan_tree(request), source.shape),
+        source.plan_tree(request),
         request.total_elements,
         bucket_span=p.get("bucket_span", 512),
         nnz_per_bucket=p.get("nnz_per_bucket", 1.0),
         n_chunks=p.get("n_chunks", 64),
-        agg_latency_ns=p.get("agg_latency_ns_per_chunk", 4000.0),
+        agg_latency_ns=SPARSE_AGG_NS_PER_CHUNK,
         level_bytes=p.get("level_bytes"),
     )
     return _plan_tree(source, schedule, request.op)
@@ -509,6 +506,68 @@ def _plan_flare_sparse(request: CollectiveRequest) -> PlannedExecution:
 # ----------------------------------------------------------------------
 def _pick(overrides: dict, keys: tuple[str, ...]) -> dict:
     return {k: overrides[k] for k in keys if k in overrides}
+
+
+def _switch_plan(
+    name: str, request: CollectiveRequest, runner, setup: dict, schedule_of, price
+) -> PlannedExecution:
+    """The plan of switch-level driver ``name``.
+
+    Standalone runs (``plan.execute``) are ``runner``: one PsPIN switch
+    aggregating every host.  On a fabric the issuer runs
+    ``schedule_of(tree)`` over the planned aggregation tree, each switch
+    charging per chunk the processing tail (makespan minus last
+    arrival: the link serialization already charges the arrivals) of
+    ``price(fan_in, chunk_bytes) -> (tail_ns, counters)``, a one-chunk
+    PsPIN run at its fan-in and the largest chunk its children send it.
+    Tails are priced on first issue and cached.  A request the wiring
+    cannot place has no tree: it still runs standalone, and issuing it
+    raises :class:`CapabilityError`.
+    """
+    try:
+        source = _TopologySource(request)
+        tree = source.plan_tree(request)
+    except (CapabilityError, ValueError) as exc:
+        reason = f"{name} has no aggregation tree here: {exc}"
+
+        def unplaceable(ctx: IssueContext, payloads, overrides) -> None:
+            raise CapabilityError(reason)
+
+        return PlannedExecution(runner=runner, setup=setup, issuer=unplaceable)
+    schedule = schedule_of(tree)
+    tree_plan = _plan_tree(source, schedule, request.op)
+
+    def inputs(switch) -> tuple[int, int]:
+        chunks = [schedule.up_chunk[kid] for kid in tree.children_of.get(switch, ())]
+        if tree.hosts_of.get(switch):
+            chunks.append(schedule.host_chunk)
+        return tree.fan_in(switch), max(chunks)
+
+    #: (fan-in, chunk bytes) -> (processing tail in ns, counters)
+    tails: dict = {}
+
+    def tail(switch) -> tuple:
+        key = inputs(switch)
+        if key not in tails:
+            tails[key] = price(*key)
+        return tails[key]
+
+    def issuer(ctx: IssueContext, payloads, overrides) -> None:
+        priced = {s: tail(s) for s in tree.switches()}
+        schedule.agg_latency_ns = {s: ns for s, (ns, _) in priced.items()}
+        finish = ctx.finish
+
+        def settle(result: CollectiveResult) -> None:
+            result.extra["switch_counters"] = {
+                s: counters for s, (_, counters) in priced.items() if counters
+            }
+            finish(result)
+
+        tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
+
+    return PlannedExecution(
+        runner=runner, setup={**setup, **tree_plan.setup}, issuer=issuer
+    )
 
 
 def _switch_payload_rejects(
@@ -562,13 +621,8 @@ def _switch_payload_rejects(
     ),
 )
 def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
-    """Standalone runs (``plan.execute``) simulate one PsPIN switch
-    aggregating every host.  On a fabric the collective is the
-    ``flare_dense`` tree over the same planned aggregation tree, each
-    switch charging per chunk the processing tail of a one-chunk PsPIN
-    run at its fan-in (makespan minus last arrival: the link
-    serialization already charges the arrivals).  Tails are priced on
-    first issue and cached per fan-in."""
+    """On a fabric, the ``flare_dense`` tree with 1 MiB chunks, each
+    switch priced by the single-switch simulation (:func:`_switch_plan`)."""
     p = request.params
     switch_kwargs = dict(
         dtype=request.dtype,
@@ -612,60 +666,24 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
             raw=r,
         )
 
-    try:
-        source = _TopologySource(request)
-        tree = as_aggregation_tree(source.plan_tree(request), source.shape)
-    except (CapabilityError, ValueError) as exc:
-        # Only the fabric tree needs the wiring; the lone switch runs
-        # anyway, and an implicit fabric runs it atomically.
-        reason = f"flare_switch has no aggregation tree here: {exc}"
-
-        def unplaceable(ctx: IssueContext, payloads, overrides) -> None:
-            raise CapabilityError(reason)
-
-        return PlannedExecution(
-            runner=runner, setup=splan.describe(), issuer=unplaceable
+    def schedule_of(tree) -> TreeSchedule:
+        return dense_tree(
+            tree,
+            request.nbytes,
+            chunk_bytes=TREE_CHUNK_BYTES,
+            agg_latency_ns=0.0,           # priced on first issue
+            label=f"Flare switch ({splan.choice.label})",
         )
-    schedule = dense_tree(
-        tree,
-        request.nbytes,
-        chunk_bytes=TREE_CHUNK_BYTES,
-        agg_latency_ns=0.0,           # priced on first issue
-        label=f"Flare switch ({splan.choice.label})",
-    )
-    tree_plan = _plan_tree(source, schedule, request.op)
-    #: fan-in -> (processing tail in ns, provenance counters)
-    tails: dict = {}
 
-    def tail(fan_in: int) -> tuple:
-        if fan_in not in tails:
-            r = plan_switch_allreduce(
-                schedule.host_chunk,
-                children=fan_in,
-                algorithm=splan.choice.label,
-                **switch_kwargs,
-            ).execute()
-            tails[fan_in] = (
-                (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz,
-                r.provenance,
-            )
-        return tails[fan_in]
+    def price(fan_in: int, chunk_bytes: int) -> tuple:
+        r = plan_switch_allreduce(
+            chunk_bytes, children=fan_in, algorithm=splan.choice.label,
+            **switch_kwargs,
+        ).execute()
+        return (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz, r.provenance
 
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        priced = {s: tail(tree.fan_in(s)) for s in tree.switches()}
-        schedule.agg_latency_ns = {s: ns for s, (ns, _) in priced.items()}
-        finish = ctx.finish
-
-        def settle(result: CollectiveResult) -> None:
-            result.extra["switch_counters"] = {
-                s: counters for s, (_, counters) in priced.items()
-            }
-            finish(result)
-
-        tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
-
-    return PlannedExecution(
-        runner=runner, setup={**splan.describe(), **tree_plan.setup}, issuer=issuer
+    return _switch_plan(
+        "flare_switch", request, runner, splan.describe(), schedule_of, price
     )
 
 
@@ -684,11 +702,15 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
     ),
 )
 def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
+    """On a fabric, a ``flare_sparse`` tree whose hosts send the
+    request's sparsified ``nbytes`` (a dense vector of ``nbytes / (8 *
+    density)`` elements, ``density`` of each 512-element bucket
+    non-zero), each switch priced by the single-switch simulation
+    (:func:`_switch_plan`)."""
     p = request.params
     kwargs = dict(
         density=request.density,
         storage=p.get("storage", "hash"),
-        children=request.n_hosts,
         n_clusters=p.get("n_clusters", 4),
         cores_per_cluster=p.get("cores_per_cluster", 8),
         dtype=request.dtype,
@@ -696,20 +718,22 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
         packet_bytes=p.get("packet_bytes", 1024),
         hash_slots_factor=p.get("hash_slots_factor", 4.0),
         cost_model=p.get("cost_model"),
-        workload=p.get("workload"),
     )
     clock_ghz = (kwargs["cost_model"] or CostModel()).clock_ghz
+    label = f"Flare switch sparse ({kwargs['storage']})"
 
     def runner(payloads, overrides) -> CollectiveResult:
         _reject_payloads("flare_switch_sparse", payloads)
         r = sparse_switch_allreduce(
             int(request.nbytes),
+            children=request.n_hosts,
+            workload=p.get("workload"),
             **kwargs,
             **_pick(overrides, ("seed", "jitter", "verify")),
         )
         time_ns = r.makespan_cycles / clock_ghz
         return CollectiveResult(
-            name=f"Flare switch sparse ({r.storage})",
+            name=label,
             n_hosts=request.n_hosts,
             vector_bytes=float(request.nbytes) / request.density
             * DENSE_ELEMENT_BYTES / 8.0,
@@ -728,12 +752,31 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
             raw=r,
         )
 
-    return PlannedExecution(
-        runner=runner,
-        setup={
-            "storage": kwargs["storage"],
-            "density": request.density,
-            "children": request.n_hosts,
-            "sim_clusters": kwargs["n_clusters"],
-        },
+    def schedule_of(tree) -> TreeSchedule:
+        return sparse_tree(
+            tree,
+            request.nbytes / (SPARSE_ELEMENT_BYTES * request.density),
+            bucket_span=512,
+            nnz_per_bucket=512 * request.density,
+            agg_latency_ns=0.0,           # priced on first issue
+            label=label,
+        )
+
+    def price(fan_in: int, chunk_bytes: int) -> tuple:
+        r = sparse_switch_allreduce(chunk_bytes, children=fan_in, **kwargs)
+        if not r.feasible:
+            raise CapabilityError(
+                f"flare_switch_sparse: a switch of fan-in {fan_in} cannot "
+                f"aggregate {chunk_bytes} B chunks: {r.infeasible_reason}"
+            )
+        return (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz, None
+
+    setup = {
+        "storage": kwargs["storage"],
+        "density": request.density,
+        "children": request.n_hosts,
+        "sim_clusters": kwargs["n_clusters"],
+    }
+    return _switch_plan(
+        "flare_switch_sparse", request, runner, setup, schedule_of, price
     )

@@ -18,9 +18,10 @@ A communicator is one *tenant* of a :class:`~repro.comm.fabric.Fabric`:
 attach several to one fabric (``fabric.communicator(name=...,
 weight=...)``) and their in-flight collectives interleave in the
 fabric's single event loop, contending for links and switch resources
-under per-tenant QoS arbitration.  A lone ``Communicator(...)``
-implicitly creates a private fabric on first non-blocking use, so the
-single-tenant API (and its results) are unchanged.
+under per-tenant QoS arbitration.  A lone ``Communicator(...)`` runs
+blocking calls standalone and creates a private fabric, wired from its
+defaults, on first non-blocking use; ``iallreduce`` of a shape that
+fabric does not wire raises ``CapabilityError``, as on any fabric.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ class Communicator:
         if self._attached:
             future = self.iallreduce(data, op=op, algorithm=algorithm, **kwargs)
             result = future.result()
-            self._fabric.run()      # drain releases scheduled behind us
+            self._fabric.run()      # drain the other tenants' work too
             return result
         execute_args = {k: kwargs.pop(k) for k in tuple(kwargs) if k in EXECUTE_KEYS}
         request, payloads = self.make_request(
@@ -393,7 +394,6 @@ class Communicator:
                 hosts_per_leaf=d.get("hosts_per_leaf"),
                 n_spines=d.get("n_spines", 4),
             )
-            fabric._implicit = True
             self.name = fabric._register(self)
             self._fabric = fabric
         return self._fabric

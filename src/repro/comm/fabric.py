@@ -41,8 +41,8 @@ bytes, achieved goodput, hot links, fallbacks, recoveries) for the
 bench CLI (``bench --tenants N --overlap --faults spec.json``) and CI
 artifacts.
 
-A lone ``Communicator`` transparently creates a *private* fabric on
-first use, so the single-tenant API and its results are unchanged.
+A lone ``Communicator`` creates a *private* fabric, wired from its
+defaults, on first non-blocking use.
 """
 
 from __future__ import annotations
@@ -198,8 +198,6 @@ class Fabric:
         self._events: list[dict] = []
         self._pending: "set[CollectiveFuture]" = set()
         self._inflight: dict[object, _Inflight] = {}
-        self._implicit = False      # created by a lone Communicator
-        self._default_root: Optional[str] = None
         #: Run identity: every fabric mints a run id at construction so
         #: timelines are attributable even without a provenance store.
         from repro.provenance.identity import new_run_id
@@ -429,34 +427,9 @@ class Fabric:
     # ------------------------------------------------------------------
     # Issue path
     # ------------------------------------------------------------------
-    def _aggregation_root(self) -> str:
-        """Resource key for single-switch in-network collectives: the
-        root the fabric's default aggregation tree would use (re-planned
-        off a root that has since failed)."""
-        root = self._default_root
-        if root is not None and (
-            root in self.manager.dead_switches()
-            or root in self.topology.failed_switches()
-        ):
-            root = None
-        if root is None:
-            try:
-                root = TreePlanner(self.topology).plan().root
-            except ValueError:
-                # No aggregation capacity left at all: keep (or pick)
-                # any switch so admission rejects with switch_down and
-                # the caller falls back host-based.
-                root = self._default_root or self.topology.switches[0]
-            self._default_root = root
-        return root
-
-    def _admission_switches(self, plan: CollectivePlan) -> tuple:
-        switches = plan.setup.get("tree_switches")
-        if switches:
-            return tuple(switches)
-        if self.topology.supports_aggregation:
-            return (self._aggregation_root(),)
-        return ()
+    @staticmethod
+    def _admission_switches(plan: CollectivePlan) -> tuple:
+        return tuple(plan.setup.get("tree_switches", ()))
 
     @staticmethod
     def _plan_hosts(plan: CollectivePlan) -> "list | None":
@@ -606,12 +579,8 @@ class Fabric:
 
     def _issue_record(self, rec: _Inflight) -> None:
         """(Re-)issue one collective's events into the shared loop."""
-        plan = rec.plan
-        rec.base = self.net.now
-        if not plan.supports_issue:
-            self._execute_atomic_record(rec)
-            return
         flow = rec.flow
+        rec.base = self.net.now
         self.net.set_flow_weight(flow, rec.weight)
         ctx = IssueContext(net=self.net, flow=flow, finish=None)
 
@@ -627,21 +596,7 @@ class Fabric:
         self._pending.add(rec.future)
         self._inflight[flow] = rec
         try:
-            plan.issue(ctx, rec.payloads, **rec.overrides)
-        except CapabilityError:
-            # The plan was shaped for a different fabric.  On the
-            # implicit private fabric this is legal legacy usage
-            # (per-call topology overrides); run it atomically on
-            # its own substrate instead of rejecting.
-            self._pending.discard(rec.future)
-            self._inflight.pop(flow, None)
-            self.net.remove_flow(flow)
-            if not self._implicit:
-                if rec.ticket is not None:
-                    self.manager.release(rec.ticket)
-                    rec.ticket = None
-                raise
-            self._execute_atomic_record(rec)
+            rec.plan.issue(ctx, rec.payloads, **rec.overrides)
         except Exception:
             self._pending.discard(rec.future)
             self._inflight.pop(flow, None)
@@ -651,41 +606,15 @@ class Fabric:
                 rec.ticket = None
             raise
 
-    def _execute_atomic_record(self, rec: _Inflight) -> None:
-        """Plans without an issuer (``flare_switch_sparse``) and plans
-        shaped for another fabric on an implicit one execute in one
-        shot at the current fabric time;
-        their switch resources stay held until the fabric clock passes
-        their modeled finish (``future.result()`` advances it there, so
-        strictly sequential issue/result never sees a stale pool)."""
-        try:
-            result = rec.plan.execute(rec.payloads, **rec.overrides)
-        except Exception:
-            if rec.ticket is not None:
-                self.manager.release(rec.ticket)
-                rec.ticket = None
-            raise
-        finish_time = max(rec.base + result.time_ns, self.sim.now)
-        if rec.ticket is not None:
-            self.sim.schedule_at(
-                finish_time, self.manager.release, rec.ticket, priority=0
-            )
-            rec.ticket = None
-        rec.future._settle_time = finish_time
-        self._settle_record(rec, result, finish_ns=finish_time)
-
-    def _settle_record(
-        self, rec: _Inflight, result, finish_ns: Optional[float] = None
-    ) -> None:
+    def _settle_record(self, rec: _Inflight, result) -> None:
         # Wake any run_until() driving the loop for this (or any)
         # future — it re-checks its own future and resumes if this
         # was a different one.
         self.sim.stop_requested = True
-        if finish_ns is None:
-            # Schedule times are relative to the latest (re)issue; the
-            # timeline reports end-to-end durations from the original
-            # issue, so recoveries lengthen the entry, not reset it.
-            finish_ns = rec.base + result.time_ns
+        # Schedule times are relative to the latest (re)issue; the
+        # timeline reports end-to-end durations from the original
+        # issue, so recoveries lengthen the entry, not reset it.
+        finish_ns = rec.base + result.time_ns
         entry = rec.entry
         duration = finish_ns - rec.start
         entry.update(
@@ -704,26 +633,18 @@ class Fabric:
             result.extra["recoveries"] = list(entry["recoveries"])
             result.time_ns = duration    # end-to-end, including re-runs
         if self.provenance is not None:
-            self._record_switch_counters(rec, result)
+            self._record_switch_counters(result)
         self._pending.discard(rec.future)
         rec.future._settle(result=result)
 
-    def _record_switch_counters(self, rec: _Inflight, result) -> None:
-        """Fold a settled collective's PsPIN counters into provenance.
-
-        A ``flare_switch`` tree reports each switch's one-chunk pricing
-        run (``extra["switch_counters"]``), folded once per chunk; an
-        atomic switch run reports its one switch on ``raw``."""
-        per_switch = result.extra.get("switch_counters")
-        repeats = result.extra.get("n_chunks", 1)
-        if per_switch is None:
-            counters = getattr(getattr(result, "raw", None), "provenance", None)
-            if not counters:
-                return
-            per_switch = {rec.plan.setup.get("tree_root") or "switch": counters}
-            repeats = 1
-        for switch, counters in per_switch.items():
-            self.provenance.add_switch_counters(switch, counters, repeats)
+    def _record_switch_counters(self, result) -> None:
+        """Fold a settled collective's PsPIN counters into provenance:
+        a switch-level tree reports each switch's one-chunk pricing run
+        (``extra["switch_counters"]``), folded once per chunk."""
+        for switch, counters in result.extra.get("switch_counters", {}).items():
+            self.provenance.add_switch_counters(
+                switch, counters, result.extra["n_chunks"]
+            )
 
     # ------------------------------------------------------------------
     # Driving the loop

@@ -59,10 +59,6 @@ class CollectiveFuture:
         self._result: Optional[CollectiveResult] = None
         self._exception: Optional[BaseException] = None
         self._callbacks: list[Callable[["CollectiveFuture"], None]] = []
-        #: For atomically-executed plans: the fabric time this
-        #: collective's modeled run finishes (``result()`` advances the
-        #: clock there, releasing held switch resources on the way).
-        self._settle_time: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Completion (called by the fabric, inside the event loop)
@@ -89,12 +85,6 @@ class CollectiveFuture:
         result (re-raising its failure, if any)."""
         if not self._done and self._fabric is not None:
             self._fabric.run_until(self)
-        if (
-            self._settle_time is not None
-            and self._fabric is not None
-            and self._fabric.now < self._settle_time
-        ):
-            self._fabric.run(until=self._settle_time)
         if not self._done:
             raise CollectiveError(
                 f"collective {self.algorithm!r} was never issued into a "

@@ -46,23 +46,23 @@ class IssueContext:
 
 #: ``issuer(ctx, payloads, overrides) -> None`` — injects one
 #: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
-#: arranges for ``ctx.finish(result)`` when it completes.  Planners of
-#: event-driven network schedules provide it (and derive their runner
-#: from it, :meth:`PlannedExecution.from_issuer`).  ``flare_switch``
-#: pairs one with a different runner: its issuer runs a tree schedule,
-#: its runner the single-switch simulation.  Only planners whose
-#: execution is a self-contained simulation (``flare_switch_sparse``)
-#: leave it None, and the fabric then executes them atomically.
+#: arranges for ``ctx.finish(result)`` when it completes.  Every planner
+#: provides one.  Network schedules derive their runner from it
+#: (:meth:`PlannedExecution.from_issuer`); the switch-level drivers
+#: (``flare_switch``, ``flare_switch_sparse``) pair it with a different
+#: runner: the issuer runs a tree schedule, the runner the single-switch
+#: simulation.
 Issuer = Callable[[IssueContext, Optional[object], dict], None]
 
 
 @dataclass
 class PlannedExecution:
-    """What a planner hands back: a runner plus setup metadata."""
+    """What a planner hands back: a standalone runner, the fabric
+    issuer, and setup metadata."""
 
     runner: Runner
+    issuer: Issuer
     setup: dict = field(default_factory=dict)
-    issuer: Optional[Issuer] = None
 
     @classmethod
     def from_issuer(
@@ -112,11 +112,6 @@ class CollectivePlan:
         self.executions += 1
         return result
 
-    @property
-    def supports_issue(self) -> bool:
-        """Whether this plan can interleave inside a shared fabric loop."""
-        return self._planned.issuer is not None
-
     def issue(
         self, ctx: IssueContext, payloads: Optional[object] = None, **overrides
     ) -> None:
@@ -125,10 +120,6 @@ class CollectivePlan:
         ``ctx.finish`` receives the stamped result when the collective
         completes; planning work is *not* repeated.
         """
-        if self._planned.issuer is None:
-            raise TypeError(
-                f"algorithm {self.algorithm!r} does not support fabric issue"
-            )
         caller_finish = ctx.finish
 
         def finish(result: CollectiveResult) -> None:

@@ -7,16 +7,14 @@ congestion model (:mod:`repro.comm.planner.model`) and the cheapest
 candidate wins, with its chunking knobs tuned to the request size
 (written back into ``request.params`` so they key the plan cache).
 
-Scope: the cost mode ranks the candidates that run as *network
-schedules on the shared fabric* — ring, swing, butterfly and
-flare_dense for dense requests; sparcml and flare_sparse for sparse
-ones — because those are the algorithms whose completion time the
-model prices and that actually contend for links when issued
-together.  The model has no price for ``flare_switch`` (a tree whose
-switches the PsPIN simulation prices) and the atomic
-``flare_switch_sparse`` (a lone switch with no wire time), so neither is
-ranked; when only unranked candidates survive capability matching the
-cost mode falls back to the static priority order unchanged.
+Scope: the cost mode ranks the algorithms its model prices — ring,
+swing, butterfly and flare_dense for dense requests; sparcml and
+flare_sparse for sparse ones.  Every algorithm issues onto the shared
+fabric, but the model has no price for ``flare_switch`` and
+``flare_switch_sparse`` (trees whose switches the PsPIN simulation
+prices), so neither is ranked; when only unranked candidates survive
+capability matching the cost mode falls back to the static priority
+order unchanged.
 
 The congestion input comes from ``params["congestion"]`` — a small
 quantized level the :class:`~repro.comm.planner.tuner.OnlineTuner`
@@ -46,8 +44,7 @@ from repro.comm.planner.model import (
 )
 from repro.comm.planner.tuner import OnlineTuner, congestion_level
 
-#: Algorithms the cost mode ranks: network schedules that issue into a
-#: shared fabric (and that the model knows how to price).
+#: Algorithms the cost mode ranks: the algorithms the cost model prices.
 ISSUABLE = frozenset(
     {"ring", "swing", "butterfly", "flare_dense", "sparcml", "flare_sparse"}
 )
@@ -81,39 +78,12 @@ def tune_knobs(algorithm: str, request: CollectiveRequest) -> None:
         p["chunk_bytes"] = _pow2_clamp(Z / 16, 64 * _KIB, 4096 * _KIB)
 
 
-def steer_tree_root(request: CollectiveRequest) -> None:
-    """Root the aggregation tree away from ``params["avoid_switches"]``.
-
-    Honored on topologies where the tree planner accepts an explicit
-    root (everything except the fat tree's canonical spine embedding).
-    ``avoid_switches`` is the caller's list, e.g. the switches on
-    ``net.traffic.hot_links()``.
-    """
-    p = request.params
-    avoid = p.get("avoid_switches")
-    topo = p.get("topology")
-    if (
-        not avoid
-        or "tree_root" in p
-        or "tree" in p
-        or topo is None
-        or isinstance(topo, str)
-        or request.topology_family == "fat-tree"
-        or not getattr(topo, "supports_aggregation", False)
-    ):
-        return
-    for root in sorted(topo.aggregating_switches()):
-        if root not in avoid:
-            p["tree_root"] = root
-            return
-
-
 def cost_select(
     request: CollectiveRequest, candidates: list[AlgorithmEntry]
 ) -> AlgorithmEntry:
     """The ``auto_mode="cost"`` selector.
 
-    Ranks the fabric-issuable candidates by modeled cost (congestion-
+    Ranks the candidates the model prices by modeled cost (congestion-
     adjusted), tunes the winner's knobs, and records the decision in
     ``params["planned_costs"]``-free form (the plan setup carries the
     knobs).  Falls back to the static pick when no candidate is
@@ -127,8 +97,6 @@ def cost_select(
         return candidates[0]          # static fallback: nothing priceable
     best_name = ranked[0][1]
     tune_knobs(best_name, request)
-    if best_name in ("flare_dense", "flare_sparse"):
-        steer_tree_root(request)
     by_name = {e.name: e for e in candidates}
     return by_name[best_name]
 
@@ -145,6 +113,5 @@ __all__ = [
     "default_model",
     "load_coefficients",
     "reset_default_model",
-    "steer_tree_root",
     "tune_knobs",
 ]

@@ -29,23 +29,10 @@ from repro.core.buffers import BufferPool
 from repro.core.ops import ReductionOp, SUM, get_op
 from repro.pspin.costs import DType, get_dtype
 from repro.pspin.packets import SwitchPacket
-from repro.pspin.switch import HandlerContext, HandlerResult
+from repro.pspin.switch import HandlerContext, HandlerResult, WorkingMemoryStall
 
 #: Egress port id meaning "towards the parent in the reduction tree".
 PARENT_PORT = -1
-
-
-class WorkingMemoryStall(Exception):
-    """The cluster's L1 cannot admit a new block right now.
-
-    The paper bounds in-flight blocks at the *hosts* ("each host can
-    have a number of in-flight blocks not larger than the number of
-    aggregation buffers assigned to that allreduce", Sec. 4.3).  The
-    behavioral switch enforces the same bound at the admission point:
-    a packet that would start a new block while L1 headroom is below
-    the design's worst case is re-queued and retried once memory frees
-    — the dispatcher treats this as back-pressure, not failure.
-    """
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.core.buffers import AggregationBuffer
 from repro.core.handler_base import AggregationHandlerBase, HandlerConfig, _BlockRecord
-from repro.pspin.switch import HandlerContext, HandlerResult
+from repro.pspin.switch import HandlerContext, HandlerResult, WorkingMemoryStall
 
 Node = tuple[int, int]  # (level, index)
 
@@ -107,8 +107,6 @@ class TreeAggregationHandler(AggregationHandlerBase):
         if buf is None:
             # Roll back the bitmap mark so the retried packet aggregates.
             rec.state.bitmap._bits &= ~(1 << packet.port)
-            from repro.core.handler_base import WorkingMemoryStall
-
             raise WorkingMemoryStall(
                 f"L1 of cluster {rec.home_cluster} cannot fit a tree buffer "
                 f"for block {rec.state.key}"

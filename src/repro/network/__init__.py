@@ -54,12 +54,7 @@ from repro.network.simulator import (
     TrafficStats,
     UnreachableError,
 )
-from repro.network.trees import (
-    AggregationTree,
-    EmbeddedTree,
-    TreePlanner,
-    embed_reduction_tree,
-)
+from repro.network.trees import AggregationTree, TreePlanner
 
 __all__ = [
     "Link",
@@ -87,7 +82,5 @@ __all__ = [
     "NetworkSimulator",
     "TrafficStats",
     "AggregationTree",
-    "EmbeddedTree",
     "TreePlanner",
-    "embed_reduction_tree",
 ]

@@ -12,10 +12,8 @@ tree for *any* :class:`repro.network.topology.Topology`:
   from a chosen root, pruned to switches that actually serve hosts)
   and a Canary-style *dynamic* mode that scores candidate roots by
   live link utilization and re-roots the tree away from congested
-  links;
-* :class:`EmbeddedTree` / :func:`embed_reduction_tree` — the original
-  two-level fat-tree embedding, kept as the fat-tree fast path and for
-  paper-figure parity.
+  links.  On the fat tree the static plan is the classic spine-rooted
+  two-level embedding.
 """
 
 from __future__ import annotations
@@ -25,43 +23,6 @@ from dataclasses import dataclass, field
 from repro.network.topology import NodeId, Topology
 
 
-@dataclass(frozen=True)
-class EmbeddedTree:
-    """A two-level reduction tree mapped onto fat-tree nodes."""
-
-    root: NodeId                         # spine switch
-    leaves: tuple[NodeId, ...]           # leaf switches, in order
-    hosts_of: dict[NodeId, tuple[NodeId, ...]]  # leaf -> its hosts
-
-    @property
-    def fan_ins(self) -> list[int]:
-        """Per-level child counts, hosts upward (for densification)."""
-        per_leaf = len(next(iter(self.hosts_of.values())))
-        return [per_leaf, len(self.leaves)]
-
-    def all_hosts(self) -> list[NodeId]:
-        out: list[NodeId] = []
-        for leaf in self.leaves:
-            out.extend(self.hosts_of[leaf])
-        return out
-
-
-def embed_reduction_tree(topology, root_spine: int = 0) -> EmbeddedTree:
-    """Embed the canonical two-level reduction tree into a fat tree.
-
-    All hosts participate; each leaf aggregates its rack, spine
-    ``root_spine`` aggregates the leaves.
-    """
-    if not 0 <= root_spine < topology.n_spines:
-        raise ValueError(f"spine s{root_spine} does not exist")
-    leaves = tuple(topology.leaves)
-    hosts_of = {leaf: tuple(topology.hosts_under(leaf)) for leaf in leaves}
-    return EmbeddedTree(root=f"s{root_spine}", leaves=leaves, hosts_of=hosts_of)
-
-
-# ----------------------------------------------------------------------
-# Generic aggregation trees
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class AggregationTree:
     """A reduction tree over arbitrary topology switches.
@@ -138,23 +99,6 @@ class AggregationTree:
         for switch, hosts in self.hosts_of.items():
             out.extend((switch, h) for h in hosts)
         return out
-
-    @classmethod
-    def from_embedded(cls, tree: EmbeddedTree) -> "AggregationTree":
-        children_of: dict[NodeId, tuple[NodeId, ...]] = {tree.root: tree.leaves}
-        hosts_of = dict(tree.hosts_of)
-        for leaf in tree.leaves:
-            children_of.setdefault(leaf, ())
-        return cls(root=tree.root, children_of=children_of, hosts_of=hosts_of)
-
-
-def as_aggregation_tree(tree, topology: Topology) -> AggregationTree:
-    """Coerce None / EmbeddedTree / AggregationTree to the generic form."""
-    if tree is None:
-        return TreePlanner(topology).plan()
-    if isinstance(tree, EmbeddedTree):
-        return AggregationTree.from_embedded(tree)
-    return tree
 
 
 class TreePlanner:

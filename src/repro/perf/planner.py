@@ -4,12 +4,12 @@ Sweeps the acceptance grid — topology family x message size x tenant
 count on 16 hosts — and measures, per point, the shared-fabric
 makespan of
 
-* every **fixed** issuable dense algorithm (ring, swing, butterfly,
+* every **fixed** priced dense algorithm (ring, swing, butterfly,
   flare_dense) at its default knobs — what a user gets by naming the
   algorithm explicitly,
-* the **static** auto baseline: the highest-static-priority
-  fabric-issuable candidate (the pre-planner behavior restricted to
-  algorithms that actually contend on the wire), default knobs,
+* the **static** auto baseline: the highest-static-priority candidate
+  the cost model prices (the pre-planner behavior restricted to the
+  cost mode's candidates), default knobs,
 * the **cost** auto planner: tenants created with
   ``auto_mode="cost"``, plain ``algorithm="auto"`` requests, live
   congestion telemetry folded in between issues.
@@ -60,9 +60,7 @@ def _fabric(family: str, n_hosts: int) -> Fabric:
 def static_issuable_pick(family: str, n_hosts: int, size) -> str:
     """The static auto baseline: highest-priority candidate among the
     algorithms the cost model prices (the switch-level backends are
-    excluded: ``flare_switch_sparse`` models a lone switch with no wire
-    time, and the model has no price for ``flare_switch``'s
-    PsPIN-priced tree)."""
+    excluded: the model has no price for their PsPIN-priced trees)."""
     request = CollectiveRequest(
         nbytes=size,
         n_hosts=n_hosts,

@@ -25,6 +25,20 @@ from repro.pspin.scheduler import FCFSScheduler, HierarchicalFCFSScheduler
 from repro.pspin.telemetry import Telemetry
 
 
+class WorkingMemoryStall(Exception):
+    """The cluster's L1 cannot admit a new block right now.
+
+    The paper bounds in-flight blocks at the *hosts* ("each host can
+    have a number of in-flight blocks not larger than the number of
+    aggregation buffers assigned to that allreduce", Sec. 4.3).  The
+    behavioral switch enforces the same bound at the admission point:
+    a handler raises this for a packet that would start a new block
+    while L1 headroom is below the design's worst case, and the
+    dispatcher re-queues it once memory frees — back-pressure, not
+    failure.
+    """
+
+
 @dataclass
 class SwitchConfig:
     """Dimensions and policies of one PsPIN switch.
@@ -277,23 +291,21 @@ class PsPINSwitch:
             )
             try:
                 result = handler.process(ctx)
-            except Exception as exc:
-                if type(exc).__name__ == "WorkingMemoryStall":
-                    # Working memory cannot admit this block yet: the
-                    # packet stays in its input buffer and re-queues; the
-                    # core burns the failed check plus back-off (roughly
-                    # one aggregation time) and frees.  This is the
-                    # switch-side face of the Sec. 4.3 in-flight block
-                    # bound.  No retry event is scheduled — the next
-                    # working-memory release wakes the queue (see
-                    # :meth:`_on_working_memory_release`), so sustained
-                    # pressure costs O(releases) events, not O(retries).
-                    hpu.occupy(now, now + self.WORKING_MEMORY_RETRY_CYCLES)
-                    self.telemetry.stalled_admissions.add(1)
-                    self.scheduler.enqueue(packet)
-                    self._stalled_waiters += 1
-                    continue
-                raise
+            except WorkingMemoryStall:
+                # Working memory cannot admit this block yet: the
+                # packet stays in its input buffer and re-queues; the
+                # core burns the failed check plus back-off (roughly
+                # one aggregation time) and frees.  This is the
+                # switch-side face of the Sec. 4.3 in-flight block
+                # bound.  No retry event is scheduled — the next
+                # working-memory release wakes the queue (see
+                # :meth:`_on_working_memory_release`), so sustained
+                # pressure costs O(releases) events, not O(retries).
+                hpu.occupy(now, now + self.WORKING_MEMORY_RETRY_CYCLES)
+                self.telemetry.stalled_admissions.add(1)
+                self.scheduler.enqueue(packet)
+                self._stalled_waiters += 1
+                continue
             if result.finish_time < start:
                 raise RuntimeError(
                     f"handler {handler_name} finished before it started "

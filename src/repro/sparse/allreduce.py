@@ -46,6 +46,9 @@ class SparseAllreduceResult:
     sim_clusters: int
     feasible: bool
     makespan_cycles: float = 0.0
+    #: Arrival time of the last packet; ``makespan_cycles`` minus this
+    #: is the processing tail the arrival stream does not cover.
+    last_arrival_cycles: float = 0.0
     sim_bandwidth_tbps: float = 0.0
     bandwidth_tbps: float = 0.0
     block_memory_bytes: int = 0
@@ -163,6 +166,7 @@ def sparse_switch_allreduce(
             f"workload values are {train.values.dtype} but dtype is {dtype}"
         )
     ingress_payload = int(train.indices.nbytes + train.values.nbytes)
+    last_arrival = float(train.times[-1])
 
     switch = PsPINSwitch(switch_cfg)
     handler = SparseAggregationHandler(hconf)
@@ -215,6 +219,7 @@ def sparse_switch_allreduce(
         sim_clusters=n_clusters,
         feasible=True,
         makespan_cycles=makespan,
+        last_arrival_cycles=last_arrival,
         sim_bandwidth_tbps=sim_tbps,
         bandwidth_tbps=sim_tbps * FULL_CLUSTERS / n_clusters,
         block_memory_bytes=handler.peak_block_memory,

@@ -10,7 +10,7 @@ import pytest
 from repro.collectives.schedule import sparcml_round_bytes, whole_bytes
 from repro.comm import Communicator
 from repro.network.topology import FatTreeTopology
-from repro.network.trees import embed_reduction_tree
+from repro.network.trees import TreePlanner
 from repro.utils.units import MIB
 
 
@@ -184,13 +184,26 @@ def test_flare_sparse_level_bytes_densify():
 
 def test_embed_reduction_tree():
     t = _topo()
-    tree = embed_reduction_tree(t, root_spine=1)
+    tree = TreePlanner(t).plan(root="s1")
     assert tree.root == "s1"
-    assert len(tree.leaves) == 4
-    assert tree.fan_ins == [4, 4]
+    assert len(tree.children_of["s1"]) == 4
+    assert [tree.fan_in(s) for s in ("l0", "s1")] == [4, 4]
     assert len(tree.all_hosts()) == 16
     with pytest.raises(ValueError):
-        embed_reduction_tree(t, root_spine=9)
+        TreePlanner(t).plan(root="s9")
+
+
+def test_tree_root_is_honoured_on_the_fat_tree():
+    """``tree_root`` roots the planned tree on the fat tree too; the
+    default stays the classic spine-s0 embedding."""
+    comm = Communicator(n_hosts=16, hosts_per_leaf=4, n_spines=2)
+    default = comm.plan(nbytes="1MiB", algorithm="flare_dense")
+    rooted = comm.plan(nbytes="1MiB", algorithm="flare_dense", tree_root="s1")
+    assert default.setup["tree_switches"] == ["s0", "l0", "l1", "l2", "l3"]
+    assert rooted.setup["tree_root"] == "s1"
+    assert rooted.setup["tree_switches"] == ["s1", "l0", "l1", "l2", "l3"]
+    with pytest.raises(ValueError, match="not an aggregation-capable"):
+        comm.plan(nbytes="1MiB", algorithm="flare_dense", tree_root="h0")
 
 
 def _sparcml_early_sends(faults=None):

@@ -97,15 +97,19 @@ def test_flare_switch_bitwise_parity_on_fabric():
 
 def test_flare_switch_without_a_tree_stays_standalone():
     """A payload that does not fit the wiring has no aggregation tree:
-    the lone switch still runs (standalone, or atomically on the
-    implicit fabric), while an explicit fabric rejects it loudly."""
+    blocking allreduce still runs the lone switch standalone, while
+    issuing it raises the typed error on the implicit fabric, holding
+    no slot, just as an explicit fabric does."""
     torus = dict(topology="torus",
                  topology_params=dict(dim_x=2, dim_y=2, hosts_per_switch=4))
     data = make_dense_blocks(8, 1, 256, dtype="int32", seed=3)
     comm = Communicator(**torus)
     standalone = comm.allreduce(data, algorithm="flare_switch")
-    implicit = comm.iallreduce(data, algorithm="flare_switch").result()
-    assert implicit.time_ns == standalone.time_ns
+    assert standalone.time_ns > 0
+    with pytest.raises(CapabilityError, match="no aggregation tree"):
+        comm.iallreduce(data, algorithm="flare_switch")
+    assert comm.fabric.manager.utilization()["admitted"] == 0
+    assert comm.fabric.in_flight == 0
     tenant = Fabric(**torus).communicator()
     with pytest.raises(CapabilityError, match="no aggregation tree"):
         tenant.iallreduce(data, algorithm="flare_switch")
@@ -247,13 +251,16 @@ def test_blocking_allreduce_on_shared_fabric_contends():
 
 
 def test_private_fabric_supports_per_call_topology_overrides():
-    # Legacy capability: a lone communicator can issue a collective
-    # whose per-call shape differs from its defaults; the implicit
-    # fabric executes it atomically instead of rejecting it.
+    # A lone communicator's per-call shape that differs from its
+    # defaults runs standalone when blocking; its private fabric does
+    # not wire that shape, so issuing it raises like any fabric.
     comm = Communicator(n_hosts=16)
-    r = comm.iallreduce("64KiB", algorithm="ring", n_hosts=8).result()
+    r = comm.allreduce("64KiB", algorithm="ring", n_hosts=8)
     assert r.n_hosts == 8
     assert r.time_ns > 0
+    with pytest.raises(CapabilityError, match="fabric wires"):
+        comm.iallreduce("64KiB", algorithm="ring", n_hosts=8)
+    assert comm.fabric.in_flight == 0
 
 
 # ----------------------------------------------------------------------
@@ -355,33 +362,50 @@ def test_payload_fallback_runs_on_the_wire():
     np.testing.assert_array_equal(rb.extra["output"], data.sum(axis=0))
 
 
-#: flare_switch_sparse is the one backend left without an issuer: the
-#: fabric executes it atomically.
-ATOMIC = dict(algorithm="flare_switch_sparse", sparse=True, density=0.1)
+#: On a fabric, flare_switch_sparse is a sparse tree priced per switch.
+SPARSE_SWITCH = dict(algorithm="flare_switch_sparse", sparse=True, density=0.1)
 
 
-def test_sequential_atomic_collectives_release_slots():
+def test_sequential_sparse_switch_trees_release_slots():
     """issue -> result -> issue must not see the finished collective's
-    switch slot still held (result() advances the fabric clock past
-    the modeled finish)."""
+    switch slot still held."""
     fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
     t = fabric.communicator(name="t", n_clusters=1)
-    r1 = t.iallreduce("16KiB", **ATOMIC).result()
-    assert fabric.now > 0      # the clock moved to the modeled finish
-    r2 = t.iallreduce("16KiB", **ATOMIC).result()
+    r1 = t.iallreduce("16KiB", **SPARSE_SWITCH).result()
+    assert fabric.now > 0      # the tree ran on the fabric clock
+    r2 = t.iallreduce("16KiB", **SPARSE_SWITCH).result()
     assert not r1.extra["fell_back"] and not r2.extra["fell_back"]
     assert r1.algorithm == r2.algorithm == "flare_switch_sparse"
 
 
-def test_atomic_collectives_still_contend_when_overlapped():
+def test_overlapped_sparse_switch_trees_contend_for_slots():
     fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
     a = fabric.communicator(name="A", n_clusters=1)
     b = fabric.communicator(name="B", n_clusters=1)
-    fa = a.iallreduce("16KiB", **ATOMIC)
-    fb = b.iallreduce("16KiB", **ATOMIC)   # before result()
+    fa = a.iallreduce("16KiB", **SPARSE_SWITCH)
+    fb = b.iallreduce("16KiB", **SPARSE_SWITCH)   # before result()
     ra, rb = wait_all([fa, fb])
     assert not ra.extra["fell_back"]
     assert rb.extra["fell_back"]       # pool was genuinely contended
+
+
+def test_flare_switch_sparse_tree_contends_and_conserves_bytes():
+    """A flare_switch_sparse tenant puts its sparse tree on the wire: it
+    slows a ring it overlaps, and the fabric's link counters hold both
+    tenants' bytes, no more and no less."""
+    alone = Fabric(n_hosts=16).communicator().allreduce(SIZE, algorithm="ring")
+    fabric = Fabric(n_hosts=16)
+    ring = fabric.communicator(name="ring")
+    sparse = fabric.communicator(name="sparse", n_clusters=1)
+    rr, rs = wait_all([
+        ring.iallreduce(SIZE, algorithm="ring"),
+        sparse.iallreduce("256KiB", **SPARSE_SWITCH),
+    ])
+    assert rr.time_ns > alone.time_ns
+    assert rs.traffic_bytes_hops > 0
+    traffic = fabric.net.traffic
+    assert traffic.bytes_hops == rr.traffic_bytes_hops + rs.traffic_bytes_hops
+    assert fabric.timeline()[1]["wire_bytes"] == rs.traffic_bytes_hops
 
 
 def test_generated_tenant_names_skip_explicit_ones():

@@ -35,7 +35,12 @@ def counting_algorithm():
                 traffic_bytes_hops=0.0,
             )
 
-        return PlannedExecution(runner=runner, setup={"planned": True})
+        def issuer(ctx, payloads, overrides):
+            ctx.finish(runner(payloads, overrides))
+
+        return PlannedExecution(
+            runner=runner, issuer=issuer, setup={"planned": True}
+        )
 
     yield counts
     unregister_algorithm("test_counting")

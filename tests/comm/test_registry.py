@@ -53,7 +53,10 @@ def test_register_and_unregister_custom_algorithm():
 
     @register_algorithm("test_noop", caps=caps)
     def plan_noop(request):
-        return PlannedExecution(runner=lambda payloads, overrides: None)
+        return PlannedExecution(
+            runner=lambda payloads, overrides: None,
+            issuer=lambda ctx, payloads, overrides: None,
+        )
 
     try:
         entry = get_algorithm("test_noop")
@@ -160,7 +163,10 @@ def test_resolve_payload_reason_wins_over_capability_reason():
         payload_rejects=lambda req, p: "the payload verdict",
     )
     def plan_flaky(request):
-        return PlannedExecution(runner=lambda payloads, overrides: None)
+        return PlannedExecution(
+            runner=lambda payloads, overrides: None,
+            issuer=lambda ctx, payloads, overrides: None,
+        )
 
     try:
         payloads = np.ones((6, 16), dtype=np.float64)

@@ -3,13 +3,7 @@ including the Canary-style congestion-aware dynamic mode."""
 
 import pytest
 
-from repro.network import (
-    AggregationTree,
-    FatTreeTopology,
-    TreePlanner,
-    build_topology,
-    embed_reduction_tree,
-)
+from repro.network import FatTreeTopology, TreePlanner, build_topology
 
 
 def _check_tree_invariants(tree, topo):
@@ -29,13 +23,13 @@ def _check_tree_invariants(tree, topo):
 
 
 def test_fat_tree_plan_matches_classic_embedding():
+    """Spine s0 aggregates every leaf, each leaf its own rack."""
     t = FatTreeTopology(n_hosts=16, hosts_per_leaf=4, n_spines=2)
     planned = TreePlanner(t).plan()
-    embedded = embed_reduction_tree(t)
-    assert planned.root == embedded.root
-    assert tuple(planned.children_of[planned.root]) == embedded.leaves
-    for leaf in embedded.leaves:
-        assert planned.hosts_of[leaf] == embedded.hosts_of[leaf]
+    assert planned.root == "s0"
+    assert tuple(planned.children_of[planned.root]) == tuple(t.leaves)
+    for leaf in t.leaves:
+        assert planned.hosts_of[leaf] == tuple(t.hosts_under(leaf))
     assert planned.depth() == 2
 
 
@@ -77,9 +71,9 @@ def test_planner_refuses_non_aggregating_fabric():
         TreePlanner(t)
 
 
-def test_from_embedded_roundtrip():
+def test_spine_rooted_plan_invariants():
     t = FatTreeTopology(n_hosts=16, hosts_per_leaf=4, n_spines=2)
-    agg = AggregationTree.from_embedded(embed_reduction_tree(t, root_spine=1))
+    agg = TreePlanner(t).plan(root="s1")
     assert agg.root == "s1"
     assert agg.depth() == 2
     assert agg.subtree_hosts(agg.root) == 16

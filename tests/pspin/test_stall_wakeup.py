@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.allreduce import plan_switch_allreduce
-from repro.core.handler_base import HandlerConfig
+from repro.core.handler_base import HandlerConfig, WorkingMemoryStall
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import HandlerResult, PsPINSwitch, SwitchConfig
@@ -77,26 +77,40 @@ def test_stall_wakeup_lands_at_release_time():
     # Regardless of stalls, the run drains and completes both blocks.
 
 
+def _always_raises(exc: Exception) -> PsPINSwitch:
+    class Raises:
+        name = "stuck"
+
+        def process(self, ctx) -> HandlerResult:
+            raise exc
+
+    sw = PsPINSwitch(SwitchConfig(n_clusters=1, cores_per_cluster=2))
+    sw.register_handler(Raises())
+    sw.parser.install_allreduce(1, handler="stuck")
+    sw.inject(_pkt(), at=0.0)
+    return sw
+
+
 def test_working_memory_deadlock_raises():
     """If no release can ever wake a stalled packet, run() surfaces a
     deadlock instead of returning silently with stuck packets."""
+    sw = _always_raises(WorkingMemoryStall("never admits"))
+    with pytest.raises(RuntimeError, match="deadlock"):
+        sw.run()
+    assert sw.telemetry.stalled_admissions.value == 1
+
+
+def test_stall_is_recognised_by_class_not_name():
+    """An unrelated exception that merely shares the stall's name is a
+    handler failure: it propagates instead of re-queueing the packet."""
 
     class WorkingMemoryStall(Exception):
         pass
 
-    class AlwaysStalls:
-        name = "stuck"
-
-        def process(self, ctx) -> HandlerResult:
-            raise WorkingMemoryStall("never admits")
-
-    sw = PsPINSwitch(SwitchConfig(n_clusters=1, cores_per_cluster=2))
-    sw.register_handler(AlwaysStalls())
-    sw.parser.install_allreduce(1, handler="stuck")
-    sw.inject(_pkt(), at=0.0)
-    with pytest.raises(RuntimeError, match="deadlock"):
+    sw = _always_raises(WorkingMemoryStall("an impostor"))
+    with pytest.raises(WorkingMemoryStall, match="an impostor"):
         sw.run()
-    assert sw.telemetry.stalled_admissions.value == 1
+    assert sw.telemetry.stalled_admissions.value == 0
 
 
 # ----------------------------------------------------------------------
