@@ -26,7 +26,7 @@ def _switch(data_bytes, seed=0, jitter=1.0, **plan):
     return plan_switch_allreduce(data_bytes, **plan).execute(seed=seed, jitter=jitter)
 
 
-def test_ablation_staggered_sending(benchmark, results_dir, full_scale):
+def test_ablation_staggered_sending(benchmark, results_dir):
     def run():
         return {
             label: _switch(
@@ -46,7 +46,7 @@ def test_ablation_staggered_sending(benchmark, results_dir, full_scale):
     assert rs["staggered"].bandwidth_tbps >= rs["sequential"].bandwidth_tbps
 
 
-def test_ablation_subset_size(benchmark, results_dir, full_scale):
+def test_ablation_subset_size(benchmark, results_dir):
     def run():
         out = {}
         for S in (1, 2, 4, 8):
@@ -65,7 +65,7 @@ def test_ablation_subset_size(benchmark, results_dir, full_scale):
     assert points[1].input_buffer_bytes > points[8].input_buffer_bytes
 
 
-def test_ablation_buffer_count(benchmark, results_dir, full_scale):
+def test_ablation_buffer_count(benchmark, results_dir):
     def run():
         return {
             B: _switch(
@@ -87,7 +87,7 @@ def test_ablation_buffer_count(benchmark, results_dir, full_scale):
     assert rs[4].peak_working_memory_bytes > rs[1].peak_working_memory_bytes
 
 
-def test_ablation_scheduler(benchmark, results_dir, full_scale):
+def test_ablation_scheduler(benchmark, results_dir):
     def run():
         return {
             sched: _switch(
@@ -106,7 +106,7 @@ def test_ablation_scheduler(benchmark, results_dir, full_scale):
     assert rs["hierarchical"].bandwidth_tbps > 1.5 * rs["fcfs"].bandwidth_tbps
 
 
-def test_ablation_reproducibility_cost(benchmark, results_dir, full_scale):
+def test_ablation_reproducibility_cost(benchmark, results_dir):
     """F3 at large sizes: tree (reproducible) vs single (fastest)."""
     def run():
         return {
@@ -128,7 +128,7 @@ def test_ablation_reproducibility_cost(benchmark, results_dir, full_scale):
     assert tree > 0.55 * single
 
 
-def test_ablation_cluster_scaling(benchmark, results_dir, full_scale):
+def test_ablation_cluster_scaling(benchmark, results_dir):
     """Shared-nothing linearity: per-cluster bandwidth ~constant, the
     basis of the paper's 4->64 cluster extrapolation."""
     def run():
@@ -150,7 +150,7 @@ def test_ablation_cluster_scaling(benchmark, results_dir, full_scale):
     assert spread < 0.5, "per-cluster bandwidth should be roughly flat"
 
 
-def test_ablation_hash_table_sizing(benchmark, results_dir, full_scale):
+def test_ablation_hash_table_sizing(benchmark, results_dir):
     """Bigger tables buy less spill traffic at constant block memory
     growth — the Sec. 7 memory/traffic dial."""
     def run():

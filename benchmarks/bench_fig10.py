@@ -5,7 +5,7 @@ from conftest import save_and_show
 from repro.figures import fig10 as figmod
 
 
-def test_fig10(benchmark, results_dir, full_scale):
+def test_fig10(benchmark, results_dir):
     result = benchmark.pedantic(figmod.run, rounds=3, iterations=1)
     save_and_show(results_dir, "fig10", figmod.render(result))
 

@@ -6,9 +6,9 @@ from conftest import save_and_show
 from repro.figures import fig15 as figmod
 
 
-def test_fig15(benchmark, results_dir, full_scale):
+def test_fig15(benchmark, results_dir):
     result = benchmark.pedantic(
-        figmod.run, kwargs={"fast": not full_scale}, rounds=1, iterations=1
+        figmod.run, kwargs={"fast": True}, rounds=1, iterations=1
     )
     save_and_show(results_dir, "fig15", figmod.render(result))
 

@@ -5,7 +5,7 @@ from conftest import save_and_show
 from repro.figures import table1 as figmod
 
 
-def test_table1(benchmark, results_dir, full_scale):
+def test_table1(benchmark, results_dir):
     matrix = benchmark.pedantic(figmod.run, rounds=3, iterations=1)
     save_and_show(results_dir, "table1", figmod.render(matrix))
 

@@ -1,26 +1,20 @@
 """Shared benchmark fixtures.
 
-Benchmarks run the figure pipelines end to end.  By default they use
-each figure's ``fast`` mode so ``pytest benchmarks/ --benchmark-only``
-finishes in minutes; set ``REPRO_BENCH_FULL=1`` to run the paper-scale
-configurations (the Fig. 11/15 simulations then take ~1 minute each).
+Benchmarks run the figure pipelines end to end in each figure's
+``fast`` mode, so ``pytest benchmarks/ --benchmark-only`` finishes in
+minutes.  ``python -m repro fig11`` (no ``--fast``) runs a figure at
+paper scale.
 
 Every benchmark writes its rendered paper-style table to
 ``benchmarks/results/<name>.txt`` so the rows the paper reports can be
 inspected after the run.
 """
 
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
 
 @pytest.fixture(scope="session")

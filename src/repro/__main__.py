@@ -16,7 +16,6 @@ Usage::
         --timeline-out timeline.json
     python -m repro bench ring --faults examples/faults/chaos.json \
         --fault-seed 1 --timeline-out chaos-timeline.json
-    python -m repro bench simcore --perf-json BENCH_simcore.json
 
 ``bench`` drives any registered algorithm through the unified
 :class:`repro.comm.Communicator`, re-executing the cached plan to show
@@ -479,17 +478,6 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.comm import CommError, Communicator
 
-    if args.algorithm == "simcore":
-        # The tracked simulation-core harness (fast path vs per-packet
-        # DES + two-tenant overlap); see benchmarks/bench_simcore.py.
-        from repro.perf.simcore import main as simcore_main
-
-        argv = ["--out", args.perf_json or "BENCH_simcore.json",
-                "--reps", str(args.repeat)]
-        if args.check_against:
-            argv += ["--check-against", args.check_against]
-        return simcore_main(argv)
-
     try:
         topology = _build_cli_topology(args)
     except (TypeError, ValueError) as exc:
@@ -645,11 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                        "decisions (default: the schedule's own seed)")
     bench.add_argument("--perf-json", default=None, metavar="PATH",
                        help="write machine-readable wall-clock / packets-per-"
-                       "second numbers; with the 'simcore' pseudo-algorithm "
-                       "this runs the tracked simulation-core harness")
-    bench.add_argument("--check-against", default=None, metavar="BASELINE",
-                       help="(simcore) fail on >30%% perf regression vs a "
-                       "checked-in baseline report")
+                       "second numbers")
     bench.add_argument("--max-retransmits", type=int, default=None,
                        metavar="N",
                        help="end-to-end retransmission budget per message "

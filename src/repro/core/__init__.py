@@ -12,9 +12,6 @@ from repro.core.ops import ReductionOp, SUM, MIN, MAX, PROD, get_op
 from repro.core.handler_base import HandlerConfig, PARENT_PORT
 from repro.core.models import (
     ModelInputs,
-    single_buffer_model,
-    multi_buffer_model,
-    tree_model,
     bandwidth_packets_per_cycle,
     input_buffer_packets,
     block_latency_cycles,
@@ -53,9 +50,6 @@ __all__ = [
     "HandlerConfig",
     "PARENT_PORT",
     "ModelInputs",
-    "single_buffer_model",
-    "multi_buffer_model",
-    "tree_model",
     "bandwidth_packets_per_cycle",
     "input_buffer_packets",
     "block_latency_cycles",

@@ -23,8 +23,9 @@ commit, expanded into per-port packets only when read.
 
 Any situation a kernel cannot reproduce exactly (working-memory
 admission stalls, L1 exhaustion, incomplete blocks, payload/config dtype
-mismatch) raises :class:`~repro.pspin.train.FastPathAbort`, and the
-switch transparently re-runs the train through the per-packet path.
+mismatch, tree roots of two subsets at one instant) raises
+:class:`~repro.pspin.train.FastPathAbort`, and the switch transparently
+re-runs the train through the per-packet path.
 """
 
 from __future__ import annotations
@@ -541,7 +542,14 @@ class TreeKernel(_DenseKernelBase):
     def finish_check(self) -> None:
         if self.blocks:
             raise FastPathAbort("train left incomplete blocks behind")
-        self.emissions.sort()
+        # Each subset's sweep emits its roots in the DES's order.  Roots
+        # of two subsets at one instant pop in the order of their
+        # handlers' whole event chains, which the sweeps do not keep.
+        self.emissions.sort(key=lambda emission: emission[0])     # stable
+        cluster = self.block_cluster
+        for (t, block), (t_next, block_next) in zip(self.emissions, self.emissions[1:]):
+            if t == t_next and cluster[block] != cluster[block_next]:
+                raise FastPathAbort("tree roots of two subsets complete at one instant")
 
     def _build_payloads(self) -> dict[int, np.ndarray]:
         """The fixed pair tree (F3), level by level: each pair merges as

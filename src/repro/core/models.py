@@ -237,21 +237,6 @@ def _inputs_from_config(cfg: FlareConfig, L: float | None = None) -> ModelInputs
     )
 
 
-def single_buffer_model(cfg: FlareConfig) -> DesignPoint:
-    """Evaluate Sec. 6.1 single-buffer aggregation for a configuration."""
-    return evaluate_design(cfg, "single")
-
-
-def multi_buffer_model(cfg: FlareConfig, n_buffers: int) -> DesignPoint:
-    """Evaluate Sec. 6.2 multi-buffer aggregation with B buffers."""
-    return evaluate_design(cfg, "multi", n_buffers=n_buffers)
-
-
-def tree_model(cfg: FlareConfig) -> DesignPoint:
-    """Evaluate Sec. 6.3 tree aggregation."""
-    return evaluate_design(cfg, "tree")
-
-
 def evaluate_design(
     cfg: FlareConfig,
     algorithm: str,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.network.links import Link
-from repro.utils.rngtools import stable_hash
 
 NodeId = str
 
@@ -621,57 +620,6 @@ class FatTreeTopology(Topology):
     def oversubscription_ratio(self) -> float:
         """Leaf downlink:uplink bandwidth ratio (1.0 = full bisection)."""
         return self.hosts_per_leaf / self.n_spines
-
-    # ------------------------------------------------------------------
-    # Routing (legacy deterministic up-down interface)
-    # ------------------------------------------------------------------
-    def spine_for(self, src: NodeId, dst: NodeId) -> NodeId:
-        """Deterministic ECMP: stable-hash the (src, dst) pair onto a
-        spine (stable across processes, unlike builtin ``hash``)."""
-        return f"s{stable_hash(src, dst) % self.n_spines}"
-
-    def route(self, src: NodeId, dst: NodeId) -> list[NodeId]:
-        """Node path src -> ... -> dst (inclusive).
-
-        Up-down routing: climb from the source to the lowest common
-        level, cross one spine if the endpoints sit under different
-        leaves, descend to the destination.
-        """
-        if src == dst:
-            return [src]
-        path = [src]
-        # Climb: where is the source attached at leaf level?
-        if src.startswith("h"):
-            at = self.leaf_of(src)
-            path.append(at)
-        else:
-            at = src
-        # Destination's leaf (or itself, if a switch).
-        dst_leaf = self.leaf_of(dst) if dst.startswith("h") else dst
-        if at.startswith("l"):
-            if dst.startswith("s"):
-                path.append(dst)
-                return path
-            if at != dst_leaf:
-                path.append(self.spine_for(src, dst))
-                path.append(dst_leaf)
-        elif at.startswith("s"):
-            if dst_leaf.startswith("s"):
-                raise ValueError(f"no spine-to-spine path ({src} -> {dst})")
-            path.append(dst_leaf)
-        else:
-            raise ValueError(f"cannot route {src} -> {dst}")
-        if dst.startswith("h"):
-            path.append(dst)
-        # Drop a duplicate when dst was already the leaf we climbed to.
-        deduped = [path[0]]
-        for node in path[1:]:
-            if node != deduped[-1]:
-                deduped.append(node)
-        return deduped
-
-    def hop_count(self, src: NodeId, dst: NodeId) -> int:
-        return len(self.route(src, dst)) - 1
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

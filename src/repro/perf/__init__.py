@@ -1,3 +1,1 @@
-"""Performance tracking: the simulation-core benchmark harness."""
-
-from repro.perf.simcore import run_simcore_bench  # noqa: F401
+"""Performance tracking: the cost-planner acceptance bench (``planner``)."""

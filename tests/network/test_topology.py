@@ -1,4 +1,8 @@
-"""Tests for the fat-tree topology and routing."""
+"""Tests for the fat-tree topology and its structural routes.
+
+``route`` and ``hop_count`` are the base :class:`Topology` BFS methods;
+simulations route through a :mod:`repro.network.routing` policy.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +55,9 @@ def test_switch_endpoints_route():
     assert t.route("l0", "s1") == ["l0", "s1"]
     assert t.route("s1", "l3") == ["s1", "l3"]
     assert t.route("s1", "h9") == ["s1", "l1", "h9"]
-    assert t.route("l2", "h9") == ["l2", "s" + t.route("l2", "h9")[1][1:], "l1", "h9"] or True
+    route = t.route("l2", "h9")
+    assert route[0] == "l2" and route[1].startswith("s")
+    assert route[2:] == ["l1", "h9"]
     assert t.route("h5", "h5") == ["h5"]
 
 
@@ -60,11 +66,6 @@ def test_route_links_exist():
     for dst in ("h1", "h8", "l3", "s0"):
         links = t.path_links("h0", dst)
         assert all(link.gbps == 100.0 for link in links)
-
-
-def test_ecmp_spine_selection_is_deterministic():
-    t = _topo()
-    assert t.spine_for("h0", "h8") == t.spine_for("h0", "h8")
 
 
 def test_invalid_dimensions_rejected():

@@ -31,18 +31,35 @@ def switches(monkeypatch):
     return made
 
 
-def run_both(switches, algorithm, dtype, children=12, size="16KiB", jitter=1.0):
-    """(fast-path switch, DES switch, fast result) for one shape."""
+def run_both(
+    switches,
+    algorithm,
+    dtype,
+    children=12,
+    size="16KiB",
+    jitter=1.0,
+    n_clusters=2,
+    staggered=True,
+    reproducible=False,
+):
+    """(fast-path switch, DES switch, fast result, DES result) for one
+    shape."""
     results = []
     for fast in (True, False):
         plan = plan_switch_allreduce(
-            size, children=children, algorithm=algorithm, dtype=dtype, n_clusters=2
+            size,
+            children=children,
+            algorithm=algorithm,
+            dtype=dtype,
+            n_clusters=n_clusters,
+            staggered=staggered,
+            reproducible=reproducible,
         )
         plan.switch_cfg.fast_path = fast
         results.append(plan.execute(seed=4, jitter=jitter))
     assert results[0].fast_path_used and not results[1].fast_path_used
     fast_sw, des_sw = switches[-2:]
-    return fast_sw, des_sw, results[0]
+    return fast_sw, des_sw, *results
 
 
 @pytest.mark.parametrize("algorithm", ["single", "multi(4)", "tree"])
@@ -51,7 +68,7 @@ def run_both(switches, algorithm, dtype, children=12, size="16KiB", jitter=1.0):
 def test_expanded_egress_equals_des(switches, algorithm, dtype, children, jitter):
     # Both shapes have same-instant completions of different blocks;
     # the DES emits those in dispatch order, not by block id.
-    fast_sw, des_sw, _ = run_both(switches, algorithm, dtype, children, jitter=jitter)
+    fast_sw, des_sw, *_ = run_both(switches, algorithm, dtype, children, jitter=jitter)
     assert fast_sw._egress_records          # nothing expanded yet
     fast, des = fast_sw.egress, des_sw.egress
     assert not fast_sw._egress_records
@@ -73,8 +90,27 @@ def test_expanded_egress_equals_des(switches, algorithm, dtype, children, jitter
         ), name
 
 
+@pytest.mark.parametrize("dtype,reproducible", [("int32", False), ("float32", True)])
+def test_unstaggered_paper_scale_tree_ties_match_des(switches, dtype, reproducible):
+    # Unstaggered, jitter-free sending at 64 children and 4 clusters:
+    # the tree's 1,024 egress entries leave at only 16 distinct
+    # instants, one per block, so each block's 64 port copies tie.
+    fast_sw, des_sw, fast, des = run_both(
+        switches, "tree", dtype, children=64, jitter=0.0, n_clusters=4,
+        staggered=False, reproducible=reproducible,
+    )
+    fast_egress = [(t, p.block_id, p.port) for t, p in fast_sw.egress]
+    assert len(fast_egress) == 16 * 64
+    assert len({t for t, _b, _p in fast_egress}) == 16
+    assert fast_egress == [(t, p.block_id, p.port) for t, p in des_sw.egress]
+    assert fast.makespan_cycles == des.makespan_cycles
+    assert fast.outputs.keys() == des.outputs.keys()
+    for block_id, payload in des.outputs.items():
+        assert fast.outputs[block_id].tobytes() == payload.tobytes()
+
+
 def test_port_copies_are_independent(switches):
-    fast_sw, _des_sw, result = run_both(switches, "tree", "float32")
+    fast_sw, _des_sw, result, _ = run_both(switches, "tree", "float32")
     block = [pkt for _t, pkt in fast_sw.egress if pkt.block_id == 3]
     before = [pkt.payload.copy() for pkt in block]
     block[0].payload[:] = -1.0
@@ -85,7 +121,7 @@ def test_port_copies_are_independent(switches):
 
 
 def test_block_outputs_read_records_without_expanding(switches):
-    fast_sw, des_sw, result = run_both(switches, "multi(4)", "int32")
+    fast_sw, des_sw, result, _ = run_both(switches, "multi(4)", "int32")
     outputs = fast_sw.block_outputs()
     assert fast_sw._egress_records                  # still lazy
     assert outputs.keys() == result.outputs.keys()
@@ -95,7 +131,7 @@ def test_block_outputs_read_records_without_expanding(switches):
 
 
 def test_des_packet_after_fast_path_train_lands_last(switches):
-    fast_sw, des_sw, _ = run_both(switches, "tree", "int32", jitter=0.0)
+    fast_sw, des_sw, *_ = run_both(switches, "tree", "int32", jitter=0.0)
     assert fast_sw._egress_records
     # An allreduce id no rule matches bypasses the processing unit and
     # goes straight to _emit, behind the unexpanded commit.

@@ -139,11 +139,30 @@ def test_parity_without_jitter():
     assert_parity(fast, slow)
 
 
+@pytest.mark.parametrize("algo", ["single", "multi(4)", "tree"])
+@pytest.mark.parametrize("size", ["16KiB", "64KiB", "128KiB"])
+def test_paper_scale_parity(algo, size):
+    """Fig. 11's dense sweep at paper scale (64 children, 4 clusters):
+    every point below the back-pressured sizes takes the fast path and
+    matches the DES."""
+    fast, slow = run_pair(algo, size, children=64, n_clusters=4)
+    assert_parity(fast, slow)
+
+
 def test_contended_config_falls_back():
     """At sizes where the L2 input buffers back-pressure, the fast path
     must disengage — and both runs then share the per-packet path."""
     fast, slow = run_pair("single", "256KiB", children=64, n_clusters=4)
     assert slow.deferred_arrivals > 0
+    assert_parity(fast, slow, expect_fast=False)
+
+
+def test_tree_roots_tied_across_subsets_fall_back():
+    """Blocks 2 and 3 finish at one instant in different subsets.  The
+    DES emits block 3 first: its handler's chain of events began with
+    an earlier dispatch.  The sweeps keep no such chain, so the fast
+    path must decline rather than guess an order."""
+    fast, slow = run_pair("tree", "4KiB", children=8, n_clusters=4, seed=4, jitter=0.0)
     assert_parity(fast, slow, expect_fast=False)
 
 
