@@ -294,7 +294,9 @@ class Fabric:
         a JSON file, or a prebuilt schedule) — the CLI's
         ``bench --faults spec.json`` entry point."""
         schedule = FaultSchedule.from_any(source, seed=seed)
-        self._arm(schedule.seed).schedule(schedule)
+        injector = self._arm(schedule.seed)
+        for spec in schedule:
+            injector.inject(spec)
         return schedule
 
     @property
@@ -352,34 +354,49 @@ class Fabric:
         )
         return build_plan(new_request, get_algorithm(plan.algorithm))
 
-    def _try_replan(self, plan: CollectivePlan, tenant: Optional[str]):
-        """Admission rejected a tree collective: before giving up on
-        in-network execution, replan the aggregation tree over the
-        *live* topology (away from failures and toward cool switches)
-        and try to admit that.  Returns ``(plan, ticket)`` or None."""
-        if not plan.setup.get("tree_switches"):
-            return None           # not a tree schedule; nothing to re-root
-        try:
-            tree = TreePlanner(self.topology).plan_dynamic(
-                hosts=self._plan_hosts(plan)
-            )
-            candidate = self._replan_with_tree(plan, tree)
-            ticket = self.manager.admit(
-                self._admission_switches(candidate),
+    def _reroot(self, plan: CollectivePlan, tenant: Optional[str]):
+        """Re-plan a tree collective's aggregation tree over the *live*
+        topology and admit it (Canary-style).
+
+        :meth:`TreePlanner.plan_dynamic` picks the coolest of the roots
+        whose tree the switch pools admit right now, so a full or dead
+        switch is routed around rather than re-chosen.  Returns
+        ``(plan, ticket)``; raises ``ValueError``, ``AdmissionError`` or
+        ``CapabilityError`` when no tree fits (the first root's
+        rejection when every root is rejected)."""
+        planner = TreePlanner(self.topology)
+        hosts = self._plan_hosts(plan)
+        memory = float(plan.request.nbytes)
+        roots, rejection = [], None
+        for root in planner.candidate_roots():
+            exc = self.manager.check(
+                planner.plan(root, hosts=hosts).switches(),
                 tenant=tenant,
-                memory_bytes=float(candidate.request.nbytes),
+                memory_bytes=memory,
             )
-        except (ValueError, AdmissionError, CapabilityError):
-            return None
+            if exc is None:
+                roots.append(root)
+            elif rejection is None:
+                rejection = exc
+        if not roots:
+            raise rejection
+        candidate = self._replan_with_tree(
+            plan, planner.plan_dynamic(roots, hosts=hosts)
+        )
+        ticket = self.manager.admit(
+            self._admission_switches(candidate),
+            tenant=tenant,
+            memory_bytes=memory,
+        )
         return candidate, ticket
 
     def _recover(self, rec: _Inflight, event: dict) -> None:
         """Canary-style mid-flight recovery of one tree collective.
 
         Abandon the wounded flow (in-flight chunks are discarded at
-        their next hop), release its switch resources, replan the
-        aggregation tree away from the failure via
-        :meth:`TreePlanner.plan_dynamic`, and re-issue.  When no viable
+        their next hop), release its switch resources, re-root the
+        aggregation tree away from the failure (:meth:`_reroot`), and
+        re-issue.  When no viable
         tree or switch pool remains, replan host-based instead (the
         paper's fallback), carrying any payloads to an *executing*
         algorithm.
@@ -401,15 +418,7 @@ class Fabric:
             "from_root": rec.plan.setup.get("tree_root"),
         }
         try:
-            tree = TreePlanner(self.topology).plan_dynamic(
-                hosts=self._plan_hosts(rec.plan)
-            )
-            new_plan = self._replan_with_tree(rec.plan, tree)
-            rec.ticket = self.manager.admit(
-                self._admission_switches(new_plan),
-                tenant=rec.tenant,
-                memory_bytes=float(new_plan.request.nbytes),
-            )
+            new_plan, rec.ticket = self._reroot(rec.plan, rec.tenant)
         except (ValueError, AdmissionError, CapabilityError) as exc:
             note["fallback_reason"] = str(exc)
             new_plan = self._fallback_plan(rec.comm, rec.plan, rec.payloads)
@@ -532,18 +541,16 @@ class Fabric:
                 if getattr(exc, "resource", None) == "quota" or not self.fallback:
                     raise
                 admission_note = str(exc)
-                replanned = self._try_replan(plan, tenant)
-                if replanned is not None:
-                    # Canary-style: a re-rooted tree over the live
-                    # topology keeps the collective in-network.
-                    plan, ticket = replanned
+                try:
+                    plan, ticket = self._reroot(plan, tenant)
+                except (ValueError, AdmissionError, CapabilityError):
+                    plan = self._fallback_plan(comm, plan, payloads)
+                    fell_back = True
+                else:
                     admission_note += (
                         f" -> replanned tree rooted at "
                         f"{plan.setup.get('tree_root')}"
                     )
-                else:
-                    plan = self._fallback_plan(comm, plan, payloads)
-                    fell_back = True
         flow = self._next_flow
         self._next_flow += 1
         future = CollectiveFuture(

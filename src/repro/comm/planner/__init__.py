@@ -44,11 +44,6 @@ from repro.comm.planner.model import (
 )
 from repro.comm.planner.tuner import OnlineTuner, congestion_level
 
-#: Algorithms the cost mode ranks: the algorithms the cost model prices.
-ISSUABLE = frozenset(
-    {"ring", "swing", "butterfly", "flare_dense", "sparcml", "flare_sparse"}
-)
-
 _KIB = 1024
 
 
@@ -91,8 +86,7 @@ def cost_select(
     """
     congestion = float(request.params.get("congestion", 0) or 0)
     model = default_model()
-    names = [e.name for e in candidates if e.name in ISSUABLE]
-    ranked = model.rank(names, request, congestion)
+    ranked = model.rank([e.name for e in candidates], request, congestion)
     if not ranked:
         return candidates[0]          # static fallback: nothing priceable
     best_name = ranked[0][1]
@@ -105,7 +99,6 @@ register_auto_selector("cost", cost_select)
 
 __all__ = [
     "FEATURES",
-    "ISSUABLE",
     "OnlineTuner",
     "PlannerModel",
     "congestion_level",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.network.links import Link, LinkFault
 from repro.utils.rngtools import stable_hash
@@ -195,10 +195,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Arming
     # ------------------------------------------------------------------
-    def schedule(self, schedule: "FaultSchedule | Iterable[FaultSpec]") -> None:
-        for spec in schedule:
-            self.inject(spec)
-
     def inject(self, spec: FaultSpec) -> None:
         """Arm one fault (applied at ``max(spec.at, now)``)."""
         sim = self.net.sim

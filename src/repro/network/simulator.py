@@ -357,7 +357,8 @@ class NetworkSimulator:
 
             self.faults._salt = stable_hash("fault-injector", seed)
         if schedule is not None:
-            self.faults.schedule(FaultSchedule.from_any(schedule))
+            for spec in FaultSchedule.from_any(schedule):
+                self.faults.inject(spec)
         return self.faults
 
     def on_topology_change(self) -> None:

@@ -577,7 +577,6 @@ class HopRows:
         their own.  Returns how many rows of each run the window
         holds."""
         sim = self.sim
-        sim._head()                   # drops cancelled heads
         lim = self.head_t + self._lookahead()    # exclusive
         last = stop                        # inclusive (``run(until)``)
         heap = sim._heap
@@ -595,7 +594,7 @@ class HopRows:
         for t in sel:
             b = buckets[t]
             for e in b if b.__class__ is deque else (b,):
-                if e[3] is not None and not take(e):   # (skip cancelled)
+                if not take(e):
                     cut = (t, e[2])
                     break
             if cut is not None:

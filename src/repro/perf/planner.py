@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.comm.fabric import Fabric
 from repro.comm.future import wait_all
-from repro.comm.planner import ISSUABLE
+from repro.comm.planner import FEATURES
 from repro.comm.planner.calibrate import topology_params
 from repro.comm.registry import match_algorithms
 from repro.comm.request import CollectiveRequest
@@ -70,7 +70,7 @@ def static_issuable_pick(family: str, n_hosts: int, size) -> str:
         },
     )
     for entry in match_algorithms(request):
-        if entry.name in ISSUABLE:
+        if entry.name in FEATURES:
             return entry.name
     raise RuntimeError(f"no issuable algorithm for {family}/{size}")
 

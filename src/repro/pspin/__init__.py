@@ -23,7 +23,7 @@ Structure
 ``telemetry``   occupancy/utilization time series
 """
 
-from repro.pspin.engine import Event, Simulator
+from repro.pspin.engine import Simulator
 from repro.pspin.costs import CostModel, DType, DTYPES
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.memory import MemoryRegion, MemoryAccounting
@@ -35,7 +35,6 @@ from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.pspin.telemetry import Telemetry
 
 __all__ = [
-    "Event",
     "Simulator",
     "CostModel",
     "DType",

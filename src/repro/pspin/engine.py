@@ -28,13 +28,8 @@ Ordering invariant: the next event is the smaller of the heap head and
 the earliest bucket's head under ``(time, priority, seq)``.  Within a
 bucket only a heap entry at the *same* instant with priority < 1 can
 overtake, so draining a bucket re-checks the heap head only for that.
-Cancellation is lazy in both parts: a cancelled entry's callback slot
-is cleared and the entry is discarded when it reaches a head.
-
-Entries are plain lists in both parts; :class:`Event` is a thin
-slotted handle over one so callers keep the ``cancel()`` API, and hot
-paths that discard the handle use :meth:`Simulator.schedule_fast` and
-skip even that allocation.
+Entries are plain lists in both parts, and every queued entry is live:
+the head of either part is the next event it will run.
 
 A third part may be attached: a *row source* (``Simulator._rows``), the
 network simulator's store of hop rows
@@ -81,47 +76,6 @@ def _row_first(rows, entry: list | None) -> bool:
     return rows.head_seq < entry[_SEQ]
 
 
-class Event:
-    """Handle to a scheduled callback.  Ordering key is ``(time,
-    priority, seq)``.
-
-    ``priority`` breaks timestamp ties: completions/releases (priority
-    0) must settle before new arrivals (priority 1) claim the freed
-    resources — otherwise an arrival event created at setup time (low
-    seq) would overtake a completion scheduled later for the same
-    instant.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list) -> None:
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        return self._entry[_TIME]
-
-    @property
-    def priority(self) -> int:
-        return self._entry[_PRIORITY]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[_SEQ]
-
-    @property
-    def args(self) -> tuple:
-        return self._entry[_ARGS]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it (O(1) lazy deletion)."""
-        self._entry[_CALLBACK] = None
-
-
 class Simulator:
     """Discrete-event simulator over a bucketed event queue.
 
@@ -133,8 +87,8 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> order = []
-    >>> _ = sim.schedule(5.0, order.append, "b")
-    >>> _ = sim.schedule(1.0, order.append, "a")
+    >>> sim.schedule_at(5.0, order.append, "b")
+    >>> sim.schedule_at(1.0, order.append, "a")
     >>> sim.run()
     >>> order
     ['a', 'b']
@@ -167,36 +121,22 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 1,
-    ) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
-
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., None],
         *args: Any,
         priority: int = 1,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time``.
 
-        ``priority=0`` runs before same-timestamp ``priority=1`` events
-        regardless of insertion order (see :class:`Event`).
+        ``priority`` breaks timestamp ties: completions and releases
+        (priority 0) must settle before new arrivals (priority 1) claim
+        the freed resources; otherwise an arrival scheduled at set-up
+        time (low seq) would overtake a completion scheduled later for
+        the same instant.
         """
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        entry = [time, priority, self._seq, callback, args]
-        self._seq += 1
-        self._push(entry)
-        return Event(entry)
+        self.schedule_fast(time, callback, args, priority)
 
     def schedule_fast(
         self,
@@ -205,31 +145,14 @@ class Simulator:
         args: tuple = (),
         priority: int = 1,
     ) -> None:
-        """Like :meth:`schedule_at` but returns no cancellation handle.
-
-        The hot paths (switch dispatch, network hops) never cancel, so
-        they skip the :class:`Event` allocation.  ``args`` is passed as
-        a tuple rather than varargs to avoid re-packing.
-        """
+        """:meth:`schedule_at` with ``args`` passed as a tuple rather
+        than varargs, so the hot paths (switch dispatch, network hops)
+        skip the re-packing."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         entry = [time, priority, self._seq, callback, args]
         self._seq += 1
-        if priority == 1:                     # _push, inlined: hot path
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = entry
-                heappush(self._times, time)
-            elif bucket.__class__ is deque:
-                bucket.append(entry)
-            else:
-                self._buckets[time] = deque((bucket, entry))
-        else:
-            heappush(self._heap, entry)
-
-    def _push(self, entry: list) -> None:
-        if entry[_PRIORITY] == 1:
-            time = entry[_TIME]
+        if priority == 1:
             bucket = self._buckets.get(time)
             if bucket is None:
                 self._buckets[time] = entry
@@ -245,32 +168,22 @@ class Simulator:
     # Queue access
     # ------------------------------------------------------------------
     def _head(self) -> list | None:
-        """The next live entry in ``(time, priority, seq)`` order (None
-        when idle), discarding cancelled entries ahead of it."""
+        """The next entry in ``(time, priority, seq)`` order (None when
+        idle)."""
         heap = self._heap
-        while heap and heap[0][_CALLBACK] is None:
-            heappop(heap)
         times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            first = buckets[t]
-            if first.__class__ is deque:
-                while first and first[0][_CALLBACK] is None:
-                    first.popleft()
-                first = first[0] if first else None
-            elif first[_CALLBACK] is None:
-                first = None
-            if first is not None:
-                if heap:
-                    head = heap[0]
-                    ht = head[_TIME]
-                    if ht < t or (ht == t and head[_PRIORITY] < 1):
-                        return head
-                return first
-            del buckets[t]
-            heappop(times)
-        return heap[0] if heap else None
+        if not times:
+            return heap[0] if heap else None
+        t = times[0]
+        first = self._buckets[t]
+        if first.__class__ is deque:
+            first = first[0]
+        if heap:
+            head = heap[0]
+            ht = head[_TIME]
+            if ht < t or (ht == t and head[_PRIORITY] < 1):
+                return head
+        return first
 
     def _pop(self, entry: list) -> None:
         """Remove ``entry``, the current :meth:`_head`, from the queue."""
@@ -287,17 +200,16 @@ class Simulator:
         heappop(self._times)
 
     def _live(self) -> Iterator[list]:
-        """Every live queued entry, in no particular order."""
-        for entry in self._heap:
-            if entry[_CALLBACK] is not None:
-                yield entry
+        """Every queued entry, in no particular order."""
+        yield from self._heap
         for bucket in self._buckets.values():
-            for entry in bucket if bucket.__class__ is deque else (bucket,):
-                if entry[_CALLBACK] is not None:
-                    yield entry
+            if bucket.__class__ is deque:
+                yield from bucket
+            else:
+                yield bucket
 
     def queued(self) -> Iterator[tuple]:
-        """Every live pending event as ``(time, priority, seq, callback,
+        """Every pending event as ``(time, priority, seq, callback,
         args)``, in no particular order."""
         rows = self._settled_rows()
         live = map(tuple, self._live())
@@ -332,8 +244,7 @@ class Simulator:
             # Re-read per event: a callback may attach a row source.
             rows = self._rows
             # The next entry: the earliest bucket's head unless the heap
-            # head comes first (an inlined :meth:`_head`, which purges
-            # any cancelled head on the rare path).
+            # head comes first (an inlined :meth:`_head`).
             if times:
                 t = times[0]
                 entry = buckets[t]
@@ -351,9 +262,6 @@ class Simulator:
             else:
                 entry = None
                 t = _INF
-            if entry is not None and entry[_CALLBACK] is None:
-                self._head()
-                continue
             if rows is not None and rows.head_t <= t and _row_first(rows, entry):
                 t = rows.head_t
                 if t > stop:
@@ -370,8 +278,8 @@ class Simulator:
                 del buckets[t]
                 heappop(times)
             else:
-                # Drain the bucket at ``t`` (its head is live) until it
-                # empties or a same-instant priority-0 entry gets ahead.
+                # Drain the bucket at ``t`` until it empties or a
+                # same-instant priority-0 entry gets ahead.
                 bucket = buckets[t]
                 popleft = bucket.popleft
                 while True:
@@ -383,13 +291,11 @@ class Simulator:
                         # bucket.
                         del buckets[t]
                         heappop(times)
-                    callback = entry[_CALLBACK]
-                    if callback is not None:
-                        self.now = t
-                        callback(*entry[_ARGS])
-                        processed += 1
-                        if stoppable and self.stop_requested:
-                            break
+                    self.now = t
+                    entry[_CALLBACK](*entry[_ARGS])
+                    processed += 1
+                    if stoppable and self.stop_requested:
+                        break
                     if not bucket:
                         break
                     if heap and heap[0][_TIME] <= t and heap[0][_PRIORITY] < 1:
@@ -454,11 +360,7 @@ class Simulator:
         return self.stop_requested
 
     def peek_time(self) -> float | None:
-        """Timestamp of the earliest pending event (None when idle).
-
-        Lazily discards cancelled heads, so repeated peeks stay O(1)
-        amortized.
-        """
+        """Timestamp of the earliest pending event (None when idle)."""
         rows = self._settled_rows()
         entry = self._head()
         if rows is not None and _row_first(rows, entry):
@@ -467,7 +369,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of queued (non-cancelled) events."""
+        """Number of queued events."""
         rows = self._settled_rows()
         return sum(1 for _ in self._live()) + (rows.count if rows is not None else 0)
 

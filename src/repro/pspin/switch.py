@@ -60,10 +60,6 @@ class SwitchConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     l1_bytes: int = 1024 * 1024
     drop_on_full: bool = False
-    #: Allow the packet-train fast path (:mod:`repro.pspin.train`) to
-    #: handle uncontended bursts analytically.  Parity-pinned: disabling
-    #: it (or ``REPRO_FASTPATH=0``) changes nothing but wall-clock time.
-    fast_path: bool = True
 
     @property
     def n_cores(self) -> int:
@@ -214,11 +210,7 @@ class PsPINSwitch:
         """
         from repro.pspin.train import fast_path_env_enabled, try_run_train
 
-        if (
-            self.config.fast_path
-            and fast_path_env_enabled()
-            and try_run_train(self, train)
-        ):
+        if fast_path_env_enabled() and try_run_train(self, train):
             return True
         schedule = self.sim.schedule_fast
         on_arrival = self._on_arrival

@@ -123,11 +123,10 @@ class FabricService:
         }
         self._open_jobs = 0
         self._arrivals_remaining = 0
-        #: Iterations issued but not yet settled.  ``fabric.in_flight``
-        #: cannot stand in for this: closed-form plans execute
-        #: atomically at issue time (the completion callback fires via
-        #: a *scheduled* event), so the fabric's pending set is empty
-        #: while a modeled collective is still occupying wire time.
+        #: Iterations issued but not yet settled: the service's own
+        #: share of ``fabric.in_flight``, which also counts collectives
+        #: that other communicators issue on the same (shared) fabric.
+        #: Snapshots report this count.
         self._inflight_iterations = 0
         self._draining = False
         fabric.on_pool_release(self._on_pool_release)

@@ -98,6 +98,27 @@ def test_switch_down_falls_back_to_rabenseifner_with_payloads():
     assert entry["fell_back"]
 
 
+def test_rejected_tree_reroots_onto_a_spine_with_a_free_slot():
+    # One handler slot per switch: a's tree takes spine s0, so b's
+    # first tree (also rooted at s0) is rejected.  On an idle network
+    # the coolest root is s0 again; re-rooting must skip the full spine
+    # and keep b in-network on s1 instead of falling back to a ring.
+    fabric = Fabric(n_hosts=32, hosts_per_leaf=8, n_spines=4,
+                    max_allreduces_per_switch=1)
+    a = fabric.communicator(name="a")
+    b = fabric.communicator(name="b")
+    fa = a.iallreduce("1MiB", algorithm="flare_dense",
+                      hosts=[f"h{i}" for i in range(16)])
+    fb = b.iallreduce("1MiB", algorithm="flare_dense",
+                      hosts=[f"h{i}" for i in range(16, 32)])
+    wait_all([fa, fb])
+    first, second = fabric.timeline()
+    assert first["algorithm"] == "flare_dense" and not first["fell_back"]
+    assert second["algorithm"] == "flare_dense"
+    assert second["fell_back"] is False
+    assert second["admission"].endswith("replanned tree rooted at s1")
+
+
 def test_dead_switch_rejects_new_admissions_until_repair():
     fabric = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2)
     comm = fabric.communicator(name="t")

@@ -2,10 +2,8 @@
 Communicator/Fabric API: picks, knob tuning, cache-key stability, and
 live congestion injection."""
 
-import pytest
-
 from repro.comm import Communicator, Fabric, get_algorithm
-from repro.comm.planner import ISSUABLE, cost_select, tune_knobs
+from repro.comm.planner import FEATURES, cost_select, tune_knobs
 from repro.comm.request import CollectiveRequest
 from repro.utils.units import KIB, MIB
 
@@ -73,7 +71,7 @@ def test_atomic_only_pool_falls_back_to_static_order():
     """When no candidate is fabric-issuable the selector must return
     the static pick unchanged instead of pricing apples vs oranges."""
     entry = get_algorithm("flare_switch")
-    assert entry.name not in ISSUABLE
+    assert entry.name not in FEATURES
     request = CollectiveRequest(nbytes=4 * KIB, n_hosts=16, params={})
     assert cost_select(request, [entry]) is entry
 

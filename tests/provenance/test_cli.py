@@ -6,7 +6,6 @@ import pytest
 
 from repro.comm import Fabric
 from repro.provenance.cli import main
-from repro.provenance.store import ProvenanceStore
 
 
 def _record(db, size, label):

@@ -116,11 +116,12 @@ def test_wfq_link_rows_and_queue_peaks_bitwise_across_engines(monkeypatch):
 # ----------------------------------------------------------------------
 def _switch_pair(algo, **kw):
     results = []
-    for fast in (True, False):
+    for env in ("1", "0"):
         plan = plan_switch_allreduce("16KiB", children=16, algorithm=algo,
                                      n_clusters=2, **kw)
-        plan.switch_cfg.fast_path = fast
-        results.append(plan.execute(seed=0, cold_start=True, jitter=1.0))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_FASTPATH", env)
+            results.append(plan.execute(seed=0, cold_start=True, jitter=1.0))
     return results
 
 

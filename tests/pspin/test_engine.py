@@ -11,9 +11,9 @@ from repro.pspin.engine import Simulator
 def test_events_run_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(5.0, order.append, "c")
-    sim.schedule(1.0, order.append, "a")
-    sim.schedule(3.0, order.append, "b")
+    sim.schedule_at(sim.now + 5.0, order.append, "c")
+    sim.schedule_at(sim.now + 1.0, order.append, "a")
+    sim.schedule_at(sim.now + 3.0, order.append, "b")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == 5.0
@@ -23,7 +23,7 @@ def test_simultaneous_events_are_fifo_stable():
     sim = Simulator()
     order = []
     for label in "abcde":
-        sim.schedule(2.0, order.append, label)
+        sim.schedule_at(sim.now + 2.0, order.append, label)
     sim.run()
     assert order == list("abcde")
 
@@ -35,43 +35,27 @@ def test_schedule_from_callback():
     def chain(n):
         seen.append(n)
         if n < 3:
-            sim.schedule(1.0, chain, n + 1)
+            sim.schedule_at(sim.now + 1.0, chain, n + 1)
 
-    sim.schedule(0.0, chain, 0)
+    sim.schedule_at(sim.now + 0.0, chain, 0)
     sim.run()
     assert seen == [0, 1, 2, 3]
     assert sim.now == 3.0
 
 
-def test_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule(-1.0, lambda: None)
-
-
 def test_schedule_at_in_past_rejected():
     sim = Simulator()
-    sim.schedule(5.0, lambda: None)
+    sim.schedule_at(sim.now + 5.0, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_cancel_skips_event():
-    sim = Simulator()
-    hits = []
-    ev = sim.schedule(1.0, hits.append, "x")
-    sim.schedule(2.0, hits.append, "y")
-    ev.cancel()
-    sim.run()
-    assert hits == ["y"]
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
     hits = []
-    sim.schedule(1.0, hits.append, 1)
-    sim.schedule(10.0, hits.append, 2)
+    sim.schedule_at(sim.now + 1.0, hits.append, 1)
+    sim.schedule_at(sim.now + 10.0, hits.append, 2)
     sim.run(until=5.0)
     assert hits == [1]
     assert sim.now == 5.0
@@ -82,17 +66,17 @@ def test_run_until_stops_clock():
 def test_step_returns_false_when_idle():
     sim = Simulator()
     assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
+    sim.schedule_at(sim.now + 1.0, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
 
 
 def test_pending_counts_live_events():
     sim = Simulator()
-    ev1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
+    sim.schedule_at(sim.now + 1.0, lambda: None)
+    sim.schedule_at(sim.now + 2.0, lambda: None)
     assert sim.pending == 2
-    ev1.cancel()
+    sim.step()
     assert sim.pending == 1
 
 
@@ -101,7 +85,7 @@ def test_property_arbitrary_delays_execute_sorted(delays):
     sim = Simulator()
     seen = []
     for d in delays:
-        sim.schedule(d, lambda t=d: seen.append(t))
+        sim.schedule_at(sim.now + d, lambda t=d: seen.append(t))
     sim.run()
     assert seen == sorted(delays)
     assert sim.events_processed == len(delays)
@@ -112,7 +96,7 @@ def test_property_arbitrary_delays_execute_sorted(delays):
 # ----------------------------------------------------------------------
 class _HeapSim:
     """Reference engine: one ``heapq`` of ``[time, priority, seq,
-    callback, args]`` entries with lazy cancellation."""
+    callback, args]`` entries."""
 
     def __init__(self):
         self.now = 0.0
@@ -125,16 +109,12 @@ class _HeapSim:
         entry = [time, priority, self._seq, callback, args]
         self._seq += 1
         heapq.heappush(self._heap, entry)
-        return _RefHandle(entry)
 
     def schedule_fast(self, time, callback, args=(), priority=1):
         self.schedule_at(time, callback, *args, priority=priority)
 
     def _head(self):
-        heap = self._heap
-        while heap and heap[0][3] is None:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
+        return self._heap[0] if self._heap else None
 
     def _exec(self, entry):
         heapq.heappop(self._heap)
@@ -170,31 +150,21 @@ class _HeapSim:
         return self.stop_requested
 
 
-class _RefHandle:
-    def __init__(self, entry):
-        self._entry = entry
-
-    def cancel(self):
-        self._entry[3] = None
-
-
 _DELAYS = (0.0, 0.0, 0.5, 1.0, 3.0)
 _child = st.tuples(
     st.sampled_from(_DELAYS), st.sampled_from((0, 1, 2)), st.booleans()
 )
 #: What the callback of event ``id`` does, looked up by ``id % len``:
 #: children to schedule (delay, priority, via schedule_at), whether to
-#: cancel the newest cancellable handle, set ``stop_requested``, or
-#: re-enter the engine (1 peek, 2 step).
+#: set ``stop_requested``, or re-enter the engine (1 peek, 2 step).
 _behaviour = st.fixed_dictionaries({
     "children": st.lists(_child, max_size=3),
-    "cancel": st.booleans(),
     "stop": st.booleans(),
     "nested": st.sampled_from((0, 0, 0, 1, 2)),
 })
 _initial = st.tuples(
     st.sampled_from((0.0, 0.5, 1.0, 2.0, 4.0)), st.sampled_from((0, 1, 2)),
-    st.booleans(), st.booleans(),
+    st.booleans(),
 )
 _drive = st.one_of(
     st.tuples(st.just("run_until"), st.sampled_from((0.0, 0.5, 1.0, 2.5, 6.0))),
@@ -209,14 +179,13 @@ _drive = st.one_of(
 def _replay(sim, behaviours, initial, drive, limit=150):
     """Drive ``sim`` through one scripted scenario; return its log."""
     log = []
-    handles = []
     state = {"ids": 0, "depth": 0}
 
     def schedule(time, priority, via_at):
         ev_id = state["ids"]
         state["ids"] += 1
         if via_at:
-            handles.append(sim.schedule_at(time, fire, ev_id, priority=priority))
+            sim.schedule_at(time, fire, ev_id, priority=priority)
         else:
             sim.schedule_fast(time, fire, (ev_id,), priority=priority)
 
@@ -226,8 +195,6 @@ def _replay(sim, behaviours, initial, drive, limit=150):
         if state["ids"] < limit:
             for delay, priority, via_at in b["children"]:
                 schedule(sim.now + delay, priority, via_at)
-        if b["cancel"] and handles:
-            handles.pop().cancel()
         if b["stop"]:
             sim.stop_requested = True
         if b["nested"] and state["depth"] < 3:
@@ -238,10 +205,8 @@ def _replay(sim, behaviours, initial, drive, limit=150):
                 log.append(("nested-step", sim.step(), sim.now))
             state["depth"] -= 1
 
-    for time, priority, via_at, cancel in initial:
+    for time, priority, via_at in initial:
         schedule(time, priority, via_at)
-        if cancel and via_at:
-            handles.pop().cancel()
     for op in drive:
         kind = op[0]
         if kind == "run_until":
@@ -270,8 +235,7 @@ def _replay(sim, behaviours, initial, drive, limit=150):
 def test_property_execution_order_matches_reference_heap(behaviours, initial, drive):
     """Same-instant buckets never change the ``(time, priority, seq)``
     order: callbacks that schedule at ``now`` with priorities 0/1/2,
-    cancellations, stop requests and re-entrant
-    peek/step calls, under every driver loop."""
+    stop requests and re-entrant peek/step calls, under every driver loop."""
     got = _replay(Simulator(), behaviours, initial, drive)
     want = _replay(_HeapSim(), behaviours, initial, drive)
     assert got == want

@@ -45,7 +45,7 @@ def run_both(
     """(fast-path switch, DES switch, fast result, DES result) for one
     shape."""
     results = []
-    for fast in (True, False):
+    for env in ("1", "0"):
         plan = plan_switch_allreduce(
             size,
             children=children,
@@ -55,8 +55,9 @@ def run_both(
             staggered=staggered,
             reproducible=reproducible,
         )
-        plan.switch_cfg.fast_path = fast
-        results.append(plan.execute(seed=4, jitter=jitter))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_FASTPATH", env)
+            results.append(plan.execute(seed=4, jitter=jitter))
     assert results[0].fast_path_used and not results[1].fast_path_used
     fast_sw, des_sw = switches[-2:]
     return fast_sw, des_sw, *results

@@ -33,11 +33,13 @@ def switch_refs(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["single", "multi(4)", "tree"])
 @pytest.mark.parametrize("fast_path", [True, False])
-def test_dense_execute_frees_its_switch(switch_refs, algorithm, fast_path):
+def test_dense_execute_frees_its_switch(
+    monkeypatch, switch_refs, algorithm, fast_path
+):
+    monkeypatch.setenv("REPRO_FASTPATH", "1" if fast_path else "0")
     plan = dense.plan_switch_allreduce(
         "8KiB", children=8, algorithm=algorithm, n_clusters=2
     )
-    plan.switch_cfg.fast_path = fast_path
     result = plan.execute(seed=0)
     assert result.fast_path_used is fast_path
     del result

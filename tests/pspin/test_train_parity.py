@@ -33,7 +33,7 @@ def run_pair(
 ):
     """Execute the same planned allreduce through both tiers."""
     results = []
-    for fast in (True, False):
+    for env in ("1", "0"):
         plan = plan_switch_allreduce(
             size,
             children=children,
@@ -45,10 +45,11 @@ def run_pair(
             scheduler=scheduler,
             subset_size=subset_size,
         )
-        plan.switch_cfg.fast_path = fast
-        results.append(
-            plan.execute(data, seed=seed, cold_start=cold_start, jitter=jitter)
-        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_FASTPATH", env)
+            results.append(
+                plan.execute(data, seed=seed, cold_start=cold_start, jitter=jitter)
+            )
     return results
 
 
@@ -177,9 +178,13 @@ def test_subset_smaller_than_cluster_falls_back():
 
 
 def test_env_kill_switch_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    fast, slow = run_pair("single", "8KiB")
-    assert_parity(fast, slow, expect_fast=False)
+    """``run_pair`` runs its DES side under ``REPRO_FASTPATH=0``; every
+    spelling of "off" must disable the fast path."""
+    plan = plan_switch_allreduce("8KiB", children=16, algorithm="single",
+                                 n_clusters=2)
+    for off in ("0", "false", "no"):
+        monkeypatch.setenv("REPRO_FASTPATH", off)
+        assert plan.execute(seed=0).fast_path_used is False
 
 
 def test_busy_switch_rejects_train(monkeypatch):

@@ -11,13 +11,16 @@ from repro.core.allreduce import plan_switch_allreduce
 def run_both(size, children, dtype="int32", reproducible=False, seed=0,
              jitter=1.0, n_clusters=2, cold_start=True):
     results = []
-    for fast in (True, False):
+    for env in ("1", "0"):
         plan = plan_switch_allreduce(
             size, children=children, algorithm="tree", dtype=dtype,
             n_clusters=n_clusters, reproducible=reproducible,
         )
-        plan.switch_cfg.fast_path = fast
-        results.append(plan.execute(seed=seed, jitter=jitter, cold_start=cold_start))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_FASTPATH", env)
+            results.append(
+                plan.execute(seed=seed, jitter=jitter, cold_start=cold_start)
+            )
     return results
 
 

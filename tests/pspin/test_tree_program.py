@@ -31,15 +31,17 @@ def float_payloads(children, size, seed):
 @pytest.mark.parametrize("op", ["sum", "max", "min", "prod", CUSTOM_SUM],
                          ids=["sum", "max", "min", "prod", "custom-sum"])
 @pytest.mark.parametrize("jitter", [0.0, 1.0])
-def test_tree_float_program_bitwise_equal_to_des(children, size, op, jitter):
+def test_tree_float_program_bitwise_equal_to_des(
+    monkeypatch, children, size, op, jitter
+):
     data = float_payloads(children, size, seed=children)
     results = []
-    for fast in (True, False):
+    for env in ("1", "0"):
+        monkeypatch.setenv("REPRO_FASTPATH", env)
         plan = plan_switch_allreduce(
             size, children=children, algorithm="tree", dtype="float32",
             n_clusters=2, op=op,
         )
-        plan.switch_cfg.fast_path = fast
         results.append(plan.execute(data, seed=7, jitter=jitter))
     fast, des = results
     assert fast.fast_path_used and not des.fast_path_used

@@ -179,8 +179,8 @@ def switch_pair(
     if workload is None:
         workload = noisy_workload(children, n_blocks, density, seed)
     runs = []
-    for fast in (True, False):
-        cfg = SwitchConfig(n_clusters=n_clusters, fast_path=fast)
+    for env in ("1", "0"):
+        cfg = SwitchConfig(n_clusters=n_clusters)
         delta = cfg.packet_interarrival_cycles(1024) * 64 / n_clusters
         times, hosts, blocks = arrival_arrays(
             children, workload.n_blocks, delta, jitter=jitter, seed=seed + 1
@@ -197,7 +197,9 @@ def switch_pair(
         ))
         switch.register_handler(handler)
         switch.parser.install_allreduce(1, handler.name)
-        used = switch.inject_train(train)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_FASTPATH", env)
+            used = switch.inject_train(train)
         try:
             makespan = switch.run()
         except MemoryError as exc:
