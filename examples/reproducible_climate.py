@@ -42,7 +42,7 @@ def run_once(handler_cls, payloads, order):
                       dtype_name="float32")
     )
     switch.register_handler(handler)
-    switch.parser.install_allreduce(1, handler.name)
+    switch.install_allreduce(1, handler.name)
     for i, member in enumerate(order):
         switch.inject(
             SwitchPacket(allreduce_id=1, block_id=0, port=member,

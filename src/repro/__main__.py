@@ -171,15 +171,19 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
             )
             return 2
         weights = parts
-    fabric = Fabric(
-        topology=topology,
-        n_hosts=args.hosts,
-        routing=args.routing,
-        routing_seed=args.seed,
-        provenance_db=args.provenance_db,
-        run_label=f"bench/{args.algorithm}/{args.size}",
-        **_reliability_kwargs(args),
-    )
+    try:
+        fabric = Fabric(
+            topology=topology,
+            n_hosts=args.hosts,
+            routing=args.routing,
+            routing_seed=args.seed,
+            provenance_db=args.provenance_db,
+            run_label=f"bench/{args.algorithm}/{args.size}",
+            **_reliability_kwargs(args),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.provenance_db:
         print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
     if args.faults:
@@ -203,6 +207,11 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
         density=args.density,
         reproducible=args.reproducible,
     )
+    try:
+        comms[0].make_request(args.size, **kwargs)   # a bad size fails here
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mode = "overlapped" if args.overlap else "sequential"
     print(
         f"{args.tenants} tenants ({mode}) x {args.repeat} round(s) of "
@@ -377,18 +386,22 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
             f"Poisson x{len(classes)} classes over "
             f"{duration_ns / 1e6:g} ms simulated"
         )
-    fabric = Fabric(
-        topology=topology,
-        n_hosts=args.hosts,
-        routing=args.routing,
-        routing_seed=args.seed,
-        max_allreduces_per_switch=args.max_per_switch,
-        switch_memory_bytes=args.switch_memory,
-        tenant_quota=args.quota,
-        provenance_db=args.provenance_db,
-        run_label=f"service/{args.placement}/{args.queue}",
-        **_reliability_kwargs(args),
-    )
+    try:
+        fabric = Fabric(
+            topology=topology,
+            n_hosts=args.hosts,
+            routing=args.routing,
+            routing_seed=args.seed,
+            max_allreduces_per_switch=args.max_per_switch,
+            switch_memory_bytes=args.switch_memory,
+            tenant_quota=args.quota,
+            provenance_db=args.provenance_db,
+            run_label=f"service/{args.placement}/{args.queue}",
+            **_reliability_kwargs(args),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.provenance_db:
         print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
     if args.faults:
@@ -495,14 +508,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # through it even for one tenant.
         return _cmd_multi_tenant_bench(args, topology)
 
-    comm = Communicator(
-        n_hosts=args.hosts,
-        n_clusters=args.clusters,
-        topology=topology,
-        routing=args.routing,
-        routing_seed=args.seed,
-        auto_mode=args.auto_mode,
-    )
     kwargs = dict(
         op=args.op,
         algorithm=args.algorithm,
@@ -511,7 +516,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         reproducible=args.reproducible,
     )
     try:
+        comm = Communicator(
+            n_hosts=args.hosts,
+            n_clusters=args.clusters,
+            topology=topology,
+            routing=args.routing,
+            routing_seed=args.seed,
+            auto_mode=args.auto_mode,
+        )
         plan = comm.plan(nbytes=args.size, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CommError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: 'python -m repro algorithms' lists registered "

@@ -120,11 +120,9 @@ class Fabric:
         ``n_spines``.
     routing, routing_seed:
         Path-selection policy over the shared links (default: seeded
-        deterministic ECMP).
-    arbitration:
-        Link scheduling across tenants: ``"wfq"`` (weighted
-        start-time-fair, the default — QoS weights matter) or
-        ``"fifo"`` (arrival order).
+        deterministic ECMP).  Links are shared across tenants by
+        weighted start-time-fair arbitration (``"wfq"``), so QoS
+        weights matter.
     max_allreduces_per_switch, switch_memory_bytes, tenant_quota:
         Admission pools of the network manager (Sec. 4): concurrent
         handler slots per switch, pooled switch SRAM per switch
@@ -151,7 +149,6 @@ class Fabric:
         routing_seed: int = 0,
         hosts_per_leaf: Optional[int] = None,
         n_spines: int = 4,
-        arbitration: str = "wfq",
         max_allreduces_per_switch: int = 8,
         switch_memory_bytes: Optional[float] = None,
         tenant_quota: Optional[int] = None,
@@ -180,10 +177,7 @@ class Fabric:
         #: The single fabric clock — the PsPIN discrete-event engine,
         #: shared by every collective issued into this fabric.
         self.sim, self.net = build_engine(
-            topo,
-            router=routing,
-            routing_seed=routing_seed,
-            arbitration=arbitration,
+            topo, router=routing, routing_seed=routing_seed
         )
         self.net.retransmit_timeout_ns = retransmit_timeout_ns
         self.net.max_retransmits = max_retransmits

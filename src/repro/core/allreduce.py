@@ -191,7 +191,7 @@ class SwitchAllreducePlan:
         )
         handler = build_handler(self.choice, hconf)
         switch.register_handler(handler)
-        switch.parser.install_allreduce(hconf.allreduce_id, handler.name)
+        switch.install_allreduce(hconf.allreduce_id, handler.name)
         if not cold_start:
             for cluster in switch.clusters:
                 cluster.icache_load(self.handler_name)

@@ -73,7 +73,7 @@ class BufferPool:
     def allocate(self, n_elements: int, now: float) -> Optional[AggregationBuffer]:
         """Claim a zero-initialized buffer of ``n_elements``."""
         nbytes = int(n_elements * self._dtype.itemsize)
-        if not self._l1.allocate(nbytes, now):
+        if not self._l1.allocate(nbytes):
             return None
         buf = AggregationBuffer(
             buffer_id=self._next_id,

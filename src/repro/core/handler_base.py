@@ -1,7 +1,7 @@
 """Shared machinery for Flare aggregation handlers.
 
-A handler instance serves one allreduce on one switch: the parser routes
-matching packets to it, and it keeps per-block state (completion bitmap,
+A handler instance serves one allreduce on one switch: the switch routes
+the allreduce's packets to it, and it keeps per-block state (completion bitmap,
 aggregation buffers) in the working memory of the cluster that owns the
 block.  The concrete aggregation designs (single/multi/tree, dense and
 sparse) subclass :class:`AggregationHandlerBase` and implement

@@ -7,7 +7,7 @@ available tree is full the request is rejected and the application
 falls back to host-based allreduce — exactly the paper's failure mode.
 The trees themselves come from :mod:`repro.network.trees`; the
 single-switch drivers (:mod:`repro.core.allreduce`,
-:mod:`repro.sparse.allreduce`) install their handler and parser rule on
+:mod:`repro.sparse.allreduce`) install their handler and its allreduce id on
 the switch they simulate.
 
 Admission is *pooled* rather than statically partitioned: handler

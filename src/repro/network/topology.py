@@ -540,6 +540,11 @@ class FatTreeTopology(Topology):
         aggregation: bool = True,
     ) -> None:
         super().__init__(link_gbps, link_latency_ns, aggregation)
+        if n_hosts < 1 or hosts_per_leaf < 1:
+            raise ValueError(
+                f"a fat tree needs n_hosts >= 1 and hosts_per_leaf >= 1, "
+                f"got {n_hosts} and {hosts_per_leaf}"
+            )
         if n_hosts % hosts_per_leaf != 0:
             raise ValueError("hosts_per_leaf must divide n_hosts")
         if n_spines < 1:

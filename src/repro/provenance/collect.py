@@ -94,7 +94,7 @@ def collect_switch(switch) -> dict:
         "l2_handler_peak_bytes": float(mem.l2_handler.peak_bytes),
         "l2_program_peak_bytes": float(mem.l2_program.peak_bytes),
         "working_memory_peak_bytes": float(tel.working_memory_bytes.peak),
-        "input_buffer_peak_bytes": float(tel.input_buffer_bytes.peak),
+        "input_buffer_peak_bytes": float(mem.l2_packet.peak_bytes),
         "deferred_arrivals": deferred,
         "stalled_admissions": stalled,
         "dropped_packets": dropped,

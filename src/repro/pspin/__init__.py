@@ -14,20 +14,19 @@ Structure
 ``engine``      generic discrete-event simulator (cycle timestamps)
 ``costs``       calibrated cycle-cost model
 ``packets``     switch-level packet records
-``memory``      L1/L2 capacity + occupancy accounting
-``parser``      match rules -> handler dispatch
+``memory``      L1/L2 capacity + current/peak occupancy
 ``scheduler``   FCFS and hierarchical FCFS packet scheduling (Sec. 5)
 ``hpu``         handler processing unit
 ``cluster``     cluster = HPUs + L1 + DMA + i-cache
-``switch``      full switch assembly and run loop
-``telemetry``   occupancy/utilization time series
+``switch``      full switch assembly, allreduce id -> handler table, run loop
+``telemetry``   wire/handler counters and the working-memory peak
+``train``       packet-train fast path (pinned bitwise to the DES)
 """
 
 from repro.pspin.engine import Simulator
 from repro.pspin.costs import CostModel, DType, DTYPES
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.memory import MemoryRegion, MemoryAccounting
-from repro.pspin.parser import MatchRule, PacketParser
 from repro.pspin.scheduler import FCFSScheduler, HierarchicalFCFSScheduler
 from repro.pspin.hpu import HPU
 from repro.pspin.cluster import Cluster
@@ -42,8 +41,6 @@ __all__ = [
     "SwitchPacket",
     "MemoryRegion",
     "MemoryAccounting",
-    "MatchRule",
-    "PacketParser",
     "FCFSScheduler",
     "HierarchicalFCFSScheduler",
     "HPU",

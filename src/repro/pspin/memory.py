@@ -9,9 +9,8 @@ Models the three memories the paper manages explicitly (Sec. 3-4):
 * **L2 handler memory** (4 MiB) and **L2 program memory** (32 KiB) are
   tracked for completeness (handler state / code images).
 
-Occupancy is tracked as a time-weighted series so experiments can report
-both the peak (what must fit) and the average (what Little's law
-predicts) — Fig. 7's "Inp. Buff." and "Work. Mem." panels.
+Each region keeps its current and peak occupancy: the peak is what must
+fit, and the L2 packet region's peak is Fig. 7's "Inp. Buff." panel.
 """
 
 from __future__ import annotations
@@ -20,15 +19,13 @@ from dataclasses import dataclass, field
 
 
 class MemoryRegion:
-    """A byte-accounted memory region with peak/time-weighted tracking."""
+    """A byte-accounted memory region with peak tracking."""
 
     __slots__ = (
         "name",
         "capacity_bytes",
         "used_bytes",
         "peak_bytes",
-        "_weighted_sum",
-        "_last_time",
         "alloc_failures",
         "release_listener",
     )
@@ -38,8 +35,6 @@ class MemoryRegion:
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
         self.peak_bytes = 0
-        self._weighted_sum = 0.0   # integral of used_bytes over time
-        self._last_time = 0.0
         self.alloc_failures = 0
         #: Optional ``f(release_time)`` hook fired after every release.
         #: The switch uses it to wake packets stalled on working-memory
@@ -47,12 +42,7 @@ class MemoryRegion:
         #: of polling on a retry quantum.
         self.release_listener = None
 
-    def _advance(self, now: float) -> None:
-        if now > self._last_time:
-            self._weighted_sum += self.used_bytes * (now - self._last_time)
-            self._last_time = now
-
-    def allocate(self, nbytes: int, now: float) -> bool:
+    def allocate(self, nbytes: int) -> bool:
         """Reserve ``nbytes``; returns False (and counts a failure) if full.
 
         The paper's behaviour on exhaustion is network-specific ("the
@@ -61,7 +51,6 @@ class MemoryRegion:
         """
         if nbytes < 0:
             raise ValueError("negative allocation")
-        self._advance(now)
         if self.used_bytes + nbytes > self.capacity_bytes:
             self.alloc_failures += 1
             return False
@@ -76,7 +65,6 @@ class MemoryRegion:
         eagerly at their completion timestamps); the listener receives
         it unchanged so wakeups land at the *semantic* release time.
         """
-        self._advance(now)
         if nbytes > self.used_bytes:
             raise ValueError(
                 f"{self.name}: releasing {nbytes} B but only {self.used_bytes} B in use"
@@ -84,13 +72,6 @@ class MemoryRegion:
         self.used_bytes -= nbytes
         if self.release_listener is not None:
             self.release_listener(now)
-
-    def average_bytes(self, now: float) -> float:
-        """Time-weighted average occupancy up to ``now``."""
-        self._advance(now)
-        if self._last_time == 0:
-            return 0.0
-        return self._weighted_sum / self._last_time
 
     @property
     def free_bytes(self) -> int:

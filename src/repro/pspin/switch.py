@@ -1,8 +1,20 @@
 """Full PsPIN switch assembly and event loop glue.
 
-The switch wires together the parser, the packet scheduler, the clusters
-and the memories, and drives handler execution through the discrete-event
-engine.  Aggregation *logic* (what a handler does with a packet and what
+The switch wires together the allreduce table, the packet scheduler, the
+clusters and the memories, and drives handler execution through the
+discrete-event engine.  The table is the behavioral parser of paper
+Sec. 3, which "decides if the packet must be processed by a processing
+unit (or sent directly to the routing tables unit), and which function
+must be executed on the packet".  Its callers (:mod:`repro.core.allreduce`,
+:mod:`repro.sparse.allreduce`) match on the allreduce id only, so the
+table maps an id to a handler name, and a packet whose id has no entry
+bypasses the processing unit (Sec. 3 fn. 1).
+
+Occupancy is one record per memory: the L2 packet region is the input
+buffer (Fig. 7 "Inp. Buff."), and the L1 regions and the telemetry's
+working-memory gauge keep peaks.
+
+Aggregation *logic* (what a handler does with a packet and what
 it costs) is supplied by handler objects from ``repro.core`` (dense) and
 ``repro.sparse`` — the switch only provides the substrate, mirroring how
 sPIN separates the NIC/switch architecture from user handlers.
@@ -20,7 +32,6 @@ from repro.pspin.costs import CostModel
 from repro.pspin.engine import Simulator
 from repro.pspin.memory import MemoryAccounting
 from repro.pspin.packets import EgressRecord, SwitchPacket
-from repro.pspin.parser import PacketParser
 from repro.pspin.scheduler import FCFSScheduler, HierarchicalFCFSScheduler
 from repro.pspin.telemetry import Telemetry
 
@@ -132,7 +143,7 @@ class PsPINSwitch:
 
         sw = PsPINSwitch(SwitchConfig(n_clusters=4))
         sw.register_handler(SingleBufferHandler(...))
-        sw.parser.install_allreduce(allreduce_id=1, handler="flare-single")
+        sw.install_allreduce(1, "flare-single")
         for t, pkt in arrivals:
             sw.inject(pkt, at=t)
         makespan = sw.run()
@@ -145,11 +156,11 @@ class PsPINSwitch:
     #: saturated run costs O(releases) events, not O(retries).
     WORKING_MEMORY_RETRY_CYCLES = 1024.0
 
-    def __init__(self, config: SwitchConfig, sim: Optional[Simulator] = None) -> None:
+    def __init__(self, config: SwitchConfig) -> None:
         if config.subset_size is None:
             config.subset_size = config.cores_per_cluster
         self.config = config
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.clusters = [
             Cluster(i, config.cores_per_cluster, config.l1_bytes)
             for i in range(config.n_clusters)
@@ -166,14 +177,14 @@ class PsPINSwitch:
             self.scheduler = FCFSScheduler(self._hpus)
         else:
             raise ValueError(f"unknown scheduler {config.scheduler!r}")
-        self.parser = PacketParser()
+        #: Allreduce id -> handler name (the parser's match table).
+        self.allreduces: dict[int, str] = {}
         self.memories = MemoryAccounting()
         self.telemetry = Telemetry()
         self._handlers: dict[str, Handler] = {}
         self._egress: list[tuple[float, SwitchPacket]] = []
         #: Fast-path commits not yet expanded into ``_egress``.
         self._egress_records: list[EgressRecord] = []
-        self.egress_callback: Optional[Callable[[float, SwitchPacket], None]] = None
         self._first_arrival: Optional[float] = None
         self._last_completion: float = 0.0
         #: Packets held at the ingress by back-pressure, FIFO.
@@ -192,6 +203,10 @@ class PsPINSwitch:
 
     def handler(self, name: str) -> Handler:
         return self._handlers[name]
+
+    def install_allreduce(self, allreduce_id: int, handler: str) -> None:
+        """Send packets of ``allreduce_id`` to the handler named ``handler``."""
+        self.allreduces[allreduce_id] = handler
 
     # ------------------------------------------------------------------
     # Data plane
@@ -222,7 +237,7 @@ class PsPINSwitch:
         now = self.sim.now
         if self._first_arrival is None:
             self._first_arrival = now
-        handler_name = self.parser.classify(packet)
+        handler_name = self.allreduces.get(packet.allreduce_id)
         if handler_name is None:
             # Bypass: straight to routing, no processing-unit involvement.
             packet.arrival_time = now
@@ -231,7 +246,7 @@ class PsPINSwitch:
             self._emit(now, packet)
             return
         packet._handler_name = handler_name
-        if not self.memories.l2_packet.allocate(packet.wire_bytes, now):
+        if not self.memories.l2_packet.allocate(packet.wire_bytes):
             # Input buffers full.  The paper leaves the reaction to the
             # surrounding network ("the packet is dropped or congestion
             # is notified before filling the buffer", Sec. 3 fn. 2):
@@ -259,7 +274,6 @@ class PsPINSwitch:
         self.telemetry.packets_in.add(1)
         self.telemetry.bytes_in.add(packet.wire_bytes)
         self.scheduler.enqueue(packet)
-        self.telemetry.input_buffer_bytes.record(now, self.memories.l2_packet.used_bytes)
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -352,9 +366,6 @@ class PsPINSwitch:
             # *packet handler*; tree-merge extensions operate on working
             # memory only.
             self.memories.l2_packet.release(packet.wire_bytes, now)
-            self.telemetry.input_buffer_bytes.record(
-                now, self.memories.l2_packet.used_bytes
-            )
         if result.completed_block is not None:
             self.scheduler.release_block(result.completed_block)
         for out in result.outputs:
@@ -389,7 +400,7 @@ class PsPINSwitch:
                 if head.wire_bytes > self.memories.l2_packet.free_bytes:
                     break
                 self._admission_queue.popleft()
-                self.memories.l2_packet.allocate(head.wire_bytes, now)
+                self.memories.l2_packet.allocate(head.wire_bytes)
                 self._admit(head, now)
         if not extended:
             self._last_completion = now
@@ -398,12 +409,9 @@ class PsPINSwitch:
     def _emit(self, time: float, packet: SwitchPacket) -> None:
         self.telemetry.packets_out.add(1)
         self.telemetry.bytes_out.add(packet.wire_bytes)
-        if self.egress_callback is not None:
-            self.egress_callback(time, packet)
-        else:
-            # Through the property: pending fast-path records expand
-            # first, so this packet lands after them.
-            self.egress.append((time, packet))
+        # Through the property: pending fast-path records expand first,
+        # so this packet lands after them.
+        self.egress.append((time, packet))
 
     def _commit_egress(self, egress: "EgressRecord | list") -> None:
         """Append a fast-path commit's egress: a ready ``(time, packet)``
@@ -452,8 +460,3 @@ class PsPINSwitch:
         if self._first_arrival is None:
             return 0.0
         return max(self._last_completion - self._first_arrival, 0.0)
-
-    def achieved_tbps(self) -> float:
-        """Ingress goodput over the measured makespan."""
-        makespan = max(self._last_completion - (self._first_arrival or 0.0), 0.0)
-        return self.telemetry.achieved_tbps(makespan, self.config.cost_model.clock_ghz)

@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro.pspin.packets import HEADER_BYTES, SwitchPacket
-from repro.pspin.parser import OPAQUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pspin.switch import PsPINSwitch
@@ -148,8 +147,6 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     sim = switch.sim
     if sim.peek_time() is not None or sim.now > float(train.times[0]):
         return False                      # other traffic in flight
-    if switch.egress_callback is not None:
-        return False                      # egress feeds live events
     scheduler = switch.scheduler
     if not isinstance(scheduler, HierarchicalFCFSScheduler):
         return False
@@ -163,16 +160,9 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
         or scheduler._block_to_subset
     ):
         return False                      # not pristine
-    handler_name = switch.parser.classify_allreduce(train.allreduce_id)
-    if handler_name is OPAQUE:
-        # Un-introspectable rules: probe every packet like the DES would.
-        packets = train.packets()
-        classify = switch.parser.classify
-        handler_name = classify(packets[0])
-        if any(classify(pkt) != handler_name for pkt in packets):
-            return False
+    handler_name = switch.allreduces.get(train.allreduce_id)
     if handler_name is None:
-        return False
+        return False                      # bypass: nothing to aggregate
     handler = switch._handlers.get(handler_name)
     if handler is None:
         return False
@@ -225,38 +215,20 @@ def commit_working_memory(switch, l1_times, l1_deltas) -> None:
     order the handlers' working-memory calls were made in."""
     wm = switch.telemetry.working_memory_bytes
     for cluster, times, deltas in zip(switch.clusters, l1_times, l1_deltas):
-        replay_region_profile(cluster.l1, times, deltas)
+        replay_region_profile(cluster.l1, deltas)
         wm.extend(times, deltas)
 
 
-def replay_region_profile(region, times: list[float], deltas: list[int]) -> None:
-    """Load a *call-order* sequence of (time, delta) events into a
-    MemoryRegion, reproducing the accounting the per-packet path would
-    leave behind (used/peak bytes and the clamped time-weighted integral
-    — handlers book releases eagerly at future timestamps, so call
-    order, not time order, is what the region saw).
-
-    The region's clock is the running maximum of the times, so an event
-    in its past adds a zero-width term; ``np.cumsum`` is a sequential
-    scan, so every sum is bitwise the per-event loop's."""
-    n = len(times)
-    if n == 0:
+def replay_region_profile(region, deltas: list[int]) -> None:
+    """Load a *call-order* sequence of byte deltas into a MemoryRegion,
+    leaving the used/peak bytes the per-packet path would (handlers
+    book releases eagerly at future timestamps, so call order, not
+    time order, is what the region saw)."""
+    if not deltas:
         return
-    clock = np.empty(n + 1)
-    clock[0] = region._last_time
-    clock[1:] = times
-    np.maximum.accumulate(clock, out=clock)
-    used = np.empty(n + 1, dtype=np.int64)
-    used[0] = region.used_bytes
-    used[1:] = deltas
-    np.cumsum(used, out=used)
-    area = np.empty(n + 1)
-    area[0] = region._weighted_sum
-    np.multiply(used[:-1], np.diff(clock), out=area[1:])
+    used = np.cumsum(deltas, dtype=np.int64) + region.used_bytes
     region.used_bytes = int(used[-1])
-    region.peak_bytes = max(region.peak_bytes, int(used[1:].max()))
-    region._weighted_sum = float(np.cumsum(area)[-1])
-    region._last_time = float(clock[-1])
+    region.peak_bytes = max(region.peak_bytes, int(used.max()))
 
 
 class _SubsetState:
@@ -474,6 +446,7 @@ class TrainRunner:
         return np.broadcast_to(np.int64(wire), len(idx))
 
     def _l2_profile(self, arrivals, arrival_wire, releases, release_wire):
+        """L2 occupancy after each arrival and release, in event order."""
         n_a, n_r = len(arrivals), len(releases)
         times = np.concatenate([arrivals, np.asarray(releases)])
         deltas = np.concatenate([
@@ -485,7 +458,7 @@ class TrainRunner:
             [np.ones(n_a, dtype=np.int8), np.zeros(n_r, dtype=np.int8)]
         )
         order = np.lexsort((pri, times))
-        return times[order], np.cumsum(deltas[order])
+        return np.cumsum(deltas[order])
 
     def _check_l2(self, idx) -> None:
         """L2 check over the packets at train positions ``idx``: the
@@ -494,7 +467,7 @@ class TrainRunner:
         wire train runs the FIFO sweep, which releases each subset's
         packets in arrival order)."""
         wire = self._wire(idx)
-        _times, occ = self._l2_profile(
+        occ = self._l2_profile(
             self.train.times[idx], wire, self.l2_release_times, wire
         )
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
@@ -508,7 +481,7 @@ class TrainRunner:
         if len(self.l2_release_times) != n:
             raise FastPathAbort("not every packet completed")
         swept = np.concatenate([st.idx for st in self.subsets])
-        times, occ = self._l2_profile(
+        occ = self._l2_profile(
             self.train.times,
             self.train.wire_bytes,
             self.l2_release_times,
@@ -517,7 +490,6 @@ class TrainRunner:
         if int(occ.max(initial=0)) > self.switch.memories.l2_packet.capacity_bytes:
             raise FastPathAbort("L2 packet memory would back-pressure")
         self._l2_occ = occ
-        self._l2_times = times
 
     # ------------------------------------------------------------------
     def commit(self) -> None:
@@ -535,21 +507,11 @@ class TrainRunner:
         tel.contention_wait_cycles.add(self.wait_total)
         tel.icache_fills.add(self.icache_fills)
 
-        # Input-buffer gauge + L2 region accounting --------------------
+        # L2 region accounting (the input buffers) ----------------------
         l2 = switch.memories.l2_packet
         occ = self._l2_occ
-        ts = self._l2_times
-        tel.input_buffer_bytes.bulk_record_arrays(ts, occ)
         l2.peak_bytes = max(l2.peak_bytes, int(occ.max(initial=0)))
         l2.used_bytes = int(occ[-1]) if len(occ) else 0
-        if len(ts):
-            # The region's time integral, summed in event order like
-            # its per-event ``_advance`` (``np.cumsum`` is sequential).
-            area = np.empty(len(ts))
-            area[0] = l2._weighted_sum
-            np.multiply(occ[:-1], np.diff(ts), out=area[1:])
-            l2._weighted_sum = float(np.cumsum(area)[-1])
-            l2._last_time = float(ts[-1])
 
         # Cores + i-caches ---------------------------------------------
         for st in self.subsets:

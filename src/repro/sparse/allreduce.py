@@ -171,7 +171,7 @@ def sparse_switch_allreduce(
     switch = PsPINSwitch(switch_cfg)
     handler = SparseAggregationHandler(hconf)
     switch.register_handler(handler)
-    switch.parser.install_allreduce(1, handler.name)
+    switch.install_allreduce(1, handler.name)
     fast_path_used = switch.inject_train(train)
     del train   # free the flat arrays: fallback packets hold their own views
 

@@ -24,43 +24,32 @@ class ArrayStorage:
 
     kind = "array"
 
-    def __init__(self, span: int, dtype: str = "float32", op=None) -> None:
+    def __init__(self, span: int, dtype: str = "float32") -> None:
         if span < 1:
             raise ValueError("span must be >= 1")
         self.span = span
         self._values = np.zeros(span, dtype=dtype)
-        self._touched = np.zeros(span, dtype=bool)
-        self._op = op
         self.inserted_elements = 0
 
     def insert(self, indices: np.ndarray, values: np.ndarray) -> list:
         """Indexed accumulate; O(1) per element, never spills."""
         idx = np.asarray(indices)
         self.inserted_elements += len(idx)
-        if self._op is None:
-            # Duplicate indices within one packet are legal for sum.
-            np.add.at(self._values, idx, values)
-        else:
-            for i, v in zip(idx, values):
-                if self._touched[i]:
-                    acc = self._values[i : i + 1]
-                    self._op.combine_into(acc, np.asarray([v]))
-                else:
-                    self._values[i] = v
-        self._touched[idx] = True
+        # Duplicate indices within one packet are legal for sum.
+        np.add.at(self._values, idx, values)
         return []
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, None]:
         """Scan the span, extract non-zeros (the flush cost the cost
         model charges per span element)."""
-        mask = self._touched & (self._values != 0)
-        indices = np.flatnonzero(mask).astype(np.int32)
+        indices = np.flatnonzero(self._values).astype(np.int32)
         return indices, self._values[indices].copy(), None
 
     @property
     def memory_bytes(self) -> int:
-        """Resident bytes: the dense value array (+1 bit/elem touched
-        map, counted at a byte for model simplicity)."""
+        """Resident bytes: the dense value array plus a touched map of
+        one bit per element, charged at a byte for model simplicity (a
+        sum needs no map, so none is allocated)."""
         return int(self._values.nbytes + self.span)
 
     @property

@@ -26,12 +26,11 @@ storage with the handler's own code, so the completing packet's hold
 cost is exactly the handler's.  The sweep then only does lock
 arithmetic: ``finish = max(t, lock_free_at) + hold``.
 
-Anything the kernel cannot reproduce — a non-sum operator, a payload
-dtype other than the handler's, a working-memory budget or L1 overflow,
-a malformed shard structure — raises
-:class:`~repro.pspin.train.FastPathAbort`, and the switch runs the
-train through the per-packet DES (which raises the handler's
-``MemoryError`` for an infeasible run).
+Anything the kernel cannot reproduce — a payload dtype other than the
+handler's, a working-memory budget or L1 overflow, a malformed shard
+structure — raises :class:`~repro.pspin.train.FastPathAbort`, and the
+switch runs the train through the per-packet DES (which raises the
+handler's ``MemoryError`` for an infeasible run).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.ops import builtin_ufunc
 from repro.pspin.packets import HEADER_BYTES, SwitchPacket
 from repro.pspin.train import (
     FastPathAbort,
@@ -49,7 +47,7 @@ from repro.pspin.train import (
     completion_order,
     register_train_kernel,
 )
-from repro.sparse.handlers import SparseAggregationHandler
+from repro.sparse.handlers import L1_BUDGET_BYTES, SparseAggregationHandler
 from repro.sparse.hash_storage import ELEMENT_BYTES, _slot_of, drain_table
 
 
@@ -214,8 +212,6 @@ class SparseTrainKernel:
         if not isinstance(train, SparsePacketTrain):
             raise FastPathAbort("sparse handler needs a sparse train")
         cfg = handler.config
-        if builtin_ufunc(cfg.op) is not np.add:
-            raise FastPathAbort("custom operators combine element by element")
         if train.values.dtype != np.dtype(cfg.dtype_name):
             raise FastPathAbort("payload dtype != handler dtype")
         if handler.in_flight_blocks:
@@ -225,7 +221,7 @@ class SparseTrainKernel:
         self.train = train
         self.storage = handler._make_storage()
         self.mem = self.storage.memory_bytes
-        self.budget = cfg.l1_budget_bytes
+        self.budget = L1_BUDGET_BYTES
         if self.mem > self.budget:
             raise FastPathAbort("block storage exceeds the working-memory budget")
         cm = switch.config.cost_model

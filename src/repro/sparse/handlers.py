@@ -19,13 +19,12 @@ Differences from the dense handlers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.blockstate import BlockState
-from repro.core.ops import ReductionOp, SUM, builtin_ufunc, get_op
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import HandlerContext, HandlerResult
 from repro.sparse.array_storage import ArrayStorage
@@ -33,6 +32,12 @@ from repro.sparse.hash_storage import HashStorage
 from repro.sparse.models import sparse_elements_per_packet
 
 PARENT_PORT = -1
+
+#: Working-memory budget per cluster for one sparse allreduce.  The paper
+#: statically partitions switch memory across a maximum number of
+#: concurrent allreduces (Sec. 4); this grants half the 1 MiB L1, i.e.
+#: two concurrent allreduces per switch.
+L1_BUDGET_BYTES = 512 * 1024
 
 
 @dataclass
@@ -46,16 +51,8 @@ class SparseHandlerConfig:
     dtype_name: str = "float32"
     packet_bytes: int = 1024
     hash_slots_factor: float = 4.0
-    spill_capacity: Optional[int] = None   # default: one packet's worth
-    multicast_ports: Optional[list[int]] = None
-    #: Working-memory budget per cluster for THIS allreduce.  The paper
-    #: statically partitions switch memory across a maximum number of
-    #: concurrent allreduces (Sec. 4); 1 MiB L1 partitioned across concurrent allreduces; the default grants half the L1, i.e. two concurrent allreduces per switch.
-    l1_budget_bytes: int = 512 * 1024
-    op: ReductionOp = field(default_factory=lambda: SUM)
 
     def __post_init__(self) -> None:
-        self.op = get_op(self.op)
         if self.storage not in ("hash", "array"):
             raise ValueError(f"unknown sparse storage {self.storage!r}")
         if not 0 < self.density <= 1:
@@ -94,16 +91,13 @@ class SparseAggregationHandler:
     # ------------------------------------------------------------------
     def _make_storage(self):
         cfg = self.config
-        op = None if builtin_ufunc(cfg.op) is np.add else cfg.op
         if cfg.storage == "hash":
-            spill_cap = cfg.spill_capacity or cfg.elements_per_packet
             return HashStorage(
                 n_slots=max(1, int(cfg.elements_per_packet * cfg.hash_slots_factor)),
                 dtype=cfg.dtype_name,
-                spill_capacity=spill_cap,
-                op=op,
+                spill_capacity=cfg.elements_per_packet,
             )
-        return ArrayStorage(span=cfg.block_span, dtype=cfg.dtype_name, op=op)
+        return ArrayStorage(span=cfg.block_span, dtype=cfg.dtype_name)
 
     def _record(self, ctx: HandlerContext) -> _SparseBlockRecord:
         key = ctx.packet.key()
@@ -118,13 +112,13 @@ class SparseAggregationHandler:
             )
             l1 = ctx.switch.clusters[rec.home_cluster].l1
             used = self._budget_used.get(rec.home_cluster, 0)
-            over_budget = used + rec.memory_bytes > self.config.l1_budget_bytes
-            if over_budget or not l1.allocate(rec.memory_bytes, ctx.dispatch_time):
+            over_budget = used + rec.memory_bytes > L1_BUDGET_BYTES
+            if over_budget or not l1.allocate(rec.memory_bytes):
                 raise MemoryError(
                     f"cluster {rec.home_cluster} cannot fit "
                     f"{self.config.storage} storage of {rec.memory_bytes} B "
                     f"for block {key} within this allreduce's "
-                    f"{self.config.l1_budget_bytes} B partition "
+                    f"{L1_BUDGET_BYTES} B partition "
                     f"(density {self.config.density:.2%}); "
                     "array storage at low density does not fit Flare memory "
                     "(paper Fig. 14: no array bars at 1%)"
@@ -203,27 +197,25 @@ class SparseAggregationHandler:
     def _emit_sparse(
         self, indices: np.ndarray, values: np.ndarray, block_id: int
     ) -> list[SwitchPacket]:
-        """Packetize (indices, values) toward the parent (or multicast)."""
+        """Packetize (indices, values) toward the parent."""
         cfg = self.config
         per_packet = cfg.elements_per_packet
         n = len(indices)
         n_shards = max(1, -(-n // per_packet))
-        ports = cfg.multicast_ports if cfg.multicast_ports is not None else [PARENT_PORT]
         out: list[SwitchPacket] = []
-        for port in ports:
-            for s in range(n_shards):
-                lo, hi = s * per_packet, min(n, (s + 1) * per_packet)
-                out.append(
-                    SwitchPacket(
-                        allreduce_id=cfg.allreduce_id,
-                        block_id=block_id,
-                        port=port,
-                        payload=values[lo:hi].copy(),
-                        indices=indices[lo:hi].copy(),
-                        last_of_block=(s == n_shards - 1),
-                        shard_count=n_shards,
-                    )
+        for s in range(n_shards):
+            lo, hi = s * per_packet, min(n, (s + 1) * per_packet)
+            out.append(
+                SwitchPacket(
+                    allreduce_id=cfg.allreduce_id,
+                    block_id=block_id,
+                    port=PARENT_PORT,
+                    payload=values[lo:hi].copy(),
+                    indices=indices[lo:hi].copy(),
+                    last_of_block=(s == n_shards - 1),
+                    shard_count=n_shards,
                 )
+            )
         return out
 
     @property

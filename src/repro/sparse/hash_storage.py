@@ -99,7 +99,6 @@ class HashStorage:
         n_slots: int,
         dtype: str = "float32",
         spill_capacity: int = 128,
-        op=None,
     ) -> None:
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
@@ -109,7 +108,6 @@ class HashStorage:
         self.spill_capacity = spill_capacity
         self._keys = np.full(n_slots, -1, dtype=np.int64)
         self._values = np.zeros(n_slots, dtype=dtype)
-        self._op = op
         self._spill_indices: list[int] = []
         self._spill_values: list = []
         self.spill_events: list[SpillEvent] = []
@@ -124,12 +122,12 @@ class HashStorage:
         block's critical section, so inserts are serialized).  When the
         packet's indices are unique — always true for Flare packets,
         since a host's block contribution has unique positions — the
-        batch is resolved vectorized; duplicate indices or a custom
-        operator fall back to the exact sequential path.
+        batch is resolved vectorized; duplicate indices fall back to the
+        exact sequential path.
         """
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        if self._op is not None or len(idx) != len(np.unique(idx)):
+        if len(idx) != len(np.unique(idx)):
             return self._insert_sequential(idx, vals)
         self.inserted_elements += len(idx)
         slots = _slot_of(idx, self.n_slots)
@@ -170,11 +168,7 @@ class HashStorage:
                 self._keys[slot] = i
                 self._values[slot] = val
             elif key == i:
-                if self._op is None:
-                    self._values[slot] += val
-                else:
-                    acc = self._values[slot : slot + 1]
-                    self._op.combine_into(acc, np.asarray([val]))
+                self._values[slot] += val
             else:
                 self._spill_indices.append(int(i))
                 self._spill_values.append(val)

@@ -53,11 +53,18 @@ def parse_size(text: str | int | float) -> int:
     if isinstance(text, (int, float)):
         return int(round(text))
     s = text.strip().upper().replace(" ", "")
+    scale = 1
     for suffix in sorted(_SIZE_SUFFIXES, key=len, reverse=True):
         if s.endswith(suffix):
-            num = s[: -len(suffix)]
-            return int(round(float(num) * _SIZE_SUFFIXES[suffix]))
-    return int(round(float(s)))
+            s, scale = s[: -len(suffix)], _SIZE_SUFFIXES[suffix]
+            break
+    try:
+        return int(round(float(s) * scale))
+    except ValueError:
+        raise ValueError(
+            f"cannot parse size {text!r}: expected a number with an optional "
+            f"suffix ({', '.join(_SIZE_SUFFIXES)})"
+        ) from None
 
 
 _TIME_SUFFIXES = {

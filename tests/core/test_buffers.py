@@ -52,7 +52,7 @@ def test_pool_reports_peak_and_telemetry():
     pool.release(b2, now=9.0)
     assert pool.peak_buffers == 2
     assert tel.working_memory_bytes.peak == 2048.0
-    assert tel.working_memory_bytes.current == 0.0
+    assert l1.used_bytes == 0
 
 
 def test_buffers_zero_initialized():

@@ -23,11 +23,11 @@ def test_two_allreduces_interleaved_do_not_mix():
     h2 = TreeAggregationHandler(
         HandlerConfig(allreduce_id=2, n_children=2, dtype_name="int32")
     )
-    # Distinct handler images (names differ), distinct parser rules.
+    # Distinct handler images (names differ), distinct allreduce ids.
     sw.register_handler(h1)
     sw.register_handler(h2)
-    sw.parser.install_allreduce(1, h1.name)
-    sw.parser.install_allreduce(2, h2.name)
+    sw.install_allreduce(1, h1.name)
+    sw.install_allreduce(2, h2.name)
 
     a = [np.full(8, 10 * (p + 1), dtype=np.int32) for p in range(3)]
     b = [np.full(8, p + 1, dtype=np.int32) for p in range(2)]

@@ -117,7 +117,7 @@ def test_input_buffer_overload_with_backpressure_stays_exact():
         HandlerConfig(allreduce_id=1, n_children=8, dtype_name="int32")
     )
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     payloads = [np.full(256, p + 1, dtype=np.int32) for p in range(8)]
     for p, payload in enumerate(payloads):
         sw.inject(
@@ -140,7 +140,7 @@ def test_drop_mode_loses_packets_until_retransmitted():
         HandlerConfig(allreduce_id=1, n_children=2, dtype_name="int32")
     )
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     a = np.full(256, 5, dtype=np.int32)
     b = np.full(256, 9, dtype=np.int32)
     sw.inject(SwitchPacket(allreduce_id=1, block_id=0, port=0, payload=a), at=0.0)

@@ -28,7 +28,7 @@ def _run(handler_cls, n_children=4, dtype="int32", op=None, multicast=None,
     )
     handler = handler_cls(hconf, **handler_kw)
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     if payloads is None:
         payloads = [np.arange(8, dtype=dtype) + h for h in range(n_children)]
     t = 0.0
@@ -99,7 +99,7 @@ def test_retransmission_not_aggregated_twice():
     hconf = HandlerConfig(allreduce_id=1, n_children=2, dtype_name="int32")
     handler = SingleBufferHandler(hconf)
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     a = np.full(4, 5, dtype="int32")
     b = np.full(4, 7, dtype="int32")
     sw.inject(SwitchPacket(allreduce_id=1, block_id=0, port=0, payload=a), at=0.0)
@@ -155,7 +155,7 @@ def test_single_buffer_contention_costs_cycles():
     hconf = HandlerConfig(allreduce_id=1, n_children=8, dtype_name="float32")
     handler = SingleBufferHandler(hconf)
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     for port in range(8):
         sw.inject(
             SwitchPacket(
@@ -175,7 +175,7 @@ def test_tree_handler_never_waits():
     hconf = HandlerConfig(allreduce_id=1, n_children=8, dtype_name="float32")
     handler = TreeAggregationHandler(hconf)
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     for port in range(8):
         sw.inject(
             SwitchPacket(

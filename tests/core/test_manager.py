@@ -11,7 +11,8 @@ from repro.pspin.switch import PsPINSwitch
 @pytest.mark.parametrize("algorithm", ["single", "multi(2)", "tree"])
 def test_plan_execute_installs_handler_and_rule(monkeypatch, algorithm):
     """``SwitchAllreducePlan.execute`` installs one handler, the root of
-    a one-switch tree multicasting to every child, and its parser rule."""
+    a one-switch tree multicasting to every child, and its allreduce id
+    in the switch's table."""
     switches = []
 
     def captured(cfg):
@@ -29,8 +30,7 @@ def test_plan_execute_installs_handler_and_rule(monkeypatch, algorithm):
     assert handler.config.allreduce_id == 1
     assert handler.config.n_children == 4
     assert handler.config.multicast_ports == [0, 1, 2, 3]
-    (rule,) = switch.parser.rules
-    assert rule.name == "allreduce-1" and rule.handler == plan.handler_name
+    assert switch.allreduces == {1: plan.handler_name}
     assert plan.describe()["aggregation"] == algorithm
 
 

@@ -27,7 +27,7 @@ def _run_order(handler_cls, payloads, order, arrival_gap=3.0):
     )
     handler = handler_cls(hconf)
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     for i, port in enumerate(order):
         sw.inject(
             SwitchPacket(

@@ -75,6 +75,22 @@ def test_invalid_dimensions_rejected():
         FatTreeTopology(n_spines=0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"n_hosts": -8},
+        {"n_hosts": 0, "hosts_per_leaf": 0},
+        {"n_hosts": 8, "hosts_per_leaf": -8},
+        {"n_hosts": 8, "hosts_per_leaf": 0},
+    ],
+)
+def test_non_positive_host_counts_rejected(kw):
+    """Negative counts used to build a fabric with negative hosts, and
+    zero ones raised ``ZeroDivisionError``."""
+    with pytest.raises(ValueError, match="n_hosts >= 1 and hosts_per_leaf >= 1"):
+        FatTreeTopology(**kw)
+
+
 def test_overwired_spine_count_rejected():
     """n_spines beyond the leaf uplink capacity used to silently build
     an over-wired bipartite graph; now it is a validation error."""

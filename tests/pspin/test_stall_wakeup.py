@@ -38,7 +38,7 @@ def _tiny_l1_tree_switch(n_children=2, l1_bytes=16 * 1024):
         HandlerConfig(allreduce_id=1, n_children=n_children)
     )
     sw.register_handler(handler)
-    sw.parser.install_allreduce(1, handler.name)
+    sw.install_allreduce(1, handler.name)
     return sw, handler
 
 
@@ -86,7 +86,7 @@ def _always_raises(exc: Exception) -> PsPINSwitch:
 
     sw = PsPINSwitch(SwitchConfig(n_clusters=1, cores_per_cluster=2))
     sw.register_handler(Raises())
-    sw.parser.install_allreduce(1, handler="stuck")
+    sw.install_allreduce(1, handler="stuck")
     sw.inject(_pkt(), at=0.0)
     return sw
 
@@ -141,7 +141,7 @@ def test_ingress_counters_monotone_under_backpressure():
     sw.config.cost_model.icache_fill_cycles = 0.0
     h = FixedCostHandler(cycles=10000.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.memories.l2_packet.capacity_bytes = 2 * _pkt().wire_bytes
     probe_in = _MonotoneCounterProbe(sw.telemetry.packets_in)
     probe_bytes = _MonotoneCounterProbe(sw.telemetry.bytes_in)
@@ -164,7 +164,7 @@ def test_dropped_packets_still_counted_on_ingress():
                                   drop_on_full=True))
     h = FixedCostHandler(cycles=10000.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.memories.l2_packet.capacity_bytes = 1 * _pkt().wire_bytes
     for i in range(3):
         sw.inject(_pkt(block=i), at=0.0)
@@ -181,7 +181,7 @@ def test_deferred_packet_counted_once_at_admission_time():
     sw.config.cost_model.icache_fill_cycles = 0.0
     h = FixedCostHandler(cycles=100.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.memories.l2_packet.capacity_bytes = 1 * _pkt().wire_bytes
     sw.inject(_pkt(block=0), at=0.0)
     sw.inject(_pkt(block=1), at=1.0)   # deferred until block 0 completes

@@ -47,7 +47,7 @@ def test_matched_packets_run_handler():
     sw = _switch()
     h = FixedCostHandler()
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.inject(_pkt(block=0), at=0.0)
     sw.inject(_pkt(block=1), at=1.0)
     makespan = sw.run()
@@ -61,7 +61,7 @@ def test_warm_icache_skips_fill():
     sw = _switch()
     h = FixedCostHandler()
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.clusters[0].icache_load("fixed")
     sw.inject(_pkt(), at=0.0)
     makespan = sw.run()
@@ -73,7 +73,7 @@ def test_queueing_when_all_cores_busy():
     sw = _switch()
     h = FixedCostHandler(cycles=1000.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.clusters[0].icache_load("fixed")
     for i in range(3):
         sw.inject(_pkt(block=i), at=float(i))
@@ -88,7 +88,7 @@ def test_backpressure_defers_arrivals_instead_of_dropping():
     sw.config.cost_model.icache_fill_cycles = 0.0
     h = FixedCostHandler(cycles=10000.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     # Shrink the input-buffer memory so two packets fill it.
     sw.memories.l2_packet.capacity_bytes = 2 * _pkt().wire_bytes
     for i in range(4):
@@ -103,7 +103,7 @@ def test_drop_on_full_drops():
     sw = _switch(drop_on_full=True)
     h = FixedCostHandler(cycles=10000.0)
     sw.register_handler(h)
-    sw.parser.install_allreduce(1, handler="fixed")
+    sw.install_allreduce(1, handler="fixed")
     sw.memories.l2_packet.capacity_bytes = 1 * _pkt().wire_bytes
     for i in range(3):
         sw.inject(_pkt(block=i), at=0.0)
@@ -125,7 +125,7 @@ def test_continuation_extends_handler():
     sw = _switch()
     sw.config.cost_model.icache_fill_cycles = 0.0
     sw.register_handler(TwoPhase())
-    sw.parser.install_allreduce(1, handler="twophase")
+    sw.install_allreduce(1, handler="twophase")
     sw.inject(_pkt(), at=0.0)
     makespan = sw.run()
     assert makespan == pytest.approx(60.0)
@@ -141,7 +141,7 @@ def test_handler_cannot_finish_before_start():
 
     sw = _switch()
     sw.register_handler(Bad())
-    sw.parser.install_allreduce(1, handler="bad")
+    sw.install_allreduce(1, handler="bad")
     sw.inject(_pkt(), at=0.0)
     with pytest.raises(RuntimeError, match="finished before it started"):
         sw.run()

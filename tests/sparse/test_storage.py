@@ -94,22 +94,6 @@ def test_array_zero_values_dropped_at_flush():
     np.testing.assert_array_equal(idx, [1])
 
 
-def test_min_operator_in_storage():
-    from repro.core.ops import MIN
-
-    h = HashStorage(n_slots=8, dtype="float32", op=MIN)
-    h.insert(np.array([2]), np.array([5.0], dtype=np.float32))
-    h.insert(np.array([2]), np.array([3.0], dtype=np.float32))
-    idx, vals, _ = h.finalize()
-    assert vals[0] == 3.0
-
-    a = ArrayStorage(span=4, dtype="float32", op=MIN)
-    a.insert(np.array([2]), np.array([5.0], dtype=np.float32))
-    a.insert(np.array([2]), np.array([3.0], dtype=np.float32))
-    idx, vals, _ = a.finalize()
-    assert vals[0] == 3.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.lists(
