@@ -10,7 +10,8 @@ on packet arrival order returns different bits run to run.
 This example aggregates the same fp32 data under many different packet
 arrival orders and shows:
 
-* single-buffer aggregation (combine in arrival order): results differ
+* single-buffer aggregation (``MultiBufferHandler`` with one buffer,
+  combining in arrival order): results differ
   across orders — fine for ML, unacceptable for climate restarts;
 * tree aggregation (fixed combine structure keyed by ingress port):
   bitwise-identical results for every order, *without* buffering all
@@ -24,7 +25,7 @@ import itertools
 import numpy as np
 
 from repro.core.handler_base import HandlerConfig
-from repro.core.single_buffer import SingleBufferHandler
+from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
@@ -33,11 +34,11 @@ N_MEMBERS = 6          # ensemble members reporting partial sums
 VECTOR = 128
 
 
-def run_once(handler_cls, payloads, order):
+def run_once(make_handler, payloads, order):
     cfg = SwitchConfig(n_clusters=1, cores_per_cluster=8)
     cfg.cost_model.icache_fill_cycles = 0.0
     switch = PsPINSwitch(cfg)
-    handler = handler_cls(
+    handler = make_handler(
         HandlerConfig(allreduce_id=1, n_children=len(payloads),
                       dtype_name="float32")
     )
@@ -63,9 +64,10 @@ def main() -> None:
     ]
 
     orders = list(itertools.permutations(range(N_MEMBERS)))[:24]
-    for name, cls in (("single-buffer", SingleBufferHandler),
-                      ("tree", TreeAggregationHandler)):
-        results = [run_once(cls, payloads, list(o)) for o in orders]
+    designs = (("single-buffer", lambda config: MultiBufferHandler(config, 1)),
+               ("tree", TreeAggregationHandler))
+    for name, make_handler in designs:
+        results = [run_once(make_handler, payloads, list(o)) for o in orders]
         distinct = {r.tobytes() for r in results}
         spread = max(
             float(np.max(np.abs(a - results[0]))) for a in results

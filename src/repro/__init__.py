@@ -25,9 +25,10 @@ Layers:
   plan cache, futures.
 * ``repro.pspin`` — behavioral model of the PsPIN programmable-switch
   processing unit (clusters, HPUs, memories, schedulers).
-* ``repro.core`` — Flare's dense aggregation algorithms (single buffer,
-  multi buffer, tree), analytical models, staggered sending, policy,
-  and the network-manager control plane.
+* ``repro.core`` — Flare's dense aggregation algorithms (B shared
+  buffers per block, single buffer being B = 1, and the tree),
+  analytical models, staggered sending, policy, and the
+  network-manager control plane.
 * ``repro.sparse`` — the first in-network *sparse* allreduce (hash and
   array storage, spill buffers, shard counters).
 * ``repro.network`` — an SST-like chunk-level network simulator with

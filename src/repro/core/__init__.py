@@ -1,7 +1,8 @@
 """Flare core: the paper's primary contribution.
 
-Dense in-network allreduce on the PsPIN switch substrate — the three
-aggregation designs of Sec. 6 (single buffer, multiple buffers, tree),
+Dense in-network allreduce on the PsPIN switch substrate — the
+aggregation designs of Sec. 6 (B shared buffers per block, single
+buffer being B = 1, and the tree),
 the closed-form performance/occupancy models of Secs. 4-6, the staggered
 sending technique of Sec. 5, the algorithm-selection policy of Sec. 6.4,
 and the network-manager control plane of Sec. 4.
@@ -22,10 +23,9 @@ from repro.core.models import (
 )
 from repro.core.blockstate import BlockState, ChildrenBitmap
 from repro.core.buffers import BufferPool, AggregationBuffer
-from repro.core.single_buffer import SingleBufferHandler
 from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
-from repro.core.policy import select_algorithm, ALGORITHMS
+from repro.core.policy import parse_aggregation, select_algorithm, ALGORITHMS
 from repro.core.manager import (
     AdmissionError,
     AdmissionTicket,
@@ -61,9 +61,9 @@ __all__ = [
     "ChildrenBitmap",
     "BufferPool",
     "AggregationBuffer",
-    "SingleBufferHandler",
     "MultiBufferHandler",
     "TreeAggregationHandler",
+    "parse_aggregation",
     "select_algorithm",
     "ALGORITHMS",
     "AdmissionError",

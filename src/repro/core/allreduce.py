@@ -32,7 +32,7 @@ import repro.core.fastpath  # noqa: F401  (registers the train kernels)
 from repro.core.config import FlareConfig
 from repro.core.handler_base import HandlerConfig
 from repro.core.ops import ReductionOp, get_op
-from repro.core.policy import AlgorithmChoice, build_handler, select_algorithm
+from repro.core.policy import AlgorithmChoice, build_handler, parse_aggregation, select_algorithm
 from repro.core.staggered import arrival_arrays
 from repro.provenance.collect import collect_switch
 from repro.pspin.costs import CostModel, get_dtype
@@ -52,6 +52,13 @@ def scale_bandwidth(sim_tbps: float, sim_clusters: int, target_clusters: int = F
     if target_clusters < 1:
         raise ValueError("target_clusters must be >= 1")
     return sim_tbps * target_clusters / sim_clusters
+
+
+def fair_share_interarrival(switch_cfg: SwitchConfig, packet_bytes: int) -> float:
+    """Packet interarrival (cycles) feeding the simulated clusters their
+    fair share of line rate: 4 of 64 clusters see 4/64 of the traffic."""
+    delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
+    return delta_full * FULL_CLUSTERS / switch_cfg.n_clusters
 
 
 def make_dense_blocks(
@@ -127,7 +134,6 @@ class SwitchAllreducePlan:
     flare_cfg: FlareConfig
     switch_cfg: SwitchConfig
     choice: AlgorithmChoice
-    handler_name: str
     operator: ReductionOp
     delta_sim: float          # fair-share packet interarrival (cycles)
     executions: int = 0
@@ -145,7 +151,6 @@ class SwitchAllreducePlan:
         return {
             "aggregation": self.choice.label,
             "reason": self.choice.reason,
-            "handler": self.handler_name,
             "children": self.flare_cfg.children,
             "blocks": self.n_blocks,
             "elements_per_packet": self.elements_per_packet,
@@ -176,11 +181,6 @@ class SwitchAllreducePlan:
         n_blocks, n_elements = self.n_blocks, self.elements_per_packet
 
         switch = PsPINSwitch(self.switch_cfg)
-        if not cold_start:
-            for cluster in switch.clusters:
-                cluster.icache_load("flare-single")
-                cluster.icache_load("flare-tree")
-
         hconf = HandlerConfig(
             allreduce_id=1,
             n_children=children,
@@ -194,7 +194,7 @@ class SwitchAllreducePlan:
         switch.install_allreduce(hconf.allreduce_id, handler.name)
         if not cold_start:
             for cluster in switch.clusters:
-                cluster.icache_load(self.handler_name)
+                cluster.icache_load(handler.name)
 
         # --------------------------------------------------------------
         # Workload
@@ -313,15 +313,8 @@ def plan_switch_allreduce(
 
     if algorithm is None:
         choice = select_algorithm(data_bytes, reproducible=reproducible, op=operator)
-    elif algorithm.startswith("multi("):
-        choice = AlgorithmChoice("multi", int(algorithm[6:-1]), "explicit")
     else:
-        choice = AlgorithmChoice(algorithm, 1, "explicit")
-    handler_name = {
-        "single": "flare-single",
-        "multi": f"flare-multi{choice.n_buffers}",
-        "tree": "flare-tree",
-    }[choice.algorithm]
+        choice = parse_aggregation(algorithm)
 
     switch_cfg = SwitchConfig(
         n_clusters=n_clusters,
@@ -330,18 +323,12 @@ def plan_switch_allreduce(
         subset_size=subset_size,
         cost_model=cost_model,
     )
-    # Feed the simulated unit its fair share of line rate: a 4-cluster
-    # simulation of the 64-cluster switch sees 4/64 of the traffic.
-    delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
-    delta_sim = delta_full * FULL_CLUSTERS / n_clusters
-
     return SwitchAllreducePlan(
         flare_cfg=flare_cfg,
         switch_cfg=switch_cfg,
         choice=choice,
-        handler_name=handler_name,
         operator=operator,
-        delta_sim=delta_sim,
+        delta_sim=fair_share_interarrival(switch_cfg, packet_bytes),
     )
 
 

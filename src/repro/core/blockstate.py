@@ -91,8 +91,6 @@ class BlockState:
     n_children: int
     bitmap: ChildrenBitmap = field(init=False)
     shards: dict[int, ShardTracker] = field(default_factory=dict)
-    first_arrival: float | None = None
-    completed_at: float | None = None
 
     def __post_init__(self) -> None:
         self.bitmap = ChildrenBitmap(self.n_children)

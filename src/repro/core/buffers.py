@@ -34,7 +34,6 @@ class AggregationBuffer:
     nbytes: int
     data: np.ndarray
     free_at: float = 0.0       # lock: cycle at which the current holder exits
-    in_use: bool = False       # allocated to a block?
     filled: bool = False       # holds valid data (tree aggregation cares)
 
     def acquire(self, now: float, hold_cycles: float) -> tuple[float, float]:
@@ -81,7 +80,6 @@ class BufferPool:
             data=np.zeros(n_elements, dtype=self._dtype),
         )
         self._next_id += 1
-        buf.in_use = True
         self.active[buf.buffer_id] = buf
         self.peak_buffers = max(self.peak_buffers, len(self.active))
         if self._telemetry is not None:
@@ -94,7 +92,6 @@ class BufferPool:
             raise ValueError(f"buffer {buf.buffer_id} is not active")
         del self.active[buf.buffer_id]
         self._l1.release(buf.nbytes, now)
-        buf.in_use = False
         if self._telemetry is not None:
             self._telemetry.working_memory_bytes.add(now, -buf.nbytes)
 

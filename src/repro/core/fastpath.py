@@ -1,6 +1,8 @@
 """Train kernels: exact fast-path models of the dense aggregation designs.
 
-Each kernel replicates, packet for packet, the cycle arithmetic its
+There are two: :class:`MultiBufferKernel` models B shared buffers per
+block (single buffer is B = 1) and :class:`TreeKernel` the tree.  Each
+kernel replicates, packet for packet, the cycle arithmetic its
 handler performs under the per-packet DES — dispatch overhead, buffer
 management, critical-section waits, tree climbs — while the
 :class:`repro.pspin.train.TrainRunner` replicates the event loop around
@@ -12,7 +14,7 @@ math is deferred to commit time and executed as *programs*:
   whole-train numpy block operation (wrapping integer arithmetic is
   order-insensitive, so this is bitwise identical to any combine order
   the DES would have used);
-* **order replay** — float payloads and custom operators on single/multi
+* **order replay** — float payloads and custom operators on shared
   buffers re-execute the DES's lock-acquisition combine order;
 * **fixed tree** — on the tree they evaluate its fixed pair structure
   (F3) level by level, which is what keeps fp32 results — including
@@ -40,7 +42,6 @@ import numpy as np
 from repro.core.handler_base import PARENT_PORT
 from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.ops import builtin_ufunc, order_free_ufunc
-from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import PairTree, TreeAggregationHandler
 from repro.pspin.packets import HEADER_BYTES, EgressRecord
 from repro.pspin.train import (
@@ -57,13 +58,10 @@ _INF = float("inf")
 class _DenseKernelBase:
     """Shared state and cost precomputation for dense train kernels."""
 
-    worst_case_buffers = 1
-
-    def __init__(self, handler, switch, train: PacketTrain, handler_name: str) -> None:
+    def __init__(self, handler, switch, train: PacketTrain) -> None:
         self.handler = handler
         self.switch = switch
         self.train = train
-        self.handler_name = handler_name
         config = handler.config
         self.config = config
         if train.data.dtype != np.dtype(config.dtype_name):
@@ -80,7 +78,7 @@ class _DenseKernelBase:
             cm.aggregation_cycles(nbytes, config.dtype) * config.op.cycles_factor
         )
         self.copy_c = cm.copy_cycles(nbytes)
-        self.admission_need = (self.worst_case_buffers + 1) * max(nbytes, 1)
+        self.admission_need = (handler.worst_case_buffers + 1) * max(nbytes, 1)
         # Eager per-cluster L1 accounting (call-order, like BufferPool):
         # each cluster's events as flat time and delta lists.
         self.l1_free = [
@@ -167,74 +165,7 @@ class _DenseKernelBase:
 
 
 # ----------------------------------------------------------------------
-# Single buffer (Sec. 6.1)
-# ----------------------------------------------------------------------
-class _SingleRecord:
-    __slots__ = ("seen", "count", "lock_free", "allocated", "order")
-
-    def __init__(self) -> None:
-        self.seen = 0
-        self.count = 0
-        self.lock_free = 0.0
-        self.allocated = False
-        self.order: list[int] = []
-
-
-class SingleBufferKernel(_DenseKernelBase):
-    """Exact train model of :class:`SingleBufferHandler` (M = 1)."""
-
-    worst_case_buffers = 1
-
-    def __init__(self, handler, switch, train, handler_name) -> None:
-        super().__init__(handler, switch, train, handler_name)
-        self._orders: dict[int, list[int]] = {}
-
-    def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
-        cluster = self.block_cluster[block_id]
-        rec = self.blocks.get(block_id)
-        if rec is None:
-            if self.l1_free[cluster] < self.admission_need:
-                raise FastPathAbort("working-memory admission stall")
-            rec = _SingleRecord()
-            self.blocks[block_id] = rec
-        t = start_t + self.dispatch_c
-        bit = 1 << port
-        if rec.seen & bit:
-            self.duplicates += 1
-            return t, 0.0
-        rec.seen |= bit
-        rec.count += 1
-        if not rec.allocated:
-            t += self.mgmt_c
-            self._l1_alloc(cluster, dispatch_t)
-            rec.allocated = True
-        entry = rec.lock_free if rec.lock_free > t else t
-        wait = entry - t
-        finish = entry + self.combine_c
-        rec.lock_free = finish
-        rec.order.append(port)
-        if rec.count == self.n_children:
-            self.emissions.append((finish, block_id, dispatch_t, port))
-            self._l1_release(cluster, finish)
-            self.blocks_completed += 1
-            self._orders[block_id] = rec.order
-            del self.blocks[block_id]
-        return finish, wait
-
-    def _build_payloads(self) -> dict[int, np.ndarray]:
-        data = self.train.data
-        combine = self.config.op.combine_into
-        out: dict[int, np.ndarray] = {}
-        for block_id, order in self._orders.items():
-            acc = data[order[0], block_id].copy()
-            for port in order[1:]:
-                combine(acc, data[port, block_id])
-            out[block_id] = acc
-        return out
-
-
-# ----------------------------------------------------------------------
-# Multi buffer (Sec. 6.2)
+# Shared buffers, single buffer being B = 1 (Secs. 6.1 and 6.2)
 # ----------------------------------------------------------------------
 class _MultiBuf:
     __slots__ = ("free_at", "filled", "order")
@@ -255,11 +186,11 @@ class _MultiRecord:
 
 
 class MultiBufferKernel(_DenseKernelBase):
-    """Exact train model of :class:`MultiBufferHandler` (M = B)."""
+    """Exact train model of :class:`MultiBufferHandler` (M = B; single
+    buffer is B = 1)."""
 
-    def __init__(self, handler, switch, train, handler_name) -> None:
-        self.worst_case_buffers = handler.n_buffers
-        super().__init__(handler, switch, train, handler_name)
+    def __init__(self, handler, switch, train) -> None:
+        super().__init__(handler, switch, train)
         self.n_buffers = handler.n_buffers
         #: block -> (per-buffer combine orders, completing buffer index,
         #: fold order) for the replay program.
@@ -386,9 +317,8 @@ class TreeKernel(_DenseKernelBase):
     climb written inline.
     """
 
-    def __init__(self, handler, switch, train, handler_name) -> None:
-        self.worst_case_buffers = handler.config.n_children
-        super().__init__(handler, switch, train, handler_name)
+    def __init__(self, handler, switch, train) -> None:
+        super().__init__(handler, switch, train)
         self.parent, self.sibling = _flat_tree(handler.tree.n_leaves)
 
     def sweep(self, runner, st) -> None:
@@ -581,18 +511,5 @@ def _pair_reduce(nodes: list, combine) -> np.ndarray:
     return nodes[0]
 
 
-def _make_single(handler, switch, train, name):
-    return SingleBufferKernel(handler, switch, train, name)
-
-
-def _make_multi(handler, switch, train, name):
-    return MultiBufferKernel(handler, switch, train, name)
-
-
-def _make_tree(handler, switch, train, name):
-    return TreeKernel(handler, switch, train, name)
-
-
-register_train_kernel(SingleBufferHandler, _make_single)
-register_train_kernel(MultiBufferHandler, _make_multi)
-register_train_kernel(TreeAggregationHandler, _make_tree)
+register_train_kernel(MultiBufferHandler, MultiBufferKernel)
+register_train_kernel(TreeAggregationHandler, TreeKernel)

@@ -3,9 +3,9 @@
 A handler instance serves one allreduce on one switch: the switch routes
 the allreduce's packets to it, and it keeps per-block state (completion bitmap,
 aggregation buffers) in the working memory of the cluster that owns the
-block.  The concrete aggregation designs (single/multi/tree, dense and
-sparse) subclass :class:`AggregationHandlerBase` and implement
-``_aggregate``.
+block.  The two dense aggregation designs (B shared buffers per block,
+single buffer being B = 1, and the tree) subclass
+:class:`AggregationHandlerBase` and implement ``_aggregate``.
 
 Timing conventions
 ------------------
@@ -67,10 +67,12 @@ class _BlockRecord:
 
 
 class AggregationHandlerBase:
-    """Base class for dense aggregation handlers."""
+    """Base class for dense aggregation handlers.
 
-    #: Subclasses set a unique handler (image) name.
-    name = "flare-base"
+    Subclasses set a unique handler (image) ``name`` and
+    ``worst_case_buffers``, the most working-memory buffers one block
+    may hold at once (B, or P for the tree), which admission reserves.
+    """
 
     def __init__(self, config: HandlerConfig) -> None:
         self.config = config
@@ -101,7 +103,6 @@ class AggregationHandlerBase:
                 state=BlockState(key=key, n_children=self.config.n_children),
                 home_cluster=ctx.cluster.cluster_id,
             )
-            rec.state.first_arrival = ctx.packet.arrival_time
             self._blocks[key] = rec
         return rec
 
@@ -155,18 +156,12 @@ class AggregationHandlerBase:
     # ------------------------------------------------------------------
     # Handler entry point
     # ------------------------------------------------------------------
-    #: Worst-case working-memory buffers one block of this design may
-    #: hold concurrently; subclasses override (single=1, multi=B,
-    #: tree=P).  Used by the admission check below.
-    def _worst_case_buffers(self) -> int:
-        return 1
-
     def process(self, ctx: HandlerContext) -> HandlerResult:
         key = ctx.packet.key()
         if key not in self._blocks:
             # Admit a new block only if this design's worst-case buffer
             # footprint (plus one block of slack) fits the home L1.
-            need = (self._worst_case_buffers() + 1) * max(
+            need = (self.worst_case_buffers + 1) * max(
                 int(ctx.packet.payload.nbytes), 1
             )
             if ctx.cluster.l1.free_bytes < need:
@@ -188,7 +183,6 @@ class AggregationHandlerBase:
 
     def _finish_block(self, ctx: HandlerContext, rec: _BlockRecord, t: float) -> None:
         """Common completion bookkeeping."""
-        rec.state.completed_at = t
         self.blocks_completed += 1
         del self._blocks[rec.state.key]
 

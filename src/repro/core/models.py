@@ -24,7 +24,7 @@ Key equations implemented here:
 * ``B = min(K/tau, 1/delta)`` packets/cycle                     (Sec. 4.1)
 * ``latency = (P-1) delta_c + (Q+1) tau``                       (Sec. 5)
 * ``R = M * (B/P) * latency`` working-memory buffers            (Sec. 4.3)
-* single-buffer tau (Eq. 2), multi-buffer tau (Sec. 6.2),
+* B-buffer tau (Eq. 2 is single buffer, B = 1; Sec. 6.2),
   tree tau (Sec. 6.3).
 
 A note on Eq. 2's contended service time: the paper derives
@@ -96,29 +96,15 @@ def effective_contenders(S: int, L: float, spacing: float) -> float:
     return 1.0 + (S - 1) * overlap
 
 
-def single_buffer_tau(m: ModelInputs, graded: bool = True) -> tuple[float, bool]:
-    """Service time for single-buffer aggregation (Sec. 6.1, Eq. 2).
+def multi_buffer_tau(m: ModelInputs, n_buffers: int) -> tuple[float, bool]:
+    """Service time for B-buffer aggregation (Secs. 6.1 and 6.2).
 
-    Returns ``(tau, contended)``.  Contention disappears when packets of
-    a block are serialized onto one core (S=1) or spaced at least a
-    service time apart (delta_c >= L, achievable via staggered sending
-    for large enough data).  ``graded=False`` uses Eq. 2's worst-case
-    branch verbatim instead of the expected-contention interpolation.
-    """
-    if m.S == 1 or m.delta_c >= m.L:
-        return m.L, False
-    if graded:
-        return contended_tau(m.L, effective_contenders(m.S, m.L, m.delta_c)), True
-    return contended_tau(m.L, m.S), True
-
-
-def multi_buffer_tau(
-    m: ModelInputs, n_buffers: int, graded: bool = True
-) -> tuple[float, bool]:
-    """Service time for B-buffer aggregation (Sec. 6.2).
-
-    The contention condition relaxes by a factor B ("the probability
-    that two running handlers need to access the same buffer decreases
+    Returns ``(tau, contended)``.  With one buffer (Sec. 6.1, Eq. 2),
+    contention disappears when packets of a block are serialized onto
+    one core (S=1) or spaced at least a service time apart (delta_c >=
+    L, achievable via staggered sending for large enough data).  B
+    buffers relax that condition by a factor B ("the probability that
+    two running handlers need to access the same buffer decreases
     proportionally with B" — we substitute B*delta_c for delta_c), and
     the last handler folds the other B-1 buffers together at (B-1)L
     extra cycles, amortized to (B-1)L/P per packet.
@@ -129,10 +115,7 @@ def multi_buffer_tau(
     spacing = n_buffers * m.delta_c
     if m.S == 1 or spacing >= m.L:
         return m.L + merge_overhead, False
-    if graded:
-        tau = contended_tau(m.L, effective_contenders(m.S, m.L, spacing))
-    else:
-        tau = contended_tau(m.L, m.S)
+    tau = contended_tau(m.L, effective_contenders(m.S, m.L, spacing))
     return tau + merge_overhead, True
 
 
@@ -254,14 +237,11 @@ def evaluate_design(
     bound ``delta * Z/N`` is clamped here.
     """
     m = _inputs_from_config(cfg, L=L)
-    if algorithm == "single":
-        tau, contended = single_buffer_tau(m)
-        mem_buffers = 1.0
-        name = "single"
-    elif algorithm == "multi":
-        tau, contended = multi_buffer_tau(m, n_buffers)
-        mem_buffers = float(n_buffers)
-        name = f"multi({n_buffers})"
+    if algorithm in ("single", "multi"):
+        b = 1 if algorithm == "single" else n_buffers
+        tau, contended = multi_buffer_tau(m, b)
+        mem_buffers = float(b)
+        name = "single" if algorithm == "single" else f"multi({b})"
     elif algorithm == "tree":
         tau, contended = tree_tau(m)
         mem_buffers = tree_buffers_per_block(m.P)

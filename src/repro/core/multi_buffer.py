@@ -1,16 +1,30 @@
-"""Multi-buffer aggregation (paper Sec. 6.2, Fig. 8).
+"""Shared-buffer aggregation (paper Secs. 6.1 and 6.2, Figs. 6 and 8).
 
-Each block owns up to B aggregation buffers.  A handler grabs whichever
-buffer is free *now*; if none is free but fewer than B exist it
-allocates a new one; if all B are locked it queues on the
-earliest-freeing one (the critical-section wait of Fig. 8, C1/C3).
-Contention probability drops roughly by 1/B, which is what lets
-multi-buffer recover bandwidth at intermediate message sizes where
-staggered sending cannot stretch delta_c past L (Fig. 10).
+Each block owns up to B aggregation buffers; single-buffer aggregation
+(Sec. 6.1) is B = 1.  A handler grabs whichever buffer is free *now*;
+if none is free but fewer than B exist it allocates a new one; if all B
+are locked it queues on the earliest-freeing one (the critical-section
+wait of Figs. 6 and 8).  The first handler to touch a buffer copies its
+payload in; every later one combines element-wise.
+
+Contention: the lock is the buffer's ``free_at`` timestamp, acquired in
+dispatch (FCFS) order.  A handler that finds its buffer locked spins —
+its core stays busy for the wait plus the aggregation (Fig. 6's red
+boxes) — so with one buffer, S cores per subset and intra-block
+interarrival below the service time, the average service time degrades
+to ``L (S-1)/2`` (Eq. 2).  That caps single-buffer bandwidth for small
+messages (Figs. 7 and 11).  B buffers cut the contention probability
+roughly by 1/B, which is what recovers bandwidth at intermediate sizes
+where staggered sending cannot stretch delta_c past L (Fig. 10).
 
 The price: the handler that completes the children bitmap must fold the
 other B-1 partial buffers into one — (B-1)L extra cycles — and the block
 holds M = B working-memory buffers.
+
+Floating-point caveat: values are combined in lock acquisition order,
+i.e. packet dispatch order, so across runs with different arrival
+interleavings an fp32 sum is not bitwise stable; tree aggregation
+(Sec. 6.3) is the reproducible design.
 """
 
 from __future__ import annotations
@@ -21,17 +35,14 @@ from repro.pspin.switch import HandlerContext, HandlerResult
 
 
 class MultiBufferHandler(AggregationHandlerBase):
-    """B aggregation buffers per block (M = B)."""
+    """B aggregation buffers per block (M = B; single buffer is B = 1)."""
 
     def __init__(self, config: HandlerConfig, n_buffers: int) -> None:
         if n_buffers < 1:
             raise ValueError("n_buffers must be >= 1")
         super().__init__(config)
-        self.n_buffers = n_buffers
+        self.n_buffers = self.worst_case_buffers = n_buffers
         self.name = f"flare-multi{n_buffers}"
-
-    def _worst_case_buffers(self) -> int:
-        return self.n_buffers
 
     def _pick_buffer(
         self, ctx: HandlerContext, rec: _BlockRecord, t: float, n_elements: int

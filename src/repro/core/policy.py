@@ -7,19 +7,17 @@ buffers if larger than 128KiB, and tree aggregation otherwise.  When
 reproducibility of floating-point summation is required, Flare always
 uses tree aggregation."
 
-We implement that ladder literally (``paper`` mode).  The contention
-model of Sec. 6.2 — B*delta_c >= L makes B buffers contention-free —
-would instead assign multi(2) to (256, 512] KiB and multi(4) to
-(128, 256] KiB (the *larger* B compensating the *smaller* delta_c);
-``model`` mode selects that way.  Both are exposed because the paper's
-prose and its own Eq.-2-based reasoning disagree by a swap of the two
-multi-buffer bands (documented in DESIGN.md); the bandwidth difference
-between the two assignments is the (B-1)L/P merge overhead, well under
-2% at P=64.
+A choice is one number: B shared buffers per block (Sec. 6.2), where
+single buffer (Sec. 6.1) is B = 1, or ``0`` for tree aggregation
+(Sec. 6.3).  :func:`select_algorithm` implements the prose ladder
+literally; the contention model of Sec. 6.2 would swap its two
+multi-buffer bands, a disagreement DESIGN.md discusses.
+:func:`parse_aggregation` reads an explicit ``aggregation=`` name.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.core.ops import ReductionOp, get_op
@@ -28,27 +26,50 @@ from repro.utils.units import KIB, parse_size
 #: Algorithm identifiers used across handlers, models, and experiments.
 ALGORITHMS = ("single", "multi(2)", "multi(4)", "tree")
 
+_MULTI = re.compile(r"multi\(([1-9][0-9]*)\)")
+
 
 @dataclass(frozen=True)
 class AlgorithmChoice:
-    """A selected aggregation design."""
+    """A selected aggregation design: B buffers per block, 0 for the tree."""
 
-    algorithm: str          # "single" | "multi" | "tree"
-    n_buffers: int          # B (1 for single, irrelevant for tree)
+    n_buffers: int
     reason: str
 
     @property
     def label(self) -> str:
-        if self.algorithm == "multi":
-            return f"multi({self.n_buffers})"
-        return self.algorithm
+        if self.n_buffers == 0:
+            return "tree"
+        if self.n_buffers == 1:
+            return "single"
+        return f"multi({self.n_buffers})"
+
+
+def parse_aggregation(name: str) -> AlgorithmChoice:
+    """The design an explicit ``aggregation=`` name asks for.
+
+    >>> parse_aggregation("multi(4)").n_buffers
+    4
+    >>> parse_aggregation("single").label
+    'single'
+    """
+    if name == "tree":
+        return AlgorithmChoice(0, "explicit")
+    if name == "single":
+        return AlgorithmChoice(1, "explicit")
+    match = _MULTI.fullmatch(name) if isinstance(name, str) else None
+    if match is None:
+        raise ValueError(
+            f"unknown aggregation {name!r}: use 'single', 'tree' or "
+            f"'multi(B)' with an integer B >= 1"
+        )
+    return AlgorithmChoice(int(match[1]), "explicit")
 
 
 def select_algorithm(
     data_bytes: int | str,
     reproducible: bool = False,
     op: "str | ReductionOp" = "sum",
-    mode: str = "paper",
 ) -> AlgorithmChoice:
     """Pick the aggregation design for a reduction of ``data_bytes``.
 
@@ -63,29 +84,22 @@ def select_algorithm(
         The reduction operator; non-commutative or non-associative
         custom operators force tree aggregation too, since only the
         fixed combine structure gives them well-defined semantics.
-    mode:
-        ``"paper"`` (Sec. 6.4 ladder as written) or ``"model"``
-        (Eq.-2-consistent band assignment) — see module docstring.
     """
     size = parse_size(data_bytes)
     operator = get_op(op)
     if reproducible:
-        return AlgorithmChoice("tree", 0, "reproducibility requested (F3)")
+        return AlgorithmChoice(0, "reproducibility requested (F3)")
     if not (operator.commutative and operator.associative):
         return AlgorithmChoice(
-            "tree", 0, f"operator {operator.name!r} needs a fixed combine structure"
+            0, f"operator {operator.name!r} needs a fixed combine structure"
         )
-    if mode not in ("paper", "model"):
-        raise ValueError(f"unknown policy mode {mode!r}")
     if size > 512 * KIB:
-        return AlgorithmChoice("single", 1, "staggered sending covers delta_c >= L")
+        return AlgorithmChoice(1, "staggered sending covers delta_c >= L")
     if size > 256 * KIB:
-        b = 4 if mode == "paper" else 2
-        return AlgorithmChoice("multi", b, f"{mode} ladder band (256KiB, 512KiB]")
+        return AlgorithmChoice(4, "paper ladder band (256KiB, 512KiB]")
     if size > 128 * KIB:
-        b = 2 if mode == "paper" else 4
-        return AlgorithmChoice("multi", b, f"{mode} ladder band (128KiB, 256KiB]")
-    return AlgorithmChoice("tree", 0, "small data: contention-free regardless of delta_c")
+        return AlgorithmChoice(2, "paper ladder band (128KiB, 256KiB]")
+    return AlgorithmChoice(0, "small data: contention-free regardless of delta_c")
 
 
 def build_handler(choice: AlgorithmChoice, handler_config) -> "object":
@@ -94,13 +108,8 @@ def build_handler(choice: AlgorithmChoice, handler_config) -> "object":
     Imports locally to avoid a cycle (handlers import core modules).
     """
     from repro.core.multi_buffer import MultiBufferHandler
-    from repro.core.single_buffer import SingleBufferHandler
     from repro.core.tree_buffer import TreeAggregationHandler
 
-    if choice.algorithm == "single":
-        return SingleBufferHandler(handler_config)
-    if choice.algorithm == "multi":
-        return MultiBufferHandler(handler_config, choice.n_buffers)
-    if choice.algorithm == "tree":
+    if choice.n_buffers == 0:
         return TreeAggregationHandler(handler_config)
-    raise ValueError(f"unknown algorithm {choice.algorithm!r}")
+    return MultiBufferHandler(handler_config, choice.n_buffers)

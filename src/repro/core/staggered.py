@@ -45,15 +45,18 @@ def arrival_arrays(
     hosts the achievable spread degrades proportionally ("if we would
     have only 2 blocks, the delta_c would be half", Sec. 5).
 
-    ``jitter`` > 0 replaces the fixed spacing with exponential
-    interarrival times of the same mean, scaled by ``jitter`` (1.0 =
-    fully exponential), modeling host imbalance, OS noise, and network
-    contention.  The packet-train fast paths inject the arrays directly.
+    ``jitter`` in (0, 1] replaces the fixed spacing with a mix of
+    interarrival times of the same mean: ``1 - jitter`` of the fixed gap
+    plus ``jitter`` times an exponential one (1.0 = fully exponential),
+    modeling host imbalance, OS noise, and network contention.  The
+    packet-train fast paths inject the arrays directly.
     """
     if n_hosts < 1 or n_blocks < 1:
         raise ValueError("need at least one host and one block")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if not 0.0 <= jitter <= 1.0:      # above 1 a gap's fixed part is negative
+        raise ValueError(f"jitter must be in [0, 1], got {jitter!r}")
     if staggered:
         offsets = (np.arange(n_hosts) * n_blocks) // n_hosts
         orders = (offsets[:, None] + np.arange(n_blocks)[None, :]) % n_blocks

@@ -91,9 +91,7 @@ class TreeAggregationHandler(AggregationHandlerBase):
     def __init__(self, config: HandlerConfig) -> None:
         super().__init__(config)
         self.tree = PairTree(config.n_children)
-
-    def _worst_case_buffers(self) -> int:
-        return self.config.n_children
+        self.worst_case_buffers = config.n_children
 
     # ------------------------------------------------------------------
     def _aggregate(self, ctx: HandlerContext, rec: _BlockRecord, t: float) -> HandlerResult:

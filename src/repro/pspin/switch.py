@@ -142,8 +142,8 @@ class PsPINSwitch:
     Typical use::
 
         sw = PsPINSwitch(SwitchConfig(n_clusters=4))
-        sw.register_handler(SingleBufferHandler(...))
-        sw.install_allreduce(1, "flare-single")
+        sw.register_handler(MultiBufferHandler(config, 1))
+        sw.install_allreduce(1, "flare-multi1")
         for t, pkt in arrivals:
             sw.inject(pkt, at=t)
         makespan = sw.run()

@@ -65,7 +65,7 @@ class FastPathAbort(Exception):
     """Internal: the fast path cannot reproduce the DES for this train."""
 
 
-#: handler type -> kernel factory ``f(handler, switch, train, name)``.
+#: handler type -> kernel factory ``f(handler, switch, train)``.
 TRAIN_KERNELS: dict[type, Callable] = {}
 
 
@@ -170,7 +170,7 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     if factory is None:
         return False
     try:
-        kernel = factory(handler, switch, train, handler_name)
+        kernel = factory(handler, switch, train)
         runner = TrainRunner(switch, train, handler_name, kernel)
         runner.simulate()
     except FastPathAbort:

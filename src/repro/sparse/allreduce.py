@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.allreduce import fair_share_interarrival, scale_bandwidth
 from repro.core.staggered import arrival_arrays
 from repro.pspin.costs import CostModel
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
@@ -30,8 +31,6 @@ from repro.sparse.fastpath import SparsePacketTrain
 from repro.sparse.formats import SparseWorkload, make_sparse_workload
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.utils.units import parse_size
-
-FULL_CLUSTERS = 64
 
 
 @dataclass
@@ -148,8 +147,7 @@ def sparse_switch_allreduce(
     )
     # Arrival schedule: blocks staggered like the dense driver; a block's
     # shards from one host go back-to-back.
-    delta_full = switch_cfg.packet_interarrival_cycles(packet_bytes)
-    delta_sim = delta_full * FULL_CLUSTERS / n_clusters
+    delta_sim = fair_share_interarrival(switch_cfg, packet_bytes)
     times, hosts, blocks = arrival_arrays(
         n_hosts=children,
         n_blocks=n_blocks,
@@ -221,7 +219,7 @@ def sparse_switch_allreduce(
         makespan_cycles=makespan,
         last_arrival_cycles=last_arrival,
         sim_bandwidth_tbps=sim_tbps,
-        bandwidth_tbps=sim_tbps * FULL_CLUSTERS / n_clusters,
+        bandwidth_tbps=scale_bandwidth(sim_tbps, n_clusters),
         block_memory_bytes=handler.peak_block_memory,
         ingress_payload_bytes=ingress_payload,
         egress_payload_bytes=egress_payload,

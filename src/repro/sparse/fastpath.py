@@ -208,7 +208,7 @@ class SparsePacketTrain:
 class SparseTrainKernel:
     """Exact train model of :class:`SparseAggregationHandler`."""
 
-    def __init__(self, handler, switch, train, handler_name: str) -> None:
+    def __init__(self, handler, switch, train) -> None:
         if not isinstance(train, SparsePacketTrain):
             raise FastPathAbort("sparse handler needs a sparse train")
         cfg = handler.config
@@ -233,7 +233,6 @@ class SparseTrainKernel:
         self.l1_deltas: list[list[int]] = [[] for _ in switch.clusters]
         self.budget_used = dict(handler._budget_used)
         self.block_cluster: dict[int, int] = {}
-        self.handler_name = handler_name
         self._resolve(cm)
 
     # -- insert resolution (timing-free) --------------------------------
@@ -254,7 +253,7 @@ class SparseTrainKernel:
             # A train that could fill the input buffers: sweep it with
             # the cheap lower-bound service first, before resolving.
             bound = _ServiceBound(self.dispatch_c, hold.tolist(), ublocks, bstart)
-            TrainRunner(self.switch, train, self.handler_name, bound).simulate()
+            TrainRunner(self.switch, train, self.handler.name, bound).simulate()
         self.flushes = np.zeros(n, dtype=np.int64)
         self.first_flush = np.zeros(n, dtype=np.int64)
         #: Per block: its spill sequence (hash) and its drained result.

@@ -126,3 +126,17 @@ def test_reproducible_flag_forces_tree():
     r = _switch("64KiB", children=4,
                 n_clusters=1, reproducible=True, seed=11)
     assert r.algorithm == "tree"
+
+
+@pytest.mark.parametrize("name", ["foo", "Single", "multi", "multi(0)", "multi(x)"])
+def test_bad_aggregation_names_rejected_at_plan_time(name):
+    """A bad ``aggregation=`` name fails when the shape is planned, with
+    a ``ValueError`` naming the valid forms: not a bare ``KeyError``, a
+    silent multi(1), or a failure only at execute."""
+    from repro import Communicator
+
+    with pytest.raises(ValueError, match=r"'single', 'tree' or 'multi\(B\)'"):
+        plan_switch_allreduce("4KiB", children=8, algorithm=name, n_clusters=2)
+    comm = Communicator(n_hosts=8, n_clusters=2)
+    with pytest.raises(ValueError, match=r"'single', 'tree' or 'multi\(B\)'"):
+        comm.allreduce("4KiB", algorithm="flare_switch", aggregation=name)

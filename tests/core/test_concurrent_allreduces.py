@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.handler_base import HandlerConfig
 from repro.core.manager import NetworkManager
-from repro.core.single_buffer import SingleBufferHandler
+from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
@@ -17,8 +17,9 @@ def test_two_allreduces_interleaved_do_not_mix():
     cfg.cost_model.icache_fill_cycles = 0.0
     sw = PsPINSwitch(cfg)
 
-    h1 = SingleBufferHandler(
-        HandlerConfig(allreduce_id=1, n_children=3, dtype_name="int32")
+    h1 = MultiBufferHandler(
+        HandlerConfig(allreduce_id=1, n_children=3, dtype_name="int32"),
+        1,
     )
     h2 = TreeAggregationHandler(
         HandlerConfig(allreduce_id=2, n_children=2, dtype_name="int32")

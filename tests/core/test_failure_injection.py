@@ -18,7 +18,7 @@ import pytest
 
 from repro.comm import Fabric
 from repro.core.handler_base import HandlerConfig
-from repro.core.single_buffer import SingleBufferHandler
+from repro.core.multi_buffer import MultiBufferHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 
@@ -113,8 +113,9 @@ def test_input_buffer_overload_with_backpressure_stays_exact():
     result must still be exact once everything drains."""
     sw = _switch(drop_on_full=False)
     sw.memories.l2_packet.capacity_bytes = 3 * (1024 + 16)
-    handler = SingleBufferHandler(
-        HandlerConfig(allreduce_id=1, n_children=8, dtype_name="int32")
+    handler = MultiBufferHandler(
+        HandlerConfig(allreduce_id=1, n_children=8, dtype_name="int32"),
+        1,
     )
     sw.register_handler(handler)
     sw.install_allreduce(1, handler.name)
@@ -136,8 +137,9 @@ def test_drop_mode_loses_packets_until_retransmitted():
     the host retransmits — then the reduction completes correctly."""
     sw = _switch(drop_on_full=True)
     sw.memories.l2_packet.capacity_bytes = 1 * (1024 + 16)
-    handler = SingleBufferHandler(
-        HandlerConfig(allreduce_id=1, n_children=2, dtype_name="int32")
+    handler = MultiBufferHandler(
+        HandlerConfig(allreduce_id=1, n_children=2, dtype_name="int32"),
+        1,
     )
     sw.register_handler(handler)
     sw.install_allreduce(1, handler.name)

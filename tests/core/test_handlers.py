@@ -1,4 +1,5 @@
-"""Tests for the three dense aggregation handlers: numerics, costs,
+"""Tests for the dense aggregation handlers (B shared buffers, single
+buffer being B = 1, and the tree): numerics, costs,
 retransmission handling, multicast, and custom operators."""
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from repro.core.handler_base import HandlerConfig, PARENT_PORT
 from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.ops import MAX, MIN, PROD
-from repro.core.single_buffer import SingleBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
@@ -57,7 +57,7 @@ def _golden_sum(payloads):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda c: SingleBufferHandler(c),
+        lambda c: MultiBufferHandler(c, 1),
         lambda c: MultiBufferHandler(c, 2),
         lambda c: MultiBufferHandler(c, 4),
         lambda c: TreeAggregationHandler(c),
@@ -80,7 +80,7 @@ def test_integer_sum_exact(factory):
 
 def test_retransmission_not_aggregated_twice():
     for factory in (
-        lambda c: SingleBufferHandler(c),
+        lambda c: MultiBufferHandler(c, 1),
         lambda c: MultiBufferHandler(c, 2),
         lambda c: TreeAggregationHandler(c),
     ):
@@ -97,7 +97,7 @@ def test_retransmission_not_aggregated_twice():
     cfg.cost_model.icache_fill_cycles = 0.0
     sw = PsPINSwitch(cfg)
     hconf = HandlerConfig(allreduce_id=1, n_children=2, dtype_name="int32")
-    handler = SingleBufferHandler(hconf)
+    handler = MultiBufferHandler(hconf, 1)
     sw.register_handler(handler)
     sw.install_allreduce(1, handler.name)
     a = np.full(4, 5, dtype="int32")
@@ -112,7 +112,7 @@ def test_retransmission_not_aggregated_twice():
 
 def test_root_multicasts_to_children():
     sw, handler, payloads = _run(
-        lambda c: SingleBufferHandler(c), multicast=[0, 1, 2, 3]
+        lambda c: MultiBufferHandler(c, 1), multicast=[0, 1, 2, 3]
     )
     assert len(sw.egress) == 4
     golden = _golden_sum(payloads)
@@ -130,7 +130,7 @@ def test_root_multicasts_to_children():
 def test_custom_operators(op, reduce_fn):
     payloads = [np.array([1, 2, 3, 4], dtype="int32") * (h + 1) for h in range(3)]
     sw, handler, _ = _run(
-        lambda c: SingleBufferHandler(c), n_children=3, payloads=payloads, op=op
+        lambda c: MultiBufferHandler(c, 1), n_children=3, payloads=payloads, op=op
     )
     np.testing.assert_array_equal(sw.egress[0][1].payload, reduce_fn(np.stack(payloads)))
 
@@ -153,7 +153,7 @@ def test_single_buffer_contention_costs_cycles():
     cfg.cost_model.icache_fill_cycles = 0.0
     sw = PsPINSwitch(cfg)
     hconf = HandlerConfig(allreduce_id=1, n_children=8, dtype_name="float32")
-    handler = SingleBufferHandler(hconf)
+    handler = MultiBufferHandler(hconf, 1)
     sw.register_handler(handler)
     sw.install_allreduce(1, handler.name)
     for port in range(8):

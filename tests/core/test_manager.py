@@ -25,12 +25,12 @@ def test_plan_execute_installs_handler_and_rule(monkeypatch, algorithm):
     )
     plan.execute(seed=0)
     (switch,) = switches
-    assert list(switch._handlers) == [plan.handler_name]
-    handler = switch.handler(plan.handler_name)
+    (name,) = switch._handlers
+    handler = switch.handler(name)
     assert handler.config.allreduce_id == 1
     assert handler.config.n_children == 4
     assert handler.config.multicast_ports == [0, 1, 2, 3]
-    assert switch.allreduces == {1: plan.handler_name}
+    assert switch.allreduces == {1: name}
     assert plan.describe()["aggregation"] == algorithm
 
 

@@ -21,7 +21,6 @@ from repro.core.models import (
     max_staggered_interarrival,
     multi_buffer_tau,
     queue_length,
-    single_buffer_tau,
     tree_buffers_per_block,
     tree_tau,
 )
@@ -80,20 +79,18 @@ def test_single_buffer_contention_branches():
     """8 KiB data cannot stagger past L -> contended; delta_c >= L ->
     uncontended tau = L (Eq. 2)."""
     m = _inputs(_cfg("8KiB"))
-    tau, contended = single_buffer_tau(m)
+    tau, contended = multi_buffer_tau(m, 1)
     assert contended
     assert 1024.0 < tau <= contended_tau(1024.0, 8)  # Eq. 2 is the bound
-    tau_wc, _ = single_buffer_tau(m, graded=False)
-    assert tau_wc == contended_tau(1024.0, 8)
 
     big = ModelInputs(K=512, S=8, C=8, P=64, delta=2.0, delta_c=1100.0, L=1024.0)
-    tau, contended = single_buffer_tau(big)
+    tau, contended = multi_buffer_tau(big, 1)
     assert not contended and tau == 1024.0
 
 
 def test_single_buffer_s1_never_contends():
     m = ModelInputs(K=512, S=1, C=8, P=64, delta=2.0, delta_c=2.0, L=1024.0)
-    tau, contended = single_buffer_tau(m)
+    tau, contended = multi_buffer_tau(m, 1)
     assert tau == 1024.0 and not contended
 
 
@@ -139,7 +136,7 @@ def test_queue_and_input_buffers_fig7_anchor():
     """
     cfg = _cfg("8KiB", S=1)
     m = _inputs(cfg)
-    tau, _ = single_buffer_tau(m)
+    tau, _ = multi_buffer_tau(m, 1)
     pkts = input_buffer_packets(m, tau)
     assert pkts * 1024 / MIB == pytest.approx(32.2, rel=0.05)
 
@@ -147,8 +144,8 @@ def test_queue_and_input_buffers_fig7_anchor():
 def test_queue_shrinks_with_subset_size():
     cfg1, cfg8 = _cfg("8KiB", S=1), _cfg("8KiB", S=8)
     m1, m8 = _inputs(cfg1), _inputs(cfg8)
-    q1 = queue_length(m1, single_buffer_tau(m1)[0])
-    q8 = queue_length(m8, single_buffer_tau(m8)[0])
+    q1 = queue_length(m1, multi_buffer_tau(m1, 1)[0])
+    q8 = queue_length(m8, multi_buffer_tau(m8, 1)[0])
     assert q8 < q1
 
 

@@ -1,9 +1,12 @@
 """Tests for the Sec. 6.4 algorithm-selection policy."""
 
-import pytest
-
 from repro.core.ops import ReductionOp
-from repro.core.policy import ALGORITHMS, build_handler, select_algorithm
+from repro.core.policy import (
+    ALGORITHMS,
+    build_handler,
+    parse_aggregation,
+    select_algorithm,
+)
 from repro.core.handler_base import HandlerConfig
 
 
@@ -18,11 +21,6 @@ def test_paper_ladder_bands():
     assert select_algorithm("1KiB").label == "tree"
 
 
-def test_model_mode_swaps_multi_bands():
-    assert select_algorithm("300KiB", mode="model").label == "multi(2)"
-    assert select_algorithm("200KiB", mode="model").label == "multi(4)"
-
-
 def test_reproducibility_forces_tree():
     choice = select_algorithm("4MiB", reproducible=True)
     assert choice.label == "tree"
@@ -32,11 +30,6 @@ def test_reproducibility_forces_tree():
 def test_nonassociative_op_forces_tree():
     weird = ReductionOp("weird", lambda a, v: None, associative=False)
     assert select_algorithm("4MiB", op=weird).label == "tree"
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        select_algorithm("1KiB", mode="vibes")
 
 
 def test_algorithm_labels_cover_paper_set():
@@ -49,3 +42,11 @@ def test_build_handler_round_trip():
         choice = select_algorithm(size)
         handler = build_handler(choice, hconf)
         assert handler.name.startswith("flare-")
+
+
+def test_parse_aggregation_round_trips_labels():
+    for label in (*ALGORITHMS, "multi(3)"):
+        assert parse_aggregation(label).label == label
+    assert parse_aggregation("tree").n_buffers == 0
+    assert parse_aggregation("single").n_buffers == 1
+

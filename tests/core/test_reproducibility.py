@@ -12,10 +12,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.handler_base import HandlerConfig
-from repro.core.single_buffer import SingleBufferHandler
+from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.tree_buffer import TreeAggregationHandler
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
+
+
+def _single(config):
+    return MultiBufferHandler(config, 1)
 
 
 def _run_order(handler_cls, payloads, order, arrival_gap=3.0):
@@ -64,10 +68,10 @@ def test_single_buffer_is_order_dependent():
     """Demonstrates the problem tree aggregation solves: at least one
     pair of arrival orders yields bitwise-different fp32 sums."""
     payloads = _fp32_payloads()
-    baseline = _run_order(SingleBufferHandler, payloads, [0, 1, 2, 3])
+    baseline = _run_order(_single, payloads, [0, 1, 2, 3])
     differs = False
     for order in itertools.permutations(range(4)):
-        r = _run_order(SingleBufferHandler, payloads, list(order))
+        r = _run_order(_single, payloads, list(order))
         if not np.array_equal(r.view(np.uint32), baseline.view(np.uint32)):
             differs = True
             break
@@ -77,7 +81,7 @@ def test_single_buffer_is_order_dependent():
 def test_tree_and_single_agree_within_float_tolerance():
     payloads = _fp32_payloads()
     t = _run_order(TreeAggregationHandler, payloads, [2, 0, 3, 1])
-    s = _run_order(SingleBufferHandler, payloads, [2, 0, 3, 1])
+    s = _run_order(_single, payloads, [2, 0, 3, 1])
     np.testing.assert_allclose(t, s, rtol=1e-5)
 
 

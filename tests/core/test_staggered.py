@@ -88,6 +88,14 @@ def test_invalid_args_rejected():
         arrival_arrays(4, 4, delta=0.0)
 
 
+@pytest.mark.parametrize("jitter", [-0.5, 1.5, 2.0, float("nan")])
+def test_jitter_outside_unit_interval_rejected(jitter):
+    """Above 1 the fixed part of a gap is negative (a host's packets
+    reorder, times fall below ``start``); below 0 it acted as 0."""
+    with pytest.raises(ValueError, match="jitter"):
+        arrival_arrays(8, 16, delta=10.0, jitter=jitter, seed=3)
+
+
 def _loop_arrival_arrays(n_hosts, n_blocks, delta, staggered, jitter, seed, start):
     """The per-host loop ``arrival_arrays`` vectorizes, kept as the
     oracle: one ``exponential`` draw and one ``cumsum`` per host."""
