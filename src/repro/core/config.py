@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pspin.costs import CostModel, DType, get_dtype
+from repro.pspin.costs import DTYPES, CostModel, DType, get_dtype
 from repro.utils.units import parse_size
 
 
@@ -69,6 +69,16 @@ class FlareConfig:
             raise ValueError("packet_bytes and data_bytes must be positive")
         if self.children < 1:
             raise ValueError("children must be >= 1")
+        for name in ("n_clusters", "cores_per_cluster"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # An unsupported dtype still fails lazily, in `dtype`.
+        element = DTYPES.get(self.dtype_name)
+        if element is not None and self.packet_bytes < element.size_bytes:
+            raise ValueError(
+                f"packet_bytes ({self.packet_bytes}) is smaller than one "
+                f"{self.dtype_name} element ({element.size_bytes} B)"
+            )
         # Fail on a bad feed at construction, not lazily inside `delta`.
         if isinstance(self.feed, str):
             if self.feed not in ("line", "balanced"):

@@ -25,17 +25,16 @@ commit, expanded into per-port packets only when read.
 
 Any situation a kernel cannot reproduce exactly (working-memory
 admission stalls, L1 exhaustion, incomplete blocks, payload/config dtype
-mismatch, tree roots of two subsets at one instant) raises
+mismatch, a port outside the children or a repeated (block, port) pair,
+tree roots of two subsets at one instant) raises
 :class:`~repro.pspin.train.FastPathAbort`, and the switch transparently
 re-runs the train through the per-packet path.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Optional
 
 import numpy as np
 
@@ -68,10 +67,22 @@ class _DenseKernelBase:
             # Buffer nbytes would diverge from payload nbytes and with
             # them every combine cost; the DES handles it, we don't.
             raise FastPathAbort("payload dtype != handler dtype")
+        n_children = self.n_children = config.n_children
+        ports = train.ports
+        if ports.min() < 0 or ports.max() >= n_children:
+            raise FastPathAbort("port outside the children range")
+        # One packet per (block, port): the kernels keep no Sec. 4.1
+        # bitmap, so a repeated pair (a retransmission) runs on the DES.
+        # The sorted pair keys and their train positions map emissions
+        # back to packets in :meth:`finish_check`.
+        self.keys, self.key_pos = np.unique(
+            train.block_ids * n_children + ports, return_index=True
+        )
+        if len(self.keys) != train.n_packets:
+            raise FastPathAbort("train repeats a (block, port) pair")
         cm = switch.config.cost_model
         nbytes = train.payload_nbytes
         self.nbytes = nbytes
-        self.n_children = config.n_children
         self.dispatch_c = cm.handler_dispatch_cycles
         self.mgmt_c = cm.buffer_mgmt_cycles
         self.combine_c = (
@@ -90,7 +101,6 @@ class _DenseKernelBase:
         #: block -> home cluster; filled by the runner (subset == cluster).
         self.block_cluster: dict[int, int] = {}
         self.blocks_completed = 0
-        self.duplicates = 0
         #: (finish_time, block_id, dispatch_time, port) per completed
         #: block, from the handler that completed (and emits) it; egress
         #: order as (time, block) pairs once :meth:`finish_check` ran.
@@ -122,15 +132,11 @@ class _DenseKernelBase:
     def finish_check(self) -> None:
         if self.blocks:
             raise FastPathAbort("train left incomplete blocks behind")
-        train = self.train
         finish, blocks, dispatch, ports = map(np.array, zip(*self.emissions))
-        # A completing packet is the first copy of its (block, port) in
-        # the train: later copies are duplicates and complete nothing.
-        width = int(train.ports.max()) + 1
-        keys, first = np.unique(train.block_ids * width + train.ports, return_index=True)
-        train_pos = first[np.searchsorted(keys, blocks * width + ports)]
+        keys = blocks * self.n_children + ports
+        train_pos = self.key_pos[np.searchsorted(self.keys, keys)]
         subset = np.array([self.block_cluster[b] for b in blocks.tolist()])
-        order = completion_order(self.switch, train, finish, dispatch, train_pos, subset)
+        order = completion_order(self.switch, self.train, finish, dispatch, train_pos, subset)
         self.emissions = [self.emissions[i][:2] for i in order.tolist()]
 
     def commit(self) -> tuple[EgressRecord, int]:
@@ -138,7 +144,6 @@ class _DenseKernelBase:
         commit_working_memory(self.switch, self.l1_times, self.l1_deltas)
         handler = self.handler
         handler.blocks_completed += self.blocks_completed
-        handler.duplicates_dropped += self.duplicates
         # The record expands each block's ports in list order, as the
         # DES's completion emits them.
         ports = self.config.multicast_ports
@@ -167,99 +172,70 @@ class _DenseKernelBase:
 # ----------------------------------------------------------------------
 # Shared buffers, single buffer being B = 1 (Secs. 6.1 and 6.2)
 # ----------------------------------------------------------------------
-class _MultiBuf:
-    __slots__ = ("free_at", "filled", "order")
-
-    def __init__(self) -> None:
-        self.free_at = 0.0
-        self.filled = False
-        self.order: list[int] = []
-
-
-class _MultiRecord:
-    __slots__ = ("seen", "count", "buffers")
-
-    def __init__(self) -> None:
-        self.seen = 0
-        self.count = 0
-        self.buffers: list[_MultiBuf] = []
-
-
 class MultiBufferKernel(_DenseKernelBase):
     """Exact train model of :class:`MultiBufferHandler` (M = B; single
-    buffer is B = 1)."""
+    buffer is B = 1).  A block in flight is ``[count, free_at, orders]``:
+    its packets so far and, per buffer in allocation order, the instant
+    its lock frees and the ports combined into it."""
 
     def __init__(self, handler, switch, train) -> None:
         super().__init__(handler, switch, train)
         self.n_buffers = handler.n_buffers
-        #: block -> (per-buffer combine orders, completing buffer index,
-        #: fold order) for the replay program.
-        self._programs: dict[int, tuple[list[list[int]], int, list[int]]] = {}
+        #: block -> (per-buffer combine orders, completing buffer index)
+        #: for the replay program.
+        self._programs: dict[int, tuple[list[list[int]], int]] = {}
 
     def process(self, block_id: int, port: int, dispatch_t: float, start_t: float):
-        cluster = self.block_cluster[block_id]
         rec = self.blocks.get(block_id)
         if rec is None:
-            if self.l1_free[cluster] < self.admission_need:
+            if self.l1_free[self.block_cluster[block_id]] < self.admission_need:
                 raise FastPathAbort("working-memory admission stall")
-            rec = _MultiRecord()
-            self.blocks[block_id] = rec
+            rec = self.blocks[block_id] = [0, [], []]
+        rec[0] += 1
+        _count, free_at, orders = rec
         t = start_t + self.dispatch_c
-        bit = 1 << port
-        if rec.seen & bit:
-            self.duplicates += 1
-            return t, 0.0
-        rec.seen |= bit
-        rec.count += 1
         # _pick_buffer: first free, else allocate (under the B budget),
         # else the earliest-freeing one (degrading on L1 exhaustion).
-        buffers = rec.buffers
-        chosen: Optional[_MultiBuf] = None
-        for buf in buffers:
-            if buf.free_at <= t:
-                chosen = buf
+        chosen = -1
+        for i, lock in enumerate(free_at):
+            if lock <= t:
+                chosen = i
                 break
-        if chosen is None:
-            if len(buffers) < self.n_buffers:
+        if chosen < 0:
+            if len(free_at) < self.n_buffers:
                 t += self.mgmt_c
+                cluster = self.block_cluster[block_id]
                 if self.l1_free[cluster] >= self.nbytes:
                     self._l1_alloc(cluster, dispatch_t)
-                    chosen = _MultiBuf()
-                    buffers.append(chosen)
-                elif not buffers:
+                    chosen = len(free_at)
+                    free_at.append(0.0)
+                    orders.append([])
+                elif not free_at:
                     raise FastPathAbort("L1 cannot fit any aggregation buffer")
-            if chosen is None:
-                chosen = min(buffers, key=lambda b: b.free_at)
-        entry = chosen.free_at if chosen.free_at > t else t
+            if chosen < 0:
+                chosen = free_at.index(min(free_at))
+        lock = free_at[chosen]
+        entry = lock if lock > t else t
         wait = entry - t
         finish = entry + self.combine_c
-        chosen.free_at = finish
-        chosen.filled = True
-        chosen.order.append(port)
-        if rec.count != self.n_children:
+        free_at[chosen] = finish
+        orders[chosen].append(port)
+        if rec[0] != self.n_children:
             return finish, wait
-        # Completing handler folds the other filled buffers (list order)
+        # Completing handler folds the other buffers (allocation order)
         # into its own, waiting out writers still in their sections.
-        fold_order: list[int] = []
-        chosen_idx = buffers.index(chosen)
         t_fold = finish
-        for i, other in enumerate(buffers):
-            if other is chosen or not other.filled:
-                continue
-            entry2 = other.free_at if other.free_at > t_fold else t_fold
-            wait += entry2 - t_fold
-            t_fold = entry2 + self.combine_c
-            other.free_at = t_fold
-            fold_order.append(i)
+        for i, lock in enumerate(free_at):
+            if i != chosen:
+                entry = lock if lock > t_fold else t_fold
+                wait += entry - t_fold
+                t_fold = entry + self.combine_c
         self.emissions.append((t_fold, block_id, dispatch_t, port))
-        for _ in buffers:
+        cluster = self.block_cluster[block_id]
+        for _ in free_at:
             self._l1_release(cluster, t_fold)
         self.blocks_completed += 1
-        self._programs[block_id] = (
-            [b.order for b in buffers],
-            chosen_idx,
-            fold_order,
-        )
+        self._programs[block_id] = (orders, chosen)
         del self.blocks[block_id]
         return t_fold, wait
 
@@ -267,16 +243,17 @@ class MultiBufferKernel(_DenseKernelBase):
         data = self.train.data
         combine = self.config.op.combine_into
         out: dict[int, np.ndarray] = {}
-        for block_id, (orders, chosen_idx, fold_order) in self._programs.items():
+        for block_id, (orders, chosen) in self._programs.items():
             accs = []
             for order in orders:
                 acc = data[order[0], block_id].copy()
                 for port in order[1:]:
                     combine(acc, data[port, block_id])
                 accs.append(acc)
-            result = accs[chosen_idx]
-            for i in fold_order:
-                combine(result, accs[i])
+            result = accs[chosen]
+            for i, acc in enumerate(accs):
+                if i != chosen:
+                    combine(result, acc)
             out[block_id] = result
         return out
 
@@ -323,14 +300,21 @@ class TreeKernel(_DenseKernelBase):
 
     def sweep(self, runner, st) -> None:
         """Run one core subset (== cluster) through the event loop.
-        Completions pop in ``(time, priority 0, scheduling order)``; a
-        core whose handler may still climb reads busy until inf, so no
-        packet takes it first.  Queued packets take the first free core.
-        A block's state is node -> time its data is available (inf: not
-        yet): a leaf's is set at its fill, so a second copy finds it set
-        (a duplicate), and a parent's when a climb claims it."""
+
+        Completions pop in ``(time, priority 0, scheduling order)`` and
+        run before an arrival at their instant.  Packets dispatch FIFO
+        with no queue: an arrival is an event only while some core is
+        free, and takes the free core with the lowest index; otherwise
+        it waits, and the next core whose handler ends takes the oldest
+        packet that arrived strictly before that instant.  A block's
+        state is node -> time its data is available (inf: not yet): a
+        leaf's is set at its fill, a parent's when a climb claims it.
+        Heap entries are ``(time, seq, slot, block_id, node)``: the
+        handler climbs from ``node`` at that instant, and ``node`` is a
+        leaf (a port, below ``n_children``) when the fill just ended."""
         cluster = st.subset
         parent_of, sibling_of = self.parent, self.sibling
+        n_leaves = self.n_children
         unfilled = [_INF] * len(parent_of)
         blocks: dict[int, list[float]] = self.blocks
         emissions = self.emissions
@@ -339,133 +323,106 @@ class TreeKernel(_DenseKernelBase):
         nbytes, admission_need = self.nbytes, self.admission_need
         dispatch_c, mgmt_c = self.dispatch_c, self.mgmt_c
         copy_c, combine_c = self.copy_c, self.combine_c
-        duplicates, blocks_completed = self.duplicates, self.blocks_completed
+        blocks_completed = self.blocks_completed
         busy, handlers_run, busy_cycles = st.busy, st.handlers_run, st.busy_cycles
-        slot_range = range(runner.n_slots)
-        arr_times, arr_blocks, arr_ports = st.arr_times, st.arr_blocks, st.arr_ports
-        n_arr = len(arr_times)
-        arr_i = seq = icache_fills = invocations = 0
-        queue: deque[int] = deque()   # indices (into arr_*) awaiting dispatch
-        # (time, seq, slot, is_fill, block_id, node): the handler climbs
-        # from ``node`` at this completion; node -1 ends it instead.
-        heap: list[tuple] = []
+        arr_times = st.arr_times + [_INF]     # sentinels: neither ever runs
+        arr_blocks, arr_ports = st.arr_blocks, st.arr_ports
+        arr_i = seq = icache_fills = 0
+        free = (1 << runner.n_slots) - 1      # bit s set: core s is free
+        heap: list[tuple] = [(_INF, -1, -1, -1, -1)]
         l2_release = runner.l2_release_times
         last_completion = runner.last_completion
         icache_fill = runner.icache_fill
         warm = st.warm
         busy_total = 0.0
-        while arr_i < n_arr or heap:
-            next_arr = arr_times[arr_i] if arr_i < n_arr else _INF
-            if heap and heap[0][0] <= next_arr:
-                # Completion: priority 0 beats same-instant arrivals.
-                now, _seq, slot, is_fill, block_id, node = heappop(heap)
-                if is_fill:
-                    l2_release.append(now)   # merges work in L1 only
-                if node < 0:
-                    # A duplicate's handler, or a root's zero-length
-                    # extension, ends here.
-                    if now > last_completion:
-                        last_completion = now
-                else:
-                    done = blocks[block_id]
-                    up = parent_of[node]
-                    # Odd subtrees promote for free.
-                    while up >= 0 and done[up] == _INF and sibling_of[node] < 0:
-                        done[up] = done[node]
-                        node = up
-                        up = parent_of[node]
-                    if up < 0:
-                        # Root: this climb owns the final result.  Like
-                        # the DES, a zero-length extension carries it,
-                        # and its own completion ends the handler.
-                        emissions.append((now, block_id))
-                        l1_free += nbytes
-                        l1_times.append(now)
-                        l1_deltas.append(-nbytes)
-                        blocks_completed += 1
-                        del blocks[block_id]
-                        busy[slot] = now
-                        handlers_run[slot] += 1
-                        heappush(heap, (now, seq, slot, False, block_id, -1))
-                        seq += 1
-                    elif done[up] != _INF or done[sibling_of[node]] > now:
-                        # Parent claimed, or the sibling's (later)
-                        # handler will climb: this handler ends.
-                        busy[slot] = now
-                        if now > last_completion:
-                            last_completion = now
-                    else:
-                        t = now + combine_c
-                        l1_free += nbytes
-                        l1_times.append(t)
-                        l1_deltas.append(-nbytes)
-                        done[up] = t
-                        busy[slot] = _INF
-                        handlers_run[slot] += 1      # occupy() counts these
-                        busy_cycles[slot] += t - now
-                        busy_total += t - now
-                        heappush(heap, (t, seq, slot, False, block_id, up))
-                        seq += 1
-                        if not duplicates:
-                            # While the queue is non-empty no other core
-                            # is free now (each freed core took its head
-                            # at its own completion).  A duplicate's core
-                            # is free from its finish on, before its own
-                            # completion runs: scan then.
-                            continue
-                if not queue:
-                    continue
+        while True:
+            now = heap[0][0]
+            if free and arr_times[arr_i] < now:
+                # An arrival while a core is free: the lowest one takes it.
+                now = arr_times[arr_i]
+                low = free & -free
+                free ^= low
+                slot = low.bit_length() - 1
+            elif now == _INF:
+                break
             else:
-                now = next_arr
-                queue.append(arr_i)
-                arr_i += 1
-            # Queued packets take free cores, first free index first.
-            while queue:
-                for slot in slot_range:
-                    if busy[slot] <= now:
-                        break
-                else:
-                    break
-                k = queue.popleft()
-                t = now
-                if not warm:
-                    warm = True
-                    t += icache_fill
-                    icache_fills += 1
-                block_id = arr_blocks[k]
-                port = arr_ports[k]           # leaf ids are the ports
-                done = blocks.get(block_id)
-                if done is None:
-                    if l1_free < admission_need:
-                        raise FastPathAbort("working-memory admission stall")
-                    done = blocks[block_id] = unfilled.copy()
-                t += dispatch_c
-                if done[port] != _INF:
-                    duplicates += 1
-                    busy[slot] = t
-                    port = -1
-                else:
-                    t += mgmt_c
-                    if l1_free < nbytes:
-                        # The DES would roll back the bitmap and stall.
-                        raise FastPathAbort("working-memory stall on tree buffer")
-                    l1_free -= nbytes
+                # Completion: priority 0 beats same-instant arrivals.
+                now, _seq, slot, block_id, node = heappop(heap)
+                if node < n_leaves:
+                    l2_release.append(now)   # merges work in L1 only
+                done = blocks[block_id]
+                up = parent_of[node]
+                # Odd subtrees promote for free.
+                while sibling_of[node] < 0 and up >= 0 and done[up] == _INF:
+                    done[up] = done[node]
+                    node = up
+                    up = parent_of[node]
+                if up < 0:
+                    # Root: this climb owns the final result.  The DES
+                    # carries it in a zero-length extension, which
+                    # leaves the core free at once.
+                    emissions.append((now, block_id))
+                    l1_free += nbytes
                     l1_times.append(now)
-                    l1_deltas.append(nbytes)
-                    t += copy_c
-                    done[port] = t
-                    busy[slot] = _INF
-                handlers_run[slot] += 1
-                busy_cycles[slot] += t - now
-                invocations += 1
-                busy_total += t - now
-                heappush(heap, (t, seq, slot, True, block_id, port))
-                seq += 1
+                    l1_deltas.append(-nbytes)
+                    blocks_completed += 1
+                    del blocks[block_id]
+                    handlers_run[slot] += 1
+                elif done[up] == _INF and done[sibling_of[node]] <= now:
+                    # Both children ready: merge, extending the handler.
+                    t = now + combine_c
+                    l1_free += nbytes
+                    l1_times.append(t)
+                    l1_deltas.append(-nbytes)
+                    done[up] = t
+                    handlers_run[slot] += 1      # occupy() counts these
+                    busy_cycles[slot] += t - now
+                    busy_total += t - now
+                    heappush(heap, (t, seq, slot, block_id, up))
+                    seq += 1
+                    continue
+                # Otherwise the parent is claimed, or the sibling's
+                # (later) handler will climb.  The handler ends here.
+                busy[slot] = now
+                if now > last_completion:
+                    last_completion = now
+                if arr_times[arr_i] >= now:
+                    free |= 1 << slot
+                    continue
+                # A packet waits: the freed core takes the oldest.
+            t = now
+            if not warm:
+                warm = True
+                t += icache_fill
+                icache_fills += 1
+            block_id = arr_blocks[arr_i]
+            port = arr_ports[arr_i]               # leaf ids are the ports
+            arr_i += 1
+            done = blocks.get(block_id)
+            if done is None:
+                if l1_free < admission_need:
+                    raise FastPathAbort("working-memory admission stall")
+                done = blocks[block_id] = unfilled.copy()
+            t += dispatch_c
+            t += mgmt_c
+            if l1_free < nbytes:
+                # The DES would roll back the bitmap and stall.
+                raise FastPathAbort("working-memory stall on tree buffer")
+            l1_free -= nbytes
+            l1_times.append(now)
+            l1_deltas.append(nbytes)
+            t += copy_c
+            done[port] = t
+            handlers_run[slot] += 1
+            busy_cycles[slot] += t - now
+            busy_total += t - now
+            heappush(heap, (t, seq, slot, block_id, port))
+            seq += 1
         self.l1_free[cluster] = l1_free
-        self.duplicates, self.blocks_completed = duplicates, blocks_completed
+        self.blocks_completed = blocks_completed
         st.warm = warm
         runner.icache_fills += icache_fills
-        runner.handler_invocations += invocations
+        runner.handler_invocations += arr_i
         runner.busy_total += busy_total
         runner.last_completion = last_completion
 

@@ -55,6 +55,11 @@ class NetworkManager:
         switch_memory_bytes: Optional[float] = None,
         tenant_quota: Optional[int] = None,
     ) -> None:
+        if max_allreduces_per_switch < 0:
+            raise ValueError(
+                "max_allreduces_per_switch must be >= 0, "
+                f"got {max_allreduces_per_switch}"
+            )
         self.max_allreduces = max_allreduces_per_switch
         self.switch_memory_bytes = switch_memory_bytes
         self.tenant_quota = tenant_quota

@@ -29,7 +29,9 @@ model provably coincides with the per-packet DES —
   remote-L1 penalties, per-subset i-caches and L1s);
 * the L2 packet memory never fills (validated *post hoc* against the
   exact occupancy profile — the first would-be deferral aborts);
-* no working-memory admission stalls, drops, or incomplete blocks.
+* no working-memory admission stalls, drops, or incomplete blocks;
+* dense trains: no repeated (block, port) pair — a retransmission runs
+  on the DES, which keeps the Sec. 4.1 children bitmaps.
 
 The moment any of these fail, :func:`try_run_train` abandons the
 (side-effect-free) fast computation and the caller transparently falls
@@ -39,9 +41,15 @@ always take the existing DES path.
 Train kernels register themselves here via
 :func:`register_train_kernel`: the dense aggregation designs in
 :mod:`repro.core.fastpath`, the sparse hash/array handler in
-:mod:`repro.sparse.fastpath`.  A kernel whose handlers extend (the
-tree's merges) supplies its own ``sweep(runner, subset)``; the others
-share the runner's heap-free one.  A train's ``wire_bytes`` is one integer
+:mod:`repro.sparse.fastpath`.  Both sweeps follow the event loop's FIFO
+dispatch rule: a subset's packets dispatch in arrival order, packet i at
+``max(arrival_i, earliest core-free instant)`` on the free core with the
+lowest index, and a completion runs before an arrival at its instant.
+Neither keeps an arrival queue: while packets wait, every core of the
+subset is busy, so the next core to free takes the oldest of them.  A
+kernel whose handlers extend (the tree's merges) supplies its own
+``sweep(runner, subset)``; the others share the runner's heap-free one,
+one pass over the arrivals.  A train's ``wire_bytes`` is one integer
 (dense: uniform packets) or a per-packet array (sparse); the L2
 input-buffer accounting takes either.
 """
@@ -49,7 +57,6 @@ input-buffer accounting takes either.
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -360,79 +367,53 @@ class TrainRunner:
         )
 
     def _sweep(self, st: _SubsetState) -> None:
-        """Heap-free sweep for kernels whose handlers never extend.
+        """Queue-free sweep for kernels whose handlers never extend.
 
-        Completion events of non-extending handlers only ever free a
-        core, release L2, and hand the core to the queue head — all of
-        which derive from the core ``busy`` times: a queued packet
-        dispatches at ``min(busy)`` (the completion instant, priority 0)
-        on the first free core index, exactly the event loop's order.
+        A completion only frees its core, and the event loop dispatches
+        FIFO: packet i starts at ``max(arrival_i, min(busy))`` on the
+        lowest-index core free then (a completion runs before an arrival
+        at its instant).  No queue is kept: while packets wait, every
+        core is busy, so the next free core goes to the oldest of them.
         """
         kernel_process = self.kernel.process
         busy = st.busy
         handlers_run = st.handlers_run
         busy_cycles = st.busy_cycles
-        n_slots = self.n_slots
-        slot_range = range(n_slots)
-        arr_times = st.arr_times
-        arr_blocks = st.arr_blocks
-        arr_ports = st.arr_ports
-        n_arr = len(arr_times)
-        queue: deque[int] = deque()
+        slot_range = range(self.n_slots)
         l2_release = self.l2_release_times
         last_completion = self.last_completion
         icache_fill = self.icache_fill
-        invocations = 0
         busy_total = 0.0
         wait_total = 0.0
         warm = st.warm
-        inf = float("inf")
-        arr_i = 0
-        while arr_i < n_arr or queue:
-            next_arr = arr_times[arr_i] if arr_i < n_arr else inf
-            if queue:
-                # Queued head dispatches at the next completion instant
-                # (its own arrival precedes every core's busy time).
-                now = min(busy)
-                if now <= next_arr:
-                    k = queue.popleft()
-                else:
-                    k = arr_i
-                    arr_i += 1
-                    now = next_arr
-                    queue.append(k)
-                    continue
+        for now, block_id, port in zip(st.arr_times, st.arr_blocks, st.arr_ports):
+            first_free = min(busy)
+            if first_free > now:
+                # Every core is busy: the packet waits for the first
+                # completion, which hands it the core it frees.
+                now = first_free
+                slot = busy.index(first_free)
             else:
-                k = arr_i
-                arr_i += 1
-                now = next_arr
-            slot = -1
-            for s in slot_range:
-                if busy[s] <= now:
-                    slot = s
-                    break
-            if slot < 0:
-                queue.append(k)
-                continue
+                for slot in slot_range:
+                    if busy[slot] <= now:
+                        break
             start = now
             if not warm:
                 warm = True
                 start += icache_fill
                 self.icache_fills += 1
-            finish, wait = kernel_process(
-                arr_blocks[k], arr_ports[k], now, start
-            )
+            finish, wait = kernel_process(block_id, port, now, start)
             busy[slot] = finish
             handlers_run[slot] += 1
-            busy_cycles[slot] += finish - now
-            invocations += 1
-            busy_total += finish - now
+            held = finish - now
+            busy_cycles[slot] += held
+            busy_total += held
             wait_total += wait
             l2_release.append(finish)
             if finish > last_completion:
                 last_completion = finish
         st.warm = warm
-        self.handler_invocations += invocations
+        self.handler_invocations += len(st.arr_times)
         self.busy_total += busy_total
         self.wait_total += wait_total
         self.last_completion = last_completion

@@ -31,6 +31,38 @@ def test_invalid_values_rejected():
         _ = FlareConfig(feed=-1.0).delta
 
 
+@pytest.mark.parametrize("field", ["n_clusters", "cores_per_cluster"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_switch_without_cores_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlareConfig(**{field: value})
+
+
+def test_packet_smaller_than_an_element_rejected():
+    with pytest.raises(ValueError, match="packet_bytes"):
+        FlareConfig(packet_bytes=3, dtype_name="int32")
+    assert FlareConfig(packet_bytes=1, dtype_name="int8").elements_per_packet == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_clusters": 0}, {"n_clusters": -2}, {"packet_bytes": 3, "dtype": "int32"}],
+)
+def test_bad_switch_shapes_fail_at_plan_time(kwargs):
+    """Each used to surface mid-run: a ZeroDivisionError in the arrival
+    rate or the block count, or "delta must be positive" at execute."""
+    from repro import Communicator
+    from repro.core.allreduce import plan_switch_allreduce
+
+    field = next(iter(kwargs))
+    with pytest.raises(ValueError, match=field):
+        plan_switch_allreduce("64KiB", children=8, **kwargs)
+    if field == "n_clusters":
+        comm = Communicator(n_hosts=8, **kwargs)
+        with pytest.raises(ValueError, match=field):
+            comm.allreduce("64KiB", algorithm="flare_switch")
+
+
 def test_dtype_and_elements():
     cfg = FlareConfig(dtype_name="int16", packet_bytes=1024)
     assert cfg.elements_per_packet == 512

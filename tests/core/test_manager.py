@@ -119,3 +119,15 @@ def test_uninstall_unknown_id_raises():
     mgr = NetworkManager()
     with pytest.raises(KeyError):
         mgr.release(AdmissionTicket(42, (), None, 0.0))
+
+
+def test_negative_capacity_rejected():
+    """A negative slot count is a typo, not "no switch admits": it used
+    to send every tree to the host fallback.  Zero stays legal."""
+    from repro.comm.fabric import Fabric
+
+    with pytest.raises(ValueError, match="max_allreduces_per_switch"):
+        NetworkManager(max_allreduces_per_switch=-1)
+    with pytest.raises(ValueError, match="max_allreduces_per_switch"):
+        Fabric(max_allreduces_per_switch=-1)
+    assert NetworkManager(max_allreduces_per_switch=0).max_allreduces == 0

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.allreduce as allreduce
 from repro.core.allreduce import plan_switch_allreduce
+from repro.core.handler_base import HandlerConfig
+from repro.core.multi_buffer import MultiBufferHandler
 from repro.core.ops import ReductionOp
+from repro.core.tree_buffer import TreeAggregationHandler
+from repro.provenance.collect import collect_switch
+from repro.pspin.switch import PsPINSwitch, SwitchConfig
+from repro.pspin.train import PacketTrain
 
 
 def run_pair(
@@ -80,6 +87,29 @@ def assert_parity(fast, slow, expect_fast=True):
     assert fast.sim_bandwidth_tbps == slow.sim_bandwidth_tbps
 
 
+def hpu_state(switch):
+    """Which core ran what: each HPU's ``busy_until``, ``handlers_run``
+    and ``busy_cycles``."""
+    return [
+        (hpu.busy_until, hpu.handlers_run, hpu.busy_cycles)
+        for cluster in switch.clusters
+        for hpu in cluster.hpus
+    ]
+
+
+@pytest.fixture
+def switches(monkeypatch):
+    """Every switch a plan executes on, in creation order."""
+    made = []
+
+    def capture(cfg):
+        made.append(PsPINSwitch(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(allreduce, "PsPINSwitch", capture)
+    return made
+
+
 @pytest.mark.parametrize("algo", ["single", "multi(4)", "tree"])
 @pytest.mark.parametrize("dtype", ["int32", "float32", "int8"])
 def test_dense_parity(algo, dtype):
@@ -142,12 +172,14 @@ def test_parity_without_jitter():
 
 @pytest.mark.parametrize("algo", ["single", "multi(4)", "tree"])
 @pytest.mark.parametrize("size", ["16KiB", "64KiB", "128KiB"])
-def test_paper_scale_parity(algo, size):
+def test_paper_scale_parity(switches, algo, size):
     """Fig. 11's dense sweep at paper scale (64 children, 4 clusters):
     every point below the back-pressured sizes takes the fast path and
-    matches the DES."""
+    matches the DES, down to which core ran each handler."""
     fast, slow = run_pair(algo, size, children=64, n_clusters=4)
     assert_parity(fast, slow)
+    fast_switch, des_switch = switches
+    assert hpu_state(fast_switch) == hpu_state(des_switch)
 
 
 def test_contended_config_falls_back():
@@ -211,21 +243,26 @@ def test_busy_switch_rejects_train(monkeypatch):
 @pytest.mark.slow
 @settings(max_examples=15, deadline=None)
 @given(
-    algo=st.sampled_from(["single", "multi(2)", "tree"]),
+    algo=st.sampled_from(["single", "multi(2)", "multi(4)", "tree"]),
     dtype=st.sampled_from(["int32", "float32"]),
     children=st.sampled_from([4, 8, 16]),
     size_kib=st.integers(min_value=1, max_value=16),
     seed=st.integers(min_value=0, max_value=5),
     jitter=st.sampled_from([0.0, 0.5, 1.0]),
+    n_clusters=st.sampled_from([1, 2, 4]),
 )
-def test_property_random_configs_parity(algo, dtype, children, size_kib, seed, jitter):
-    """Randomly toggling the fast path never changes the simulation."""
+def test_property_random_configs_parity(
+    algo, dtype, children, size_kib, seed, jitter, n_clusters
+):
+    """Randomly toggling the fast path never changes the simulation.
+    The shared-buffer designs run on up to four subsets; the tree stays
+    on one, since roots tied across subsets decline by design."""
     fast, slow = run_pair(
         algo,
         size_kib * 1024,
         dtype=dtype,
         children=children,
-        n_clusters=1,
+        n_clusters=1 if algo == "tree" else n_clusters,
         seed=seed,
         jitter=jitter,
     )
@@ -235,3 +272,113 @@ def test_property_random_configs_parity(algo, dtype, children, size_kib, seed, j
     for block_id, payload in slow.outputs.items():
         assert np.array_equal(fast.outputs[block_id], payload)
     assert fast.blocks_completed == slow.blocks_completed
+
+
+# ----------------------------------------------------------------------
+# Hand-built trains: the edges of the FIFO dispatch rule
+# ----------------------------------------------------------------------
+CHILDREN = 4
+
+
+def make_handler(algo):
+    config = HandlerConfig(
+        allreduce_id=1,
+        n_children=CHILDREN,
+        dtype_name="int32",
+        multicast_ports=list(range(CHILDREN)),
+    )
+    if algo == "tree":
+        return TreeAggregationHandler(config)
+    return MultiBufferHandler(config, 2)
+
+
+def make_train(rows):
+    """A train of ``(time, block, port)`` rows over blocks 0-3, stably
+    sorted by time, with fixed 16-element int32 payloads (integer costs
+    keep every cycle exact)."""
+    rows = sorted(rows, key=lambda row: row[0])
+    times, blocks, ports = (list(col) for col in zip(*rows))
+    data = np.random.default_rng(7).integers(
+        -1000, 1000, size=(CHILDREN, 4, 16), dtype=np.int32
+    )
+    return PacketTrain(1, times, blocks, ports, data)
+
+
+class CompletionLog(PsPINSwitch):
+    """A switch that logs the instant of every DES completion event."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.completions = []
+
+    def _on_completion(self, hpu, packet, result, buffer_released):
+        self.completions.append(self.sim.now)
+        super()._on_completion(hpu, packet, result, buffer_released)
+
+
+def run_train(algo, train, fast):
+    """A two-core switch running one handler on ``train``."""
+    switch = CompletionLog(SwitchConfig(n_clusters=1, cores_per_cluster=2))
+    handler = make_handler(algo)
+    switch.register_handler(handler)
+    switch.install_allreduce(1, handler.name)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("REPRO_FASTPATH", "1" if fast else "0")
+        used = switch.inject_train(train)
+    return switch, handler, used, switch.run()
+
+
+def completion_instants(algo, rows):
+    """The distinct instants of the completion events of a DES run of
+    ``rows``; a core frees at each of them, or its handler extends."""
+    switch, _handler, _used, _makespan = run_train(algo, make_train(rows), fast=False)
+    return sorted(set(switch.completions))
+
+
+def egress_rows(switch):
+    return [(t, p.block_id, p.port, p.payload.tobytes()) for t, p in switch.egress]
+
+
+@pytest.mark.parametrize("algo", ["multi(2)", "tree"])
+def test_arrivals_at_core_free_instants(algo):
+    """Packets land exactly where handlers complete.  A completion runs
+    before an arrival at its instant, a packet that arrived strictly
+    earlier takes the freed core, and an arrival takes the free core
+    with the lowest index."""
+    # Two cores, eight packets at t = 0: six wait.  Block 3 arrives at
+    # completion instants while older packets still wait.
+    rows = [(0.0, block, port) for block in (0, 1) for port in range(CHILDREN)]
+    during = completion_instants(algo, rows)
+    rows += [(t, 3, port) for port, t in enumerate(during[1:3] * 2)]
+    # Block 2 on the idle switch: core 0 takes port 0 and core 1, a
+    # cycle later, port 1, so core 1 ends while core 0 is already free.
+    end = completion_instants(algo, rows)[-1]
+    rows += [(end + 100.0, 2, 0), (end + 101.0, 2, 1)]
+    last = completion_instants(algo, rows)[-1]
+    rows += [(last, 2, 2), (last, 2, 3)]
+    fast_sw, fast_handler, used, fast_makespan = run_train(algo, make_train(rows), True)
+    des_sw, des_handler, des_used, des_makespan = run_train(algo, make_train(rows), False)
+    assert used and not des_used
+    assert fast_makespan == des_makespan
+    assert egress_rows(fast_sw) == egress_rows(des_sw)
+    assert collect_switch(fast_sw) == collect_switch(des_sw)
+    assert hpu_state(fast_sw) == hpu_state(des_sw)
+    assert fast_handler.blocks_completed == des_handler.blocks_completed == 4
+
+
+@pytest.mark.parametrize("algo", ["multi(2)", "tree"])
+def test_repeated_block_port_runs_on_the_des(algo):
+    """A retransmitted (block, port) row.  The dense kernels keep no
+    Sec. 4.1 bitmap, so the train declines the fast path; the DES drops
+    the copy and still reduces every block exactly."""
+    pairs = [(block, port) for block in range(4) for port in range(CHILDREN)]
+    rows = [(10.0 * i, block, port) for i, (block, port) in enumerate(pairs)]
+    rows.append((5.0, 0, 0))             # block 0, port 0 again, in flight
+    train = make_train(rows)
+    switch, handler, used, _makespan = run_train(algo, train, fast=True)
+    assert used is False
+    assert handler.duplicates_dropped == 1
+    outputs = switch.block_outputs()
+    assert sorted(outputs) == [0, 1, 2, 3]
+    for block, payload in outputs.items():
+        assert np.array_equal(payload, train.data[:, block].sum(axis=0, dtype=np.int32))
