@@ -1,19 +1,28 @@
-"""Golden table of the single-switch dense allreduce.
+"""Golden table of the single-switch dense and sparse allreduce.
 
-Every row plans one switch-level allreduce (``plan_switch_allreduce``)
-and executes it twice: on the packet-train fast path and, with
-``REPRO_FASTPATH=0``, on the per-packet DES.  ``switch_golden.json``
-pins what each run produced: the makespan, the contention wait, both
+Every row runs one switch-level allreduce twice: on the packet-train
+fast path and, with ``REPRO_FASTPATH=0``, on the per-packet DES.  A
+dense row plans it with ``plan_switch_allreduce`` and
+``switch_golden.json`` pins the makespan, the contention wait, both
 memory peaks, the i-cache fills, whether the fast path ran, and a
-sha256 of the aggregated outputs.
+sha256 of the aggregated outputs.  A sparse row runs
+``sparse_switch_allreduce`` and pins the makespan, the contention wait,
+the block memory, the spilled and egress bytes, the extra traffic, the
+completed blocks, whether the fast path ran, feasibility with its
+reason, and the outputs' sha256.
 
 The parity suites compare the two engines with each other, so a change
 that moves both the same way passes them; this table pins the absolute
 numbers.
 
-The rows: single, multi(2), multi(4) and tree aggregation in int32 and
-fp32, plus single buffer under a custom operator, under plain FCFS
-scheduling and with a warm i-cache.
+The dense rows: single, multi(2), multi(4) and tree aggregation in
+int32 and fp32, plus single buffer under a custom operator, under plain
+FCFS scheduling and with a warm i-cache.  The sparse rows: hash and
+array storage at densities 0.01 and 0.1 in float32 and int32, a hash
+table of one slot per packet element at density 0.5 whose blocks end
+with residual spill (its float32 values are non-integer, so the merge's
+add order shows in the bits), and an array too large for the switch's
+working memory.
 
 Regenerate only when a change to the simulated results is intended::
 
@@ -33,6 +42,8 @@ import pytest
 
 from repro.core.allreduce import plan_switch_allreduce
 from repro.core.ops import ReductionOp
+from repro.sparse.allreduce import sparse_switch_allreduce
+from repro.sparse.formats import SparseWorkload, make_sparse_workload
 
 GOLDEN = Path(__file__).with_name("switch_golden.json")
 ENGINES = {"fast": "1", "des": "0"}
@@ -54,22 +65,83 @@ ROWS["single/absmax"] = ({"algorithm": "single", "op": ABSMAX}, {})
 ROWS["single/fcfs"] = ({"algorithm": "single", "scheduler": "fcfs"}, {})
 ROWS["single/warm"] = ({"algorithm": "single", "dtype": "int32"}, {"cold_start": False})
 
+#: sparse row -> sparse_switch_allreduce kwargs (besides the shared ones)
+SPARSE_ROWS: dict[str, dict] = {
+    f"sparse-{storage}/{density}/{dtype}": {
+        "storage": storage, "density": density, "dtype": dtype,
+    }
+    for storage in ("hash", "array")
+    for density in (0.01, 0.1)
+    for dtype in ("float32", "int32")
+}
+SPARSE_ROWS["sparse-hash/spill"] = {
+    "storage": "hash", "density": 0.5, "hash_slots_factor": 1, "noisy": True,
+}
+SPARSE_ROWS["sparse-array/infeasible"] = {
+    "storage": "array", "density": 0.001, "data_bytes": "64KiB",
+}
 
-def run_row(row: str, engine: str) -> dict:
-    plan_kwargs, exec_kwargs = ROWS[row]
+
+def _on_engine(engine: str, run):
     old = os.environ.get("REPRO_FASTPATH")
     os.environ["REPRO_FASTPATH"] = ENGINES[engine]
     try:
-        plan = plan_switch_allreduce("16KiB", children=8, n_clusters=2, **plan_kwargs)
-        r = plan.execute(seed=5, jitter=0.5, **exec_kwargs)
+        return run()
     finally:
         if old is None:
             os.environ.pop("REPRO_FASTPATH", None)
         else:
             os.environ["REPRO_FASTPATH"] = old
+
+
+def _digest(outputs: dict) -> str:
     digest = hashlib.sha256()
-    for block in sorted(r.outputs):
-        digest.update(np.ascontiguousarray(r.outputs[block]).tobytes())
+    for block in sorted(outputs):
+        digest.update(np.ascontiguousarray(outputs[block]).tobytes())
+    return digest.hexdigest()
+
+
+def _noisy_workload(density: float) -> SparseWorkload:
+    """The generated 8-host, 16-block workload with standard-normal
+    float32 values in place of its small integers."""
+    wl = make_sparse_workload(8, 16, 128, density, seed=5)
+    values = np.random.default_rng(5).standard_normal(len(wl.values))
+    return SparseWorkload.from_rows(
+        wl.indices, values.astype(np.float32), wl.offsets, wl.n_hosts,
+        wl.n_blocks, wl.block_span, wl.density, wl.dtype,
+    )
+
+
+def run_sparse_row(row: str, engine: str) -> dict:
+    kwargs = dict(SPARSE_ROWS[row])
+    data_bytes = kwargs.pop("data_bytes", "16KiB")
+    if kwargs.pop("noisy", False):
+        kwargs["workload"] = _noisy_workload(kwargs["density"])
+    r = _on_engine(engine, lambda: sparse_switch_allreduce(
+        data_bytes, children=8, n_clusters=2, seed=5, jitter=0.5, **kwargs
+    ))
+    return {
+        "makespan_cycles": r.makespan_cycles,
+        "contention_wait_cycles": r.contention_wait_cycles,
+        "block_memory_bytes": r.block_memory_bytes,
+        "spilled_bytes": r.spilled_bytes,
+        "egress_payload_bytes": r.egress_payload_bytes,
+        "extra_traffic_pct": r.extra_traffic_pct,
+        "blocks_completed": r.blocks_completed,
+        "fast_path_used": r.fast_path_used,
+        "feasible": r.feasible,
+        "infeasible_reason": r.infeasible_reason,
+        "outputs": _digest(r.outputs),
+    }
+
+
+def run_row(row: str, engine: str) -> dict:
+    if row in SPARSE_ROWS:
+        return run_sparse_row(row, engine)
+    plan_kwargs, exec_kwargs = ROWS[row]
+    r = _on_engine(engine, lambda: plan_switch_allreduce(
+        "16KiB", children=8, n_clusters=2, **plan_kwargs
+    ).execute(seed=5, jitter=0.5, **exec_kwargs))
     return {
         "makespan_cycles": r.makespan_cycles,
         "contention_wait_cycles": r.contention_wait_cycles,
@@ -77,12 +149,12 @@ def run_row(row: str, engine: str) -> dict:
         "peak_working_memory_bytes": r.peak_working_memory_bytes,
         "icache_fills": r.icache_fills,
         "fast_path_used": r.fast_path_used,
-        "outputs": digest.hexdigest(),
+        "outputs": _digest(r.outputs),
     }
 
 
 def cases() -> list[str]:
-    return [f"{row}/{engine}" for row in ROWS for engine in ENGINES]
+    return [f"{row}/{engine}" for row in [*ROWS, *SPARSE_ROWS] for engine in ENGINES]
 
 
 @pytest.fixture(scope="module")
