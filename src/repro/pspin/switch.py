@@ -183,7 +183,8 @@ class PsPINSwitch:
         self.telemetry = Telemetry()
         self._handlers: dict[str, Handler] = {}
         self._egress: list[tuple[float, SwitchPacket]] = []
-        #: Fast-path commits not yet expanded into ``_egress``.
+        #: Fast-path commits not yet expanded into ``_egress``: an
+        #: :class:`EgressRecord`, or the sparse kernel's flat record.
         self._egress_records: list[EgressRecord] = []
         self._first_arrival: Optional[float] = None
         self._last_completion: float = 0.0
@@ -413,13 +414,18 @@ class PsPINSwitch:
         # so this packet lands after them.
         self.egress.append((time, packet))
 
-    def _commit_egress(self, egress: "EgressRecord | list") -> None:
-        """Append a fast-path commit's egress: a ready ``(time, packet)``
-        list, or an :class:`EgressRecord` expanded on first read."""
-        if isinstance(egress, EgressRecord):
-            self._egress_records.append(egress)
-        else:
-            self.egress.extend(egress)
+    def _commit_egress(self, record) -> None:
+        """Append a fast-path commit's egress record; its ``expand()``
+        builds the ``(time, packet)`` entries on first read."""
+        self._egress_records.append(record)
+
+    def sole_egress_record(self):
+        """The unexpanded fast-path record that is this switch's whole
+        egress, else ``None``: a driver can read its arrays without
+        building a packet."""
+        if not self._egress and len(self._egress_records) == 1:
+            return self._egress_records[0]
+        return None
 
     @property
     def egress(self) -> list[tuple[float, SwitchPacket]]:
@@ -432,7 +438,7 @@ class PsPINSwitch:
 
     def block_outputs(self) -> dict:
         """Block id -> payload of the block's first egress packet,
-        read without expanding fast-path records."""
+        read without expanding dense fast-path records."""
         out: dict = {}
         for _t, pkt in self._egress:
             out.setdefault(pkt.block_id, pkt.payload)

@@ -13,6 +13,11 @@ The switch runs the train on the packet-train fast path
 DES exactly, and re-injects it packet by packet otherwise — an
 infeasible storage choice, for one, reaches the DES and its
 ``MemoryError``.  ``SparseAllreduceResult.fast_path_used`` says which.
+
+The outputs are reassembled from the egress in egress order.  After a
+fast-path run that is the kernel's one
+:class:`~repro.sparse.fastpath.SparseEgressRecord`, read as flat arrays
+without building a packet; after a DES run, the packet list.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.core.staggered import arrival_arrays
 from repro.pspin.costs import CostModel
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.sparse.densify import SPARSE_ELEMENT_BYTES
-from repro.sparse.fastpath import SparsePacketTrain
+from repro.sparse.fastpath import SparseEgressRecord, SparsePacketTrain
 from repro.sparse.formats import SparseWorkload, make_sparse_workload
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.utils.units import parse_size
@@ -188,8 +193,12 @@ def sparse_switch_allreduce(
             infeasible_reason=str(exc).split(";")[0],
         )
 
+    record = switch.sole_egress_record()
     dense_out, egress_payload = reassemble_egress(
-        switch.egress, n_blocks, workload.block_span, dtype
+        switch.egress if record is None else record,
+        n_blocks,
+        workload.block_span,
+        dtype,
     )
     # Ideal egress: the fully aggregated union of each block, once.
     flat = workload.flat()
@@ -241,22 +250,31 @@ def reassemble_egress(egress, n_blocks: int, span: int, dtype):
     """Per-block dense outputs of the switch's egress (final results and
     spill packets) and their payload bytes.
 
-    One ``np.add.at`` over every egress element, in egress order, into
-    an ``(n_blocks, span)`` array: it applies elements in order, so each
-    sum is bitwise the per-packet accumulation.  Only blocks with egress
-    get an output, keyed in order of their first egress packet.
+    ``egress`` is a ``(time, packet)`` list or a
+    :class:`~repro.sparse.fastpath.SparseEgressRecord`, whose flat
+    arrays are read as they are.  One ``np.add.at`` over every egress
+    element, in egress order, into an ``(n_blocks, span)`` array: it
+    applies elements in order, so each sum is bitwise the per-packet
+    accumulation.  Only blocks with egress get an output, keyed in order
+    of their first egress packet.
     """
-    pkts = [pkt for _t, pkt in egress]
-    if not pkts:
-        return {}, 0
-    block_ids = [pkt.block_id for pkt in pkts]
-    counts = [len(pkt.indices) for pkt in pkts]
-    pos = np.repeat(np.array(block_ids, dtype=np.int64) * span, counts)
-    pos += np.concatenate([pkt.indices for pkt in pkts])
+    if isinstance(egress, SparseEgressRecord):
+        block_ids, counts = egress.block_ids, np.diff(egress.offsets)
+        indices, values = egress.indices, egress.values
+        nbytes = indices.nbytes + values.nbytes
+    else:
+        pkts = [pkt for _t, pkt in egress]
+        if not pkts:
+            return {}, 0
+        block_ids = np.array([pkt.block_id for pkt in pkts], dtype=np.int64)
+        counts = [len(pkt.indices) for pkt in pkts]
+        indices = np.concatenate([pkt.indices for pkt in pkts])
+        values = np.concatenate([pkt.payload for pkt in pkts])
+        nbytes = sum(pkt.indices.nbytes + pkt.payload.nbytes for pkt in pkts)
+    pos = np.repeat(block_ids * span, counts) + indices
     out = np.zeros((n_blocks, span), dtype=dtype)
-    np.add.at(out.reshape(-1), pos, np.concatenate([pkt.payload for pkt in pkts]))
-    nbytes = sum(pkt.indices.nbytes + pkt.payload.nbytes for pkt in pkts)
-    return {b: out[b] for b in dict.fromkeys(block_ids)}, int(nbytes)
+    np.add.at(out.reshape(-1), pos, values)
+    return {b: out[b] for b in dict.fromkeys(block_ids.tolist())}, int(nbytes)
 
 
 def _probe_block_memory(hconf: SparseHandlerConfig) -> int:

@@ -12,19 +12,27 @@ known.  The block lock only moves time; it never changes insert order.
 So every insert of the train is resolved up front, a block at a time,
 with a few numpy calls per block:
 
-* **hash** — key a block's elements by slot, in arrival order.  The
-  first element of a slot claims it; a later one aggregates if its
-  index equals the claimer's and spills otherwise.  Spills per packet
-  are a ``bincount``; a packet's flushes are the steps of
+* **hash** — group a block's elements by slot, in arrival order, by
+  counting over the table's ``n_slots`` (:func:`_group`; no comparison
+  sort).  The first element of a slot claims it; a later one aggregates
+  if its index equals the claimer's and spills otherwise.  Spills per
+  packet are a ``bincount``; a packet's flushes are the steps of
   ``cumsum(spills) // spill_capacity`` within its block.  Table values
   are the claimers' values plus one ordered ``np.add.at`` of the
   matches, so every float add happens in the handler's order.
-* **array** — one ordered ``np.add.at`` into the touched positions.
+* **array** — one ordered ``np.add.at`` into a span-sized array, the
+  handler's own storage layout, scanned for non-zeros.
 
 Each block's drain (residual spill merge included) runs on the resolved
 storage with the handler's own code, so the completing packet's hold
 cost is exactly the handler's.  The sweep then only does lock
 arithmetic: ``finish = max(t, lock_free_at) + hold``.
+
+The commit hands the switch one :class:`SparseEgressRecord`: every
+spill flush and drained block, packetized as the handler's
+``_emit_sparse`` does, as flat arrays in egress order.  Nothing builds
+a :class:`~repro.pspin.packets.SwitchPacket` unless ``switch.egress``
+is read.
 
 Anything the kernel cannot reproduce — a payload dtype other than the
 handler's, a working-memory budget or L1 overflow, a malformed shard
@@ -47,23 +55,41 @@ from repro.pspin.train import (
     completion_order,
     register_train_kernel,
 )
-from repro.sparse.handlers import L1_BUDGET_BYTES, SparseAggregationHandler
+from repro.sparse.handlers import (
+    L1_BUDGET_BYTES,
+    PARENT_PORT,
+    SparseAggregationHandler,
+)
 from repro.sparse.hash_storage import ELEMENT_BYTES, _slot_of, drain_table
 
 
-def _group(keys: np.ndarray, first: bool = False):
-    """``np.unique(keys, return_inverse=True)`` by one stable sort (the
-    hash-based ``np.unique`` is far slower on these sizes); with
-    ``first``, also each group's first position in ``keys``."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(head) - 1
-    if first:
-        return sorted_keys[head], inverse, order[head]
-    return sorted_keys[head], inverse
+def _group(keys: np.ndarray, bound: int):
+    """``np.unique(keys, return_index=True, return_inverse=True)`` for
+    keys in ``[0, bound)``, by counting over the key range instead of a
+    comparison sort: ``(unique keys, first positions, inverse)``."""
+    n = len(keys)
+    first = np.full(bound, n, dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(n))
+    unique = np.flatnonzero(first < n)
+    rank = np.empty(bound, dtype=np.intp)
+    rank[unique] = np.arange(len(unique))
+    return unique.astype(keys.dtype), first[unique], rank[keys]
+
+
+def _shards(lengths: np.ndarray, per_packet: int):
+    """Split runs of ``lengths`` elements into packets of at most
+    ``per_packet`` (an empty run is one empty packet); per packet, its
+    run, its shard number and its run's shard count."""
+    n_shards = np.maximum(1, -(-lengths // per_packet))
+    run = np.repeat(np.arange(len(lengths)), n_shards)
+    shard = np.arange(len(run)) - (np.cumsum(n_shards) - n_shards)[run]
+    return run, shard, n_shards[run]
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:starts[i] + counts[i]``, concatenated."""
+    shift = starts - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(counts.sum())
 
 
 class SparsePacketTrain:
@@ -149,18 +175,15 @@ class SparsePacketTrain:
         epp = elements_per_packet
         row = hosts.astype(np.int64) * workload.n_blocks + blocks
         nnz = workload.row_nnz()[row]
-        n_shards = np.maximum(1, -(-nnz // epp))
-        entry = np.repeat(np.arange(len(row)), n_shards)
-        shard = np.arange(len(entry)) - (np.cumsum(n_shards) - n_shards)[entry]
+        entry, shard, n_shards = _shards(nnz, epp)
         pkt_times = times[entry] + shard * delta
         order = np.argsort(pkt_times, kind="stable")
-        entry, shard, n_shards = entry[order], shard[order], n_shards[entry][order]
+        entry, shard, n_shards = entry[order], shard[order], n_shards[order]
         # Each packet's slice of its row, laid out in train order.
         counts = np.minimum(nnz[entry] - shard * epp, epp)
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        src = workload.offsets[row[entry]] + shard * epp
-        gather = np.repeat(src - offsets[:-1], counts) + np.arange(offsets[-1])
+        gather = _spans(workload.offsets[row[entry]] + shard * epp, counts)
         return cls(
             allreduce_id,
             times=pkt_times[order],
@@ -203,6 +226,22 @@ class SparsePacketTrain:
                 )
             ]
         return self._packets
+
+
+class SparseEgressRecord(SparsePacketTrain):
+    """One sparse train commit's egress, kept flat: the packets leaving
+    toward the parent (``ports`` all ``PARENT_PORT``), in egress order.
+    Each spill flush and each drained block is packetized on its own,
+    as the handler's ``_emit_sparse`` does.  :meth:`expand` builds the
+    ``(time, SwitchPacket)`` entries the per-packet path appends."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self.n_packets
+
+    def expand(self) -> list[tuple[float, SwitchPacket]]:
+        return list(zip(self.times.tolist(), self.packets()))
 
 
 class SparseTrainKernel:
@@ -256,7 +295,8 @@ class SparseTrainKernel:
             TrainRunner(self.switch, train, self.handler.name, bound).simulate()
         self.flushes = np.zeros(n, dtype=np.int64)
         self.first_flush = np.zeros(n, dtype=np.int64)
-        #: Per block: its spill sequence (hash) and its drained result.
+        #: Per block: its spill sequence (empty for array storage) and
+        #: its drained result, each as (int32 indices, values).
         self.spills: list[tuple[np.ndarray, np.ndarray]] = []
         self.finals: list[tuple[np.ndarray, np.ndarray]] = []
         # The completing packet scans the drained elements (hash) or
@@ -266,7 +306,7 @@ class SparseTrainKernel:
         for b, (lo, hi) in enumerate(zip(bstart.tolist(), bend.tolist())):
             c = counts[lo:hi]
             # The block's elements, arrival order.
-            pos = np.repeat(starts[lo:hi] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+            pos = _spans(starts[lo:hi], c)
             idx, vals = train.indices[pos], train.values[pos]
             if cfg.storage == "hash":
                 scanned[b] = self._resolve_hash(idx, vals, c, lo, hi)
@@ -317,7 +357,7 @@ class SparseTrainKernel:
         storage = self.storage
         n_slots, cap = storage.n_slots, storage.spill_capacity
         slots = _slot_of(idx, n_slots)
-        _keys, group, claimers = _group(slots, first=True)
+        _keys, claimers, group = _group(slots, n_slots)
         match = idx == idx[claimers[group]]
         later = np.ones(len(idx), dtype=bool)
         later[claimers] = False
@@ -336,9 +376,7 @@ class SparseTrainKernel:
         self.spills.append((idx[spilled].astype(np.int32), vals[spilled]))
         # The buffer's residue (under one flush) rides with the result.
         left = spilled[len(spilled) // cap * cap :]
-        indices, values, _residual = drain_table(
-            keys, table, idx[left].tolist(), list(vals[left])
-        )
+        indices, values, _residual = drain_table(keys, table, idx[left], vals[left])
         self.finals.append((indices, values))
         return len(indices)
 
@@ -347,11 +385,11 @@ class SparseTrainKernel:
         span = self.storage.span
         if len(idx) and idx.max() >= span:
             raise FastPathAbort("index outside the array span")
-        touched, inverse = _group(idx)
-        acc = np.zeros(len(touched), dtype=vals.dtype)
-        np.add.at(acc, inverse, vals)
-        keep = acc != 0
-        self.finals.append((touched[keep].astype(np.int32), acc[keep]))
+        acc = np.zeros(span, dtype=vals.dtype)
+        np.add.at(acc, idx, vals)
+        touched = np.flatnonzero(acc)
+        self.spills.append((touched[:0].astype(np.int32), acc[:0]))
+        self.finals.append((touched.astype(np.int32), acc[touched]))
         return span
 
     # -- runner interface ----------------------------------------------
@@ -404,34 +442,55 @@ class SparseTrainKernel:
         )
         self.emit_order = emit[order]
 
-    def commit(self) -> tuple[list[tuple[float, SwitchPacket]], int]:
-        """Apply kernel-side state; returns (egress emissions, bytes)."""
+    def commit(self) -> tuple[SparseEgressRecord, int]:
+        """Apply kernel-side state; returns (egress record, bytes)."""
         commit_working_memory(self.switch, self.l1_times, self.l1_deltas)
         handler = self.handler
         handler._budget_used.update(self.budget_used)
         handler.blocks_completed += len(self.ublocks)
         handler.spilled_bytes_total += self.spilled_elements * ELEMENT_BYTES
         handler.peak_block_memory = max(handler.peak_block_memory, self.mem)
-        emit_sparse = handler._emit_sparse
-        out: list[tuple[float, SwitchPacket]] = []
-        block_of = self.block_of_bo
-        last = set(self.last_bo.tolist())
-        for j in self.emit_order.tolist():
-            t = self.finish[j]
-            b = int(block_of[j])
-            block_id = int(self.ublocks[b])
-            packets: list[SwitchPacket] = []
-            if self.flushes[j]:
-                spill_idx, spill_vals = self.spills[b]
-                cap = self.storage.spill_capacity
-                first = int(self.first_flush[j])
-                for k in range(first, first + int(self.flushes[j])):
-                    chunk = slice(k * cap, (k + 1) * cap)
-                    packets += emit_sparse(spill_idx[chunk], spill_vals[chunk], block_id)
-            if j in last:
-                packets += emit_sparse(*self.finals[b], block_id)
-            out.extend((t, pkt) for pkt in packets)
-        return out, sum(pkt.wire_bytes for _t, pkt in out)
+        record = self._egress()
+        return record, int(record.wire_bytes.sum())
+
+    def _egress(self) -> SparseEgressRecord:
+        """Each emitting packet's flushes, then, if it completes its
+        block, the drained result: runs of one flat source (every
+        block's spills, then every drained block), each packetized as
+        the handler's ``_emit_sparse``."""
+        pieces = [*self.spills, *self.finals]
+        lengths = np.array([len(i) for i, _v in pieces], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        emit = self.emit_order
+        completes = np.isin(emit, self.last_bo)
+        # Run k of emitting packet j: flush k, or the drained block.
+        j, k, _ = _shards(self.flushes[emit] + completes, 1)
+        j = emit[j]
+        b = self.block_of_bo[j]
+        final = k == self.flushes[j]
+        drained = len(self.ublocks) + b
+        cap = getattr(self.storage, "spill_capacity", 0)   # array: no flushes
+        run_start = np.where(
+            final, starts[drained], starts[b] + (self.first_flush[j] + k) * cap
+        )
+        run_len = np.where(final, lengths[drained], cap)
+        epp = self.handler.config.elements_per_packet
+        run, shard, shard_count = _shards(run_len, epp)
+        counts = np.minimum(run_len[run] - shard * epp, epp)
+        offsets = np.zeros(len(run) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        gather = _spans(run_start[run] + shard * epp, counts)
+        return SparseEgressRecord(
+            self.handler.config.allreduce_id,
+            times=np.asarray(self.finish)[j][run],
+            block_ids=self.ublocks[b][run],
+            ports=np.full(len(run), PARENT_PORT),
+            last_of_block=shard == shard_count - 1,
+            shard_count=shard_count,
+            indices=np.concatenate([i for i, _v in pieces])[gather],
+            values=np.concatenate([v for _i, v in pieces])[gather],
+            offsets=offsets,
+        )
 
 
 class _ServiceBound:

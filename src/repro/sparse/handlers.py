@@ -19,6 +19,7 @@ Differences from the dense handlers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +58,11 @@ class SparseHandlerConfig:
             raise ValueError(f"unknown sparse storage {self.storage!r}")
         if not 0 < self.density <= 1:
             raise ValueError("density must be in (0, 1]")
+        if not (math.isfinite(self.hash_slots_factor) and self.hash_slots_factor > 0):
+            raise ValueError(
+                "hash_slots_factor must be a positive finite number, "
+                f"got {self.hash_slots_factor!r}"
+            )
 
     @property
     def elements_per_packet(self) -> int:

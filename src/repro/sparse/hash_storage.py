@@ -56,11 +56,12 @@ class SpillEvent:
 
 
 def drain_table(
-    keys: np.ndarray, values: np.ndarray, spill_indices: list, spill_values: list
+    keys: np.ndarray, values: np.ndarray, spill_indices, spill_values
 ) -> tuple[np.ndarray, np.ndarray, SpillEvent | None]:
     """The completed block of a table (``keys`` -1 where empty) and its
-    pending spill buffer: the table's entries sorted by index, with any
-    residual spilled elements merged in (see :meth:`HashStorage.finalize`).
+    pending spill buffer (sequences in spill order): the table's entries
+    sorted by index, with any residual spilled elements merged in (see
+    :meth:`HashStorage.finalize`).
     """
     mask = keys != -1
     indices = keys[mask].astype(np.int32)
@@ -68,24 +69,25 @@ def drain_table(
     order = np.argsort(indices, kind="stable")
     indices, values_out = indices[order], values_out[order]
     residual: SpillEvent | None = None
-    if spill_indices:
+    if len(spill_indices):
         residual = SpillEvent(
-            indices=np.array(spill_indices, dtype=np.int32),
-            values=np.array(spill_values, dtype=values.dtype),
+            indices=np.asarray(spill_indices, dtype=np.int32),
+            values=np.asarray(spill_values, dtype=values.dtype),
         )
         # Residual spilled elements merge into the output where the
         # index already exists, otherwise append (the *next* switch
         # would aggregate them; merging here models the final-hop
-        # host doing it, keeping numerics exact).
-        out = dict(zip(indices.tolist(), values_out.tolist()))
-        for idx, val in zip(spill_indices, spill_values):
-            if idx in out:
-                out[idx] = out[idx] + val
-            else:
-                out[idx] = val
-        items = sorted(out.items())
-        indices = np.array([k for k, _ in items], dtype=np.int32)
-        values_out = np.array([v for _, v in items], dtype=values.dtype)
+        # host doing it, keeping numerics exact).  The adds run in
+        # spill order in the table's dtype; a new index starts at
+        # -0.0 (0 for ints), the identity of +, so its first element's
+        # value is taken bit for bit.
+        merged, where = np.unique(
+            np.concatenate([indices, residual.indices]), return_inverse=True
+        )
+        out = np.full(len(merged), -0.0, dtype=values.dtype)
+        out[where[: len(indices)]] = values_out
+        np.add.at(out, where[len(indices) :], residual.values)
+        indices, values_out = merged, out
     return indices, values_out, residual
 
 

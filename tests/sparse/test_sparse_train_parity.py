@@ -10,13 +10,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.staggered import arrival_arrays
 from repro.pspin.packets import HEADER_BYTES
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.sparse.allreduce import sparse_switch_allreduce
-from repro.sparse.fastpath import SparsePacketTrain, SparseTrainKernel
+from repro.sparse.fastpath import (
+    SparseEgressRecord,
+    SparsePacketTrain,
+    SparseTrainKernel,
+    _group,
+)
 from repro.sparse.formats import (
     SparseBlock,
     SparseWorkload,
@@ -171,9 +176,16 @@ def switch_pair(
     workload=None,
     l2_bytes=None,
     handler_children=None,
+    handler_kwargs=None,
+    spill_capacity=None,
+    read_egress=None,
 ):
     """Inject one train into a fast-path switch and a DES switch; returns
-    ``[(used_fast_path, makespan_or_error, switch, handler), ...]``."""
+    ``[(used_fast_path, makespan_or_error, switch, handler), ...]``.
+
+    ``spill_capacity`` overrides the hash storage's (which is one packet
+    of elements otherwise); ``read_egress(switch)`` runs after each
+    run, before anything reads the egress."""
     if workload is None:
         workload = noisy_workload(children, n_blocks, density, seed)
     runs = []
@@ -191,7 +203,12 @@ def switch_pair(
             switch.memories.l2_packet.capacity_bytes = l2_bytes
         handler = SparseAggregationHandler(SparseHandlerConfig(
             1, handler_children or children, storage=storage, density=density,
+            **(handler_kwargs or {}),
         ))
+        if spill_capacity is not None:
+            handler._make_storage = _with_spill_capacity(
+                handler._make_storage, spill_capacity
+            )
         switch.register_handler(handler)
         switch.install_allreduce(1, handler.name)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -201,8 +218,19 @@ def switch_pair(
             makespan = switch.run()
         except MemoryError as exc:
             makespan = str(exc)
+        if read_egress is not None:
+            read_egress(switch)
         runs.append((used, makespan, switch, handler))
     return runs
+
+
+def _with_spill_capacity(make_storage, capacity):
+    def make():
+        storage = make_storage()
+        storage.spill_capacity = capacity
+        return storage
+
+    return make
 
 
 def assert_switch_parity(runs, expect_fast=True):
@@ -259,6 +287,108 @@ def test_switch_egress_ties_follow_dispatch_order(children, n_clusters):
         switch_pair("hash", density=1.0, children=children,
                     n_clusters=n_clusters, jitter=0.0, seed=2, workload=workload)
     )
+
+
+# ----------------------------------------------------------------------
+# The flat sparse egress record
+# ----------------------------------------------------------------------
+def _record_kinds(kinds):
+    """``read_egress`` hook: what each switch holds before its egress is
+    read (the fast path's one record, or None on the DES)."""
+    def read(switch):
+        record = switch.sole_egress_record()
+        kinds.append(type(record))
+    return read
+
+
+def test_cancelled_array_block_expands_to_one_empty_packet():
+    """Two children whose values cancel on even blocks: those blocks
+    drain nothing, and the handler still emits one empty final packet."""
+    span, rng = 1280, np.random.default_rng(3)
+    draws = [
+        (np.sort(rng.choice(span, 40, replace=False)).astype(np.int32),
+         rng.integers(1, 7, 40).astype(np.float32))
+        for _ in range(6)
+    ]
+    # Host 1 negates host 0 on even blocks and sends its own on odd ones.
+    blocks = [
+        [SparseBlock(b, span, *draws[b]) for b in range(4)],
+        [
+            SparseBlock(b, span, draws[b][0], -draws[b][1]) if b % 2 == 0
+            else SparseBlock(b, span, *draws[4 + b // 2])
+            for b in range(4)
+        ],
+    ]
+    workload = SparseWorkload(blocks, 2, 4, span, 0.1, "float32")
+    kinds = []
+    runs = switch_pair("array", density=0.1, children=2, n_clusters=2,
+                       workload=workload, read_egress=_record_kinds(kinds))
+    assert kinds == [SparseEgressRecord, type(None)]
+    empty = [p for _t, p in runs[0][2].egress if len(p.indices) == 0]
+    assert sorted(p.block_id for p in empty) == [0, 2]
+    for pkt in empty:
+        assert (pkt.last_of_block, pkt.shard_count) == (True, 1)
+        assert pkt.indices.dtype == np.int32 and pkt.payload.dtype == np.float32
+    assert_switch_parity(runs)
+
+
+def test_flush_wider_than_a_packet_splits_in_two():
+    """A 128-element spill buffer behind 127-element egress packets:
+    every flush leaves as a 127-element shard and a 1-element one."""
+    kinds = []
+    runs = switch_pair(
+        "hash", density=0.5, children=8, n_clusters=2, n_blocks=4,
+        handler_kwargs={"packet_bytes": 1016, "hash_slots_factor": 1},
+        spill_capacity=128, read_egress=_record_kinds(kinds),
+    )
+    assert kinds == [SparseEgressRecord, type(None)]
+    handler = runs[0][3]
+    assert handler.config.elements_per_packet == 127
+    egress = [p for _t, p in runs[0][2].egress]
+    pairs = [
+        (len(a.indices), len(b.indices))
+        for a, b in zip(egress, egress[1:])
+        if a.shard_count == 2 and not a.last_of_block
+    ]
+    assert pairs.count((127, 1)) >= 4
+    assert_switch_parity(runs)
+
+
+@pytest.mark.parametrize("storage", ["hash", "array"])
+def test_driver_reads_the_record_without_expanding(monkeypatch, storage):
+    def no_expand(self):
+        raise AssertionError("sparse egress record expanded")
+
+    monkeypatch.setattr(SparseEgressRecord, "expand", no_expand)
+    r = sparse_switch_allreduce("8KiB", 0.1, storage=storage, children=16,
+                                n_clusters=2, seed=2)
+    assert r.fast_path_used and r.feasible
+    assert r.egress_payload_bytes > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.integers(1, 70_000).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound),
+            st.lists(st.integers(0, bound - 1) | st.just(bound - 1), max_size=300),
+        )
+    ),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@example(case=(1, []), dtype=np.int32)
+@example(case=(508, []), dtype=np.int64)
+@example(case=(1, [0]), dtype=np.int64)
+@example(case=(508, [507]), dtype=np.int32)
+@example(case=(12_800, [12_799, 0, 12_799, 5, 0]), dtype=np.int64)
+def test_group_is_np_unique(case, dtype):
+    bound, keys = case
+    keys = np.array(keys, dtype=dtype)
+    got = _group(keys, bound)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 def test_large_train_below_l2_capacity_engages():
@@ -354,16 +484,20 @@ def test_workload_block_span_too_large_raises():
     dtype=st.sampled_from(["float32", "int32"]),
     size_kib=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=50),
+    hash_slots_factor=st.sampled_from([0.5, 1, 4]),
 )
 def test_property_random_configs_parity(
-    storage, density, correlation, jitter, children, n_clusters, dtype, size_kib, seed
+    storage, density, correlation, jitter, children, n_clusters, dtype, size_kib,
+    seed, hash_slots_factor,
 ):
-    """Toggling the fast path never changes a sparse run."""
+    """Toggling the fast path never changes a sparse run.  Small hash
+    tables spill heavily, so blocks end with residual spill to merge."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         fast, slow = run_pair(
             monkeypatch, data_bytes=size_kib * 1024, density=density,
             storage=storage, children=children, n_clusters=n_clusters,
             correlation=correlation, jitter=jitter, dtype=dtype, seed=seed,
+            hash_slots_factor=hash_slots_factor,
         )
     assert_parity(fast, slow, expect_fast=fast.fast_path_used)
     assert fast.fast_path_used or not fast.feasible

@@ -3,10 +3,13 @@ memory accounting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.sparse.allreduce as allreduce_mod
+from repro.comm import Communicator
 from repro.sparse.array_storage import ArrayStorage
-from repro.sparse.hash_storage import HashStorage
+from repro.sparse.handlers import SparseHandlerConfig
+from repro.sparse.hash_storage import HashStorage, drain_table
 
 
 def _reconstruct(storage, extra_events=()):
@@ -63,6 +66,26 @@ def test_hash_rejects_bad_params():
         HashStorage(n_slots=0)
     with pytest.raises(ValueError):
         HashStorage(n_slots=4, spill_capacity=0)
+
+
+@pytest.mark.parametrize("factor", [0, -3, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_handler_config_rejects_bad_hash_slots_factor(factor):
+    with pytest.raises(ValueError, match="hash_slots_factor"):
+        SparseHandlerConfig(allreduce_id=1, n_children=8, hash_slots_factor=factor)
+    SparseHandlerConfig(allreduce_id=1, n_children=8, hash_slots_factor=0.5)
+
+
+def test_bad_hash_slots_factor_raises_before_any_switch_runs(monkeypatch):
+    """Once a non-positive factor ran silently with a one-slot table."""
+    def no_switch(*_args, **_kwargs):
+        raise AssertionError("a switch was built for an invalid request")
+
+    monkeypatch.setattr(allreduce_mod, "PsPINSwitch", no_switch)
+    comm = Communicator(n_hosts=8)
+    for factor in (0, -3):
+        with pytest.raises(ValueError, match="hash_slots_factor"):
+            comm.allreduce("16KiB", algorithm="flare_switch_sparse", sparse=True,
+                           density=0.01, hash_slots_factor=factor)
 
 
 def test_array_exact_accumulation():
@@ -130,3 +153,56 @@ def test_property_array_matches_dense_sum(data):
     got = np.zeros(32)
     got[idx] = vals
     np.testing.assert_allclose(got, dense)
+
+
+def _drain_reference(keys, values, spill_indices, spill_values):
+    """The table's entries by index, then each residual element added in
+    spill order in the table's dtype (a new index takes its first
+    element as is)."""
+    out = {int(k): v for k, v in zip(keys, values) if k != -1}
+    with np.errstate(over="ignore"):      # int32 adds wrap, as np.add.at's do
+        for i, v in zip(spill_indices, spill_values):
+            out[i] = out[i] + v if i in out else v
+    items = sorted(out.items())
+    return (
+        np.array([k for k, _v in items], dtype=np.int32),
+        np.array([v for _k, v in items], dtype=values.dtype),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=st.lists(st.integers(0, 40), max_size=16, unique=True),
+    spill=st.lists(st.integers(0, 12), max_size=60),
+    dtype=st.sampled_from(["float32", "int32"]),
+    seed=st.integers(0, 2**16),
+)
+@example(table=[3, 7], spill=[5, 5, 5, 5, 7, 9, 5], dtype="float32", seed=1)
+def test_property_drain_merges_residual_in_spill_order(table, spill, dtype, seed):
+    """Bitwise against the sequential merge: float32 values of mixed
+    magnitudes (the add order shows in the last bits), ``-0.0`` among
+    them, and indices spilled three or more times."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        if dtype == "int32":
+            return rng.integers(-(2**31), 2**31, n).astype(np.int32)
+        vals = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)).astype(np.float32)
+        vals[rng.random(n) < 0.1] = np.float32(-0.0)
+        return vals
+
+    n_slots = 20
+    keys = np.full(n_slots, -1, dtype=np.int64)
+    keys[rng.permutation(n_slots)[: len(table)]] = table
+    values = np.zeros(n_slots, dtype=dtype)
+    values[keys != -1] = draw(len(table))
+    spill_values = draw(len(spill))
+    idx, vals, residual = drain_table(keys, values, spill, list(spill_values))
+    want_idx, want_vals = _drain_reference(keys, values, spill, spill_values)
+    assert idx.dtype == np.int32 and vals.dtype == values.dtype
+    assert idx.tobytes() == want_idx.tobytes()
+    assert vals.tobytes() == want_vals.tobytes()
+    assert (residual is None) == (not spill)
+    if spill:
+        assert residual.indices.tolist() == spill
+        assert residual.values.tobytes() == spill_values.tobytes()
