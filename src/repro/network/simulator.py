@@ -34,9 +34,9 @@ which is what pins single-tenant parity across the fabric refactor.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.network.faults import FaultInjector, FaultSchedule
@@ -125,43 +125,34 @@ class TrafficStats:
 
 
 class _LinkQueue:
-    """Per-link start-time-fair queue (WFQ mode only).
+    """Per-link start-time-fair queue state (WFQ mode only).
 
-    Packets that find the link busy are queued with a start tag
-    ``max(virtual_time, last finish tag of their flow)``; the link
-    serves the smallest start tag first (ties by enqueue order).  The
-    finish tag advances by ``nbytes / weight``, so a flow with weight w
-    gets ~w times the service of a weight-1 competitor while both
-    contend.  A lone flow's tags are monotone in enqueue order — FIFO.
+    A message sent on the link gets a start tag ``max(vtime, last
+    finish tag of its flow)``, and its flow's finish tag advances by
+    ``nbytes / weight``, so a flow with weight w gets ~w times the
+    service of a weight-1 competitor while both contend.  Messages that
+    find the link busy wait on ``heap`` as ``(start, seq, msg)`` and
+    leave smallest start tag first (ties by arrival order, ``seq``);
+    ``vtime`` is the start tag of the last message served.  A lone
+    flow's tags are monotone in arrival order — FIFO.  The hop and
+    :meth:`NetworkSimulator._serve` apply these rules.
     """
 
-    __slots__ = (
-        "vtime", "finish_tag", "heap", "drain_scheduled", "link", "depth_peak"
-    )
+    __slots__ = ("vtime", "finish_tag", "heap", "armed", "link", "key", "depth_peak")
 
     def __init__(self, link) -> None:
         self.vtime = 0.0
         self.finish_tag: dict = {}
-        self.heap: list = []          # (start_tag, seq, msg, node)
-        self.drain_scheduled = False
+        self.heap: list = []
+        #: True while a ``_serve`` event waits for the link to free.
+        self.armed = False
         self.link = link              # cached Link (stable per key)
+        self.key = link.key           # (src, dst): the per-link stats key
         #: Provenance: most messages ever waiting at once (counted after
         #: each push, so a transient lone occupant registers as 1).  The
         #: uncontended fast-path bypass never pushes, so under
         #: ``REPRO_FASTPATH`` only genuinely contended instants count.
         self.depth_peak = 0
-
-    def push(self, msg: Message, node: NodeId, weight: float, seq: int) -> None:
-        start = max(self.vtime, self.finish_tag.get(msg.flow, 0.0))
-        self.finish_tag[msg.flow] = start + msg.nbytes / max(weight, 1e-9)
-        heapq.heappush(self.heap, (start, seq, msg, node))
-        if len(self.heap) > self.depth_peak:
-            self.depth_peak = len(self.heap)
-
-    def pop(self) -> tuple[Message, NodeId]:
-        start, _seq, msg, node = heapq.heappop(self.heap)
-        self.vtime = max(self.vtime, start)
-        return msg, node
 
 
 class NetworkSimulator:
@@ -196,11 +187,14 @@ class NetworkSimulator:
         self.router = build_router(router, topology, seed=routing_seed)
         self.sim = sim if sim is not None else Simulator()
         self.arbitration = arbitration
+        self._wfq = arbitration == "wfq"
         #: Structural fast paths (next-hop memoization, uncontended WFQ
         #: bypass, burst sends) — identical timing, fewer Python ops.
         #: ``REPRO_FASTPATH=0`` disables them so the benchmark harness
         #: can measure the per-event baseline.
         self.fast_path = fast_path_env_enabled()
+        #: ``(node, dst)`` -> the next node under FIFO, or the next
+        #: link's :class:`_LinkQueue` under WFQ (None: no memo).
         self._next_hop_cache = self._fresh_memo()
         self._traffic = TrafficStats()
         self._flow_traffic: dict[object, TrafficStats] = {}
@@ -296,7 +290,8 @@ class NetworkSimulator:
         if not 0 < weight < math.inf:      # also rejects nan
             raise ValueError(f"flow weight must be positive and finite, got {weight!r}")
         self._settle()
-        self._flow_weight[flow] = float(weight)
+        # Floored once here rather than per hop: the tags divide by it.
+        self._flow_weight[flow] = max(float(weight), 1e-9)
 
     def remove_flow(self, flow: object) -> None:
         """Drop a finished flow's callbacks, weight, queue tags, and
@@ -416,63 +411,120 @@ class NetworkSimulator:
             hop(msg, msg.src)
 
     def _hop(self, msg: Message, node: NodeId) -> None:
-        now = self.sim.now
-        if self._dead_flows and msg.flow in self._dead_flows:
+        """One hop: deliver at the destination, else route and hand the
+        message to its next link.  Under WFQ the whole hop is this one
+        call: the memo maps ``(node, dst)`` straight to the link's
+        queue, the flow's tags update once, and the message either
+        leaves at once (the uncontended bypass, which a push and pop
+        would serve alike) or waits for :meth:`_serve`."""
+        flow = msg.flow
+        if self._dead_flows and flow in self._dead_flows:
             return  # collective was abandoned/replanned; chunk discarded
-        if node == msg.dst:
+        dst = msg.dst
+        if node == dst:
             if self.faults is not None:
                 # The chunk got through; a fresh loss later (e.g. of a
                 # duplicate) starts a fresh retransmission budget.
                 msg.retries = 0
-            cb = self._deliver_cb.get((node, msg.flow))
-            if cb is None and msg.flow is not None:
+            cb = self._deliver_cb.get((node, flow))
+            if cb is None and flow is not None:
                 cb = self._deliver_cb.get((node, None))
             if cb is not None:
-                cb(msg, now)
+                cb(msg, self.sim.now)
             return
+        wfq = self._wfq
         if self.faults is not None:
-            self._hop_faulty(msg, node)
-            return
-        cache = self._next_hop_cache
-        if cache is not None:
-            key = (node, msg.dst)
-            next_node = cache.get(key)
+            next_node = self._route_faulty(msg, node)
             if next_node is None:
-                next_node = cache[key] = self.router.next_hop(node, msg.dst)
+                return
+            if not wfq:
+                self._launch(self.topology.link(node, next_node), node, next_node, msg)
+                return
+            queue = self._link_queue(node, next_node)
         else:
-            next_node = self.router.next_hop(node, msg.dst)
-        if self.arbitration == "wfq":
-            self._enqueue(node, next_node, msg)
-        else:
-            self._transmit(node, next_node, msg)
+            memo = self._next_hop_cache
+            pair = (node, dst)
+            hit = None if memo is None else memo.get(pair)
+            if hit is None:
+                hit = self.router.next_hop(node, dst)
+                if wfq:
+                    hit = self._link_queue(node, hit)
+                if memo is not None:
+                    memo[pair] = hit
+            if not wfq:
+                self._transmit(node, hit, msg)
+                return
+            queue = hit
+        nbytes = msg.nbytes
+        finish_tag = queue.finish_tag
+        start = finish_tag.get(flow, 0.0)
+        vtime = queue.vtime
+        if vtime > start:
+            start = vtime
+        finish_tag[flow] = start + nbytes / self._flow_weight.get(flow, 1.0)
+        heap = queue.heap
+        link = queue.link
+        sim = self.sim
+        now = sim.now
+        if self.fast_path and not heap and link.busy_until <= now:
+            if start > vtime:
+                queue.vtime = start
+            key = queue.key
+            sim.schedule_fast(link.transmit(nbytes, now), self._hop, (msg, key[1]))
+            # The hop's accounting (:meth:`_record`), inline.
+            stats = self._traffic
+            stats.bytes_hops += nbytes
+            stats.messages += 1
+            per_link = stats.per_link
+            per_link[key] = per_link.get(key, 0) + nbytes
+            if flow is not None:
+                stats = self._flow_traffic.get(flow)
+                if stats is None:
+                    stats = self._flow_traffic[flow] = TrafficStats()
+                stats.bytes_hops += nbytes
+                stats.messages += 1
+                per_link = stats.per_link
+                per_link[key] = per_link.get(key, 0) + nbytes
+            return
+        heappush(heap, (start, self._queue_seq, msg))
+        self._queue_seq += 1
+        if len(heap) > queue.depth_peak:
+            queue.depth_peak = len(heap)
+        if not queue.armed:
+            self._serve(queue)
 
-    def _hop_faulty(self, msg: Message, node: NodeId) -> None:
-        """Forwarding leg under armed faults: dead switches swallow
-        chunks (host timeout recovers them), routing re-resolves against
-        the live failure state, and a partition surfaces loudly."""
+    def _route_faulty(self, msg: Message, node: NodeId) -> Optional[NodeId]:
+        """Next node under armed faults, or None when a dead switch
+        swallowed the chunk (the host timeout recovers it).  Routing
+        re-resolves against the live failure state, and a partition
+        surfaces loudly."""
         # Membership test against the topology's live internal set:
         # this runs on every forwarding hop of a chaos run, where the
         # copying failed_switches() accessor would allocate per hop.
         if node != msg.src and node in self.topology._failed_switches:
             self._lose(msg)
-            return
+            return None
         try:
-            next_node = self.router.next_hop(node, msg.dst)
+            return self.router.next_hop(node, msg.dst)
         except ValueError as exc:
             raise UnreachableError(
                 f"no route {node} -> {msg.dst} for flow {msg.flow!r}: the "
                 f"injected failures partitioned the network ({exc})"
             ) from exc
-        if self.arbitration == "wfq":
-            self._enqueue(node, next_node, msg)
-        else:
-            self._transmit(node, next_node, msg)
+
+    def _link_queue(self, node: NodeId, next_node: NodeId) -> _LinkQueue:
+        key = (node, next_node)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = _LinkQueue(self.topology.link(node, next_node))
+        return queue
 
     # ------------------------------------------------------------------
     # Link service
     # ------------------------------------------------------------------
     def _record(self, src: NodeId, dst: NodeId, msg: Message) -> None:
-        """Account one hop globally and to its flow (once per link hop)."""
+        """Account one hop globally and to its flow (once per link hop;
+        the WFQ hop and :meth:`_serve` run the same lines inline)."""
         nbytes = msg.nbytes
         key = (src, dst)
         stats = self._traffic
@@ -492,12 +544,52 @@ class NetworkSimulator:
 
     def _transmit(self, node: NodeId, next_node: NodeId, msg: Message) -> None:
         link = self.topology.link(node, next_node)
-        if self.faults is not None:
-            self._launch(link, node, next_node, msg)
-            return
         arrival = link.transmit(msg.nbytes, self.sim.now)
         self._record(node, next_node, msg)
         self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
+
+    def _serve(self, queue: _LinkQueue) -> None:
+        """Send ``queue``'s fairest waiting messages while its link is
+        free, then re-arm for when it frees (priority 0: the link must
+        free before same-instant arrivals).  The hop calls it when no
+        re-arm is pending, and the re-arm event is this call; under
+        armed faults each message goes out by :meth:`_launch`."""
+        heap = queue.heap
+        link = queue.link
+        sim = self.sim
+        now = sim.now
+        key = queue.key
+        next_node = key[1]
+        faulty = self.faults is not None
+        hop = self._hop
+        stats = self._traffic
+        per_link = stats.per_link
+        flow_traffic = self._flow_traffic
+        while heap and link.busy_until <= now:
+            start, _seq, msg = heappop(heap)
+            if start > queue.vtime:
+                queue.vtime = start
+            if faulty:
+                self._launch(link, key[0], next_node, msg)
+                continue
+            nbytes = msg.nbytes
+            sim.schedule_fast(link.transmit(nbytes, now), hop, (msg, next_node))
+            # :meth:`_record`, inline.
+            stats.bytes_hops += nbytes
+            stats.messages += 1
+            per_link[key] = per_link.get(key, 0) + nbytes
+            flow = msg.flow
+            if flow is not None:
+                flow_stats = flow_traffic.get(flow)
+                if flow_stats is None:
+                    flow_stats = flow_traffic[flow] = TrafficStats()
+                flow_stats.bytes_hops += nbytes
+                flow_stats.messages += 1
+                flow_per_link = flow_stats.per_link
+                flow_per_link[key] = flow_per_link.get(key, 0) + nbytes
+        queue.armed = bool(heap)
+        if heap:
+            sim.schedule_fast(link.busy_until, self._serve, (queue,), priority=0)
 
     # ------------------------------------------------------------------
     # Reliability (fault-injection runs only)
@@ -579,61 +671,6 @@ class NetworkSimulator:
             return
         self._count(msg, "retransmits")
         self._hop(msg, msg.src)
-
-    def _enqueue(self, node: NodeId, next_node: NodeId, msg: Message) -> None:
-        key = (node, next_node)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = _LinkQueue(self.topology.link(node, next_node))
-        flow = msg.flow
-        weight = self._flow_weight.get(flow, 1.0)
-        link = queue.link
-        now = self.sim.now
-        if self.fast_path and not queue.heap and link.busy_until <= now:
-            # Uncontended instant: serve immediately with the same WFQ
-            # tag updates a push+pop pair would apply (exact bypass).
-            finish_tag = queue.finish_tag
-            start = finish_tag.get(flow, 0.0)
-            vtime = queue.vtime
-            if vtime > start:
-                start = vtime
-            finish_tag[flow] = start + msg.nbytes / max(weight, 1e-9)
-            if start > vtime:
-                queue.vtime = start
-            arrival = link.transmit(msg.nbytes, now)
-            self._record(node, next_node, msg)
-            self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
-            return
-        queue.push(msg, next_node, weight, self._queue_seq)
-        self._queue_seq += 1
-        self._drain(key, queue)
-
-    def _drain(self, key: tuple, queue: "_LinkQueue | None" = None) -> None:
-        """Serve the fairest queued message if the link is free; else
-        (re)arm a drain event for when it frees."""
-        if queue is None:
-            queue = self._queues[key]
-        link = queue.link
-        now = self.sim.now
-        faulty = self.faults is not None
-        while queue.heap and link.busy_until <= now:
-            msg, next_node = queue.pop()
-            if faulty:
-                self._launch(link, key[0], next_node, msg)
-                continue
-            arrival = link.transmit(msg.nbytes, now)
-            self._record(key[0], next_node, msg)
-            self.sim.schedule_fast(arrival, self._hop, (msg, next_node))
-        if queue.heap and not queue.drain_scheduled:
-            queue.drain_scheduled = True
-            # priority 0: the link must free before same-instant arrivals.
-            self.sim.schedule_fast(
-                link.busy_until, self._rearm, (key, queue), priority=0
-            )
-
-    def _rearm(self, key: tuple, queue: "_LinkQueue") -> None:
-        queue.drain_scheduled = False
-        self._drain(key, queue)
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
