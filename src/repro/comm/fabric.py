@@ -48,6 +48,7 @@ defaults, on first non-blocking use.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Optional
 
@@ -158,6 +159,16 @@ class Fabric:
         provenance_db: Optional[str] = None,
         run_label: Optional[str] = None,
     ) -> None:
+        if not 0 < retransmit_timeout_ns < math.inf:      # also rejects nan
+            raise ValueError(
+                "retransmit_timeout_ns must be positive and finite, "
+                f"got {retransmit_timeout_ns!r}"
+            )
+        if not isinstance(max_retransmits, int) or max_retransmits < 0:
+            raise ValueError(
+                "max_retransmits must be a non-negative integer, "
+                f"got {max_retransmits!r}"
+            )
         if isinstance(topology, Topology):
             topo = topology
         else:

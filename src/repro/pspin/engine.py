@@ -148,7 +148,7 @@ class Simulator:
         """:meth:`schedule_at` with ``args`` passed as a tuple rather
         than varargs, so the hot paths (switch dispatch, network hops)
         skip the re-packing."""
-        if time < self.now:
+        if not time >= self.now:     # also rejects nan
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         entry = [time, priority, self._seq, callback, args]
         self._seq += 1

@@ -182,6 +182,30 @@ def test_timeline_json_reports_faults_and_reliability(tmp_path):
     assert payload["events"][0]["status"] == "done"
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(retransmit_timeout_ns=-1.0), "retransmit_timeout_ns"),
+    (dict(retransmit_timeout_ns=0.0), "retransmit_timeout_ns"),
+    (dict(retransmit_timeout_ns=float("nan")), "retransmit_timeout_ns"),
+    (dict(retransmit_timeout_ns=float("inf")), "retransmit_timeout_ns"),
+    (dict(max_retransmits=-1), "max_retransmits"),
+    (dict(max_retransmits=2.5), "max_retransmits"),
+    (dict(max_retransmits=None), "max_retransmits"),
+])
+def test_retransmit_knobs_rejected_at_construction(kwargs, field):
+    """A bad timeout used to surface only at the first loss (an engine
+    error for -1, a wrong makespan for nan); a bad budget as an
+    UnreachableError after "0 retransmissions"."""
+    with pytest.raises(ValueError, match=field):
+        Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2, **kwargs)
+
+
+def test_retransmit_knobs_reach_the_network():
+    fabric = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2,
+                    retransmit_timeout_ns=1e3, max_retransmits=0)
+    assert fabric.net.retransmit_timeout_ns == 1e3
+    assert fabric.net.max_retransmits == 0
+
+
 def test_inject_validates_targets():
     fabric = Fabric(n_hosts=8, hosts_per_leaf=4, n_spines=2)
     with pytest.raises(ValueError):

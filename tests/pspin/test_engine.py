@@ -51,6 +51,18 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+@pytest.mark.parametrize("priority", [0, 1])
+def test_schedule_at_nan_rejected(priority):
+    """nan compares false both ways, so a plain ``time < now`` guard let
+    it in: it ran first and left ``sim.now`` nan."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), lambda: None, priority=priority)
+    with pytest.raises(ValueError):
+        sim.schedule_fast(float("nan"), lambda: None, (), priority)
+    assert sim.pending == 0 and sim.now == 0.0
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
     hits = []
