@@ -68,7 +68,8 @@ class Link:
     failed: bool = field(default=False, compare=False)
     #: Cached bytes/ns divisor (bit-identical to the historical
     #: ``gbps * 1e9 / 8.0 / 1e9`` chain); transmit() is the hottest call
-    #: in network simulations, so the chain is evaluated once.
+    #: in network simulations, so the chain is evaluated once.  The WFQ
+    #: link service runs transmit() inline on a free link and reads it.
     _rate: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:

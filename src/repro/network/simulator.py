@@ -463,14 +463,16 @@ class NetworkSimulator:
             start = vtime
         finish_tag[flow] = start + nbytes / self._flow_weight.get(flow, 1.0)
         heap = queue.heap
-        link = queue.link
-        sim = self.sim
-        now = sim.now
-        if self.fast_path and not heap and link.busy_until <= now:
+        if not heap and self.fast_path and queue.link.busy_until <= self.sim.now:
             if start > vtime:
                 queue.vtime = start
+            # The link is free: ``Link.transmit`` from now, inline.
+            link = queue.link
+            link.busy_until = busy = self.sim.now + nbytes / link._rate
+            link.bytes_carried += nbytes
+            link.messages_carried += 1
             key = queue.key
-            sim.schedule_fast(link.transmit(nbytes, now), self._hop, (msg, key[1]))
+            self.sim.schedule_fast(busy + link.latency_ns, self._hop, (msg, key[1]))
             # The hop's accounting (:meth:`_record`), inline.
             stats = self._traffic
             stats.bytes_hops += nbytes
@@ -556,40 +558,40 @@ class NetworkSimulator:
         armed faults each message goes out by :meth:`_launch`."""
         heap = queue.heap
         link = queue.link
-        sim = self.sim
-        now = sim.now
-        key = queue.key
-        next_node = key[1]
-        faulty = self.faults is not None
-        hop = self._hop
-        stats = self._traffic
-        per_link = stats.per_link
-        flow_traffic = self._flow_traffic
+        now = self.sim.now
         while heap and link.busy_until <= now:
             start, _seq, msg = heappop(heap)
             if start > queue.vtime:
                 queue.vtime = start
-            if faulty:
-                self._launch(link, key[0], next_node, msg)
+            key = queue.key
+            if self.faults is not None:
+                self._launch(link, key[0], key[1], msg)
                 continue
+            # As the hop's bypass: transmit from now and account, inline.
             nbytes = msg.nbytes
-            sim.schedule_fast(link.transmit(nbytes, now), hop, (msg, next_node))
-            # :meth:`_record`, inline.
+            link.busy_until = busy = now + nbytes / link._rate
+            link.bytes_carried += nbytes
+            link.messages_carried += 1
+            self.sim.schedule_fast(busy + link.latency_ns, self._hop, (msg, key[1]))
+            stats = self._traffic
             stats.bytes_hops += nbytes
             stats.messages += 1
+            per_link = stats.per_link
             per_link[key] = per_link.get(key, 0) + nbytes
             flow = msg.flow
             if flow is not None:
-                flow_stats = flow_traffic.get(flow)
-                if flow_stats is None:
-                    flow_stats = flow_traffic[flow] = TrafficStats()
-                flow_stats.bytes_hops += nbytes
-                flow_stats.messages += 1
-                flow_per_link = flow_stats.per_link
-                flow_per_link[key] = flow_per_link.get(key, 0) + nbytes
-        queue.armed = bool(heap)
+                stats = self._flow_traffic.get(flow)
+                if stats is None:
+                    stats = self._flow_traffic[flow] = TrafficStats()
+                stats.bytes_hops += nbytes
+                stats.messages += 1
+                per_link = stats.per_link
+                per_link[key] = per_link.get(key, 0) + nbytes
         if heap:
-            sim.schedule_fast(link.busy_until, self._serve, (queue,), priority=0)
+            queue.armed = True
+            self.sim.schedule_fast(link.busy_until, self._serve, (queue,), 0)
+        else:
+            queue.armed = False
 
     # ------------------------------------------------------------------
     # Reliability (fault-injection runs only)

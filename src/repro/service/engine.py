@@ -32,6 +32,7 @@ service mode bitwise/makespan-identical in the single-tenant limit
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Optional
 
@@ -99,6 +100,13 @@ class FabricService:
         self.workload = workload
         self.scheduler = build_scheduler(scheduler)
         self.queue = AdmissionQueue(queue_policy)
+        if snapshot_interval_ns is not None and not (
+            0 < snapshot_interval_ns < math.inf      # also rejects nan
+        ):
+            raise ValueError(
+                "snapshot_interval_ns must be None or positive and finite, "
+                f"got {snapshot_interval_ns!r}"
+            )
         self.snapshot_interval_ns = snapshot_interval_ns
         if checkpoint_path is not None and not snapshot_interval_ns:
             raise ValueError(
@@ -265,7 +273,7 @@ class FabricService:
             self._gap_timers[job.job_id] = float(t)
             sim.schedule_at(float(t), self._start_iteration, job)
         self.queue.from_state(
-            state["queue"], lambda job_id: self._jobs_by_id[job_id]
+            state["queue"], lambda job_id: self._jobs_by_id[job_id], self._shape
         )
         self.stats.from_state(state["stats"])
         tr = self.fabric.net.traffic
@@ -362,6 +370,11 @@ class FabricService:
             kwargs["hosts"] = job.hosts
         return kwargs
 
+    def _shape(self, job: Job) -> tuple:
+        """The job's admission shape: with its tenant class, everything
+        ``plan`` and ``would_admit`` read of it."""
+        return (job.nbytes, *self._request_kwargs(job).items())
+
     def _start_iteration(self, job: Job) -> None:
         """An iteration is ready: admit now or park in the queue."""
         self._gap_timers.pop(job.job_id, None)
@@ -386,27 +399,19 @@ class FabricService:
             weight=self.workload.classes[job.tenant_class].weight,
             now=self.fabric.now,
             reason=reason,
+            shape=self._shape(job),
         )
 
-    def _admittable(self, job: Job, memo: dict) -> bool:
-        """Admission probe for one queued job, run once per request
-        shape per queue scan.
+    def _admittable(self, job: Job) -> bool:
+        """Admission probe for one queued job, without reserving.
 
-        ``memo`` is a fresh dict for each :meth:`AdmissionQueue.
-        next_admittable` scan.  Nothing changes the pools during a scan,
-        and ``plan`` + ``would_admit`` are pure functions of (tenant
-        class, nbytes, request kwargs) and fabric state, so every entry
-        of one shape gets the same answer.
+        ``plan`` + ``would_admit`` are pure functions of the job's
+        :meth:`_shape`, tenant class and the pools, so the queue probes
+        only the head of each shape group, once per scan.
         """
-        kwargs = self._request_kwargs(job)
-        key = (job.tenant_class, job.nbytes, *kwargs.items())
-        admit = memo.get(key)
-        if admit is None:
-            comm = self._comms[job.tenant_class]
-            plan = comm.plan(nbytes=job.nbytes, **kwargs)
-            admit = self.fabric.would_admit(plan, tenant=comm.name) is None
-            memo[key] = admit
-        return admit
+        comm = self._comms[job.tenant_class]
+        plan = comm.plan(nbytes=job.nbytes, **self._request_kwargs(job))
+        return self.fabric.would_admit(plan, tenant=comm.name) is None
 
     def _issue(self, job: Job, entry: Optional[QueuedJob] = None) -> bool:
         """Issue ``job``'s next iteration (``entry`` = the queue entry it
@@ -482,19 +487,16 @@ class FabricService:
 
         Re-entrancy guard: issuing a dequeued job can release/acquire
         resources itself; one drain loop at a time.  Each issue changes
-        the pools, so every scan gets a fresh probe memo.  A failed
-        issue ends the drain (the entry is still at the head of its
-        order and would be found again at this same instant); the next
-        release retries it."""
+        the pools, so every scan probes afresh.  A failed issue ends the
+        drain (the entry is still at the head of its order and would be
+        found again at this same instant); the next release retries
+        it."""
         if self._draining or not len(self.queue):
             return
         self._draining = True
         try:
             while True:
-                memo: dict[tuple, bool] = {}
-                entry = self.queue.next_admittable(
-                    lambda job: self._admittable(job, memo)
-                )
+                entry = self.queue.next_admittable(self._admittable)
                 if entry is None or not self._issue(entry.job, entry):
                     break
         finally:

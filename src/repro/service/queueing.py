@@ -20,17 +20,34 @@ Two dequeue disciplines:
   smallest vft dequeues first.  Heavy classes drain proportionally
   faster; light classes still make progress (their vft grows slower
   per byte, so they cannot be starved by a firehose class).
+
+Entries are grouped by admission *shape*: a hashable key, given at
+push, such that every entry of one shape gets the same admission
+answer.  Within one tenant class vft never falls as seq rises, so each
+group (kept in seq order) has its smallest ``(vft, seq)`` at its head,
+and a WFQ scan only orders and probes the group heads — once per
+shape, not once per waiting entry.  An entry pushed without a shape is
+a group of its own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from operator import attrgetter
+from typing import Callable, Hashable, Optional
+
+#: WFQ dequeue order: smallest virtual finish time, ties by enqueue order.
+_FAIR_ORDER = attrgetter("vft", "seq")
+_SEQ = attrgetter("seq")
 
 
 class QueuedJob:
     """One iteration waiting for admission."""
 
-    __slots__ = ("job", "tenant_class", "weight", "enqueued_ns", "vft", "seq", "reason")
+    __slots__ = (
+        "job", "tenant_class", "weight", "enqueued_ns", "vft", "seq", "reason",
+        "group",
+    )
 
     def __init__(self, job, tenant_class, weight, enqueued_ns, vft, seq, reason):
         self.job = job
@@ -40,6 +57,8 @@ class QueuedJob:
         self.vft = vft
         self.seq = seq
         self.reason = reason
+        #: Key of the shape group the entry waits in.
+        self.group = None
 
 
 class AdmissionQueue:
@@ -49,7 +68,10 @@ class AdmissionQueue:
         if policy not in ("fifo", "wfq"):
             raise ValueError(f"unknown queue policy {policy!r}")
         self.policy = policy
-        self._items: list[QueuedJob] = []
+        #: Group key -> the group's entries in seq order.  FIFO keeps
+        #: one group, the whole queue; WFQ keys by (tenant class, shape).
+        self._groups: dict[Hashable, deque] = {}
+        self._depth = 0
         self._seq = 0
         self._class_vft: dict[str, float] = {}
         self._vnow = 0.0
@@ -63,45 +85,65 @@ class AdmissionQueue:
         self.reason_counts: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._depth
 
     @property
     def depth(self) -> int:
-        return len(self._items)
+        return self._depth
 
     def push(
-        self, job, *, tenant_class: str, weight: float, now: float, reason: str
+        self, job, *, tenant_class: str, weight: float, now: float, reason: str,
+        shape: Optional[Hashable] = None,
     ) -> None:
         """Park one iteration; its virtual finish time is stamped at
-        enqueue (start-time fairness: waiting accrues no extra credit)."""
+        enqueue (start-time fairness: waiting accrues no extra credit).
+
+        ``shape`` is the entry's admission shape: entries of one tenant
+        class and one shape must get the same answer from any probe.
+        None makes the entry a group of its own."""
         vft = max(self._class_vft.get(tenant_class, 0.0), self._vnow)
         vft += float(job.nbytes) / weight
         self._class_vft[tenant_class] = vft
-        self._items.append(
-            QueuedJob(job, tenant_class, weight, now, vft, self._seq, reason)
+        self._add(
+            QueuedJob(job, tenant_class, weight, now, vft, self._seq, reason), shape
         )
         self._seq += 1
         self.enqueued += 1
         self.reason_counts[reason] = self.reason_counts.get(reason, 0) + 1
+
+    def _add(self, entry: QueuedJob, shape: Optional[Hashable]) -> None:
+        # WFQ keys by class too: vft rises with seq only within one
+        # class, which is what makes a group's head its fairest entry.
+        if self.policy == "fifo":
+            key = None
+        elif shape is None:
+            key = entry.seq
+        else:
+            key = (entry.tenant_class, shape)
+        entry.group = key
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = deque()
+        group.append(entry)
+        self._depth += 1
 
     def next_admittable(self, admittable: Callable) -> Optional[QueuedJob]:
         """The next entry whose admission check passes, left in place.
 
         ``admittable(job) -> bool`` probes the pools without reserving.
         FIFO only ever examines the head (head-of-line blocking is the
-        policy); WFQ scans every waiting entry in virtual-finish order
-        and takes the first admittable one.  Returns ``None`` when
-        nothing can be admitted right now.  The queue is unchanged until
-        :meth:`remove` commits the dequeue, so a caller whose issue is
-        refused after all has nothing to undo.
+        policy).  WFQ orders the shape groups' heads by ``(vft, seq)``
+        and takes the first admittable one: every entry behind a head
+        shares its answer and follows it in that order, so this is the
+        entry a scan of every waiting entry would find, for one probe
+        per shape.  Returns ``None`` when nothing can be admitted right
+        now.  The queue is unchanged until :meth:`remove` commits the
+        dequeue, so a caller whose issue is refused after all has
+        nothing to undo.
         """
-        if not self._items:
-            return None
-        if self.policy == "fifo":
-            candidates = [self._items[0]]
-        else:
-            candidates = sorted(self._items, key=lambda q: (q.vft, q.seq))
-        for entry in candidates:
+        heads = [group[0] for group in self._groups.values()]
+        heads.sort(key=_FAIR_ORDER)
+        for entry in heads:
             if admittable(entry.job):
                 return entry
         return None
@@ -109,7 +151,11 @@ class AdmissionQueue:
     def remove(self, entry: QueuedJob, now: float) -> None:
         """Dequeue ``entry`` (found by :meth:`next_admittable`) at
         ``now``: advance virtual time and record its queue wait."""
-        self._items.remove(entry)
+        group = self._groups[entry.group]
+        group.remove(entry)                 # a head: found at index 0
+        if not group:
+            del self._groups[entry.group]
+        self._depth -= 1
         self._vnow = max(self._vnow, entry.vft)
         self.dequeued += 1
         self.wait_samples_ns.append(now - entry.enqueued_ns)
@@ -124,10 +170,14 @@ class AdmissionQueue:
         return entry
 
     def sample_depth(self) -> None:
-        self.depth_samples.append(len(self._items))
+        self.depth_samples.append(self._depth)
 
     def waiting(self) -> list[QueuedJob]:
-        return list(self._items)
+        """Every waiting entry, in enqueue order."""
+        return sorted(
+            (entry for group in self._groups.values() for entry in group),
+            key=_SEQ,
+        )
 
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing (JSON-safe state)
@@ -150,7 +200,7 @@ class AdmissionQueue:
                     "seq": q.seq,
                     "reason": q.reason,
                 }
-                for q in self._items
+                for q in self.waiting()
             ],
             "enqueued": self.enqueued,
             "dequeued": self.dequeued,
@@ -159,7 +209,11 @@ class AdmissionQueue:
             "reason_counts": dict(self.reason_counts),
         }
 
-    def from_state(self, state: dict, job_by_id) -> None:
+    def from_state(
+        self, state: dict, job_by_id, shape: Optional[Callable] = None
+    ) -> None:
+        """Restore :meth:`to_state`'s queue; ``shape(job)`` regroups the
+        entries (the shape :meth:`push` was given, None if it was not)."""
         if state["policy"] != self.policy:
             raise ValueError(
                 f"checkpoint queue policy {state['policy']!r} != "
@@ -170,14 +224,18 @@ class AdmissionQueue:
         self._class_vft = {
             k: float(v) for k, v in state["class_vft"].items()
         }
-        self._items = [
-            QueuedJob(
-                job_by_id(int(e["job_id"])), e["tenant_class"],
-                float(e["weight"]), float(e["enqueued_ns"]),
-                float(e["vft"]), int(e["seq"]), e["reason"],
+        self._groups = {}
+        self._depth = 0
+        for e in state["entries"]:
+            job = job_by_id(int(e["job_id"]))
+            self._add(
+                QueuedJob(
+                    job, e["tenant_class"], float(e["weight"]),
+                    float(e["enqueued_ns"]), float(e["vft"]), int(e["seq"]),
+                    e["reason"],
+                ),
+                None if shape is None else shape(job),
             )
-            for e in state["entries"]
-        ]
         self.enqueued = int(state["enqueued"])
         self.dequeued = int(state["dequeued"])
         self.wait_samples_ns = [float(x) for x in state["wait_samples_ns"]]

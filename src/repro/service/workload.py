@@ -22,6 +22,7 @@ one component cannot perturb any other (process-stable splitting).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -146,6 +147,26 @@ class PoissonWorkload:
         return out
 
 
+def _check_job(index: int, j: dict) -> None:
+    """Reject a trace job that could not run as written."""
+    name = f"trace job {index} (tenant {j.get('tenant')!r})"
+    iterations = j.get("iterations", 1)
+    if type(iterations) is not int or iterations < 1:
+        raise ValueError(
+            f"{name}: iterations must be an integer >= 1, got {iterations!r}"
+        )
+    for field in ("arrival", "gap"):
+        raw = j.get(field, 0)
+        try:
+            value = parse_time_ns(raw)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0 <= value < math.inf:       # also rejects nan
+            raise ValueError(
+                f"{name}: {field} must be a finite time >= 0, got {raw!r}"
+            )
+
+
 class TraceWorkload:
     """Deterministic replay of a JSON trace of training-job epochs.
 
@@ -168,6 +189,9 @@ class TraceWorkload:
     is a hint for the planner (``"auto"`` lets capability-based
     selection pick).  A job's ``tenant`` must name an entry of
     ``classes`` (weights default to 1.0 for unlisted classes).
+    ``iterations`` must be an integer >= 1, and ``arrival`` and ``gap``
+    finite and >= 0; a job that breaks this raises ``ValueError`` at
+    load, naming the job (its index in ``jobs``) and the field.
     """
 
     def __init__(self, source) -> None:
@@ -185,6 +209,8 @@ class TraceWorkload:
         raw_jobs = spec.get("jobs")
         if not raw_jobs:
             raise ValueError("trace lists no jobs")
+        for index, j in enumerate(raw_jobs):
+            _check_job(index, j)
         class_spec = spec.get("classes") or {}
         names = {j["tenant"] for j in raw_jobs} | set(class_spec)
         self.classes = {
@@ -206,7 +232,7 @@ class TraceWorkload:
                     arrival_ns=parse_time_ns(j.get("arrival", 0)),
                     nbytes=float(parse_size(j.get("size", "1MiB"))),
                     n_hosts=j.get("n_hosts"),
-                    iterations=int(j.get("iterations", 1)),
+                    iterations=j.get("iterations", 1),
                     gap_ns=parse_time_ns(j.get("gap", 0)),
                     algorithm=j.get("algorithm", "auto"),
                     dtype=j.get("dtype", "float32"),

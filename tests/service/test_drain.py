@@ -1,9 +1,10 @@
 """Admission-queue drain: one probe per request shape per scan.
 
-The drain memoizes the admission probe per ``next_admittable`` scan.
-The oracle below is the per-entry probe (one ``plan`` + ``would_admit``
-round trip for every queued entry); every variant must produce the
-identical run, down to each collective's start and finish.
+The queue groups entries by admission shape and probes only the group
+heads.  The oracle below is the full scan: every queued entry probed in
+``(vft, seq)`` order (FIFO: the head), one ``plan`` + ``would_admit``
+round trip each.  Every variant must produce the identical run, down to
+each collective's start and finish.
 """
 
 import pytest
@@ -37,10 +38,29 @@ def _make_trace(n_tenants: int) -> dict:
     }
 
 
-class _PerEntryProbe(FabricService):
-    """Oracle: probe every queued entry, no memo."""
+def _full_scan(queue, admittable):
+    """The first admittable entry of a scan over every waiting entry."""
+    waiting = queue.waiting()
+    if queue.policy == "fifo":
+        waiting = waiting[:1]
+    else:
+        waiting.sort(key=lambda q: (q.vft, q.seq))
+    for entry in waiting:
+        if admittable(entry.job):
+            return entry
+    return None
 
-    def _admittable(self, job, memo) -> bool:
+
+class _PerEntryProbe(FabricService):
+    """Oracle: probe every queued entry in full order, no shape groups."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queue.next_admittable = lambda admittable: _full_scan(
+            self.queue, admittable
+        )
+
+    def _admittable(self, job) -> bool:
         comm = self._comms[job.tenant_class]
         plan = comm.plan(nbytes=job.nbytes, **self._request_kwargs(job))
         return self.fabric.would_admit(plan, tenant=comm.name) is None
@@ -110,7 +130,8 @@ def test_memoized_drain_matches_per_entry_oracle(variant):
         assert report[key] == oracle_report[key]
     if "fault" in VARIANTS[variant]:
         assert any(ev.get("event") == "fault" for ev in report["faults"])
-    # The memo is the only difference: no more plan-cache lookups.
+    # Probing group heads is the only difference: no more plan-cache
+    # lookups.
     assert report["plan_cache"]["hits"] <= oracle_report["plan_cache"]["hits"]
     assert report["plan_cache"]["hit_rate"] > 0.5
 
@@ -155,7 +176,7 @@ def test_each_scan_plans_each_shape_at_most_once(variant):
     for _depth, shapes, planned in scans:
         assert len(planned) == len(set(planned))      # no shape twice
         assert len(planned) <= len(shapes)
-    # The memo had something to save: some scans saw more queued
+    # The groups had something to save: some scans saw more queued
     # entries than distinct shapes.
     assert any(depth > len(shapes) for depth, shapes, _ in scans)
 

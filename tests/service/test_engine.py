@@ -57,6 +57,16 @@ def test_poisson_service_completes_every_job():
     assert fabric.in_flight == 0
 
 
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), -5.0, 0.0])
+def test_snapshot_interval_must_be_positive_and_finite(interval):
+    # NaN used to finish with now_ns = NaN, inf with now_ns = inf, and
+    # -5 failed only inside run().
+    with pytest.raises(ValueError, match="snapshot_interval_ns"):
+        FabricService(
+            Fabric(n_hosts=8), _poisson(), snapshot_interval_ns=interval
+        )
+
+
 def test_service_is_deterministic():
     def run():
         fabric = Fabric(n_hosts=32, max_allreduces_per_switch=2)

@@ -1,6 +1,8 @@
 """Admission queue disciplines: FIFO head-of-line vs weighted-fair."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import AdmissionQueue
 from repro.service.workload import Job
@@ -122,3 +124,109 @@ def test_next_admittable_leaves_queue_unchanged_until_remove(policy):
     assert q.dequeued == 1
     assert q.wait_samples_ns == [600.0 - entry.enqueued_ns]
     assert entry not in q.waiting()
+
+
+# ----------------------------------------------------------------------
+# Shape groups against the full scan
+# ----------------------------------------------------------------------
+class _Reference:
+    """The queue as a flat list: vft stamped as at enqueue, every entry
+    probed in full ``(vft, seq)`` order (FIFO: the head only)."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.entries = []       # (vft, seq, job_id)
+        self.class_vft = {}
+        self.vnow = 0.0
+        self.seq = 0
+
+    def push(self, job_id, cls, nbytes, weight):
+        vft = max(self.class_vft.get(cls, 0.0), self.vnow) + nbytes / weight
+        self.class_vft[cls] = vft
+        self.entries.append((vft, self.seq, job_id))
+        self.seq += 1
+
+    def find(self, admittable):
+        order = self.entries[:1] if self.policy == "fifo" else sorted(self.entries)
+        for entry in order:
+            if admittable(entry[2]):
+                return entry
+        return None
+
+    def remove(self, entry):
+        self.entries.remove(entry)
+        self.vnow = max(self.vnow, entry[0])
+
+
+@pytest.mark.parametrize("policy", ["fifo", "wfq"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_grouped_scan_matches_full_scan(policy, data):
+    n_classes = data.draw(st.integers(2, 3), label="classes")
+    n_shapes = data.draw(st.integers(1, 5), label="shapes")
+    weights = data.draw(
+        st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=n_classes,
+                 max_size=n_classes),
+        label="weights",
+    )
+    q = AdmissionQueue(policy)
+    ref = _Reference(policy)
+    jobs, shapes = {}, {}     # job id -> Job, and -> shape (None: own group)
+    step = st.one_of(
+        st.tuples(
+            st.just("push"), st.integers(0, n_classes - 1),
+            st.one_of(st.none(), st.integers(0, n_shapes - 1)),
+            st.sampled_from([0.0, 1024.0, 4096.0]),
+        ),
+        st.tuples(st.just("find"), st.booleans()),
+        st.tuples(st.just("roundtrip")),
+    )
+    for op in data.draw(st.lists(step, min_size=8, max_size=40), label="ops"):
+        if op[0] == "push":
+            _, c, shape, nbytes = op
+            job_id = len(jobs)
+            jobs[job_id] = _job(job_id, nbytes=nbytes, cls=f"c{c}")
+            shapes[job_id] = shape
+            q.push(
+                jobs[job_id], tenant_class=f"c{c}", weight=weights[c],
+                now=float(job_id), reason="slots", shape=shape,
+            )
+            ref.push(job_id, f"c{c}", nbytes, weights[c])
+        elif op[0] == "find":
+            # Admission is a function of (class, shape); a shapeless
+            # entry answers for itself.
+            pairs = [(f"c{c}", s) for c in range(n_classes) for s in range(n_shapes)]
+            open_shapes = data.draw(st.sets(st.sampled_from(pairs)), label="open")
+            open_loners = data.draw(st.sets(st.sampled_from(sorted(jobs) or [0])))
+            probed = []
+
+            def admittable(job):
+                shape = shapes[job.job_id]
+                if shape is None:
+                    return job.job_id in open_loners
+                probed.append((job.tenant_class, shape))
+                return (job.tenant_class, shape) in open_shapes
+
+            def ref_admittable(job_id):
+                shape = shapes[job_id]
+                if shape is None:
+                    return job_id in open_loners
+                return (jobs[job_id].tenant_class, shape) in open_shapes
+
+            found = q.next_admittable(admittable)
+            expected = ref.find(ref_admittable)
+            assert len(probed) == len(set(probed))     # one probe per shape
+            if expected is None:
+                assert found is None
+                continue
+            assert (found.vft, found.seq, found.job.job_id) == expected
+            if op[1]:
+                q.remove(found, 100.0)
+                ref.remove(expected)
+        else:
+            state = q.to_state()
+            q = AdmissionQueue(policy)
+            q.from_state(state, jobs.__getitem__, lambda job: shapes[job.job_id])
+            assert q.to_state() == state
+        assert len(q) == len(ref.entries)
+        assert [e.job.job_id for e in q.waiting()] == [e[2] for e in ref.entries]

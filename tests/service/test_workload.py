@@ -158,3 +158,38 @@ def test_example_trace_file_parses():
     assert len(jobs) == 6
     assert wl.classes["prod"].weight == 4.0
     assert {j.tenant_class for j in jobs} == {"prod", "batch"}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("iterations", 0, "iterations must be an integer >= 1"),
+        ("iterations", -1, "iterations must be an integer >= 1"),
+        ("iterations", 2.5, "iterations must be an integer >= 1"),
+        ("iterations", "4", "iterations must be an integer >= 1"),
+        ("iterations", True, "iterations must be an integer >= 1"),
+        ("arrival", -5, "arrival must be a finite time >= 0"),
+        ("arrival", "-5us", "arrival must be a finite time >= 0"),
+        ("arrival", float("nan"), "arrival must be a finite time >= 0"),
+        ("arrival", "inf", "arrival must be a finite time >= 0"),
+        ("arrival", "soon", "arrival must be a finite time >= 0"),
+        ("gap", -5, "gap must be a finite time >= 0"),
+        ("gap", "-5us", "gap must be a finite time >= 0"),
+        ("gap", float("inf"), "gap must be a finite time >= 0"),
+        ("gap", "nanus", "gap must be a finite time >= 0"),
+    ],
+)
+def test_trace_rejects_jobs_that_cannot_run(field, value, message):
+    # Each of these used to load: 0 or -1 iterations ran one, 2.5 ran
+    # two, and a negative, NaN or infinite time failed only mid-run.
+    bad = _trace()
+    bad["jobs"][1][field] = value
+    with pytest.raises(ValueError, match=rf"trace job 1 \(tenant 'prod'\): {message}"):
+        TraceWorkload(bad)
+
+
+def test_trace_accepts_zero_times_and_one_iteration():
+    trace = _trace()
+    trace["jobs"][1].update(arrival=0, gap="0us", iterations=1)
+    job = TraceWorkload(trace).jobs()[0]
+    assert (job.arrival_ns, job.gap_ns, job.iterations) == (0.0, 0.0, 1)
