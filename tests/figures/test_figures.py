@@ -62,6 +62,22 @@ def test_fig14_fast_smoke():
     assert "does not fit" in fig14.render(r)
 
 
+def test_fig14_fast_matches_golden_text():
+    """The whole fast-mode table, the array 1% "does not fit memory"
+    row and its block memory included.  Regenerate only for an intended
+    change to simulated results::
+
+        PYTHONPATH=src python -c "from repro.figures import fig14; \\
+        print(fig14.render(fig14.run(fast=True)))" > tests/figures/fig14_golden.txt
+    """
+    from pathlib import Path
+
+    from repro.figures import fig14
+
+    golden = Path(__file__).with_name("fig14_golden.txt").read_text()
+    assert fig14.render(fig14.run(fast=True)) + "\n" == golden
+
+
 def test_fig15_fast_smoke():
     from repro.figures import fig15
 
