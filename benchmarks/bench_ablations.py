@@ -17,12 +17,11 @@ from conftest import save_and_show
 from repro.core.allreduce import plan_switch_allreduce
 from repro.core.config import FlareConfig
 from repro.core.models import evaluate_design
-from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.utils.tables import ascii_table
 
 
 def _switch(data_bytes, seed=0, jitter=1.0, **plan):
-    """Plan one switch-level dense allreduce and execute it once."""
+    """Plan one switch-level allreduce and execute it once."""
     return plan_switch_allreduce(data_bytes, **plan).execute(seed=seed, jitter=jitter)
 
 
@@ -155,7 +154,7 @@ def test_ablation_hash_table_sizing(benchmark, results_dir):
     growth — the Sec. 7 memory/traffic dial."""
     def run():
         return {
-            f: sparse_switch_allreduce(
+            f: _switch(
                 "16KiB", density=0.2, storage="hash", children=16,
                 n_clusters=1, seed=26, hash_slots_factor=f,
             )

@@ -3,6 +3,7 @@ block memory, extra traffic)."""
 
 from conftest import save_and_show
 
+from repro.core.allreduce import SwitchInfeasibleError
 from repro.figures import fig14 as figmod
 
 
@@ -21,14 +22,14 @@ def test_fig14(benchmark, results_dir):
     assert len(mems) == 1
     # Shape 2: array is faster than hash where it fits, never spills.
     for h, a in zip(hash_rs, array_rs):
-        if a.feasible:
+        if not isinstance(a, SwitchInfeasibleError):
             assert a.bandwidth_tbps > h.bandwidth_tbps
             assert a.extra_traffic_pct == 0.0
     # Shape 3: array block memory grows as density falls, and the 1%
     # point does not fit the working-memory partition.
     feasible_mems = [r.block_memory_bytes for r in array_rs]
     assert feasible_mems[0] < feasible_mems[1] <= feasible_mems[2]
-    assert not array_rs[-1].feasible
+    assert isinstance(array_rs[-1], SwitchInfeasibleError)
     # Shape 4: hash spilling costs extra traffic, worst at high density
     # (paper: ~doubles traffic at 20%), mild at 1%.
     assert hash_rs[0].extra_traffic_pct > 15.0

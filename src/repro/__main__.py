@@ -538,7 +538,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     runs = []
     for i in range(args.repeat):
         t0 = time.perf_counter()
-        result = comm.allreduce(args.size, seed=args.seed + i, **kwargs)
+        try:
+            result = comm.allreduce(args.size, seed=args.seed + i, **kwargs)
+        except CommError as exc:        # e.g. the switch cannot hold it
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         wall = time.perf_counter() - t0
         entry = {"run": i + 1, "wall_s": wall, "summary": result.summary()}
         raw = getattr(result, "raw", None)

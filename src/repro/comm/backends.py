@@ -7,12 +7,11 @@ plan/execute contract of :mod:`repro.comm`:
   exchanges ``ring``, ``swing``, ``butterfly``, ``rabenseifner``,
   ``recursive_doubling`` and ``sparcml``, and the in-network trees
   ``flare_dense`` and ``flare_sparse``;
-* switch-level PsPIN drivers (``flare_switch``,
-  ``flare_switch_sparse``) from :mod:`repro.core.allreduce` and
-  :mod:`repro.sparse.allreduce`.  Standalone, each runs the
-  single-switch simulation; on a fabric each issues the matching tree
-  (``flare_dense``'s, ``flare_sparse``'s) with every switch priced by
-  that simulation.
+* the switch-level PsPIN driver of :mod:`repro.core.allreduce`, dense
+  (``flare_switch``) and sparse (``flare_switch_sparse``).  Standalone,
+  each runs the single-switch simulation; on a fabric each issues the
+  matching tree (``flare_dense``'s, ``flare_sparse``'s) with every
+  switch priced by that simulation.
 
 Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
@@ -39,14 +38,13 @@ from repro.collectives.schedule import (
 from repro.comm.plan import IssueContext, PlannedExecution
 from repro.comm.registry import AlgorithmCaps, CapabilityError, register_algorithm
 from repro.comm.request import CollectiveRequest
-from repro.core.allreduce import plan_switch_allreduce
+from repro.core.allreduce import DenseDesign, plan_switch_allreduce
 from repro.network.routing import available_routers
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology, build_topology
 from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.trees import TreePlanner
-from repro.pspin.costs import CostModel, get_dtype
-from repro.sparse.allreduce import sparse_switch_allreduce
+from repro.pspin.costs import get_dtype
 from repro.sparse.densify import DENSE_ELEMENT_BYTES, SPARSE_ELEMENT_BYTES
 
 #: Families the tree-schedule (in-network) algorithms can plan over —
@@ -509,21 +507,56 @@ def _pick(overrides: dict, keys: tuple[str, ...]) -> dict:
 
 
 def _switch_plan(
-    name: str, request: CollectiveRequest, runner, setup: dict, schedule_of, price
+    name: str,
+    request: CollectiveRequest,
+    plan_kwargs: dict,
+    result_of,
+    schedule_of,
+    data_of=None,
+    exec_keys: tuple[str, ...] = ("seed", "jitter", "cold_start", "verify"),
 ) -> PlannedExecution:
     """The plan of switch-level driver ``name``.
 
-    Standalone runs (``plan.execute``) are ``runner``: one PsPIN switch
-    aggregating every host.  On a fabric the issuer runs
-    ``schedule_of(tree)`` over the planned aggregation tree, each switch
-    charging per chunk the processing tail (makespan minus last
-    arrival: the link serialization already charges the arrivals) of
-    ``price(fan_in, chunk_bytes) -> (tail_ns, counters)``, a one-chunk
-    PsPIN run at its fan-in and the largest chunk its children send it.
-    Tails are priced on first issue and cached.  A request the wiring
-    cannot place has no tree: it still runs standalone, and issuing it
-    raises :class:`CapabilityError`.
+    Standalone runs (``plan.execute``) are one PsPIN switch aggregating
+    every host, planned once by ``plan_switch_allreduce(nbytes,
+    children=n_hosts, **plan_kwargs)`` and executed on
+    ``data_of(payloads)`` (the payloads themselves by default) with the
+    ``exec_keys`` overrides; ``result_of(r, time_ns)`` wraps its result.
+    On a fabric the issuer runs ``schedule_of(tree, splan)`` over the
+    planned aggregation tree, each switch charging per chunk the
+    processing tail (makespan minus last arrival: the link
+    serialization already charges the arrivals) of a one-chunk PsPIN
+    run of the same design at its fan-in and the largest chunk its
+    children send it; that run's counters are the switch's.  Tails are
+    priced on first issue and cached; a run that does not fit raises
+    :class:`~repro.core.allreduce.SwitchInfeasibleError` at issue.  A
+    request the wiring cannot place has no tree: it still runs
+    standalone, and issuing it raises :class:`CapabilityError`.
     """
+    splan = plan_switch_allreduce(
+        int(request.nbytes), children=request.n_hosts, **plan_kwargs
+    )
+    clock_ghz = splan.switch_cfg.cost_model.clock_ghz
+    # Every tree switch runs the aggregation design planned for the
+    # whole vector, not the one its chunk size would select.
+    chunk_kwargs = (
+        {**plan_kwargs, "algorithm": splan.design.label}
+        if isinstance(splan.design, DenseDesign)
+        else plan_kwargs
+    )
+
+    def runner(payloads, overrides) -> CollectiveResult:
+        r = splan.execute(
+            data=payloads if data_of is None else data_of(payloads),
+            **_pick(overrides, exec_keys),
+        )
+        return result_of(r, r.makespan_cycles / clock_ghz)
+
+    def price(fan_in: int, chunk_bytes: int) -> tuple:
+        r = plan_switch_allreduce(chunk_bytes, children=fan_in, **chunk_kwargs).execute()
+        return (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz, r.provenance
+
+    setup = splan.describe()
     try:
         source = _TopologySource(request)
         tree = source.plan_tree(request)
@@ -534,7 +567,7 @@ def _switch_plan(
             raise CapabilityError(reason)
 
         return PlannedExecution(runner=runner, setup=setup, issuer=unplaceable)
-    schedule = schedule_of(tree)
+    schedule = schedule_of(tree, splan)
     tree_plan = _plan_tree(source, schedule, request.op)
 
     def inputs(switch) -> tuple[int, int]:
@@ -624,36 +657,13 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
     """On a fabric, the ``flare_dense`` tree with 1 MiB chunks, each
     switch priced by the single-switch simulation (:func:`_switch_plan`)."""
     p = request.params
-    switch_kwargs = dict(
-        dtype=request.dtype,
-        n_clusters=p.get("n_clusters", 4),
-        cores_per_cluster=p.get("cores_per_cluster", 8),
-        subset_size=p.get("subset_size"),
-        scheduler=p.get("scheduler", "hierarchical"),
-        staggered=p.get("staggered", True),
-        reproducible=request.reproducible,
-        op=request.op,
-        cost_model=p.get("cost_model"),
-        packet_bytes=p.get("packet_bytes", 1024),
-    )
-    splan = plan_switch_allreduce(
-        int(request.nbytes),
-        children=request.n_hosts,
-        algorithm=p.get("aggregation"),
-        **switch_kwargs,
-    )
-    clock_ghz = splan.flare_cfg.cost_model.clock_ghz
 
-    def runner(payloads: Optional[np.ndarray], overrides) -> CollectiveResult:
-        r = splan.execute(
-            data=payloads,
-            **_pick(overrides, ("seed", "jitter", "cold_start", "verify")),
-        )
+    def result_of(r, time_ns: float) -> CollectiveResult:
         return CollectiveResult(
             name=f"Flare switch ({r.algorithm})",
             n_hosts=request.n_hosts,
             vector_bytes=float(r.data_bytes),
-            time_ns=r.makespan_cycles / clock_ghz,
+            time_ns=time_ns,
             # One switch: ingress is the only wire segment modeled.
             traffic_bytes_hops=float(r.data_bytes) * request.n_hosts,
             sent_bytes_per_host=float(r.data_bytes),
@@ -666,25 +676,29 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
             raw=r,
         )
 
-    def schedule_of(tree) -> TreeSchedule:
+    def schedule_of(tree, splan) -> TreeSchedule:
         return dense_tree(
             tree,
             request.nbytes,
             chunk_bytes=TREE_CHUNK_BYTES,
             agg_latency_ns=0.0,           # priced on first issue
-            label=f"Flare switch ({splan.choice.label})",
+            label=f"Flare switch ({splan.design.label})",
         )
 
-    def price(fan_in: int, chunk_bytes: int) -> tuple:
-        r = plan_switch_allreduce(
-            chunk_bytes, children=fan_in, algorithm=splan.choice.label,
-            **switch_kwargs,
-        ).execute()
-        return (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz, r.provenance
-
-    return _switch_plan(
-        "flare_switch", request, runner, splan.describe(), schedule_of, price
+    plan_kwargs = dict(
+        algorithm=p.get("aggregation"),
+        dtype=request.dtype,
+        n_clusters=p.get("n_clusters", 4),
+        cores_per_cluster=p.get("cores_per_cluster", 8),
+        subset_size=p.get("subset_size"),
+        scheduler=p.get("scheduler", "hierarchical"),
+        staggered=p.get("staggered", True),
+        reproducible=request.reproducible,
+        op=request.op,
+        cost_model=p.get("cost_model"),
+        packet_bytes=p.get("packet_bytes", 1024),
     )
+    return _switch_plan("flare_switch", request, plan_kwargs, result_of, schedule_of)
 
 
 @register_algorithm(
@@ -708,30 +722,10 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
     non-zero), each switch priced by the single-switch simulation
     (:func:`_switch_plan`)."""
     p = request.params
-    kwargs = dict(
-        density=request.density,
-        storage=p.get("storage", "hash"),
-        n_clusters=p.get("n_clusters", 4),
-        cores_per_cluster=p.get("cores_per_cluster", 8),
-        dtype=request.dtype,
-        correlation=p.get("correlation", 0.0),
-        packet_bytes=p.get("packet_bytes", 1024),
-        hash_slots_factor=p.get("hash_slots_factor", 4.0),
-        cost_model=p.get("cost_model"),
-    )
-    clock_ghz = (kwargs["cost_model"] or CostModel()).clock_ghz
-    label = f"Flare switch sparse ({kwargs['storage']})"
+    storage = p.get("storage", "hash")
+    label = f"Flare switch sparse ({storage})"
 
-    def runner(payloads, overrides) -> CollectiveResult:
-        _reject_payloads("flare_switch_sparse", payloads)
-        r = sparse_switch_allreduce(
-            int(request.nbytes),
-            children=request.n_hosts,
-            workload=p.get("workload"),
-            **kwargs,
-            **_pick(overrides, ("seed", "jitter", "verify")),
-        )
-        time_ns = r.makespan_cycles / clock_ghz
+    def result_of(r, time_ns: float) -> CollectiveResult:
         return CollectiveResult(
             name=label,
             n_hosts=request.n_hosts,
@@ -744,7 +738,7 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
             sent_bytes_per_host=float(request.nbytes),
             extra={
                 "bandwidth_tbps": r.bandwidth_tbps,
-                "feasible": r.feasible,
+                "feasible": True,
                 "block_memory_bytes": r.block_memory_bytes,
                 "extra_traffic_pct": r.extra_traffic_pct,
                 "fast_path_used": r.fast_path_used,
@@ -752,7 +746,7 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
             raw=r,
         )
 
-    def schedule_of(tree) -> TreeSchedule:
+    def schedule_of(tree, splan) -> TreeSchedule:
         return sparse_tree(
             tree,
             request.nbytes / (SPARSE_ELEMENT_BYTES * request.density),
@@ -762,21 +756,23 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
             label=label,
         )
 
-    def price(fan_in: int, chunk_bytes: int) -> tuple:
-        r = sparse_switch_allreduce(chunk_bytes, children=fan_in, **kwargs)
-        if not r.feasible:
-            raise CapabilityError(
-                f"flare_switch_sparse: a switch of fan-in {fan_in} cannot "
-                f"aggregate {chunk_bytes} B chunks: {r.infeasible_reason}"
-            )
-        return (r.makespan_cycles - r.last_arrival_cycles) / clock_ghz, None
+    def data_of(payloads):
+        _reject_payloads("flare_switch_sparse", payloads)
+        return p.get("workload")
 
-    setup = {
-        "storage": kwargs["storage"],
-        "density": request.density,
-        "children": request.n_hosts,
-        "sim_clusters": kwargs["n_clusters"],
-    }
+    plan_kwargs = dict(
+        density=request.density,
+        storage=storage,
+        n_clusters=p.get("n_clusters", 4),
+        cores_per_cluster=p.get("cores_per_cluster", 8),
+        dtype=request.dtype,
+        correlation=p.get("correlation", 0.0),
+        packet_bytes=p.get("packet_bytes", 1024),
+        hash_slots_factor=p.get("hash_slots_factor", 4.0),
+        cost_model=p.get("cost_model"),
+    )
+    # Standalone it stays cold: ``cold_start`` is not one of its knobs.
     return _switch_plan(
-        "flare_switch_sparse", request, runner, setup, schedule_of, price
+        "flare_switch_sparse", request, plan_kwargs, result_of, schedule_of,
+        data_of=data_of, exec_keys=("seed", "jitter", "verify"),
     )

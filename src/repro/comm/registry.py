@@ -19,13 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.comm.request import CollectiveRequest
+from repro.errors import CapabilityError, CommError
 from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.routing import available_routers
 from repro.network.topology import available_topologies
-
-
-class CommError(Exception):
-    """Base error of the communicator layer."""
 
 
 class UnknownAlgorithmError(CommError, KeyError):
@@ -33,10 +30,6 @@ class UnknownAlgorithmError(CommError, KeyError):
 
     def __str__(self) -> str:  # KeyError would repr-quote the message
         return self.args[0] if self.args else ""
-
-
-class CapabilityError(CommError):
-    """No registered algorithm (or the named one) supports the request."""
 
 
 @dataclass(frozen=True)

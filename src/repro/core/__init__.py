@@ -5,7 +5,8 @@ aggregation designs of Sec. 6 (B shared buffers per block, single
 buffer being B = 1, and the tree),
 the closed-form performance/occupancy models of Secs. 4-6, the staggered
 sending technique of Sec. 5, the algorithm-selection policy of Sec. 6.4,
-and the network-manager control plane of Sec. 4.
+the network-manager control plane of Sec. 4, and the one switch-level
+driver that runs the dense designs and the sparse one of Sec. 7.
 """
 
 from repro.core.config import FlareConfig
@@ -34,6 +35,7 @@ from repro.core.manager import (
 from repro.core.allreduce import (
     SwitchAllreducePlan,
     SwitchAllreduceResult,
+    SwitchInfeasibleError,
     plan_switch_allreduce,
     make_dense_blocks,
     scale_bandwidth,
@@ -71,6 +73,7 @@ __all__ = [
     "NetworkManager",
     "SwitchAllreducePlan",
     "SwitchAllreduceResult",
+    "SwitchInfeasibleError",
     "plan_switch_allreduce",
     "make_dense_blocks",
     "scale_bandwidth",

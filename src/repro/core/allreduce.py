@@ -1,29 +1,37 @@
-"""End-to-end switch-level dense allreduce driver.
+"""End-to-end switch-level allreduce driver, dense and sparse.
 
-Ties the pieces together for one allreduce on one switch: the chosen
-aggregation handler is installed on the switch, the root of a
-one-switch reduction tree that multicasts to every child; hosts'
-packets are synthesized with staggered sending and exponential jitter;
-the PsPIN behavioral model executes them; the result reports bandwidth, memory occupancy, and the
-actual aggregated vectors (so tests verify numerics, not just timing).
+One allreduce on one simulated PsPIN switch: the aggregation handler is
+installed as the root of a one-switch reduction tree that multicasts to
+every child; hosts' packets are synthesized with staggered sending and
+exponential jitter; the PsPIN behavioral model executes them; the
+result reports bandwidth, memory occupancy, and the actual aggregated
+vectors (so tests verify numerics, not just timing).
 
 The driver is split plan/execute (the :mod:`repro.comm` contract):
 :func:`plan_switch_allreduce` performs the one-time control-plane work —
-configuration, Sec. 6.4 algorithm selection, arrival-rate sizing — and
-the returned :class:`SwitchAllreducePlan` can then :meth:`~SwitchAllreducePlan.execute`
-many allreduces of that shape, each on a fresh simulated switch.
+configuration checks, the Sec. 6.4 aggregation design (or, given a
+``density``, the Sec. 7 sparse storage), arrival-rate sizing — and the
+returned :class:`SwitchAllreducePlan` can then
+:meth:`~SwitchAllreducePlan.execute` many allreduces of that shape, each
+on a fresh simulated switch.  Both designs run through that one
+``execute``; what differs is a small design object that builds the
+handler, builds the packet train and collects the outputs
+(:class:`DenseDesign` here, :class:`~repro.sparse.allreduce
+.SparseDesign` for sparse).  A run whose blocks do not fit the switch's
+memory raises :class:`SwitchInfeasibleError`.
 
-This driver is what the Fig. 11 benchmark runs.  Like the paper, the
-default simulates 4 clusters ("the actual PsPIN implementation only
-simulates 4 clusters") fed their fair share of line rate and scales
-bandwidth linearly to the 64-cluster design point ("because the
-clusters are organized in a shared-nothing configuration, we scale the
-results linearly with the number of deployed clusters").
+This driver is what the Fig. 11 and Fig. 14 benchmarks run.  Like the
+paper, the default simulates 4 clusters ("the actual PsPIN
+implementation only simulates 4 clusters") fed their fair share of line
+rate and scales bandwidth linearly to the 64-cluster design point
+("because the clusters are organized in a shared-nothing configuration,
+we scale the results linearly with the number of deployed clusters").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,15 +42,21 @@ from repro.core.handler_base import HandlerConfig
 from repro.core.ops import ReductionOp, get_op
 from repro.core.policy import AlgorithmChoice, build_handler, parse_aggregation, select_algorithm
 from repro.core.staggered import arrival_arrays
+from repro.errors import CapabilityError
 from repro.provenance.collect import collect_switch
-from repro.pspin.costs import CostModel, get_dtype
+from repro.pspin.costs import CostModel
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.pspin.train import PacketTrain
+from repro.sparse.allreduce import SparseDesign
+from repro.sparse.handlers import SparseHandlerConfig
 from repro.utils.rngtools import seeded_rng
 from repro.utils.units import parse_size
 
 #: The paper's full design point (Sec. 3): 64 clusters of 8 cores.
 FULL_CLUSTERS = 64
+
+#: The one allreduce a driver switch runs.
+ALLREDUCE_ID = 1
 
 
 def scale_bandwidth(sim_tbps: float, sim_clusters: int, target_clusters: int = FULL_CLUSTERS) -> float:
@@ -79,12 +93,24 @@ def make_dense_blocks(
     return data.astype(dtype)
 
 
+class SwitchInfeasibleError(CapabilityError):
+    """The switch's memory cannot hold the allreduce (e.g. array
+    storage at low density, paper Fig. 14's missing 1% bars)."""
+
+    def __init__(self, reason: str, block_memory_bytes: int, fast_path_used: bool) -> None:
+        super().__init__(f"the switch cannot hold this allreduce: {reason}")
+        self.reason = reason
+        #: Per-block storage the handler tried to place (0 for dense).
+        self.block_memory_bytes = block_memory_bytes
+        self.fast_path_used = fast_path_used
+
+
 @dataclass
 class SwitchAllreduceResult:
     """Outcome of one simulated switch-level allreduce."""
 
-    algorithm: str
-    data_bytes: int
+    algorithm: str                        # aggregation design, or sparse-<storage>
+    data_bytes: int                       # per host (sparsified, for sparse)
     dtype: str
     n_children: int
     n_blocks: int
@@ -93,6 +119,8 @@ class SwitchAllreduceResult:
     sim_bandwidth_tbps: float
     bandwidth_tbps: float                 # scaled to the full design point
     elements_per_second: float            # scaled
+    #: Payload bytes the hosts sent, summed (what the bandwidth divides).
+    ingress_payload_bytes: int
     peak_input_buffer_bytes: int
     peak_working_memory_bytes: float
     contention_wait_cycles: float
@@ -111,13 +139,93 @@ class SwitchAllreduceResult:
     #: per-execution and gone once this result exists.  Engine-
     #: independent: the fast path commits identical telemetry.
     provenance: dict = field(default_factory=dict)
+    # Sparse runs only (None for dense): storage, per-block storage
+    # memory, egress, the ideal egress of perfect aggregation, spilled
+    # bytes, and the extra traffic over ideal in percent.
+    storage: Optional[str] = None
+    density: Optional[float] = None
+    block_memory_bytes: Optional[int] = None
+    egress_payload_bytes: Optional[int] = None
+    ideal_egress_bytes: Optional[int] = None
+    spilled_bytes: Optional[int] = None
+    extra_traffic_pct: Optional[float] = None
 
     def summary(self) -> str:
+        if self.storage is None:
+            return (
+                f"{self.algorithm}: {self.bandwidth_tbps:.2f} Tbps "
+                f"({self.n_blocks} blocks x {self.n_children} children, "
+                f"makespan {self.makespan_cycles:.0f} cycles)"
+            )
+        # Whole percents hide the paper's sub-1% densities (0.2% -> "0%").
+        d = f"{self.density:.0%}" if self.density >= 0.01 else f"{self.density:.2%}"
         return (
-            f"{self.algorithm}: {self.bandwidth_tbps:.2f} Tbps "
-            f"({self.n_blocks} blocks x {self.n_children} children, "
-            f"makespan {self.makespan_cycles:.0f} cycles)"
+            f"{self.algorithm} d={d}: {self.bandwidth_tbps:.2f} Tbps, block mem "
+            f"{self.block_memory_bytes / 1024:.1f} KiB, extra traffic "
+            f"{self.extra_traffic_pct:.0f}%"
         )
+
+
+@dataclass
+class DenseDesign:
+    """Dense aggregation (Secs. 4-6) on the switch: the chosen buffer
+    design, the hosts' vectors as one :class:`PacketTrain`, outputs
+    checked against a numpy reduction."""
+
+    cfg: FlareConfig
+    choice: AlgorithmChoice
+    operator: ReductionOp
+
+    @property
+    def label(self) -> str:
+        return self.choice.label
+
+    @property
+    def element_bytes(self) -> int:
+        return self.cfg.dtype.size_bytes
+
+    def describe(self) -> dict:
+        return {
+            "aggregation": self.choice.label,
+            "reason": self.choice.reason,
+            "blocks": self.cfg.blocks,
+            "elements_per_packet": self.cfg.elements_per_packet,
+        }
+
+    def handler(self):
+        cfg = self.cfg
+        return build_handler(self.choice, HandlerConfig(
+            allreduce_id=ALLREDUCE_ID,
+            n_children=cfg.children,
+            dtype_name=cfg.dtype_name,
+            multicast_ports=list(range(cfg.children)),
+            reproducible=cfg.reproducible,
+            op=self.operator,
+        ))
+
+    def train(self, data: Optional[np.ndarray], seed: int, arrivals):
+        """``(train, data, n_blocks)``: the explicit payloads of shape
+        ``(children, n_blocks, elements_per_packet)`` (a 2-D ``(children,
+        n_blocks * elements_per_packet)`` array is reshaped), or random
+        ones from ``seed``, sent along ``arrivals(n_blocks=)``."""
+        cfg = self.cfg
+        expected = (cfg.children, cfg.blocks, cfg.elements_per_packet)
+        if data is None:
+            data = make_dense_blocks(*expected, dtype=cfg.dtype_name, seed=seed)
+        else:
+            if data.ndim == 2 and data.shape == (cfg.children, expected[1] * expected[2]):
+                data = data.reshape(expected)
+            if data.shape != expected:
+                raise ValueError(f"data shape {data.shape} != expected {expected}")
+        times, hosts, blocks = arrivals(n_blocks=cfg.blocks)
+        train = PacketTrain(ALLREDUCE_ID, times=times, block_ids=blocks, ports=hosts, data=data)
+        return train, data, cfg.blocks
+
+    def collect(self, switch, handler, data: np.ndarray, verify: bool) -> dict:
+        outputs = switch.block_outputs()
+        if verify:
+            _verify_outputs(outputs, data, self.operator, self.cfg.dtype_name)
+        return {"outputs": outputs}
 
 
 @dataclass
@@ -125,42 +233,29 @@ class SwitchAllreducePlan:
     """One planned switch-level allreduce shape, executable many times.
 
     Everything request-shape-dependent is computed exactly once — the
-    :class:`FlareConfig`, the Sec. 6.4 aggregation-design choice, the
-    switch configuration, and the fair-share arrival rate.
-    :meth:`execute` instantiates a fresh simulated switch (the data
-    plane is stateful) and runs one allreduce through it.
+    checked :class:`FlareConfig`, the design (Sec. 6.4 aggregation or
+    Sec. 7 storage), the switch configuration, and the fair-share
+    arrival rate.  :meth:`execute` instantiates a fresh simulated switch
+    (the data plane is stateful) and runs one allreduce through it.
     """
 
     flare_cfg: FlareConfig
     switch_cfg: SwitchConfig
-    choice: AlgorithmChoice
-    operator: ReductionOp
+    design: "DenseDesign | SparseDesign"
     delta_sim: float          # fair-share packet interarrival (cycles)
-    executions: int = 0
-
-    @property
-    def n_blocks(self) -> int:
-        return self.flare_cfg.blocks
-
-    @property
-    def elements_per_packet(self) -> int:
-        return self.flare_cfg.elements_per_packet
 
     def describe(self) -> dict:
         """Plan metadata (what the control plane decided)."""
         return {
-            "aggregation": self.choice.label,
-            "reason": self.choice.reason,
+            **self.design.describe(),
             "children": self.flare_cfg.children,
-            "blocks": self.n_blocks,
-            "elements_per_packet": self.elements_per_packet,
             "sim_clusters": self.switch_cfg.n_clusters,
             "delta_sim_cycles": self.delta_sim,
         }
 
     def execute(
         self,
-        data: Optional[np.ndarray] = None,
+        data=None,
         *,
         seed: int = 0,
         jitter: float = 1.0,
@@ -169,108 +264,76 @@ class SwitchAllreducePlan:
     ) -> SwitchAllreduceResult:
         """Run one allreduce of the planned shape.
 
-        ``data`` may supply explicit payloads of shape
-        ``(children, n_blocks, elements_per_packet)`` (a 2-D
-        ``(children, n_blocks * elements_per_packet)`` array is
-        reshaped); otherwise random payloads are generated from
-        ``seed``.  With ``verify`` the aggregated outputs are checked
-        against a numpy golden reduction (exact for integers).
+        ``data`` may supply the payload — dense host vectors (see
+        :meth:`DenseDesign.train`) or a sparse
+        :class:`~repro.sparse.formats.SparseWorkload`; otherwise one is
+        generated from ``seed``.  With ``verify`` the aggregated outputs
+        are checked against a golden reduction (exact for integers).
+        Raises :class:`SwitchInfeasibleError` when the blocks do not fit
+        the switch's memory.
         """
-        cfg = self.flare_cfg
-        children = cfg.children
-        n_blocks, n_elements = self.n_blocks, self.elements_per_packet
-
-        switch = PsPINSwitch(self.switch_cfg)
-        hconf = HandlerConfig(
-            allreduce_id=1,
-            n_children=children,
-            dtype_name=cfg.dtype_name,
-            multicast_ports=list(range(children)),
-            reproducible=cfg.reproducible,
-            op=self.operator,
-        )
-        handler = build_handler(self.choice, hconf)
-        switch.register_handler(handler)
-        switch.install_allreduce(hconf.allreduce_id, handler.name)
-        if not cold_start:
-            for cluster in switch.clusters:
-                cluster.icache_load(handler.name)
-
-        # --------------------------------------------------------------
-        # Workload
-        # --------------------------------------------------------------
-        if data is None:
-            data = make_dense_blocks(
-                children, n_blocks, n_elements, dtype=cfg.dtype_name, seed=seed
-            )
-        else:
-            expected = (children, n_blocks, n_elements)
-            if data.ndim == 2 and data.shape == (children, n_blocks * n_elements):
-                data = data.reshape(expected)
-            if data.shape != expected:
-                raise ValueError(f"data shape {data.shape} != expected {expected}")
-
-        times, hosts, blocks = arrival_arrays(
-            n_hosts=children,
-            n_blocks=n_blocks,
+        cfg, design = self.flare_cfg, self.design
+        arrivals = partial(
+            arrival_arrays,
+            n_hosts=cfg.children,
             delta=self.delta_sim,
             staggered=cfg.staggered,
             jitter=jitter,
             seed=seed + 1,
         )
-        train = PacketTrain(
-            hconf.allreduce_id,
-            times=times,
-            block_ids=blocks,
-            ports=hosts,
-            data=data,
-        )
+        train, data, n_blocks = design.train(data, seed, arrivals)
+        payload_bytes, last_arrival = train.payload_bytes, float(train.times.max())
+
+        switch = PsPINSwitch(self.switch_cfg)
+        handler = design.handler()
+        switch.register_handler(handler)
+        switch.install_allreduce(ALLREDUCE_ID, handler.name)
+        if not cold_start:
+            for cluster in switch.clusters:
+                cluster.icache_load(handler.name)
         fast_path_used = switch.inject_train(train)
+        del train   # free the flat arrays: fallback packets hold their own views
+        try:
+            makespan = switch.run()
+        except MemoryError as exc:
+            raise SwitchInfeasibleError(
+                str(exc).split(";")[0],
+                block_memory_bytes=getattr(handler, "peak_block_memory", 0),
+                fast_path_used=fast_path_used,
+            ) from exc
+        fields = design.collect(switch, handler, data, verify)
 
-        makespan = switch.run()
-        self.executions += 1
-
-        # --------------------------------------------------------------
-        # Collect + verify
-        # --------------------------------------------------------------
-        outputs = switch.block_outputs()
-        if verify:
-            _verify_outputs(outputs, data, self.operator, cfg.dtype_name)
-
-        cost_model = cfg.cost_model
-        dt = get_dtype(cfg.dtype_name)
         n_clusters = self.switch_cfg.n_clusters
-        payload_bytes = float(data.nbytes)
-        seconds = makespan / (cost_model.clock_ghz * 1e9) if makespan > 0 else float("inf")
+        seconds = makespan / (cfg.cost_model.clock_ghz * 1e9) if makespan > 0 else float("inf")
         sim_tbps = payload_bytes * 8.0 / seconds / 1e12 if makespan > 0 else 0.0
-        scaled_tbps = scale_bandwidth(sim_tbps, n_clusters)
         elements_per_second = (
-            scale_bandwidth(payload_bytes / dt.size_bytes / seconds, n_clusters)
+            scale_bandwidth(payload_bytes / design.element_bytes / seconds, n_clusters)
             if makespan > 0
             else 0.0
         )
         tel = switch.telemetry
         return SwitchAllreduceResult(
-            algorithm=self.choice.label,
+            algorithm=design.label,
             data_bytes=cfg.data_bytes,
             dtype=cfg.dtype_name,
-            n_children=children,
+            n_children=cfg.children,
             n_blocks=n_blocks,
             sim_clusters=n_clusters,
             makespan_cycles=makespan,
             sim_bandwidth_tbps=sim_tbps,
-            bandwidth_tbps=scaled_tbps,
+            bandwidth_tbps=scale_bandwidth(sim_tbps, n_clusters),
             elements_per_second=elements_per_second,
+            ingress_payload_bytes=payload_bytes,
             peak_input_buffer_bytes=switch.memories.l2_packet.peak_bytes,
             peak_working_memory_bytes=tel.working_memory_bytes.peak,
             contention_wait_cycles=tel.contention_wait_cycles.value,
             icache_fills=int(tel.icache_fills.value),
             deferred_arrivals=int(tel.deferred_arrivals.value),
             blocks_completed=handler.blocks_completed,
-            outputs=outputs,
-            last_arrival_cycles=float(times.max()),
+            last_arrival_cycles=last_arrival,
             fast_path_used=fast_path_used,
             provenance=collect_switch(switch),
+            **fields,
         )
 
 
@@ -288,11 +351,19 @@ def plan_switch_allreduce(
     op: "str | ReductionOp" = "sum",
     cost_model: Optional[CostModel] = None,
     packet_bytes: int = 1024,
+    density: Optional[float] = None,
+    storage: str = "hash",
+    correlation: float = 0.0,
+    hash_slots_factor: float = 4.0,
 ) -> SwitchAllreducePlan:
-    """Plan one dense allreduce shape through a Flare switch.
+    """Plan one allreduce shape through a Flare switch.
 
     Parameters mirror the paper's experimental knobs; see
     :class:`repro.core.config.FlareConfig` for symbol definitions.
+    A ``density`` plans the sparse design (Sec. 7): ``data_bytes`` is
+    then the sparsified per-host volume (indices + values), aggregated
+    in ``storage`` (``"hash"`` or ``"array"``); ``correlation`` biases
+    the generated hosts toward shared non-zero positions.
     """
     data_bytes = parse_size(data_bytes)
     cost_model = cost_model or CostModel()
@@ -310,12 +381,6 @@ def plan_switch_allreduce(
         reproducible=reproducible,
         cost_model=cost_model,
     )
-
-    if algorithm is None:
-        choice = select_algorithm(data_bytes, reproducible=reproducible, op=operator)
-    else:
-        choice = parse_aggregation(algorithm)
-
     switch_cfg = SwitchConfig(
         n_clusters=n_clusters,
         cores_per_cluster=cores_per_cluster,
@@ -323,13 +388,32 @@ def plan_switch_allreduce(
         subset_size=subset_size,
         cost_model=cost_model,
     )
-    return SwitchAllreducePlan(
-        flare_cfg=flare_cfg,
-        switch_cfg=switch_cfg,
-        choice=choice,
-        operator=operator,
-        delta_sim=fair_share_interarrival(switch_cfg, packet_bytes),
-    )
+    delta_sim = fair_share_interarrival(switch_cfg, packet_bytes)
+
+    if density is None:
+        if algorithm is None:
+            choice = select_algorithm(data_bytes, reproducible=reproducible, op=operator)
+        else:
+            choice = parse_aggregation(algorithm)
+        design = DenseDesign(flare_cfg, choice, operator)
+    else:
+        if algorithm is not None or operator.name != "sum":
+            raise ValueError(
+                "a sparse plan sums with its storage; aggregation and op "
+                "apply to the dense design"
+            )
+        hconf = SparseHandlerConfig(
+            allreduce_id=ALLREDUCE_ID,
+            n_children=children,
+            storage=storage,
+            density=density,
+            dtype_name=dtype,
+            packet_bytes=packet_bytes,
+            hash_slots_factor=hash_slots_factor,
+        )
+        n_blocks = max(1, data_bytes // (hconf.elements_per_packet * SparseDesign.element_bytes))
+        design = SparseDesign(hconf, n_blocks, delta_sim, correlation)
+    return SwitchAllreducePlan(flare_cfg, switch_cfg, design, delta_sim)
 
 
 def _verify_outputs(

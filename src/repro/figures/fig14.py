@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.comm import Communicator
-from repro.sparse.allreduce import SparseAllreduceResult
+from repro.core.allreduce import SwitchAllreduceResult, SwitchInfeasibleError
 from repro.utils.tables import ascii_table
 
 DENSITIES = (0.20, 0.10, 0.01)
@@ -23,7 +23,9 @@ DENSITIES = (0.20, 0.10, 0.01)
 @dataclass
 class Fig14Result:
     densities: list[float] = field(default_factory=list)
-    results: dict = field(default_factory=dict)  # storage -> [SparseAllreduceResult]
+    #: storage -> one entry per density: the run's result, or the
+    #: error of a run that does not fit the switch's memory.
+    results: dict = field(default_factory=dict)
 
 
 def run(fast: bool = False, seed: int = 0, correlation: float = 0.0) -> Fig14Result:
@@ -42,10 +44,10 @@ def run(fast: bool = False, seed: int = 0, correlation: float = 0.0) -> Fig14Res
     out = Fig14Result(densities=list(DENSITIES))
     comm = Communicator(n_hosts=children, n_clusters=n_clusters)
     for storage in ("hash", "array"):
-        rs: list[SparseAllreduceResult] = []
+        rs: list[SwitchAllreduceResult | SwitchInfeasibleError] = []
         for density in DENSITIES:
-            rs.append(
-                comm.allreduce(
+            try:
+                rs.append(comm.allreduce(
                     size,
                     algorithm="flare_switch_sparse",
                     sparse=True,
@@ -53,8 +55,9 @@ def run(fast: bool = False, seed: int = 0, correlation: float = 0.0) -> Fig14Res
                     storage=storage,
                     correlation=correlation,
                     seed=seed,
-                ).raw
-            )
+                ).raw)
+            except SwitchInfeasibleError as exc:
+                rs.append(exc)
         out.results[storage] = rs
     return out
 
@@ -62,17 +65,17 @@ def run(fast: bool = False, seed: int = 0, correlation: float = 0.0) -> Fig14Res
 def render(result: Fig14Result) -> str:
     rows = []
     for storage, rs in result.results.items():
-        for r in rs:
-            if r.feasible:
+        for density, r in zip(result.densities, rs):
+            if isinstance(r, SwitchAllreduceResult):
                 rows.append([
-                    storage, f"{r.density:.0%}",
+                    storage, f"{density:.0%}",
                     round(r.bandwidth_tbps, 2),
                     round(r.block_memory_bytes / 1024, 1),
                     round(r.extra_traffic_pct, 0),
                 ])
             else:
                 rows.append([
-                    storage, f"{r.density:.0%}", "-",
+                    storage, f"{density:.0%}", "-",
                     round(r.block_memory_bytes / 1024, 1),
                     "- (does not fit memory)",
                 ])

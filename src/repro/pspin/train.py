@@ -115,6 +115,11 @@ class PacketTrain:
         return len(self.times)
 
     @property
+    def payload_bytes(self) -> int:
+        """Payload bytes of the whole train."""
+        return int(self.data.nbytes)
+
+    @property
     def payload_nbytes(self) -> int:
         """Per-packet payload bytes (uniform across the train)."""
         return int(self.data.shape[2] * self.data.dtype.itemsize)

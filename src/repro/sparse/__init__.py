@@ -7,8 +7,9 @@ collisions) or a dense span array (faster, memory ∝ 1/density).  This
 package provides the sparse data formats and packetization rules
 (multiple-blocks-per-packet prohibition, block split via shard counts,
 empty-block markers), both storage backends, the aggregation handler,
-densification analytics, and a switch-level driver mirroring
-``repro.core.allreduce``.
+densification analytics, and the sparse design of the one switch-level
+driver: ``repro.core.allreduce.plan_switch_allreduce(..., density=)``
+plans it and its ``execute`` runs it.
 """
 
 from repro.sparse.formats import (
@@ -24,7 +25,7 @@ from repro.sparse.array_storage import ArrayStorage
 from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 from repro.sparse.densify import expected_union, densification_profile
 from repro.sparse.models import sparse_packet_cycles, sparse_design_point
-from repro.sparse.allreduce import SparseAllreduceResult, sparse_switch_allreduce
+from repro.sparse.allreduce import SparseDesign, reassemble_egress
 
 __all__ = [
     "SparseBlock",
@@ -41,6 +42,6 @@ __all__ = [
     "densification_profile",
     "sparse_packet_cycles",
     "sparse_design_point",
-    "SparseAllreduceResult",
-    "sparse_switch_allreduce",
+    "SparseDesign",
+    "reassemble_egress",
 ]

@@ -200,6 +200,11 @@ class SparsePacketTrain:
     def n_packets(self) -> int:
         return len(self.times)
 
+    @property
+    def payload_bytes(self) -> int:
+        """Payload bytes of the whole train (indices and values)."""
+        return int(self.indices.nbytes + self.values.nbytes)
+
     def packets(self) -> list[SwitchPacket]:
         """The equivalent :class:`SwitchPacket` objects, train order
         (built lazily; the fast path itself never needs them)."""

@@ -29,6 +29,7 @@ from repro.core.blockstate import BlockState
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import HandlerContext, HandlerResult
 from repro.sparse.array_storage import ArrayStorage
+from repro.sparse.densify import SPARSE_ELEMENT_BYTES
 from repro.sparse.hash_storage import HashStorage
 from repro.sparse.models import sparse_elements_per_packet
 
@@ -58,6 +59,11 @@ class SparseHandlerConfig:
             raise ValueError(f"unknown sparse storage {self.storage!r}")
         if not 0 < self.density <= 1:
             raise ValueError("density must be in (0, 1]")
+        if self.packet_bytes < SPARSE_ELEMENT_BYTES:
+            raise ValueError(
+                f"packet_bytes ({self.packet_bytes}) is smaller than one "
+                f"{SPARSE_ELEMENT_BYTES} B sparse index+value element"
+            )
         if not (math.isfinite(self.hash_slots_factor) and self.hash_slots_factor > 0):
             raise ValueError(
                 "hash_slots_factor must be a positive finite number, "
@@ -116,6 +122,9 @@ class SparseAggregationHandler:
                 home_cluster=ctx.cluster.cluster_id,
                 memory_bytes=storage.memory_bytes,
             )
+            # A block that does not fit counts too: it is the storage
+            # an infeasible run reports.
+            self.peak_block_memory = max(self.peak_block_memory, rec.memory_bytes)
             l1 = ctx.switch.clusters[rec.home_cluster].l1
             used = self._budget_used.get(rec.home_cluster, 0)
             over_budget = used + rec.memory_bytes > L1_BUDGET_BYTES
@@ -133,7 +142,6 @@ class SparseAggregationHandler:
             ctx.switch.telemetry.working_memory_bytes.add(
                 ctx.dispatch_time, rec.memory_bytes
             )
-            self.peak_block_memory = max(self.peak_block_memory, rec.memory_bytes)
             self._blocks[key] = rec
         return rec
 

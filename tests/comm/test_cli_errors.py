@@ -1,6 +1,6 @@
 """Bad sizes and host counts on the ``bench`` and ``service`` command
-lines: one ``error: ...`` line on stderr and exit status 2, never a
-traceback."""
+lines, and a run the switch cannot hold: one ``error: ...`` line on
+stderr and exit status 2, never a traceback."""
 
 import pytest
 
@@ -24,6 +24,10 @@ from repro.__main__ import main
                      "n_hosts >= 1", id="tenants-hosts-0"),
         pytest.param(["service", "--hosts", "0"], "n_hosts >= 1",
                      id="service-hosts-0"),
+        pytest.param(["bench", "flare_switch_sparse", "--sparse", "--density",
+                      "0.1", "--hosts", "8", "--size", "1MiB"],
+                     "the switch cannot hold this allreduce",
+                     id="bench-sparse-infeasible"),
     ],
 )
 def test_bad_request_exits_2_with_one_error_line(capsys, argv, message):

@@ -207,14 +207,16 @@ def test_ring_on_explicit_topology_matches_named_shape():
 
 
 def test_sparse_switch_driver_matches_communicator():
-    from repro.sparse.allreduce import sparse_switch_allreduce
+    from repro.core.allreduce import plan_switch_allreduce
 
-    direct = sparse_switch_allreduce("8KiB", density=0.1, children=4, n_clusters=1, seed=2)
+    direct = plan_switch_allreduce(
+        "8KiB", density=0.1, children=4, n_clusters=1
+    ).execute(seed=2)
     comm = Communicator(n_hosts=4, n_clusters=1)
     unified = comm.allreduce(
         "8KiB", algorithm="flare_switch_sparse", sparse=True, density=0.1, seed=2
     )
-    assert direct.feasible and unified.raw.feasible
+    assert unified.extra["feasible"] is True
     assert direct.makespan_cycles == unified.raw.makespan_cycles
 
 

@@ -63,6 +63,33 @@ def test_bad_switch_shapes_fail_at_plan_time(kwargs):
             comm.allreduce("64KiB", algorithm="flare_switch")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_clusters": 0},
+        {"n_clusters": -1},
+        {"cores_per_cluster": 0},
+        {"packet_bytes": 4},
+        {"packet_bytes": 7},
+    ],
+)
+def test_bad_sparse_switch_shapes_fail_at_plan_time(kwargs):
+    """The sparse design gets the dense design's checks through the one
+    plan.  Each used to fail mid-run with an unrelated message (a
+    ZeroDivisionError, "delta must be positive", "subset_size must be
+    >= 1"), or, for packets below one 8 B index+value element, to run
+    with 1-element packets."""
+    from repro import Communicator
+
+    field = next(iter(kwargs))
+    request = dict(algorithm="flare_switch_sparse", sparse=True, density=0.1, **kwargs)
+    comm = Communicator(n_hosts=8)
+    with pytest.raises(ValueError, match=field):
+        comm.plan(nbytes="16KiB", **request)
+    with pytest.raises(ValueError, match=field):
+        comm.allreduce("16KiB", **request)
+
+
 def test_dtype_and_elements():
     cfg = FlareConfig(dtype_name="int16", packet_bytes=1024)
     assert cfg.elements_per_packet == 512

@@ -128,3 +128,43 @@ def test_recorder_keeps_zero_peak_families(tmp_path):
         assert set(store.switch_counters(fabric.run_id)["s0"]) == set(
             SWITCH_COUNTER_FAMILIES
         )
+
+
+def test_sparse_switch_tree_records_its_pricing_runs(tmp_path, monkeypatch):
+    """A flare_switch_sparse tree records every tree switch's counters,
+    as flare_switch does: each switch's one-chunk sparse pricing run,
+    folded once per chunk (peaks max-merged, which for one collective
+    is the run's own peak)."""
+    from repro.core.allreduce import SwitchAllreducePlan
+
+    priced = []
+    execute = SwitchAllreducePlan.execute
+
+    def recording(self, *args, **kwargs):
+        r = execute(self, *args, **kwargs)
+        priced.append(r.provenance)
+        return r
+
+    monkeypatch.setattr(SwitchAllreducePlan, "execute", recording)
+    db = str(tmp_path / "sparse.db")
+    fabric = Fabric(n_hosts=8, provenance_db=db)
+    comm = fabric.communicator(name="sparse", n_clusters=1)
+    request = dict(algorithm="flare_switch_sparse", sparse=True, density=0.1)
+    tree_switches = comm.plan(nbytes="16KiB", **request).setup["tree_switches"]
+    r = comm.iallreduce("16KiB", **request).result()
+    fabric.shutdown()
+    n_chunks = r.extra["n_chunks"]
+    with ProvenanceStore(db) as store:
+        recorded = store.switch_counters(fabric.run_id)
+        energy = store.energy(fabric.run_id)
+    assert sorted(recorded) == sorted(tree_switches)
+    for switch, counters in recorded.items():
+        assert set(counters) == set(SWITCH_COUNTER_FAMILIES)
+        run = r.extra["switch_counters"][switch]
+        assert run in priced
+        assert counters == {
+            name: value if name.endswith("_peak_bytes") else value * n_chunks
+            for name, value in run.items()
+        }
+        assert counters["packets_in"] > 0
+    assert energy["run"]["hpu_active_j"] > 0

@@ -14,7 +14,6 @@ import repro.core.allreduce as allreduce_mod
 from repro.core.allreduce import plan_switch_allreduce
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch
-from repro.sparse.allreduce import sparse_switch_allreduce
 
 
 @pytest.fixture
@@ -150,10 +149,12 @@ def test_des_packet_after_fast_path_train_lands_last(switches):
 
 
 def test_sparse_egress_byte_accounting_matches_des(monkeypatch):
-    kwargs = dict(storage="hash", children=64, n_clusters=4, seed=1)
-    fast = sparse_switch_allreduce("8KiB", 0.1, **kwargs)
+    plan = plan_switch_allreduce(
+        "8KiB", density=0.1, storage="hash", children=64, n_clusters=4
+    )
+    fast = plan.execute(seed=1)
     monkeypatch.setenv("REPRO_FASTPATH", "0")
-    des = sparse_switch_allreduce("8KiB", 0.1, **kwargs)
+    des = plan.execute(seed=1)
     assert fast.fast_path_used and not des.fast_path_used
     assert fast.egress_payload_bytes == des.egress_payload_bytes > 0
     assert fast.ideal_egress_bytes == des.ideal_egress_bytes

@@ -2,14 +2,15 @@
 
 Every row runs one switch-level allreduce twice: on the packet-train
 fast path and, with ``REPRO_FASTPATH=0``, on the per-packet DES.  A
-dense row plans it with ``plan_switch_allreduce`` and
-``switch_golden.json`` pins the makespan, the contention wait, both
-memory peaks, the i-cache fills, whether the fast path ran, and a
-sha256 of the aggregated outputs.  A sparse row runs
-``sparse_switch_allreduce`` and pins the makespan, the contention wait,
-the block memory, the spilled and egress bytes, the extra traffic, the
-completed blocks, whether the fast path ran, feasibility with its
-reason, and the outputs' sha256.
+row plans it with ``plan_switch_allreduce`` (a sparse row with a
+``density``).  For a dense row ``switch_golden.json`` pins the makespan,
+the contention wait, both memory peaks, the i-cache fills, whether the
+fast path ran, and a sha256 of the aggregated outputs.  For a sparse
+row it pins the makespan, the contention wait, the block memory, the
+spilled and egress bytes, the extra traffic, the completed blocks,
+whether the fast path ran, feasibility with its reason, and the
+outputs' sha256; an infeasible row reads its block memory, fast-path
+flag and reason from the :class:`SwitchInfeasibleError`.
 
 The parity suites compare the two engines with each other, so a change
 that moves both the same way passes them; this table pins the absolute
@@ -40,9 +41,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.allreduce import plan_switch_allreduce
+from repro.core.allreduce import SwitchInfeasibleError, plan_switch_allreduce
 from repro.core.ops import ReductionOp
-from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.sparse.formats import SparseWorkload, make_sparse_workload
 
 GOLDEN = Path(__file__).with_name("switch_golden.json")
@@ -65,7 +65,7 @@ ROWS["single/absmax"] = ({"algorithm": "single", "op": ABSMAX}, {})
 ROWS["single/fcfs"] = ({"algorithm": "single", "scheduler": "fcfs"}, {})
 ROWS["single/warm"] = ({"algorithm": "single", "dtype": "int32"}, {"cold_start": False})
 
-#: sparse row -> sparse_switch_allreduce kwargs (besides the shared ones)
+#: sparse row -> plan_switch_allreduce kwargs (besides the shared ones)
 SPARSE_ROWS: dict[str, dict] = {
     f"sparse-{storage}/{density}/{dtype}": {
         "storage": storage, "density": density, "dtype": dtype,
@@ -115,11 +115,24 @@ def _noisy_workload(density: float) -> SparseWorkload:
 def run_sparse_row(row: str, engine: str) -> dict:
     kwargs = dict(SPARSE_ROWS[row])
     data_bytes = kwargs.pop("data_bytes", "16KiB")
-    if kwargs.pop("noisy", False):
-        kwargs["workload"] = _noisy_workload(kwargs["density"])
-    r = _on_engine(engine, lambda: sparse_switch_allreduce(
-        data_bytes, children=8, n_clusters=2, seed=5, jitter=0.5, **kwargs
-    ))
+    workload = _noisy_workload(kwargs["density"]) if kwargs.pop("noisy", False) else None
+    plan = plan_switch_allreduce(data_bytes, children=8, n_clusters=2, **kwargs)
+    try:
+        r = _on_engine(engine, lambda: plan.execute(workload, seed=5, jitter=0.5))
+    except SwitchInfeasibleError as exc:
+        return {
+            "makespan_cycles": 0.0,
+            "contention_wait_cycles": 0.0,
+            "block_memory_bytes": exc.block_memory_bytes,
+            "spilled_bytes": 0,
+            "egress_payload_bytes": 0,
+            "extra_traffic_pct": 0.0,
+            "blocks_completed": 0,
+            "fast_path_used": exc.fast_path_used,
+            "feasible": False,
+            "infeasible_reason": exc.reason,
+            "outputs": _digest({}),
+        }
     return {
         "makespan_cycles": r.makespan_cycles,
         "contention_wait_cycles": r.contention_wait_cycles,
@@ -129,8 +142,8 @@ def run_sparse_row(row: str, engine: str) -> dict:
         "extra_traffic_pct": r.extra_traffic_pct,
         "blocks_completed": r.blocks_completed,
         "fast_path_used": r.fast_path_used,
-        "feasible": r.feasible,
-        "infeasible_reason": r.infeasible_reason,
+        "feasible": True,
+        "infeasible_reason": "",
         "outputs": _digest(r.outputs),
     }
 

@@ -7,8 +7,7 @@ import weakref
 
 import pytest
 
-import repro.core.allreduce as dense
-import repro.sparse.allreduce as sparse
+import repro.core.allreduce as driver
 from repro.pspin.switch import PsPINSwitch
 
 
@@ -21,8 +20,7 @@ def switch_refs(monkeypatch):
         refs.append(weakref.ref(switch))
         return switch
 
-    monkeypatch.setattr(dense, "PsPINSwitch", tracked)
-    monkeypatch.setattr(sparse, "PsPINSwitch", tracked)
+    monkeypatch.setattr(driver, "PsPINSwitch", tracked)
     gc.collect()
     gc.disable()
     try:
@@ -37,7 +35,7 @@ def test_dense_execute_frees_its_switch(
     monkeypatch, switch_refs, algorithm, fast_path
 ):
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fast_path else "0")
-    plan = dense.plan_switch_allreduce(
+    plan = driver.plan_switch_allreduce(
         "8KiB", children=8, algorithm=algorithm, n_clusters=2
     )
     result = plan.execute(seed=0)
@@ -49,10 +47,9 @@ def test_dense_execute_frees_its_switch(
 
 @pytest.mark.parametrize("storage", ["hash", "array"])
 def test_sparse_allreduce_frees_its_switch(switch_refs, storage):
-    result = sparse.sparse_switch_allreduce(
+    result = driver.plan_switch_allreduce(
         "4KiB", density=0.1, storage=storage, children=8, n_clusters=2
-    )
-    assert result.feasible
+    ).execute()
     del result
     assert len(switch_refs) == 1
     assert switch_refs[0]() is None

@@ -8,16 +8,15 @@ so a size-only call never builds a block object.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.allreduce import plan_switch_allreduce
 from repro.pspin.packets import SwitchPacket
 from repro.pspin.switch import PsPINSwitch
-from repro.sparse.allreduce import (
-    SparseAllreduceResult,
-    reassemble_egress,
-    sparse_switch_allreduce,
-)
+from repro.sparse.allreduce import reassemble_egress
 from repro.sparse.formats import SparseBlock, SparseWorkload, make_sparse_workload
 
 
@@ -92,9 +91,9 @@ def test_size_only_call_builds_no_sparse_block(monkeypatch):
         init(self)
 
     monkeypatch.setattr(SparseBlock, "__post_init__", counting)
-    r = sparse_switch_allreduce("8KiB", 0.1, storage="hash", children=16,
-                                n_clusters=2, seed=1, correlation=0.5)
-    assert r.feasible and r.fast_path_used
+    r = plan_switch_allreduce("8KiB", density=0.1, storage="hash", children=16,
+                              n_clusters=2, correlation=0.5).execute(seed=1)
+    assert r.fast_path_used
     assert built == []
     make_sparse_workload(2, 2, 8, 0.5, seed=0).blocks
     assert len(built) == 4   # the counter works: views are blocks
@@ -106,11 +105,9 @@ def test_size_only_call_builds_no_sparse_block(monkeypatch):
 @pytest.mark.parametrize("density,shown", [(0.002, "d=0.20%"), (0.005, "d=0.50%"),
                                            (0.1, "d=10%")])
 def test_summary_keeps_small_densities_readable(density, shown):
-    ok = SparseAllreduceResult("array", density, 4096, 8, 4, 1, feasible=True)
-    bad = SparseAllreduceResult("hash", density, 4096, 8, 4, 1, feasible=False,
-                                infeasible_reason="no room")
-    assert ok.summary().startswith(f"sparse-array {shown}: ")
-    assert bad.summary() == f"sparse-hash {shown}: INFEASIBLE (no room)"
+    r = plan_switch_allreduce("2KiB", density=0.1, storage="array", children=2,
+                              n_clusters=1).execute()
+    assert replace(r, density=density).summary().startswith(f"sparse-array {shown}: ")
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +164,8 @@ def test_reassembly_matches_per_packet_loop_on_switch_egress(monkeypatch, storag
         return makespan
 
     monkeypatch.setattr(PsPINSwitch, "run", capture)
-    r = sparse_switch_allreduce("8KiB", density, storage=storage, children=16,
-                                n_clusters=2, seed=4)
+    r = plan_switch_allreduce("8KiB", density=density, storage=storage, children=16,
+                              n_clusters=2).execute(seed=4)
     (egress,) = captured
     if storage == "hash":
         assert r.spilled_bytes > 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.allreduce import plan_switch_allreduce
 from repro.pspin.switch import PsPINSwitch
-from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.sparse.formats import SparseBlock, SparseWorkload, make_sparse_workload
 
 
@@ -66,8 +66,8 @@ def test_one_pass_sums_match_per_block_loop_bitwise(seed, density, correlation):
 
 def test_ideal_egress_and_outputs_unchanged():
     """The one-mark-array ideal egress equals the per-block unions."""
-    r = sparse_switch_allreduce("8KiB", 0.1, storage="hash", children=16,
-                                n_clusters=2, seed=3)
+    r = plan_switch_allreduce("8KiB", density=0.1, storage="hash", children=16,
+                              n_clusters=2).execute(seed=3)
     wl = make_sparse_workload(n_hosts=16, n_blocks=r.n_blocks, elements_per_packet=128,
                               density=0.1, seed=3)
     distinct = sum(
@@ -95,7 +95,8 @@ def test_corrupted_egress_raises(monkeypatch):
 
     _patched_run(monkeypatch, corrupt)
     with pytest.raises(AssertionError, match="sparse aggregation mismatch"):
-        sparse_switch_allreduce("8KiB", 0.1, children=16, n_clusters=2, seed=1)
+        plan_switch_allreduce("8KiB", density=0.1, children=16,
+                              n_clusters=2).execute(seed=1)
 
 
 def test_missing_block_raises(monkeypatch):
@@ -104,4 +105,5 @@ def test_missing_block_raises(monkeypatch):
 
     _patched_run(monkeypatch, drop)
     with pytest.raises(AssertionError, match="block 1 never completed"):
-        sparse_switch_allreduce("8KiB", 0.1, children=16, n_clusters=2, seed=1)
+        plan_switch_allreduce("8KiB", density=0.1, children=16,
+                              n_clusters=2).execute(seed=1)

@@ -1,10 +1,10 @@
-"""Integration tests for the sparse switch-level allreduce (Fig. 13/14
-driver) at reduced scale."""
+"""Integration tests for the sparse design of the switch-level
+allreduce (Fig. 13/14 driver) at reduced scale."""
 
 import pytest
 
+from repro.core.allreduce import SwitchInfeasibleError, plan_switch_allreduce
 from repro.core.config import FlareConfig
-from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.sparse.handlers import SparseHandlerConfig
 from repro.sparse.models import (
     array_block_memory_bytes,
@@ -16,20 +16,18 @@ from repro.sparse.models import (
 
 def test_hash_and_array_verify_against_golden():
     for storage in ("hash", "array"):
-        r = sparse_switch_allreduce(
-            "8KiB", density=0.2, storage=storage, children=8,
-            n_clusters=1, seed=1,
-        )
-        assert r.feasible
+        r = plan_switch_allreduce(
+            "8KiB", density=0.2, storage=storage, children=8, n_clusters=1,
+        ).execute(seed=1)
         assert r.blocks_completed == r.n_blocks
 
 
 def test_hash_memory_density_independent():
     mems = []
     for d in (0.2, 0.05):
-        r = sparse_switch_allreduce(
-            "8KiB", density=d, storage="hash", children=8, n_clusters=1, seed=2
-        )
+        r = plan_switch_allreduce(
+            "8KiB", density=d, storage="hash", children=8, n_clusters=1,
+        ).execute(seed=2)
         mems.append(r.block_memory_bytes)
     assert mems[0] == mems[1]
 
@@ -37,59 +35,72 @@ def test_hash_memory_density_independent():
 def test_array_memory_grows_as_density_drops():
     mems = []
     for d in (0.2, 0.05):
-        r = sparse_switch_allreduce(
-            "8KiB", density=d, storage="array", children=8, n_clusters=1, seed=2
-        )
+        r = plan_switch_allreduce(
+            "8KiB", density=d, storage="array", children=8, n_clusters=1,
+        ).execute(seed=2)
         mems.append(r.block_memory_bytes)
     assert mems[1] > mems[0]
 
 
 def test_array_infeasible_at_extreme_sparsity():
-    r = sparse_switch_allreduce(
-        "64KiB", density=0.001, storage="array", children=16,
-        n_clusters=1, seed=3,
-    )
-    assert not r.feasible
-    assert "partition" in r.infeasible_reason
-    assert r.block_memory_bytes > 0
+    plan = plan_switch_allreduce("64KiB", density=0.001, storage="array",
+                                 children=16, n_clusters=1)
+    with pytest.raises(SwitchInfeasibleError, match="partition") as info:
+        plan.execute(seed=3)
+    assert info.value.block_memory_bytes > 0
+
+
+@pytest.mark.parametrize("kwargs", [{"algorithm": "tree"}, {"op": "max"}])
+def test_sparse_plan_rejects_dense_only_knobs(kwargs):
+    with pytest.raises(ValueError, match="dense design"):
+        plan_switch_allreduce("8KiB", density=0.1, children=8, **kwargs)
+
+
+@pytest.mark.parametrize("storage", ["hash", "array"])
+def test_infeasible_standalone_run_raises(storage):
+    """1 MiB of 10%-dense blocks from 8 hosts overflows both storages'
+    working-memory partition; the run used to return ``time_ns == 0``."""
+    from repro.comm import CapabilityError, Communicator
+
+    comm = Communicator(n_hosts=8)
+    with pytest.raises(CapabilityError, match="cannot fit"):
+        comm.allreduce("1MiB", algorithm="flare_switch_sparse", sparse=True,
+                       density=0.1, storage=storage)
 
 
 def test_array_never_generates_extra_traffic():
-    r = sparse_switch_allreduce(
-        "8KiB", density=0.2, storage="array", children=8, n_clusters=1, seed=4
-    )
+    r = plan_switch_allreduce(
+        "8KiB", density=0.2, storage="array", children=8, n_clusters=1,
+    ).execute(seed=4)
     assert r.spilled_bytes == 0
     assert r.extra_traffic_pct == 0.0
 
 
 def test_hash_generates_extra_traffic_when_dense():
-    r = sparse_switch_allreduce(
-        "16KiB", density=0.2, storage="hash", children=16, n_clusters=1, seed=5
-    )
+    r = plan_switch_allreduce(
+        "16KiB", density=0.2, storage="hash", children=16, n_clusters=1,
+    ).execute(seed=5)
     assert r.spilled_bytes > 0
     assert r.extra_traffic_pct > 0
 
 
 def test_correlated_indices_reduce_spill():
-    uncorr = sparse_switch_allreduce(
-        "16KiB", density=0.1, storage="hash", children=16,
-        n_clusters=1, seed=6, correlation=0.0,
-    )
-    corr = sparse_switch_allreduce(
-        "16KiB", density=0.1, storage="hash", children=16,
-        n_clusters=1, seed=6, correlation=0.9,
-    )
+    uncorr = plan_switch_allreduce(
+        "16KiB", density=0.1, storage="hash", children=16, n_clusters=1, correlation=0.0,
+    ).execute(seed=6)
+    corr = plan_switch_allreduce(
+        "16KiB", density=0.1, storage="hash", children=16, n_clusters=1, correlation=0.9,
+    ).execute(seed=6)
     assert corr.spilled_bytes < uncorr.spilled_bytes
 
 
 def test_sparse_bandwidth_below_dense():
     """Sec. 7.1: sparse handlers cost more per byte than dense."""
-    from repro.core.allreduce import plan_switch_allreduce
-
     dense = plan_switch_allreduce("32KiB", children=8, n_clusters=1,
                                   algorithm="single").execute(seed=7)
-    sparse = sparse_switch_allreduce("32KiB", density=0.1, storage="hash",
-                                     children=8, n_clusters=1, seed=7)
+    sparse = plan_switch_allreduce(
+        "32KiB", density=0.1, storage="hash", children=8, n_clusters=1,
+    ).execute(seed=7)
     assert sparse.bandwidth_tbps < dense.bandwidth_tbps
 
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.allreduce import SwitchInfeasibleError, plan_switch_allreduce
 from repro.core.staggered import arrival_arrays
 from repro.pspin.packets import HEADER_BYTES
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
-from repro.sparse.allreduce import sparse_switch_allreduce
 from repro.sparse.fastpath import (
     SparseEgressRecord,
     SparsePacketTrain,
@@ -33,20 +33,29 @@ from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
 EPP = 128   # elements per 1 KiB sparse packet
 
 
-def run_pair(monkeypatch, **kwargs):
-    """The same sparse allreduce on the fast path and on the DES."""
+def run_pair(monkeypatch, seed=0, jitter=1.0, verify=True, workload=None, **plan):
+    """The same sparse allreduce on the fast path and on the DES; a run
+    that does not fit the switch gives its :class:`SwitchInfeasibleError`."""
+    plan = plan_switch_allreduce(**plan)
     results = []
     for env in ("1", "0"):
         monkeypatch.setenv("REPRO_FASTPATH", env)
-        results.append(sparse_switch_allreduce(**kwargs))
+        try:
+            results.append(plan.execute(workload, seed=seed, jitter=jitter, verify=verify))
+        except SwitchInfeasibleError as exc:
+            results.append(exc)
     return results
 
 
 def assert_parity(fast, slow, expect_fast=True):
     assert fast.fast_path_used is expect_fast
     assert slow.fast_path_used is False
-    assert fast.feasible == slow.feasible
-    assert fast.infeasible_reason == slow.infeasible_reason
+    if isinstance(slow, SwitchInfeasibleError):
+        assert isinstance(fast, SwitchInfeasibleError)
+        assert fast.reason == slow.reason
+        assert fast.block_memory_bytes == slow.block_memory_bytes
+        return
+    assert not isinstance(fast, SwitchInfeasibleError)
     assert fast.makespan_cycles == slow.makespan_cycles
     assert set(fast.outputs) == set(slow.outputs)
     for block_id, payload in slow.outputs.items():
@@ -360,9 +369,9 @@ def test_driver_reads_the_record_without_expanding(monkeypatch, storage):
         raise AssertionError("sparse egress record expanded")
 
     monkeypatch.setattr(SparseEgressRecord, "expand", no_expand)
-    r = sparse_switch_allreduce("8KiB", 0.1, storage=storage, children=16,
-                                n_clusters=2, seed=2)
-    assert r.fast_path_used and r.feasible
+    r = plan_switch_allreduce("8KiB", density=0.1, storage=storage, children=16,
+                              n_clusters=2).execute(seed=2)
+    assert r.fast_path_used
     assert r.egress_payload_bytes > 0
 
 
@@ -434,8 +443,8 @@ def test_infeasible_array_declines(monkeypatch):
         monkeypatch, data_bytes="64KiB", density=0.001, storage="array",
         children=16, n_clusters=1, seed=3,
     )
-    assert not slow.feasible
-    assert "partition" in slow.infeasible_reason
+    assert isinstance(slow, SwitchInfeasibleError)
+    assert "partition" in slow.reason
     assert_parity(fast, slow, expect_fast=False)
 
 
@@ -457,19 +466,19 @@ def test_workload_host_count_mismatch_raises():
     workload = make_sparse_workload(8, 4, EPP, 0.1, seed=1)
     for children in (4, 16):
         with pytest.raises(ValueError, match="hosts"):
-            sparse_switch_allreduce("4KiB", 0.1, children=children, workload=workload)
+            plan_switch_allreduce("4KiB", density=0.1, children=children).execute(workload)
 
 
 def test_workload_dtype_mismatch_raises():
     workload = make_sparse_workload(8, 4, EPP, 0.1, dtype="int32", seed=1)
     with pytest.raises(ValueError, match="dtype"):
-        sparse_switch_allreduce("4KiB", 0.1, children=8, workload=workload)
+        plan_switch_allreduce("4KiB", density=0.1, children=8).execute(workload)
 
 
 def test_workload_block_span_too_large_raises():
     workload = make_sparse_workload(8, 4, EPP, 0.05, seed=1)
     with pytest.raises(ValueError, match="span"):
-        sparse_switch_allreduce("4KiB", 0.1, children=8, workload=workload)
+        plan_switch_allreduce("4KiB", density=0.1, children=8).execute(workload)
 
 
 @pytest.mark.slow
@@ -500,4 +509,4 @@ def test_property_random_configs_parity(
             hash_slots_factor=hash_slots_factor,
         )
     assert_parity(fast, slow, expect_fast=fast.fast_path_used)
-    assert fast.fast_path_used or not fast.feasible
+    assert fast.fast_path_used or isinstance(fast, SwitchInfeasibleError)

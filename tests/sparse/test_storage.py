@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.sparse.allreduce as allreduce_mod
+import repro.core.allreduce as allreduce_mod
 from repro.comm import Communicator
 from repro.sparse.array_storage import ArrayStorage
 from repro.sparse.handlers import SparseHandlerConfig
