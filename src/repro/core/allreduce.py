@@ -304,13 +304,9 @@ class SwitchAllreducePlan:
         fields = design.collect(switch, handler, data, verify)
 
         n_clusters = self.switch_cfg.n_clusters
+        # An empty run takes no time and moves nothing: rates of 0.
         seconds = makespan / (cfg.cost_model.clock_ghz * 1e9) if makespan > 0 else float("inf")
-        sim_tbps = payload_bytes * 8.0 / seconds / 1e12 if makespan > 0 else 0.0
-        elements_per_second = (
-            scale_bandwidth(payload_bytes / design.element_bytes / seconds, n_clusters)
-            if makespan > 0
-            else 0.0
-        )
+        sim_tbps = payload_bytes * 8.0 / seconds / 1e12
         tel = switch.telemetry
         return SwitchAllreduceResult(
             algorithm=design.label,
@@ -322,7 +318,9 @@ class SwitchAllreducePlan:
             makespan_cycles=makespan,
             sim_bandwidth_tbps=sim_tbps,
             bandwidth_tbps=scale_bandwidth(sim_tbps, n_clusters),
-            elements_per_second=elements_per_second,
+            elements_per_second=scale_bandwidth(
+                payload_bytes / design.element_bytes / seconds, n_clusters
+            ),
             ingress_payload_bytes=payload_bytes,
             peak_input_buffer_bytes=switch.memories.l2_packet.peak_bytes,
             peak_working_memory_bytes=tel.working_memory_bytes.peak,
