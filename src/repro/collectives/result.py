@@ -22,8 +22,8 @@ class CollectiveResult:
     n_hosts: int
     vector_bytes: float          # dense-equivalent bytes per host
     time_ns: float
-    traffic_bytes_hops: float    # sum over links of bytes carried
-    sent_bytes_per_host: float = 0.0
+    traffic_bytes_hops: int      # sum over links of bytes carried
+    sent_bytes_per_host: int = 0
     extra: dict = field(default_factory=dict)
     #: Registry algorithm that produced this result ("" for direct calls).
     algorithm: str = ""

@@ -170,7 +170,7 @@ def payload_program(schedule, payloads, op) -> tuple[str, object, tuple]:
 
 def collective_result(
     net, flow, name: str, n_hosts: int, vector_bytes: float, time_ns: float,
-    sent_bytes_per_host: float, extra: dict, output=None,
+    sent_bytes_per_host: int, extra: dict, output=None,
 ) -> CollectiveResult:
     """A finished schedule's result, traffic read from ``flow``."""
     extra = {**extra, **net.traffic_extra(flow=flow)}

@@ -15,7 +15,9 @@ plan/execute contract of :mod:`repro.comm`:
 
 Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
-selection — and return a runner that only executes the data plane.
+selection — and return an issuer that only executes the data plane on
+a fabric.  A standalone ``plan.execute`` of a network schedule issues
+it into a fresh one-tenant fabric wired by :class:`_TopologySource`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.comm.registry import AlgorithmCaps, CapabilityError, register_algorit
 from repro.comm.request import CollectiveRequest
 from repro.core.allreduce import DenseDesign, plan_switch_allreduce
 from repro.network.routing import available_routers
-from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology, build_topology
 from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.trees import TreePlanner
@@ -92,15 +93,13 @@ def default_fat_tree_kwargs(n_hosts: int, params: dict) -> dict:
 class _TopologySource:
     """Topology + routing-policy instances for a plan's executions.
 
-    Link serialization state (``busy_until``) is mutated by a run, so
-    each execution gets its own topology built from the planned shape.
-    An explicitly supplied topology object is honoured for the first
-    execution and rebuilt from its ``describe()`` kwargs afterwards.
-    ``params["topology"]`` may be a
-    family name (built from ``params["topology_params"]``) or a
+    ``params["topology"]`` may be a family name (built from
+    ``params["topology_params"]``) or a
     :class:`~repro.network.topology.Topology`; absent means the
     paper's fat tree sized from the legacy knobs, with ``n_spines``
-    capped at the leaf uplink capacity.
+    capped at the leaf uplink capacity.  :attr:`shape` serves plan-time
+    inspection; link state is mutated by a run, so every run gets a
+    :meth:`fresh` copy.
     """
 
     def __init__(self, request: CollectiveRequest) -> None:
@@ -114,22 +113,20 @@ class _TopologySource:
         self.routing_seed = p.get("routing_seed", 0)
         topo = p.get("topology")
         if isinstance(topo, Topology):
-            self._explicit: Optional[Topology] = topo
             self.family = topo.family
             self._kwargs = dict(topo.describe())
         else:
-            self._explicit = None
             self.family = topo or "fat-tree"
             self._kwargs = dict(p.get("topology_params") or {})
             if self.family == "fat-tree" and not self._kwargs:
                 self._kwargs = default_fat_tree_kwargs(request.n_hosts, p)
-        self._shape_cache: Optional[Topology] = None
-        shape = self.shape
+            topo = build_topology(self.family, **self._kwargs)
+        self.shape: Topology = topo       # plan-time inspection only
         placed = p.get("hosts")
         self.hosts: "Optional[list]" = None
         if placed is not None:
             placed = list(placed)
-            known = set(shape.hosts)
+            known = set(topo.hosts)
             for h in placed:
                 if h not in known:
                     raise CapabilityError(
@@ -145,39 +142,23 @@ class _TopologySource:
                     "request) to match"
                 )
             self.hosts = placed
-        elif shape.n_hosts != request.n_hosts:
+        elif topo.n_hosts != request.n_hosts:
             raise CapabilityError(
-                f"topology {self.family!r} wires {shape.n_hosts} hosts but the "
+                f"topology {self.family!r} wires {topo.n_hosts} hosts but the "
                 f"request names {request.n_hosts}; size the topology (or the "
                 "request) to match, or pass params['hosts'] to place the "
                 "collective on a subset"
             )
 
-    @property
-    def shape(self) -> Topology:
-        """A topology for plan-time inspection (tree planning, sizing).
-
-        Cached: inspection never mutates link state, so one instance
-        serves every plan-time query (``fresh()`` builds per-run
-        instances instead).
-        """
-        if self._explicit is not None:
-            return self._explicit
-        if self._shape_cache is None:
-            self._shape_cache = build_topology(self.family, **self._kwargs)
-        return self._shape_cache
-
     def fresh(self) -> Topology:
-        if self._explicit is not None:
-            topo, self._explicit = self._explicit, None
-            return topo
-        return build_topology(self.family, **self._kwargs)
-
-    def fresh_net(self) -> NetworkSimulator:
-        """A private simulator over :meth:`fresh` (standalone runs)."""
-        return NetworkSimulator(
-            self.fresh(), router=self.routing, routing_seed=self.routing_seed
-        )
+        """A topology with idle links for one run: the planned shape
+        rebuilt, with :attr:`shape`'s failed switches and links."""
+        topo = build_topology(self.family, **self._kwargs)
+        for switch in self.shape.failed_switches():
+            topo.fail_switch(switch)
+        for a, b in self.shape.failed_links():
+            topo.fail_link(a, b)
+        return topo
 
     def plan_tree(self, request: CollectiveRequest):
         """The aggregation tree for in-network schedules: an explicit
@@ -266,17 +247,15 @@ def _network_plan(source: _TopologySource, issue, setup: dict) -> PlannedExecuti
     """The plan of a network schedule.
 
     ``issue(net, flow=, payloads=, on_complete=)`` starts one run in a
-    simulator: a fabric passes its shared one, standalone runs
-    (``plan.execute``) a fresh private one.
+    fabric's simulator (a standalone ``plan.execute`` issues into a
+    fresh one-tenant fabric).
     """
 
     def issuer(ctx: IssueContext, payloads, overrides) -> None:
         source.check_fabric(ctx.net)
         issue(ctx.net, flow=ctx.flow, payloads=payloads, on_complete=ctx.finish)
 
-    return PlannedExecution.from_issuer(
-        issuer, source.fresh_net, {"topology": source.describe(), **setup}
-    )
+    return PlannedExecution(issuer, {"topology": source.describe(), **setup})
 
 
 def _plan_exchange(
@@ -566,7 +545,7 @@ def _switch_plan(
         def unplaceable(ctx: IssueContext, payloads, overrides) -> None:
             raise CapabilityError(reason)
 
-        return PlannedExecution(runner=runner, setup=setup, issuer=unplaceable)
+        return PlannedExecution(unplaceable, setup, standalone=runner)
     schedule = schedule_of(tree, splan)
     tree_plan = _plan_tree(source, schedule, request.op)
 
@@ -599,7 +578,7 @@ def _switch_plan(
         tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
 
     return PlannedExecution(
-        runner=runner, setup={**setup, **tree_plan.setup}, issuer=issuer
+        issuer, {**setup, **tree_plan.setup}, standalone=runner
     )
 
 
@@ -665,8 +644,8 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
             vector_bytes=float(r.data_bytes),
             time_ns=time_ns,
             # One switch: ingress is the only wire segment modeled.
-            traffic_bytes_hops=float(r.data_bytes) * request.n_hosts,
-            sent_bytes_per_host=float(r.data_bytes),
+            traffic_bytes_hops=int(r.data_bytes) * request.n_hosts,
+            sent_bytes_per_host=int(r.data_bytes),
             extra={
                 "bandwidth_tbps": r.bandwidth_tbps,
                 "elements_per_second": r.elements_per_second,
@@ -732,10 +711,10 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
             vector_bytes=float(request.nbytes) / request.density
             * DENSE_ELEMENT_BYTES / 8.0,
             time_ns=time_ns,
-            traffic_bytes_hops=float(
+            traffic_bytes_hops=int(
                 r.ingress_payload_bytes + r.egress_payload_bytes
             ),
-            sent_bytes_per_host=float(request.nbytes),
+            sent_bytes_per_host=int(request.nbytes),
             extra={
                 "bandwidth_tbps": r.bandwidth_tbps,
                 "feasible": True,

@@ -19,9 +19,10 @@ attach several to one fabric (``fabric.communicator(name=...,
 weight=...)``) and their in-flight collectives interleave in the
 fabric's single event loop, contending for links and switch resources
 under per-tenant QoS arbitration.  A lone ``Communicator(...)`` runs
-blocking calls standalone and creates a private fabric, wired from its
-defaults, on first non-blocking use; ``iallreduce`` of a shape that
-fabric does not wire raises ``CapabilityError``, as on any fabric.
+each blocking call on a fresh one-tenant fabric (``plan.execute``) and
+creates a private fabric, wired from its defaults, on first
+non-blocking use; ``iallreduce`` of a shape that fabric does not wire
+raises ``CapabilityError``, as on any fabric.
 """
 
 from __future__ import annotations
@@ -322,11 +323,11 @@ class Communicator:
     ) -> CollectiveResult:
         """Blocking allreduce; returns the unified result.
 
-        Standalone communicators execute directly (the single-tenant
-        fast path, bit-identical to the pre-fabric behavior); tenants
-        of a shared fabric issue into the fabric's loop and drive it to
-        completion, so blocking calls still contend with other
-        tenants' in-flight work.
+        Standalone communicators execute the plan directly, on a fresh
+        one-tenant fabric per call (:meth:`CollectivePlan.execute`);
+        tenants of a shared fabric issue into the fabric's loop and
+        drive it to completion, so blocking calls still contend with
+        other tenants' in-flight work.
         """
         if self._attached:
             future = self.iallreduce(data, op=op, algorithm=algorithm, **kwargs)

@@ -42,7 +42,9 @@ bench CLI (``bench --tenants N --overlap --faults spec.json``) and CI
 artifacts.
 
 A lone ``Communicator`` creates a *private* fabric, wired from its
-defaults, on first non-blocking use.
+defaults, on first non-blocking use.  A standalone ``plan.execute`` is
+a one-tenant run: :meth:`Fabric.issue` with no communicator into a
+fresh fabric (``fallback=False``), driven by :meth:`Fabric.run_until`.
 """
 
 from __future__ import annotations
@@ -511,7 +513,7 @@ class Fabric:
 
     def issue(
         self,
-        comm: "Communicator",
+        comm: "Optional[Communicator]",
         plan: CollectivePlan,
         payloads=None,
         overrides: Optional[dict] = None,
@@ -525,7 +527,9 @@ class Fabric:
         switch memory, tenant quota, dead switches); a switch-resource
         rejection falls back to a host-based plan when ``fallback`` is
         on, while a tenant-quota rejection always raises (queueing more
-        work for an over-quota tenant would defeat the quota).  Returns
+        work for an over-quota tenant would defeat the quota).  ``comm``
+        replans such fallbacks; ``None`` (a standalone ``plan.execute``)
+        needs ``fallback`` off.  Returns
         a simulation-native future that resolves as the fabric's loop
         is driven (``future.result()``, :meth:`run`, or ``wait_all``).
         """

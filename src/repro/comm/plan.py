@@ -9,6 +9,12 @@ objects share one plan, while changing the wiring or the routing
 policy replans.  The production steady state (the same allreduce
 issued every training iteration) pays the planning cost exactly once
 and every later call goes straight to the data plane.
+
+Execution has one driver: a plan's issuer runs on a
+:class:`~repro.comm.fabric.Fabric`, and a standalone
+:meth:`CollectivePlan.execute` issues it into a fresh one-tenant
+fabric.  Only the switch-level drivers keep a standalone run of their
+own, the single-switch PsPIN simulation.
 """
 
 from __future__ import annotations
@@ -22,15 +28,15 @@ from repro.collectives.result import CollectiveResult
 from repro.comm.registry import AlgorithmCaps, AlgorithmEntry
 from repro.comm.request import CollectiveRequest
 
-#: ``runner(payloads, overrides) -> CollectiveResult`` — the execute-time
-#: closure a planner returns; ``overrides`` carries per-execution knobs
+#: ``runner(payloads, overrides) -> CollectiveResult`` — a switch-level
+#: driver's standalone run; ``overrides`` carries per-execution knobs
 #: (seed, jitter, verify, ...) that do not affect the plan.
 Runner = Callable[[Optional[object], dict], CollectiveResult]
 
 
 @dataclass
 class IssueContext:
-    """Execution context for a collective issued into a shared fabric.
+    """Execution context for a collective issued into a fabric.
 
     ``net`` is the fabric's shared :class:`NetworkSimulator`; ``flow``
     is the id the collective's messages carry (link arbitration and
@@ -47,45 +53,19 @@ class IssueContext:
 #: ``issuer(ctx, payloads, overrides) -> None`` — injects one
 #: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
 #: arranges for ``ctx.finish(result)`` when it completes.  Every planner
-#: provides one.  Network schedules derive their runner from it
-#: (:meth:`PlannedExecution.from_issuer`); the switch-level drivers
-#: (``flare_switch``, ``flare_switch_sparse``) pair it with a different
-#: runner: the issuer runs a tree schedule, the runner the single-switch
-#: simulation.
+#: provides one.
 Issuer = Callable[[IssueContext, Optional[object], dict], None]
 
 
 @dataclass
 class PlannedExecution:
-    """What a planner hands back: a standalone runner, the fabric
-    issuer, and setup metadata."""
+    """What a planner hands back: the fabric issuer and setup metadata;
+    ``standalone`` is the switch-level drivers' single-switch run, which
+    their ``plan.execute`` calls instead of issuing into a fabric."""
 
-    runner: Runner
     issuer: Issuer
     setup: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_issuer(
-        cls, issuer: Issuer, network: Callable[[], object], setup: dict
-    ) -> "PlannedExecution":
-        """A plan whose standalone runs issue into ``network()`` — a
-        fresh private simulator — with no flow tag, and run it to
-        completion."""
-
-        def runner(payloads, overrides) -> CollectiveResult:
-            net = network()
-            done: list[CollectiveResult] = []
-            issuer(IssueContext(net=net, flow=None, finish=done.append),
-                   payloads, overrides)
-            net.run()
-            if not done:
-                raise RuntimeError(
-                    "collective incomplete: the event loop drained before "
-                    "every host finished"
-                )
-            return done[0]
-
-        return cls(runner=runner, setup=setup, issuer=issuer)
+    standalone: Optional[Runner] = None
 
 
 @dataclass
@@ -105,8 +85,27 @@ class CollectivePlan:
     executions: int = 0
 
     def execute(self, payloads: Optional[object] = None, **overrides) -> CollectiveResult:
-        """Run the collective once; planning work is *not* repeated."""
-        result = self._planned.runner(payloads, overrides)
+        """Run the collective once; planning work is *not* repeated.
+
+        Issued into a fresh one-tenant :class:`~repro.comm.fabric.Fabric`
+        (clock at 0, ``fallback`` off) wired by the request's topology,
+        routing and seed; a switch-level driver runs its single-switch
+        simulation instead.
+        """
+        standalone = self._planned.standalone
+        if standalone is None:
+            from repro.comm.backends import _TopologySource
+            from repro.comm.fabric import Fabric
+
+            source = _TopologySource(self.request)
+            fabric = Fabric(
+                source.fresh(), routing=source.routing,
+                routing_seed=source.routing_seed, fallback=False,
+            )
+            return fabric.issue(None, self, payloads, overrides).result()
+        return self._stamp(standalone(payloads, overrides))
+
+    def _stamp(self, result: CollectiveResult) -> CollectiveResult:
         result.algorithm = self.algorithm
         result.op = self.request.op_name
         self.executions += 1
@@ -120,16 +119,9 @@ class CollectivePlan:
         ``ctx.finish`` receives the stamped result when the collective
         completes; planning work is *not* repeated.
         """
-        caller_finish = ctx.finish
-
-        def finish(result: CollectiveResult) -> None:
-            result.algorithm = self.algorithm
-            result.op = self.request.op_name
-            self.executions += 1
-            caller_finish(result)
-
+        finish = ctx.finish
         self._planned.issuer(
-            IssueContext(net=ctx.net, flow=ctx.flow, finish=finish),
+            IssueContext(ctx.net, ctx.flow, lambda result: finish(self._stamp(result))),
             payloads,
             overrides,
         )

@@ -9,9 +9,9 @@ answers "which one does this message take".  Three policies:
 * :class:`EcmpRouter` — hash-based spreading over the equal-cost set,
   seeded through :func:`repro.utils.rngtools.ecmp_salt` so the same
   seed picks the same paths in every run and every process;
-* :class:`AdaptiveRouter` — congestion-aware selection using the live
-  link state the simulator mutates (``busy_until``/``bytes_carried``),
-  the Canary-style policy that steers flows off hot links.
+* :class:`AdaptiveRouter` — congestion-aware selection using the load
+  the simulator has routed onto each link so far, the Canary-style
+  policy that steers flows off hot links.
 
 Routers are consulted *per hop*: the simulator asks for a route from
 the message's current node, so adaptive decisions track congestion as
@@ -61,6 +61,9 @@ class Router:
     """Base path-selection policy over one topology."""
 
     name = "base"
+    #: ``assign(link, nbytes, now)``: the simulator reports each message
+    #: it routes onto a link (None: the policy needs no reports).
+    assign = None
     #: True when ``next_hop(node, dst)`` is a pure function of its
     #: arguments (no live link state), so the simulator may memoize it.
     cacheable = False
@@ -129,10 +132,11 @@ class AdaptiveRouter(Router):
     """Congestion-aware selection over the equal-cost set.
 
     Scores each candidate path by the worst link on it — (latest
-    ``busy_until``, most ``bytes_carried``) — and takes the least
-    congested, falling back to ECMP order among exact ties.  Because
-    the links are the very objects the simulator serializes messages
-    on, the decision always sees the live network state; re-evaluated
+    ``until``, most bytes) of the load routed onto the link so far —
+    and takes the least congested, falling back to ECMP order among
+    exact ties.  The simulator reports each message as it routes it
+    onto a link (:meth:`assign`), so the score counts messages still
+    waiting in a WFQ queue as well as those on the wire; re-evaluated
     at every hop, it steers chunks around queues as they build, the way
     Canary re-routes reduction traffic.
     """
@@ -142,15 +146,26 @@ class AdaptiveRouter(Router):
     def __init__(self, topology: Topology, seed: int = 0) -> None:
         super().__init__(topology, seed)
         self._salt = ecmp_salt(seed)
+        #: (src, dst) -> (until, bytes) of the messages routed onto it.
+        self._load: dict = {}
 
-    def _score(self, path: list[NodeId]) -> tuple[float, float]:
-        worst_busy = 0.0
-        worst_bytes = 0.0
-        for a, b in zip(path, path[1:]):
-            link = self.topology.link(a, b)
-            worst_busy = max(worst_busy, link.busy_until)
-            worst_bytes = max(worst_bytes, link.bytes_carried)
-        return (worst_busy, worst_bytes)
+    def assign(self, link: Link, nbytes: int, now: float) -> None:
+        """Count a message routed onto ``link`` at ``now`` by FIFO's
+        rule: it holds the link from ``max(now, until)`` for ``nbytes``
+        at the line rate.  Under FIFO arbitration this is the link's
+        own ``busy_until``/``bytes_carried``."""
+        key = link.key
+        until, carried = self._load.get(key, (0.0, 0))
+        rate = link._rate
+        fault = link.fault
+        if fault is not None and fault.kind == "slow":
+            rate = rate / fault.slow_factor
+        start = now if now > until else until
+        self._load[key] = (start + nbytes / rate, carried + nbytes)
+
+    def _score(self, path: list[NodeId]) -> tuple[float, int]:
+        loads = [self._load.get(key, (0.0, 0)) for key in zip(path, path[1:])]
+        return (max(until for until, _ in loads), max(nbytes for _, nbytes in loads))
 
     def select(self, src, dst, paths):
         if len(paths) == 1:

@@ -185,6 +185,7 @@ class NetworkSimulator:
 
         self.topology = topology
         self.router = build_router(router, topology, seed=routing_seed)
+        self._assign = self.router.assign
         self.sim = sim if sim is not None else Simulator()
         self.arbitration = arbitration
         self._wfq = arbitration == "wfq"
@@ -437,6 +438,8 @@ class NetworkSimulator:
             next_node = self._route_faulty(msg, node)
             if next_node is None:
                 return
+            if self._assign is not None:
+                self._assign(self.topology.link(node, next_node), msg.nbytes, self.sim.now)
             if not wfq:
                 self._launch(self.topology.link(node, next_node), node, next_node, msg)
                 return
@@ -447,6 +450,8 @@ class NetworkSimulator:
             hit = None if memo is None else memo.get(pair)
             if hit is None:
                 hit = self.router.next_hop(node, dst)
+                if self._assign is not None:      # adaptive: never memoized
+                    self._assign(self.topology.link(node, hit), msg.nbytes, self.sim.now)
                 if wfq:
                     hit = self._link_queue(node, hit)
                 if memo is not None:

@@ -11,12 +11,14 @@ traffic) must be an ``int``: messages carry whole bytes.
 
 The grid: ring, swing, butterfly, flare_dense (size-only, int32 and
 fp32 payloads), flare_sparse and sparcml (size-only) on fat-tree,
-dragonfly and torus at 8 and 16 hosts, each run standalone
-(``plan.execute``) and on a shared ``Fabric`` (the ``workers0`` groups,
-named for the engine they were first pinned on); flare_switch (int32
-and fp32 payloads, one chunk) on the fabrics only; plus a ``hosts=``
-placement subset, a seeded lossy fault schedule, and 4-tenant WFQ
-overlaps on one fabric.
+dragonfly and torus at 8 and 16 hosts, each run standalone (a lone
+``Communicator``, whose every call is issued into a fresh one-tenant
+``Fabric``) and on one shared ``Fabric`` per group (the ``workers0``
+groups, named for the engine they were first pinned on); flare_switch
+(int32 and fp32 payloads, one chunk) on the shared fabrics only; plus a
+``hosts=`` placement subset, a seeded lossy fault schedule, and
+4-tenant WFQ overlaps on one fabric.  Both modes run every link under
+WFQ arbitration.
 
 Regenerate only when a change to the simulated results is intended::
 
@@ -228,6 +230,7 @@ def test_schedule_golden(golden, nets, group):
     for case in want:
         assert got[case] == want[case], f"{group} {case}"
     assert nets and all(whole_byte_counters(net) for net in nets)
+    assert all(net.arbitration == "wfq" for net in nets)
     for row in got.values():
         assert type(row["traffic_bytes_hops"]) is int
         assert type(row["max_link_bytes"]) is int

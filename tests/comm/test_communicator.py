@@ -206,6 +206,59 @@ def test_ring_on_explicit_topology_matches_named_shape():
     assert explicit.traffic_bytes_hops == unified.traffic_bytes_hops
 
 
+def test_explicit_topology_failures_shape_every_standalone_call():
+    """Each standalone call runs on a fresh copy of an explicit topology
+    that keeps its failed links; the caller's links stay idle."""
+    from repro.comm import Fabric
+    from repro.network.topology import FatTreeTopology
+
+    topo = FatTreeTopology(n_hosts=16, hosts_per_leaf=4, n_spines=2)
+    topo.fail_link("l0", "s0")
+    comm = Communicator(topology=topo)
+    first, second = (comm.allreduce("1MiB", algorithm="butterfly") for _ in range(2))
+    assert first.time_ns == second.time_ns
+    assert first.traffic_bytes_hops == second.traffic_bytes_hops
+    assert all(link.bytes_carried == 0 for link in topo.links())
+    shared = Fabric(topology=topo).communicator().iallreduce("1MiB", algorithm="butterfly")
+    assert shared.result().time_ns == first.time_ns
+
+
+def test_standalone_network_schedule_is_a_one_tenant_fabric_run():
+    """A lone communicator keeps planning the payload's host count (an
+    8-row payload on a 16-host communicator wires an 8-host fat tree),
+    and its result carries the fabric's tenant fields."""
+    data = np.ones((8, 256), dtype=np.float32)
+    result = Communicator(n_hosts=16).allreduce(data, algorithm="ring")
+    assert result.n_hosts == 8
+    np.testing.assert_array_equal(result.extra["output"], data.sum(axis=0))
+    assert result.extra["tenant"] is None
+    assert result.extra["fell_back"] is False
+
+
+def test_standalone_switch_drivers_build_no_fabric(monkeypatch):
+    """The single-switch runs stay off the network: a standalone
+    flare_switch or flare_switch_sparse call builds no Fabric and no
+    NetworkSimulator."""
+    from repro.comm.fabric import Fabric
+    from repro.network.simulator import NetworkSimulator
+
+    built = []
+    for cls in (Fabric, NetworkSimulator):
+        init = cls.__init__
+
+        def spy(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    comm = Communicator(n_hosts=4, n_clusters=1)
+    comm.allreduce("4KiB", algorithm="flare_switch")
+    comm.allreduce("8KiB", algorithm="flare_switch_sparse", sparse=True, density=0.1)
+    assert built == []
+    comm.allreduce("4KiB", algorithm="ring")
+    assert built == ["Fabric", "NetworkSimulator"]
+
+
 def test_sparse_switch_driver_matches_communicator():
     from repro.core.allreduce import plan_switch_allreduce
 

@@ -15,7 +15,7 @@ from repro.collectives.result import CollectiveResult
 
 @pytest.fixture
 def counting_algorithm():
-    """Register an algorithm that counts planner and runner invocations."""
+    """Register an algorithm that counts planner and issuer invocations."""
     counts = {"planned": 0, "executed": 0}
 
     @register_algorithm(
@@ -25,22 +25,17 @@ def counting_algorithm():
     def plan_counting(request):
         counts["planned"] += 1
 
-        def runner(payloads, overrides):
+        def issuer(ctx, payloads, overrides):
             counts["executed"] += 1
-            return CollectiveResult(
+            ctx.finish(CollectiveResult(
                 name="counting",
                 n_hosts=request.n_hosts,
                 vector_bytes=request.nbytes,
                 time_ns=1.0,
-                traffic_bytes_hops=0.0,
-            )
+                traffic_bytes_hops=0,
+            ))
 
-        def issuer(ctx, payloads, overrides):
-            ctx.finish(runner(payloads, overrides))
-
-        return PlannedExecution(
-            runner=runner, issuer=issuer, setup={"planned": True}
-        )
+        return PlannedExecution(issuer, setup={"planned": True})
 
     yield counts
     unregister_algorithm("test_counting")

@@ -6,6 +6,8 @@ from repro.comm import (
     AlgorithmCaps,
     CapabilityError,
     CommError,
+    Communicator,
+    FabricError,
     PlannedExecution,
     UnknownAlgorithmError,
     available_algorithms,
@@ -53,14 +55,16 @@ def test_register_and_unregister_custom_algorithm():
 
     @register_algorithm("test_noop", caps=caps)
     def plan_noop(request):
-        return PlannedExecution(
-            runner=lambda payloads, overrides: None,
-            issuer=lambda ctx, payloads, overrides: None,
-        )
+        return PlannedExecution(issuer=lambda ctx, payloads, overrides: None)
 
     try:
         entry = get_algorithm("test_noop")
         assert entry.caps.description == "test-only"
+        # A standalone run whose schedule drains without finishing
+        # raises the typed fabric error.
+        assert issubclass(FabricError, CommError)
+        with pytest.raises(FabricError, match="drained"):
+            Communicator(n_hosts=4).allreduce("1KiB", algorithm="test_noop")
         # Double registration under the same name is an error.
         with pytest.raises(ValueError, match="already registered"):
             register_algorithm("test_noop", caps=caps)(plan_noop)
@@ -163,10 +167,7 @@ def test_resolve_payload_reason_wins_over_capability_reason():
         payload_rejects=lambda req, p: "the payload verdict",
     )
     def plan_flaky(request):
-        return PlannedExecution(
-            runner=lambda payloads, overrides: None,
-            issuer=lambda ctx, payloads, overrides: None,
-        )
+        return PlannedExecution(issuer=lambda ctx, payloads, overrides: None)
 
     try:
         payloads = np.ones((6, 16), dtype=np.float64)

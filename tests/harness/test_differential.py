@@ -11,7 +11,9 @@ and two dtypes, replacing ad-hoc per-algorithm payload checks:
   summation order, making "bitwise" meaningful for every backend;
 * timing-only algorithms (the sparse size models) are checked for
   completion with positive makespan and wire traffic under the same
-  grid, so capability gating and topology plumbing stay covered.
+  grid, so capability gating and topology plumbing stay covered;
+* every result reports ``traffic_bytes_hops`` and
+  ``sent_bytes_per_host`` as ``int``.
 
 The same harness is what the chaos suite re-runs under injected faults
 (tests/harness/test_chaos_properties.py).
@@ -57,6 +59,13 @@ def output_of(result) -> np.ndarray:
     return np.concatenate([outputs[b] for b in sorted(outputs)])
 
 
+def assert_whole_byte_fields(result) -> None:
+    """Every algorithm reports its byte counts as ``int`` (one result
+    shape, whole bytes on the wire)."""
+    assert type(result.traffic_bytes_hops) is int
+    assert type(result.sent_bytes_per_host) is int
+
+
 def _communicator(topo_name: str) -> Communicator:
     return Communicator(
         n_hosts=N_HOSTS,
@@ -97,9 +106,11 @@ def test_differential_allreduce(algorithm, topo_name, dtype):
         assert result.time_ns > 0
         assert result.traffic_bytes_hops > 0
         assert result.n_hosts == N_HOSTS
+        assert_whole_byte_fields(result)
         return
 
     result = comm.allreduce(data, algorithm=algorithm, dtype=dtype)
+    assert_whole_byte_fields(result)
     out = output_of(result)
     assert out.dtype == golden.dtype
     np.testing.assert_array_equal(out, golden)

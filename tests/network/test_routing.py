@@ -133,6 +133,28 @@ def test_adaptive_balances_regardless_of_hash_luck():
         assert max(uplinks) == pytest.approx(4e6)
 
 
+def test_adaptive_routing_sees_wfq_backlog():
+    """The adaptive score counts a message from the moment it is routed
+    onto a link, queued or not, so a lone flow under WFQ (a standalone
+    call, on a one-tenant fabric) routes as on a FIFO simulator."""
+    from repro.comm import Communicator
+    from repro.comm.plan import IssueContext
+
+    params = {"n_hosts": 16, "hosts_per_leaf": 4, "n_spines": 2}
+    comm = Communicator(topology="fat-tree", topology_params=params, routing="adaptive")
+    wfq = comm.allreduce("1MiB", algorithm="recursive_doubling")
+    fifo = NetworkSimulator(FatTreeTopology(**params), router="adaptive")
+    done = []
+    comm.plan(nbytes="1MiB", algorithm="recursive_doubling").issue(
+        IssueContext(fifo, None, done.append)
+    )
+    fifo.run()
+    assert fifo.arbitration == "fifo"
+    assert wfq.time_ns == done[0].time_ns
+    assert round(wfq.time_ns, 2) == 579_716.8
+    assert wfq.extra["max_link_bytes"] == done[0].extra["max_link_bytes"]
+
+
 # ----------------------------------------------------------------------
 # Link contention under every policy (satellite)
 # ----------------------------------------------------------------------
