@@ -3,8 +3,18 @@ assertions live in benchmarks/; these ensure run()/render() stay
 executable and structurally sound."""
 
 import importlib
+from pathlib import Path
 
 import pytest
+
+
+@pytest.fixture(scope="module")
+def fig15_fast():
+    """One fast Fig. 15 run (the slowest fast figure) shared by its
+    smoke and golden tests."""
+    from repro.figures import fig15
+
+    return fig15.run(fast=True)
 
 
 @pytest.mark.parametrize("name", ["fig7", "fig10", "fig13", "table1"])
@@ -71,18 +81,35 @@ def test_fig14_fast_matches_golden_text():
         PYTHONPATH=src python -c "from repro.figures import fig14; \\
         print(fig14.render(fig14.run(fast=True)))" > tests/figures/fig14_golden.txt
     """
-    from pathlib import Path
-
     from repro.figures import fig14
 
     golden = Path(__file__).with_name("fig14_golden.txt").read_text()
     assert fig14.render(fig14.run(fast=True)) + "\n" == golden
 
 
-def test_fig15_fast_smoke():
+@pytest.mark.parametrize(
+    "name", ["fig7", "fig10", "fig11", "fig13", "fig15", "table1"]
+)
+def test_fast_table_matches_golden_text(name, request):
+    """Every other fast-mode table, rendered whole.  Regenerate one only
+    for an intended change to its numbers::
+
+        PYTHONPATH=src python -c "from repro.figures import fig7 as m; \\
+        print(m.render(m.run(fast=True)))" > tests/figures/fig7_golden.txt
+    """
+    mod = importlib.import_module(f"repro.figures.{name}")
+    result = (
+        request.getfixturevalue("fig15_fast") if name == "fig15"
+        else mod.run(fast=True)
+    )
+    golden = Path(__file__).with_name(f"{name}_golden.txt").read_text()
+    assert mod.render(result) + "\n" == golden
+
+
+def test_fig15_fast_smoke(fig15_fast):
     from repro.figures import fig15
 
-    r = fig15.run(fast=True)
+    r = fig15_fast
     assert len(r.results) == 4
     names = [x.name for x in r.results]
     assert names[0].startswith("host-dense")
