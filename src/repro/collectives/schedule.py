@@ -69,6 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.collectives.result import CollectiveResult
+from repro.core.config import FlareConfig
 from repro.core.ops import get_op, order_free_ufunc
 from repro.network.simulator import Message
 from repro.network.trees import AggregationTree
@@ -662,11 +663,13 @@ class TreeSchedule:
 
     ``host_bytes`` is what each host streams up; ``up_bytes[switch]``
     what each switch forwards to its parent, the root's value also being
-    the multicast size.  Each is cut into ``n_chunks`` pipelined chunks
-    of whole bytes (:func:`whole_bytes`); a switch spends
-    ``agg_latency_ns[switch]`` aggregating a chunk.  Payloads ride along
-    only when ``carries_payloads`` (sizes that shrink with sparsity
-    describe no dense vector).
+    the multicast size.  Each is cut into ``n_chunks`` (an ``int`` >= 1)
+    pipelined chunks of whole bytes (:func:`whole_bytes`); a switch
+    spends ``agg_latency_ns[switch]`` aggregating a chunk.  The builders
+    pick the count: :func:`dense_tree` from a chunk size,
+    :func:`sparse_tree` from packet-sized chunks of its largest stream.
+    Payloads ride along only when ``carries_payloads`` (sizes that
+    shrink with sparsity describe no dense vector).
     """
 
     def __init__(
@@ -681,6 +684,9 @@ class TreeSchedule:
         vector_bytes: float,
         carries_payloads: bool,
     ) -> None:
+        if (isinstance(n_chunks, bool) or not isinstance(n_chunks, int)
+                or n_chunks < 1):
+            raise ValueError(f"n_chunks must be an int >= 1, got {n_chunks!r}")
         self.label = label
         self.carries_payloads = carries_payloads
         self.tree = tree
@@ -811,6 +817,10 @@ def dense_tree(
     """Flare dense: every host sends Z and receives Z, so every level
     moves the full vector (the 2x wire saving over the ring's ~2Z).
     Every switch spends the constant ``agg_latency_ns`` per chunk."""
+    if not 0 < chunk_bytes < math.inf:
+        raise ValueError(
+            f"chunk_bytes must be positive and finite, got {chunk_bytes!r}"
+        )
     n_chunks = max(1, int(round(vector_bytes / chunk_bytes)))
     return TreeSchedule(
         label, tree, n_chunks,
@@ -820,6 +830,23 @@ def dense_tree(
         vector_bytes=vector_bytes,
         carries_payloads=True,
     )
+
+
+#: Default sparse-tree chunks carry at least one packet of
+#: ``FlareConfig``'s default size, at most this many per stream.
+SPARSE_TREE_CHUNK_FLOOR = FlareConfig.packet_bytes
+SPARSE_TREE_MAX_CHUNKS = 64
+
+
+def sparse_tree_chunks(host_bytes: float, up_bytes: dict) -> int:
+    """The default chunk count of a sparse tree: as many whole packets
+    as its largest level stream holds, between 1 and
+    ``SPARSE_TREE_MAX_CHUNKS``.  The simulator charges no per-message
+    cost, so a sub-packet chunk only multiplies events and messages;
+    Flare's switch streams whole packets (Sec. 4)."""
+    largest = max(host_bytes, *up_bytes.values())
+    return min(SPARSE_TREE_MAX_CHUNKS,
+               max(1, int(largest // SPARSE_TREE_CHUNK_FLOOR)))
 
 
 def whole_bytes(nbytes, parts: int = 1) -> int:
@@ -896,7 +923,7 @@ def sparse_tree(
     *,
     bucket_span: int = 512,
     nnz_per_bucket: float = 1.0,
-    n_chunks: int = 64,
+    n_chunks: "int | None" = None,
     agg_latency_ns: float = 4000.0,
     level_bytes: "tuple[float, float, float] | None" = None,
     label: str = "Flare sparse",
@@ -909,6 +936,9 @@ def sparse_tree(
     ``level_bytes`` — measured (host, leaf, root) stream bytes, as the
     Fig. 15 driver derives from the synthetic gradients — replaces the
     bucket model; it only describes a two-level tree.
+
+    ``n_chunks`` defaults to :func:`sparse_tree_chunks` of the level
+    streams: packet-sized chunks of the largest one, at most 64.
     """
     if level_bytes is not None:
         if tree.depth() != 2:
@@ -925,6 +955,8 @@ def sparse_tree(
         host_bytes, up_bytes = sparse_tree_bytes(
             tree, total_elements, bucket_span, nnz_per_bucket
         )
+    if n_chunks is None:
+        n_chunks = sparse_tree_chunks(host_bytes, up_bytes)
     schedule = TreeSchedule(
         label, tree, n_chunks,
         host_bytes=host_bytes,

@@ -471,7 +471,7 @@ def _plan_flare_sparse(request: CollectiveRequest) -> PlannedExecution:
         request.total_elements,
         bucket_span=p.get("bucket_span", 512),
         nnz_per_bucket=p.get("nnz_per_bucket", 1.0),
-        n_chunks=p.get("n_chunks", 64),
+        n_chunks=p.get("n_chunks"),
         agg_latency_ns=SPARSE_AGG_NS_PER_CHUNK,
         level_bytes=p.get("level_bytes"),
     )

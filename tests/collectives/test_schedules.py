@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.collectives.schedule import sparcml_round_bytes, whole_bytes
+from repro.collectives.schedule import sparcml_round_bytes, sparse_tree, whole_bytes
 from repro.comm import Communicator
 from repro.network.topology import FatTreeTopology
 from repro.network.trees import TreePlanner
@@ -180,6 +180,53 @@ def test_flare_sparse_beats_sparcml_and_dense():
 def test_flare_sparse_level_bytes_densify():
     r = _sparse("flare_sparse", _topo(), float(2**22))
     assert r.extra["host_bytes"] < r.extra["leaf_bytes"] < r.extra["root_bytes"]
+
+
+def test_sparse_tree_cuts_packet_sized_chunks():
+    """With no ``n_chunks`` a sparse tree cuts its largest stream into as
+    many 1 KiB packets as it holds, 1 to 64; an explicit count wins."""
+    comm = Communicator(n_hosts=16)
+    chunks = [
+        comm.allreduce(kib * 1024, algorithm="flare_sparse", sparse=True)
+        .extra["n_chunks"]
+        for kib in (16, 64, 256)
+    ]
+    assert chunks == [1, 3, 15]
+    tree = TreePlanner(_topo()).plan()
+    for total_elements in (2**12, 2**16, 2**18, 2**20, 2**22, 2**24):
+        schedule = sparse_tree(tree, total_elements)
+        n = schedule.n_chunks
+        largest = max(schedule.host_chunk, *schedule.up_chunk.values())
+        assert 1 <= n <= 64
+        if n > 1:
+            assert largest >= 1024, (total_elements, n, largest)
+        if n < 64:                  # one more chunk would cut under a packet
+            assert largest * n < (n + 1) * 1024, (total_elements, n, largest)
+    for n in (1, 8, 100):
+        r = comm.allreduce(
+            256 * 1024, algorithm="flare_sparse", sparse=True, n_chunks=n
+        )
+        assert r.extra["n_chunks"] == n
+
+
+@pytest.mark.parametrize(
+    "algorithm, knob, value",
+    [
+        ("flare_sparse", "n_chunks", 0),
+        ("flare_sparse", "n_chunks", -2),
+        ("flare_sparse", "n_chunks", 2.5),
+        ("flare_sparse", "n_chunks", True),
+        ("flare_dense", "chunk_bytes", 0),
+        ("flare_dense", "chunk_bytes", -5),
+        ("flare_dense", "chunk_bytes", math.inf),
+        ("flare_dense", "chunk_bytes", math.nan),
+    ],
+)
+def test_bad_tree_chunk_knobs_rejected_at_plan_time(algorithm, knob, value):
+    comm = Communicator(n_hosts=16)
+    with pytest.raises(ValueError, match=knob):
+        comm.plan(nbytes="64KiB", algorithm=algorithm,
+                  sparse=algorithm == "flare_sparse", **{knob: value})
 
 
 def test_embed_reduction_tree():

@@ -1,6 +1,7 @@
 """Smoke tests for the figure runners (fast modes) — the full shape
 assertions live in benchmarks/; these ensure run()/render() stay
-executable and structurally sound."""
+executable and structurally sound, and pin every fast table as golden
+text."""
 
 import importlib
 from pathlib import Path
@@ -117,6 +118,12 @@ def test_fig15_fast_smoke(fig15_fast):
     with pytest.raises(KeyError):
         r.by_name("nonexistent")
     assert "Figure 15" in fig15.render(r)
+
+
+def test_fig15_sparse_tree_keeps_64_chunks(fig15_fast):
+    """Fig. 15's measured level streams are far above 64 packets, so the
+    sparse tree's default chunk count stays at its cap."""
+    assert fig15_fast.by_name("Flare sparse").extra["n_chunks"] == 64
 
 
 def test_table1_verify():
