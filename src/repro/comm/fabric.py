@@ -806,13 +806,11 @@ class Fabric:
 
 
 def load_timeline(source: str) -> dict:
-    """Read a timeline envelope (version 2 or 3) back into a dict.
+    """Read a version-3 timeline envelope back into a dict.
 
-    ``source`` is a file path or a JSON string.  Version-2 documents
-    (pre run-identity) are normalized to the version-3 shape: ``run_id``
-    and ``provenance_db`` are added as None, so consumers can index the
-    keys unconditionally; the original ``schema_version`` is preserved.
-    Unknown versions raise :class:`ValueError`.
+    ``source`` is a file path or a JSON string.  ``provenance_db`` is
+    added as None when no recorder was attached, so consumers can index
+    it unconditionally.  Any other version raises :class:`ValueError`.
     """
     text = source
     if "{" not in source:
@@ -820,11 +818,10 @@ def load_timeline(source: str) -> dict:
             text = fh.read()
     payload = json.loads(text)
     version = payload.get("schema_version")
-    if version not in (2, TIMELINE_SCHEMA_VERSION):
+    if version != TIMELINE_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported timeline schema_version {version!r}; this build "
-            f"reads versions 2 and {TIMELINE_SCHEMA_VERSION}"
+            f"reads version {TIMELINE_SCHEMA_VERSION} only"
         )
-    payload.setdefault("run_id", None)
     payload.setdefault("provenance_db", None)
     return payload

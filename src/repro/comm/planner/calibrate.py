@@ -12,7 +12,9 @@ simulation time at selection.
 
 Everything here is deterministic — the simulator is seeded and the
 grid is fixed — so refitting on an unchanged simulator reproduces the
-committed coefficients bit for bit.
+committed coefficients.  CI's ``planner-smoke`` job refits and fails
+when any coefficient differs from the committed one by more than 1e-6
+relative: a simulator change that moves the fit commits the refit.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ Layering:
 
 * :mod:`~repro.provenance.identity` — run ids and git/timestamp/seed
   identity blocks (also stamped into ``--perf-json`` and timelines).
-* :mod:`~repro.provenance.store` — the versioned sqlite schema.
+* :mod:`~repro.provenance.store` — the sqlite schema (one version,
+  no migrations).
 * :mod:`~repro.provenance.collect` — canonical counter families and
   the collectors that read switches and network simulators.
 * :mod:`~repro.provenance.energy` — the energy model over counters.
@@ -40,7 +41,7 @@ from repro.provenance.recorder import ProvenanceRecorder
 from repro.provenance.store import (
     SCHEMA_VERSION,
     ProvenanceStore,
-    create_v1_database,
+    SchemaVersionError,
 )
 
 __all__ = [
@@ -51,9 +52,9 @@ __all__ = [
     "ProvenanceStore",
     "SCHEMA_VERSION",
     "SWITCH_COUNTER_FAMILIES",
+    "SchemaVersionError",
     "collect_links",
     "collect_switch",
-    "create_v1_database",
     "diff_runs",
     "energy_rows",
     "git_state",

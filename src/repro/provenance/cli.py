@@ -6,16 +6,13 @@ Three subcommands over a :class:`~repro.provenance.store
 * ``prov list`` — one line per recorded run (id, timestamp, git SHA,
   engine, algorithm, makespan, energy total).
 * ``prov show <run>`` — full identity, per-switch and per-link counter
-  tables, the energy breakdown, and any recorded degradation events
-  for one run; run ids accept unique prefixes.
+  tables, and the energy breakdown for one run; run ids accept unique
+  prefixes.
 * ``prov diff <run-a> <run-b>`` — compare two runs: makespan and
   energy deltas, counter-family deltas, and the hottest links by byte
   delta, with regressions (slower / more energy / more rejections)
-  highlighted.  A run that degraded when its counterpart did not is
-  flagged too: degraded runs produce bitwise-identical results, so the
-  provenance record is the *only* place the difference shows.  With no
-  run arguments it diffs the two most recent runs, which is what the
-  CI smoke job does after benching twice.
+  highlighted.  With no run arguments it diffs the two most recent
+  runs, which is what the CI smoke job does after benching twice.
 
 All output is plain text on stdout; ``--json`` switches ``show`` and
 ``diff`` to a machine-readable document for scripting.
@@ -28,7 +25,7 @@ import json
 import sys
 from typing import Optional
 
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, SchemaVersionError
 
 #: Counter families where an *increase* is a regression worth flagging
 #: (as opposed to e.g. bytes, which simply track workload size).
@@ -118,7 +115,6 @@ def _show_doc(store: ProvenanceStore, run: dict) -> dict:
             for (src, dst), counters in store.link_counters(run_id).items()
         },
         "energy": store.energy(run_id),
-        "degradations": store.degradations(run_id),
     }
 
 
@@ -154,13 +150,6 @@ def cmd_show(store: ProvenanceStore, args) -> int:
                 for name, value in sorted(doc["energy"][scope].items())
             )
             print(f"    {scope}: {parts}")
-    if doc["degradations"]:
-        print("  degradations:")
-        for event in doc["degradations"]:
-            t = event.get("sim_time_ns")
-            when = f"t={_fmt(t)}ns " if t is not None else ""
-            reason = f": {event['reason']}" if event.get("reason") else ""
-            print(f"    {when}{event['event']}{reason}")
     return 0
 
 
@@ -228,17 +217,6 @@ def diff_runs(store: ProvenanceStore, id_a: str, id_b: str) -> dict:
         if delta
     ]
 
-    degr_a = store.degradations(a)
-    degr_b = store.degradations(b)
-    for side, mine, theirs in (("a", degr_a, degr_b), ("b", degr_b, degr_a)):
-        if mine and not theirs:
-            events = ", ".join(sorted({e["event"] for e in mine}))
-            regressions.append(
-                f"silent degradation: run {side} recorded "
-                f"{len(mine)} degradation event(s) ({events}) — results "
-                "match a clean run, but it did not execute as configured"
-            )
-
     return {
         "a": {k: run_a.get(k) for k in (
             "run_id", "created_utc", "git_sha", "git_dirty", "seed",
@@ -255,7 +233,6 @@ def diff_runs(store: ProvenanceStore, id_a: str, id_b: str) -> dict:
         ),
         "link_counters": family_diff(links_a, links_b),
         "hot_links": hot_links,
-        "degradations": {"a": degr_a, "b": degr_b},
         "regressions": regressions,
     }
 
@@ -310,13 +287,6 @@ def cmd_diff(store: ProvenanceStore, args) -> int:
                 f"    {entry['link']}: "
                 f"{_fmt_delta(entry['bytes_a'], entry['bytes_b'])}"
             )
-    for side in ("a", "b"):
-        events = doc["degradations"][side]
-        if events:
-            print(f"  degradations ({side}):")
-            for event in events:
-                reason = f": {event['reason']}" if event.get("reason") else ""
-                print(f"    {event['event']}{reason}")
     if doc["regressions"]:
         print("  REGRESSIONS:")
         for line in doc["regressions"]:
@@ -352,7 +322,11 @@ def add_prov_parser(subparsers) -> None:
 
 def run_prov(args) -> int:
     """Dispatch a parsed ``prov`` namespace (see :func:`add_prov_parser`)."""
-    with ProvenanceStore(args.db) as store:
+    try:
+        store = ProvenanceStore(args.db)
+    except SchemaVersionError as exc:
+        raise SystemExit(f"prov: {exc}") from None
+    with store:
         if args.prov_cmd == "list":
             return cmd_list(store, args)
         if args.prov_cmd == "show":

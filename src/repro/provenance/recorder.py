@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.provenance.collect import (
     collect_links,
+    link_rows_to_table,
     tenant_wire_bytes,
 )
 from repro.provenance.energy import EnergyModel, energy_rows
@@ -113,7 +114,6 @@ class ProvenanceRecorder:
             "git_sha": ident["git_sha"],
             "git_dirty": ident["git_dirty"],
             "seed": ident["seed"],
-            "workers": 0,
             "arbitration": fabric.net.arbitration,
             "routing": fabric.net.router.name,
             "topology": repr(topo.fingerprint()),
@@ -156,13 +156,10 @@ class ProvenanceRecorder:
         fabric = self.fabric
         link_rows = collect_links(fabric.net)
         switch_table = {s: dict(c) for s, c in self._switch_counters.items()}
-        link_table: dict[tuple, dict] = {}
-        for src, dst, counter, value in link_rows:
-            link_table.setdefault((src, dst), {})[counter] = value
         rows = energy_rows(
             self.energy_model,
             switch_table,
-            link_table,
+            link_rows_to_table(link_rows),
             fabric.now,
             len(fabric.topology.switches),
             tenant_wire_bytes(fabric),

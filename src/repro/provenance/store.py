@@ -6,18 +6,18 @@ counter tables, so a whole benchmarking session (or a long service run
 streaming incremental rows) stays queryable after every process exits::
 
     with ProvenanceStore("provenance.db") as store:
-        store.record_run(run_row, switch_rows, link_rows, energy_rows)
+        store.upsert_run(run_row)
+        store.upsert_switch_counters(run_row["run_id"], switch_rows)
         ...
     # later, possibly from another process:
     flare-repro prov list --db provenance.db
     flare-repro prov diff run-ab12 run-cd34 --db provenance.db
 
-Schema (version 3)
+Schema (version 4)
 ------------------
-* ``meta(key, value)`` — schema version and bookkeeping.
+* ``meta(key, value)`` — the schema version.
 * ``runs`` — one row per recorded run: identity (run id, git SHA,
-  UTC timestamp, seed), engine config (arbitration, routing; the
-  ``workers`` column is kept for old databases and is 0 in new runs),
+  UTC timestamp, seed), engine config (arbitration, routing),
   topology fingerprint, algorithm, makespan, and the full config JSON.
 * ``switch_counters(run_id, switch, counter, value)`` — long format:
   HPU cycles, handler dispatches, L1/L2 high-water marks, admission
@@ -25,14 +25,11 @@ Schema (version 3)
 * ``link_counters(run_id, src, dst, counter, value)`` — bytes, busy
   time, drops/duplicates, WFQ queue-depth peaks per directed link.
 * ``energy(run_id, scope, component, joules)`` — the energy model's
-  output per run (scope ``"run"``) and per tenant (``"tenant:<name>"``);
-  added by the version 1 → 2 migration.
-* ``degradations(run_id, seq, sim_time_ns, event, reason,
-  detail_json)`` — engine degradation events: a run that did not
-  execute the way it was configured to while its results stayed
-  bitwise identical.  Added by the version 2 → 3 migration.  The
-  sharded engine that wrote these rows is gone; new runs record none,
-  and rows in older databases stay readable (``prov show``/``diff``).
+  output per run (scope ``"run"``) and per tenant (``"tenant:<name>"``).
+
+A file stamped with any other version is refused with
+:class:`SchemaVersionError` and left untouched: there are no
+migrations, so after an upgrade record into a new file.
 
 Writes are idempotent upserts keyed on the run id, which is what lets
 :class:`~repro.provenance.recorder.ProvenanceRecorder` stream the same
@@ -45,23 +42,20 @@ import json
 import sqlite3
 from typing import Iterable, Optional
 
-#: Current schema version.  Version 1 lacked the ``energy`` table,
-#: version 2 the ``degradations`` table; :data:`_MIGRATIONS` upgrades
-#: older files in place on open.
-SCHEMA_VERSION = 3
+#: The one schema version this build reads and writes.
+SCHEMA_VERSION = 4
 
-_DDL_V1 = """
-CREATE TABLE IF NOT EXISTS meta (
+_DDL = """
+CREATE TABLE meta (
     key   TEXT PRIMARY KEY,
     value TEXT
 );
-CREATE TABLE IF NOT EXISTS runs (
+CREATE TABLE runs (
     run_id          TEXT PRIMARY KEY,
     created_utc     TEXT,
     git_sha         TEXT,
     git_dirty       INTEGER,
     seed            INTEGER,
-    workers         INTEGER,
     arbitration     TEXT,
     routing         TEXT,
     topology        TEXT,
@@ -72,14 +66,14 @@ CREATE TABLE IF NOT EXISTS runs (
     label           TEXT,
     config_json     TEXT
 );
-CREATE TABLE IF NOT EXISTS switch_counters (
+CREATE TABLE switch_counters (
     run_id  TEXT NOT NULL,
     switch  TEXT NOT NULL,
     counter TEXT NOT NULL,
     value   REAL NOT NULL,
     PRIMARY KEY (run_id, switch, counter)
 );
-CREATE TABLE IF NOT EXISTS link_counters (
+CREATE TABLE link_counters (
     run_id  TEXT NOT NULL,
     src     TEXT NOT NULL,
     dst     TEXT NOT NULL,
@@ -87,10 +81,7 @@ CREATE TABLE IF NOT EXISTS link_counters (
     value   REAL NOT NULL,
     PRIMARY KEY (run_id, src, dst, counter)
 );
-"""
-
-_DDL_ENERGY = """
-CREATE TABLE IF NOT EXISTS energy (
+CREATE TABLE energy (
     run_id    TEXT NOT NULL,
     scope     TEXT NOT NULL,
     component TEXT NOT NULL,
@@ -99,45 +90,25 @@ CREATE TABLE IF NOT EXISTS energy (
 );
 """
 
-_DDL_DEGRADATIONS = """
-CREATE TABLE IF NOT EXISTS degradations (
-    run_id      TEXT NOT NULL,
-    seq         INTEGER NOT NULL,
-    sim_time_ns REAL,
-    event       TEXT NOT NULL,
-    reason      TEXT,
-    detail_json TEXT,
-    PRIMARY KEY (run_id, seq)
-);
-"""
-
 #: Column order of the ``runs`` table (minus the primary key), used by
 #: the upsert; values default to None when a run row omits them.
 _RUN_COLUMNS = (
-    "created_utc", "git_sha", "git_dirty", "seed", "workers",
+    "created_utc", "git_sha", "git_dirty", "seed",
     "arbitration", "routing", "topology", "topology_family", "n_hosts",
     "algorithm", "makespan_ns", "label", "config_json",
 )
 
 
-def _migrate_1_to_2(conn: sqlite3.Connection) -> None:
-    """Version 1 predates the energy model: add its table."""
-    conn.executescript(_DDL_ENERGY)
-
-
-def _migrate_2_to_3(conn: sqlite3.Connection) -> None:
-    """Version 2 predates degradation events: add their table."""
-    conn.executescript(_DDL_DEGRADATIONS)
-
-
-_MIGRATIONS = {1: _migrate_1_to_2, 2: _migrate_2_to_3}
+class SchemaVersionError(ValueError):
+    """A provenance file stamped with a schema version other than
+    :data:`SCHEMA_VERSION` (or with none).  The file is not modified."""
 
 
 class ProvenanceStore:
     """One sqlite provenance database (see module docstring).
 
-    Opens (creating or migrating as needed) immediately; usable as a
-    context manager.  All mutating calls commit before returning, so a
+    Opens (creating the schema in an empty file) immediately; usable as
+    a context manager.  All mutating calls commit before returning, so a
     crash between ticks never loses settled rows.
     """
 
@@ -145,42 +116,40 @@ class ProvenanceStore:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
         self._conn.row_factory = sqlite3.Row
-        self._init_schema()
+        try:
+            self._init_schema()
+        except Exception:
+            self._conn.close()
+            raise
 
-    # ------------------------------------------------------------------
-    # Schema & migration
-    # ------------------------------------------------------------------
     def _init_schema(self) -> None:
+        """Create the schema in an empty file; otherwise check the
+        version stamp before anything is written."""
         conn = self._conn
-        conn.executescript(_DDL_V1)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        if row is None:
-            # Fresh database: write the full current schema.
-            conn.executescript(_DDL_ENERGY)
-            conn.executescript(_DDL_DEGRADATIONS)
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
+        tables = {
+            row["name"] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
-            conn.commit()
+        }
+        if not tables:
+            # One transaction: a file never holds tables without a stamp.
+            conn.executescript(
+                f"BEGIN; {_DDL} INSERT INTO meta (key, value) "
+                f"VALUES ('schema_version', '{SCHEMA_VERSION}'); COMMIT;"
+            )
             return
-        version = int(row["value"])
-        if version > SCHEMA_VERSION:
-            raise ValueError(
+        row = None
+        if "meta" in tables:
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        version = None if row is None else row["value"]
+        if version != str(SCHEMA_VERSION):
+            raise SchemaVersionError(
                 f"provenance DB {self.path!r} has schema version {version}; "
-                f"this build reads up to {SCHEMA_VERSION} — upgrade the code, "
-                "not the database"
+                f"this build reads only version {SCHEMA_VERSION} and does "
+                "not migrate — record into a new file"
             )
-        while version < SCHEMA_VERSION:
-            _MIGRATIONS[version](conn)
-            version += 1
-            conn.execute(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(version),),
-            )
-            conn.commit()
 
     @property
     def schema_version(self) -> int:
@@ -242,40 +211,6 @@ class ProvenanceStore:
             [(run_id, s, c, float(j)) for s, c, j in rows],
         )
         self._conn.commit()
-
-    def upsert_degradations(self, run_id: str, rows: Iterable[tuple]) -> None:
-        """``rows`` are ``(seq, sim_time_ns, event, reason,
-        detail_json)`` tuples, idempotent per (run, seq)."""
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO degradations "
-            "(run_id, seq, sim_time_ns, event, reason, detail_json) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            [
-                (
-                    run_id, int(seq),
-                    None if t is None else float(t),
-                    event, reason, detail,
-                )
-                for seq, t, event, reason, detail in rows
-            ],
-        )
-        self._conn.commit()
-
-    def record_run(
-        self,
-        run_row: dict,
-        switch_rows: Iterable[tuple] = (),
-        link_rows: Iterable[tuple] = (),
-        energy_rows: Iterable[tuple] = (),
-        degradation_rows: Iterable[tuple] = (),
-    ) -> None:
-        """Write one complete run (row + all counter families) at once."""
-        self.upsert_run(run_row)
-        run_id = run_row["run_id"]
-        self.upsert_switch_counters(run_id, switch_rows)
-        self.upsert_link_counters(run_id, link_rows)
-        self.upsert_energy(run_id, energy_rows)
-        self.upsert_degradations(run_id, degradation_rows)
 
     # ------------------------------------------------------------------
     # Reading
@@ -350,27 +285,6 @@ class ProvenanceStore:
             out.setdefault(row["scope"], {})[row["component"]] = row["joules"]
         return out
 
-    def degradations(self, run_id: str) -> list[dict]:
-        """Recorded degradation events for one run, in order."""
-        out = []
-        for row in self._conn.execute(
-            "SELECT seq, sim_time_ns, event, reason, detail_json "
-            "FROM degradations WHERE run_id = ? ORDER BY seq", (run_id,)
-        ):
-            entry = {
-                "seq": row["seq"],
-                "sim_time_ns": row["sim_time_ns"],
-                "event": row["event"],
-                "reason": row["reason"],
-            }
-            if row["detail_json"]:
-                try:
-                    entry["detail"] = json.loads(row["detail_json"])
-                except (TypeError, ValueError):
-                    entry["detail"] = None
-            out.append(entry)
-        return out
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._conn.close()
@@ -381,19 +295,3 @@ class ProvenanceStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def create_v1_database(path: str) -> None:
-    """Write an empty *version 1* database (no energy table).
-
-    Exists for the schema-migration test and as executable
-    documentation of what the migration upgrades from.
-    """
-    conn = sqlite3.connect(path)
-    try:
-        conn.executescript(_DDL_V1)
-        conn.execute(
-            "INSERT INTO meta (key, value) VALUES ('schema_version', '1')"
-        )
-        conn.commit()
-    finally:
-        conn.close()

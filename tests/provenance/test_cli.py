@@ -1,6 +1,7 @@
 """The ``prov list|show|diff`` CLI against a freshly recorded database."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -91,3 +92,16 @@ def test_diff_needs_two_runs(tmp_path):
     _record(db, "64KiB", "only")
     with pytest.raises(SystemExit, match="need two recorded runs"):
         main(["prov", "diff", "--db", db])
+
+
+def test_other_schema_version_exits_with_message(tmp_path):
+    """An older build's database is refused by name, not migrated."""
+    db = tmp_path / "v3.db"
+    conn = sqlite3.connect(str(db))
+    conn.executescript(
+        "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
+        "INSERT INTO meta VALUES ('schema_version', '3');"
+    )
+    conn.close()
+    with pytest.raises(SystemExit, match="schema version 3.*new file"):
+        main(["prov", "list", "--db", str(db)])

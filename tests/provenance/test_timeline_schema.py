@@ -1,4 +1,4 @@
-"""Timeline schema v3 (run identity) and the v2 reader contract."""
+"""Timeline schema v3 (run identity): the one version the loader reads."""
 
 import json
 
@@ -45,27 +45,7 @@ def test_v3_round_trip_through_loader(tmp_path):
         fabric.shutdown()
 
 
-def test_v2_documents_still_load():
-    """Pre-identity timelines (schema 2) read back with run_id and
-    provenance_db normalized to None."""
-    v2 = {
-        "schema_version": 2,
-        "topology": {"family": "fat-tree"},
-        "routing": "ecmp",
-        "arbitration": "wfq",
-        "now_ns": 123.0,
-        "tenants": ["t0"],
-        "utilization": {},
-        "events": [{"algorithm": "ring", "tenant": "t0"}],
-    }
-    doc = load_timeline(json.dumps(v2))
-    assert doc["schema_version"] == 2
-    assert doc["run_id"] is None
-    assert doc["provenance_db"] is None
-    assert doc["events"] == v2["events"]
-
-
-@pytest.mark.parametrize("version", [1, 4, None])
+@pytest.mark.parametrize("version", [1, 2, 4, None])
 def test_unknown_versions_are_rejected(version):
     with pytest.raises(ValueError, match="unsupported timeline schema"):
         load_timeline(json.dumps({"schema_version": version}))
