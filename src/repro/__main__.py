@@ -71,11 +71,13 @@ def _cmd_algorithms() -> int:
             "x" if a["reproducible"] else "",
             ",".join(a["ops"]) + ("+custom" if a["custom_ops"] else ""),
             a["priority"],
+            ",".join(f"{k}={v}" for k, v in a["knobs"].items()),
         ])
     print(ascii_table(
-        ["algorithm", "dense", "sparse", "where", "repro", "ops", "prio"],
+        ["algorithm", "dense", "sparse", "where", "repro", "ops", "prio", "knobs"],
         rows,
-        title="Registered allreduce algorithms (priority drives 'auto')",
+        title="Registered allreduce algorithms (priority drives 'auto'; "
+        "knobs are name=default)",
     ))
     return 0
 
@@ -150,6 +152,12 @@ def _reliability_kwargs(args: argparse.Namespace) -> dict:
     return out
 
 
+def _request_kwargs(args: argparse.Namespace) -> dict:
+    """The bench's collective: everything but its size and run knobs."""
+    return dict(op=args.op, algorithm=args.algorithm, sparse=args.sparse,
+                density=args.density, reproducible=args.reproducible)
+
+
 def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
     """N communicators on one shared fabric, overlapped or sequential."""
     from repro.comm import CommError, Fabric, wait_all
@@ -200,13 +208,7 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
                             auto_mode=args.auto_mode)
         for i in range(args.tenants)
     ]
-    kwargs = dict(
-        op=args.op,
-        algorithm=args.algorithm,
-        sparse=args.sparse,
-        density=args.density,
-        reproducible=args.reproducible,
-    )
+    kwargs = _request_kwargs(args)
     try:
         comms[0].make_request(args.size, **kwargs)   # a bad size fails here
     except ValueError as exc:
@@ -298,18 +300,13 @@ def _build_cli_topology(args: argparse.Namespace):
     parameters; syncs ``args.hosts`` to the topology's actual count."""
     if args.topology is None:
         return None
-    from repro.network import build_topology
+    from repro.comm import Wiring
 
-    topo_params = _parse_topo_params(args.topo_params or "")
-    if args.topology in ("fat-tree", "multi-rail") and "n_hosts" not in topo_params:
-        topo_params["n_hosts"] = args.hosts
-        if args.topology == "fat-tree" and "hosts_per_leaf" not in topo_params:
-            from repro.comm.backends import _default_hosts_per_leaf
-
-            hpl = _default_hosts_per_leaf(args.hosts)
-            topo_params["hosts_per_leaf"] = hpl
-            topo_params.setdefault("n_spines", min(4, hpl))
-    topology = build_topology(args.topology, **topo_params)
+    topology = Wiring(
+        {"topology": args.topology,
+         "topology_params": _parse_topo_params(args.topo_params or "")},
+        args.hosts,
+    ).build()
     if topology.n_hosts != args.hosts:
         print(f"[topology {args.topology} wires {topology.n_hosts} hosts; "
               f"using that instead of --hosts {args.hosts}]")
@@ -508,13 +505,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # through it even for one tenant.
         return _cmd_multi_tenant_bench(args, topology)
 
-    kwargs = dict(
-        op=args.op,
-        algorithm=args.algorithm,
-        sparse=args.sparse,
-        density=args.density,
-        reproducible=args.reproducible,
-    )
+    kwargs = _request_kwargs(args)
     try:
         comm = Communicator(
             n_hosts=args.hosts,

@@ -217,12 +217,6 @@ def repeated(net, seen: set, key) -> bool:
     return False
 
 
-def _n_sub(nbytes: float, sub_chunk_bytes: float) -> int:
-    if sub_chunk_bytes <= 0:
-        return 1
-    return max(1, int(round(nbytes / sub_chunk_bytes)))
-
-
 # ----------------------------------------------------------------------
 # Partner functions of the halving/doubling tables
 # ----------------------------------------------------------------------
@@ -459,10 +453,11 @@ class ExchangeTable:
         vector_bytes: float,
         *,
         sub_chunk_bytes: float = 128 * 1024,
-        host_reduce_bytes_per_ns: float = 0.0,
+        reduce_bytes_per_ns: float = 0.0,
         step_bytes: "tuple | list | None" = None,
         label: "str | None" = None,
     ) -> None:
+        _check_chunk("sub_chunk_bytes", sub_chunk_bytes)
         build, self.pipelined = EXCHANGES[algorithm]
         self.hosts = tuple(hosts)
         P = len(self.hosts)
@@ -470,9 +465,9 @@ class ExchangeTable:
         self.name = algorithm
         self.label = label or f"host-dense ({algorithm.replace('_', '-')})"
         self.vector_bytes = vector_bytes
-        #: ``host_reduce_bytes_per_ns`` charges host reduction compute per
+        #: ``reduce_bytes_per_ns`` charges host reduction compute per
         #: folded byte (0 = fully overlapped, the bandwidth regime).
-        self.host_reduce_bytes_per_ns = host_reduce_bytes_per_ns
+        self.reduce_bytes_per_ns = reduce_bytes_per_ns
         self.carries_payloads = step_bytes is None
         if step_bytes is None:
             block_bytes = Fraction(vector_bytes) / P
@@ -480,7 +475,7 @@ class ExchangeTable:
         elif len(step_bytes) != len(self.steps):
             raise ValueError(f"{algorithm} has {len(self.steps)} steps on {P} "
                              f"hosts, got {len(step_bytes)} step sizes")
-        self.n_sub = tuple(_n_sub(b, sub_chunk_bytes) for b in step_bytes)
+        self.n_sub = tuple(max(1, int(round(b / sub_chunk_bytes))) for b in step_bytes)
         #: Whole bytes per sub-chunk message, and per step what they add up to.
         self.sub_bytes = tuple(
             whole_bytes(b, n) for b, n in zip(step_bytes, self.n_sub)
@@ -525,7 +520,7 @@ class ExchangeTable:
         name, rank_of = self.name, self.rank_of
         P, K = len(hosts), len(steps)
         base_time = net.now
-        rate = self.host_reduce_bytes_per_ns
+        rate = self.reduce_bytes_per_ns
         sub_bytes = self.sub_bytes
         #: Host reduction time per processed unit: a sub-chunk when
         #: pipelined, a whole step otherwise.
@@ -817,10 +812,7 @@ def dense_tree(
     """Flare dense: every host sends Z and receives Z, so every level
     moves the full vector (the 2x wire saving over the ring's ~2Z).
     Every switch spends the constant ``agg_latency_ns`` per chunk."""
-    if not 0 < chunk_bytes < math.inf:
-        raise ValueError(
-            f"chunk_bytes must be positive and finite, got {chunk_bytes!r}"
-        )
+    _check_chunk("chunk_bytes", chunk_bytes)
     n_chunks = max(1, int(round(vector_bytes / chunk_bytes)))
     return TreeSchedule(
         label, tree, n_chunks,
@@ -857,6 +849,18 @@ def whole_bytes(nbytes, parts: int = 1) -> int:
     return math.ceil(Fraction(nbytes) / parts)
 
 
+def _check_chunk(name: str, nbytes: float) -> None:
+    """A chunk is at least one whole byte, and finite."""
+    if not 1 <= nbytes < math.inf:      # also rejects nan
+        raise ValueError(f"{name} must be at least 1 byte and finite, got {nbytes!r}")
+
+
+def _n_buckets(total_elements: float, bucket_span: float) -> float:
+    if not 0 < bucket_span < math.inf:
+        raise ValueError(f"bucket_span must be positive and finite, got {bucket_span!r}")
+    return total_elements / bucket_span
+
+
 def sparse_tree_bytes(
     tree: AggregationTree,
     total_elements: float,
@@ -866,7 +870,7 @@ def sparse_tree_bytes(
     """(host bytes, per-switch upstream bytes) under the bucket model:
     a switch forwards the expected index union over its subtree's
     hosts, so sizes grow level by level as the partial sums densify."""
-    n_buckets = total_elements / bucket_span
+    n_buckets = _n_buckets(total_elements, bucket_span)
     host_bytes = n_buckets * nnz_per_bucket * SPARSE_ELEMENT_BYTES
     up_bytes = {
         s: n_buckets
@@ -899,7 +903,7 @@ def sparcml_round_bytes(
     if n_hosts & (n_hosts - 1):
         raise ValueError("SSAR needs a power-of-two host count")
     k = int(math.log2(n_hosts))
-    n_buckets = total_elements / bucket_span
+    n_buckets = _n_buckets(total_elements, bucket_span)
     sizes: list[float] = []
     # Reduce-scatter (halving): before step r each rank has combined
     # 2^r hosts over a range fraction 2^-r; it ships half of that range.

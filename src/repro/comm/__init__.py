@@ -16,11 +16,7 @@ Importing this package registers every built-in algorithm::
 from __future__ import annotations
 
 from repro.collectives.result import CollectiveResult
-from repro.comm.communicator import (
-    Communicator,
-    EXECUTE_KEYS,
-    resolve_topology_hosts,
-)
+from repro.comm.communicator import Communicator, EXECUTE_KEYS
 from repro.comm.fabric import (
     TIMELINE_SCHEMA_VERSION,
     Fabric,
@@ -50,6 +46,7 @@ from repro.comm.registry import (
     CommError,
     DEFAULT_AUTO_MODE,
     UnknownAlgorithmError,
+    UnknownKnobError,
     available_algorithms,
     available_auto_modes,
     get_algorithm,
@@ -62,6 +59,7 @@ from repro.comm.registry import (
     unregister_algorithm,
 )
 from repro.comm.request import CollectiveRequest
+from repro.comm.wiring import WIRING_PARAMS, Wiring
 
 # Importing the backends populates the registry with the built-ins;
 # the planner registers the "cost" auto_mode selector on top of them.
@@ -91,6 +89,7 @@ __all__ = [
     "AlgorithmEntry",
     "CommError",
     "UnknownAlgorithmError",
+    "UnknownKnobError",
     "CapabilityError",
     "register_algorithm",
     "register_auto_selector",
@@ -104,7 +103,8 @@ __all__ = [
     "rejection_reasons",
     "resolve",
     "build_plan",
-    "resolve_topology_hosts",
+    "Wiring",
+    "WIRING_PARAMS",
     "wait_all",
     "wait_any",
     "EXECUTE_KEYS",

@@ -17,7 +17,10 @@ Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
 selection — and return an issuer that only executes the data plane on
 a fabric.  A standalone ``plan.execute`` of a network schedule issues
-it into a fresh one-tenant fabric wired by :class:`_TopologySource`.
+it into a fresh one-tenant fabric wired by the request's
+:class:`~repro.comm.wiring.Wiring`.  Each planner declares its knobs as
+keyword-only parameters with defaults; ``build_plan`` binds the
+request's params to them.
 """
 
 from __future__ import annotations
@@ -38,12 +41,15 @@ from repro.collectives.schedule import (
     sparse_tree,
 )
 from repro.comm.plan import IssueContext, PlannedExecution
-from repro.comm.registry import AlgorithmCaps, CapabilityError, register_algorithm
+from repro.comm.registry import (
+    AlgorithmCaps,
+    CapabilityError,
+    get_algorithm,
+    register_algorithm,
+)
 from repro.comm.request import CollectiveRequest
+from repro.comm.wiring import Wiring
 from repro.core.allreduce import DenseDesign, plan_switch_allreduce
-from repro.network.routing import available_routers
-from repro.network.topology import Topology, build_topology
-from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.trees import TreePlanner
 from repro.pspin.costs import get_dtype
 from repro.sparse.densify import DENSE_ELEMENT_BYTES, SPARSE_ELEMENT_BYTES
@@ -53,9 +59,15 @@ from repro.sparse.densify import DENSE_ELEMENT_BYTES, SPARSE_ELEMENT_BYTES
 #: accept any routable topology ("*").
 TREE_PLANNABLE = ("fat-tree", "xgft", "dragonfly", "torus", "multi-rail")
 
+#: The host exchanges' default ``sub_chunk_bytes``.
+SUB_CHUNK_BYTES = 128 * 1024
+
 #: ``flare_dense``'s default ``chunk_bytes``, and the chunk size of
 #: ``flare_switch``'s tree on a fabric.
 TREE_CHUNK_BYTES = 1024 * 1024
+
+#: The sparse algorithms' default ``bucket_span`` (elements per bucket).
+BUCKET_SPAN = 512
 
 #: What every switch of a ``flare_dense`` / ``flare_sparse`` tree spends
 #: aggregating one chunk.
@@ -63,133 +75,15 @@ DENSE_AGG_NS_PER_CHUNK = 2000.0
 SPARSE_AGG_NS_PER_CHUNK = 4000.0
 
 
-# ----------------------------------------------------------------------
-# Topology handling
-# ----------------------------------------------------------------------
-def _default_hosts_per_leaf(n_hosts: int) -> int:
-    for d in (8, 4, 2):
-        if n_hosts % d == 0 and n_hosts > d:
-            return d
-    return n_hosts
-
-
-def default_fat_tree_kwargs(n_hosts: int, params: dict) -> dict:
-    """The paper's default fat-tree sizing from legacy knobs.
-
-    Single source of truth shared by plans (:class:`_TopologySource`)
-    and :class:`repro.comm.fabric.Fabric`: both must wire the identical
-    fabric from the same inputs or tree node names would diverge.
-    """
-    hpl = params.get("hosts_per_leaf") or _default_hosts_per_leaf(n_hosts)
-    return dict(
-        n_hosts=n_hosts,
-        hosts_per_leaf=hpl,
-        n_spines=min(params.get("n_spines", 4), hpl),
-        link_gbps=params.get("link_gbps", 100.0),
-        link_latency_ns=params.get("link_latency_ns", 250.0),
-    )
-
-
-class _TopologySource:
-    """Topology + routing-policy instances for a plan's executions.
-
-    ``params["topology"]`` may be a family name (built from
-    ``params["topology_params"]``) or a
-    :class:`~repro.network.topology.Topology`; absent means the
-    paper's fat tree sized from the legacy knobs, with ``n_spines``
-    capped at the leaf uplink capacity.  :attr:`shape` serves plan-time
-    inspection; link state is mutated by a run, so every run gets a
-    :meth:`fresh` copy.
-    """
-
-    def __init__(self, request: CollectiveRequest) -> None:
-        p = request.params
-        self.routing = p.get("routing") or "ecmp"
-        if self.routing not in available_routers():
-            raise CapabilityError(
-                f"unknown routing policy {self.routing!r}; "
-                f"available: {available_routers()}"
-            )
-        self.routing_seed = p.get("routing_seed", 0)
-        topo = p.get("topology")
-        if isinstance(topo, Topology):
-            self.family = topo.family
-            self._kwargs = dict(topo.describe())
-        else:
-            self.family = topo or "fat-tree"
-            self._kwargs = dict(p.get("topology_params") or {})
-            if self.family == "fat-tree" and not self._kwargs:
-                self._kwargs = default_fat_tree_kwargs(request.n_hosts, p)
-            topo = build_topology(self.family, **self._kwargs)
-        self.shape: Topology = topo       # plan-time inspection only
-        placed = p.get("hosts")
-        self.hosts: "Optional[list]" = None
-        if placed is not None:
-            placed = list(placed)
-            known = set(topo.hosts)
-            for h in placed:
-                if h not in known:
-                    raise CapabilityError(
-                        f"placement names host {h!r} which topology "
-                        f"{self.family!r} does not wire"
-                    )
-            if len(set(placed)) != len(placed):
-                raise CapabilityError("placement lists a host twice")
-            if len(placed) != request.n_hosts:
-                raise CapabilityError(
-                    f"placement names {len(placed)} hosts but the request "
-                    f"names {request.n_hosts}; size the placement (or the "
-                    "request) to match"
-                )
-            self.hosts = placed
-        elif topo.n_hosts != request.n_hosts:
-            raise CapabilityError(
-                f"topology {self.family!r} wires {topo.n_hosts} hosts but the "
-                f"request names {request.n_hosts}; size the topology (or the "
-                "request) to match, or pass params['hosts'] to place the "
-                "collective on a subset"
-            )
-
-    def fresh(self) -> Topology:
-        """A topology with idle links for one run: the planned shape
-        rebuilt, with :attr:`shape`'s failed switches and links."""
-        topo = build_topology(self.family, **self._kwargs)
-        for switch in self.shape.failed_switches():
-            topo.fail_switch(switch)
-        for a, b in self.shape.failed_links():
-            topo.fail_link(a, b)
-        return topo
-
-    def plan_tree(self, request: CollectiveRequest):
-        """The aggregation tree for in-network schedules: an explicit
-        ``params["tree"]``, else a planned BFS tree rooted at
-        ``params["tree_root"]`` (default: the topmost candidate, which on
-        the fat tree is the classic spine-rooted embedding) over the
-        placed hosts."""
-        tree = request.params.get("tree")
-        if tree is not None:
-            return tree
-        return TreePlanner(self.shape).plan(
-            root=request.params.get("tree_root"), hosts=self.hosts
-        )
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            **self._kwargs,
-            "routing": self.routing,
-        }
-
-    def check_fabric(self, net) -> None:
-        """Issue-time guard: a shared fabric must wire the same fabric
-        this plan was shaped for (same family and parameters), or tree
-        node names and host lists would silently mismatch."""
-        if net.topology.fingerprint() != self.shape.fingerprint():
-            raise CapabilityError(
-                f"plan was shaped for topology {self.describe()!r} but the "
-                f"fabric wires {dict(net.topology.describe())!r}; attach the "
-                "communicator to a matching fabric or replan"
-            )
+def _aggregation_tree(wiring: Wiring, tree, tree_root):
+    """The aggregation tree of an in-network schedule: an explicit
+    ``tree``, else a planned BFS tree rooted at ``tree_root`` (default:
+    the topmost candidate, which on the fat tree is the classic
+    spine-rooted embedding) over the placed hosts."""
+    hosts = wiring.placement()
+    if tree is not None:
+        return tree
+    return TreePlanner(wiring.shape).plan(root=tree_root, hosts=hosts)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +92,8 @@ class _TopologySource:
 _SIMULATION_ONLY_REASON = (
     "is a timing/traffic simulation and does not reduce payload values; "
     "pass a byte size instead, or use an executing algorithm "
-    "(flare_switch, rabenseifner, recursive_doubling)"
+    "(flare_switch, rabenseifner, recursive_doubling, or ring, swing, "
+    "butterfly and flare_dense when named explicitly)"
 )
 
 
@@ -232,19 +127,8 @@ def _network_payload_rejects(
     return None
 
 
-def _reject_payloads(name: str, payloads) -> None:
-    """Timing/traffic simulations never touch payload values.
-
-    Silently discarding user data would contradict the Communicator's
-    payload contract, so refuse it loudly (defense in depth behind the
-    ``payload_rejects`` hook, for direct ``plan.execute`` misuse).
-    """
-    if payloads is not None:
-        raise ValueError(f"algorithm {name!r} {_SIMULATION_ONLY_REASON}")
-
-
-def _network_plan(source: _TopologySource, issue, setup: dict) -> PlannedExecution:
-    """The plan of a network schedule.
+def _network_plan(wiring: Wiring, issue, setup: dict, tree=None) -> PlannedExecution:
+    """The plan of a network schedule (over aggregation ``tree``, if any).
 
     ``issue(net, flow=, payloads=, on_complete=)`` starts one run in a
     fabric's simulator (a standalone ``plan.execute`` issues into a
@@ -252,48 +136,54 @@ def _network_plan(source: _TopologySource, issue, setup: dict) -> PlannedExecuti
     """
 
     def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        source.check_fabric(ctx.net)
+        wiring.check_fabric(ctx.net)
         issue(ctx.net, flow=ctx.flow, payloads=payloads, on_complete=ctx.finish)
 
-    return PlannedExecution(issuer, {"topology": source.describe(), **setup})
+    return PlannedExecution(issuer, {"topology": wiring.describe(), **setup}, tree=tree)
 
 
 def _plan_exchange(
-    request: CollectiveRequest, algorithm: str, *,
-    host_reduce_bytes_per_ns: float = 0.0, **table_kwargs,
+    request: CollectiveRequest, algorithm: str, sub_chunk_bytes: float,
+    reduce_bytes_per_ns: float = 0.0, **table_kwargs,
 ) -> PlannedExecution:
-    """Shared planner of the host exchanges (:class:`ExchangeTable`);
-    ``host_reduce_bytes_per_ns`` is the default of that knob."""
-    source = _TopologySource(request)
-    p = request.params
+    """Shared planner of the host exchanges (:class:`ExchangeTable`)."""
+    wiring = request.wiring
     table = ExchangeTable(
         algorithm,
-        resolve_hosts(source.shape, source.hosts),
+        resolve_hosts(wiring.shape, wiring.placement()),
         request.nbytes,
-        sub_chunk_bytes=p.get("sub_chunk_bytes", 128 * 1024),
-        host_reduce_bytes_per_ns=p.get(
-            "host_reduce_bytes_per_ns", host_reduce_bytes_per_ns
-        ),
+        sub_chunk_bytes=sub_chunk_bytes,
+        reduce_bytes_per_ns=reduce_bytes_per_ns,
         **table_kwargs,
     )
     return _network_plan(
-        source, partial(table.issue, op=request.op),
+        wiring, partial(table.issue, op=request.op),
         {**table.extra, "bytes_per_host": sum(table.step_bytes)},
     )
 
 
-def _plan_tree(source: _TopologySource, schedule: TreeSchedule, op) -> PlannedExecution:
+def _exchange(algorithm: str):
+    """The planner of host exchange ``algorithm``; its one knob is the
+    sub-chunk size its messages pipeline in."""
+
+    def plan(request: CollectiveRequest, *, sub_chunk_bytes: float = SUB_CHUNK_BYTES):
+        return _plan_exchange(request, algorithm, sub_chunk_bytes)
+
+    return plan
+
+
+def _plan_tree(wiring: Wiring, schedule: TreeSchedule, op) -> PlannedExecution:
     """Shared planner tail of the in-network tree schedules."""
     tree = schedule.tree
-    return _network_plan(source, partial(schedule.issue, op=op), {
+    return _network_plan(wiring, partial(schedule.issue, op=op), {
         **schedule.extra,
         "tree_switches": list(tree.switches()),
         "tree_links": [tuple(edge) for edge in tree.tree_links()],
         "root_fan_in": tree.fan_in(tree.root),
-    })
+    }, tree)
 
 
-@register_algorithm(
+register_algorithm(
     "rabenseifner",
     caps=AlgorithmCaps(
         dense=True,
@@ -306,12 +196,10 @@ def _plan_tree(source: _TopologySource, schedule: TreeSchedule, op) -> PlannedEx
         "from distance P/2, then doubling) on the network simulator; the "
         "executing host fallback for payloads",
     ),
-)
-def _plan_rabenseifner(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_exchange(request, "rabenseifner")
+)(_exchange("rabenseifner"))
 
 
-@register_algorithm(
+register_algorithm(
     "recursive_doubling",
     caps=AlgorithmCaps(
         dense=True,
@@ -323,12 +211,10 @@ def _plan_rabenseifner(request: CollectiveRequest) -> PlannedExecution:
         description="host-based recursive doubling (latency-optimal, "
         "full-vector exchanges) on the network simulator",
     ),
-)
-def _plan_recursive_doubling(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_exchange(request, "recursive_doubling")
+)(_exchange("recursive_doubling"))
 
 
-@register_algorithm(
+register_algorithm(
     "ring",
     payload_rejects=_network_payload_rejects,
     caps=AlgorithmCaps(
@@ -341,12 +227,10 @@ def _plan_recursive_doubling(request: CollectiveRequest) -> PlannedExecution:
         "(the Fig. 15 dense baseline; any topology, any routing policy; "
         "carries and bitwise-reduces real payloads when explicitly named)",
     ),
-)
-def _plan_ring(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_exchange(request, "ring")
+)(_exchange("ring"))
 
 
-@register_algorithm(
+register_algorithm(
     "butterfly",
     payload_rejects=_network_payload_rejects,
     caps=AlgorithmCaps(
@@ -361,12 +245,10 @@ def _plan_ring(request: CollectiveRequest) -> PlannedExecution:
         "topology; carries and bitwise-reduces real payloads when "
         "explicitly named)",
     ),
-)
-def _plan_butterfly(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_exchange(request, "butterfly")
+)(_exchange("butterfly"))
 
 
-@register_algorithm(
+register_algorithm(
     "swing",
     payload_rejects=_network_payload_rejects,
     caps=AlgorithmCaps(
@@ -381,9 +263,7 @@ def _plan_butterfly(request: CollectiveRequest) -> PlannedExecution:
         "short on torus-like fabrics; carries and bitwise-reduces real "
         "payloads when explicitly named",
     ),
-)
-def _plan_swing(request: CollectiveRequest) -> PlannedExecution:
-    return _plan_exchange(request, "swing")
+)(_exchange("swing"))
 
 
 @register_algorithm(
@@ -400,20 +280,21 @@ def _plan_swing(request: CollectiveRequest) -> PlannedExecution:
         "on the network simulator (any topology, any routing policy)",
     ),
 )
-def _plan_sparcml(request: CollectiveRequest) -> PlannedExecution:
+def _plan_sparcml(
+    request: CollectiveRequest, *,
+    sub_chunk_bytes: float = SUB_CHUNK_BYTES,
+    bucket_span: int = BUCKET_SPAN,
+    nnz_per_bucket: float = 1.0,
+) -> PlannedExecution:
     """SSAR is the rabenseifner table with sparse message sizes.  Merging
     sparse (index, value) streams is CPU-bound in SparCML's own
     evaluation, unlike the streaming dense adds of the ring, so the
-    reduce-scatter steps default to 2.5 B/ns of host reduction."""
-    p = request.params
+    reduce-scatter steps run at 2.5 B/ns of host reduction."""
     return _plan_exchange(
-        request, "rabenseifner",
-        host_reduce_bytes_per_ns=2.5,
+        request, "rabenseifner", sub_chunk_bytes,
+        reduce_bytes_per_ns=2.5,
         step_bytes=sparcml_round_bytes(
-            request.n_hosts,
-            request.total_elements,
-            p.get("bucket_span", 512),
-            p.get("nnz_per_bucket", 1.0),
+            request.n_hosts, request.total_elements, bucket_span, nnz_per_bucket
         ),
         label="host-sparse (SparCML)",
     )
@@ -435,16 +316,20 @@ def _plan_sparcml(request: CollectiveRequest) -> PlannedExecution:
         "payloads when explicitly named)",
     ),
 )
-def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
-    source = _TopologySource(request)
-    p = request.params
+def _plan_flare_dense(
+    request: CollectiveRequest, *,
+    chunk_bytes: float = TREE_CHUNK_BYTES,
+    tree=None,
+    tree_root=None,
+) -> PlannedExecution:
+    wiring = request.wiring
     schedule = dense_tree(
-        source.plan_tree(request),
+        _aggregation_tree(wiring, tree, tree_root),
         request.nbytes,
-        chunk_bytes=p.get("chunk_bytes", TREE_CHUNK_BYTES),
+        chunk_bytes=chunk_bytes,
         agg_latency_ns=DENSE_AGG_NS_PER_CHUNK,
     )
-    return _plan_tree(source, schedule, request.op)
+    return _plan_tree(wiring, schedule, request.op)
 
 
 @register_algorithm(
@@ -463,44 +348,42 @@ def _plan_flare_dense(request: CollectiveRequest) -> PlannedExecution:
         "aggregation tree",
     ),
 )
-def _plan_flare_sparse(request: CollectiveRequest) -> PlannedExecution:
-    source = _TopologySource(request)
-    p = request.params
+def _plan_flare_sparse(
+    request: CollectiveRequest, *,
+    bucket_span: int = BUCKET_SPAN,
+    nnz_per_bucket: float = 1.0,
+    n_chunks=None,
+    level_bytes=None,
+    tree=None,
+    tree_root=None,
+) -> PlannedExecution:
+    wiring = request.wiring
     schedule = sparse_tree(
-        source.plan_tree(request),
+        _aggregation_tree(wiring, tree, tree_root),
         request.total_elements,
-        bucket_span=p.get("bucket_span", 512),
-        nnz_per_bucket=p.get("nnz_per_bucket", 1.0),
-        n_chunks=p.get("n_chunks"),
+        bucket_span=bucket_span,
+        nnz_per_bucket=nnz_per_bucket,
+        n_chunks=n_chunks,
         agg_latency_ns=SPARSE_AGG_NS_PER_CHUNK,
-        level_bytes=p.get("level_bytes"),
+        level_bytes=level_bytes,
     )
-    return _plan_tree(source, schedule, request.op)
+    return _plan_tree(wiring, schedule, request.op)
 
 
 # ----------------------------------------------------------------------
 # Switch-level PsPIN drivers
 # ----------------------------------------------------------------------
-def _pick(overrides: dict, keys: tuple[str, ...]) -> dict:
-    return {k: overrides[k] for k in keys if k in overrides}
-
-
 def _switch_plan(
-    name: str,
-    request: CollectiveRequest,
-    plan_kwargs: dict,
-    result_of,
-    schedule_of,
-    data_of=None,
-    exec_keys: tuple[str, ...] = ("seed", "jitter", "cold_start", "verify"),
+    name: str, request: CollectiveRequest, run, schedule_of, tree, tree_root, **design
 ) -> PlannedExecution:
     """The plan of switch-level driver ``name``.
 
     Standalone runs (``plan.execute``) are one PsPIN switch aggregating
     every host, planned once by ``plan_switch_allreduce(nbytes,
-    children=n_hosts, **plan_kwargs)`` and executed on
-    ``data_of(payloads)`` (the payloads themselves by default) with the
-    ``exec_keys`` overrides; ``result_of(r, time_ns)`` wraps its result.
+    children=n_hosts, **design)`` with the request's dtype and the
+    wiring's switch dimensions, and executed by ``run(splan, payloads,
+    **knobs)``, whose keyword-only parameters are the knobs a
+    standalone run takes.
     On a fabric the issuer runs ``schedule_of(tree, splan)`` over the
     planned aggregation tree, each switch charging per chunk the
     processing tail (makespan minus last arrival: the link
@@ -512,6 +395,11 @@ def _switch_plan(
     request the wiring cannot place has no tree: it still runs
     standalone, and issuing it raises :class:`CapabilityError`.
     """
+    wiring = request.wiring
+    plan_kwargs = dict(
+        design, dtype=request.dtype,
+        n_clusters=wiring.n_clusters, cores_per_cluster=wiring.cores_per_cluster,
+    )
     splan = plan_switch_allreduce(
         int(request.nbytes), children=request.n_hosts, **plan_kwargs
     )
@@ -523,13 +411,7 @@ def _switch_plan(
         if isinstance(splan.design, DenseDesign)
         else plan_kwargs
     )
-
-    def runner(payloads, overrides) -> CollectiveResult:
-        r = splan.execute(
-            data=payloads if data_of is None else data_of(payloads),
-            **_pick(overrides, exec_keys),
-        )
-        return result_of(r, r.makespan_cycles / clock_ghz)
+    runner = partial(run, splan)
 
     def price(fan_in: int, chunk_bytes: int) -> tuple:
         r = plan_switch_allreduce(chunk_bytes, children=fan_in, **chunk_kwargs).execute()
@@ -537,8 +419,7 @@ def _switch_plan(
 
     setup = splan.describe()
     try:
-        source = _TopologySource(request)
-        tree = source.plan_tree(request)
+        tree = _aggregation_tree(wiring, tree, tree_root)
     except (CapabilityError, ValueError) as exc:
         reason = f"{name} has no aggregation tree here: {exc}"
 
@@ -547,7 +428,7 @@ def _switch_plan(
 
         return PlannedExecution(unplaceable, setup, standalone=runner)
     schedule = schedule_of(tree, splan)
-    tree_plan = _plan_tree(source, schedule, request.op)
+    tree_plan = _plan_tree(wiring, schedule, request.op)
 
     def inputs(switch) -> tuple[int, int]:
         chunks = [schedule.up_chunk[kid] for kid in tree.children_of.get(switch, ())]
@@ -578,7 +459,7 @@ def _switch_plan(
         tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
 
     return PlannedExecution(
-        issuer, {**setup, **tree_plan.setup}, standalone=runner
+        issuer, {**setup, **tree_plan.setup}, standalone=runner, tree=tree
     )
 
 
@@ -590,13 +471,14 @@ def _switch_payload_rejects(
     The switch streams whole packets, so per-host data must divide
     into ``elements_per_packet`` chunks and use a dtype the cost model
     prices.  Auto selection falls through to a host-based executing
-    algorithm when this rejects.
+    algorithm when this rejects.  A knob ``flare_switch`` does not
+    declare raises, as it would when planning it.
     """
     try:
         dt = get_dtype(request.dtype)
     except ValueError as exc:
         return str(exc)
-    packet_bytes = request.params.get("packet_bytes", 1024)
+    packet_bytes = get_algorithm("flare_switch").bind(request).arguments["packet_bytes"]
     epp = max(1, packet_bytes // dt.size_bytes)
     arr = np.asarray(payloads)
     if arr.ndim == 3:
@@ -632,17 +514,30 @@ def _switch_payload_rejects(
         "switches are priced by that model",
     ),
 )
-def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
+def _plan_flare_switch(
+    request: CollectiveRequest, *,
+    aggregation: Optional[str] = None,
+    subset_size: Optional[int] = None,
+    scheduler: str = "hierarchical",
+    staggered: bool = True,
+    packet_bytes: int = 1024,
+    cost_model=None,
+    tree=None,
+    tree_root=None,
+) -> PlannedExecution:
     """On a fabric, the ``flare_dense`` tree with 1 MiB chunks, each
     switch priced by the single-switch simulation (:func:`_switch_plan`)."""
-    p = request.params
 
-    def result_of(r, time_ns: float) -> CollectiveResult:
+    def run(splan, payloads, *, seed: int = 0, jitter: float = 1.0,
+            cold_start: bool = True, verify: bool = True) -> CollectiveResult:
+        r = splan.execute(
+            payloads, seed=seed, jitter=jitter, cold_start=cold_start, verify=verify
+        )
         return CollectiveResult(
             name=f"Flare switch ({r.algorithm})",
             n_hosts=request.n_hosts,
             vector_bytes=float(r.data_bytes),
-            time_ns=time_ns,
+            time_ns=r.makespan_cycles / splan.switch_cfg.cost_model.clock_ghz,
             # One switch: ingress is the only wire segment modeled.
             traffic_bytes_hops=int(r.data_bytes) * request.n_hosts,
             sent_bytes_per_host=int(r.data_bytes),
@@ -664,20 +559,12 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
             label=f"Flare switch ({splan.design.label})",
         )
 
-    plan_kwargs = dict(
-        algorithm=p.get("aggregation"),
-        dtype=request.dtype,
-        n_clusters=p.get("n_clusters", 4),
-        cores_per_cluster=p.get("cores_per_cluster", 8),
-        subset_size=p.get("subset_size"),
-        scheduler=p.get("scheduler", "hierarchical"),
-        staggered=p.get("staggered", True),
-        reproducible=request.reproducible,
-        op=request.op,
-        cost_model=p.get("cost_model"),
-        packet_bytes=p.get("packet_bytes", 1024),
+    return _switch_plan(
+        "flare_switch", request, run, schedule_of, tree, tree_root,
+        algorithm=aggregation, subset_size=subset_size, scheduler=scheduler,
+        staggered=staggered, reproducible=request.reproducible, op=request.op,
+        cost_model=cost_model, packet_bytes=packet_bytes,
     )
-    return _switch_plan("flare_switch", request, plan_kwargs, result_of, schedule_of)
 
 
 @register_algorithm(
@@ -694,23 +581,36 @@ def _plan_flare_switch(request: CollectiveRequest) -> PlannedExecution:
         "model (paper Sec. 7; hash or array storage, spill accounting)",
     ),
 )
-def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
+def _plan_flare_switch_sparse(
+    request: CollectiveRequest, *,
+    storage: str = "hash",
+    correlation: float = 0.0,
+    packet_bytes: int = 1024,
+    hash_slots_factor: float = 4.0,
+    cost_model=None,
+    workload=None,
+    tree=None,
+    tree_root=None,
+) -> PlannedExecution:
     """On a fabric, a ``flare_sparse`` tree whose hosts send the
     request's sparsified ``nbytes`` (a dense vector of ``nbytes / (8 *
     density)`` elements, ``density`` of each 512-element bucket
     non-zero), each switch priced by the single-switch simulation
-    (:func:`_switch_plan`)."""
-    p = request.params
-    storage = p.get("storage", "hash")
+    (:func:`_switch_plan`).  Standalone, it runs ``workload`` (default:
+    one generated from the run's seed) cold."""
     label = f"Flare switch sparse ({storage})"
 
-    def result_of(r, time_ns: float) -> CollectiveResult:
+    def run(splan, payloads, *, seed: int = 0, jitter: float = 1.0,
+            verify: bool = True) -> CollectiveResult:
+        if payloads is not None:      # never discard user data silently
+            raise ValueError(f"algorithm 'flare_switch_sparse' {_SIMULATION_ONLY_REASON}")
+        r = splan.execute(workload, seed=seed, jitter=jitter, verify=verify)
         return CollectiveResult(
             name=label,
             n_hosts=request.n_hosts,
             vector_bytes=float(request.nbytes) / request.density
             * DENSE_ELEMENT_BYTES / 8.0,
-            time_ns=time_ns,
+            time_ns=r.makespan_cycles / splan.switch_cfg.cost_model.clock_ghz,
             traffic_bytes_hops=int(
                 r.ingress_payload_bytes + r.egress_payload_bytes
             ),
@@ -729,29 +629,15 @@ def _plan_flare_switch_sparse(request: CollectiveRequest) -> PlannedExecution:
         return sparse_tree(
             tree,
             request.nbytes / (SPARSE_ELEMENT_BYTES * request.density),
-            bucket_span=512,
-            nnz_per_bucket=512 * request.density,
+            bucket_span=BUCKET_SPAN,
+            nnz_per_bucket=BUCKET_SPAN * request.density,
             agg_latency_ns=0.0,           # priced on first issue
             label=label,
         )
 
-    def data_of(payloads):
-        _reject_payloads("flare_switch_sparse", payloads)
-        return p.get("workload")
-
-    plan_kwargs = dict(
-        density=request.density,
-        storage=storage,
-        n_clusters=p.get("n_clusters", 4),
-        cores_per_cluster=p.get("cores_per_cluster", 8),
-        dtype=request.dtype,
-        correlation=p.get("correlation", 0.0),
-        packet_bytes=p.get("packet_bytes", 1024),
-        hash_slots_factor=p.get("hash_slots_factor", 4.0),
-        cost_model=p.get("cost_model"),
-    )
-    # Standalone it stays cold: ``cold_start`` is not one of its knobs.
     return _switch_plan(
-        "flare_switch_sparse", request, plan_kwargs, result_of, schedule_of,
-        data_of=data_of, exec_keys=("seed", "jitter", "verify"),
+        "flare_switch_sparse", request, run, schedule_of, tree, tree_root,
+        density=request.density, storage=storage, correlation=correlation,
+        packet_bytes=packet_bytes, hash_slots_factor=hash_slots_factor,
+        cost_model=cost_model,
     )

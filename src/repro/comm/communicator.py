@@ -27,8 +27,8 @@ raises ``CapabilityError``, as on any fabric.
 
 from __future__ import annotations
 
-import inspect
 import math
+from dataclasses import asdict
 from typing import Optional, Union
 
 import numpy as np
@@ -36,47 +36,15 @@ import numpy as np
 from repro.collectives.result import CollectiveResult
 from repro.comm.future import CollectiveFuture
 from repro.comm.plan import CacheInfo, CollectivePlan, PlanCache, build_plan
+from repro.comm.planner import note_congestion
 from repro.comm.registry import iter_algorithms, resolve
 from repro.comm.request import CollectiveRequest
+from repro.comm.wiring import WIRING_PARAMS, Wiring, place
 from repro.core.ops import ReductionOp
-from repro.network.topology import TOPOLOGIES
 
 #: Keyword arguments of ``allreduce``/``iallreduce`` that tune a single
 #: execution rather than the plan (excluded from the cache key).
 EXECUTE_KEYS = frozenset({"seed", "jitter", "cold_start", "verify"})
-
-
-def resolve_topology_hosts(
-    topology, topology_params: Optional[dict], n_hosts: int
-) -> tuple[int, Optional[dict]]:
-    """Reconcile a communicator's host count with its topology choice.
-
-    Returns the effective ``(n_hosts, topology_params)`` pair:
-
-    * a prebuilt :class:`~repro.network.topology.Topology` dictates the
-      host count outright;
-    * a named family parameterized by ``n_hosts`` (multi-rail,
-      fat-tree-with-params) gets the communicator's count forwarded
-      into its parameters;
-    * a named family whose parameters imply the host count (torus
-      dims, dragonfly groups) sizes the communicator instead;
-    * the bare default fat tree keeps the legacy request-driven sizing
-      (both inputs pass through untouched).
-
-    Unknown family names also pass through — they fail with the full
-    catalog at algorithm resolution, not here.
-    """
-    if topology is not None and not isinstance(topology, str):
-        return topology.n_hosts, topology_params
-    if isinstance(topology, str) and (topology != "fat-tree" or topology_params):
-        cls = TOPOLOGIES.get(topology)
-        if cls is not None:       # unknown families fail at resolve()
-            params = dict(topology_params or {})
-            if "n_hosts" in inspect.signature(cls.__init__).parameters:
-                params.setdefault("n_hosts", n_hosts)
-                topology_params = params
-            n_hosts = cls(**params).n_hosts
-    return n_hosts, topology_params
 
 
 class Communicator:
@@ -93,6 +61,8 @@ class Communicator:
         ``topology_params``) or a prebuilt
         :class:`~repro.network.topology.Topology`.  ``None`` keeps the
         paper's fat tree sized from ``hosts_per_leaf``/``n_spines``.
+        A family's host count sizes the communicator; families that
+        take ``n_hosts`` get this one forwarded.
     routing:
         Path-selection policy (``"shortest"``/``"ecmp"``/
         ``"adaptive"``); default is seeded deterministic ECMP.
@@ -100,6 +70,7 @@ class Communicator:
         Default fat-tree shape when no ``topology`` is given.
     n_clusters, cores_per_cluster:
         Simulated switch dimensions for the PsPIN-level algorithms.
+        Defaults for all of these: :class:`~repro.comm.wiring.Wiring`.
     plan_cache_size:
         LRU capacity of the plan cache (keyed on request shape and
         topology fingerprint).
@@ -128,9 +99,9 @@ class Communicator:
         routing: Optional[str] = None,
         routing_seed: int = 0,
         hosts_per_leaf: Optional[int] = None,
-        n_spines: int = 4,
-        n_clusters: int = 4,
-        cores_per_cluster: int = 8,
+        n_spines: Optional[int] = None,
+        n_clusters: Optional[int] = None,
+        cores_per_cluster: Optional[int] = None,
         plan_cache_size: int = 64,
         fabric=None,
         name: Optional[str] = None,
@@ -151,27 +122,19 @@ class Communicator:
             if routing is None:
                 routing = fabric.routing
                 routing_seed = fabric.routing_seed
-        n_hosts, topology_params = resolve_topology_hosts(
-            topology, topology_params, n_hosts
+        wiring = Wiring.of(
+            n_hosts, topology=topology, topology_params=topology_params,
+            routing=routing, routing_seed=routing_seed,
+            hosts_per_leaf=hosts_per_leaf, n_spines=n_spines,
+            n_clusters=n_clusters, cores_per_cluster=cores_per_cluster,
         )
-        self.n_hosts = n_hosts
+        # A topology's host count sizes the communicator.
+        self.n_hosts = wiring.n_requested = wiring.n_hosts
+        #: The wiring of every request that overrides none of it.
+        self._wiring = wiring
         self.name = name
         self.weight = float(weight)
-        self._defaults: dict = {
-            "n_spines": n_spines,
-            "n_clusters": n_clusters,
-            "cores_per_cluster": cores_per_cluster,
-        }
-        if topology is not None:
-            self._defaults["topology"] = topology
-        if topology_params is not None:
-            self._defaults["topology_params"] = topology_params
-        if routing is not None:
-            self._defaults["routing"] = routing
-        if routing_seed:
-            self._defaults["routing_seed"] = routing_seed
-        if hosts_per_leaf is not None:
-            self._defaults["hosts_per_leaf"] = hosts_per_leaf
+        self._defaults: dict = wiring.request_params()
         if auto_mode is not None:
             self._defaults["auto_mode"] = auto_mode
         self._cache = PlanCache(plan_cache_size)
@@ -208,20 +171,8 @@ class Communicator:
         ``n_hosts``, and is normalized to a tuple so equal placements
         share one plan-cache entry.
         """
-        if params.get("hosts", False) is None:
-            params.pop("hosts")           # explicit None = no placement
         if "hosts" in params:
-            hosts = tuple(params["hosts"])
-            if not hosts:
-                raise ValueError("placement hosts must not be empty")
-            params["hosts"] = hosts
-            if n_hosts is None:
-                n_hosts = len(hosts)
-            elif n_hosts != len(hosts):
-                raise ValueError(
-                    f"n_hosts={n_hosts} contradicts placement of "
-                    f"{len(hosts)} hosts"
-                )
+            n_hosts = place(params, n_hosts)
         payloads: Optional[np.ndarray] = None
         if isinstance(data, np.ndarray) or (
             isinstance(data, (list, tuple))
@@ -264,6 +215,8 @@ class Communicator:
             density=density,
             params={**self._defaults, **params},
         )
+        if request.n_hosts == self.n_hosts and not params.keys() & WIRING_PARAMS:
+            request._wiring = self._wiring
         return request, payloads
 
     # ------------------------------------------------------------------
@@ -292,19 +245,8 @@ class Communicator:
             request, inferred = self.make_request(data, **kwargs)
             if payloads is None:
                 payloads = inferred
-        if (
-            request.algorithm == "auto"
-            and request.params.get("auto_mode") == "cost"
-            and "congestion" not in request.params
-            and self._fabric is not None
-        ):
-            # Online re-tuning: fold the fabric's live load regime into
-            # the cost model's contention term.  The level is quantized
-            # (see planner.tuner), so the cache key only changes when
-            # the regime does.
-            from repro.comm.planner.tuner import congestion_level
-
-            request.params["congestion"] = congestion_level(self._fabric)
+        if request.algorithm == "auto" and self._fabric is not None:
+            note_congestion(request, self._fabric)
         entry = resolve(request, payloads)
 
         def factory() -> CollectivePlan:
@@ -334,12 +276,8 @@ class Communicator:
             result = future.result()
             self._fabric.run()      # drain the other tenants' work too
             return result
-        execute_args = {k: kwargs.pop(k) for k in tuple(kwargs) if k in EXECUTE_KEYS}
-        request, payloads = self.make_request(
-            data, op=op, algorithm=algorithm, **kwargs
-        )
-        plan = self.plan(request, payloads=payloads)
-        return plan.execute(payloads, **execute_args)
+        plan, payloads, run_knobs = self._plan_call(data, op, algorithm, kwargs)
+        return plan.execute(payloads, **run_knobs)
 
     def iallreduce(
         self,
@@ -357,20 +295,17 @@ class Communicator:
         in-flight collective on the fabric.  ``future.result()`` (or
         ``wait_all``/``wait_any``) drives the loop to completion.
         """
-        execute_args = {k: kwargs.pop(k) for k in tuple(kwargs) if k in EXECUTE_KEYS}
-        request, payloads = self.make_request(
-            data, op=op, algorithm=algorithm, **kwargs
+        plan, payloads, run_knobs = self._plan_call(data, op, algorithm, kwargs)
+        return self._ensure_fabric().issue(
+            self, plan, payloads, run_knobs, tenant=self.name, weight=self.weight
         )
-        plan = self.plan(request, payloads=payloads)
-        fabric = self._ensure_fabric()
-        return fabric.issue(
-            self,
-            plan,
-            payloads,
-            execute_args,
-            tenant=self.name,
-            weight=self.weight,
-        )
+
+    def _plan_call(self, data, op, algorithm, kwargs: dict) -> tuple:
+        """Plan one call: ``(plan, payloads, run knobs)``, the run knobs
+        (:data:`EXECUTE_KEYS`) split off the request's params."""
+        run_knobs = {k: kwargs.pop(k) for k in tuple(kwargs) if k in EXECUTE_KEYS}
+        request, payloads = self.make_request(data, op=op, algorithm=algorithm, **kwargs)
+        return self.plan(request, payloads=payloads), payloads, run_knobs
 
     # ------------------------------------------------------------------
     # Fabric attachment
@@ -385,15 +320,10 @@ class Communicator:
         if self._fabric is None:
             from repro.comm.fabric import Fabric
 
-            d = self._defaults
+            wiring = self._wiring
             fabric = Fabric(
-                topology=d.get("topology"),
-                topology_params=d.get("topology_params"),
-                n_hosts=self.n_hosts,
-                routing=d.get("routing"),
-                routing_seed=d.get("routing_seed", 0),
-                hosts_per_leaf=d.get("hosts_per_leaf"),
-                n_spines=d.get("n_spines", 4),
+                wiring.build(), routing=wiring.routing,
+                routing_seed=wiring.routing_seed,
             )
             self.name = fabric._register(self)
             self._fabric = fabric
@@ -411,26 +341,12 @@ class Communicator:
 
     @staticmethod
     def algorithms() -> list[dict]:
-        """Registry listing: name + declared capabilities per algorithm."""
-        out = []
-        for entry in iter_algorithms():
-            caps = entry.caps
-            out.append(
-                {
-                    "name": entry.name,
-                    "dense": caps.dense,
-                    "sparse": caps.sparse,
-                    "in_network": caps.in_network,
-                    "reproducible": caps.reproducible,
-                    "ops": caps.ops,
-                    "custom_ops": caps.custom_ops,
-                    "power_of_two_hosts": caps.power_of_two_hosts,
-                    "topologies": caps.topologies,
-                    "priority": caps.priority,
-                    "description": caps.description,
-                }
-            )
-        return out
+        """Registry listing: name, declared capabilities and knobs (with
+        their defaults) per algorithm."""
+        return [
+            {"name": entry.name, **asdict(entry.caps), "knobs": entry.knobs}
+            for entry in iter_algorithms()
+        ]
 
     def close(self) -> None:
         """Drain in-flight collectives (drives the fabric loop dry)."""

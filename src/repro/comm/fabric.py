@@ -59,7 +59,7 @@ from repro.comm.registry import CapabilityError, CommError, get_algorithm
 from repro.core.manager import AdmissionError, NetworkManager
 from repro.network.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.network.simulator import NetworkSimulator  # noqa: F401  (re-export)
-from repro.network.topology import Topology, build_topology
+from repro.comm.wiring import Wiring
 from repro.network.trees import TreePlanner
 from repro.pspin.engine import Simulator  # noqa: F401  (re-export)
 from repro.pspin.pdes import build_engine
@@ -67,6 +67,7 @@ from repro.pspin.pdes import build_engine
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.communicator import Communicator
     from repro.comm.future import CollectiveFuture
+    from repro.network.topology import Topology
 
 #: Version of the JSON envelope emitted by :meth:`Fabric.timeline_json`
 #: and reused by the service-mode SLO snapshots (see README "Timeline &
@@ -120,7 +121,8 @@ class Fabric:
         A family name (built from ``topology_params``) or a prebuilt
         :class:`~repro.network.topology.Topology`; ``None`` keeps the
         paper's fat tree sized from ``n_hosts``/``hosts_per_leaf``/
-        ``n_spines``.
+        ``n_spines`` (resolved as for any request, by
+        :class:`~repro.comm.wiring.Wiring`).
     routing, routing_seed:
         Path-selection policy over the shared links (default: seeded
         deterministic ECMP).  Links are shared across tenants by
@@ -151,7 +153,7 @@ class Fabric:
         routing: Optional[str] = None,
         routing_seed: int = 0,
         hosts_per_leaf: Optional[int] = None,
-        n_spines: int = 4,
+        n_spines: Optional[int] = None,
         max_allreduces_per_switch: int = 8,
         switch_memory_bytes: Optional[float] = None,
         tenant_quota: Optional[int] = None,
@@ -171,19 +173,10 @@ class Fabric:
                 "max_retransmits must be a non-negative integer, "
                 f"got {max_retransmits!r}"
             )
-        if isinstance(topology, Topology):
-            topo = topology
-        else:
-            from repro.comm.backends import default_fat_tree_kwargs
-
-            family = topology or "fat-tree"
-            params = dict(topology_params or {})
-            if family == "fat-tree" and not params:
-                params = default_fat_tree_kwargs(
-                    n_hosts,
-                    {"hosts_per_leaf": hosts_per_leaf, "n_spines": n_spines},
-                )
-            topo = build_topology(family, **params)
+        topo = Wiring.of(
+            n_hosts, topology=topology, topology_params=topology_params,
+            hosts_per_leaf=hosts_per_leaf, n_spines=n_spines,
+        ).build()
         self.topology = topo
         self.routing = routing
         self.routing_seed = routing_seed
@@ -338,18 +331,18 @@ class Fabric:
 
         Host-based schedules recover through retransmission + rerouting
         alone; only in-network tree collectives need replanning."""
-        if not rec.plan.caps.in_network:
+        tree = rec.plan.tree
+        if tree is None:
             return False
-        setup = rec.plan.setup
         switch = event.get("switch")
         if switch is not None:
-            return switch in (setup.get("tree_switches") or ())
+            return switch in rec.plan.tree_switches
         pair = event.get("link_nodes")
         if not pair:
             return False
         a, b = pair
-        tree_links = setup.get("tree_links") or ()
-        return (a, b) in tree_links or (b, a) in tree_links
+        links = {tuple(edge) for edge in tree.tree_links()}
+        return (a, b) in links or (b, a) in links
 
     def _replan_with_tree(self, plan: CollectivePlan, tree) -> CollectivePlan:
         """Rebuild the same algorithm's plan over an explicit
@@ -372,7 +365,7 @@ class Fabric:
         ``CapabilityError`` when no tree fits (the first root's
         rejection when every root is rejected)."""
         planner = TreePlanner(self.topology)
-        hosts = self._plan_hosts(plan)
+        hosts = plan.request.wiring.hosts
         memory = float(plan.request.nbytes)
         roots, rejection = [], None
         for root in planner.candidate_roots():
@@ -391,7 +384,7 @@ class Fabric:
             plan, planner.plan_dynamic(roots, hosts=hosts)
         )
         ticket = self.manager.admit(
-            self._admission_switches(candidate),
+            candidate.tree_switches,
             tenant=tenant,
             memory_bytes=memory,
         )
@@ -422,7 +415,7 @@ class Fabric:
                 if event.get(k) is not None
             },
             "from_algorithm": rec.plan.algorithm,
-            "from_root": rec.plan.setup.get("tree_root"),
+            "from_root": self._root(rec.plan),
         }
         try:
             new_plan, rec.ticket = self._reroot(rec.plan, rec.tenant)
@@ -435,7 +428,7 @@ class Fabric:
         self._next_flow += 1
         rec.future.flow = rec.flow
         note["to_algorithm"] = new_plan.algorithm
-        note["to_root"] = new_plan.setup.get("tree_root")
+        note["to_root"] = self._root(new_plan)
         rec.entry["recoveries"].append(note)
         rec.entry["algorithm"] = new_plan.algorithm
         self._issue_record(rec)
@@ -444,14 +437,8 @@ class Fabric:
     # Issue path
     # ------------------------------------------------------------------
     @staticmethod
-    def _admission_switches(plan: CollectivePlan) -> tuple:
-        return tuple(plan.setup.get("tree_switches", ()))
-
-    @staticmethod
-    def _plan_hosts(plan: CollectivePlan) -> "list | None":
-        """The placement subset a plan was built for (None = all)."""
-        hosts = plan.request.params.get("hosts")
-        return list(hosts) if hosts is not None else None
+    def _root(plan: CollectivePlan):
+        return plan.tree.root if plan.tree is not None else None
 
     def _fallback_plan(
         self, comm: "Communicator", plan: CollectivePlan, payloads
@@ -472,9 +459,6 @@ class Fabric:
             algorithm = "rabenseifner"
         else:
             algorithm = "ring"
-        extra: dict = {}
-        if request.params.get("hosts") is not None:
-            extra["hosts"] = tuple(request.params["hosts"])
         return comm.plan(
             nbytes=request.nbytes,
             n_hosts=request.n_hosts,
@@ -484,7 +468,7 @@ class Fabric:
             sparse=request.sparse,
             density=request.density,
             payloads=payloads,
-            **extra,
+            hosts=request.wiring.hosts,
         )
 
     def would_admit(
@@ -501,7 +485,7 @@ class Fabric:
         if not plan.caps.in_network:
             return None
         return self.manager.check(
-            self._admission_switches(plan),
+            plan.tree_switches,
             tenant=tenant,
             memory_bytes=float(plan.request.nbytes),
         )
@@ -536,13 +520,14 @@ class Fabric:
         from repro.comm.future import CollectiveFuture
 
         overrides = dict(overrides or {})
+        plan.check_run(overrides)
         fell_back = False
         admission_note = None
         ticket = None
         if plan.caps.in_network:
             try:
                 ticket = self.manager.admit(
-                    self._admission_switches(plan),
+                    plan.tree_switches,
                     tenant=tenant,
                     memory_bytes=float(plan.request.nbytes),
                 )
@@ -558,7 +543,7 @@ class Fabric:
                 else:
                     admission_note += (
                         f" -> replanned tree rooted at "
-                        f"{plan.setup.get('tree_root')}"
+                        f"{self._root(plan)}"
                     )
         flow = self._next_flow
         self._next_flow += 1

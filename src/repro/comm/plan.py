@@ -19,19 +19,25 @@ own, the single-switch PsPIN simulation.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from repro.collectives.result import CollectiveResult
-from repro.comm.registry import AlgorithmCaps, AlgorithmEntry
+from repro.comm.registry import AlgorithmCaps, AlgorithmEntry, bind_knobs
 from repro.comm.request import CollectiveRequest
 
-#: ``runner(payloads, overrides) -> CollectiveResult`` — a switch-level
-#: driver's standalone run; ``overrides`` carries per-execution knobs
-#: (seed, jitter, verify, ...) that do not affect the plan.
-Runner = Callable[[Optional[object], dict], CollectiveResult]
+#: The one knob of a run on a fabric, ``seed``: network schedules are
+#: deterministic and leave it unused (the CLI bench passes it to every
+#: algorithm).
+_FABRIC_RUN = inspect.Signature(
+    [inspect.Parameter("seed", inspect.Parameter.KEYWORD_ONLY, default=0)]
+)
 
 
 @dataclass
@@ -52,20 +58,25 @@ class IssueContext:
 
 #: ``issuer(ctx, payloads, overrides) -> None`` — injects one
 #: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
-#: arranges for ``ctx.finish(result)`` when it completes.  Every planner
-#: provides one.
+#: arranges for ``ctx.finish(result)`` when it completes; ``overrides``
+#: holds the run's knobs, checked by :meth:`CollectivePlan.check_run`.
+#: Every planner provides one.
 Issuer = Callable[[IssueContext, Optional[object], dict], None]
 
 
 @dataclass
 class PlannedExecution:
     """What a planner hands back: the fabric issuer and setup metadata;
-    ``standalone`` is the switch-level drivers' single-switch run, which
-    their ``plan.execute`` calls instead of issuing into a fabric."""
+    ``standalone(payloads, *, knob=default, ...)`` is the switch-level
+    drivers' single-switch run, which their ``plan.execute`` calls
+    instead of issuing into a fabric (its keyword-only parameters are
+    the knobs it takes); ``tree`` is an in-network schedule's
+    aggregation tree."""
 
     issuer: Issuer
     setup: dict = field(default_factory=dict)
-    standalone: Optional[Runner] = None
+    standalone: Optional[Callable[..., CollectiveResult]] = None
+    tree: Optional[object] = None
 
 
 @dataclass
@@ -84,26 +95,37 @@ class CollectivePlan:
     _planned: PlannedExecution
     executions: int = 0
 
-    def execute(self, payloads: Optional[object] = None, **overrides) -> CollectiveResult:
+    def execute(self, payloads: Optional[object] = None, **knobs) -> CollectiveResult:
         """Run the collective once; planning work is *not* repeated.
 
         Issued into a fresh one-tenant :class:`~repro.comm.fabric.Fabric`
         (clock at 0, ``fallback`` off) wired by the request's topology,
         routing and seed; a switch-level driver runs its single-switch
-        simulation instead.
+        simulation instead.  A knob the run does not take raises
+        :class:`~repro.comm.registry.UnknownKnobError` before it starts.
         """
-        standalone = self._planned.standalone
-        if standalone is None:
-            from repro.comm.backends import _TopologySource
+        run = self._planned.standalone
+        if run is None:
             from repro.comm.fabric import Fabric
 
-            source = _TopologySource(self.request)
+            wiring = self.request.wiring
             fabric = Fabric(
-                source.fresh(), routing=source.routing,
-                routing_seed=source.routing_seed, fallback=False,
+                wiring.fresh(), routing=wiring.routing,
+                routing_seed=wiring.routing_seed, fallback=False,
             )
-            return fabric.issue(None, self, payloads, overrides).result()
-        return self._stamp(standalone(payloads, overrides))
+            return fabric.issue(None, self, payloads, knobs).result()
+        if knobs:
+            bind_knobs(
+                inspect.signature(run), f"a standalone {self.algorithm!r} run",
+                payloads, **knobs,
+            )
+        return self._stamp(run(payloads, **knobs))
+
+    def check_run(self, knobs: dict) -> None:
+        """Raise :class:`~repro.comm.registry.UnknownKnobError` unless a
+        run of this plan on a fabric takes ``knobs`` (only ``seed``)."""
+        if knobs:
+            bind_knobs(_FABRIC_RUN, f"a {self.algorithm!r} run on a fabric", **knobs)
 
     def _stamp(self, result: CollectiveResult) -> CollectiveResult:
         result.algorithm = self.algorithm
@@ -126,6 +148,17 @@ class CollectivePlan:
             overrides,
         )
 
+    @property
+    def tree(self):
+        """The aggregation tree the plan issues over (``None`` for host
+        schedules)."""
+        return self._planned.tree
+
+    @cached_property
+    def tree_switches(self) -> tuple:
+        """The tree's switches, root first: what admission reserves."""
+        return tuple(self.tree.switches()) if self.tree is not None else ()
+
     def describe(self) -> str:
         lines = [f"plan: {self.algorithm} ({self.caps.description or 'no description'})"]
         for key, value in sorted(self.setup.items()):
@@ -134,8 +167,20 @@ class CollectivePlan:
 
 
 def build_plan(request: CollectiveRequest, entry: AlgorithmEntry) -> CollectivePlan:
-    """Invoke ``entry``'s planner on ``request`` (the expensive step)."""
-    planned = entry.planner(request)
+    """Invoke ``entry``'s planner on ``request`` (the expensive step).
+
+    ``request.params`` are bound to the planner's knobs first
+    (:meth:`AlgorithmEntry.bind`), so an undeclared knob raises
+    :class:`~repro.comm.registry.UnknownKnobError`, and a ``dtype``
+    numpy cannot parse raises ``ValueError``, before any planning.  The
+    dtype is part of the plan-cache key, so each is checked once.
+    """
+    try:
+        np.dtype(request.dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"dtype {request.dtype!r} is not a numpy dtype") from None
+    bound = entry.bind(request)
+    planned = entry.planner(*bound.args, **bound.kwargs)
     return CollectivePlan(
         request=request,
         algorithm=entry.name,

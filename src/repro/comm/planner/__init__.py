@@ -37,6 +37,7 @@ from repro.comm.registry import (
 from repro.comm.request import CollectiveRequest
 from repro.comm.planner.model import (
     FEATURES,
+    CoefficientsError,
     PlannerModel,
     default_model,
     load_coefficients,
@@ -95,9 +96,21 @@ def cost_select(
     return by_name[best_name]
 
 
+def note_congestion(request: CollectiveRequest, fabric) -> None:
+    """Online re-tuning: fold ``fabric``'s live load regime into a
+    cost-mode request's contention term (``params["congestion"]``,
+    unless the caller set one).  The level is quantized (see
+    :mod:`~repro.comm.planner.tuner`), so the plan-cache key only
+    changes when the regime does."""
+    p = request.params
+    if p.get("auto_mode") == "cost" and "congestion" not in p:
+        p["congestion"] = congestion_level(fabric)
+
+
 register_auto_selector("cost", cost_select)
 
 __all__ = [
+    "CoefficientsError",
     "FEATURES",
     "OnlineTuner",
     "PlannerModel",

@@ -39,7 +39,7 @@ DEFAULT_COEFFICIENTS_PATH = Path(__file__).with_name("coefficients.json")
 
 #: Neutral coefficients: pure (unscaled) alpha-beta, no congestion
 #: sensitivity.  Used for any (algorithm, family) pair the fit did not
-#: cover, so an uncalibrated model still ranks sanely.
+#: cover.
 NEUTRAL = {"a": 1.0, "b": 1.0, "c": 0.0, "g": 0.0}
 
 
@@ -87,21 +87,17 @@ FEATURES = {
 
 
 def link_model(request: CollectiveRequest) -> tuple[float, float]:
-    """(alpha ns, beta bytes/ns) from the link params the fat-tree
-    backends wire (``repro.comm.backends.default_fat_tree_kwargs``)."""
-    p = request.params
-    return (
-        p.get("link_latency_ns", 250.0),
-        gbps_to_bytes_per_ns(p.get("link_gbps", 100.0)),
-    )
+    """(alpha ns, beta bytes/ns) of the links the request's wiring
+    resolves to."""
+    gbps, latency_ns = request.wiring.links()
+    return latency_ns, gbps_to_bytes_per_ns(gbps)
 
 
 class PlannerModel:
     """Coefficient table + prediction.
 
     ``coefficients`` maps ``algorithm -> {family_or_star -> {a,b,c,g}}``;
-    ``None`` loads the committed ``coefficients.json`` (falling back to
-    :data:`NEUTRAL` everywhere if the file is absent or unreadable).
+    ``None`` loads the committed ``coefficients.json``.
     """
 
     def __init__(self, coefficients: Optional[dict] = None) -> None:
@@ -127,7 +123,7 @@ class PlannerModel:
             return None
         f_alpha, f_beta = features(request)
         alpha, beta = link_model(request)
-        k = self.coeffs(algorithm, request.topology_family)
+        k = self.coeffs(algorithm, request.wiring.family)
         return (
             k["a"] * f_alpha * alpha
             + k["b"] * (f_beta / beta) * (1.0 + k["g"] * max(0.0, congestion))
@@ -150,16 +146,23 @@ class PlannerModel:
         return scored
 
 
+class CoefficientsError(ValueError):
+    """A cost-model coefficients file is missing or unreadable."""
+
+
 def load_coefficients(path: Optional[Path] = None) -> dict:
-    """Read a coefficients JSON; missing/corrupt files degrade to {}
-    (every lookup then resolves to :data:`NEUTRAL`)."""
+    """Read a coefficients JSON; a missing or unreadable file raises
+    :class:`CoefficientsError` naming it."""
     path = Path(path) if path is not None else DEFAULT_COEFFICIENTS_PATH
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    coefficients = payload.get("coefficients", {})
-    return coefficients if isinstance(coefficients, dict) else {}
+        coefficients = json.loads(path.read_text())["coefficients"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CoefficientsError(
+            f"cannot read cost-model coefficients from {path}: {exc!r}"
+        ) from None
+    if not isinstance(coefficients, dict):
+        raise CoefficientsError(f"{path}: 'coefficients' is not a table")
+    return coefficients
 
 
 _DEFAULT_MODEL: Optional[PlannerModel] = None

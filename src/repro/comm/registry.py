@@ -15,14 +15,13 @@ of whole collectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from repro.comm.request import CollectiveRequest
+from repro.comm.wiring import WIRING_PARAMS
 from repro.errors import CapabilityError, CommError
-from repro.network import topologies as _topologies  # noqa: F401  (registers families)
-from repro.network.routing import available_routers
-from repro.network.topology import available_topologies
 
 
 class UnknownAlgorithmError(CommError, KeyError):
@@ -30,6 +29,35 @@ class UnknownAlgorithmError(CommError, KeyError):
 
     def __str__(self) -> str:  # KeyError would repr-quote the message
         return self.args[0] if self.args else ""
+
+
+class UnknownKnobError(CapabilityError):
+    """A request or a run names a knob its algorithm does not declare."""
+
+
+def knob_defaults(signature: inspect.Signature) -> dict:
+    """The knobs (keyword-only parameters) of ``signature``, with defaults."""
+    return {k: p.default for k, p in signature.parameters.items() if p.kind is p.KEYWORD_ONLY}
+
+
+def bind_knobs(signature: inspect.Signature, owner: str, *args, **knobs):
+    """Python's own binding of ``args`` and ``knobs`` to ``signature``,
+    defaults applied; a knob it does not declare raises
+    :class:`UnknownKnobError` naming ``owner`` and its knobs."""
+    try:
+        bound = signature.bind_partial(*args, **knobs)
+    except TypeError:
+        declared = knob_defaults(signature)
+        unknown = ", ".join(repr(k) for k in knobs if k not in declared)
+        listing = ", ".join(f"{k}={v!r}" for k, v in declared.items()) or "none"
+        raise UnknownKnobError(f"{owner} takes no knob {unknown}; its knobs: {listing}") from None
+    bound.apply_defaults()
+    return bound
+
+
+#: Request params the ``auto`` selectors read (``auto_mode``) or write
+#: (``congestion``); like the wiring names, they are no algorithm's knobs.
+SELECTOR_PARAMS = frozenset({"auto_mode", "congestion"})
 
 
 @dataclass(frozen=True)
@@ -65,29 +93,10 @@ class AlgorithmCaps:
             return "sparse payloads unsupported"
         if not request.sparse and not self.dense:
             return "dense payloads unsupported"
-        family = request.topology_family
-        topo_param = request.params.get("topology")
-        if (
-            topo_param is None or isinstance(topo_param, str)
-        ) and family not in available_topologies():
-            # Checked here, not just in the topology-building backends,
-            # so a typo'd family name cannot slide through to an
-            # algorithm (e.g. the single-switch PsPIN path) that never
-            # builds the fabric and would silently ignore it.  Explicit
-            # Topology objects skip this: custom subclasses are fine.
-            return (
-                f"unknown topology family {family!r}; "
-                f"available: {available_topologies()}"
-            )
-        routing = request.params.get("routing")
-        if routing is not None and routing not in available_routers():
-            return (
-                f"unknown routing policy {routing!r}; "
-                f"available: {available_routers()}"
-            )
-        if "*" not in self.topologies and family not in self.topologies:
-            return f"topology family {family!r} unsupported"
-        if self.in_network and not request.topology_aggregates:
+        wiring = request.wiring
+        if "*" not in self.topologies and wiring.family not in self.topologies:
+            return f"topology family {wiring.family!r} unsupported"
+        if self.in_network and not wiring.aggregates:
             return (
                 "needs in-network aggregation but the topology's switches "
                 "cannot aggregate (aggregation=False)"
@@ -112,9 +121,11 @@ class AlgorithmEntry:
 
     name: str
     caps: AlgorithmCaps
-    #: ``planner(request) -> PlannedExecution`` — performs all one-time
-    #: setup (tree construction, handler selection, message sizing).
-    planner: Callable[[CollectiveRequest], "object"]
+    #: ``planner(request, *, knob=default, ...) -> PlannedExecution`` —
+    #: performs all one-time setup (tree construction, handler
+    #: selection, message sizing); its keyword-only parameters are the
+    #: algorithm's knobs (:meth:`bind`).
+    planner: Callable[..., "object"]
     #: Optional ``(request, payloads) -> reason | None`` — why this
     #: algorithm cannot execute the given concrete payloads (shape or
     #: dtype constraints the declarative caps cannot express).  ``None``
@@ -122,6 +133,24 @@ class AlgorithmEntry:
     payload_rejects: Optional[
         Callable[[CollectiveRequest, object], Optional[str]]
     ] = None
+    signature: inspect.Signature = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signature", inspect.signature(self.planner))
+
+    @property
+    def knobs(self) -> dict:
+        """The knobs the planner declares, with their defaults."""
+        return knob_defaults(self.signature)
+
+    def bind(self, request: CollectiveRequest) -> inspect.BoundArguments:
+        """``request`` and its knobs bound to the planner: every param
+        that is neither wiring (:data:`WIRING_PARAMS`) nor a selector's
+        (:data:`SELECTOR_PARAMS`) must be a declared knob, or this raises
+        :class:`UnknownKnobError`."""
+        knobs = {k: v for k, v in request.params.items()
+                 if k not in WIRING_PARAMS and k not in SELECTOR_PARAMS}
+        return bind_knobs(self.signature, f"algorithm {self.name!r}", request, **knobs)
 
 
 _REGISTRY: dict[str, AlgorithmEntry] = {}
@@ -233,7 +262,9 @@ def resolve(
     the request, each candidate's ``payload_rejects`` hook is consulted
     too, so auto selection never lands on an algorithm that cannot
     execute the actual data (wrong shape/dtype, or simulation-only).
+    The request's wiring is validated once, before any candidate.
     """
+    request.wiring.check()
     if request.algorithm != "auto":
         entry = get_algorithm(request.algorithm)
         reason = entry.caps.rejects(request)

@@ -2,8 +2,8 @@
 
 A :class:`CollectiveRequest` describes *what* should be reduced — size,
 participant count, operator, flexibility requirements (F1 custom ops,
-F2 sparse, F3 reproducible) — plus algorithm-specific knobs in
-``params``.  It deliberately excludes payload values: two requests with
+F2 sparse, F3 reproducible) — plus, in ``params``, the fabric's wiring
+and the algorithm's knobs.  It deliberately excludes payload values: two requests with
 the same shape are the same request, which is what makes the plan cache
 (:mod:`repro.comm.plan`) effective in the production steady state of
 repeated identical allreduces.
@@ -12,8 +12,9 @@ repeated identical allreduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Optional, Union
 
+from repro.comm.wiring import Wiring
 from repro.core.ops import ReductionOp, builtin_ufunc, get_op
 from repro.sparse.densify import DENSE_ELEMENT_BYTES
 from repro.utils.units import parse_size
@@ -46,7 +47,8 @@ class CollectiveRequest:
     sparse / density:
         Sparse payload (F2) and its non-zero fraction.
     params:
-        Algorithm-specific knobs, passed to the planner verbatim.
+        The fabric's wiring (read by :attr:`wiring`) and the algorithm's
+        knobs (bound to its planner's keyword parameters).
     """
 
     nbytes: Union[int, float, str]
@@ -59,6 +61,7 @@ class CollectiveRequest:
     sparse: bool = False
     density: float = 1.0
     params: dict = field(default_factory=dict)
+    _wiring: Optional[Wiring] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nbytes = float(parse_size(self.nbytes))
@@ -89,29 +92,12 @@ class CollectiveRequest:
         return self.nbytes / DENSE_ELEMENT_BYTES
 
     @property
-    def topology_family(self) -> str:
-        """The wiring family this request runs over.
-
-        ``params["topology"]`` may be a family name or a built
-        :class:`~repro.network.topology.Topology`; absent means the
-        paper's default fat tree.
-        """
-        topo = self.params.get("topology")
-        if topo is None:
-            return "fat-tree"
-        if isinstance(topo, str):
-            return topo
-        return topo.family
-
-    @property
-    def topology_aggregates(self) -> bool:
-        """Whether the requested fabric offers in-network aggregation."""
-        topo = self.params.get("topology")
-        if topo is None or isinstance(topo, str):
-            return bool(
-                (self.params.get("topology_params") or {}).get("aggregation", True)
-            )
-        return topo.supports_aggregation
+    def wiring(self) -> Wiring:
+        """The fabric this request runs over, resolved once from the
+        wiring names of ``params``."""
+        if self._wiring is None:
+            self._wiring = Wiring(self.params, self.n_hosts)
+        return self._wiring
 
     # ------------------------------------------------------------------
     def signature(self) -> tuple:

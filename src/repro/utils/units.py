@@ -8,6 +8,8 @@ so no magic factors of 8 or 1024 hide in model code.
 
 from __future__ import annotations
 
+import math
+
 #: Binary size units (bytes).
 KIB = 1024
 MIB = 1024 * KIB
@@ -51,6 +53,8 @@ def parse_size(text: str | int | float) -> int:
     (2, 2)
     """
     if isinstance(text, (int, float)):
+        if not math.isfinite(text):
+            raise ValueError(f"size {text!r} is not finite")
         return int(round(text))
     s = text.strip().upper().replace(" ", "")
     scale = 1
@@ -60,7 +64,7 @@ def parse_size(text: str | int | float) -> int:
             break
     try:
         return int(round(float(s) * scale))
-    except ValueError:
+    except (ValueError, OverflowError):      # not a number, or infinite
         raise ValueError(
             f"cannot parse size {text!r}: expected a number with an optional "
             f"suffix ({', '.join(_SIZE_SUFFIXES)})"

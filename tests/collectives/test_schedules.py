@@ -220,9 +220,13 @@ def test_sparse_tree_cuts_packet_sized_chunks():
         ("flare_dense", "chunk_bytes", -5),
         ("flare_dense", "chunk_bytes", math.inf),
         ("flare_dense", "chunk_bytes", math.nan),
+        ("ring", "sub_chunk_bytes", 0),
+        ("ring", "sub_chunk_bytes", -5),
+        ("ring", "sub_chunk_bytes", math.inf),
+        ("ring", "sub_chunk_bytes", math.nan),
     ],
 )
-def test_bad_tree_chunk_knobs_rejected_at_plan_time(algorithm, knob, value):
+def test_bad_chunk_knobs_rejected_at_plan_time(algorithm, knob, value):
     comm = Communicator(n_hosts=16)
     with pytest.raises(ValueError, match=knob):
         comm.plan(nbytes="64KiB", algorithm=algorithm,

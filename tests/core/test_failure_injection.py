@@ -29,6 +29,10 @@ def _fabric() -> Fabric:
     return Fabric(n_hosts=N_HOSTS, hosts_per_leaf=4, n_spines=2)
 
 
+#: Each algorithm's chunk-size knob: 256 B chunks -> enough messages.
+SMALL_CHUNKS = {"ring": {"sub_chunk_bytes": 256}, "flare_dense": {"chunk_bytes": 256}}
+
+
 def _payloads(seed=0, n=512):
     rng = np.random.default_rng(seed)
     data = rng.integers(-50, 50, size=(N_HOSTS, n)).astype(np.int32)
@@ -50,7 +54,7 @@ def test_lost_then_retransmitted_chunks(algorithm):
     # 256 B chunks -> enough messages cross the degraded uplink that the
     # seeded 40% loss provably bites.
     result = comm.iallreduce(data, algorithm=algorithm,
-                             chunk_bytes=256, sub_chunk_bytes=256).result()
+                             **SMALL_CHUNKS[algorithm]).result()
     np.testing.assert_array_equal(result.extra["output"], golden)
     assert fabric.net.traffic.drops > 0
     assert fabric.net.traffic.retransmits == fabric.net.traffic.drops
@@ -66,7 +70,7 @@ def test_spurious_duplicates_not_double_counted(algorithm):
     comm = fabric.communicator(name="t")
     fabric.inject(link="*", kind="lossy", duplicate_rate=0.15, seed=5)
     result = comm.iallreduce(data, algorithm=algorithm,
-                             chunk_bytes=256, sub_chunk_bytes=256).result()
+                             **SMALL_CHUNKS[algorithm]).result()
     np.testing.assert_array_equal(result.extra["output"], golden)
     assert fabric.net.traffic.duplicates > 0
     assert fabric.net.traffic.drops == 0

@@ -7,6 +7,7 @@ import pytest
 from repro.comm.planner.model import (
     FEATURES,
     NEUTRAL,
+    CoefficientsError,
     PlannerModel,
     default_model,
     link_model,
@@ -100,8 +101,13 @@ def test_committed_coefficients_load_and_cover_the_grid():
             )
 
 
-def test_missing_file_degrades_to_empty(tmp_path):
-    assert load_coefficients(tmp_path / "nope.json") == {}
+def test_missing_or_corrupt_file_raises(tmp_path):
+    """A missing or unreadable table is an error naming the file: the
+    cost mode never prices every candidate with NEUTRAL silently."""
+    missing = tmp_path / "nope.json"
+    with pytest.raises(CoefficientsError, match="nope.json"):
+        load_coefficients(missing)
     corrupt = tmp_path / "bad.json"
     corrupt.write_text("{not json")
-    assert load_coefficients(corrupt) == {}
+    with pytest.raises(ValueError, match="bad.json"):
+        load_coefficients(corrupt)
