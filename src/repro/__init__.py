@@ -44,39 +44,57 @@ Layers:
 * ``repro.figures`` — one runner per paper table/figure
   (``python -m repro <figure>``; ``python -m repro bench <algorithm>``
   drives any registered algorithm).
+
+Each package keeps its public names but imports a name's module on the
+name's first access (DESIGN.md, "Import layering"): ``import repro``
+loads no other module, and set-up cost scales with what a caller uses.
 """
 
-from repro.core import (
-    FlareConfig,
-    select_algorithm,
-    evaluate_design,
-    NetworkManager,
-)
-from repro.pspin import PsPINSwitch, SwitchConfig, CostModel
-from repro.comm import (
-    AlgorithmCaps,
-    CollectiveRequest,
-    CollectiveResult,
-    Communicator,
-    available_algorithms,
-    register_algorithm,
-)
+import sys
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Communicator",
-    "CollectiveRequest",
-    "CollectiveResult",
-    "AlgorithmCaps",
-    "register_algorithm",
-    "available_algorithms",
-    "FlareConfig",
-    "select_algorithm",
-    "evaluate_design",
-    "NetworkManager",
-    "PsPINSwitch",
-    "SwitchConfig",
-    "CostModel",
-    "__version__",
-]
+
+def _lazy_exports(package: str, table: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``.
+
+    ``table`` maps each public name to the module defining it; a name's
+    module is imported on the name's first access and the value is then
+    cached as a package global, so later reads skip ``__getattr__``.  A
+    name whose module is ``package.name`` is that submodule itself.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        __import__(table[name])        # an import statement's path: -X importtime sees it
+        module = sys.modules[table[name]]
+        value = module if module.__name__ == f"{package}.{name}" else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__
+
+
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "Communicator": "repro.comm.communicator",
+    "CollectiveRequest": "repro.comm.request",
+    "CollectiveResult": "repro.collectives.result",
+    "AlgorithmCaps": "repro.comm.registry",
+    "register_algorithm": "repro.comm.registry",
+    "available_algorithms": "repro.comm.registry",
+    "FlareConfig": "repro.core.config",
+    "select_algorithm": "repro.core.policy",
+    "evaluate_design": "repro.core.models",
+    "NetworkManager": "repro.core.manager",
+    "PsPINSwitch": "repro.pspin.switch",
+    "SwitchConfig": "repro.pspin.switch",
+    "CostModel": "repro.pspin.costs",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS, "__version__"]

@@ -9,13 +9,14 @@ paper's comparison lines from executable artifacts rather than
 hard-coded constants scattered through figure code.
 """
 
-from repro.baselines.switchml import SwitchMLModel
-from repro.baselines.sharp import SHARPModel
-from repro.baselines.capability import CAPABILITY_MATRIX, capability_table
+from repro import _lazy_exports
 
-__all__ = [
-    "SwitchMLModel",
-    "SHARPModel",
-    "CAPABILITY_MATRIX",
-    "capability_table",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "SwitchMLModel": "repro.baselines.switchml",
+    "SHARPModel": "repro.baselines.sharp",
+    "CAPABILITY_MATRIX": "repro.baselines.capability",
+    "capability_table": "repro.baselines.capability",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

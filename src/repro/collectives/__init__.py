@@ -13,7 +13,13 @@ All of them are registered in the :mod:`repro.comm` algorithm
 registry; use them through ``repro.comm.Communicator``.
 """
 
-from repro.collectives.result import CollectiveResult
-from repro.collectives.schedule import ExchangeTable, TreeSchedule
+from repro import _lazy_exports
 
-__all__ = ["CollectiveResult", "ExchangeTable", "TreeSchedule"]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "CollectiveResult": "repro.collectives.result",
+    "ExchangeTable": "repro.collectives.schedule",
+    "TreeSchedule": "repro.collectives.schedule",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -5,7 +5,8 @@ capabilities, plan/execute separation with an LRU plan cache, and the
 :class:`Communicator` facade with blocking (``allreduce``) and
 non-blocking (``iallreduce``) collectives.
 
-Importing this package registers every built-in algorithm::
+Each public name loads its module on first access, and the registry
+registers the built-in algorithms before its first read::
 
     from repro.comm import Communicator
 
@@ -13,99 +14,50 @@ Importing this package registers every built-in algorithm::
     print(comm.allreduce("256KiB").summary())
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.collectives.result import CollectiveResult
-from repro.comm.communicator import Communicator, EXECUTE_KEYS
-from repro.comm.fabric import (
-    TIMELINE_SCHEMA_VERSION,
-    Fabric,
-    FabricError,
-    load_timeline,
-)
-from repro.comm.future import (
-    CollectiveError,
-    CollectiveFuture,
-    wait_all,
-    wait_any,
-)
-from repro.comm.plan import (
-    CacheInfo,
-    CollectivePlan,
-    IssueContext,
-    PlanCache,
-    PlannedExecution,
-    build_plan,
-)
-from repro.core.manager import AdmissionError
-from repro.network.faults import FaultSchedule, FaultSpec
-from repro.comm.registry import (
-    AlgorithmCaps,
-    AlgorithmEntry,
-    CapabilityError,
-    CommError,
-    DEFAULT_AUTO_MODE,
-    UnknownAlgorithmError,
-    UnknownKnobError,
-    available_algorithms,
-    available_auto_modes,
-    get_algorithm,
-    iter_algorithms,
-    match_algorithms,
-    register_algorithm,
-    register_auto_selector,
-    rejection_reasons,
-    resolve,
-    unregister_algorithm,
-)
-from repro.comm.request import CollectiveRequest
-from repro.comm.wiring import WIRING_PARAMS, Wiring
-
-# Importing the backends populates the registry with the built-ins;
-# the planner registers the "cost" auto_mode selector on top of them.
-import repro.comm.backends  # noqa: F401  (import for side effect)
-import repro.comm.planner   # noqa: F401  (import for side effect)
-
-
-__all__ = [
-    "AdmissionError",
-    "Communicator",
-    "CollectiveError",
-    "CollectiveRequest",
-    "CollectiveResult",
-    "CollectivePlan",
-    "CollectiveFuture",
-    "Fabric",
-    "FabricError",
-    "TIMELINE_SCHEMA_VERSION",
-    "load_timeline",
-    "FaultSpec",
-    "FaultSchedule",
-    "IssueContext",
-    "PlanCache",
-    "PlannedExecution",
-    "CacheInfo",
-    "AlgorithmCaps",
-    "AlgorithmEntry",
-    "CommError",
-    "UnknownAlgorithmError",
-    "UnknownKnobError",
-    "CapabilityError",
-    "register_algorithm",
-    "register_auto_selector",
-    "available_auto_modes",
-    "DEFAULT_AUTO_MODE",
-    "unregister_algorithm",
-    "get_algorithm",
-    "available_algorithms",
-    "iter_algorithms",
-    "match_algorithms",
-    "rejection_reasons",
-    "resolve",
-    "build_plan",
-    "Wiring",
-    "WIRING_PARAMS",
-    "wait_all",
-    "wait_any",
-    "EXECUTE_KEYS",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "AdmissionError": "repro.core.manager",
+    "Communicator": "repro.comm.communicator",
+    "CollectiveError": "repro.comm.future",
+    "CollectiveRequest": "repro.comm.request",
+    "CollectiveResult": "repro.collectives.result",
+    "CollectivePlan": "repro.comm.plan",
+    "CollectiveFuture": "repro.comm.future",
+    "Fabric": "repro.comm.fabric",
+    "FabricError": "repro.comm.fabric",
+    "TIMELINE_SCHEMA_VERSION": "repro.comm.fabric",
+    "load_timeline": "repro.comm.fabric",
+    "FaultSpec": "repro.network.faults",
+    "FaultSchedule": "repro.network.faults",
+    "IssueContext": "repro.comm.plan",
+    "PlanCache": "repro.comm.plan",
+    "PlannedExecution": "repro.comm.plan",
+    "CacheInfo": "repro.comm.plan",
+    "AlgorithmCaps": "repro.comm.registry",
+    "AlgorithmEntry": "repro.comm.registry",
+    "CommError": "repro.comm.registry",
+    "UnknownAlgorithmError": "repro.comm.registry",
+    "UnknownKnobError": "repro.comm.registry",
+    "CapabilityError": "repro.comm.registry",
+    "register_algorithm": "repro.comm.registry",
+    "register_auto_selector": "repro.comm.registry",
+    "available_auto_modes": "repro.comm.registry",
+    "DEFAULT_AUTO_MODE": "repro.comm.registry",
+    "unregister_algorithm": "repro.comm.registry",
+    "get_algorithm": "repro.comm.registry",
+    "available_algorithms": "repro.comm.registry",
+    "iter_algorithms": "repro.comm.registry",
+    "match_algorithms": "repro.comm.registry",
+    "rejection_reasons": "repro.comm.registry",
+    "resolve": "repro.comm.registry",
+    "build_plan": "repro.comm.plan",
+    "Wiring": "repro.comm.wiring",
+    "WIRING_PARAMS": "repro.comm.wiring",
+    "wait_all": "repro.comm.future",
+    "wait_any": "repro.comm.future",
+    "EXECUTE_KEYS": "repro.comm.communicator",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -36,7 +36,6 @@ import numpy as np
 from repro.collectives.result import CollectiveResult
 from repro.comm.future import CollectiveFuture
 from repro.comm.plan import CacheInfo, CollectivePlan, PlanCache, build_plan
-from repro.comm.planner import note_congestion
 from repro.comm.registry import iter_algorithms, resolve
 from repro.comm.request import CollectiveRequest
 from repro.comm.wiring import WIRING_PARAMS, Wiring, place
@@ -137,6 +136,11 @@ class Communicator:
         self._defaults: dict = wiring.request_params()
         if auto_mode is not None:
             self._defaults["auto_mode"] = auto_mode
+        # What every call reads loads here, not on the first call: the
+        # registry's built-ins and, for the cost mode, its planner.
+        import repro.comm.backends  # noqa: F401
+        if auto_mode == "cost":
+            import repro.comm.planner  # noqa: F401
         self._cache = PlanCache(plan_cache_size)
         self.plans_built = 0
         self._fabric = fabric
@@ -245,7 +249,12 @@ class Communicator:
             request, inferred = self.make_request(data, **kwargs)
             if payloads is None:
                 payloads = inferred
-        if request.algorithm == "auto" and self._fabric is not None:
+        if (
+            request.algorithm == "auto" and self._fabric is not None
+            and request.params.get("auto_mode") == "cost"
+        ):
+            from repro.comm.planner import note_congestion
+
             note_congestion(request, self._fabric)
         entry = resolve(request, payloads)
 

@@ -57,7 +57,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.comm.plan import CollectivePlan, IssueContext, build_plan
 from repro.comm.registry import CapabilityError, CommError, get_algorithm
 from repro.core.manager import AdmissionError, NetworkManager
-from repro.network.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.network.simulator import NetworkSimulator  # noqa: F401  (re-export)
 from repro.comm.wiring import Wiring
 from repro.network.trees import TreePlanner
@@ -67,6 +66,7 @@ from repro.pspin.pdes import build_engine
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.communicator import Communicator
     from repro.comm.future import CollectiveFuture
+    from repro.network.faults import FaultInjector, FaultSchedule, FaultSpec
     from repro.network.topology import Topology
 
 #: Version of the JSON envelope emitted by :meth:`Fabric.timeline_json`
@@ -276,6 +276,8 @@ class Fabric:
         exact per-packet DES path (see
         :meth:`~repro.network.simulator.NetworkSimulator.arm_faults`).
         """
+        from repro.network.faults import FaultSpec
+
         spec = FaultSpec(
             kind=kind,
             link=link,
@@ -293,6 +295,8 @@ class Fabric:
         """Arm a declarative :class:`FaultSchedule` (dict, list, path to
         a JSON file, or a prebuilt schedule) — the CLI's
         ``bench --faults spec.json`` entry point."""
+        from repro.network.faults import FaultSchedule
+
         schedule = FaultSchedule.from_any(source, seed=seed)
         injector = self._arm(schedule.seed)
         for spec in schedule:

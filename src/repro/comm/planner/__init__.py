@@ -1,6 +1,7 @@
 """Cost-model-driven auto-tuning planner.
 
-Registers the ``"cost"`` auto-selection mode: instead of the static
+Registers the ``"cost"`` auto-selection mode (the registry imports this
+package on the mode's first use): instead of the static
 priority ladder, ``algorithm="auto"`` requests with
 ``params["auto_mode"] = "cost"`` are priced by a fitted alpha-beta +
 congestion model (:mod:`repro.comm.planner.model`) and the cheapest
@@ -103,7 +104,7 @@ def note_congestion(request: CollectiveRequest, fabric) -> None:
     :mod:`~repro.comm.planner.tuner`), so the plan-cache key only
     changes when the regime does."""
     p = request.params
-    if p.get("auto_mode") == "cost" and "congestion" not in p:
+    if "congestion" not in p:
         p["congestion"] = congestion_level(fabric)
 
 

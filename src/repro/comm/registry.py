@@ -16,6 +16,7 @@ of whole collectives.
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -156,6 +157,14 @@ class AlgorithmEntry:
 _REGISTRY: dict[str, AlgorithmEntry] = {}
 
 
+def _registry() -> dict[str, AlgorithmEntry]:
+    """The registry, the built-in algorithms of
+    :mod:`repro.comm.backends` registered before its first use."""
+    if "repro.comm.backends" not in sys.modules:
+        import repro.comm.backends  # noqa: F401  (registers the built-ins)
+    return _REGISTRY
+
+
 def register_algorithm(
     name: str,
     *,
@@ -172,7 +181,7 @@ def register_algorithm(
     """
 
     def decorate(planner: Callable) -> Callable:
-        if name in _REGISTRY:
+        if name in _registry():
             raise ValueError(f"algorithm {name!r} is already registered")
         _REGISTRY[name] = AlgorithmEntry(
             name=name, caps=caps, planner=planner, payload_rejects=payload_rejects
@@ -184,13 +193,13 @@ def register_algorithm(
 
 def unregister_algorithm(name: str) -> None:
     """Remove a registration (mainly for tests)."""
-    _REGISTRY.pop(name, None)
+    _registry().pop(name, None)
 
 
 def get_algorithm(name: str) -> AlgorithmEntry:
     """Look up a registered algorithm by name."""
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         raise UnknownAlgorithmError(
             f"unknown algorithm {name!r}; registered: {available_algorithms()}"
@@ -198,7 +207,7 @@ def get_algorithm(name: str) -> AlgorithmEntry:
 
 
 def available_algorithms() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def iter_algorithms() -> Iterator[AlgorithmEntry]:
@@ -208,7 +217,7 @@ def iter_algorithms() -> Iterator[AlgorithmEntry]:
 
 def match_algorithms(request: CollectiveRequest) -> list[AlgorithmEntry]:
     """Entries that support ``request``, best (highest priority) first."""
-    matches = [e for e in _REGISTRY.values() if e.caps.rejects(request) is None]
+    matches = [e for e in _registry().values() if e.caps.rejects(request) is None]
     matches.sort(key=lambda e: (-e.caps.priority, e.name))
     return matches
 
@@ -232,6 +241,16 @@ def rejection_reasons(request: CollectiveRequest) -> dict[str, str]:
 #: the request *after* resolution, so tuned knobs key the cache.
 DEFAULT_AUTO_MODE = "static"
 _AUTO_SELECTORS: dict[str, Callable] = {}
+#: Built-in modes -> the module that registers them, imported on the
+#: mode's first use.
+_BUILTIN_SELECTORS = {"cost": "repro.comm.planner"}
+
+
+def _selector(mode: str) -> Optional[Callable]:
+    """The selector registered as ``mode`` (None: none is)."""
+    if mode not in _AUTO_SELECTORS and mode in _BUILTIN_SELECTORS:
+        __import__(_BUILTIN_SELECTORS[mode])
+    return _AUTO_SELECTORS.get(mode)
 
 
 def register_auto_selector(
@@ -239,13 +258,13 @@ def register_auto_selector(
     selector: Callable[[CollectiveRequest, list[AlgorithmEntry]], AlgorithmEntry],
 ) -> None:
     """Register an ``auto_mode`` selection strategy under ``name``."""
-    if name == DEFAULT_AUTO_MODE or name in _AUTO_SELECTORS:
+    if name == DEFAULT_AUTO_MODE or _selector(name) is not None:
         raise ValueError(f"auto_mode {name!r} is already registered")
     _AUTO_SELECTORS[name] = selector
 
 
 def available_auto_modes() -> tuple[str, ...]:
-    return tuple(sorted({DEFAULT_AUTO_MODE, *_AUTO_SELECTORS}))
+    return tuple(sorted({DEFAULT_AUTO_MODE, *_BUILTIN_SELECTORS, *_AUTO_SELECTORS}))
 
 
 def resolve(
@@ -276,7 +295,8 @@ def resolve(
             )
         return entry
     mode = request.params.get("auto_mode", DEFAULT_AUTO_MODE)
-    if mode != DEFAULT_AUTO_MODE and mode not in _AUTO_SELECTORS:
+    selector = None if mode == DEFAULT_AUTO_MODE else _selector(mode)
+    if mode != DEFAULT_AUTO_MODE and selector is None:
         raise CommError(
             f"unknown auto_mode {mode!r}; available: {available_auto_modes()}"
         )
@@ -290,9 +310,9 @@ def resolve(
                 continue
         candidates.append(entry)
     if candidates:
-        if mode == DEFAULT_AUTO_MODE:
+        if selector is None:
             return candidates[0]
-        return _AUTO_SELECTORS[mode](request, candidates)
+        return selector(request, candidates)
     # Combined failure detail: a candidate that matched capabilities
     # but refused the concrete payloads must report its payload
     # verdict — the more specific diagnosis — never be shadowed by (or

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from repro.errors import CapabilityError
-from repro.network import topologies as _topologies  # noqa: F401  (registers families)
 from repro.network.routing import ROUTERS, EcmpRouter, available_routers
 from repro.network.topology import TOPOLOGIES, Topology, available_topologies, build_topology
 

@@ -9,72 +9,45 @@ the network-manager control plane of Sec. 4, and the one switch-level
 driver that runs the dense designs and the sparse one of Sec. 7.
 """
 
-from repro.core.config import FlareConfig
-from repro.core.ops import ReductionOp, SUM, MIN, MAX, PROD, get_op
-from repro.core.handler_base import HandlerConfig, PARENT_PORT
-from repro.core.models import (
-    ModelInputs,
-    bandwidth_packets_per_cycle,
-    input_buffer_packets,
-    block_latency_cycles,
-    working_memory_buffers,
-    max_staggered_interarrival,
-    evaluate_design,
-    DesignPoint,
-)
-from repro.core.blockstate import BlockState, ChildrenBitmap
-from repro.core.buffers import BufferPool, AggregationBuffer
-from repro.core.multi_buffer import MultiBufferHandler
-from repro.core.tree_buffer import TreeAggregationHandler
-from repro.core.policy import parse_aggregation, select_algorithm, ALGORITHMS
-from repro.core.manager import (
-    AdmissionError,
-    AdmissionTicket,
-    NetworkManager,
-)
-from repro.core.allreduce import (
-    SwitchAllreducePlan,
-    SwitchAllreduceResult,
-    SwitchInfeasibleError,
-    plan_switch_allreduce,
-    make_dense_blocks,
-    scale_bandwidth,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FlareConfig",
-    "ReductionOp",
-    "SUM",
-    "MIN",
-    "MAX",
-    "PROD",
-    "get_op",
-    "HandlerConfig",
-    "PARENT_PORT",
-    "ModelInputs",
-    "bandwidth_packets_per_cycle",
-    "input_buffer_packets",
-    "block_latency_cycles",
-    "working_memory_buffers",
-    "max_staggered_interarrival",
-    "evaluate_design",
-    "DesignPoint",
-    "BlockState",
-    "ChildrenBitmap",
-    "BufferPool",
-    "AggregationBuffer",
-    "MultiBufferHandler",
-    "TreeAggregationHandler",
-    "parse_aggregation",
-    "select_algorithm",
-    "ALGORITHMS",
-    "AdmissionError",
-    "AdmissionTicket",
-    "NetworkManager",
-    "SwitchAllreducePlan",
-    "SwitchAllreduceResult",
-    "SwitchInfeasibleError",
-    "plan_switch_allreduce",
-    "make_dense_blocks",
-    "scale_bandwidth",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "FlareConfig": "repro.core.config",
+    "ReductionOp": "repro.core.ops",
+    "SUM": "repro.core.ops",
+    "MIN": "repro.core.ops",
+    "MAX": "repro.core.ops",
+    "PROD": "repro.core.ops",
+    "get_op": "repro.core.ops",
+    "HandlerConfig": "repro.core.handler_base",
+    "PARENT_PORT": "repro.core.handler_base",
+    "ModelInputs": "repro.core.models",
+    "bandwidth_packets_per_cycle": "repro.core.models",
+    "input_buffer_packets": "repro.core.models",
+    "block_latency_cycles": "repro.core.models",
+    "working_memory_buffers": "repro.core.models",
+    "max_staggered_interarrival": "repro.core.models",
+    "evaluate_design": "repro.core.models",
+    "DesignPoint": "repro.core.models",
+    "BlockState": "repro.core.blockstate",
+    "ChildrenBitmap": "repro.core.blockstate",
+    "BufferPool": "repro.core.buffers",
+    "AggregationBuffer": "repro.core.buffers",
+    "MultiBufferHandler": "repro.core.multi_buffer",
+    "TreeAggregationHandler": "repro.core.tree_buffer",
+    "parse_aggregation": "repro.core.policy",
+    "select_algorithm": "repro.core.policy",
+    "ALGORITHMS": "repro.core.policy",
+    "AdmissionError": "repro.core.manager",
+    "AdmissionTicket": "repro.core.manager",
+    "NetworkManager": "repro.core.manager",
+    "SwitchAllreducePlan": "repro.core.allreduce",
+    "SwitchAllreduceResult": "repro.core.allreduce",
+    "SwitchInfeasibleError": "repro.core.allreduce",
+    "plan_switch_allreduce": "repro.core.allreduce",
+    "make_dense_blocks": "repro.core.allreduce",
+    "scale_bandwidth": "repro.core.allreduce",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

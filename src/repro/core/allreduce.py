@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-import repro.core.fastpath  # noqa: F401  (registers the train kernels)
 from repro.core.config import FlareConfig
 from repro.core.handler_base import HandlerConfig
 from repro.core.ops import ReductionOp, get_op
@@ -47,10 +46,11 @@ from repro.provenance.collect import collect_switch
 from repro.pspin.costs import CostModel
 from repro.pspin.switch import PsPINSwitch, SwitchConfig
 from repro.pspin.train import PacketTrain
-from repro.sparse.allreduce import SparseDesign
-from repro.sparse.handlers import SparseHandlerConfig
 from repro.utils.rngtools import seeded_rng
 from repro.utils.units import parse_size
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sparse.allreduce import SparseDesign
 
 #: The paper's full design point (Sec. 3): 64 clusters of 8 cores.
 FULL_CLUSTERS = 64
@@ -400,6 +400,9 @@ def plan_switch_allreduce(
                 "a sparse plan sums with its storage; aggregation and op "
                 "apply to the dense design"
             )
+        from repro.sparse.allreduce import SparseDesign
+        from repro.sparse.handlers import SparseHandlerConfig
+
         hconf = SparseHandlerConfig(
             allreduce_id=ALLREDUCE_ID,
             n_children=children,

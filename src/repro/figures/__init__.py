@@ -11,4 +11,12 @@ vectors) for CI-speed smoke runs; the shapes the paper reports must
 hold in both modes.
 """
 
-__all__ = ["fig7", "fig10", "fig11", "fig13", "fig14", "fig15", "table1"]
+from repro import _lazy_exports
+
+#: Each runner module, imported on first access.
+_EXPORTS = {
+    name: f"repro.figures.{name}"
+    for name in ("fig7", "fig10", "fig11", "fig13", "fig14", "fig15", "table1")
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -24,63 +24,36 @@ process-stable per-message decisions, recovered by the simulator's
 host-timeout retransmission protocol.
 """
 
-from repro.network.faults import FaultInjector, FaultSchedule, FaultSpec
-from repro.network.links import Link, LinkFault
-from repro.network.topology import (
-    FatTreeTopology,
-    NodeId,
-    Topology,
-    available_topologies,
-    build_topology,
-)
-from repro.network import topologies as _topologies  # noqa: F401  (registers families)
-from repro.network.topologies import (
-    DragonflyTopology,
-    MultiRailTopology,
-    TorusTopology,
-    XGFTTopology,
-)
-from repro.network.routing import (
-    AdaptiveRouter,
-    EcmpRouter,
-    Router,
-    ShortestPathRouter,
-    available_routers,
-    build_router,
-)
-from repro.network.simulator import (
-    Message,
-    NetworkSimulator,
-    TrafficStats,
-    UnreachableError,
-)
-from repro.network.trees import AggregationTree, TreePlanner
+from repro import _lazy_exports
 
-__all__ = [
-    "Link",
-    "LinkFault",
-    "FaultSpec",
-    "FaultSchedule",
-    "FaultInjector",
-    "UnreachableError",
-    "Topology",
-    "FatTreeTopology",
-    "XGFTTopology",
-    "DragonflyTopology",
-    "TorusTopology",
-    "MultiRailTopology",
-    "NodeId",
-    "available_topologies",
-    "build_topology",
-    "Router",
-    "ShortestPathRouter",
-    "EcmpRouter",
-    "AdaptiveRouter",
-    "available_routers",
-    "build_router",
-    "Message",
-    "NetworkSimulator",
-    "TrafficStats",
-    "AggregationTree",
-    "TreePlanner",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "Link": "repro.network.links",
+    "LinkFault": "repro.network.links",
+    "FaultSpec": "repro.network.faults",
+    "FaultSchedule": "repro.network.faults",
+    "FaultInjector": "repro.network.faults",
+    "UnreachableError": "repro.network.simulator",
+    "Topology": "repro.network.topology",
+    "FatTreeTopology": "repro.network.topology",
+    "XGFTTopology": "repro.network.topologies",
+    "DragonflyTopology": "repro.network.topologies",
+    "TorusTopology": "repro.network.topologies",
+    "MultiRailTopology": "repro.network.topologies",
+    "NodeId": "repro.network.topology",
+    "available_topologies": "repro.network.topology",
+    "build_topology": "repro.network.topology",
+    "Router": "repro.network.routing",
+    "ShortestPathRouter": "repro.network.routing",
+    "EcmpRouter": "repro.network.routing",
+    "AdaptiveRouter": "repro.network.routing",
+    "available_routers": "repro.network.routing",
+    "build_router": "repro.network.routing",
+    "Message": "repro.network.simulator",
+    "NetworkSimulator": "repro.network.simulator",
+    "TrafficStats": "repro.network.simulator",
+    "AggregationTree": "repro.network.trees",
+    "TreePlanner": "repro.network.trees",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

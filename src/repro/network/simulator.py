@@ -37,13 +37,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.network.faults import FaultInjector, FaultSchedule
 from repro.network.routing import Router, build_router
 from repro.network.topology import NodeId, Topology
-from repro.network.windows import HopRows
 from repro.pspin.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.faults import FaultInjector, FaultSchedule
+    from repro.network.windows import HopRows
 
 
 _INF = math.inf
@@ -231,6 +233,8 @@ class NetworkSimulator:
             arbitration == "fifo" and self.fast_path
             and self.router.cacheable and self.sim._rows is None
         ):
+            from repro.network.windows import HopRows
+
             self._rows = self.sim._rows = HopRows(self)
 
     def _fresh_memo(self) -> Optional[dict]:
@@ -342,6 +346,8 @@ class NetworkSimulator:
         WFQ bypass is skipped — every chunk takes the per-packet DES
         path where loss, duplication and retransmission are exact.
         """
+        from repro.network.faults import FaultInjector, FaultSchedule
+
         self._settle()
         if self.faults is None:
             self.faults = FaultInjector(self, seed=seed or 0)

@@ -468,7 +468,8 @@ class Topology:
 
 
 # ----------------------------------------------------------------------
-# Family registry
+# Family registry: the fat tree below, and the families of
+# :mod:`repro.network.topologies`, imported at the end of this module.
 # ----------------------------------------------------------------------
 TOPOLOGIES: dict[str, type[Topology]] = {}
 
@@ -640,3 +641,8 @@ class FatTreeTopology(Topology):
         if not self.supports_aggregation:
             out["aggregation"] = False
         return out
+
+
+# The other built-in families register before any importer of this
+# module can read the registry.
+import repro.network.topologies  # noqa: E402,F401

@@ -21,46 +21,28 @@ Layering:
 * :mod:`~repro.provenance.cli` — the ``prov`` subcommand.
 """
 
-from repro.provenance.collect import (
-    LINK_COUNTER_FAMILIES,
-    SWITCH_COUNTER_FAMILIES,
-    collect_links,
-    collect_switch,
-    link_rows_to_table,
-    tenant_wire_bytes,
-)
-from repro.provenance.cli import diff_runs
-from repro.provenance.energy import ENERGY_COMPONENTS, EnergyModel, energy_rows
-from repro.provenance.identity import (
-    git_state,
-    new_run_id,
-    run_identity,
-    utc_now,
-)
-from repro.provenance.recorder import ProvenanceRecorder
-from repro.provenance.store import (
-    SCHEMA_VERSION,
-    ProvenanceStore,
-    SchemaVersionError,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ENERGY_COMPONENTS",
-    "EnergyModel",
-    "LINK_COUNTER_FAMILIES",
-    "ProvenanceRecorder",
-    "ProvenanceStore",
-    "SCHEMA_VERSION",
-    "SWITCH_COUNTER_FAMILIES",
-    "SchemaVersionError",
-    "collect_links",
-    "collect_switch",
-    "diff_runs",
-    "energy_rows",
-    "git_state",
-    "link_rows_to_table",
-    "new_run_id",
-    "run_identity",
-    "tenant_wire_bytes",
-    "utc_now",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "ENERGY_COMPONENTS": "repro.provenance.energy",
+    "EnergyModel": "repro.provenance.energy",
+    "LINK_COUNTER_FAMILIES": "repro.provenance.collect",
+    "ProvenanceRecorder": "repro.provenance.recorder",
+    "ProvenanceStore": "repro.provenance.store",
+    "SCHEMA_VERSION": "repro.provenance.store",
+    "SWITCH_COUNTER_FAMILIES": "repro.provenance.collect",
+    "SchemaVersionError": "repro.provenance.store",
+    "collect_links": "repro.provenance.collect",
+    "collect_switch": "repro.provenance.collect",
+    "diff_runs": "repro.provenance.cli",
+    "energy_rows": "repro.provenance.energy",
+    "git_state": "repro.provenance.identity",
+    "link_rows_to_table": "repro.provenance.collect",
+    "new_run_id": "repro.provenance.identity",
+    "run_identity": "repro.provenance.identity",
+    "tenant_wire_bytes": "repro.provenance.collect",
+    "utc_now": "repro.provenance.identity",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

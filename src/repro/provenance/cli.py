@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.provenance.store import ProvenanceStore, SchemaVersionError
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.provenance.store import ProvenanceStore
 
 #: Counter families where an *increase* is a regression worth flagging
 #: (as opposed to e.g. bytes, which simply track workload size).
@@ -322,6 +323,8 @@ def add_prov_parser(subparsers) -> None:
 
 def run_prov(args) -> int:
     """Dispatch a parsed ``prov`` namespace (see :func:`add_prov_parser`)."""
+    from repro.provenance.store import ProvenanceStore, SchemaVersionError
+
     try:
         store = ProvenanceStore(args.db)
     except SchemaVersionError as exc:

@@ -22,7 +22,6 @@ import hashlib
 import itertools
 import json
 import os
-import subprocess
 import time
 from typing import Optional
 
@@ -42,6 +41,8 @@ def git_state(repo_dir: Optional[str] = None) -> dict:
     identities and ``git`` is a subprocess.
     """
     global _GIT_CACHE
+    import subprocess
+
     if repo_dir is None and _GIT_CACHE is not None:
         return dict(_GIT_CACHE)
     cwd = repo_dir or os.getcwd()

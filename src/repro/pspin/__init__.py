@@ -23,29 +23,24 @@ Structure
 ``train``       packet-train fast path (pinned bitwise to the DES)
 """
 
-from repro.pspin.engine import Simulator
-from repro.pspin.costs import CostModel, DType, DTYPES
-from repro.pspin.packets import SwitchPacket
-from repro.pspin.memory import MemoryRegion, MemoryAccounting
-from repro.pspin.scheduler import FCFSScheduler, HierarchicalFCFSScheduler
-from repro.pspin.hpu import HPU
-from repro.pspin.cluster import Cluster
-from repro.pspin.switch import PsPINSwitch, SwitchConfig
-from repro.pspin.telemetry import Telemetry
+from repro import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "CostModel",
-    "DType",
-    "DTYPES",
-    "SwitchPacket",
-    "MemoryRegion",
-    "MemoryAccounting",
-    "FCFSScheduler",
-    "HierarchicalFCFSScheduler",
-    "HPU",
-    "Cluster",
-    "PsPINSwitch",
-    "SwitchConfig",
-    "Telemetry",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "Simulator": "repro.pspin.engine",
+    "CostModel": "repro.pspin.costs",
+    "DType": "repro.pspin.costs",
+    "DTYPES": "repro.pspin.costs",
+    "SwitchPacket": "repro.pspin.packets",
+    "MemoryRegion": "repro.pspin.memory",
+    "MemoryAccounting": "repro.pspin.memory",
+    "FCFSScheduler": "repro.pspin.scheduler",
+    "HierarchicalFCFSScheduler": "repro.pspin.scheduler",
+    "HPU": "repro.pspin.hpu",
+    "Cluster": "repro.pspin.cluster",
+    "PsPINSwitch": "repro.pspin.switch",
+    "SwitchConfig": "repro.pspin.switch",
+    "Telemetry": "repro.pspin.telemetry",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -41,10 +41,12 @@ always take the existing DES path.
 Train kernels register themselves here via
 :func:`register_train_kernel`: the dense aggregation designs in
 :mod:`repro.core.fastpath`, the sparse hash/array handler in
-:mod:`repro.sparse.fastpath`.  Both sweeps follow the event loop's FIFO
-dispatch rule: a subset's packets dispatch in arrival order, packet i at
-``max(arrival_i, earliest core-free instant)`` on the free core with the
-lowest index, and a completion runs before an arrival at its instant.
+:mod:`repro.sparse.fastpath`; :func:`train_kernel` imports a handler's
+kernel module on the first train that handler sees.  Both sweeps follow
+the event loop's FIFO dispatch rule: a subset's packets dispatch in
+arrival order, packet i at ``max(arrival_i, earliest core-free
+instant)`` on the free core with the lowest index, and a completion runs
+before an arrival at its instant.
 Neither keeps an arrival queue: while packets wait, every core of the
 subset is busy, so the next core to free takes the oldest of them.  A
 kernel whose handlers extend (the tree's merges) supplies its own
@@ -76,9 +78,28 @@ class FastPathAbort(Exception):
 TRAIN_KERNELS: dict[type, Callable] = {}
 
 
+#: Handler module -> the module registering its handlers' kernels,
+#: imported on the first train one of those handlers sees.
+_KERNEL_MODULES = {
+    "repro.core.multi_buffer": "repro.core.fastpath",
+    "repro.core.tree_buffer": "repro.core.fastpath",
+    "repro.sparse.handlers": "repro.sparse.fastpath",
+}
+
+
 def register_train_kernel(handler_cls: type, factory: Callable) -> None:
     """Register the train kernel for one handler class."""
     TRAIN_KERNELS[handler_cls] = factory
+
+
+def train_kernel(handler_cls: type) -> Optional[Callable]:
+    """The kernel factory registered for ``handler_cls`` (None: the
+    handler has no fast path)."""
+    factory = TRAIN_KERNELS.get(handler_cls)
+    if factory is None and handler_cls.__module__ in _KERNEL_MODULES:
+        __import__(_KERNEL_MODULES[handler_cls.__module__])
+        factory = TRAIN_KERNELS.get(handler_cls)
+    return factory
 
 
 def fast_path_env_enabled() -> bool:
@@ -178,7 +199,7 @@ def try_run_train(switch: "PsPINSwitch", train: PacketTrain) -> bool:
     handler = switch._handlers.get(handler_name)
     if handler is None:
         return False
-    factory = TRAIN_KERNELS.get(type(handler))
+    factory = train_kernel(type(handler))
     if factory is None:
         return False
     try:

@@ -19,37 +19,24 @@ See README "Service mode" for the CLI entry point
 (``flare-repro service``) and the trace-file schema.
 """
 
-from repro.service.engine import FabricService
-from repro.service.queueing import AdmissionQueue
-from repro.service.scheduler import (
-    JobScheduler,
-    LocalityPackScheduler,
-    LoadSpreadScheduler,
-    PlacementError,
-    build_scheduler,
-)
-from repro.service.slo import SLOStats, jain_fairness
-from repro.service.workload import (
-    TRACE_SCHEMA_VERSION,
-    Job,
-    PoissonWorkload,
-    TenantClass,
-    TraceWorkload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "FabricService",
-    "Job",
-    "JobScheduler",
-    "LocalityPackScheduler",
-    "LoadSpreadScheduler",
-    "PlacementError",
-    "PoissonWorkload",
-    "SLOStats",
-    "TenantClass",
-    "TraceWorkload",
-    "TRACE_SCHEMA_VERSION",
-    "build_scheduler",
-    "jain_fairness",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "AdmissionQueue": "repro.service.queueing",
+    "FabricService": "repro.service.engine",
+    "Job": "repro.service.workload",
+    "JobScheduler": "repro.service.scheduler",
+    "LocalityPackScheduler": "repro.service.scheduler",
+    "LoadSpreadScheduler": "repro.service.scheduler",
+    "PlacementError": "repro.service.scheduler",
+    "PoissonWorkload": "repro.service.workload",
+    "SLOStats": "repro.service.slo",
+    "TenantClass": "repro.service.workload",
+    "TraceWorkload": "repro.service.workload",
+    "TRACE_SCHEMA_VERSION": "repro.service.workload",
+    "build_scheduler": "repro.service.scheduler",
+    "jain_fairness": "repro.service.slo",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -12,36 +12,26 @@ driver: ``repro.core.allreduce.plan_switch_allreduce(..., density=)``
 plans it and its ``execute`` runs it.
 """
 
-from repro.sparse.formats import (
-    SparseBlock,
-    SparseChunk,
-    sparsify_dense,
-    split_into_blocks,
-    packetize_block,
-    make_sparse_workload,
-)
-from repro.sparse.hash_storage import HashStorage
-from repro.sparse.array_storage import ArrayStorage
-from repro.sparse.handlers import SparseAggregationHandler, SparseHandlerConfig
-from repro.sparse.densify import expected_union, densification_profile
-from repro.sparse.models import sparse_packet_cycles, sparse_design_point
-from repro.sparse.allreduce import SparseDesign, reassemble_egress
+from repro import _lazy_exports
 
-__all__ = [
-    "SparseBlock",
-    "SparseChunk",
-    "sparsify_dense",
-    "split_into_blocks",
-    "packetize_block",
-    "make_sparse_workload",
-    "HashStorage",
-    "ArrayStorage",
-    "SparseAggregationHandler",
-    "SparseHandlerConfig",
-    "expected_union",
-    "densification_profile",
-    "sparse_packet_cycles",
-    "sparse_design_point",
-    "SparseDesign",
-    "reassemble_egress",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "SparseBlock": "repro.sparse.formats",
+    "SparseChunk": "repro.sparse.formats",
+    "sparsify_dense": "repro.sparse.formats",
+    "split_into_blocks": "repro.sparse.formats",
+    "packetize_block": "repro.sparse.formats",
+    "make_sparse_workload": "repro.sparse.formats",
+    "HashStorage": "repro.sparse.hash_storage",
+    "ArrayStorage": "repro.sparse.array_storage",
+    "SparseAggregationHandler": "repro.sparse.handlers",
+    "SparseHandlerConfig": "repro.sparse.handlers",
+    "expected_union": "repro.sparse.densify",
+    "densification_profile": "repro.sparse.densify",
+    "sparse_packet_cycles": "repro.sparse.models",
+    "sparse_design_point": "repro.sparse.models",
+    "SparseDesign": "repro.sparse.allreduce",
+    "reassemble_egress": "repro.sparse.allreduce",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

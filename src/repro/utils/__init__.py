@@ -7,27 +7,20 @@ and *bytes*.  Conversions to the paper's presentation units (Tbps, MiB,
 elements/s) happen only at the reporting boundary, through this module.
 """
 
-from repro.utils.units import (
-    KIB,
-    MIB,
-    GIB,
-    GBPS,
-    TBPS,
-    bytes_to_mib,
-    parse_size,
-)
-from repro.utils.rngtools import seeded_rng
-from repro.utils.tables import ascii_table, series_block
+from repro import _lazy_exports
 
-__all__ = [
-    "KIB",
-    "MIB",
-    "GIB",
-    "GBPS",
-    "TBPS",
-    "bytes_to_mib",
-    "parse_size",
-    "seeded_rng",
-    "ascii_table",
-    "series_block",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "KIB": "repro.utils.units",
+    "MIB": "repro.utils.units",
+    "GIB": "repro.utils.units",
+    "GBPS": "repro.utils.units",
+    "TBPS": "repro.utils.units",
+    "bytes_to_mib": "repro.utils.units",
+    "parse_size": "repro.utils.units",
+    "seeded_rng": "repro.utils.rngtools",
+    "ascii_table": "repro.utils.tables",
+    "series_block": "repro.utils.tables",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)
