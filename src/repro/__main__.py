@@ -40,6 +40,20 @@ import time
 EXPERIMENTS = ("table1", "fig7", "fig10", "fig11", "fig13", "fig14", "fig15")
 
 
+class _Routers:
+    """The ``--routing`` choices: every registered routing policy, read
+    only when a value is checked (the option shows a ``metavar``), so
+    building the parser loads no simulator."""
+
+    def __iter__(self):
+        from repro.network.routing import available_routers
+
+        return iter(available_routers())
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+
 def _run_one(name: str, fast: bool) -> None:
     mod = importlib.import_module(f"repro.figures.{name}")
     t0 = time.perf_counter()
@@ -615,9 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--topo-params", default=None, metavar="K=V,...",
                        help="topology constructor parameters, e.g. "
                        "dim_x=4,dim_y=4 or down=8x8,up=1x4")
-    bench.add_argument("--routing", default=None,
-                       choices=("shortest", "ecmp", "adaptive"),
-                       help="path-selection policy (default: ecmp)")
+    bench.add_argument("--routing", default=None, choices=_Routers(), metavar="POLICY",
+                       help="path-selection policy (see 'topologies'; "
+                       "default: ecmp)")
     bench.add_argument("--auto-mode", default=None,
                        choices=("static", "cost"),
                        help="selection strategy for algorithm 'auto': "
@@ -686,8 +700,8 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument("--topology", default=None,
                          help="topology family (see 'topologies')")
     service.add_argument("--topo-params", default=None, metavar="K=V,...")
-    service.add_argument("--routing", default=None,
-                         choices=("shortest", "ecmp", "adaptive"))
+    service.add_argument("--routing", default=None, choices=_Routers(), metavar="POLICY",
+                         help="path-selection policy (see 'topologies')")
     service.add_argument("--seed", type=int, default=0)
     service.add_argument("--max-per-switch", type=int, default=8,
                          help="pooled handler slots per switch")

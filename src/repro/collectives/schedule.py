@@ -499,6 +499,11 @@ class ExchangeTable:
         check_coverage(algorithm, self.steps, P)
         self._layouts: dict[int, list] = {}
 
+    @property
+    def setup(self) -> dict:
+        """What planning decided, for ``plan.setup``."""
+        return {**self.extra, "bytes_per_host": sum(self.step_bytes)}
+
     def layout(self, n_elements: int) -> list:
         """``[k][i]``: the element ranges rank i receives at step k, and
         their sub-chunk boundaries in message coordinates."""
@@ -697,6 +702,18 @@ class TreeSchedule:
         self.vector_bytes = vector_bytes
         self.extra = {"n_chunks": n_chunks, "tree_root": tree.root,
                       "tree_depth": tree.depth()}
+
+    @property
+    def setup(self) -> dict:
+        """What planning decided, for ``plan.setup``: the sizes and the
+        tree's switches, links and root fan-in."""
+        tree = self.tree
+        return {
+            **self.extra,
+            "tree_switches": list(tree.switches()),
+            "tree_links": [tuple(edge) for edge in tree.tree_links()],
+            "root_fan_in": tree.fan_in(tree.root),
+        }
 
     def issue(self, net, *, flow=None, payloads=None, op="sum", on_complete) -> None:
         """Issue one run into ``net`` (module docstring); with payloads,

@@ -31,9 +31,7 @@ _EXPORTS = {
     "load_timeline": "repro.comm.fabric",
     "FaultSpec": "repro.network.faults",
     "FaultSchedule": "repro.network.faults",
-    "IssueContext": "repro.comm.plan",
     "PlanCache": "repro.comm.plan",
-    "PlannedExecution": "repro.comm.plan",
     "CacheInfo": "repro.comm.plan",
     "AlgorithmCaps": "repro.comm.registry",
     "AlgorithmEntry": "repro.comm.registry",
@@ -42,7 +40,6 @@ _EXPORTS = {
     "UnknownKnobError": "repro.comm.registry",
     "CapabilityError": "repro.comm.registry",
     "register_algorithm": "repro.comm.registry",
-    "register_auto_selector": "repro.comm.registry",
     "available_auto_modes": "repro.comm.registry",
     "DEFAULT_AUTO_MODE": "repro.comm.registry",
     "unregister_algorithm": "repro.comm.registry",

@@ -15,9 +15,11 @@ plan/execute contract of :mod:`repro.comm`:
 
 Planners do the one-time work — topology shaping, reduction-tree
 embedding, schedule tables and message sizing, Sec. 6.4 handler
-selection — and return an issuer that only executes the data plane on
-a fabric.  A standalone ``plan.execute`` of a network schedule issues
-it into a fresh one-tenant fabric wired by the request's
+selection — and return the schedule (:mod:`repro.comm.plan`): the host
+exchanges their :class:`ExchangeTable`, the trees their
+:class:`TreeSchedule`, the switch-level drivers a :class:`_SwitchTree`.
+A standalone ``plan.execute`` of a network schedule issues it into a
+fresh one-tenant fabric wired by the request's
 :class:`~repro.comm.wiring.Wiring`.  Each planner declares its knobs as
 keyword-only parameters with defaults; ``build_plan`` binds the
 request's params to them.
@@ -25,9 +27,8 @@ request's params to them.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from repro.collectives.schedule import (
     sparcml_round_bytes,
     sparse_tree,
 )
-from repro.comm.plan import IssueContext, PlannedExecution
 from repro.comm.registry import (
     AlgorithmCaps,
     CapabilityError,
@@ -127,38 +127,19 @@ def _network_payload_rejects(
     return None
 
 
-def _network_plan(wiring: Wiring, issue, setup: dict, tree=None) -> PlannedExecution:
-    """The plan of a network schedule (over aggregation ``tree``, if any).
-
-    ``issue(net, flow=, payloads=, on_complete=)`` starts one run in a
-    fabric's simulator (a standalone ``plan.execute`` issues into a
-    fresh one-tenant fabric).
-    """
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        wiring.check_fabric(ctx.net)
-        issue(ctx.net, flow=ctx.flow, payloads=payloads, on_complete=ctx.finish)
-
-    return PlannedExecution(issuer, {"topology": wiring.describe(), **setup}, tree=tree)
-
-
 def _plan_exchange(
     request: CollectiveRequest, algorithm: str, sub_chunk_bytes: float,
     reduce_bytes_per_ns: float = 0.0, **table_kwargs,
-) -> PlannedExecution:
-    """Shared planner of the host exchanges (:class:`ExchangeTable`)."""
+) -> ExchangeTable:
+    """Shared planner of the host exchanges."""
     wiring = request.wiring
-    table = ExchangeTable(
+    return ExchangeTable(
         algorithm,
         resolve_hosts(wiring.shape, wiring.placement()),
         request.nbytes,
         sub_chunk_bytes=sub_chunk_bytes,
         reduce_bytes_per_ns=reduce_bytes_per_ns,
         **table_kwargs,
-    )
-    return _network_plan(
-        wiring, partial(table.issue, op=request.op),
-        {**table.extra, "bytes_per_host": sum(table.step_bytes)},
     )
 
 
@@ -170,17 +151,6 @@ def _exchange(algorithm: str):
         return _plan_exchange(request, algorithm, sub_chunk_bytes)
 
     return plan
-
-
-def _plan_tree(wiring: Wiring, schedule: TreeSchedule, op) -> PlannedExecution:
-    """Shared planner tail of the in-network tree schedules."""
-    tree = schedule.tree
-    return _network_plan(wiring, partial(schedule.issue, op=op), {
-        **schedule.extra,
-        "tree_switches": list(tree.switches()),
-        "tree_links": [tuple(edge) for edge in tree.tree_links()],
-        "root_fan_in": tree.fan_in(tree.root),
-    }, tree)
 
 
 register_algorithm(
@@ -285,7 +255,7 @@ def _plan_sparcml(
     sub_chunk_bytes: float = SUB_CHUNK_BYTES,
     bucket_span: int = BUCKET_SPAN,
     nnz_per_bucket: float = 1.0,
-) -> PlannedExecution:
+) -> ExchangeTable:
     """SSAR is the rabenseifner table with sparse message sizes.  Merging
     sparse (index, value) streams is CPU-bound in SparCML's own
     evaluation, unlike the streaming dense adds of the ring, so the
@@ -321,15 +291,13 @@ def _plan_flare_dense(
     chunk_bytes: float = TREE_CHUNK_BYTES,
     tree=None,
     tree_root=None,
-) -> PlannedExecution:
-    wiring = request.wiring
-    schedule = dense_tree(
-        _aggregation_tree(wiring, tree, tree_root),
+) -> TreeSchedule:
+    return dense_tree(
+        _aggregation_tree(request.wiring, tree, tree_root),
         request.nbytes,
         chunk_bytes=chunk_bytes,
         agg_latency_ns=DENSE_AGG_NS_PER_CHUNK,
     )
-    return _plan_tree(wiring, schedule, request.op)
 
 
 @register_algorithm(
@@ -356,10 +324,9 @@ def _plan_flare_sparse(
     level_bytes=None,
     tree=None,
     tree_root=None,
-) -> PlannedExecution:
-    wiring = request.wiring
-    schedule = sparse_tree(
-        _aggregation_tree(wiring, tree, tree_root),
+) -> TreeSchedule:
+    return sparse_tree(
+        _aggregation_tree(request.wiring, tree, tree_root),
         request.total_elements,
         bucket_span=bucket_span,
         nnz_per_bucket=nnz_per_bucket,
@@ -367,16 +334,64 @@ def _plan_flare_sparse(
         agg_latency_ns=SPARSE_AGG_NS_PER_CHUNK,
         level_bytes=level_bytes,
     )
-    return _plan_tree(wiring, schedule, request.op)
 
 
 # ----------------------------------------------------------------------
 # Switch-level PsPIN drivers
 # ----------------------------------------------------------------------
+class _SwitchTree:
+    """A switch-level driver's schedule: its single-switch run
+    ``standalone`` and, on a fabric, tree ``schedule`` with each switch
+    priced on first issue by ``price(fan_in, chunk_bytes) -> (processing
+    tail in ns, counters)``; every result records those counters as
+    ``extra["switch_counters"]``.  With no ``schedule`` (the wiring
+    places no tree) issuing raises :class:`CapabilityError` naming
+    ``unplaceable``."""
+
+    def __init__(
+        self, standalone: Callable, setup: dict, schedule: Optional[TreeSchedule] = None,
+        price: Optional[Callable] = None, unplaceable: str = "",
+    ) -> None:
+        self.standalone = standalone
+        self.setup = setup
+        self.schedule = schedule
+        self.tree = schedule.tree if schedule is not None else None
+        self.price = price
+        self.unplaceable = unplaceable
+        #: (fan-in, chunk bytes) -> (processing tail in ns, counters)
+        self.tails: dict = {}
+
+    def tail(self, switch) -> tuple:
+        """The priced tail and counters of ``switch``: its fan-in and
+        the largest chunk its children send it."""
+        schedule, tree = self.schedule, self.tree
+        chunks = [schedule.up_chunk[kid] for kid in tree.children_of.get(switch, ())]
+        if tree.hosts_of.get(switch):
+            chunks.append(schedule.host_chunk)
+        key = tree.fan_in(switch), max(chunks)
+        if key not in self.tails:
+            self.tails[key] = self.price(*key)
+        return self.tails[key]
+
+    def issue(self, net, *, flow, payloads, op, on_complete) -> None:
+        if self.schedule is None:
+            raise CapabilityError(self.unplaceable)
+        priced = {s: self.tail(s) for s in self.tree.switches()}
+        self.schedule.agg_latency_ns = {s: ns for s, (ns, _) in priced.items()}
+
+        def settle(result: CollectiveResult) -> None:
+            result.extra["switch_counters"] = {
+                s: counters for s, (_, counters) in priced.items() if counters
+            }
+            on_complete(result)
+
+        self.schedule.issue(net, flow=flow, payloads=payloads, op=op, on_complete=settle)
+
+
 def _switch_plan(
     name: str, request: CollectiveRequest, run, schedule_of, tree, tree_root, **design
-) -> PlannedExecution:
-    """The plan of switch-level driver ``name``.
+) -> _SwitchTree:
+    """The schedule of switch-level driver ``name``.
 
     Standalone runs (``plan.execute``) are one PsPIN switch aggregating
     every host, planned once by ``plan_switch_allreduce(nbytes,
@@ -384,7 +399,7 @@ def _switch_plan(
     wiring's switch dimensions, and executed by ``run(splan, payloads,
     **knobs)``, whose keyword-only parameters are the knobs a
     standalone run takes.
-    On a fabric the issuer runs ``schedule_of(tree, splan)`` over the
+    On a fabric it issues ``schedule_of(tree, splan)`` over the
     planned aggregation tree, each switch charging per chunk the
     processing tail (makespan minus last arrival: the link
     serialization already charges the arrivals) of a one-chunk PsPIN
@@ -421,46 +436,11 @@ def _switch_plan(
     try:
         tree = _aggregation_tree(wiring, tree, tree_root)
     except (CapabilityError, ValueError) as exc:
-        reason = f"{name} has no aggregation tree here: {exc}"
-
-        def unplaceable(ctx: IssueContext, payloads, overrides) -> None:
-            raise CapabilityError(reason)
-
-        return PlannedExecution(unplaceable, setup, standalone=runner)
+        return _SwitchTree(
+            runner, setup, unplaceable=f"{name} has no aggregation tree here: {exc}"
+        )
     schedule = schedule_of(tree, splan)
-    tree_plan = _plan_tree(wiring, schedule, request.op)
-
-    def inputs(switch) -> tuple[int, int]:
-        chunks = [schedule.up_chunk[kid] for kid in tree.children_of.get(switch, ())]
-        if tree.hosts_of.get(switch):
-            chunks.append(schedule.host_chunk)
-        return tree.fan_in(switch), max(chunks)
-
-    #: (fan-in, chunk bytes) -> (processing tail in ns, counters)
-    tails: dict = {}
-
-    def tail(switch) -> tuple:
-        key = inputs(switch)
-        if key not in tails:
-            tails[key] = price(*key)
-        return tails[key]
-
-    def issuer(ctx: IssueContext, payloads, overrides) -> None:
-        priced = {s: tail(s) for s in tree.switches()}
-        schedule.agg_latency_ns = {s: ns for s, (ns, _) in priced.items()}
-        finish = ctx.finish
-
-        def settle(result: CollectiveResult) -> None:
-            result.extra["switch_counters"] = {
-                s: counters for s, (_, counters) in priced.items() if counters
-            }
-            finish(result)
-
-        tree_plan.issuer(dc_replace(ctx, finish=settle), payloads, overrides)
-
-    return PlannedExecution(
-        issuer, {**setup, **tree_plan.setup}, standalone=runner, tree=tree
-    )
+    return _SwitchTree(runner, {**setup, **schedule.setup}, schedule, price)
 
 
 def _switch_payload_rejects(
@@ -524,7 +504,7 @@ def _plan_flare_switch(
     cost_model=None,
     tree=None,
     tree_root=None,
-) -> PlannedExecution:
+) -> _SwitchTree:
     """On a fabric, the ``flare_dense`` tree with 1 MiB chunks, each
     switch priced by the single-switch simulation (:func:`_switch_plan`)."""
 
@@ -591,7 +571,7 @@ def _plan_flare_switch_sparse(
     workload=None,
     tree=None,
     tree_root=None,
-) -> PlannedExecution:
+) -> _SwitchTree:
     """On a fabric, a ``flare_sparse`` tree whose hosts send the
     request's sparsified ``nbytes`` (a dense vector of ``nbytes / (8 *
     density)`` elements, ``density`` of each 512-element bucket

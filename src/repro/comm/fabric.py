@@ -49,13 +49,14 @@ fresh fabric (``fallback=False``), driven by :meth:`Fabric.run_until`.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import replace as dc_replace
 from typing import TYPE_CHECKING, Optional
 
-from repro.comm.plan import CollectivePlan, IssueContext, build_plan
-from repro.comm.registry import CapabilityError, CommError, get_algorithm
+from repro.comm.plan import CollectivePlan, build_plan
+from repro.comm.registry import CapabilityError, CommError, bind_knobs, get_algorithm
 from repro.core.manager import AdmissionError, NetworkManager
 from repro.network.simulator import NetworkSimulator  # noqa: F401  (re-export)
 from repro.comm.wiring import Wiring
@@ -77,6 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: attached; :func:`load_timeline` still reads version-2 documents.
 TIMELINE_SCHEMA_VERSION = 3
 
+#: The one knob of a run on a fabric, ``seed``: network schedules are
+#: deterministic and leave it unused (the CLI bench passes it to every
+#: algorithm).
+_FABRIC_RUN = inspect.Signature(
+    [inspect.Parameter("seed", inspect.Parameter.KEYWORD_ONLY, default=0)]
+)
+
 
 class FabricError(CommError):
     """Fabric-level failure (deadlocked loop, duplicate tenant, ...)."""
@@ -87,21 +95,20 @@ class _Inflight:
 
     Everything :meth:`Fabric._recover` needs to abandon a wounded flow
     and re-issue the collective on a replanned tree: the owning tenant
-    communicator, the current plan and its payloads/overrides, the
-    admission ticket, and the timeline entry being built.
+    communicator, the current plan and its payloads, the admission
+    ticket, and the timeline entry being built.
     """
 
     __slots__ = (
-        "comm", "plan", "payloads", "overrides", "tenant", "weight",
+        "comm", "plan", "payloads", "tenant", "weight",
         "future", "entry", "ticket", "flow", "start", "base",
     )
 
-    def __init__(self, comm, plan, payloads, overrides, tenant, weight,
+    def __init__(self, comm, plan, payloads, tenant, weight,
                  future, entry, ticket, flow, start) -> None:
         self.comm = comm
         self.plan = plan
         self.payloads = payloads
-        self.overrides = overrides
         self.tenant = tenant
         self.weight = weight
         self.future = future
@@ -504,27 +511,31 @@ class Fabric:
         comm: "Optional[Communicator]",
         plan: CollectivePlan,
         payloads=None,
-        overrides: Optional[dict] = None,
+        knobs: Optional[dict] = None,
         *,
         tenant: Optional[str] = None,
         weight: float = 1.0,
     ) -> "CollectiveFuture":
         """Issue one planned collective into the shared event loop.
 
-        In-network plans pass the pooled admission path first (slots,
-        switch memory, tenant quota, dead switches); a switch-resource
-        rejection falls back to a host-based plan when ``fallback`` is
-        on, while a tenant-quota rejection always raises (queueing more
-        work for an over-quota tenant would defeat the quota).  ``comm``
-        replans such fallbacks; ``None`` (a standalone ``plan.execute``)
-        needs ``fallback`` off.  Returns
-        a simulation-native future that resolves as the fabric's loop
-        is driven (``future.result()``, :meth:`run`, or ``wait_all``).
+        ``knobs`` are the run's knobs: a run on a fabric takes only
+        ``seed``, and any other raises
+        :class:`~repro.comm.registry.UnknownKnobError`.  In-network
+        plans pass the pooled admission path first (slots, switch
+        memory, tenant quota, dead switches); a switch-resource
+        rejection re-roots the tree, or else falls back to a host-based
+        plan when ``fallback`` is on, while a tenant-quota rejection
+        always raises (queueing more work for an over-quota tenant
+        would defeat the quota).  ``comm`` replans such fallbacks; with
+        ``None`` (a standalone ``plan.execute``) the rejection raises
+        instead.  Returns a simulation-native future that resolves as
+        the fabric's loop is driven (``future.result()``, :meth:`run`,
+        or ``wait_all``).
         """
         from repro.comm.future import CollectiveFuture
 
-        overrides = dict(overrides or {})
-        plan.check_run(overrides)
+        if knobs:
+            bind_knobs(_FABRIC_RUN, f"a {plan.algorithm!r} run on a fabric", **knobs)
         fell_back = False
         admission_note = None
         ticket = None
@@ -542,6 +553,8 @@ class Fabric:
                 try:
                     plan, ticket = self._reroot(plan, tenant)
                 except (ValueError, AdmissionError, CapabilityError):
+                    if comm is None:
+                        raise exc from None
                     plan = self._fallback_plan(comm, plan, payloads)
                     fell_back = True
                 else:
@@ -574,9 +587,8 @@ class Fabric:
             "status": "running",
         }
         rec = _Inflight(
-            comm=comm, plan=plan, payloads=payloads, overrides=overrides,
-            tenant=tenant, weight=weight, future=future, entry=entry,
-            ticket=ticket, flow=flow, start=start,
+            comm=comm, plan=plan, payloads=payloads, tenant=tenant, weight=weight,
+            future=future, entry=entry, ticket=ticket, flow=flow, start=start,
         )
         self._issue_record(rec)
         self._events.append(entry)
@@ -587,7 +599,6 @@ class Fabric:
         flow = rec.flow
         rec.base = self.net.now
         self.net.set_flow_weight(flow, rec.weight)
-        ctx = IssueContext(net=self.net, flow=flow, finish=None)
 
         def finish(result) -> None:
             if rec.ticket is not None:
@@ -597,11 +608,10 @@ class Fabric:
             self._inflight.pop(flow, None)
             self._settle_record(rec, result)
 
-        ctx.finish = finish
         self._pending.add(rec.future)
         self._inflight[flow] = rec
         try:
-            rec.plan.issue(ctx, rec.payloads, **rec.overrides)
+            rec.plan.issue(self.net, flow, rec.payloads, finish)
         except Exception:
             self._pending.discard(rec.future)
             self._inflight.pop(flow, None)

@@ -10,11 +10,21 @@ policy replans.  The production steady state (the same allreduce
 issued every training iteration) pays the planning cost exactly once
 and every later call goes straight to the data plane.
 
-Execution has one driver: a plan's issuer runs on a
-:class:`~repro.comm.fabric.Fabric`, and a standalone
+A planner returns its *schedule*: any object with ``issue(net, *,
+flow, payloads, op, on_complete)`` that injects one run into a
+simulator starting at ``net.now`` and calls ``on_complete(result)``
+from the event loop when it finishes (an
+:class:`~repro.collectives.schedule.ExchangeTable` or a
+:class:`~repro.collectives.schedule.TreeSchedule`, for the built-ins).
+It may also carry ``setup`` (what planning decided, for
+introspection), ``tree`` (an in-network schedule's aggregation tree)
+and ``standalone(payloads, *, knob=default, ...)``, the switch-level
+drivers' single-switch PsPIN run.
+
+Execution has one driver: :meth:`CollectivePlan.issue` runs the
+schedule on a :class:`~repro.comm.fabric.Fabric`, and a standalone
 :meth:`CollectivePlan.execute` issues it into a fresh one-tenant
-fabric.  Only the switch-level drivers keep a standalone run of their
-own, the single-switch PsPIN simulation.
+fabric, unless the schedule has a ``standalone`` run.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import inspect
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -32,67 +42,22 @@ from repro.collectives.result import CollectiveResult
 from repro.comm.registry import AlgorithmCaps, AlgorithmEntry, bind_knobs
 from repro.comm.request import CollectiveRequest
 
-#: The one knob of a run on a fabric, ``seed``: network schedules are
-#: deterministic and leave it unused (the CLI bench passes it to every
-#: algorithm).
-_FABRIC_RUN = inspect.Signature(
-    [inspect.Parameter("seed", inspect.Parameter.KEYWORD_ONLY, default=0)]
-)
-
-
-@dataclass
-class IssueContext:
-    """Execution context for a collective issued into a fabric.
-
-    ``net`` is the fabric's shared :class:`NetworkSimulator`; ``flow``
-    is the id the collective's messages carry (link arbitration and
-    per-tenant traffic accounting key on it); ``finish(result)`` must
-    be called exactly once, from inside the event loop, when the
-    collective completes.
-    """
-
-    net: object
-    flow: object
-    finish: Callable[[CollectiveResult], None]
-
-
-#: ``issuer(ctx, payloads, overrides) -> None`` — injects one
-#: collective's events into ``ctx.net`` starting at ``ctx.net.now`` and
-#: arranges for ``ctx.finish(result)`` when it completes; ``overrides``
-#: holds the run's knobs, checked by :meth:`CollectivePlan.check_run`.
-#: Every planner provides one.
-Issuer = Callable[[IssueContext, Optional[object], dict], None]
-
-
-@dataclass
-class PlannedExecution:
-    """What a planner hands back: the fabric issuer and setup metadata;
-    ``standalone(payloads, *, knob=default, ...)`` is the switch-level
-    drivers' single-switch run, which their ``plan.execute`` calls
-    instead of issuing into a fabric (its keyword-only parameters are
-    the knobs it takes); ``tree`` is an in-network schedule's
-    aggregation tree."""
-
-    issuer: Issuer
-    setup: dict = field(default_factory=dict)
-    standalone: Optional[Callable[..., CollectiveResult]] = None
-    tree: Optional[object] = None
-
 
 @dataclass
 class CollectivePlan:
     """A planned collective, executable many times.
 
-    ``setup`` records what planning decided (tree shape, handler,
-    per-round sizes, memory estimates) for introspection; ``executions``
-    counts data-plane runs of this plan.
+    ``schedule`` is what the planner returned (module docstring);
+    ``setup`` records the wiring and what planning decided (tree shape,
+    handler, per-round sizes, memory estimates) for introspection;
+    ``executions`` counts data-plane runs of this plan.
     """
 
     request: CollectiveRequest
     algorithm: str
     caps: AlgorithmCaps
     setup: dict
-    _planned: PlannedExecution
+    schedule: object
     executions: int = 0
 
     def execute(self, payloads: Optional[object] = None, **knobs) -> CollectiveResult:
@@ -104,7 +69,7 @@ class CollectivePlan:
         simulation instead.  A knob the run does not take raises
         :class:`~repro.comm.registry.UnknownKnobError` before it starts.
         """
-        run = self._planned.standalone
+        run = getattr(self.schedule, "standalone", None)
         if run is None:
             from repro.comm.fabric import Fabric
 
@@ -121,38 +86,31 @@ class CollectivePlan:
             )
         return self._stamp(run(payloads, **knobs))
 
-    def check_run(self, knobs: dict) -> None:
-        """Raise :class:`~repro.comm.registry.UnknownKnobError` unless a
-        run of this plan on a fabric takes ``knobs`` (only ``seed``)."""
-        if knobs:
-            bind_knobs(_FABRIC_RUN, f"a {self.algorithm!r} run on a fabric", **knobs)
-
     def _stamp(self, result: CollectiveResult) -> CollectiveResult:
         result.algorithm = self.algorithm
         result.op = self.request.op_name
         self.executions += 1
         return result
 
-    def issue(
-        self, ctx: IssueContext, payloads: Optional[object] = None, **overrides
-    ) -> None:
-        """Inject one execution into a shared event loop (fabric path).
+    def issue(self, net, flow, payloads, on_complete) -> None:
+        """Inject one execution into ``net``'s event loop (fabric path).
 
-        ``ctx.finish`` receives the stamped result when the collective
-        completes; planning work is *not* repeated.
+        ``on_complete`` receives the stamped result when the collective
+        completes; planning work is *not* repeated.  A simulator wiring
+        another topology than the plan was shaped for raises
+        :class:`~repro.comm.registry.CapabilityError` first.
         """
-        finish = ctx.finish
-        self._planned.issuer(
-            IssueContext(ctx.net, ctx.flow, lambda result: finish(self._stamp(result))),
-            payloads,
-            overrides,
+        self.request.wiring.check_fabric(net)
+        self.schedule.issue(
+            net, flow=flow, payloads=payloads, op=self.request.op,
+            on_complete=lambda result: on_complete(self._stamp(result)),
         )
 
     @property
     def tree(self):
         """The aggregation tree the plan issues over (``None`` for host
         schedules)."""
-        return self._planned.tree
+        return getattr(self.schedule, "tree", None)
 
     @cached_property
     def tree_switches(self) -> tuple:
@@ -180,13 +138,13 @@ def build_plan(request: CollectiveRequest, entry: AlgorithmEntry) -> CollectiveP
     except (TypeError, ValueError):
         raise ValueError(f"dtype {request.dtype!r} is not a numpy dtype") from None
     bound = entry.bind(request)
-    planned = entry.planner(*bound.args, **bound.kwargs)
+    schedule = entry.planner(*bound.args, **bound.kwargs)
     return CollectivePlan(
         request=request,
         algorithm=entry.name,
         caps=entry.caps,
-        setup=dict(planned.setup),
-        _planned=planned,
+        setup={"topology": request.wiring.describe(), **getattr(schedule, "setup", {})},
+        schedule=schedule,
     )
 
 

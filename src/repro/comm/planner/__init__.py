@@ -1,6 +1,6 @@
 """Cost-model-driven auto-tuning planner.
 
-Registers the ``"cost"`` auto-selection mode (the registry imports this
+Serves the ``"cost"`` auto-selection mode (the registry imports this
 package on the mode's first use): instead of the static
 priority ladder, ``algorithm="auto"`` requests with
 ``params["auto_mode"] = "cost"`` are priced by a fitted alpha-beta +
@@ -31,10 +31,7 @@ from __future__ import annotations
 
 import math
 
-from repro.comm.registry import (
-    AlgorithmEntry,
-    register_auto_selector,
-)
+from repro.comm.registry import AlgorithmEntry
 from repro.comm.request import CollectiveRequest
 from repro.comm.planner.model import (
     FEATURES,
@@ -107,8 +104,6 @@ def note_congestion(request: CollectiveRequest, fabric) -> None:
     if "congestion" not in p:
         p["congestion"] = congestion_level(fabric)
 
-
-register_auto_selector("cost", cost_select)
 
 __all__ = [
     "CoefficientsError",

@@ -10,7 +10,13 @@ host-count constraints), then pick the highest-priority survivor.  This
 generalizes the Sec. 6.4 size ladder of
 :func:`repro.core.policy.select_algorithm` — which still picks the
 aggregation *design* inside the switch-level backend — up to the level
-of whole collectives.
+of whole collectives.  ``auto_mode="cost"`` picks by the fitted cost
+model instead.
+
+A registered planner takes the request and its knobs (keyword-only
+parameters with defaults) and returns the schedule a
+:class:`~repro.comm.plan.CollectivePlan` issues: any object with
+``issue(net, *, flow, payloads, op, on_complete)``.
 """
 
 from __future__ import annotations
@@ -122,10 +128,11 @@ class AlgorithmEntry:
 
     name: str
     caps: AlgorithmCaps
-    #: ``planner(request, *, knob=default, ...) -> PlannedExecution`` —
-    #: performs all one-time setup (tree construction, handler
-    #: selection, message sizing); its keyword-only parameters are the
-    #: algorithm's knobs (:meth:`bind`).
+    #: ``planner(request, *, knob=default, ...) -> schedule`` — performs
+    #: all one-time setup (tree construction, handler selection, message
+    #: sizing) and returns an object with ``issue(net, *, flow, payloads,
+    #: op, on_complete)`` (:mod:`repro.comm.plan`); its keyword-only
+    #: parameters are the algorithm's knobs (:meth:`bind`).
     planner: Callable[..., "object"]
     #: Optional ``(request, payloads) -> reason | None`` — why this
     #: algorithm cannot execute the given concrete payloads (shape or
@@ -176,8 +183,8 @@ def register_algorithm(
     Usage::
 
         @register_algorithm("ring", caps=AlgorithmCaps(...))
-        def plan_ring(request: CollectiveRequest) -> PlannedExecution:
-            ...
+        def plan_ring(request: CollectiveRequest, *, sub_chunk_bytes=...):
+            return ExchangeTable("ring", hosts, request.nbytes, ...)
     """
 
     def decorate(planner: Callable) -> Callable:
@@ -232,39 +239,21 @@ def rejection_reasons(request: CollectiveRequest) -> dict[str, str]:
     return out
 
 
-#: Auto-selection strategies.  ``request.params["auto_mode"]`` names
-#: one; ``"static"`` (the default, built in) is the original priority
-#: sort.  A selector receives the request plus the capability- and
+#: The ``auto`` selection modes, named by ``request.params["auto_mode"]``:
+#: ``"static"`` (the default) takes the highest-priority candidate,
+#: ``"cost"`` the cheapest by the fitted cost model of
+#: :mod:`repro.comm.planner` (imported on the mode's first use).  The
+#: cost selector receives the request plus the capability- and
 #: payload-accepted candidates in static priority order (never empty)
-#: and returns its pick; it may write tuned knobs (chunk sizes, tree
-#: root) into ``request.params`` — the plan-cache key is computed from
-#: the request *after* resolution, so tuned knobs key the cache.
+#: and may write tuned knobs (chunk sizes) into ``request.params``; the
+#: plan-cache key is computed from the request *after* resolution, so
+#: tuned knobs key the cache.
 DEFAULT_AUTO_MODE = "static"
-_AUTO_SELECTORS: dict[str, Callable] = {}
-#: Built-in modes -> the module that registers them, imported on the
-#: mode's first use.
-_BUILTIN_SELECTORS = {"cost": "repro.comm.planner"}
-
-
-def _selector(mode: str) -> Optional[Callable]:
-    """The selector registered as ``mode`` (None: none is)."""
-    if mode not in _AUTO_SELECTORS and mode in _BUILTIN_SELECTORS:
-        __import__(_BUILTIN_SELECTORS[mode])
-    return _AUTO_SELECTORS.get(mode)
-
-
-def register_auto_selector(
-    name: str,
-    selector: Callable[[CollectiveRequest, list[AlgorithmEntry]], AlgorithmEntry],
-) -> None:
-    """Register an ``auto_mode`` selection strategy under ``name``."""
-    if name == DEFAULT_AUTO_MODE or _selector(name) is not None:
-        raise ValueError(f"auto_mode {name!r} is already registered")
-    _AUTO_SELECTORS[name] = selector
+_AUTO_MODES = ("cost", "static")
 
 
 def available_auto_modes() -> tuple[str, ...]:
-    return tuple(sorted({DEFAULT_AUTO_MODE, *_BUILTIN_SELECTORS, *_AUTO_SELECTORS}))
+    return _AUTO_MODES
 
 
 def resolve(
@@ -295,8 +284,7 @@ def resolve(
             )
         return entry
     mode = request.params.get("auto_mode", DEFAULT_AUTO_MODE)
-    selector = None if mode == DEFAULT_AUTO_MODE else _selector(mode)
-    if mode != DEFAULT_AUTO_MODE and selector is None:
+    if mode not in _AUTO_MODES:
         raise CommError(
             f"unknown auto_mode {mode!r}; available: {available_auto_modes()}"
         )
@@ -310,9 +298,11 @@ def resolve(
                 continue
         candidates.append(entry)
     if candidates:
-        if selector is None:
-            return candidates[0]
-        return selector(request, candidates)
+        if mode == "cost":
+            from repro.comm.planner import cost_select
+
+            return cost_select(request, candidates)
+        return candidates[0]
     # Combined failure detail: a candidate that matched capabilities
     # but refused the concrete payloads must report its payload
     # verdict — the more specific diagnosis — never be shadowed by (or

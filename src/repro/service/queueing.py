@@ -160,15 +160,6 @@ class AdmissionQueue:
         self.dequeued += 1
         self.wait_samples_ns.append(now - entry.enqueued_ns)
 
-    def pop_admittable(
-        self, admittable: Callable, now: float
-    ) -> Optional[QueuedJob]:
-        """:meth:`next_admittable` and :meth:`remove` in one step."""
-        entry = self.next_admittable(admittable)
-        if entry is not None:
-            self.remove(entry, now)
-        return entry
-
     def sample_depth(self) -> None:
         self.depth_samples.append(self._depth)
 

@@ -126,7 +126,6 @@ def test_sparcml_table_shape():
     """SSAR is the rabenseifner table: step k pairs rank i with
     ``i ^ d_k``, d = P/2 ... 1 then 1 ... P/2, at the sparse model's
     bytes; it is size-only."""
-    from repro.comm.plan import IssueContext
     from repro.network.simulator import NetworkSimulator
 
     topo = _topo()
@@ -149,7 +148,7 @@ def test_sparcml_table_shape():
 
     net.send_burst = burst
     done = []
-    plan.issue(IssueContext(net=net, flow=None, finish=done.append))
+    plan.issue(net, None, None, done.append)
     net.run()
     assert done and done[0].name == "host-sparse (SparCML)"
     distances = [P >> (s + 1) for s in range(4)] + [1 << s for s in range(4)]
@@ -260,7 +259,6 @@ def test_tree_root_is_honoured_on_the_fat_tree():
 def _sparcml_early_sends(faults=None):
     """Run SparCML on a 64-host fat tree at 2^24 elements and list the
     (rank, step) sends that left before every earlier step landed."""
-    from repro.comm.plan import IssueContext
     from repro.network.faults import FaultSchedule
     from repro.network.simulator import NetworkSimulator
 
@@ -296,7 +294,7 @@ def _sparcml_early_sends(faults=None):
 
     net.send_burst, net.on_deliver = burst, register
     done = []
-    plan.issue(IssueContext(net=net, flow=None, finish=done.append))
+    plan.issue(net, None, None, done.append)
     net.run()
     assert len(done) == 1
     return done[0], early

@@ -35,3 +35,20 @@ def test_bad_request_exits_2_with_one_error_line(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_routing_takes_every_registered_router(capsys):
+    """``--routing`` offers every router ``flare-repro topologies``
+    lists, ``updown`` included, on ``bench`` and ``service`` alike."""
+    from repro.network import available_routers
+
+    assert "updown" in available_routers()
+    assert main(["bench", "ring", "--routing", "updown", "--size", "64KiB",
+                 "--hosts", "8", "--repeat", "1"]) == 0
+    assert "(updown)" in capsys.readouterr().out
+    for command in (["bench", "ring"], ["service"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--routing", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in available_routers())

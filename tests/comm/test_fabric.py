@@ -206,6 +206,21 @@ def test_no_fallback_raises():
         b.iallreduce("1MiB", algorithm="flare_dense")
 
 
+def test_fallback_without_a_communicator_raises_the_rejection():
+    """A plan issued with no communicator has nothing to replan a
+    host fallback with: when no re-rooted tree fits either, the
+    original admission error raises, and nothing of the second issue
+    stays in flight."""
+    fabric = Fabric(n_hosts=8, max_allreduces_per_switch=1)
+    plan = Communicator(n_hosts=8).plan(nbytes="1MiB", algorithm="flare_dense")
+    first = fabric.issue(None, plan)
+    with pytest.raises(AdmissionError, match="fall back"):
+        fabric.issue(None, plan)
+    assert fabric.in_flight == 1
+    assert not first.result().extra["fell_back"]
+    assert [e["status"] for e in fabric.timeline()] == ["done"]
+
+
 # ----------------------------------------------------------------------
 # Sessions & plumbing
 # ----------------------------------------------------------------------

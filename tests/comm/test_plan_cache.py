@@ -6,7 +6,6 @@ from repro.comm import (
     AlgorithmCaps,
     Communicator,
     PlanCache,
-    PlannedExecution,
     register_algorithm,
     unregister_algorithm,
 )
@@ -15,7 +14,7 @@ from repro.collectives.result import CollectiveResult
 
 @pytest.fixture
 def counting_algorithm():
-    """Register an algorithm that counts planner and issuer invocations."""
+    """Register an algorithm that counts planner and issue invocations."""
     counts = {"planned": 0, "executed": 0}
 
     @register_algorithm(
@@ -25,17 +24,20 @@ def counting_algorithm():
     def plan_counting(request):
         counts["planned"] += 1
 
-        def issuer(ctx, payloads, overrides):
-            counts["executed"] += 1
-            ctx.finish(CollectiveResult(
-                name="counting",
-                n_hosts=request.n_hosts,
-                vector_bytes=request.nbytes,
-                time_ns=1.0,
-                traffic_bytes_hops=0,
-            ))
+        class Counting:
+            setup = {"planned": True}
 
-        return PlannedExecution(issuer, setup={"planned": True})
+            def issue(self, net, *, flow, payloads, op, on_complete):
+                counts["executed"] += 1
+                on_complete(CollectiveResult(
+                    name="counting",
+                    n_hosts=request.n_hosts,
+                    vector_bytes=request.nbytes,
+                    time_ns=1.0,
+                    traffic_bytes_hops=0,
+                ))
+
+        return Counting()
 
     yield counts
     unregister_algorithm("test_counting")

@@ -1,5 +1,7 @@
 """Registry: registration, capability matching, resolution errors."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.comm import (
@@ -8,7 +10,6 @@ from repro.comm import (
     CommError,
     Communicator,
     FabricError,
-    PlannedExecution,
     UnknownAlgorithmError,
     available_algorithms,
     available_auto_modes,
@@ -55,7 +56,7 @@ def test_register_and_unregister_custom_algorithm():
 
     @register_algorithm("test_noop", caps=caps)
     def plan_noop(request):
-        return PlannedExecution(issuer=lambda ctx, payloads, overrides: None)
+        return SimpleNamespace(issue=lambda net, **kwargs: None)
 
     try:
         entry = get_algorithm("test_noop")
@@ -167,7 +168,7 @@ def test_resolve_payload_reason_wins_over_capability_reason():
         payload_rejects=lambda req, p: "the payload verdict",
     )
     def plan_flaky(request):
-        return PlannedExecution(issuer=lambda ctx, payloads, overrides: None)
+        return SimpleNamespace(issue=lambda net, **kwargs: None)
 
     try:
         payloads = np.ones((6, 16), dtype=np.float64)

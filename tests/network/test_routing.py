@@ -138,7 +138,6 @@ def test_adaptive_routing_sees_wfq_backlog():
     onto a link, queued or not, so a lone flow under WFQ (a standalone
     call, on a one-tenant fabric) routes as on a FIFO simulator."""
     from repro.comm import Communicator
-    from repro.comm.plan import IssueContext
 
     params = {"n_hosts": 16, "hosts_per_leaf": 4, "n_spines": 2}
     comm = Communicator(topology="fat-tree", topology_params=params, routing="adaptive")
@@ -146,7 +145,7 @@ def test_adaptive_routing_sees_wfq_backlog():
     fifo = NetworkSimulator(FatTreeTopology(**params), router="adaptive")
     done = []
     comm.plan(nbytes="1MiB", algorithm="recursive_doubling").issue(
-        IssueContext(fifo, None, done.append)
+        fifo, None, None, done.append
     )
     fifo.run()
     assert fifo.arbitration == "fifo"

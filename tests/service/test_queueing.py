@@ -19,6 +19,15 @@ def _push(q, job, *, cls="t", weight=1.0, now=0.0, reason="slots"):
     q.push(job, tenant_class=cls, weight=weight, now=now, reason=reason)
 
 
+def _pop(q, admittable, now):
+    """Find the next admittable entry and dequeue it at ``now``, as the
+    service does; None when nothing is admittable."""
+    entry = q.next_admittable(admittable)
+    if entry is not None:
+        q.remove(entry, now)
+    return entry
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="queue policy"):
         AdmissionQueue("lifo")
@@ -28,7 +37,7 @@ def test_fifo_preserves_arrival_order():
     q = AdmissionQueue("fifo")
     for i in range(3):
         _push(q, _job(i), now=float(i))
-    order = [q.pop_admittable(lambda j: True, 10.0).job.job_id for _ in range(3)]
+    order = [_pop(q, lambda j: True, 10.0).job.job_id for _ in range(3)]
     assert order == [0, 1, 2]
 
 
@@ -37,7 +46,7 @@ def test_fifo_head_of_line_blocks():
     q = AdmissionQueue("fifo")
     _push(q, _job(0))
     _push(q, _job(1))
-    assert q.pop_admittable(lambda j: j.job_id == 1, 0.0) is None
+    assert _pop(q, lambda j: j.job_id == 1, 0.0) is None
     assert len(q) == 2
 
 
@@ -45,7 +54,7 @@ def test_wfq_skips_blocked_entries():
     q = AdmissionQueue("wfq")
     _push(q, _job(0))
     _push(q, _job(1))
-    entry = q.pop_admittable(lambda j: j.job_id == 1, 0.0)
+    entry = _pop(q, lambda j: j.job_id == 1, 0.0)
     assert entry.job.job_id == 1
     assert len(q) == 1
 
@@ -59,7 +68,7 @@ def test_wfq_heavy_class_drains_proportionally_faster():
     for i in range(4, 8):
         _push(q, _job(i, cls="batch"), cls="batch", weight=1.0)
     order = [
-        q.pop_admittable(lambda j: True, 0.0).job.tenant_class
+        _pop(q, lambda j: True, 0.0).job.tenant_class
         for _ in range(8)
     ]
     assert order[:5] == ["prod", "prod", "prod", "prod", "batch"]
@@ -73,7 +82,7 @@ def test_wfq_light_class_not_starved():
     for i in range(1, 9):
         _push(q, _job(i, cls="heavy"), cls="heavy", weight=8.0)
     drained = [
-        q.pop_admittable(lambda j: True, 0.0).job.tenant_class
+        _pop(q, lambda j: True, 0.0).job.tenant_class
         for _ in range(9)
     ]
     assert "light" in drained[:8]
@@ -85,7 +94,7 @@ def test_wfq_ties_break_by_sequence():
     _push(q, _job(1, cls="b"), cls="b")
     # Same bytes, same weight, fresh class vfts -> identical vft; the
     # earlier enqueue wins.
-    assert q.pop_admittable(lambda j: True, 0.0).job.job_id == 0
+    assert _pop(q, lambda j: True, 0.0).job.job_id == 0
 
 
 def test_counters_and_wait_samples():
@@ -93,7 +102,7 @@ def test_counters_and_wait_samples():
     _push(q, _job(0), now=100.0, reason="slots")
     _push(q, _job(1), now=200.0, reason="memory")
     q.sample_depth()
-    entry = q.pop_admittable(lambda j: True, 500.0)
+    entry = _pop(q, lambda j: True, 500.0)
     assert entry.enqueued_ns == 100.0
     assert q.enqueued == 2 and q.dequeued == 1
     assert q.wait_samples_ns == [400.0]
@@ -105,7 +114,7 @@ def test_counters_and_wait_samples():
 
 def test_pop_on_empty_returns_none():
     q = AdmissionQueue("fifo")
-    assert q.pop_admittable(lambda j: True, 0.0) is None
+    assert _pop(q, lambda j: True, 0.0) is None
 
 
 @pytest.mark.parametrize("policy", ["fifo", "wfq"])

@@ -54,6 +54,40 @@ def test_hash_spill_buffer_flushes_when_full():
     assert total == {i: float(i + 1) for i in range(5)}
 
 
+def test_hash_duplicate_indices_flush_the_whole_spill_buffer(monkeypatch):
+    """A packet that repeats an index takes the sequential insert, which
+    flushes the whole spill buffer (``_flush_spill``) each time it
+    reaches ``spill_capacity``: the table plus every flush add up to
+    numpy's per-index sums, and every spilled element left in a flush."""
+    h = HashStorage(n_slots=1, dtype="float64", spill_capacity=3)
+    full_flushes = []
+    flush_spill = h._flush_spill
+
+    def spy():
+        full_flushes.append(flush_spill())
+        return full_flushes[-1]
+
+    monkeypatch.setattr(h, "_flush_spill", spy)
+    packets = [np.array([0, 0, 1, 2, 3, 1, 2, 3]), np.array([0, 4, 4, 5, 0, 6, 6, 7])]
+    events = []
+    for k, idx in enumerate(packets):
+        assert len(np.unique(idx)) < len(idx)
+        events += h.insert(idx, np.arange(len(idx), dtype=np.float64) + 10 * k + 1)
+    assert len(events) == 4 and all(a is b for a, b in zip(events, full_flushes))
+    assert h.spill_events == events
+    assert h.spilled_elements == sum(e.n_elements for e in events) == 12
+    indices, values, residual = h.finalize()
+    assert residual is None
+    got = np.zeros(8)
+    np.add.at(got, indices, values)
+    for e in events:
+        np.add.at(got, e.indices, e.values)
+    expected = np.zeros(8)
+    for k, idx in enumerate(packets):
+        np.add.at(expected, idx, np.arange(len(idx), dtype=np.float64) + 10 * k + 1)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_hash_memory_constant_in_density():
     h = HashStorage(n_slots=512, dtype="float32")
     before = h.memory_bytes
