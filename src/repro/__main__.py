@@ -25,8 +25,12 @@ algorithm.  With ``--tenants N`` the run becomes multi-tenant: N
 communicators share one :class:`repro.comm.Fabric` (``--overlap``
 issues their collectives concurrently into its single event loop, with
 QoS ``--weights`` arbitrating the shared links) and the per-tenant
-trace can be exported with ``--timeline-out``.  (Also installed as the
-``flare-repro`` console script.)
+trace can be exported with ``--timeline-out``.  ``bench`` and
+``service`` declare their shared fabric flags once (:func:`_fabric_flags`)
+and open the fabric in one place (:func:`_open_fabric`); any
+fabric-only flag, or ``--weights``, runs ``bench`` on the shared fabric
+even with one tenant.  (Also installed as the ``flare-repro`` console
+script.)
 """
 
 from __future__ import annotations
@@ -152,18 +156,90 @@ def _parse_topo_params(text: str) -> dict:
     return out
 
 
-def _reliability_kwargs(args: argparse.Namespace) -> dict:
-    """Fabric kwargs for the host reliability knobs (``--ack-timeout``
-    maps to the end-to-end retransmission timer).  Only explicitly set
-    flags appear, so Fabric's own defaults stay authoritative."""
+def _fail(exc) -> int:
+    """Print one ``error:`` line and return the usage-error exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _write_json(path: str, payload: dict) -> None:
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _open_fabric(args: argparse.Namespace, topology, run_label: str, **knobs):
+    """The shared :class:`~repro.comm.Fabric` of ``bench`` and
+    ``service``, built from the shared flags (plus the caller's
+    ``knobs``), its provenance run announced and ``--faults`` armed.
+
+    Only explicitly set reliability flags reach the fabric, so its own
+    defaults stay authoritative (``--ack-timeout`` is the end-to-end
+    retransmission timer).  Returns None, after one ``error:`` line,
+    when a parameter or the fault schedule is bad."""
+    from repro.comm import Fabric
     from repro.utils.units import parse_time_ns
 
-    out: dict = {}
-    if args.max_retransmits is not None:
-        out["max_retransmits"] = args.max_retransmits
-    if args.ack_timeout is not None:
-        out["retransmit_timeout_ns"] = parse_time_ns(args.ack_timeout)
-    return out
+    try:
+        if args.max_retransmits is not None:
+            knobs["max_retransmits"] = args.max_retransmits
+        if args.ack_timeout is not None:
+            knobs["retransmit_timeout_ns"] = parse_time_ns(args.ack_timeout)
+        fabric = Fabric(
+            topology=topology,
+            n_hosts=args.hosts,
+            routing=args.routing,
+            routing_seed=args.seed,
+            provenance_db=args.provenance_db,
+            run_label=run_label,
+            **knobs,
+        )
+    except ValueError as exc:
+        _fail(exc)
+        return None
+    if args.provenance_db:
+        print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
+    if args.faults:
+        try:
+            schedule = fabric.load_faults(args.faults, seed=args.fault_seed)
+        except (OSError, ValueError, TypeError) as exc:
+            _fail(f"cannot load fault schedule: {exc}")
+            return None
+        print(f"[chaos armed: {len(schedule)} fault(s) from {args.faults}, "
+              f"seed {schedule.seed}]")
+    return fabric
+
+
+def _close_fabric(args: argparse.Namespace, fabric) -> None:
+    """Write ``--timeline-out`` and flush provenance, at quiescence."""
+    if args.timeline_out:
+        fabric.timeline_json(path=args.timeline_out)
+        print(f"[timeline written to {args.timeline_out}]")
+    fabric.shutdown()
+
+
+def _write_perf_json(args: argparse.Namespace, engine: dict, run_id=None,
+                     **fields) -> None:
+    """``--perf-json``: the bench's shape, ``fields`` and its run
+    identity.  A fabric run passes its ``run_id``, so the report joins
+    against the provenance database (when one was recorded)."""
+    if not args.perf_json:
+        return
+    from repro.provenance.identity import run_identity
+
+    engine = {"algorithm": args.algorithm, "hosts": args.hosts,
+              "repeat": args.repeat, **engine}
+    _write_json(args.perf_json, {
+        "benchmark": "bench",
+        "algorithm": args.algorithm,
+        "size": args.size,
+        "hosts": args.hosts,
+        **fields,
+        "identity": run_identity(seed=args.seed, engine=engine, run_id=run_id),
+    })
+    print(f"[perf JSON written to {args.perf_json}]")
 
 
 def _request_kwargs(args: argparse.Namespace) -> dict:
@@ -174,48 +250,22 @@ def _request_kwargs(args: argparse.Namespace) -> dict:
 
 def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
     """N communicators on one shared fabric, overlapped or sequential."""
-    from repro.comm import CommError, Fabric, wait_all
+    from repro.comm import CommError, wait_all
 
     weights = [1.0] * args.tenants
     if args.weights:
         try:
             parts = [float(w) for w in args.weights.split(",")]
         except ValueError:
-            print(
-                f"error: --weights must be comma-separated numbers, got "
-                f"{args.weights!r}", file=sys.stderr,
-            )
-            return 2
+            return _fail(f"--weights must be comma-separated numbers, got "
+                         f"{args.weights!r}")
         if len(parts) != args.tenants:
-            print(
-                f"error: --weights lists {len(parts)} values for "
-                f"--tenants {args.tenants}", file=sys.stderr,
-            )
-            return 2
+            return _fail(f"--weights lists {len(parts)} values for "
+                         f"--tenants {args.tenants}")
         weights = parts
-    try:
-        fabric = Fabric(
-            topology=topology,
-            n_hosts=args.hosts,
-            routing=args.routing,
-            routing_seed=args.seed,
-            provenance_db=args.provenance_db,
-            run_label=f"bench/{args.algorithm}/{args.size}",
-            **_reliability_kwargs(args),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    fabric = _open_fabric(args, topology, f"bench/{args.algorithm}/{args.size}")
+    if fabric is None:
         return 2
-    if args.provenance_db:
-        print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
-    if args.faults:
-        try:
-            schedule = fabric.load_faults(args.faults, seed=args.fault_seed)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: cannot load fault schedule: {exc}", file=sys.stderr)
-            return 2
-        print(f"[chaos armed: {len(schedule)} fault(s) from {args.faults}, "
-              f"seed {schedule.seed}]")
     comms = [
         fabric.communicator(name=f"tenant{i}", weight=weights[i],
                             n_clusters=args.clusters,
@@ -226,8 +276,7 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
     try:
         comms[0].make_request(args.size, **kwargs)   # a bad size fails here
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     mode = "overlapped" if args.overlap else "sequential"
     print(
         f"{args.tenants} tenants ({mode}) x {args.repeat} round(s) of "
@@ -254,8 +303,7 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
                 print(f"  round {rnd + 1} {c.name} (w={c.weight:g}): "
                       f"{r.summary()}{note}")
     except CommError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     stats = fabric.tenant_stats()
     print("\nper-tenant totals:")
     for name, s in stats.items():
@@ -274,37 +322,12 @@ def _cmd_multi_tenant_bench(args: argparse.Namespace, topology) -> int:
             target = event.get("switch") or event.get("link")
             print(f"  t={event['at_ns']:.0f}ns {event['event']} "
                   f"{event['kind']} {target}")
-    if args.timeline_out:
-        fabric.timeline_json(path=args.timeline_out)
-        print(f"[timeline written to {args.timeline_out}]")
-    if args.perf_json:
-        import json
-
-        from repro.provenance.identity import run_identity
-
-        payload = {
-            "benchmark": "bench",
-            "algorithm": args.algorithm,
-            "size": args.size,
-            "hosts": args.hosts,
-            "tenants": args.tenants,
-            # Shares the fabric's run id, so this report joins against
-            # the provenance database (when one was recorded).
-            "identity": run_identity(
-                seed=args.seed,
-                engine={"algorithm": args.algorithm, "hosts": args.hosts,
-                        "tenants": args.tenants, "repeat": args.repeat,
-                        "routing": args.routing},
-                run_id=fabric.run_id,
-            ),
-            "provenance_db": args.provenance_db,
-            "tenant_stats": stats,
-        }
-        with open(args.perf_json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"[perf JSON written to {args.perf_json}]")
-    fabric.shutdown()       # flushes provenance (no-op otherwise)
+    _close_fabric(args, fabric)
+    _write_perf_json(
+        args, {"tenants": args.tenants, "routing": args.routing},
+        run_id=fabric.run_id, tenants=args.tenants,
+        provenance_db=args.provenance_db, tenant_stats=stats,
+    )
     return 0
 
 
@@ -361,7 +384,7 @@ def _parse_class_spec(text: str):
 
 def _cmd_service(args: argparse.Namespace, topology) -> int:
     """Long-running service mode: workload in, SLO report out."""
-    from repro.comm import CommError, Fabric
+    from repro.comm import CommError
     from repro.service import FabricService, PoissonWorkload, TraceWorkload
     from repro.utils.units import parse_time_ns
 
@@ -369,16 +392,14 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
         try:
             workload = TraceWorkload(args.trace)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot load trace: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"cannot load trace: {exc}")
         source = f"trace {args.trace} ({len(workload.jobs())} jobs)"
     else:
         duration_ns = parse_time_ns(args.duration)
         try:
             classes = [_parse_class_spec(spec) for spec in (args.tenant_class or ())]
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
         if not classes:
             classes = [
                 _parse_class_spec(
@@ -397,31 +418,14 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
             f"Poisson x{len(classes)} classes over "
             f"{duration_ns / 1e6:g} ms simulated"
         )
-    try:
-        fabric = Fabric(
-            topology=topology,
-            n_hosts=args.hosts,
-            routing=args.routing,
-            routing_seed=args.seed,
-            max_allreduces_per_switch=args.max_per_switch,
-            switch_memory_bytes=args.switch_memory,
-            tenant_quota=args.quota,
-            provenance_db=args.provenance_db,
-            run_label=f"service/{args.placement}/{args.queue}",
-            **_reliability_kwargs(args),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    fabric = _open_fabric(
+        args, topology, f"service/{args.placement}/{args.queue}",
+        max_allreduces_per_switch=args.max_per_switch,
+        switch_memory_bytes=args.switch_memory,
+        tenant_quota=args.quota,
+    )
+    if fabric is None:
         return 2
-    if args.provenance_db:
-        print(f"[provenance: run {fabric.run_id} -> {args.provenance_db}]")
-    if args.faults:
-        try:
-            schedule = fabric.load_faults(args.faults, seed=args.fault_seed)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: cannot load fault schedule: {exc}", file=sys.stderr)
-            return 2
-        print(f"[chaos armed: {len(schedule)} fault(s) from {args.faults}]")
     snapshot_ns = (
         parse_time_ns(args.snapshot_interval) if args.snapshot_interval else None
     )
@@ -435,8 +439,7 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
             checkpoint_path=args.checkpoint,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     print(f"service: {source} on {fabric.topology.family} "
           f"({fabric.topology.n_hosts} hosts), placement={args.placement}, "
           f"queue={args.queue}")
@@ -458,8 +461,7 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
     try:
         report = service.run(slo_out=args.slo_out, resume=args.resume)
     except (CommError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     jobs = report["jobs"]
     print(f"\njobs: {jobs['completed']}/{jobs['arrived']} completed "
           f"in {report['now_ns'] / 1e6:.2f} ms simulated; "
@@ -492,31 +494,21 @@ def _cmd_service(args: argparse.Namespace, topology) -> int:
     if args.checkpoint:
         print(f"[{service.checkpoints_written} checkpoint(s) written to "
               f"{args.checkpoint}]")
-    if args.timeline_out:
-        fabric.timeline_json(path=args.timeline_out)
-        print(f"[timeline written to {args.timeline_out}]")
-    fabric.shutdown()       # flushes provenance (no-op otherwise)
+    _close_fabric(args, fabric)
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace, topology, fabric_only) -> int:
     from repro.comm import CommError, Communicator
 
-    try:
-        topology = _build_cli_topology(args)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     if (
-        args.tenants > 1 or args.faults or args.provenance_db
-        or _reliability_kwargs(args)
+        args.tenants > 1 or args.weights is not None
+        or any(getattr(args, dest) is not None for dest in fabric_only)
     ):
-        # Chaos, provenance and reliability-knob runs need the
-        # persistent shared fabric (faults and retransmission timers
-        # live on its links and clock; the
-        # provenance recorder hangs off it), so those flags route
-        # through it even for one tenant.
+        # Only the shared fabric applies --weights and the fabric-only
+        # group (faults, timers and the timeline live on its links and
+        # clock; the provenance recorder hangs off it), so setting any
+        # of them routes through it even for one tenant.
         return _cmd_multi_tenant_bench(args, topology)
 
     kwargs = _request_kwargs(args)
@@ -531,10 +523,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         plan = comm.plan(nbytes=args.size, **kwargs)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     except CommError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _fail(exc)
         print("hint: 'python -m repro algorithms' lists registered "
               "algorithms and their capabilities", file=sys.stderr)
         return 2
@@ -546,8 +537,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         try:
             result = comm.allreduce(args.size, seed=args.seed + i, **kwargs)
         except CommError as exc:        # e.g. the switch cannot hold it
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
         wall = time.perf_counter() - t0
         entry = {"run": i + 1, "wall_s": wall, "summary": result.summary()}
         raw = getattr(result, "raw", None)
@@ -562,32 +552,90 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     info = comm.cache_info()
     print(f"\nplan cache: {info.hits} hits / {info.misses} misses "
           f"(planning ran {comm.plans_built}x for {plan.executions} executions)")
-    if args.perf_json:
-        import json
-
-        from repro.provenance.identity import run_identity
-
-        payload = {
-            "benchmark": "bench",
-            "algorithm": args.algorithm,
-            "size": args.size,
-            "hosts": args.hosts,
-            "identity": run_identity(
-                seed=args.seed,
-                engine={"algorithm": args.algorithm, "hosts": args.hosts,
-                        "repeat": args.repeat},
-            ),
-            "runs": runs,
-        }
-        with open(args.perf_json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"[perf JSON written to {args.perf_json}]")
+    _write_perf_json(args, {}, runs=runs)
     comm.close()
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _cmd_planner_bench(args: argparse.Namespace) -> int:
+    """The acceptance grid: cost auto vs every fixed algorithm vs the
+    static baseline; exit 1 when the gate fails (unless ``--no-check``)."""
+    from repro.perf.planner import check, run_grid
+
+    rows = run_grid(n_hosts=args.hosts, log=print)
+    ok, problems, wins = check(rows)
+    print(f"\ncost-auto beat the static baseline on {wins}/{len(rows)} "
+          f"grid points")
+    for p in problems:
+        print(f"FAIL: {p}")
+    if args.out:
+        _write_json(args.out, {
+            "benchmark": "planner-grid",
+            "hosts": args.hosts,
+            "rows": rows,
+            "wins_vs_static": wins,
+            "ok": ok,
+        })
+        print(f"[planner bench JSON written to {args.out}]")
+    return 0 if ok or args.no_check else 1
+
+
+def _fabric_flags() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
+    """The flags ``bench`` and ``service`` share, declared once.
+
+    Returns their ``add_help=False`` parent parser and the dests of its
+    fabric-only group: flags that only a shared fabric applies, so
+    setting any of them runs ``bench`` on one even with one tenant."""
+    parent = argparse.ArgumentParser(add_help=False)
+    wiring = parent.add_argument_group("wiring")
+    wiring.add_argument("--seed", type=int, default=0)
+    wiring.add_argument("--topology", default=None,
+                        help="topology family (see 'topologies'; default: "
+                        "the paper's fat tree)")
+    wiring.add_argument("--topo-params", default=None, metavar="K=V,...",
+                        help="topology constructor parameters, e.g. "
+                        "dim_x=4,dim_y=4 or down=8x8,up=1x4")
+    wiring.add_argument("--routing", default=None, choices=_Routers(),
+                        metavar="POLICY",
+                        help="path-selection policy (see 'topologies'; "
+                        "default: ecmp)")
+    fabric = parent.add_argument_group(
+        "shared fabric", "applied only on a shared fabric: any of these "
+        "runs 'bench' on one, even with one tenant",
+    )
+    fabric_only = (
+        fabric.add_argument("--timeline-out", default=None, metavar="PATH",
+                            help="write the fabric's per-collective "
+                            "timeline JSON"),
+        fabric.add_argument("--faults", default=None, metavar="SPEC.json",
+                            help="arm a declarative fault schedule (link "
+                            "loss/slowdown/outages, switch outages)"),
+        fabric.add_argument("--fault-seed", type=int, default=None,
+                            help="seed for the per-message loss/duplicate "
+                            "decisions (default: the schedule's own seed)"),
+        fabric.add_argument("--max-retransmits", type=int, default=None,
+                            metavar="N",
+                            help="end-to-end retransmission budget per "
+                            "message under injected faults (default 64; "
+                            "exhausting it surfaces the partition as an "
+                            "error)"),
+        fabric.add_argument("--ack-timeout", default=None, metavar="TIME",
+                            help="host ack timeout before a chunk lost to a "
+                            "fault is retransmitted end to end, e.g. 50us "
+                            "(default 50us)"),
+        fabric.add_argument("--provenance-db", default=None, metavar="PATH",
+                            help="record the run (identity, per-switch/"
+                            "per-link counters, energy) into a sqlite "
+                            "provenance database, streamed on every SLO "
+                            "snapshot tick in 'service'; read it back with "
+                            "'flare-repro prov list|show|diff'"),
+    )
+    return parent, tuple(action.dest for action in fabric_only)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, tuple[str, ...]]:
+    """The whole CLI, and the dests of its fabric-only flags."""
+    fabric_flags, fabric_only = _fabric_flags()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the experiments of 'Flare: Flexible "
@@ -608,7 +656,8 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     bench = sub.add_parser(
-        "bench", help="drive any registered algorithm via the Communicator"
+        "bench", parents=[fabric_flags],
+        help="drive any registered algorithm via the Communicator",
     )
     bench.add_argument("algorithm", help="registry name, or 'auto'")
     bench.add_argument("--size", default="64KiB", help="per-host bytes (default 64KiB)")
@@ -622,16 +671,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--reproducible", action="store_true")
     bench.add_argument("--repeat", type=int, default=3,
                        help="executions of the (cached) plan")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--topology", default=None,
-                       help="topology family for network-simulated algorithms "
-                       "(see 'topologies'; default: the paper's fat tree)")
-    bench.add_argument("--topo-params", default=None, metavar="K=V,...",
-                       help="topology constructor parameters, e.g. "
-                       "dim_x=4,dim_y=4 or down=8x8,up=1x4")
-    bench.add_argument("--routing", default=None, choices=_Routers(), metavar="POLICY",
-                       help="path-selection policy (see 'topologies'; "
-                       "default: ecmp)")
     bench.add_argument("--auto-mode", default=None,
                        choices=("static", "cost"),
                        help="selection strategy for algorithm 'auto': "
@@ -646,35 +685,13 @@ def main(argv: list[str] | None = None) -> int:
                        "into the shared event loop (default: sequential)")
     bench.add_argument("--weights", default=None, metavar="W1,W2,...",
                        help="per-tenant QoS weights for link arbitration "
-                       "(default: all 1.0)")
-    bench.add_argument("--timeline-out", default=None, metavar="PATH",
-                       help="write the fabric's per-tenant timeline JSON")
-    bench.add_argument("--faults", default=None, metavar="SPEC.json",
-                       help="arm a declarative fault schedule on the fabric "
-                       "(link loss/slowdown/outages, switch outages); runs "
-                       "through the shared fabric even with one tenant")
-    bench.add_argument("--fault-seed", type=int, default=None,
-                       help="seed for the per-message loss/duplicate "
-                       "decisions (default: the schedule's own seed)")
+                       "(default: all 1.0; runs on the shared fabric)")
     bench.add_argument("--perf-json", default=None, metavar="PATH",
                        help="write machine-readable wall-clock / packets-per-"
                        "second numbers")
-    bench.add_argument("--max-retransmits", type=int, default=None,
-                       metavar="N",
-                       help="end-to-end retransmission budget per message "
-                       "under injected faults (default 64; exhausting it "
-                       "surfaces the partition as an error)")
-    bench.add_argument("--ack-timeout", default=None, metavar="TIME",
-                       help="host ack timeout before a chunk lost to a "
-                       "fault is retransmitted end to end, e.g. 50us "
-                       "(default 50us)")
-    bench.add_argument("--provenance-db", default=None, metavar="PATH",
-                       help="record this run (identity, per-switch/per-link "
-                       "counters, energy) into a sqlite provenance database; "
-                       "read it back with 'flare-repro prov list|show|diff'")
 
     service = sub.add_parser(
-        "service",
+        "service", parents=[fabric_flags],
         help="long-running service mode: Poisson/trace workload in, "
         "SLO report out",
     )
@@ -697,12 +714,6 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument("--queue", default="wfq", choices=("wfq", "fifo"),
                          help="admission-queue discipline")
     service.add_argument("--hosts", type=int, default=32)
-    service.add_argument("--topology", default=None,
-                         help="topology family (see 'topologies')")
-    service.add_argument("--topo-params", default=None, metavar="K=V,...")
-    service.add_argument("--routing", default=None, choices=_Routers(), metavar="POLICY",
-                         help="path-selection policy (see 'topologies')")
-    service.add_argument("--seed", type=int, default=0)
     service.add_argument("--max-per-switch", type=int, default=8,
                          help="pooled handler slots per switch")
     service.add_argument("--switch-memory", type=float, default=None,
@@ -713,18 +724,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="rolling SLO snapshot period, e.g. 1ms")
     service.add_argument("--slo-out", default=None, metavar="PATH",
                          help="write the SLO report JSON")
-    service.add_argument("--timeline-out", default=None, metavar="PATH",
-                         help="write the fabric's per-collective timeline")
-    service.add_argument("--faults", default=None, metavar="SPEC.json",
-                         help="arm a declarative fault schedule")
-    service.add_argument("--fault-seed", type=int, default=None)
-    service.add_argument("--max-retransmits", type=int, default=None,
-                         metavar="N",
-                         help="end-to-end retransmission budget per message "
-                         "under injected faults (default 64)")
-    service.add_argument("--ack-timeout", default=None, metavar="TIME",
-                         help="host ack timeout before a fault-lost chunk "
-                         "is retransmitted, e.g. 50us (default 50us)")
     service.add_argument("--checkpoint", default=None, metavar="PATH",
                          help="atomically rewrite PATH with a crash-"
                          "consistent service checkpoint at every quiescent "
@@ -738,9 +737,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="crash drill: hard-exit the process (code 13) "
                          "at this simulated instant, e.g. 1ms; resume with "
                          "--resume afterwards")
-    service.add_argument("--provenance-db", default=None, metavar="PATH",
-                         help="stream incremental provenance rows on every "
-                         "SLO snapshot tick into a sqlite database")
 
     planner = sub.add_parser(
         "planner",
@@ -768,7 +764,11 @@ def main(argv: list[str] | None = None) -> int:
     from repro.provenance.cli import add_prov_parser
 
     add_prov_parser(sub)
+    return parser, fabric_only
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser, fabric_only = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "prov":
@@ -776,40 +776,30 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_prov(args)
     if args.command == "planner":
-        if args.planner_command == "fit":
-            from repro.comm.planner.calibrate import (
-                calibrate, write_coefficients,
-            )
+        if args.planner_command == "bench":
+            return _cmd_planner_bench(args)
+        from repro.comm.planner.calibrate import calibrate, write_coefficients
 
-            table = calibrate(log=print)
-            path = write_coefficients(table, args.out)
-            print(f"[coefficients written to {path}]")
-            return 0
-        from repro.perf.planner import main as planner_bench_main
-
-        argv_out = ["--hosts", str(args.hosts)]
-        if args.out:
-            argv_out += ["--out", args.out]
-        if args.no_check:
-            argv_out += ["--no-check"]
-        return planner_bench_main(argv_out)
+        table = calibrate(log=print)
+        path = write_coefficients(table, args.out)
+        print(f"[coefficients written to {path}]")
+        return 0
     if args.command == "list":
         return _cmd_list()
     if args.command == "algorithms":
         return _cmd_algorithms()
     if args.command == "topologies":
         return _cmd_topologies()
-    if args.command == "bench":
-        if args.density is None:
-            args.density = 0.1 if args.sparse else 1.0
-        return _cmd_bench(args)
-    if args.command == "service":
+    if args.command in ("bench", "service"):
         try:
             topology = _build_cli_topology(args)
         except (TypeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _cmd_service(args, topology)
+            return _fail(exc)
+        if args.command == "service":
+            return _cmd_service(args, topology)
+        if args.density is None:
+            args.density = 0.1 if args.sparse else 1.0
+        return _cmd_bench(args, topology, fabric_only)
     targets = EXPERIMENTS if args.command == "all" else (args.command,)
     for name in targets:
         _run_one(name, args.fast)

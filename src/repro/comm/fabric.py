@@ -75,7 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: snapshot schema").  Bump on any backwards-incompatible field change.
 #: Version 3 adds run identity: a ``run_id`` every envelope carries and
 #: an optional ``provenance_db`` pointer when a provenance recorder was
-#: attached; :func:`load_timeline` still reads version-2 documents.
+#: attached; :func:`load_timeline` reads version 3 only.
 TIMELINE_SCHEMA_VERSION = 3
 
 #: The one knob of a run on a fabric, ``seed``: network schedules are
@@ -410,7 +410,8 @@ class Fabric:
         re-issue.  When no viable
         tree or switch pool remains, replan host-based instead (the
         paper's fallback), carrying any payloads to an *executing*
-        algorithm.
+        algorithm; a collective issued without a communicator has
+        nothing to replan with, so its future fails with the rejection.
         """
         old_flow = rec.flow
         self._inflight.pop(old_flow, None)
@@ -432,6 +433,13 @@ class Fabric:
             new_plan, rec.ticket = self._reroot(rec.plan, rec.tenant)
         except (ValueError, AdmissionError, CapabilityError) as exc:
             note["fallback_reason"] = str(exc)
+            if rec.comm is None:
+                rec.entry["recoveries"].append(note)
+                rec.entry["status"] = "failed"
+                self.sim.stop_requested = True      # wake run_until()
+                self._pending.discard(rec.future)
+                rec.future._settle(exception=exc)
+                return
             new_plan = self._fallback_plan(rec.comm, rec.plan, rec.payloads)
             rec.entry["fell_back"] = True
         rec.plan = new_plan

@@ -22,8 +22,6 @@ fat tree keeps the paper's ``l<j>`` leaves and ``s<k>`` spines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.network.links import Link
 
 NodeId = str
@@ -501,15 +499,6 @@ def build_topology(family: str, **params) -> Topology:
 # ----------------------------------------------------------------------
 # The paper's fat tree
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FatTreeParams:
-    n_hosts: int = 64
-    hosts_per_leaf: int = 8
-    n_spines: int = 4
-    link_gbps: float = 100.0
-    link_latency_ns: float = 250.0
-
-
 @register_topology
 class FatTreeTopology(Topology):
     """Two-level fat tree with full leaf-spine bipartite wiring.

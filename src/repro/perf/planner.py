@@ -25,9 +25,6 @@ cares about.
 
 from __future__ import annotations
 
-import json
-from typing import Optional
-
 from repro.comm.fabric import Fabric
 from repro.comm.future import wait_all
 from repro.comm.planner import FEATURES
@@ -179,46 +176,3 @@ def check(rows: list[dict], *, slack: float = SLACK, min_wins: int = MIN_WINS):
             f"points (need >= {min_wins})"
         )
     return (not problems), problems, wins
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro planner bench",
-        description="planner acceptance grid: cost auto vs fixed vs static",
-    )
-    parser.add_argument("--hosts", type=int, default=GRID_HOSTS)
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write rows + verdict JSON")
-    parser.add_argument("--no-check", action="store_true",
-                        help="measure only; skip the acceptance gate")
-    args = parser.parse_args(argv)
-
-    rows = run_grid(n_hosts=args.hosts, log=print)
-    ok, problems, wins = check(rows)
-    print(f"\ncost-auto beat the static baseline on {wins}/{len(rows)} "
-          f"grid points")
-    for p in problems:
-        print(f"FAIL: {p}")
-    if args.out:
-        payload = {
-            "benchmark": "planner-grid",
-            "hosts": args.hosts,
-            "rows": rows,
-            "wins_vs_static": wins,
-            "ok": ok,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"[planner bench JSON written to {args.out}]")
-    if args.no_check:
-        return 0
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

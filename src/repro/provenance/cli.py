@@ -20,10 +20,8 @@ All output is plain text on stdout; ``--json`` switches ``show`` and
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.provenance.store import ProvenanceStore
@@ -335,14 +333,3 @@ def run_prov(args) -> int:
         if args.prov_cmd == "show":
             return cmd_show(store, args)
         return cmd_diff(store, args)
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(prog="flare-repro-prov")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    add_prov_parser(sub)
-    return run_prov(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -98,6 +98,26 @@ def test_switch_down_falls_back_to_rabenseifner_with_payloads():
     assert entry["fell_back"]
 
 
+def test_switch_down_without_a_communicator_fails_the_future():
+    """A tree issued with no communicator has nothing to replan a host
+    fallback with: when its only spine dies mid-flight, the future fails
+    with the re-root rejection (not an error inside the event loop) and
+    nothing stays in flight."""
+    fabric = Fabric(n_hosts=16, n_spines=1)
+    plan = fabric.communicator(name="t").plan(nbytes="1MiB",
+                                              algorithm="flare_dense")
+    future = fabric.issue(None, plan)
+    fabric.inject(switch="s0", at=1_000.0)
+    with pytest.raises(ValueError, match="unreachable"):
+        future.result()
+    assert fabric.in_flight == 0
+    [entry] = fabric.timeline()
+    assert entry["status"] == "failed"
+    [rec] = entry["recoveries"]
+    assert rec["cause"] == {"kind": "down", "switch": "s0"}
+    assert "unreachable" in rec["fallback_reason"]
+
+
 def test_rejected_tree_reroots_onto_a_spine_with_a_free_slot():
     # One handler slot per switch: a's tree takes spine s0, so b's
     # first tree (also rooted at s0) is rejected.  On an idle network

@@ -5,8 +5,8 @@ import sqlite3
 
 import pytest
 
+from repro.__main__ import main
 from repro.comm import Fabric
-from repro.provenance.cli import main
 
 
 def _record(db, size, label):
