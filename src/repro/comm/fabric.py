@@ -203,7 +203,6 @@ class Fabric:
         self._tenants: dict[str, "Communicator"] = {}
         self._next_flow = 1
         self._events: list[dict] = []
-        self._pending: "set[CollectiveFuture]" = set()
         self._inflight: dict[object, _Inflight] = {}
         #: Run identity: every fabric mints a run id at construction so
         #: timelines are attributable even without a provenance store.
@@ -401,24 +400,36 @@ class Fabric:
         )
         return candidate, ticket
 
+    def _replan(self, comm, plan: CollectivePlan, payloads, tenant):
+        """Re-place a rejected or wounded tree collective.
+
+        Re-roots its tree (:meth:`_reroot`) and returns ``(plan, ticket,
+        None)``; when no tree fits, replans host-based through ``comm``
+        (:meth:`_fallback_plan`) and returns ``(plan, None,
+        reroot_error)``.  With no communicator there is nothing to
+        replan with, so the re-root rejection propagates.
+        """
+        try:
+            plan, ticket = self._reroot(plan, tenant)
+            return plan, ticket, None
+        except (ValueError, AdmissionError, CapabilityError) as exc:
+            if comm is None:
+                raise
+            reroot_error = exc
+        return self._fallback_plan(comm, plan, payloads), None, reroot_error
+
     def _recover(self, rec: _Inflight, event: dict) -> None:
         """Canary-style mid-flight recovery of one tree collective.
 
         Abandon the wounded flow (in-flight chunks are discarded at
-        their next hop), release its switch resources, re-root the
-        aggregation tree away from the failure (:meth:`_reroot`), and
-        re-issue.  When no viable
-        tree or switch pool remains, replan host-based instead (the
-        paper's fallback), carrying any payloads to an *executing*
-        algorithm; a collective issued without a communicator has
-        nothing to replan with, so its future fails with the rejection.
+        their next hop), retire its record, and re-issue it on the plan
+        :meth:`_replan` picks: a re-rooted tree, or the host-based
+        fallback carrying any payloads to an *executing* algorithm.  A
+        collective issued without a communicator has nothing to replan
+        with, so its future fails with the re-root rejection.
         """
-        old_flow = rec.flow
-        self._inflight.pop(old_flow, None)
-        self.net.abandon_flow(old_flow)
-        if rec.ticket is not None:
-            self.manager.release(rec.ticket)
-            rec.ticket = None
+        self.net.abandon_flow(rec.flow)
+        self._retire(rec)
         note = {
             "at_ns": self.now,
             "cause": {
@@ -430,26 +441,27 @@ class Fabric:
             "from_root": self._root(rec.plan),
         }
         try:
-            new_plan, rec.ticket = self._reroot(rec.plan, rec.tenant)
+            rec.plan, rec.ticket, reroot_error = self._replan(
+                rec.comm, rec.plan, rec.payloads, rec.tenant
+            )
         except (ValueError, AdmissionError, CapabilityError) as exc:
+            if rec.comm is not None:
+                raise                   # the host fallback failed to plan
             note["fallback_reason"] = str(exc)
-            if rec.comm is None:
-                rec.entry["recoveries"].append(note)
-                rec.entry["status"] = "failed"
-                self.sim.stop_requested = True      # wake run_until()
-                self._pending.discard(rec.future)
-                rec.future._settle(exception=exc)
-                return
-            new_plan = self._fallback_plan(rec.comm, rec.plan, rec.payloads)
+            rec.entry["recoveries"].append(note)
+            rec.entry["status"] = "failed"
+            self.sim.stop_requested = True      # wake run_until()
+            rec.future._settle(exception=exc)
+            return
+        if reroot_error is not None:
+            note["fallback_reason"] = str(reroot_error)
             rec.entry["fell_back"] = True
-        rec.plan = new_plan
         rec.flow = self._next_flow
         self._next_flow += 1
-        rec.future.flow = rec.flow
-        note["to_algorithm"] = new_plan.algorithm
-        note["to_root"] = self._root(new_plan)
+        note["to_algorithm"] = rec.plan.algorithm
+        note["to_root"] = self._root(rec.plan)
         rec.entry["recoveries"].append(note)
-        rec.entry["algorithm"] = new_plan.algorithm
+        rec.entry["algorithm"] = rec.plan.algorithm
         self._issue_record(rec)
 
     # ------------------------------------------------------------------
@@ -559,22 +571,22 @@ class Fabric:
                     raise
                 admission_note = str(exc)
                 try:
-                    plan, ticket = self._reroot(plan, tenant)
+                    plan, ticket, reroot_error = self._replan(
+                        comm, plan, payloads, tenant
+                    )
                 except (ValueError, AdmissionError, CapabilityError):
-                    if comm is None:
-                        raise exc from None
-                    plan = self._fallback_plan(comm, plan, payloads)
-                    fell_back = True
-                else:
+                    if comm is not None:
+                        raise           # the host fallback failed to plan
+                    raise exc from None
+                fell_back = reroot_error is not None
+                if not fell_back:
                     admission_note += (
                         f" -> replanned tree rooted at "
                         f"{self._root(plan)}"
                     )
         flow = self._next_flow
         self._next_flow += 1
-        future = CollectiveFuture(
-            plan.request, plan.algorithm, fabric=self, tenant=tenant, flow=flow
-        )
+        future = CollectiveFuture(plan.request, plan.algorithm, fabric=self, tenant=tenant)
         start = self.net.now
         entry = {
             "tenant": tenant,
@@ -604,30 +616,28 @@ class Fabric:
 
     def _issue_record(self, rec: _Inflight) -> None:
         """(Re-)issue one collective's events into the shared loop."""
-        flow = rec.flow
         rec.base = self.net.now
-        self.net.set_flow_weight(flow, rec.weight)
+        self.net.set_flow_weight(rec.flow, rec.weight)
 
         def finish(result) -> None:
-            if rec.ticket is not None:
-                self.manager.release(rec.ticket)
-                rec.ticket = None
-            self.net.remove_flow(flow)
-            self._inflight.pop(flow, None)
+            self._retire(rec)
             self._settle_record(rec, result)
 
-        self._pending.add(rec.future)
-        self._inflight[flow] = rec
+        self._inflight[rec.flow] = rec
         try:
-            rec.plan.issue(self.net, flow, rec.payloads, finish)
+            rec.plan.issue(self.net, rec.flow, rec.payloads, finish)
         except Exception:
-            self._pending.discard(rec.future)
-            self._inflight.pop(flow, None)
-            self.net.remove_flow(flow)
-            if rec.ticket is not None:
-                self.manager.release(rec.ticket)
-                rec.ticket = None
+            self._retire(rec)
             raise
+
+    def _retire(self, rec: _Inflight) -> None:
+        """Unregister a finished, failed-to-issue or wounded collective:
+        release its admission ticket, drop its flow, and forget it."""
+        if rec.ticket is not None:
+            self.manager.release(rec.ticket)
+            rec.ticket = None
+        self.net.remove_flow(rec.flow)
+        self._inflight.pop(rec.flow, None)
 
     def _settle_record(self, rec: _Inflight, result) -> None:
         # Wake any run_until() driving the loop for this (or any)
@@ -657,7 +667,6 @@ class Fabric:
             result.time_ns = duration    # end-to-end, including re-runs
         if self.provenance is not None:
             self._record_switch_counters(result)
-        self._pending.discard(rec.future)
         rec.future._settle(result=result)
 
     def _record_switch_counters(self, result) -> None:
@@ -701,7 +710,7 @@ class Fabric:
     @property
     def in_flight(self) -> int:
         """Collectives issued but not yet completed."""
-        return len(self._pending)
+        return len(self._inflight)
 
     def shutdown(self) -> None:
         """Flush the attached provenance recorder (no-op without one);

@@ -48,12 +48,10 @@ class CollectiveFuture:
         *,
         fabric=None,
         tenant: Optional[str] = None,
-        flow: object = None,
     ) -> None:
         self.request = request
         self.algorithm = algorithm
         self.tenant = tenant
-        self.flow = flow
         self._fabric = fabric
         self._done = False
         self._result: Optional[CollectiveResult] = None

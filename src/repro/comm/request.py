@@ -32,8 +32,9 @@ class CollectiveRequest:
     n_hosts:
         Number of participating hosts (the reduction fan-in).
     collective:
-        Collective kind; only ``"allreduce"`` is implemented today, the
-        field exists so future collectives share the same front door.
+        Collective kind; only ``"allreduce"`` is implemented today (any
+        other raises ``ValueError``), the field exists so future
+        collectives share the same front door.
     op:
         Reduction operator — a built-in name or a custom
         :class:`~repro.core.ops.ReductionOp` (flexibility axis F1).
@@ -64,6 +65,11 @@ class CollectiveRequest:
     _wiring: Optional[Wiring] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.collective != "allreduce":
+            raise ValueError(
+                f"collective must be 'allreduce' (the only one implemented), "
+                f"got {self.collective!r}"
+            )
         self.nbytes = float(parse_size(self.nbytes))
         if self.nbytes <= 0:
             raise ValueError("nbytes must be positive")

@@ -246,6 +246,14 @@ class FabricService:
     def _restore(self, state: dict) -> None:
         """Rebuild service + job state from a checkpoint and fast-
         forward the fabric clock to the checkpointed tick."""
+        # Faults armed before the tick would fire behind the forwarded
+        # clock, and loss rolls key on per-link message counts.
+        if self.fabric.faults is not None:
+            raise ValueError(
+                f"checkpoint {self.checkpoint_path!r} carries no fault or "
+                "link state, so a run with armed faults cannot resume from "
+                "it; start the run afresh"
+            )
         sim = self.fabric.sim
         t0 = float(state["now_ns"])
         sim.now = t0

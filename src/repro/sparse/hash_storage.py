@@ -121,35 +121,26 @@ class HashStorage:
         """Insert one packet's elements; returns any spill flushes.
 
         Elements are processed in packet order (the handler holds the
-        block's critical section, so inserts are serialized).  When the
-        packet's indices are unique — always true for Flare packets,
-        since a host's block contribution has unique positions — the
-        batch is resolved vectorized; duplicate indices fall back to the
-        exact sequential path.
+        block's critical section, so inserts are serialized), resolved
+        as one batch: the first element to reach an empty slot claims
+        it, later elements carrying the slot's key aggregate in packet
+        order, and the rest spill, flushing every ``spill_capacity``
+        spilled elements.
         """
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(values)
-        if len(idx) != len(np.unique(idx)):
-            return self._insert_sequential(idx, vals)
         self.inserted_elements += len(idx)
         slots = _slot_of(idx, self.n_slots)
-        keys_at = self._keys[slots]
-        empty = keys_at == -1
-        same = keys_at == idx
-        # Same-key aggregation: each matching slot appears once (table
-        # keys are unique and the packet's indices are unique).
-        hit = np.where(same)[0]
-        self._values[slots[hit]] += vals[hit]
-        # Empty slots: first packet element targeting a slot claims it;
-        # later ones (intra-packet slot collisions) spill.
-        cand = np.where(empty)[0]
-        _u, first_pos = np.unique(slots[cand], return_index=True)
-        winners = cand[first_pos]
-        self._keys[slots[winners]] = idx[winners]
-        self._values[slots[winners]] = vals[winners]
-        losers = np.setdiff1d(cand, winners, assume_unique=True)
-        spill = np.concatenate([np.where(~(empty | same))[0], losers])
-        spill.sort()
+        empty = np.where(self._keys[slots] == -1)[0]
+        _u, first_pos = np.unique(slots[empty], return_index=True)
+        claims = empty[first_pos]
+        self._keys[slots[claims]] = idx[claims]
+        self._values[slots[claims]] = vals[claims]
+        rest = np.ones(len(idx), dtype=bool)
+        rest[claims] = False
+        same = rest & (self._keys[slots] == idx)
+        np.add.at(self._values, slots[same], vals[same])
+        spill = np.where(rest & ~same)[0]
         flushed: list[SpillEvent] = []
         if len(spill):
             self._spill_indices.extend(int(i) for i in idx[spill])
@@ -160,26 +151,6 @@ class HashStorage:
         self.spill_events.extend(flushed)
         return flushed
 
-    def _insert_sequential(self, idx: np.ndarray, vals: np.ndarray) -> list[SpillEvent]:
-        flushed: list[SpillEvent] = []
-        slots = _slot_of(idx, self.n_slots)
-        for i, slot, val in zip(idx, slots, vals):
-            self.inserted_elements += 1
-            key = self._keys[slot]
-            if key == -1:
-                self._keys[slot] = i
-                self._values[slot] = val
-            elif key == i:
-                self._values[slot] += val
-            else:
-                self._spill_indices.append(int(i))
-                self._spill_values.append(val)
-                self.spilled_elements += 1
-                if len(self._spill_indices) >= self.spill_capacity:
-                    flushed.append(self._flush_spill())
-        self.spill_events.extend(flushed)
-        return flushed
-
     def _flush_chunk(self, n: int) -> SpillEvent:
         event = SpillEvent(
             indices=np.array(self._spill_indices[:n], dtype=np.int32),
@@ -187,15 +158,6 @@ class HashStorage:
         )
         del self._spill_indices[:n]
         del self._spill_values[:n]
-        return event
-
-    def _flush_spill(self) -> SpillEvent:
-        event = SpillEvent(
-            indices=np.array(self._spill_indices, dtype=np.int32),
-            values=np.array(self._spill_values, dtype=self._values.dtype),
-        )
-        self._spill_indices.clear()
-        self._spill_values.clear()
         return event
 
     # ------------------------------------------------------------------

@@ -17,6 +17,16 @@ def _payloads(n_hosts=8, n=512, dtype=np.int32, seed=0):
     return data, data.sum(axis=0, dtype=np.int64).astype(dtype)
 
 
+def _assert_retired(fabric):
+    """Run ``fabric`` to quiescence; every collective, recovered or
+    failed, has then released its ticket, flow and callbacks."""
+    fabric.run()
+    assert fabric.in_flight == 0
+    assert fabric.manager.utilization()["admitted"] == 0
+    assert fabric.net._flow_weight == {}
+    assert fabric.net._deliver_cb == {}
+
+
 # ----------------------------------------------------------------------
 # Canary-style re-root on a link outage
 # ----------------------------------------------------------------------
@@ -36,6 +46,7 @@ def _link_down_recovers_and_traces(algorithm):
     assert fabric.tenant_stats()["train"]["recovered"] == 1
     # The replanned tree avoids the failed link.
     assert ("l0", "s0") not in fabric.topology.paths("h0", "h15")[0]
+    _assert_retired(fabric)
 
 
 def test_link_down_recovers_flare_dense_and_traces_it():
@@ -96,6 +107,7 @@ def test_switch_down_falls_back_to_rabenseifner_with_payloads():
     entry = fabric.timeline()[1]
     assert entry["algorithm"] == "rabenseifner"
     assert entry["fell_back"]
+    _assert_retired(fabric)
 
 
 def test_switch_down_without_a_communicator_fails_the_future():
@@ -116,6 +128,7 @@ def test_switch_down_without_a_communicator_fails_the_future():
     [rec] = entry["recoveries"]
     assert rec["cause"] == {"kind": "down", "switch": "s0"}
     assert "unreachable" in rec["fallback_reason"]
+    _assert_retired(fabric)
 
 
 def test_rejected_tree_reroots_onto_a_spine_with_a_free_slot():

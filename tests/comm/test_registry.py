@@ -201,6 +201,10 @@ def test_request_validation():
         CollectiveRequest(nbytes=64, n_hosts=0)
     with pytest.raises(ValueError, match="density"):
         CollectiveRequest(nbytes=64, n_hosts=4, density=0.0)
+    # Only allreduce is implemented.
+    with pytest.raises(ValueError, match="collective .*'broadcast'"):
+        CollectiveRequest(nbytes=64, n_hosts=4, collective="broadcast",
+                          algorithm="ring")
 
 
 def test_request_signature_ignores_payload_but_not_shape():

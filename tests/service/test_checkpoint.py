@@ -149,6 +149,30 @@ def test_resume_with_missing_file_degrades_to_fresh_run(tmp_path):
     assert _strip(fresh) == _strip(oracle)
 
 
+def _faulted_service(ckpt):
+    service = _service(ckpt)
+    service.fabric.inject(link="*", at=0.0, kind="lossy", loss_rate=0.01,
+                          seed=3)
+    service.fabric.inject(switch="s0", at=300_000.0, duration_ns=300_000.0)
+    return service
+
+
+def test_resume_onto_armed_faults_is_refused(tmp_path):
+    """A checkpoint carries no fault or link state: faults armed before
+    its tick would fire behind the forwarded clock and loss rolls would
+    restart, so resuming a faulted run raises instead of diverging.  A
+    missing checkpoint still starts the faulted run fresh."""
+    ckpt = str(tmp_path / "svc.ckpt")
+    _crash(_faulted_service(ckpt), at=900_000.0)
+    assert os.path.exists(ckpt)
+    with pytest.raises(ValueError, match="no fault or link state"):
+        _faulted_service(ckpt).run(resume=True)
+
+    fresh = _faulted_service(str(tmp_path / "never-written.ckpt"))
+    oracle = _faulted_service(str(tmp_path / "oracle.ckpt"))
+    assert _strip(fresh.run(resume=True)) == _strip(oracle.run())
+
+
 def test_resume_requires_checkpoint_path():
     svc = FabricService(_fabric(), _workload(), snapshot_interval_ns=1e5)
     with pytest.raises(ValueError, match="checkpoint_path"):
